@@ -1,10 +1,12 @@
-"""Scenario harness: every catalog entry passes on its default config,
-reports are byte-stable, and the CLI honors the documented exit codes.
+"""Scenario harness: every catalog entry passes on its default config and
+reproduces its golden report byte for byte, reports are byte-stable, and the
+CLI honors the documented exit codes.
 """
 
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -24,12 +26,32 @@ QUICK_OVERRIDES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(SCENARIOS))
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
+GOLDEN_MODULE = "tests/data/dim32_bristled.kron"
+
+
+def _golden_config(name: str):
+    """Default config of a golden entry; the ``-module`` entry adds GOLDEN_MODULE."""
+    if name == "main-theorem-b-bristle-orbits-module":
+        return default_config("main-theorem-b-bristle-orbits", module_path=GOLDEN_MODULE,
+                              module_text=(ROOT / GOLDEN_MODULE).read_text(encoding="utf-8"))
+    return default_config(name)
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS) + ["main-theorem-b-bristle-orbits-module"])
 def test_scenario_passes_on_defaults(name):
-    cfg = default_config(name, **QUICK_OVERRIDES.get(name, {}))
-    report = run_scenario(cfg)
+    """Each default run passes and renders exactly its checked-in golden report.
+
+    The goldens in tests/golden were rendered once by the CLI
+    (``kronbrist <scenario> --format json|table``) and are never regenerated
+    to make a change pass: a byte difference is a change in meaning.
+    """
+    report = run_scenario(_golden_config(name))
     failed = [c for c in report.checks if not c.passed]
     assert not failed, [(c.name, c.expected, c.computed) for c in failed]
+    assert report.to_json() == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+    assert report.to_table() == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
 
 
 def test_reports_byte_identical_across_runs():

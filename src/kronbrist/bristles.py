@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .linalg import FieldSpec, Matrix, Subspace, kernel_basis, subspace_intersection
+from .linalg import FieldSpec, Matrix, Subspace, joint_kernel
 from .modules import (
     KroneckerModule,
     SubmodulePair,
@@ -99,17 +99,25 @@ def canonical_set(name: str, n: int, field: FieldSpec) -> list:
     raise ValueError(f"unknown canonical set {name!r}")
 
 
+def _projective_points(field: FieldSpec, dim: int) -> list:
+    """One representative per line of k^dim, first nonzero 1, lexicographic.
+
+    Later leading positions come first, because their prefixes hold more
+    zeros; within a leading position the tails run in product order.
+    """
+    pts = []
+    for lead in reversed(range(dim)):
+        prefix = (field.zero(),) * lead + (field.one(),)
+        for tail in itertools.product(list(field.elements()), repeat=dim - 1 - lead):
+            pts.append(prefix + tail)
+    return pts
+
+
 def enumerate_bristles(n: int, field: FieldSpec) -> list:
     """All (q^n - 1)/(q - 1) points, lexicographic by normalized coordinates."""
     if not field.is_finite:
         raise ValueError("enumeration requires a finite field")
-    pts = []
-    for lead in range(n):
-        prefix = [field.zero()] * lead + [field.one()]
-        for tail in itertools.product(list(field.elements()), repeat=n - 1 - lead):
-            pts.append(BristlePoint(n, field, tuple(prefix) + tail))
-    pts.sort(key=lambda p: p.coords)
-    return pts
+    return [BristlePoint(n, field, c) for c in _projective_points(field, n)]
 
 
 def bristle_count(n: int, q: int) -> int:
@@ -144,23 +152,10 @@ def bristle_type_of(M: KroneckerModule, u: Sequence) -> BristlePoint:
     return bristle_point(M.n, f, coeffs)
 
 
-def _normalized_vectors(field: FieldSpec, dim: int):
-    """One representative per line of k^dim, lexicographic, first nonzero 1."""
-    vecs = []
-    for lead in range(dim):
-        prefix = [field.zero()] * lead + [field.one()]
-        for tail in itertools.product(list(field.elements()), repeat=dim - 1 - lead):
-            vecs.append(tuple(prefix) + tail)
-    vecs.sort()
-    return vecs
-
-
 def s1_generated_submodule(M: KroneckerModule) -> SubmodulePair:
     """Largest submodule generated by the simple at vertex 1: (cap of kernels, 0)."""
-    soc1 = Subspace.full(M.field, M.dim1)
-    for a in M.alphas:
-        soc1 = subspace_intersection(soc1, kernel_basis(a))
-    return SubmodulePair(M, soc1, Subspace.zero(M.field, M.dim2))
+    return SubmodulePair(M, joint_kernel(M.field, M.dim1, M.alphas),
+                         Subspace.zero(M.field, M.dim2))
 
 
 def bristle_variety(M: KroneckerModule) -> list:
@@ -175,7 +170,7 @@ def bristle_variety(M: KroneckerModule) -> list:
                          "use is_bristle_vector for membership over the rationals")
     reduced, _ = quotient(M, s1_generated_submodule(M))
     out = []
-    for u in _normalized_vectors(M.field, reduced.dim1):
+    for u in _projective_points(M.field, reduced.dim1):
         if is_bristle_vector(reduced, u):
             out.append((u, bristle_type_of(reduced, u)))
     return out

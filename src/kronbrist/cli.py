@@ -3,15 +3,17 @@
     kronbrist <scenario> [--n N] [--q P | --rational] [--tmax T] [--seed S]
               [--attempts K] [--module FILE] [--out FILE] [--format json|table]
 
-Exit status: 0 when every check passes, 1 when any check fails, 2 on usage
-or parse errors.  The rendered report is byte-stable for a fixed
-configuration; elapsed time goes to stderr.
+Exit status: 0 when every check passes, 1 when any check fails, 2 on usage,
+configuration or parse errors, 3 on an internal error (a bug, never a
+verdict; the traceback goes to stderr).  The rendered report is byte-stable
+for a fixed configuration; elapsed time goes to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -65,15 +67,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                              seed=args.seed, attempts=args.attempts,
                              module_path=args.module, module_text=module_text)
         report = run_scenario(cfg)
-    except (ScenarioConfigError, ModuleFileError, FileNotFoundError, ValueError) as exc:
+        rendered = report.to_json() if args.format == "json" else report.to_table()
+        if args.out:
+            Path(args.out).write_text(rendered, encoding="utf-8")
+        else:
+            sys.stdout.write(rendered)
+    except (ScenarioConfigError, ModuleFileError, OSError, UnicodeDecodeError) as exc:
         print(f"kronbrist: error: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        print("kronbrist: internal error", file=sys.stderr)
+        traceback.print_exc()
+        return 3
 
-    rendered = report.to_json() if args.format == "json" else report.to_table()
-    if args.out:
-        Path(args.out).write_text(rendered, encoding="utf-8")
-    else:
-        sys.stdout.write(rendered)
     print(f"elapsed: {report.elapsed_seconds:.3f}s", file=sys.stderr)
     return 0 if report.passed else 1
 

@@ -28,9 +28,8 @@ from .linalg import (
     FieldSpec,
     Matrix,
     Subspace,
-    kernel_basis,
+    joint_kernel,
     rank,
-    subspace_intersection,
     subspace_sum,
 )
 from .modules import KroneckerModule, SubmodulePair
@@ -87,27 +86,6 @@ class CoverRep:
             if mat.field != self.field:
                 raise DimensionMismatch("arrow map over the wrong field")
 
-    def is_connected(self) -> bool:
-        """Named constructions are connected; subreps (e.g. the bristled part
-        of a ball) may legitimately not be."""
-        if not self.spaces:
-            return True
-        return self._connected()
-
-    def _connected(self) -> bool:
-        verts = set(self.spaces)
-        start = next(iter(verts))
-        seen = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for label in range(1, self.n + 1):
-                w = neighbor(v, label)
-                if w in verts and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return seen == verts
-
     def dim(self, v: TreeVertex) -> int:
         return self.spaces.get(v, 0)
 
@@ -123,10 +101,6 @@ class CoverRep:
     def sorted_vertices(self, cls: int) -> List[TreeVertex]:
         return sorted((v for v in self.spaces if vertex_class(v) == cls),
                       key=lambda v: (len(v), v))
-
-    def total_dims(self) -> Tuple[int, int]:
-        return (sum(d for v, d in self.spaces.items() if vertex_class(v) == 1),
-                sum(d for v, d in self.spaces.items() if vertex_class(v) == 2))
 
 
 class PushDownIndex:
@@ -194,6 +168,31 @@ def _center_map_row(n: int, j: int, basis_labels: Sequence[int]) -> list:
     return [(1 if j == i else 0) - (1 if j == i + 1 else 0) for i in basis_labels]
 
 
+def _ball(n: int, field: FieldSpec, center_labels: Sequence[int],
+          branches: Sequence[int], leafy: Sequence[int]) -> CoverRep:
+    """Center, one sink per label in ``branches``, and the n - 1 leaves of
+    each sink whose label is in ``leafy``.
+
+    The center has the basis e(i) - e(i+1), i in center_labels; its arrow of
+    label j is the j-th coordinate functional in that basis.  All other
+    arrows are identities.
+    """
+    d = len(center_labels)
+    spaces: Dict[TreeVertex, int] = {BASE: d}
+    maps: Dict[Tuple[TreeVertex, int], Matrix] = {}
+    for j in branches:
+        spaces[(j,)] = 1
+        maps[(BASE, j)] = Matrix.from_rows(field, [_center_map_row(n, j, center_labels)],
+                                           cols=d)
+        if j not in leafy:
+            continue
+        for i in range(1, n + 1):
+            if i != j:
+                spaces[(j, i)] = 1
+                maps[((j, i), i)] = Matrix.identity(field, 1)
+    return CoverRep(n, field, spaces, maps)
+
+
 def build_ball_rep(n: int, field: FieldSpec) -> CoverRep:
     """Radius-2 ball around the base with center dimension n - 1.
 
@@ -204,18 +203,7 @@ def build_ball_rep(n: int, field: FieldSpec) -> CoverRep:
     """
     if n < 3:
         raise ValueError("the ball construction needs n >= 3")
-    basis_labels = list(range(1, n))
-    spaces: Dict[TreeVertex, int] = {BASE: n - 1}
-    maps: Dict[Tuple[TreeVertex, int], Matrix] = {}
-    for j in range(1, n + 1):
-        spaces[(j,)] = 1
-        maps[(BASE, j)] = Matrix.from_rows(field, [_center_map_row(n, j, basis_labels)],
-                                           cols=n - 1)
-        for i in range(1, n + 1):
-            if i != j:
-                spaces[(j, i)] = 1
-                maps[((j, i), i)] = Matrix.identity(field, 1)
-    return CoverRep(n, field, spaces, maps)
+    return _ball(n, field, range(1, n), range(1, n + 1), range(1, n + 1))
 
 
 def build_tau_bristle_rep(n: int, field: FieldSpec) -> CoverRep:
@@ -227,18 +215,7 @@ def build_tau_bristle_rep(n: int, field: FieldSpec) -> CoverRep:
     """
     if n < 3:
         raise ValueError("the pruned ball needs n >= 3")
-    basis_labels = list(range(2, n))
-    spaces: Dict[TreeVertex, int] = {BASE: n - 2}
-    maps: Dict[Tuple[TreeVertex, int], Matrix] = {}
-    for j in range(2, n + 1):
-        spaces[(j,)] = 1
-        maps[(BASE, j)] = Matrix.from_rows(field, [_center_map_row(n, j, basis_labels)],
-                                           cols=n - 2)
-        for i in range(1, n + 1):
-            if i != j:
-                spaces[(j, i)] = 1
-                maps[((j, i), i)] = Matrix.identity(field, 1)
-    return CoverRep(n, field, spaces, maps)
+    return _ball(n, field, range(2, n), range(2, n + 1), range(2, n + 1))
 
 
 def build_mu_bristle_rep(n: int, field: FieldSpec) -> CoverRep:
@@ -250,20 +227,7 @@ def build_mu_bristle_rep(n: int, field: FieldSpec) -> CoverRep:
     """
     if n < 3:
         raise ValueError("the intermediate rep needs n >= 3")
-    basis_labels = list(range(1, n))
-    spaces: Dict[TreeVertex, int] = {BASE: n - 1}
-    maps: Dict[Tuple[TreeVertex, int], Matrix] = {}
-    for j in range(1, n + 1):
-        spaces[(j,)] = 1
-        maps[(BASE, j)] = Matrix.from_rows(field, [_center_map_row(n, j, basis_labels)],
-                                           cols=n - 1)
-        if j == 1:
-            continue
-        for i in range(1, n + 1):
-            if i != j:
-                spaces[(j, i)] = 1
-                maps[((j, i), i)] = Matrix.identity(field, 1)
-    return CoverRep(n, field, spaces, maps)
+    return _ball(n, field, range(1, n), range(1, n + 1), range(2, n + 1))
 
 
 # -- subrepresentations ----------------------------------------------------------
@@ -361,17 +325,8 @@ def v_component(X: CoverRep, j: int, i: int) -> CoverSubrep:
 
 def center_line(X: CoverRep, i: int, j: int) -> Subspace:
     """The joint kernel of all center arrows other than labels i and j."""
-    f = X.field
-    d = X.dim(BASE)
-    line = Subspace.full(f, d)
-    for s in range(1, X.n + 1):
-        if s in (i, j):
-            continue
-        mat = X.arrow(BASE, s)
-        if mat is None:
-            continue
-        line = subspace_intersection(line, kernel_basis(mat))
-    return line
+    others = [X.arrow(BASE, s) for s in range(1, X.n + 1) if s not in (i, j)]
+    return joint_kernel(X.field, X.dim(BASE), [mat for mat in others if mat is not None])
 
 
 def w_component(X: CoverRep, i: int, j: int) -> CoverSubrep:
@@ -423,30 +378,6 @@ def subrep_subpair(X: CoverRep, sub: CoverSubrep, pushed: KroneckerModule,
     return SubmodulePair(pushed,
                          Subspace.from_spanning(f, pushed.dim1, v1),
                          Subspace.from_spanning(f, pushed.dim2, v2))
-
-
-def push_down_inclusion(X: CoverRep, sub: CoverSubrep, pushed: KroneckerModule,
-                        index: PushDownIndex):
-    """The pushed-down inclusion as an honest module morphism.
-
-    Assembles the vertexwise inclusion matrices into block maps between the
-    two push-downs; the morphism constructor verifies intertwining.
-    """
-    from .modules import Morphism
-    f = X.field
-    subpushed, subindex = push_down(sub.rep)
-    rows1 = [[f.zero()] * subpushed.dim1 for _ in range(pushed.dim1)]
-    rows2 = [[f.zero()] * subpushed.dim2 for _ in range(pushed.dim2)]
-    for v, inc in sub.inclusion.items():
-        rows = rows1 if vertex_class(v) == 1 else rows2
-        roff = index.offset(v)
-        coff = subindex.offset(v)
-        for i in range(inc.rows):
-            for j in range(inc.cols):
-                rows[roff + i][coff + j] = inc.data[i][j]
-    f1 = Matrix.from_rows(f, rows1, cols=subpushed.dim1)
-    f2 = Matrix.from_rows(f, rows2, cols=subpushed.dim2)
-    return Morphism(subpushed, pushed, f1, f2)
 
 
 def extract_bristle_from_wedge(X: CoverRep, pushed: KroneckerModule, index: PushDownIndex,
@@ -572,13 +503,10 @@ def cover_max_bristled(X: CoverRep) -> CoverSubrep:
     for v in X.sorted_vertices(1):
         in_support = [label for label in range(1, X.n + 1)
                       if X.dim(neighbor(v, label)) > 0]
-        tr = Subspace.zero(f, X.spaces[v])
-        for label in in_support:
-            part = Subspace.full(f, X.spaces[v])
-            for other in in_support:
-                if other != label:
-                    part = subspace_intersection(part, kernel_basis(X.arrow(v, other)))
-            tr = subspace_sum(tr, part)
+        parts = [joint_kernel(f, X.spaces[v], [X.arrow(v, other) for other in in_support
+                                                if other != label])
+                 for label in in_support]
+        tr = subspace_sum(Subspace.zero(f, X.spaces[v]), *parts)
         source_sub[v] = tr
         if tr.dim > 0:
             spaces[v] = tr.dim
@@ -626,11 +554,8 @@ class EqualityCheck:
 def _sum_vertex_subspaces(parts: Sequence[Dict[TreeVertex, Subspace]],
                           field: FieldSpec,
                           dims: Dict[TreeVertex, int]) -> Dict[TreeVertex, Subspace]:
-    out = {v: Subspace.zero(field, d) for v, d in dims.items()}
-    for part in parts:
-        for v, sp in part.items():
-            out[v] = subspace_sum(out[v], sp)
-    return out
+    return {v: subspace_sum(Subspace.zero(field, d), *(part[v] for part in parts if v in part))
+            for v, d in dims.items()}
 
 
 def verify_cover_equalities(n: int, field: FieldSpec,
@@ -677,21 +602,14 @@ def verify_cover_equalities(n: int, field: FieldSpec,
             eb = extract_bristle_from_wedge(X, pushed, index, j, i)
             rhs1.append(eb.U1)
             rhs2.append(eb.U2)
-        s1 = Subspace.zero(f, pushed.dim1)
-        s2 = Subspace.zero(f, pushed.dim2)
-        for u in rhs1:
-            s1 = subspace_sum(s1, u)
-        for u in rhs2:
-            s2 = subspace_sum(s2, u)
+        s1 = subspace_sum(Subspace.zero(f, pushed.dim1), *rhs1)
+        s2 = subspace_sum(Subspace.zero(f, pushed.dim2), *rhs2)
         checks.append(EqualityCheck(f"pushed-branch-decomposition-j{j}", True,
                                     (s1, s2) == (nj.U1, nj.U2)))
         npair_parts[j] = nj
 
-    N1 = Subspace.zero(f, pushed.dim1)
-    N2 = Subspace.zero(f, pushed.dim2)
-    for j in range(1, n + 1):
-        N1 = subspace_sum(N1, npair_parts[j].U1)
-        N2 = subspace_sum(N2, npair_parts[j].U2)
+    N1 = subspace_sum(Subspace.zero(f, pushed.dim1), *(nj.U1 for nj in npair_parts.values()))
+    N2 = subspace_sum(Subspace.zero(f, pushed.dim2), *(nj.U2 for nj in npair_parts.values()))
 
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
@@ -707,12 +625,9 @@ def verify_cover_equalities(n: int, field: FieldSpec,
         ok = span.dim == n - 1 and len(lines) == n - 1
         checks.append(EqualityCheck(f"center-direct-sum-{tag}", True, ok))
 
-    M1 = N1
-    M2 = N2
-    for i in pair_starts:
-        mij, _ = extract_mij(X, i, i % n + 1, pushed, index)
-        M1 = subspace_sum(M1, mij.U1)
-        M2 = subspace_sum(M2, mij.U2)
+    mijs = [extract_mij(X, i, i % n + 1, pushed, index)[0] for i in pair_starts]
+    M1 = subspace_sum(N1, *(mij.U1 for mij in mijs))
+    M2 = subspace_sum(N2, *(mij.U2 for mij in mijs))
     checks.append(EqualityCheck("full-generation", True,
                                 M1.is_full() and M2.is_full()))
     return checks

@@ -454,24 +454,13 @@ class Subspace:
             raise DimensionMismatch("subspaces in different ambient spaces")
 
 
-def subspace_sum(U: Subspace, V: Subspace) -> Subspace:
-    U._check_compatible(V)
-    return Subspace.from_spanning(U.field, U.ambient_dim,
-                                  list(U.basis.data) + list(V.basis.data))
-
-
-def subspace_intersection(U: Subspace, V: Subspace) -> Subspace:
-    """Zassenhaus: row-reduce [[A A],[B 0]]; zero-left rows span U cap V."""
-    U._check_compatible(V)
-    m = U.ambient_dim
-    if U.dim == 0 or V.dim == 0:
-        return Subspace.zero(U.field, m)
-    f = U.field
-    top = U.basis.hstack(U.basis)
-    bottom = V.basis.hstack(Matrix.zeros(f, V.dim, m))
-    R, pivots, rk = rref(top.vstack(bottom))
-    inter = [R.data[r][m:] for r in range(rk) if pivots[r] >= m]
-    return Subspace.from_spanning(f, m, inter)
+def subspace_sum(U: Subspace, *more: Subspace) -> Subspace:
+    """U plus every subspace in ``more``: one reduction of all their basis rows."""
+    rows = list(U.basis.data)
+    for V in more:
+        U._check_compatible(V)
+        rows.extend(V.basis.data)
+    return Subspace.from_spanning(U.field, U.ambient_dim, rows)
 
 
 def kernel_basis(A: Matrix) -> Subspace:
@@ -492,6 +481,16 @@ def kernel_basis(A: Matrix) -> Subspace:
             v[p] = f.neg(R.data[r][fc])
         vecs.append(v)
     return Subspace.from_spanning(f, n, vecs)
+
+
+def joint_kernel(field: FieldSpec, dim: int, maps: Sequence[Matrix]) -> Subspace:
+    """{v in k^dim : A v = 0 for every A in maps}, the kernel of the stacked maps."""
+    rows = []
+    for A in maps:
+        if A.cols != dim or A.field != field:
+            raise DimensionMismatch("joint kernel of maps with different sources")
+        rows.extend(A.data)
+    return kernel_basis(Matrix(field, len(rows), dim, tuple(rows)))
 
 
 def image_subspace(A: Matrix) -> Subspace:

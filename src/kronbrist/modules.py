@@ -26,12 +26,11 @@ from .linalg import (
     Subspace,
     block_diag,
     image_subspace,
+    joint_kernel,
     kernel_basis,
     quotient_projection,
     embed_free_coordinates,
     rank,
-    subspace_intersection,
-    subspace_sum,
 )
 
 DimVector = tuple  # (dim at vertex 1, dim at vertex 2)
@@ -193,20 +192,6 @@ class SubmodulePair:
         return self.U1.contains(other.U1) and self.U2.contains(other.U2)
 
 
-def submodule_sum(A: SubmodulePair, B: SubmodulePair) -> SubmodulePair:
-    if A.parent != B.parent:
-        raise DimensionMismatch("submodules of different parents")
-    return SubmodulePair(A.parent, subspace_sum(A.U1, B.U1), subspace_sum(A.U2, B.U2))
-
-
-def zero_submodule(M: KroneckerModule) -> SubmodulePair:
-    return SubmodulePair(M, Subspace.zero(M.field, M.dim1), Subspace.zero(M.field, M.dim2))
-
-
-def full_submodule(M: KroneckerModule) -> SubmodulePair:
-    return SubmodulePair(M, Subspace.full(M.field, M.dim1), Subspace.full(M.field, M.dim2))
-
-
 # -- Hom and Ext -------------------------------------------------------------
 
 def _check_same_category(M: KroneckerModule, N: KroneckerModule):
@@ -329,10 +314,6 @@ def ext1_dim_via_resolution(M: KroneckerModule, N: KroneckerModule) -> int:
 
 # -- trace submodules and generation -----------------------------------------
 
-def morphism_image(fm: Morphism) -> SubmodulePair:
-    return SubmodulePair(fm.target, image_subspace(fm.f1), image_subspace(fm.f2))
-
-
 def trace_submodule(generators: Sequence[KroneckerModule], M: KroneckerModule) -> SubmodulePair:
     """Sum of images of every morphism from the generators into M."""
     v1, v2 = [], []
@@ -395,14 +376,6 @@ def ar_translate(M: KroneckerModule, direction: str = "tau") -> KroneckerModule:
     raise ValueError(f"direction must be 'tau' or 'tau-', got {direction!r}")
 
 
-def tau(M: KroneckerModule) -> KroneckerModule:
-    return ar_translate(M, "tau")
-
-
-def tau_minus(M: KroneckerModule) -> KroneckerModule:
-    return ar_translate(M, "tau-")
-
-
 # -- duality, layers, faithfulness -------------------------------------------
 
 def dual(M: KroneckerModule) -> KroneckerModule:
@@ -421,9 +394,7 @@ class Layers(NamedTuple):
 def layers(M: KroneckerModule) -> Layers:
     """Socle (cap of kernels, all of M2), radical (0, sum of images), tops."""
     f = M.field
-    soc1 = Subspace.full(f, M.dim1)
-    for a in M.alphas:
-        soc1 = subspace_intersection(soc1, kernel_basis(a))
+    soc1 = joint_kernel(f, M.dim1, M.alphas)
     rad_vecs = []
     for a in M.alphas:
         rad_vecs.extend(a.transpose().data)

@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 from . import __version__
 from .bristles import (
@@ -25,6 +25,7 @@ from .bristles import (
     enumerate_bristles,
     is_bristle_vector,
     is_bristled,
+    is_saturated,
     pair_point,
     unit_point,
 )
@@ -133,9 +134,16 @@ def _all_bristles(n: int, field: FieldSpec) -> list:
     return [bristle(p) for p in enumerate_bristles(n, field)]
 
 
-def _saturated(M: KroneckerModule, all_bristle_mods=None) -> bool:
-    gens = all_bristle_mods if all_bristle_mods is not None else _all_bristles(M.n, M.field)
-    return all(ext1_dim(B, M) == 0 for B in gens)
+def _generates(M: KroneckerModule, traces: Sequence[SubmodulePair]) -> bool:
+    """Whether the given trace submodules of M together span all of M.
+
+    Traces whose dimensions at a vertex sum to less than the dimension of M
+    there cannot span it, so most subsets need no elimination at all.
+    """
+    if sum(tr.U1.dim for tr in traces) < M.dim1 or sum(tr.U2.dim for tr in traces) < M.dim2:
+        return False
+    return (subspace_sum(Subspace.zero(M.field, M.dim1), *(tr.U1 for tr in traces)).is_full()
+            and subspace_sum(Subspace.zero(M.field, M.dim2), *(tr.U2 for tr in traces)).is_full())
 
 
 def _subset_cap(count: int, cfg: ScenarioConfig):
@@ -164,7 +172,7 @@ def _scn_main_theorem_a(cfg: ScenarioConfig) -> List[Check]:
         checks.append(Check(
             f"saturated-I{t}",
             "preinjective modules admit no extensions from any bristle",
-            True, _saturated(It, allb)))
+            True, is_saturated(It)))
     if cfg.t_max >= 2:
         I2 = preinjective(n, 2, f)
         dims = sorted({hom_dim(B, I2) for B in allb})
@@ -194,7 +202,6 @@ def _scn_main_theorem_b(cfg: ScenarioConfig) -> List[Check]:
     _require_wild(cfg)
     n, f = cfg.n, cfg.field
     b0 = _b0_modules(n, f)
-    allb = _all_bristles(n, f)
     M = bristle(unit_point(n, f, 1))
     for t in range(1, cfg.t_max + 1):
         M = ar_translate(M, "tau")
@@ -205,14 +212,14 @@ def _scn_main_theorem_b(cfg: ScenarioConfig) -> List[Check]:
         checks.append(Check(
             f"orbit-saturated-t{t}",
             "translates of a bristle are extension-free from bristles exactly from the second step on",
-            t >= 2, _saturated(M, allb)))
+            t >= 2, is_saturated(M)))
     if user is not None:
         found = None
         Mt = user
         for t in range(cfg.t_max + 1):
             if t > 0:
                 Mt = ar_translate(Mt, "tau")
-            if is_generated_by(b0, Mt) and _saturated(Mt, allb):
+            if is_generated_by(b0, Mt) and is_saturated(Mt):
                 found = t
                 break
         checks.append(Check(
@@ -234,15 +241,9 @@ def _scn_optimality_i3(cfg: ScenarioConfig) -> List[Check]:
     traces = [trace_submodule([bristle(p)], I3) for p in pts]
     generating = 0
     tested = 0
-    for idxs in combinations(range(len(pts)), n + 1):
+    for subset in combinations(traces, n + 1):
         tested += 1
-        U1 = Subspace.zero(f, I3.dim1)
-        U2 = Subspace.zero(f, I3.dim2)
-        for i in idxs:
-            U1 = subspace_sum(U1, traces[i].U1)
-            U2 = subspace_sum(U2, traces[i].U2)
-        if U1.is_full() and U2.is_full():
-            generating += 1
+        generating += _generates(I3, subset)
     checks = [
         Check("b0-generates-I3",
               "the canonical (n+2)-bristle set generates the third preinjective",
@@ -268,15 +269,7 @@ def _scn_opt_taub1(cfg: ScenarioConfig) -> List[Check]:
     total = comb(len(others), n + 1)
     _subset_cap(total, cfg)
     traces = [trace_submodule([bristle(p)], T) for p in others]
-    generating = 0
-    for idxs in combinations(range(len(others)), n + 1):
-        U1 = Subspace.zero(f, T.dim1)
-        U2 = Subspace.zero(f, T.dim2)
-        for i in idxs:
-            U1 = subspace_sum(U1, traces[i].U1)
-            U2 = subspace_sum(U2, traces[i].U2)
-        if U1.is_full() and U2.is_full():
-            generating += 1
+    generating = sum(_generates(T, subset) for subset in combinations(traces, n + 1))
     b1prime = [bristle(p) for p in canonical_set("B1prime", n, f)]
     hom_self = hom_dim(bristle(b1pt), T)
     hom_others = sorted({hom_dim(bristle(p), T) for p in others})
@@ -313,14 +306,8 @@ def _scn_n2_generation(cfg: ScenarioConfig) -> List[Check]:
         traces = [trace_submodule([m], It) for m in mods]
         violations = 0
         for size in range(len(pts) + 1):
-            for idxs in combinations(range(len(pts)), size):
-                U1 = Subspace.zero(f, It.dim1)
-                U2 = Subspace.zero(f, It.dim2)
-                for i in idxs:
-                    U1 = subspace_sum(U1, traces[i].U1)
-                    U2 = subspace_sum(U2, traces[i].U2)
-                generated = U1.is_full() and U2.is_full()
-                if generated != (size >= t + 1):
+            for subset in combinations(traces, size):
+                if _generates(It, subset) != (size >= t + 1):
                     violations += 1
         checks.append(Check(
             f"generation-law-t{t}",
@@ -371,12 +358,12 @@ def _scn_n2_classification(cfg: ScenarioConfig) -> List[Check]:
         checks.append(Check(
             f"saturated-I{t}",
             "two-arrow preinjectives admit no extensions from bristles",
-            True, _saturated(It, allb)))
+            True, is_saturated(It)))
     checks.append(Check(
         "saturated-S2",
         "the simple at the sink admits extensions from every bristle",
-        False, _saturated(simple_module(2, f, 2), allb)))
-    sat_bristles = sum(1 for B in allb if _saturated(B, allb))
+        False, is_saturated(simple_module(2, f, 2))))
+    sat_bristles = sum(1 for B in allb if is_saturated(B))
     checks.append(Check(
         "saturated-bristles",
         "no bristle is extension-free from bristles",
@@ -467,20 +454,12 @@ def _scn_tau_b1_cover(cfg: ScenarioConfig) -> List[Check]:
         "leaf-counts-high-types",
         "the pruned ball has n-2 leaves of each of the two highest types",
         [n - 2, n - 2], [counts[n - 1], counts[n]]))
-    U1 = Subspace.zero(f, pushed.dim1)
-    U2 = Subspace.zero(f, pushed.dim2)
-    for j in range(2, n + 1):
-        pair = subrep_subpair(X, y_component(X, j), pushed, index)
-        U1 = subspace_sum(U1, pair.U1)
-        U2 = subspace_sum(U2, pair.U2)
-    for i in range(2, n):
-        pair, _ = extract_mij(X, i, i + 1, pushed, index)
-        U1 = subspace_sum(U1, pair.U1)
-        U2 = subspace_sum(U2, pair.U2)
+    parts = [subrep_subpair(X, y_component(X, j), pushed, index) for j in range(2, n + 1)]
+    parts += [extract_mij(X, i, i + 1, pushed, index)[0] for i in range(2, n)]
     checks.append(Check(
         "generation-sum",
         "branch push-downs plus interior path bristles generate the whole translate",
-        True, U1.is_full() and U2.is_full()))
+        True, _generates(pushed, parts)))
     lines = [center_line(X, i, i + 1).basis.data[0] for i in range(2, n)]
     span = Subspace.from_spanning(f, n - 2, lines)
     checks.append(Check(
@@ -557,7 +536,6 @@ def _scn_saturated_faithful(cfg: ScenarioConfig) -> List[Check]:
     _require_finite(cfg)
     n, f = cfg.n, cfg.field
     rng = _derived_rng(cfg.seed, f"saturated-faithful:{n}:{f}")
-    allb = _all_bristles(n, f)
     samples = 200
     found = 0
     bad = 0
@@ -567,7 +545,7 @@ def _scn_saturated_faithful(cfg: ScenarioConfig) -> List[Check]:
             continue
         if end_dim(M) != 1:
             continue
-        if not _saturated(M, allb):
+        if not is_saturated(M):
             continue
         found += 1
         if not is_faithful(M):
@@ -806,6 +784,8 @@ def run_scenario(cfg: ScenarioConfig) -> Report:
     if cfg.scenario not in SCENARIOS:
         known = ", ".join(sorted(SCENARIOS))
         raise ScenarioConfigError(f"unknown scenario {cfg.scenario!r}; known: {known}")
+    if cfg.n < 1:
+        raise ScenarioConfigError("n must be at least 1")
     if cfg.t_max < 0:
         raise ScenarioConfigError("t_max must be nonnegative")
     start = time.perf_counter()

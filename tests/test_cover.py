@@ -88,7 +88,8 @@ class TestPushDown:
     def test_dimension_totals_preserved(self):
         X = build_ball_rep(4, F2)
         M, _ = push_down(X)
-        assert M.dims == X.total_dims()
+        assert M.dims == tuple(sum(d for v, d in X.spaces.items() if vertex_class(v) == cls)
+                               for cls in (1, 2))
 
 
 class TestNamedConstructions:
@@ -193,9 +194,9 @@ class TestComponents:
             assert sub == bristle(unit_point(3, F5, tp))
 
     def test_component_inclusions_push_to_valid_morphisms(self):
-        # the morphism constructor rejects non-intertwining pairs, so merely
-        # building these certifies the push-down of each inclusion
-        from kronbrist.cover import push_down_inclusion
+        # the submodule constructor rejects subspace pairs that the structure
+        # maps do not preserve, so merely building these certifies that each
+        # component pushes down to a submodule
         X = build_ball_rep(3, F5)
         pushed, index = push_down(X)
         subs = [y_component(X, j) for j in (1, 2, 3)]
@@ -205,8 +206,9 @@ class TestComponents:
         subs += [w_component(X, 1, 2), w_component(X, 2, 3)]
         subs.append(cover_max_bristled(X))
         for sub in subs:
-            fm = push_down_inclusion(X, sub, pushed, index)
-            assert fm.target == pushed
+            pair = subrep_subpair(X, sub, pushed, index)
+            assert pair.parent == pushed
+            assert pair.dims == push_down(sub.rep)[0].dims  # the inclusion is injective
 
 
 class TestPathBristles:
@@ -315,8 +317,3 @@ class TestLeafHomCorrespondence:
             assert pair.dims == (n - 1, 1)
             nj, _ = submodule_as_module(pushed, pair)
             assert hom_dim(ones, nj) == 0
-
-    @pytest.mark.parametrize("n", [3, 4])
-    def test_named_constructions_are_connected(self, n):
-        for builder in (build_ball_rep, build_tau_bristle_rep, build_mu_bristle_rep):
-            assert builder(n, F5).is_connected()

@@ -20,11 +20,11 @@ from kronbrist.linalg import (
     Matrix,
     Subspace,
     is_prime,
+    joint_kernel,
     kernel_basis,
     rank,
     rref,
     solve,
-    subspace_intersection,
     subspace_sum,
 )
 
@@ -43,6 +43,12 @@ def span_set(field, dim, basis_rows):
                 v[j] = field.add(v[j], field.mul(c, row[j]))
         out.add(tuple(v))
     return out
+
+
+def killed_by_all(field, dim, maps):
+    """Brute-force joint kernel: every vector of k^dim that each map sends to 0."""
+    return {v for v in all_vectors(field, dim)
+            if all(all(x == 0 for x in A.apply(v)) for A in maps)}
 
 
 def random_matrix(field, rng, rows, cols):
@@ -182,22 +188,30 @@ class TestSubspaces:
         assert subspace_sum(U, V).is_full()
 
     def test_intersection_with_full_and_complement(self):
-        f = GF(5)
-        U = Subspace.from_spanning(f, 2, [(1, 0)])
-        assert subspace_intersection(U, Subspace.full(f, 2)) == U
-        V = Subspace.from_spanning(f, 2, [(0, 1)])
-        assert subspace_intersection(U, V).is_zero()
+        # the joint kernel intersects the kernels: no maps leave everything,
+        # complementary coordinate functionals leave nothing
+        f = GF(3)
+        x, y = Matrix.from_rows(f, [[1, 0]]), Matrix.from_rows(f, [[0, 1]])
+        assert joint_kernel(f, 2, []) == Subspace.full(f, 2)
+        assert joint_kernel(f, 2, [y]) == Subspace.from_spanning(f, 2, [(1, 0)])
+        assert joint_kernel(f, 2, [y, y]) == kernel_basis(y)
+        assert joint_kernel(f, 2, [x, y]).is_zero()
+        for maps in ([], [y], [x, y]):
+            assert span_set(f, 2, joint_kernel(f, 2, maps).basis.data) == \
+                killed_by_all(f, 2, maps)
+        with pytest.raises(DimensionMismatch):
+            joint_kernel(f, 3, [x])
 
     def test_generic_planes_meet_in_line_gf5(self):
-        # two 2-planes in a 3-space; oracle scans all 125 vectors
+        # the kernels of two independent functionals are planes of a 3-space
+        # that meet in a line; the oracle scans all 125 vectors
         f = GF(5)
-        U = Subspace.from_spanning(f, 3, [(1, 0, 0), (0, 1, 0)])
-        V = Subspace.from_spanning(f, 3, [(1, 1, 1), (0, 1, 2)])
-        W = subspace_intersection(U, V)
-        u_set = span_set(f, 3, U.basis.data)
-        v_set = span_set(f, 3, V.basis.data)
-        both = u_set & v_set
-        assert span_set(f, 3, W.basis.data) == both
+        A = Matrix.from_rows(f, [[0, 0, 1]])
+        B = Matrix.from_rows(f, [[1, 3, 1]])
+        W = joint_kernel(f, 3, [A, B])
+        assert span_set(f, 3, W.basis.data) == killed_by_all(f, 3, [A, B])
+        assert span_set(f, 3, W.basis.data) == \
+            span_set(f, 3, kernel_basis(A).basis.data) & span_set(f, 3, kernel_basis(B).basis.data)
         assert W.dim == 1
 
     def test_modularity_random(self):
@@ -205,11 +219,13 @@ class TestSubspaces:
         for p in (2, 3, 5):
             f = GF(p)
             for _ in range(25):
+                # modularity of the kernels: ker A + ker B and ker A cap ker B
                 amb = rng.randrange(1, 6)
-                U = Subspace.from_spanning(f, amb, random_matrix(f, rng, rng.randrange(0, 4), amb).data)
-                V = Subspace.from_spanning(f, amb, random_matrix(f, rng, rng.randrange(0, 4), amb).data)
+                A = random_matrix(f, rng, rng.randrange(0, 4), amb)
+                B = random_matrix(f, rng, rng.randrange(0, 4), amb)
+                U, V = kernel_basis(A), kernel_basis(B)
+                i = joint_kernel(f, amb, [A, B])
                 s = subspace_sum(U, V)
-                i = subspace_intersection(U, V)
                 assert s.dim + i.dim == U.dim + V.dim
 
     def test_canonical_basis_independent_of_spanning_set(self):
@@ -235,11 +251,34 @@ class TestSubspaces:
             amb = rng.randrange(1, 7)
             U = Subspace.from_spanning(f, amb, random_matrix(f, rng, rng.randrange(0, 4), amb).data)
             V = Subspace.from_spanning(f, amb, random_matrix(f, rng, rng.randrange(0, 4), amb).data)
-            su = span_set(f, amb, U.basis.data)
-            sv = span_set(f, amb, V.basis.data)
             assert span_set(f, amb, subspace_sum(U, V).basis.data) == span_set(
                 f, amb, list(U.basis.data) + list(V.basis.data))
-            assert span_set(f, amb, subspace_intersection(U, V).basis.data) == (su & sv)
+            maps = [random_matrix(f, rng, rng.randrange(0, 4), amb) for _ in range(rng.randrange(4))]
+            assert span_set(f, amb, joint_kernel(f, amb, maps).basis.data) == \
+                killed_by_all(f, amb, maps)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_sums_of_many_subspaces_exhaustive(self, p):
+        # variadic sum: one reduction of every basis row, checked against the
+        # brute-force span of all the rows together
+        rng = random.Random(29 + p)
+        f = GF(p)
+        for _ in range(15):
+            amb = rng.randrange(1, 5)
+            parts = [Subspace.from_spanning(f, amb, random_matrix(f, rng, rng.randrange(0, 3), amb).data)
+                     for _ in range(rng.randrange(3, 6))]
+            rows = [r for U in parts for r in U.basis.data]
+            assert span_set(f, amb, subspace_sum(*parts).basis.data) == span_set(f, amb, rows)
+
+    def test_joint_kernel_gf3_exhaustive_oracle(self):
+        rng = random.Random(31)
+        f = GF(3)
+        for _ in range(20):
+            amb = rng.randrange(0, 5)
+            maps = [random_matrix(f, rng, rng.randrange(0, 3), amb) for _ in range(rng.randrange(5))]
+            W = joint_kernel(f, amb, maps)
+            assert W.ambient_dim == amb
+            assert span_set(f, amb, W.basis.data) == killed_by_all(f, amb, maps)
 
     def test_ambient_mismatch(self):
         with pytest.raises(DimensionMismatch):

@@ -5,16 +5,22 @@ CLI honors the documented exit codes.
 
 from __future__ import annotations
 
+import dataclasses
 import json
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
+from kronbrist.bristles import bristle, canonical_set, enumerate_bristles, unit_point
 from kronbrist.cli import main as cli_main
-from kronbrist.linalg import GF, QQ
+from kronbrist.families import preinjective
+from kronbrist.linalg import GF, QQ, InternalCheckFailed
+from kronbrist.modules import ar_translate, is_generated_by, trace_submodule
 from kronbrist.scenarios import (
     SCENARIOS,
     ScenarioConfigError,
+    _generates,
     default_config,
     run_scenario,
 )
@@ -95,6 +101,41 @@ def test_subset_cap_refuses():
         run_scenario(cfg)
 
 
+class TestGenerates:
+    """Positive and negative controls for the subset-search helper: the
+    optimality scenarios expect zero generating subsets, which a helper that
+    never answers "generates" would also report."""
+
+    def test_b0_traces_generate_third_preinjective(self):
+        f = GF(2)
+        I3 = preinjective(3, 3, f)
+        traces = [trace_submodule([bristle(p)], I3) for p in canonical_set("B0", 3, f)]
+        assert _generates(I3, traces)
+        assert not _generates(I3, traces[:-1])
+        assert not _generates(I3, [])
+
+    def test_b1prime_traces_generate_translate(self):
+        f = GF(2)
+        T = ar_translate(bristle(unit_point(3, f, 1)), "tau")
+        traces = [trace_submodule([bristle(p)], T) for p in canonical_set("B1prime", 3, f)]
+        assert _generates(T, traces)
+        assert not _generates(T, traces[1:])  # the unit-1 bristle is needed
+
+    def test_agrees_with_trace_of_all_generators(self):
+        # the dimension shortcut never changes the answer of the full sum
+        f = GF(2)
+        I2 = preinjective(3, 2, f)
+        pts = enumerate_bristles(3, f)
+        traces = [trace_submodule([bristle(p)], I2) for p in pts]
+        seen = set()
+        for size in (2, 3, 4):
+            for idxs in combinations(range(len(pts)), size):
+                got = _generates(I2, [traces[i] for i in idxs])
+                assert got == is_generated_by([bristle(pts[i]) for i in idxs], I2)
+                seen.add(got)
+        assert seen == {True, False}
+
+
 class TestCli:
     def test_pass_run_table(self, capsys, tmp_path):
         rc = cli_main(["n2-classification", "--q", "2", "--tmax", "2"])
@@ -167,6 +208,23 @@ class TestCli:
         # over the rationals too
         rc = cli_main(["annihilated-lemma", "--rational"])
         assert rc == 0
+
+    def test_zero_arrows_exit_2(self, capsys):
+        for name in ("bristled-layers", "saturated-faithful"):
+            assert cli_main([name, "--n", "0"]) == 2
+            assert "n must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("exc", [InternalCheckFailed("guard tripped"),
+                                     ValueError("matrices do not intertwine")])
+    def test_internal_error_exit_3(self, monkeypatch, capsys, exc):
+        # a bug is neither a failed claim (1) nor a usage error (2)
+        def broken(cfg):
+            raise exc
+        spec = SCENARIOS["n2-classification"]
+        monkeypatch.setitem(SCENARIOS, "n2-classification", dataclasses.replace(spec, func=broken))
+        assert cli_main(["n2-classification"]) == 3
+        err = capsys.readouterr().err
+        assert "internal error" in err and "Traceback" in err
 
     def test_help_lists_scenarios(self, capsys):
         with pytest.raises(SystemExit) as exc:

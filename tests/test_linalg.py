@@ -227,6 +227,8 @@ class TestSubspaces:
                 i = joint_kernel(f, amb, [A, B])
                 s = subspace_sum(U, V)
                 assert s.dim + i.dim == U.dim + V.dim
+                if p < 5:
+                    assert span_set(f, amb, i.basis.data) == killed_by_all(f, amb, [A, B])
 
     def test_canonical_basis_independent_of_spanning_set(self):
         rng = random.Random(19)
@@ -249,36 +251,14 @@ class TestSubspaces:
         f = GF(2)
         for _ in range(20):
             amb = rng.randrange(1, 7)
-            U = Subspace.from_spanning(f, amb, random_matrix(f, rng, rng.randrange(0, 4), amb).data)
-            V = Subspace.from_spanning(f, amb, random_matrix(f, rng, rng.randrange(0, 4), amb).data)
-            assert span_set(f, amb, subspace_sum(U, V).basis.data) == span_set(
-                f, amb, list(U.basis.data) + list(V.basis.data))
+            # sums of two to five subspaces against the span of all their rows
+            parts = [Subspace.from_spanning(f, amb, random_matrix(f, rng, rng.randrange(0, 4), amb).data)
+                     for _ in range(rng.randrange(2, 6))]
+            rows = [r for U in parts for r in U.basis.data]
+            assert span_set(f, amb, subspace_sum(*parts).basis.data) == span_set(f, amb, rows)
             maps = [random_matrix(f, rng, rng.randrange(0, 4), amb) for _ in range(rng.randrange(4))]
             assert span_set(f, amb, joint_kernel(f, amb, maps).basis.data) == \
                 killed_by_all(f, amb, maps)
-
-    @pytest.mark.parametrize("p", [2, 3])
-    def test_sums_of_many_subspaces_exhaustive(self, p):
-        # variadic sum: one reduction of every basis row, checked against the
-        # brute-force span of all the rows together
-        rng = random.Random(29 + p)
-        f = GF(p)
-        for _ in range(15):
-            amb = rng.randrange(1, 5)
-            parts = [Subspace.from_spanning(f, amb, random_matrix(f, rng, rng.randrange(0, 3), amb).data)
-                     for _ in range(rng.randrange(3, 6))]
-            rows = [r for U in parts for r in U.basis.data]
-            assert span_set(f, amb, subspace_sum(*parts).basis.data) == span_set(f, amb, rows)
-
-    def test_joint_kernel_gf3_exhaustive_oracle(self):
-        rng = random.Random(31)
-        f = GF(3)
-        for _ in range(20):
-            amb = rng.randrange(0, 5)
-            maps = [random_matrix(f, rng, rng.randrange(0, 3), amb) for _ in range(rng.randrange(5))]
-            W = joint_kernel(f, amb, maps)
-            assert W.ambient_dim == amb
-            assert span_set(f, amb, W.basis.data) == killed_by_all(f, amb, maps)
 
     def test_ambient_mismatch(self):
         with pytest.raises(DimensionMismatch):

@@ -35,17 +35,21 @@ QUICK_OVERRIDES = {
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 GOLDEN_MODULE = "tests/data/dim32_bristled.kron"
+GOLDEN_VARIANTS = ["main-theorem-b-bristle-orbits-module", "annihilated-lemma-rational"]
 
 
 def _golden_config(name: str):
-    """Default config of a golden entry; the ``-module`` entry adds GOLDEN_MODULE."""
+    """Default config of a golden entry; the ``-module`` entry adds GOLDEN_MODULE,
+    the ``-rational`` entry runs over Q at n = 4."""
     if name == "main-theorem-b-bristle-orbits-module":
         return default_config("main-theorem-b-bristle-orbits", module_path=GOLDEN_MODULE,
                               module_text=(ROOT / GOLDEN_MODULE).read_text(encoding="utf-8"))
+    if name == "annihilated-lemma-rational":
+        return default_config("annihilated-lemma", field=QQ, n=4)
     return default_config(name)
 
 
-@pytest.mark.parametrize("name", sorted(SCENARIOS) + ["main-theorem-b-bristle-orbits-module"])
+@pytest.mark.parametrize("name", sorted(SCENARIOS) + GOLDEN_VARIANTS)
 def test_scenario_passes_on_defaults(name):
     """Each default run passes and renders exactly its checked-in golden report.
 

@@ -23,16 +23,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .linalg import (
     DimensionMismatch,
     FieldSpec,
     Matrix,
     Subspace,
+    image_subspace,
     joint_kernel,
     rank,
     subspace_sum,
 )
-from .modules import KroneckerModule, SubmodulePair
+from .modules import KroneckerModule, SubmodulePair, intertwining_blocks
 
 TreeVertex = Tuple[int, ...]
 
@@ -141,7 +144,7 @@ def push_down(X: CoverRep) -> Tuple[KroneckerModule, PushDownIndex]:
     d2 = off
     alphas = []
     for label in range(1, X.n + 1):
-        rows = [[f.zero()] * d1 for _ in range(d2)]
+        a = f.zeros((d2, d1))
         for v in sources:
             w = neighbor(v, label)
             mat = X.maps.get((v, label))
@@ -149,10 +152,8 @@ def push_down(X: CoverRep) -> Tuple[KroneckerModule, PushDownIndex]:
                 continue
             _, roff, _ = blocks[w]
             _, coff, _ = blocks[v]
-            for i in range(mat.rows):
-                for j in range(mat.cols):
-                    rows[roff + i][coff + j] = mat.data[i][j]
-        alphas.append(Matrix.from_rows(f, rows, cols=d1))
+            a[roff:roff + mat.rows, coff:coff + mat.cols] = mat.data
+        alphas.append(Matrix(f, a))
     return KroneckerModule(X.n, f, d1, d2, tuple(alphas)), PushDownIndex(blocks)
 
 
@@ -240,10 +241,7 @@ class CoverSubrep:
     inclusion: Dict[TreeVertex, Matrix]  # host dim x sub dim, per supported vertex
 
     def vertex_subspaces(self) -> Dict[TreeVertex, Subspace]:
-        out = {}
-        for v, inc in self.inclusion.items():
-            out[v] = Subspace.from_spanning(self.rep.field, inc.rows, inc.transpose().data)
-        return out
+        return {v: image_subspace(inc) for v, inc in self.inclusion.items()}
 
 
 def _check_subrep(X: CoverRep, sub: CoverSubrep):
@@ -256,7 +254,7 @@ def _check_subrep(X: CoverRep, sub: CoverSubrep):
             raise ValueError("subrep uses an arrow outside the host support")
         lhs = host @ sub.inclusion[v]
         rhs = sub.inclusion[w] @ mat
-        if lhs.data != rhs.data:
+        if lhs != rhs:
             raise ValueError("inclusion does not intertwine the arrow maps")
 
 
@@ -344,8 +342,7 @@ def w_component(X: CoverRep, i: int, j: int) -> CoverSubrep:
     line = center_line(X, i, j)
     if line.dim != 1:
         raise ValueError("center line is not one-dimensional; path undefined")
-    w = line.basis.data[0]
-    wcol = Matrix.from_rows(f, [[x] for x in w], cols=1)
+    wcol = line.basis.transpose()
     pi_i = X.maps[(BASE, i)] @ wcol  # 1x1
     pi_j = X.maps[(BASE, j)] @ wcol
     rep = CoverRep(X.n, f,
@@ -415,11 +412,10 @@ def extract_mij(X: CoverRep, i: int, j: int,
         pushed, index = push_down(X)
     f = X.field
     sub = w_component(X, i, j)
-    w = sub.inclusion[BASE].transpose().data[0]
     wcol = sub.inclusion[BASE]
-    pi_i = (X.maps[(BASE, i)] @ wcol).data[0][0]
-    pi_j = (X.maps[(BASE, j)] @ wcol).data[0][0]
-    u = list(index.embed(BASE, w, pushed.dim1, f))
+    pi_i = (X.maps[(BASE, i)] @ wcol).row(0)[0]
+    pi_j = (X.maps[(BASE, j)] @ wcol).row(0)[0]
+    u = list(index.embed(BASE, wcol.entries_flat(), pushed.dim1, f))
     u[index.offset((j, i))] = pi_j
     u[index.offset((i, j))] = pi_i
     img = pushed.alphas[i - 1].apply(u)
@@ -447,35 +443,29 @@ def cover_hom_dim(X: CoverRep, Y: CoverRep) -> int:
         total += X.spaces[v] * Y.spaces[v]
     if total == 0:
         return 0
-    rows = []
+
+    def arrow(R: CoverRep, v: TreeVertex, label: int) -> Matrix:
+        got = R.arrow(v, label)
+        return got if got is not None else Matrix.zeros(f, R.dim(neighbor(v, label)), R.dim(v))
+
+    blocks = []
     sources = {v for v in set(X.spaces) | set(Y.spaces) if vertex_class(v) == 1}
     for v in sorted(sources, key=lambda u: (len(u), u)):
         for label in range(1, X.n + 1):
             w = neighbor(v, label)
-            xv, yv = X.dim(v), Y.dim(v)
-            xw, yw = X.dim(w), Y.dim(w)
-            if yw == 0 or xv == 0:
+            if Y.dim(w) == 0 or X.dim(v) == 0:
                 continue
-            Ay = Y.arrow(v, label)  # yw x yv or None
-            Ax = X.arrow(v, label)  # xw x xv or None
-            for r in range(yw):
-                for c in range(xv):
-                    row = [f.zero()] * total
-                    if Ay is not None and v in offsets:
-                        base = offsets[v]
-                        for s in range(yv):
-                            row[base + s * xv + c] = f.add(row[base + s * xv + c], Ay.data[r][s])
-                    if Ax is not None and w in offsets:
-                        base = offsets[w]
-                        for s in range(xw):
-                            row[base + r * xw + s] = f.sub(row[base + r * xw + s], Ax.data[s][c])
-                    if any(x != 0 for x in row):
-                        rows.append(row)
-            # rows with no terms are identically satisfied
-    if not rows:
+            # unknowns: the vertex maps at v (block at v) and at w (block at w);
+            # a block without columns belongs to a vertex outside the common support
+            row = f.zeros((Y.dim(w) * X.dim(v), total))
+            for u, block in zip((v, w), intertwining_blocks(arrow(X, v, label),
+                                                            arrow(Y, v, label))):
+                if block.cols:
+                    row[:, offsets[u]:offsets[u] + block.cols] = block.data
+            blocks.append(row)
+    if not blocks:
         return total
-    system = Matrix.from_rows(f, rows, cols=total)
-    return total - rank(system)
+    return total - rank(Matrix(f, np.vstack(blocks)))
 
 
 def cover_bristle_at(n: int, field: FieldSpec, v: TreeVertex, label: int) -> CoverRep:
@@ -620,7 +610,7 @@ def verify_cover_equalities(n: int, field: FieldSpec,
             checks.append(EqualityCheck(f"path-inside-branches-plus-bristle-{i}-{j}", True, ok))
 
     for tag, starts in (("consecutive", list(range(1, n))), ("chosen", list(pair_starts))):
-        lines = [center_line(X, i, i % n + 1).basis.data[0] for i in starts]
+        lines = [center_line(X, i, i % n + 1).basis.row(0) for i in starts]
         span = Subspace.from_spanning(f, n - 1, lines)
         ok = span.dim == n - 1 and len(lines) == n - 1
         checks.append(EqualityCheck(f"center-direct-sum-{tag}", True, ok))

@@ -1,22 +1,27 @@
 """Exact dense linear algebra over prime fields GF(p) and the rationals.
 
-Everything here is exact: GF(p) entries are ints reduced into [0, p),
-rational entries are ``fractions.Fraction`` in lowest terms.  All values
-are immutable after construction and all operations are pure, so they are
-safe to use from concurrent contexts.
+Everything here is exact.  A ``Matrix`` holds one read-only numpy array:
+int64 entries reduced into [0, p) over GF(p), an object array of
+``fractions.Fraction`` over Q.  All values are immutable after construction
+and all operations are pure, so they are safe to use from concurrent
+contexts.  Entries leave a matrix (``row``, ``apply``, ``solve``,
+coordinates) as Python ``int`` or ``Fraction``, never as numpy scalars.
 
-Row reduction over GF(p) runs on int64 numpy arrays (entries stay below p,
-intermediate products below p^2 < 2^62, so int64 arithmetic is exact);
-rational row reduction uses Fractions directly.  Pivot choice is
-deterministic: first nonzero entry scanning columns left to right, rows
-top to bottom.  Subspaces are kept in reduced row-echelon form, so two
-subspaces are equal iff their basis matrices are entrywise equal.
+One elimination routine serves both fields: the field supplies the
+reduction (``% p``, or none over Q) and the pivot inverse.  Over GF(p)
+every intermediate product stays below p^2 < 2^62, so int64 arithmetic is
+exact; a matrix product switches to Python integers once a sum of products
+could reach 2^62.  Pivot choice is deterministic: first nonzero entry
+scanning columns left to right, rows top to bottom.  Subspaces are kept in
+reduced row-echelon form, so two subspaces are equal iff their basis
+matrices are entrywise equal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -59,6 +64,15 @@ def is_prime(p: int) -> bool:
         else:
             return False
     return True
+
+
+def _fraction(x) -> Fraction:
+    if type(x) is Fraction:
+        return x
+    return Fraction(int(x) if isinstance(x, np.integer) else x)
+
+
+_to_fractions = np.frompyfunc(_fraction, 1, 1)
 
 
 @dataclass(frozen=True)
@@ -106,23 +120,17 @@ class FieldSpec:
     def normalize(self, x) -> Scalar:
         if self.is_finite:
             return int(x) % self.characteristic
-        return Fraction(x)
+        return _fraction(x)
 
     def add(self, a: Scalar, b: Scalar) -> Scalar:
         return (a + b) % self.characteristic if self.is_finite else a + b
 
-    def sub(self, a: Scalar, b: Scalar) -> Scalar:
-        return (a - b) % self.characteristic if self.is_finite else a - b
-
     def mul(self, a: Scalar, b: Scalar) -> Scalar:
         return (a * b) % self.characteristic if self.is_finite else a * b
 
-    def neg(self, a: Scalar) -> Scalar:
-        return (-a) % self.characteristic if self.is_finite else -a
-
     def inv(self, a: Scalar) -> Scalar:
         if self.is_finite:
-            a %= self.characteristic
+            a = int(a) % self.characteristic
             if a == 0:
                 raise ZeroDivisionError("inverse of 0")
             return pow(a, self.characteristic - 2, self.characteristic)
@@ -136,6 +144,33 @@ class FieldSpec:
             raise ValueError("cannot enumerate the rationals")
         return range(self.characteristic)
 
+    # -- arrays of field elements ----------------------------------------------
+
+    @property
+    def dtype(self):
+        return np.int64 if self.is_finite else object
+
+    def array(self, values) -> np.ndarray:
+        """Nested sequences (or an array) as field entries: int64 reduced mod p,
+        or an object array of Fractions."""
+        if not self.is_finite:
+            return _to_fractions(np.array(values, dtype=object))
+        try:
+            a = np.array(values, dtype=np.int64)
+        except OverflowError:  # Python ints past int64: reduce them one by one
+            a = np.frompyfunc(self.normalize, 1, 1)(np.array(values, dtype=object))
+            a = a.astype(np.int64)
+        return a % self.characteristic
+
+    def zeros(self, shape) -> np.ndarray:
+        if self.is_finite:
+            return np.zeros(shape, dtype=np.int64)
+        return np.full(shape, Fraction(0), dtype=object)
+
+    def reduce(self, a: np.ndarray) -> np.ndarray:
+        """Canonical entries of an integer combination of canonical entries."""
+        return a % self.characteristic if self.is_finite else a
+
     def __str__(self) -> str:
         return f"gf({self.characteristic})" if self.is_finite else "q"
 
@@ -147,144 +182,162 @@ def GF(p: int) -> FieldSpec:
     return FieldSpec.gf(p)
 
 
-@dataclass(frozen=True)
+_scaled_numerator = np.frompyfunc(lambda x, d: x.numerator * (d // x.denominator), 2, 1)
+_fraction_over = np.frompyfunc(Fraction, 2, 1)
+
+
+def _over_common_denominator(a: np.ndarray):
+    """Integer numerators and one denominator d with a == numerators / d."""
+    d = lcm(*(x.denominator for x in a.flat))
+    return _scaled_numerator(a, d), d
+
+
+def _dot(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b over the field; b may be a vector.
+
+    Over GF(p) the product runs on int64 while every sum of products stays
+    below 2^62 (inner length times (p-1)^2); past that bound the same
+    expression runs on Python integers.  Over Q it runs on the integer
+    numerators of both operands over a common denominator, which is exact
+    and avoids a Fraction normalization per product.
+    """
+    inner = a.shape[-1]
+    if inner == 0:
+        return field.zeros(a.shape[:-1] + b.shape[1:])
+    if not field.is_finite:
+        (na, da), (nb, db) = _over_common_denominator(a), _over_common_denominator(b)
+        return _fraction_over(na @ nb, da * db)
+    p = field.characteristic
+    if inner * (p - 1) ** 2 < 2**62:
+        return a @ b % p
+    return (a.astype(object) @ b.astype(object) % p).astype(np.int64)
+
+
+@dataclass(frozen=True, eq=False)
 class Matrix:
-    """Immutable dense matrix; ``data`` is a tuple of row tuples."""
+    """Immutable dense matrix; ``data`` is a read-only 2-d array of field entries.
+
+    Equality and hashing go by field, shape and entries.
+    """
 
     field: FieldSpec
-    rows: int
-    cols: int
-    data: tuple
+    data: np.ndarray
 
     def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError("negative matrix shape")
-        if len(self.data) != self.rows or any(len(r) != self.cols for r in self.data):
-            raise ValueError("matrix data does not match declared shape")
+        if self.data.ndim != 2 or self.data.dtype != self.field.dtype:
+            raise ValueError("matrix data must be a 2-d array of the field's dtype")
+        self.data.flags.writeable = False
+
+    @property
+    def rows(self) -> int:
+        return self.data.shape[0]
+
+    @property
+    def cols(self) -> int:
+        return self.data.shape[1]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        return (self.field == other.field and self.data.shape == other.data.shape
+                and bool((self.data == other.data).all()))
+
+    def __hash__(self) -> int:
+        # object arrays hold pointers, so hash their entries, not their bytes
+        entries = self.data.tobytes() if self.field.is_finite else self.entries_flat()
+        return hash((self.field, self.data.shape, entries))
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def from_rows(field: FieldSpec, rows: Sequence[Sequence], cols: Optional[int] = None) -> "Matrix":
-        data = tuple(tuple(field.normalize(x) for x in r) for r in rows)
-        m = len(data)
-        n = len(data[0]) if m else (cols if cols is not None else 0)
-        return Matrix(field, m, n, data)
+        if len(rows) == 0:
+            return Matrix.zeros(field, 0, cols if cols is not None else 0)
+        data = field.array(rows)
+        if data.ndim != 2:
+            raise ValueError("matrix rows differ in length")
+        return Matrix(field, data)
 
     @staticmethod
     def zeros(field: FieldSpec, rows: int, cols: int) -> "Matrix":
-        z = field.zero()
-        return Matrix(field, rows, cols, tuple(tuple(z for _ in range(cols)) for _ in range(rows)))
+        if rows < 0 or cols < 0:
+            raise ValueError("negative matrix shape")
+        return Matrix(field, field.zeros((rows, cols)))
 
     @staticmethod
     def identity(field: FieldSpec, n: int) -> "Matrix":
-        o, z = field.one(), field.zero()
-        return Matrix(field, n, n, tuple(tuple(o if i == j else z for j in range(n)) for i in range(n)))
+        a = field.zeros((n, n))
+        np.fill_diagonal(a, field.one())
+        return Matrix(field, a)
 
     # -- shape helpers -----------------------------------------------------
 
     def row(self, i: int) -> Vector:
-        return self.data[i]
-
-    def column(self, j: int) -> Vector:
-        return tuple(self.data[i][j] for i in range(self.rows))
+        return tuple(self.data[i].tolist())
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, self.cols, self.rows,
-                      tuple(tuple(self.data[i][j] for i in range(self.rows)) for j in range(self.cols)))
+        return Matrix(self.field, self.data.T)
 
-    def hstack(self, other: "Matrix") -> "Matrix":
-        if self.rows != other.rows or self.field != other.field:
+    def hstack(self, *others: "Matrix") -> "Matrix":
+        if any(o.rows != self.rows or o.field != self.field for o in others):
             raise DimensionMismatch("hstack shape/field mismatch")
-        return Matrix(self.field, self.rows, self.cols + other.cols,
-                      tuple(self.data[i] + other.data[i] for i in range(self.rows)))
+        return Matrix(self.field, np.hstack([self.data] + [o.data for o in others]))
 
-    def vstack(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.cols or self.field != other.field:
+    def vstack(self, *others: "Matrix") -> "Matrix":
+        if any(o.cols != self.cols or o.field != self.field for o in others):
             raise DimensionMismatch("vstack shape/field mismatch")
-        return Matrix(self.field, self.rows + other.rows, self.cols, self.data + other.data)
+        return Matrix(self.field, np.vstack([self.data] + [o.data for o in others]))
 
     def col_block(self, j0: int, j1: int) -> "Matrix":
-        return Matrix(self.field, self.rows, j1 - j0, tuple(r[j0:j1] for r in self.data))
+        return Matrix(self.field, self.data[:, j0:j1])
+
+    def kron(self, other: "Matrix") -> "Matrix":
+        """Kronecker product; row-major vec(A X B) = (A kron B^T) vec(X)."""
+        if self.field != other.field:
+            raise DimensionMismatch("kron field mismatch")
+        a, b = self.data, other.data
+        out = (a[:, None, :, None] * b[None, :, None, :]).reshape(
+            a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+        return Matrix(self.field, self.field.reduce(out))
 
     # -- arithmetic --------------------------------------------------------
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows or self.field != other.field:
             raise DimensionMismatch("matmul shape/field mismatch")
-        f = self.field
-        if self.rows == 0 or other.cols == 0:
-            return Matrix.zeros(f, self.rows, other.cols)
-        if self.cols == 0:
-            return Matrix.zeros(f, self.rows, other.cols)
-        if f.is_finite and self.cols * (f.characteristic - 1) ** 2 < 2**62:
-            p = f.characteristic
-            out = (_np(self) @ _np(other)) % p
-            return _from_np(f, out)
-        rows = []
-        for i in range(self.rows):
-            ri = self.data[i]
-            rows.append(tuple(
-                sum((ri[k] * other.data[k][j] for k in range(self.cols)), f.zero()) % f.characteristic
-                if f.is_finite else
-                sum((ri[k] * other.data[k][j] for k in range(self.cols)), f.zero())
-                for j in range(other.cols)))
-        return Matrix(f, self.rows, other.cols, tuple(rows))
+        return Matrix(self.field, _dot(self.field, self.data, other.data))
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols) or self.field != other.field:
+        if self.data.shape != other.data.shape or self.field != other.field:
             raise DimensionMismatch("matrix addition shape/field mismatch")
-        f = self.field
-        return Matrix(f, self.rows, self.cols,
-                      tuple(tuple(f.add(a, b) for a, b in zip(r1, r2))
-                            for r1, r2 in zip(self.data, other.data)))
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + other.scale(self.field.normalize(-1 if self.field.is_finite else Fraction(-1)))
+        return Matrix(self.field, self.field.reduce(self.data + other.data))
 
     def scale(self, c: Scalar) -> "Matrix":
         f = self.field
-        c = f.normalize(c)
-        return Matrix(f, self.rows, self.cols, tuple(tuple(f.mul(c, x) for x in r) for r in self.data))
+        return Matrix(f, f.reduce(self.data * f.normalize(c)))
 
     def apply(self, v: Sequence) -> Vector:
         """Apply to a column vector, returning the image as a tuple."""
         if len(v) != self.cols:
             raise DimensionMismatch(f"vector length {len(v)} != cols {self.cols}")
         f = self.field
-        return tuple(
-            f.normalize(sum((r[k] * v[k] for k in range(self.cols)), f.zero()))
-            for r in self.data)
+        return tuple(_dot(f, self.data, f.array(v)).tolist())
 
     def is_zero(self) -> bool:
-        return all(x == 0 for r in self.data for x in r)
+        return not np.count_nonzero(self.data)
 
     def entries_flat(self) -> Vector:
-        return tuple(x for r in self.data for x in r)
+        return tuple(self.data.ravel().tolist())
 
 
 def block_diag(field: FieldSpec, blocks: Sequence[Matrix]) -> Matrix:
-    rows = sum(b.rows for b in blocks)
-    cols = sum(b.cols for b in blocks)
-    out = [[field.zero()] * cols for _ in range(rows)]
+    out = field.zeros((sum(b.rows for b in blocks), sum(b.cols for b in blocks)))
     r0 = c0 = 0
     for b in blocks:
-        for i in range(b.rows):
-            out[r0 + i][c0:c0 + b.cols] = list(b.data[i])
+        out[r0:r0 + b.rows, c0:c0 + b.cols] = b.data
         r0 += b.rows
         c0 += b.cols
-    return Matrix.from_rows(field, out, cols=cols)
-
-
-# -- numpy bridge (finite fields only) --------------------------------------
-
-def _np(M: Matrix) -> np.ndarray:
-    return np.array(M.data, dtype=np.int64).reshape(M.rows, M.cols)
-
-
-def _from_np(field: FieldSpec, a: np.ndarray) -> Matrix:
-    return Matrix(field, a.shape[0], a.shape[1],
-                  tuple(tuple(int(x) for x in row) for row in a))
+    return Matrix(field, out)
 
 
 # -- row reduction -----------------------------------------------------------
@@ -295,53 +348,27 @@ class RrefResult(NamedTuple):
     rank: int
 
 
-def _rref_gf(a: np.ndarray, p: int):
+def _rref(a: np.ndarray, field: FieldSpec):
     R = a.copy()
     m, n = R.shape
     pivots = []
-    r = 0
     for c in range(n):
+        r = len(pivots)
         if r == m:
             break
-        nz = np.nonzero(R[r:, c])[0]
+        nz = np.flatnonzero(R[r:, c])
         if nz.size == 0:
             continue
         i = r + int(nz[0])
         if i != r:
             R[[r, i]] = R[[i, r]]
-        inv = pow(int(R[r, c]), p - 2, p)
-        R[r] = R[r] * inv % p
+        R[r] = field.reduce(R[r] * field.inv(R[r, c]))
         col = R[:, c].copy()
         col[r] = 0
         mask = col != 0
         if mask.any():
-            R[mask] = (R[mask] - np.outer(col[mask], R[r])) % p
+            R[mask] = field.reduce(R[mask] - np.outer(col[mask], R[r]))
         pivots.append(c)
-        r += 1
-    return R, pivots
-
-
-def _rref_exact(rows, field: FieldSpec):
-    R = [list(r) for r in rows]
-    m = len(R)
-    n = len(R[0]) if m else 0
-    pivots = []
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        pivot = next((i for i in range(r, m) if R[i][c] != 0), None)
-        if pivot is None:
-            continue
-        R[r], R[pivot] = R[pivot], R[r]
-        inv = field.inv(R[r][c])
-        R[r] = [field.mul(inv, x) for x in R[r]]
-        for i in range(m):
-            if i != r and R[i][c] != 0:
-                f = R[i][c]
-                R[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(R[i], R[r])]
-        pivots.append(c)
-        r += 1
     return R, pivots
 
 
@@ -349,11 +376,8 @@ def rref(A: Matrix) -> RrefResult:
     """Reduced row-echelon form with deterministic first-nonzero pivoting."""
     if A.rows == 0 or A.cols == 0:
         return RrefResult(A, (), 0)
-    if A.field.is_finite:
-        R, pivots = _rref_gf(_np(A), A.field.characteristic)
-        return RrefResult(_from_np(A.field, R), tuple(pivots), len(pivots))
-    R, pivots = _rref_exact(A.data, A.field)
-    return RrefResult(Matrix.from_rows(A.field, R, cols=A.cols), tuple(pivots), len(pivots))
+    R, pivots = _rref(A.data, A.field)
+    return RrefResult(Matrix(A.field, R), tuple(pivots), len(pivots))
 
 
 def rank(A: Matrix) -> int:
@@ -365,14 +389,13 @@ def solve(A: Matrix, b: Sequence) -> Optional[Vector]:
     if len(b) != A.rows:
         raise DimensionMismatch(f"rhs length {len(b)} != rows {A.rows}")
     f = A.field
-    bcol = Matrix.from_rows(f, [[x] for x in b], cols=1) if A.rows else Matrix.zeros(f, 0, 1)
+    bcol = Matrix(f, f.array(b).reshape(A.rows, 1))
     R, pivots, rk = rref(A.hstack(bcol))
     if A.cols in pivots:
         return None
-    x = [f.zero()] * A.cols
-    for r, p in enumerate(pivots):
-        x[p] = R.data[r][A.cols]
-    return tuple(x)
+    x = f.zeros(A.cols)
+    x[list(pivots)] = R.data[:rk, A.cols]
+    return tuple(x.tolist())
 
 
 @dataclass(frozen=True)
@@ -403,14 +426,10 @@ class Subspace:
 
     @staticmethod
     def from_spanning(field: FieldSpec, ambient_dim: int, vectors: Sequence[Sequence]) -> "Subspace":
-        vecs = [v for v in vectors]
-        if not vecs:
-            return Subspace.zero(field, ambient_dim)
-        A = Matrix.from_rows(field, vecs, cols=ambient_dim)
+        A = Matrix.from_rows(field, vectors, cols=ambient_dim)
         if A.cols != ambient_dim:
             raise DimensionMismatch("spanning vectors have wrong length")
-        R, pivots, rk = rref(A)
-        return Subspace(field, ambient_dim, Matrix(field, rk, ambient_dim, R.data[:rk]), pivots)
+        return _row_space(A)
 
     @property
     def dim(self) -> int:
@@ -422,45 +441,70 @@ class Subspace:
     def is_full(self) -> bool:
         return self.dim == self.ambient_dim
 
+    def _residual(self, w: np.ndarray) -> np.ndarray:
+        """Each row of w minus its projection onto the subspace.
+
+        The RREF basis is the identity on the pivot columns, so the
+        projection has the pivot entries of w as its coordinates.
+        """
+        if self.dim == 0:
+            return w
+        f = self.field
+        return f.reduce(w - _dot(f, w[..., list(self.pivot_cols)], self.basis.data))
+
     def reduce_vector(self, v: Sequence) -> Vector:
         """Residual of v after subtracting its projection onto the subspace."""
-        f = self.field
-        w = [f.normalize(x) for x in v]
-        for r, p in enumerate(self.pivot_cols):
-            c = w[p]
-            if c != 0:
-                row = self.basis.data[r]
-                w = [f.sub(w[j], f.mul(c, row[j])) for j in range(self.ambient_dim)]
-        return tuple(w)
+        return tuple(self._residual(self.field.array(v)).tolist())
 
     def contains_vector(self, v: Sequence) -> bool:
-        return all(x == 0 for x in self.reduce_vector(v))
+        return not np.count_nonzero(self._residual(self.field.array(v)))
+
+    def contains_rows(self, A: Matrix) -> bool:
+        """Every row of A lies in the subspace."""
+        if A.cols != self.ambient_dim or A.field != self.field:
+            raise DimensionMismatch("rows live in a different ambient space")
+        return not np.count_nonzero(self._residual(A.data))
 
     def coordinates(self, v: Sequence) -> Optional[Vector]:
         """Coordinates of v in the RREF basis, or None if v is outside."""
         if not self.contains_vector(v):
             return None
-        f = self.field
-        return tuple(f.normalize(v[p]) for p in self.pivot_cols)
+        return tuple(self.field.array(v)[list(self.pivot_cols)].tolist())
 
     def contains(self, other: "Subspace") -> bool:
         self._check_compatible(other)
-        if other.dim == 0:
-            return True
-        return rank(self.basis.vstack(other.basis)) == self.dim
+        return self.contains_rows(other.basis)
 
     def _check_compatible(self, other: "Subspace"):
         if self.ambient_dim != other.ambient_dim or self.field != other.field:
             raise DimensionMismatch("subspaces in different ambient spaces")
 
 
+def _row_space(A: Matrix) -> Subspace:
+    R, pivots, rk = rref(A)
+    return Subspace(A.field, A.cols, Matrix(A.field, R.data[:rk]), pivots)
+
+
 def subspace_sum(U: Subspace, *more: Subspace) -> Subspace:
     """U plus every subspace in ``more``: one reduction of all their basis rows."""
-    rows = list(U.basis.data)
     for V in more:
         U._check_compatible(V)
-        rows.extend(V.basis.data)
-    return Subspace.from_spanning(U.field, U.ambient_dim, rows)
+    return _row_space(U.basis.vstack(*(V.basis for V in more)))
+
+
+def _free_column_rows(field: FieldSpec, R: np.ndarray, pivots: tuple, n: int) -> np.ndarray:
+    """One row per non-pivot column c of the RREF rows R: the unit vector at c
+    minus column c of R placed at the pivot slots.
+
+    These rows span the kernel of R; as a map they project k^n onto the
+    non-pivot coordinates with kernel the row space of R.
+    """
+    pivot_set = set(pivots)
+    free = [c for c in range(n) if c not in pivot_set]
+    out = field.zeros((len(free), n))
+    out[np.arange(len(free)), free] = field.one()
+    out[:, list(pivots)] = field.reduce(-R[:len(pivots), free].T)
+    return out
 
 
 def kernel_basis(A: Matrix) -> Subspace:
@@ -472,30 +516,19 @@ def kernel_basis(A: Matrix) -> Subspace:
     if A.rows == 0:
         return Subspace.full(f, n)
     R, pivots, rk = rref(A)
-    free = [c for c in range(n) if c not in set(pivots)]
-    vecs = []
-    for fc in free:
-        v = [f.zero()] * n
-        v[fc] = f.one()
-        for r, p in enumerate(pivots):
-            v[p] = f.neg(R.data[r][fc])
-        vecs.append(v)
-    return Subspace.from_spanning(f, n, vecs)
+    return _row_space(Matrix(f, _free_column_rows(f, R.data, pivots, n)))
 
 
 def joint_kernel(field: FieldSpec, dim: int, maps: Sequence[Matrix]) -> Subspace:
     """{v in k^dim : A v = 0 for every A in maps}, the kernel of the stacked maps."""
-    rows = []
-    for A in maps:
-        if A.cols != dim or A.field != field:
-            raise DimensionMismatch("joint kernel of maps with different sources")
-        rows.extend(A.data)
-    return kernel_basis(Matrix(field, len(rows), dim, tuple(rows)))
+    if any(A.cols != dim or A.field != field for A in maps):
+        raise DimensionMismatch("joint kernel of maps with different sources")
+    return kernel_basis(Matrix.zeros(field, 0, dim).vstack(*maps))
 
 
 def image_subspace(A: Matrix) -> Subspace:
     """Column space of A, canonically, as row vectors of length A.rows."""
-    return Subspace.from_spanning(A.field, A.rows, A.transpose().data)
+    return _row_space(A.transpose())
 
 
 def quotient_projection(U: Subspace) -> Matrix:
@@ -504,26 +537,14 @@ def quotient_projection(U: Subspace) -> Matrix:
     Coordinates on the quotient are the non-pivot columns of U's basis,
     taken in ascending order (greedy pivot completion).
     """
-    f = U.field
-    m = U.ambient_dim
-    free = [c for c in range(m) if c not in set(U.pivot_cols)]
-    rows = []
-    for fc in free:
-        row = [f.zero()] * m
-        row[fc] = f.one()
-        for r, p in enumerate(U.pivot_cols):
-            row[p] = f.neg(U.basis.data[r][fc])
-        rows.append(row)
-    return Matrix.from_rows(f, rows, cols=m)
+    return Matrix(U.field, _free_column_rows(U.field, U.basis.data, U.pivot_cols, U.ambient_dim))
 
 
 def embed_free_coordinates(U: Subspace) -> Matrix:
     """Section of quotient_projection: unit columns at the non-pivot slots."""
     f = U.field
-    m = U.ambient_dim
-    free = [c for c in range(m) if c not in set(U.pivot_cols)]
-    rows = []
-    for i in range(m):
-        rows.append([f.one() if (j < len(free) and free[j] == i) else f.zero()
-                     for j in range(len(free))])
-    return Matrix.from_rows(f, rows, cols=len(free))
+    pivot_set = set(U.pivot_cols)
+    free = [c for c in range(U.ambient_dim) if c not in pivot_set]
+    out = f.zeros((U.ambient_dim, len(free)))
+    out[free, np.arange(len(free))] = f.one()
+    return Matrix(f, out)

@@ -147,7 +147,7 @@ class Morphism:
         if (self.f2.rows, self.f2.cols) != (N.dim2, M.dim2):
             raise DimensionMismatch("f2 shape mismatch")
         for aM, aN in zip(M.alphas, N.alphas):
-            if (self.f2 @ aM).data != (aN @ self.f1).data:
+            if self.f2 @ aM != aN @ self.f1:
                 raise ValueError("matrices do not intertwine the structure maps")
 
     def is_zero(self) -> bool:
@@ -177,9 +177,8 @@ class SubmodulePair:
         if self.U1.ambient_dim != M.dim1 or self.U2.ambient_dim != M.dim2:
             raise DimensionMismatch("subspace ambient dims do not match the module")
         for a in M.alphas:
-            for v in self.U1.basis.data:
-                if not self.U2.contains_vector(a.apply(v)):
-                    raise NotSubmodule("not a submodule: subspaces not closed under the maps")
+            if not self.U2.contains_rows(self.U1.basis @ a.transpose()):
+                raise NotSubmodule("not a submodule: subspaces not closed under the maps")
 
     @property
     def dims(self) -> DimVector:
@@ -199,39 +198,22 @@ def _check_same_category(M: KroneckerModule, N: KroneckerModule):
         raise DimensionMismatch("modules over different quivers or fields")
 
 
+def intertwining_blocks(a_src: Matrix, a_tgt: Matrix):
+    """Coefficients of f2.a_src - a_tgt.f1 = 0 in row-major vec(f1) and vec(f2).
+
+    For a_src: X1 -> X2 and a_tgt: Y1 -> Y2 the unknowns are f1: X1 -> Y1 and
+    f2: X2 -> Y2; the blocks are -a_tgt kron I_{dim X1} and I_{dim Y2} kron
+    a_src^T, one row per entry of the (dim Y2) x (dim X1) equation.
+    """
+    f = a_src.field
+    return (a_tgt.scale(-1).kron(Matrix.identity(f, a_src.cols)),
+            Matrix.identity(f, a_tgt.rows).kron(a_src.transpose()))
+
+
 def _hom_system(M: KroneckerModule, N: KroneckerModule) -> Matrix:
     """Coefficient matrix of f2.aM - aN.f1 = 0 in unknowns vec(f1) ++ vec(f2)."""
-    f = M.field
-    t1 = N.dim1 * M.dim1
-    t2 = N.dim2 * M.dim2
-    nrows = M.n * N.dim2 * M.dim1
-    if f.is_finite:
-        p = f.characteristic
-        A = np.zeros((nrows, t1 + t2), dtype=np.int64)
-        row = 0
-        for i in range(M.n):
-            aM, aN = M.alphas[i], N.alphas[i]
-            for r in range(N.dim2):
-                for c in range(M.dim1):
-                    for s in range(M.dim2):
-                        A[row, t1 + r * M.dim2 + s] = aM.data[s][c]
-                    for t in range(N.dim1):
-                        A[row, t * M.dim1 + c] = (-aN.data[r][t]) % p
-                    row += 1
-        from .linalg import _from_np
-        return _from_np(f, A % p)
-    rows = []
-    for i in range(M.n):
-        aM, aN = M.alphas[i], N.alphas[i]
-        for r in range(N.dim2):
-            for c in range(M.dim1):
-                row = [f.zero()] * (t1 + t2)
-                for s in range(M.dim2):
-                    row[t1 + r * M.dim2 + s] = aM.data[s][c]
-                for t in range(N.dim1):
-                    row[t * M.dim1 + c] = f.sub(row[t * M.dim1 + c], aN.data[r][t])
-                rows.append(row)
-    return Matrix.from_rows(f, rows, cols=t1 + t2)
+    rows = [Matrix.hstack(*intertwining_blocks(aM, aN)) for aM, aN in zip(M.alphas, N.alphas)]
+    return rows[0].vstack(*rows[1:])
 
 
 def hom_dim(M: KroneckerModule, N: KroneckerModule) -> int:
@@ -250,14 +232,9 @@ def hom_basis(M: KroneckerModule, N: KroneckerModule) -> list:
     if t1 + t2 == 0:
         return []
     ker = kernel_basis(_hom_system(M, N))
-    out = []
-    for v in ker.basis.data:
-        f1 = Matrix.from_rows(M.field, [[v[t * M.dim1 + c] for c in range(M.dim1)]
-                                        for t in range(N.dim1)], cols=M.dim1)
-        f2 = Matrix.from_rows(M.field, [[v[t1 + r * M.dim2 + s] for s in range(M.dim2)]
-                                        for r in range(N.dim2)], cols=M.dim2)
-        out.append(Morphism(M, N, f1, f2))
-    return out
+    return [Morphism(M, N, Matrix(M.field, v[:t1].reshape(N.dim1, M.dim1)),
+                     Matrix(M.field, v[t1:].reshape(N.dim2, M.dim2)))
+            for v in ker.basis.data]
 
 
 def end_dim(M: KroneckerModule) -> int:
@@ -290,16 +267,11 @@ def ext1_dim_via_resolution(M: KroneckerModule, N: KroneckerModule) -> int:
     if not blocks:
         return 0
     P0 = direct_sum_list(blocks)
-    # evaluation P0 -> M: generator of the i-th P(1) copy goes to basis vector i
+    # evaluation P0 -> M: generator of the i-th P(1) copy goes to basis vector i,
+    # so that copy's j-th vertex-2 vector goes to alpha_j e_i (column i*n + j)
     eps1 = Matrix.identity(f, m1)
-    cols = []
-    for i in range(m1):
-        for j in range(n):
-            cols.append(M.alphas[j].column(i))
-    for r in range(m2):
-        cols.append(tuple(f.one() if s == r else f.zero() for s in range(m2)))
-    eps2 = Matrix.from_rows(f, [list(c) for c in cols], cols=m2).transpose() \
-        if cols else Matrix.zeros(f, m2, 0)
+    images = np.stack([a.data for a in M.alphas], axis=2).reshape(m2, m1 * n)
+    eps2 = Matrix(f, images).hstack(Matrix.identity(f, m2))
     eps = Morphism(P0, M, eps1, eps2)
     ker_pair = SubmodulePair(P0, kernel_basis(eps.f1), kernel_basis(eps.f2))
     P1, incl = submodule_as_module(P0, ker_pair)
@@ -336,10 +308,7 @@ def is_generated_by(generators: Sequence[KroneckerModule], M: KroneckerModule) -
 def _sink_reflection(maps: Sequence[Matrix], d_src: int, d_tgt: int, field: FieldSpec):
     """Kernel of the summed map src^n -> tgt; returns (new dim, projections)."""
     n = len(maps)
-    summed = Matrix.zeros(field, d_tgt, 0)
-    for a in maps:
-        summed = summed.hstack(a)
-    K = kernel_basis(summed)
+    K = kernel_basis(Matrix.zeros(field, d_tgt, 0).hstack(*maps))
     new_maps = [K.basis.col_block(i * d_src, (i + 1) * d_src).transpose() for i in range(n)]
     return K.dim, new_maps
 
@@ -347,10 +316,7 @@ def _sink_reflection(maps: Sequence[Matrix], d_src: int, d_tgt: int, field: Fiel
 def _source_reflection(maps: Sequence[Matrix], d_src: int, d_tgt: int, field: FieldSpec):
     """Cokernel of the stacked map src -> tgt^n; returns (new dim, inclusions)."""
     n = len(maps)
-    stacked = Matrix.zeros(field, 0, d_src)
-    for a in maps:
-        stacked = stacked.vstack(a)
-    img = image_subspace(stacked)  # subspace of k^(n*d_tgt)
+    img = image_subspace(Matrix.zeros(field, 0, d_src).vstack(*maps))  # subspace of k^(n*d_tgt)
     Q = quotient_projection(img)
     new_maps = [Q.col_block(i * d_tgt, (i + 1) * d_tgt) for i in range(n)]
     return Q.rows, new_maps
@@ -437,15 +403,11 @@ def submodule_as_module(M: KroneckerModule, U: SubmodulePair):
     f = M.field
     alphas = []
     for a in M.alphas:
-        cols = []
-        for v in U.U1.basis.data:
-            w = a.apply(v)
-            coords = U.U2.coordinates(w)
-            if coords is None:
-                raise NotSubmodule("not a submodule: image leaves the subspace")
-            cols.append(coords)
-        alphas.append(Matrix.from_rows(f, [list(c) for c in cols], cols=U.U2.dim).transpose()
-                      if cols else Matrix.zeros(f, U.U2.dim, 0))
+        images = U.U1.basis @ a.transpose()  # row i: the image of basis vector i
+        if not U.U2.contains_rows(images):
+            raise NotSubmodule("not a submodule: image leaves the subspace")
+        # coordinates in the RREF basis of U2 are the entries at its pivots
+        alphas.append(Matrix(f, images.data[:, list(U.U2.pivot_cols)].T))
     sub = KroneckerModule(M.n, f, U.U1.dim, U.U2.dim, tuple(alphas))
     incl = Morphism(sub, M, U.U1.basis.transpose(), U.U2.basis.transpose())
     return sub, incl

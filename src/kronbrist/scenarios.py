@@ -460,7 +460,7 @@ def _scn_tau_b1_cover(cfg: ScenarioConfig) -> List[Check]:
         "generation-sum",
         "branch push-downs plus interior path bristles generate the whole translate",
         True, _generates(pushed, parts)))
-    lines = [center_line(X, i, i + 1).basis.data[0] for i in range(2, n)]
+    lines = [center_line(X, i, i + 1).basis.row(0) for i in range(2, n)]
     span = Subspace.from_spanning(f, n - 2, lines)
     checks.append(Check(
         "center-decomposition",
@@ -651,10 +651,9 @@ def _scn_indecomposable_generator(cfg: ScenarioConfig) -> List[Check]:
         xi = [[rng.randrange(f.order) for _ in range(C.dim1)] for _ in range(n)]
         alphas = []
         for i in range(n):
-            top = Matrix.from_rows(f, [list(A.alphas[i].data[0]) + xi[i]], cols=1 + C.dim1)
-            rows = [list(top.data[0])]
+            rows = [list(A.alphas[i].row(0)) + xi[i]]
             for r in range(C.dim2):
-                rows.append([f.zero()] + list(C.alphas[i].data[r]))
+                rows.append([f.zero()] + list(C.alphas[i].row(r)))
             alphas.append(Matrix.from_rows(f, rows, cols=1 + C.dim1))
         E = KroneckerModule(n, f, 1 + C.dim1, 1 + C.dim2, tuple(alphas))
         if end_dim(E) == 1:

@@ -26,7 +26,7 @@ from kronbrist.bristles import (
     unit_point,
 )
 from kronbrist.families import dim32_bristled, dim32_not_bristled, n2_preinjective
-from kronbrist.linalg import GF, QQ
+from kronbrist.linalg import GF, QQ, Matrix
 from kronbrist.modules import (
     ar_translate,
     direct_sum,
@@ -42,13 +42,13 @@ F2, F3, F5 = GF(2), GF(3), GF(5)
 class TestPointsAndModules:
     def test_unit_point_module(self):
         b = bristle(unit_point(3, F5, 1))
-        assert b.alphas[0].data == ((1,),)
+        assert b.alphas[0] == Matrix.identity(F5, 1)
         assert b.alphas[1].is_zero() and b.alphas[2].is_zero()
 
     def test_pair_point_module(self):
         b = bristle(pair_point(3, F5, 2, 3))
         assert b.alphas[0].is_zero()
-        assert b.alphas[1].data == ((1,),) and b.alphas[2].data == ((1,),)
+        assert b.alphas[1] == b.alphas[2] == Matrix.identity(F5, 1)
 
     def test_scalar_multiples_normalize(self):
         assert bristle_point(3, F5, [2, 4, 0]) == bristle_point(3, F5, [1, 2, 0])

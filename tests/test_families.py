@@ -102,8 +102,8 @@ class TestTwoArrowFamily:
     def test_explicit_matrices_t2(self):
         M = n2_preinjective(2, F5)
         assert M.dims == (3, 2)
-        assert M.alphas[0].data == ((1, 0, 0), (0, 1, 0))  # shift down
-        assert M.alphas[1].data == ((0, 1, 0), (0, 0, 1))  # truncate
+        assert M.alphas[0] == Matrix.from_rows(F5, [[1, 0, 0], [0, 1, 0]])  # shift down
+        assert M.alphas[1] == Matrix.from_rows(F5, [[0, 1, 0], [0, 0, 1]])  # truncate
 
     def test_t3_dims_gf3(self):
         assert n2_preinjective(3, F3).dims == (4, 3)

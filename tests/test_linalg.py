@@ -100,7 +100,7 @@ class TestRref:
         f = GF(5)
         A = Matrix.from_rows(f, [[1, 2], [2, 4]])
         R, pivots, rk = rref(A)
-        assert R.data == ((1, 2), (0, 0))
+        assert R == Matrix.from_rows(f, [[1, 2], [0, 0]])
         assert rk == 1 and pivots == (0,)
 
     def test_idempotent(self):
@@ -279,6 +279,87 @@ class TestSubspaces:
         assert all(isinstance(x, Fraction) for row in R.data for x in row)
 
 
+class TestMatrixValue:
+    """Matrices are values: equality and hash go by field, shape and entries."""
+
+    @pytest.mark.parametrize("field, rows", [
+        (GF(7), [[1, 2, 3], [4, 5, 6]]),
+        (QQ, [[Fraction(1, 2), 0, 3], [4, Fraction(-5, 3), 6]]),
+    ])
+    def test_equal_entries_compare_and_hash_equal(self, field, rows):
+        A = Matrix.from_rows(field, rows)
+        B = Matrix.from_rows(field, [tuple(r) for r in rows])
+        C = A.transpose().transpose()  # same entries, other strides
+        assert A == B == C
+        assert hash(A) == hash(B) == hash(C)
+        assert len({A, B, C}) == 1
+        changed = [list(r) for r in rows]
+        changed[1][2] += 1
+        assert A != Matrix.from_rows(field, changed)
+        assert A != A.transpose() and A != Matrix.zeros(field, 2, 3)
+
+    def test_field_and_empty_shape_are_part_of_the_value(self):
+        assert Matrix.identity(GF(5), 2) != Matrix.identity(GF(7), 2)
+        assert Matrix.identity(GF(5), 2) != Matrix.identity(QQ, 2)
+        shapes = [(0, 0), (0, 3), (3, 0)]
+        empties = [Matrix.zeros(QQ, r, c) for r, c in shapes]
+        assert [(E.rows, E.cols) for E in empties] == shapes
+        assert len(set(empties)) == 3
+        assert (empties[1].transpose().rows, empties[1].transpose().cols) == (3, 0)
+        assert Matrix.zeros(QQ, 0, 3).vstack(Matrix.zeros(QQ, 0, 3)) == empties[1]
+        assert Matrix.zeros(GF(3), 3, 0) @ Matrix.zeros(GF(3), 0, 2) == Matrix.zeros(GF(3), 3, 2)
+
+    @pytest.mark.parametrize("field", [GF(5), QQ])
+    def test_entries_are_read_only(self, field):
+        A = Matrix.from_rows(field, [[1, 2], [3, 4]])
+        for view in (A, A.transpose(), A.col_block(0, 1), rref(A).matrix):
+            with pytest.raises(ValueError):
+                view.data[0, 0] = 0
+        assert A == Matrix.from_rows(field, [[1, 2], [3, 4]])
+
+
+def _near_p_rows(p, rows, cols, start):
+    """Entries p - 1, p - 2, ... in a fixed scrambled order."""
+    return [[p - 1 - (start + 7 * i + 3 * j) % 11 for j in range(cols)] for i in range(rows)]
+
+
+def _rank_mod_p(rows, p):
+    """Reference rank by Gaussian elimination on Python integers."""
+    R = [[x % p for x in r] for r in rows]
+    rk = 0
+    for c in range(len(R[0]) if R else 0):
+        piv = next((i for i in range(rk, len(R)) if R[i][c]), None)
+        if piv is None:
+            continue
+        R[rk], R[piv] = R[piv], R[rk]
+        inv = pow(R[rk][c], p - 2, p)
+        R[rk] = [x * inv % p for x in R[rk]]
+        for i in range(len(R)):
+            if i != rk and R[i][c]:
+                f = R[i][c]
+                R[i] = [(x - f * y) % p for x, y in zip(R[i], R[rk])]
+        rk += 1
+    return rk
+
+
+def _hom_dim_reference(M, N, p):
+    """dim Hom(M, N) from the intertwining equations written out entry by entry."""
+    t1, t2 = N.dim1 * M.dim1, N.dim2 * M.dim2
+    rows = []
+    for aM, aN in zip(M.alphas, N.alphas):
+        am = [aM.row(s) for s in range(M.dim2)]
+        an = [aN.row(r) for r in range(N.dim2)]
+        for r in range(N.dim2):
+            for c in range(M.dim1):
+                row = [0] * (t1 + t2)
+                for s in range(M.dim2):
+                    row[t1 + r * M.dim2 + s] = am[s][c]
+                for t in range(N.dim1):
+                    row[t * M.dim1 + c] -= an[r][t]
+                rows.append(row)
+    return t1 + t2 - _rank_mod_p(rows, p)
+
+
 class TestLargeCharacteristic:
     # products near (2^31)^2 exceed the vectorized matmul guard, exercising
     # the arbitrary-precision fallback; elimination itself stays vectorized
@@ -302,5 +383,61 @@ class TestLargeCharacteristic:
         A = Matrix.from_rows(f, [[p - 1, p - 2], [1, 2]])
         B = Matrix.from_rows(f, [[p - 3], [4]])
         C = A @ B
-        assert C.data == ((((p - 1) * (p - 3) + (p - 2) * 4) % p,),
-                          (((p - 3) + 2 * 4) % p,))
+        assert C == Matrix.from_rows(f, [[((p - 1) * (p - 3) + (p - 2) * 4) % p],
+                                         [((p - 3) + 2 * 4) % p]])
+
+    # every entry close to p and at least 3 columns: a dot product summed in
+    # int64 would overflow, so each result is checked against Python integers
+    def test_matmul_near_p_matches_python_ints(self):
+        p = 2**31 - 1
+        f = GF(p)
+        a, b = _near_p_rows(p, 3, 4, 0), _near_p_rows(p, 4, 3, 5)
+        expected = [[sum(a[i][k] * b[k][j] for k in range(4)) % p for j in range(3)]
+                    for i in range(3)]
+        C = Matrix.from_rows(f, a) @ Matrix.from_rows(f, b)
+        assert C == Matrix.from_rows(f, expected)
+        assert [list(C.row(i)) for i in range(3)] == expected
+
+    def test_apply_near_p_matches_python_ints(self):
+        p = 2**31 - 1
+        a = _near_p_rows(p, 2, 5, 2)
+        x = (p - 1, p - 2, p - 3, p - 4, p - 5)
+        expected = tuple(sum(r[k] * x[k] for k in range(5)) % p for r in a)
+        assert Matrix.from_rows(GF(p), a).apply(x) == expected
+
+    def test_contains_vector_near_p(self):
+        p = 2**31 - 1
+        r1, r2, r3 = _near_p_rows(p, 3, 5, 4)
+        U = Subspace.from_spanning(GF(p), 5, [r1, r2, r3])
+        assert U.dim == 3
+        c = (p - 2, p - 3, p - 6)
+        v = [(c[0] * x + c[1] * y + c[2] * z) % p for x, y, z in zip(r1, r2, r3)]
+        assert U.contains_vector(v)
+        assert U.reduce_vector(v) == (0,) * 5
+        # U is 3-dimensional in k^5: some unit vector lies outside it
+        outside = [e for e in ([int(i == j) for i in range(5)] for j in range(5))
+                   if not U.contains_vector(e)]
+        assert outside
+        for e in outside:
+            w = [(x + (p - 1) * y) % p for x, y in zip(v, e)]  # v - e
+            assert not U.contains_vector(w)
+
+    def test_hom_dim_near_p_matches_python_ints(self):
+        from kronbrist.modules import KroneckerModule, hom_dim
+
+        p = 2**31 - 1
+        f = GF(p)
+
+        def module(start):
+            alphas = tuple(Matrix.from_rows(f, _near_p_rows(p, 3, 3, start + 5 * i))
+                           for i in range(2))
+            return KroneckerModule(2, f, 3, 3, alphas)
+
+        M, N = module(0), module(1)
+        g = Matrix.from_rows(f, _near_p_rows(p, 3, 3, 9))
+        assert rank(g) == 3
+        # M twisted by g at vertex 2 (identity at vertex 1) is isomorphic to M
+        G = KroneckerModule(2, f, 3, 3, tuple(g @ a for a in M.alphas))
+        for X, Y in ((M, M), (M, N), (N, M), (M, G), (G, M)):
+            assert hom_dim(X, Y) == _hom_dim_reference(X, Y, p)
+        assert hom_dim(M, G) == hom_dim(M, M) >= 1

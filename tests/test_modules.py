@@ -4,16 +4,19 @@ trace submodules, isomorphism search.
 
 from __future__ import annotations
 
+import json
 import random
+from fractions import Fraction
 
 import pytest
 
 from kronbrist.bristles import bristle, bristle_point, enumerate_bristles
 from kronbrist.families import preinjective
-from kronbrist.linalg import GF, QQ, Matrix, Subspace, image_subspace
+from kronbrist.linalg import GF, QQ, Matrix, Subspace, image_subspace, rank, solve
 from kronbrist.modules import (
     ISO,
     NON_ISO,
+    KroneckerModule,
     Morphism,
     NotSubmodule,
     SubmodulePair,
@@ -254,9 +257,19 @@ class TestDualityLayersFaithful:
 
     def test_double_dual_identical(self):
         rng = random.Random(13)
-        for _ in range(10):
-            M = random_module(3, F5, rng, 3, 3)
-            assert dual(dual(M)) == M
+        for field in (F5, QQ):
+            for _ in range(10):
+                M = random_module(3, field, rng, 3, 3)
+                assert dual(dual(M)) == M and hash(dual(dual(M))) == hash(M)
+
+    @pytest.mark.parametrize("field", [F5, QQ])
+    def test_modules_built_separately_are_equal_values(self, field):
+        rows = [[1, 2, 0], [0, 3, 4]]
+        M = KroneckerModule(1, field, 3, 2, (Matrix.from_rows(field, rows),))
+        N = KroneckerModule(1, field, 3, 2, (Matrix.from_rows(field, [list(r) for r in rows]),))
+        assert M == N and hash(M) == hash(N) and {M: 1}[N] == 1
+        rows[1][1] = 1
+        assert M != KroneckerModule(1, field, 3, 2, (Matrix.from_rows(field, rows),))
 
     def test_layers_of_simples(self):
         S1 = simple_module(3, F5, 1)
@@ -369,3 +382,31 @@ class TestCompose:
         assert ext1_dim(bq, bq) == 2
         T = ar_translate(bq, "tau")
         assert T.dims == (5, 2)
+
+
+class TestPythonScalars:
+    """Results leave the library as Python int / Fraction, never numpy scalars:
+    reports and callers serialize them (json.dumps rejects numpy integers)."""
+
+    @pytest.mark.parametrize("field", [F5, QQ])
+    def test_results_are_python_scalars(self, field):
+        scalar = int if field.is_finite else Fraction
+        A = Matrix.from_rows(field, [[1, 2, 0], [0, 1, 1]])
+        image = A.apply((1, 1, 1))
+        x = solve(A, image)
+        U = Subspace.from_spanning(field, 3, [(1, 2, 0), (0, 1, 1)])
+        coords = U.coordinates((1, 3, 1))
+        for values in (image, x, coords, A.row(1), A.entries_flat(), U.reduce_vector((0, 0, 1))):
+            assert all(type(v) is scalar for v in values), values
+        assert all(type(c) is int for c in U.pivot_cols)
+        M = preinjective(3, 2, field)
+        T = ar_translate(M, "tau")
+        sub = trace_submodule([B([1, 0, 0], field)], M)
+        ints = [rank(A), hom_dim(M, M), ext1_dim(B([1, 0, 0], field), M),
+                ext1_dim_via_resolution(B([1, 0, 0], field), M),
+                *M.dims, *T.dims, *sub.dims, *quotient(M, sub)[0].dims]
+        assert all(type(v) is int for v in ints), ints
+        json.dumps(ints)
+        if field.is_finite:
+            json.dumps([image, x, coords])
+

@@ -1,0 +1,124 @@
+"""Property tests: rank agrees over Q, over a large prime field and with
+sympy; Hom and Ext dimensions are invariant under a change of basis at both
+vertices; the two Ext routes agree; module files round-trip exactly.
+
+hypothesis runs derandomized with few examples, so every run checks the
+same inputs.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from kronbrist.linalg import GF, QQ, Matrix, rank, rref  # noqa: E402
+from kronbrist.modfile import parse_module_file, write_module_file  # noqa: E402
+from kronbrist.modules import (  # noqa: E402
+    KroneckerModule,
+    ext1_dim,
+    ext1_dim_via_resolution,
+    hom_dim,
+)
+
+PROPERTY = settings(derandomize=True, database=None, max_examples=25, deadline=None)
+FIELDS = [GF(2), GF(3), GF(5), QQ]
+MERSENNE = GF(2**31 - 1)
+
+
+def entries(field):
+    if field.is_finite:
+        return st.integers(0, field.characteristic - 1)
+    return st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def small_int_matrices(draw):
+    r, c = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    return [[draw(st.integers(-3, 3)) for _ in range(c)] for _ in range(r)]
+
+
+@st.composite
+def matrices(draw, field, rows, cols):
+    return Matrix.from_rows(field, [[draw(entries(field)) for _ in range(cols)]
+                                    for _ in range(rows)], cols=cols)
+
+
+@st.composite
+def modules(draw, field, n, max_dim=3):
+    d1, d2 = draw(st.integers(0, max_dim)), draw(st.integers(0, max_dim))
+    alphas = tuple(draw(matrices(field, d2, d1)) for _ in range(n))
+    return KroneckerModule(n, field, d1, d2, alphas)
+
+
+@st.composite
+def invertible(draw, field, d):
+    """L U with L unit lower and U upper triangular with a nonzero diagonal."""
+    nonzero = entries(field).filter(lambda x: x != 0)
+    L = [[1 if i == j else (draw(entries(field)) if j < i else 0) for j in range(d)]
+         for i in range(d)]
+    U = [[draw(nonzero) if i == j else (draw(entries(field)) if j > i else 0) for j in range(d)]
+         for i in range(d)]
+    return Matrix.from_rows(field, L, cols=d) @ Matrix.from_rows(field, U, cols=d)
+
+
+def inverse(g: Matrix) -> Matrix:
+    d = g.rows
+    return rref(g.hstack(Matrix.identity(g.field, d))).matrix.col_block(d, 2 * d)
+
+
+@st.composite
+def module_pairs(draw):
+    field = draw(st.sampled_from(FIELDS))
+    n = draw(st.integers(1, 3))
+    return draw(modules(field, n)), draw(modules(field, n))
+
+
+@st.composite
+def rebased(draw, M):
+    """M in new bases at both vertices: alpha -> g2 alpha g1^-1."""
+    g1 = draw(invertible(M.field, M.dim1))
+    g2 = draw(invertible(M.field, M.dim2))
+    h1 = inverse(g1)
+    return KroneckerModule(M.n, M.field, M.dim1, M.dim2, tuple(g2 @ a @ h1 for a in M.alphas))
+
+
+@PROPERTY
+@given(small_int_matrices())
+def test_rank_over_q_matches_sympy_and_large_prime(rows):
+    # entries in [-3, 3], at most 6 x 6: every minor has absolute value at
+    # most 6! * 3^6 < 2^31 - 1, so it vanishes over Q iff it vanishes mod p
+    sympy = pytest.importorskip("sympy")
+    r = rank(Matrix.from_rows(QQ, rows))
+    assert r == sympy.Matrix(rows).rank()
+    assert r == rank(Matrix.from_rows(MERSENNE, rows))
+
+
+@PROPERTY
+@given(st.data())
+def test_hom_and_ext_invariant_under_change_of_basis(data):
+    M, N = data.draw(module_pairs())
+    M2, N2 = data.draw(rebased(M)), data.draw(rebased(N))
+    assert hom_dim(M2, N2) == hom_dim(M, N)
+    assert ext1_dim(M2, N2) == ext1_dim(M, N)
+
+
+@PROPERTY
+@given(module_pairs())
+def test_ext_routes_agree(pair):
+    M, N = pair
+    assert ext1_dim(M, N) == ext1_dim_via_resolution(M, N)
+
+
+@PROPERTY
+@given(st.data())
+def test_module_file_round_trips(data):
+    field = data.draw(st.sampled_from(FIELDS))
+    M = data.draw(modules(field, data.draw(st.integers(1, 3))))
+    text = write_module_file(M)
+    back = parse_module_file(text)
+    assert back == M
+    assert write_module_file(back) == text

@@ -448,23 +448,21 @@ def cover_hom_dim(X: CoverRep, Y: CoverRep) -> int:
         got = R.arrow(v, label)
         return got if got is not None else Matrix.zeros(f, R.dim(neighbor(v, label)), R.dim(v))
 
-    blocks = []
+    blocks = [f.zeros((0, total))]
     sources = {v for v in set(X.spaces) | set(Y.spaces) if vertex_class(v) == 1}
     for v in sorted(sources, key=lambda u: (len(u), u)):
         for label in range(1, X.n + 1):
             w = neighbor(v, label)
             if Y.dim(w) == 0 or X.dim(v) == 0:
                 continue
-            # unknowns: the vertex maps at v (block at v) and at w (block at w);
-            # a block without columns belongs to a vertex outside the common support
+            # phi_w Ax = Ay phi_v in the vertex maps phi_v and phi_w; a block
+            # without columns belongs to a vertex outside the common support
             row = f.zeros((Y.dim(w) * X.dim(v), total))
             for u, block in zip((v, w), intertwining_blocks(arrow(X, v, label),
                                                             arrow(Y, v, label))):
                 if block.cols:
                     row[:, offsets[u]:offsets[u] + block.cols] = block.data
             blocks.append(row)
-    if not blocks:
-        return total
     return total - rank(Matrix(f, np.vstack(blocks)))
 
 

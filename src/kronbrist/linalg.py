@@ -260,8 +260,6 @@ class Matrix:
 
     @staticmethod
     def zeros(field: FieldSpec, rows: int, cols: int) -> "Matrix":
-        if rows < 0 or cols < 0:
-            raise ValueError("negative matrix shape")
         return Matrix(field, field.zeros((rows, cols)))
 
     @staticmethod
@@ -457,7 +455,7 @@ class Subspace:
         return tuple(self._residual(self.field.array(v)).tolist())
 
     def contains_vector(self, v: Sequence) -> bool:
-        return not np.count_nonzero(self._residual(self.field.array(v)))
+        return not any(self.reduce_vector(v))
 
     def contains_rows(self, A: Matrix) -> bool:
         """Every row of A lies in the subspace."""

@@ -16,6 +16,12 @@ sequence ending in that bristle).  The ball's center space is realized
 concretely as the kernel of the all-ones functional on k^n with the
 consecutive-difference basis, which turns the center decomposition into a
 literal coordinate identity.
+
+A subrepresentation (``CoverSubrep``) is a subspace of the host's space at
+each vertex, checked once for closure under the host's arrows.  The
+push-down layout, the block of the pushed spaces that each vertex occupies,
+is worked out in one place (``_offsets``); the push-down and every subspace
+or vector carried into it go through that layout.
 """
 
 from __future__ import annotations
@@ -30,12 +36,11 @@ from .linalg import (
     FieldSpec,
     Matrix,
     Subspace,
-    image_subspace,
     joint_kernel,
     rank,
     subspace_sum,
 )
-from .modules import KroneckerModule, SubmodulePair, intertwining_blocks
+from .modules import KroneckerModule, NotSubmodule, SubmodulePair, intertwining_blocks
 
 TreeVertex = Tuple[int, ...]
 
@@ -92,69 +97,61 @@ class CoverRep:
     def dim(self, v: TreeVertex) -> int:
         return self.spaces.get(v, 0)
 
-    def arrow(self, v: TreeVertex, label: int) -> Optional[Matrix]:
-        """The map along (v, label), or a zero matrix if endpoints are supported."""
-        w = neighbor(v, label)
-        dv, dw = self.dim(v), self.dim(w)
-        if dv == 0 or dw == 0:
-            return None
+    def arrow(self, v: TreeVertex, label: int) -> Matrix:
+        """The map along (v, label): zero when none is stored, and of zero
+        size when an endpoint is unsupported."""
         got = self.maps.get((v, label))
-        return got if got is not None else Matrix.zeros(self.field, dw, dv)
+        if got is not None:
+            return got
+        return Matrix.zeros(self.field, self.dim(neighbor(v, label)), self.dim(v))
 
     def sorted_vertices(self, cls: int) -> List[TreeVertex]:
         return sorted((v for v in self.spaces if vertex_class(v) == cls),
                       key=lambda v: (len(v), v))
 
 
-class PushDownIndex:
-    """Block layout of a push-down: vertex -> (vertex class, offset, dim)."""
-
-    def __init__(self, blocks: Dict[TreeVertex, Tuple[int, int, int]]):
-        self.blocks = blocks
-
-    def offset(self, v: TreeVertex) -> int:
-        return self.blocks[v][1]
-
-    def dim(self, v: TreeVertex) -> int:
-        return self.blocks[v][2]
-
-    def embed(self, v: TreeVertex, local: Sequence, total: int, field: FieldSpec) -> tuple:
-        """A local vector at v as a vector of the full push-down space."""
-        cls, off, d = self.blocks[v]
-        out = [field.zero()] * total
-        out[off:off + d] = [field.normalize(x) for x in local]
-        return tuple(out)
+def _offsets(X: CoverRep) -> Dict[TreeVertex, int]:
+    """The push-down layout: where each vertex's block starts in the space of
+    its vertex class.  The blocks of a class follow one another in
+    (depth, label path) order."""
+    offsets = {}
+    for cls in (1, 2):
+        off = 0
+        for v in X.sorted_vertices(cls):
+            offsets[v] = off
+            off += X.spaces[v]
+    return offsets
 
 
-def push_down(X: CoverRep) -> Tuple[KroneckerModule, PushDownIndex]:
+def push_down(X: CoverRep) -> KroneckerModule:
     """Sum the spaces over each vertex class and assemble the label maps blockwise."""
     f = X.field
-    sources = X.sorted_vertices(1)
-    sinks = X.sorted_vertices(2)
-    blocks: Dict[TreeVertex, Tuple[int, int, int]] = {}
-    off = 0
-    for v in sources:
-        blocks[v] = (1, off, X.spaces[v])
-        off += X.spaces[v]
-    d1 = off
-    off = 0
-    for w in sinks:
-        blocks[w] = (2, off, X.spaces[w])
-        off += X.spaces[w]
-    d2 = off
-    alphas = []
-    for label in range(1, X.n + 1):
-        a = f.zeros((d2, d1))
-        for v in sources:
-            w = neighbor(v, label)
-            mat = X.maps.get((v, label))
-            if mat is None or w not in blocks:
-                continue
-            _, roff, _ = blocks[w]
-            _, coff, _ = blocks[v]
-            a[roff:roff + mat.rows, coff:coff + mat.cols] = mat.data
-        alphas.append(Matrix(f, a))
-    return KroneckerModule(X.n, f, d1, d2, tuple(alphas)), PushDownIndex(blocks)
+    offsets = _offsets(X)
+    d1, d2 = (sum(d for v, d in X.spaces.items() if vertex_class(v) == cls) for cls in (1, 2))
+    alphas = [f.zeros((d2, d1)) for _ in range(X.n)]
+    for (v, label), mat in X.maps.items():
+        r, c = offsets[neighbor(v, label)], offsets[v]
+        alphas[label - 1][r:r + mat.rows, c:c + mat.cols] = mat.data
+    return KroneckerModule(X.n, f, d1, d2, tuple(Matrix(f, a) for a in alphas))
+
+
+def _place(field: FieldSpec, offsets: Dict[TreeVertex, int], total: int,
+           parts: Dict[TreeVertex, np.ndarray]) -> np.ndarray:
+    """Rows of one push-down space, of dimension ``total``: row r holds row r
+    of every part in the block of the part's vertex and zeros elsewhere.
+    The parts have equal row counts and vertices of one class."""
+    rows = next(iter(parts.values())).shape[0]
+    out = field.zeros((rows, total))
+    for v, local in parts.items():
+        out[:, offsets[v]:offsets[v] + local.shape[1]] = local
+    return out
+
+
+def _pair(pushed: KroneckerModule, rows1: np.ndarray, rows2: np.ndarray) -> SubmodulePair:
+    """The subspace pair of ``pushed`` spanned by the given rows at each vertex."""
+    f = pushed.field
+    return SubmodulePair(pushed, Subspace.from_spanning(f, pushed.dim1, rows1),
+                         Subspace.from_spanning(f, pushed.dim2, rows2))
 
 
 # -- named constructions -------------------------------------------------------
@@ -233,29 +230,37 @@ def build_mu_bristle_rep(n: int, field: FieldSpec) -> CoverRep:
 
 # -- subrepresentations ----------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class CoverSubrep:
-    """A subrepresentation with explicit vertexwise inclusion matrices."""
+    """Vertexwise subspaces of a host rep, closed under every host arrow.
 
-    rep: CoverRep
-    inclusion: Dict[TreeVertex, Matrix]  # host dim x sub dim, per supported vertex
+    A vertex missing from ``spaces`` carries the zero subspace.
+    """
 
-    def vertex_subspaces(self) -> Dict[TreeVertex, Subspace]:
-        return {v: image_subspace(inc) for v, inc in self.inclusion.items()}
+    host: CoverRep
+    spaces: Dict[TreeVertex, Subspace]
+
+    def __post_init__(self):
+        X = self.host
+        for v, U in self.spaces.items():
+            if U.ambient_dim != X.dim(v) or U.field != X.field:
+                raise DimensionMismatch(f"subspace at {v} does not live in the host space there")
+        for (v, label), mat in X.maps.items():
+            U = self.spaces.get(v)
+            if U is None:
+                continue
+            w = neighbor(v, label)
+            target = self.spaces.get(w, Subspace.zero(X.field, X.dim(w)))
+            if not target.contains_rows(U.basis @ mat.transpose()):
+                raise NotSubmodule(f"not a subrep: the arrow ({v}, {label}) leaves the subspaces")
+
+    def dim(self, v: TreeVertex) -> int:
+        U = self.spaces.get(v)
+        return U.dim if U is not None else 0
 
 
-def _check_subrep(X: CoverRep, sub: CoverSubrep):
-    """Inclusion must intertwine the arrow maps of sub.rep with those of X."""
-    S = sub.rep
-    for (v, label), mat in S.maps.items():
-        w = neighbor(v, label)
-        host = X.arrow(v, label)
-        if host is None:
-            raise ValueError("subrep uses an arrow outside the host support")
-        lhs = host @ sub.inclusion[v]
-        rhs = sub.inclusion[w] @ mat
-        if lhs != rhs:
-            raise ValueError("inclusion does not intertwine the arrow maps")
+def _full_at(X: CoverRep, vertices: Sequence[TreeVertex]) -> Dict[TreeVertex, Subspace]:
+    return {v: Subspace.full(X.field, X.dim(v)) for v in vertices}
 
 
 def leaves_of(X: CoverRep) -> List[Tuple[TreeVertex, int]]:
@@ -267,31 +272,15 @@ def leaf_projective(X: CoverRep, leaf: TreeVertex) -> CoverSubrep:
     """Thin subrep on a leaf and its parent sink: the projective at the leaf."""
     if leaf not in X.spaces or len(leaf) != 2:
         raise ValueError(f"{leaf} is not a supported leaf")
-    j, i = leaf
-    f = X.field
-    rep = CoverRep(X.n, f, {leaf: 1, (j,): 1}, {(leaf, i): Matrix.identity(f, 1)})
-    sub = CoverSubrep(rep, {leaf: Matrix.identity(f, 1), (j,): X.maps[(leaf, i)]})
-    _check_subrep(X, sub)
-    return sub
+    return CoverSubrep(X, _full_at(X, (leaf, leaf[:1])))
 
 
 def y_component(X: CoverRep, j: int) -> CoverSubrep:
     """Restriction to one sink branch: the sink (j,) and its leaves."""
     if (j,) not in X.spaces:
         raise ValueError(f"branch {j} is not supported")
-    f = X.field
-    spaces = {(j,): 1}
-    maps = {}
-    incl = {(j,): Matrix.identity(f, 1)}
-    for i in range(1, X.n + 1):
-        v = (j, i)
-        if v in X.spaces:
-            spaces[v] = 1
-            maps[(v, i)] = X.maps[(v, i)]
-            incl[v] = Matrix.identity(f, 1)
-    sub = CoverSubrep(CoverRep(X.n, f, spaces, maps), incl)
-    _check_subrep(X, sub)
-    return sub
+    leaves = [(j, i) for i in range(1, X.n + 1) if (j, i) in X.spaces]
+    return CoverSubrep(X, _full_at(X, [(j,)] + leaves))
 
 
 def covered_pair_starts(n: int, j: int) -> List[int]:
@@ -307,24 +296,18 @@ def covered_singleton_types(n: int, j: int) -> List[int]:
 
 
 def v_component(X: CoverRep, j: int, i: int) -> CoverSubrep:
-    """Wedge subrep on leaves (j,i), (j,i+1) over the sink (j,), identities."""
+    """Wedge subrep on leaves (j,i), (j,i+1) over the sink (j,)."""
     ip1 = i % X.n + 1
     la, lb = (j, i), (j, ip1)
     if la not in X.spaces or lb not in X.spaces:
         raise ValueError(f"wedge ({j}; {i},{ip1}) is not inside the support")
-    f = X.field
-    rep = CoverRep(X.n, f, {la: 1, lb: 1, (j,): 1},
-                   {(la, i): Matrix.identity(f, 1), (lb, ip1): Matrix.identity(f, 1)})
-    sub = CoverSubrep(rep, {la: Matrix.identity(f, 1), lb: Matrix.identity(f, 1),
-                            (j,): Matrix.identity(f, 1)})
-    _check_subrep(X, sub)
-    return sub
+    return CoverSubrep(X, _full_at(X, (la, lb, (j,))))
 
 
 def center_line(X: CoverRep, i: int, j: int) -> Subspace:
     """The joint kernel of all center arrows other than labels i and j."""
     others = [X.arrow(BASE, s) for s in range(1, X.n + 1) if s not in (i, j)]
-    return joint_kernel(X.field, X.dim(BASE), [mat for mat in others if mat is not None])
+    return joint_kernel(X.field, X.dim(BASE), others)
 
 
 def w_component(X: CoverRep, i: int, j: int) -> CoverSubrep:
@@ -335,70 +318,45 @@ def w_component(X: CoverRep, i: int, j: int) -> CoverSubrep:
     """
     if i == j:
         raise ValueError("the path needs two distinct labels")
-    for v in ((j, i), (j,), BASE, (i,), (i, j)):
+    path = ((j, i), (j,), BASE, (i,), (i, j))
+    for v in path:
         if v not in X.spaces:
             raise ValueError(f"path between ({j},{i}) and ({i},{j}) leaves the support")
-    f = X.field
     line = center_line(X, i, j)
     if line.dim != 1:
         raise ValueError("center line is not one-dimensional; path undefined")
-    wcol = line.basis.transpose()
-    pi_i = X.maps[(BASE, i)] @ wcol  # 1x1
-    pi_j = X.maps[(BASE, j)] @ wcol
-    rep = CoverRep(X.n, f,
-                   {(j, i): 1, (j,): 1, BASE: 1, (i,): 1, (i, j): 1},
-                   {((j, i), i): Matrix.identity(f, 1),
-                    ((i, j), j): Matrix.identity(f, 1),
-                    (BASE, i): pi_i,
-                    (BASE, j): pi_j})
-    sub = CoverSubrep(rep, {(j, i): Matrix.identity(f, 1),
-                            (j,): Matrix.identity(f, 1),
-                            BASE: wcol,
-                            (i,): Matrix.identity(f, 1),
-                            (i, j): Matrix.identity(f, 1)})
-    _check_subrep(X, sub)
-    return sub
+    return CoverSubrep(X, {**_full_at(X, path), BASE: line})
 
 
 # -- push-down bookkeeping --------------------------------------------------------
 
-def subrep_subpair(X: CoverRep, sub: CoverSubrep, pushed: KroneckerModule,
-                   index: PushDownIndex) -> SubmodulePair:
-    """The push-down of a subrep as a canonical subspace pair of the push-down."""
-    f = X.field
-    v1, v2 = [], []
-    for v, inc in sub.inclusion.items():
-        target = v1 if vertex_class(v) == 1 else v2
-        total = pushed.dim1 if vertex_class(v) == 1 else pushed.dim2
-        for col in inc.transpose().data:
-            target.append(index.embed(v, col, total, f))
-    return SubmodulePair(pushed,
-                         Subspace.from_spanning(f, pushed.dim1, v1),
-                         Subspace.from_spanning(f, pushed.dim2, v2))
+def subrep_subpair(sub: CoverSubrep, pushed: KroneckerModule) -> SubmodulePair:
+    """The push-down of a subrep as a subspace pair of ``push_down(sub.host)``."""
+    f = sub.host.field
+    offsets = _offsets(sub.host)
+    rows = ([f.zeros((0, pushed.dim1))], [f.zeros((0, pushed.dim2))])
+    for v, U in sub.spaces.items():
+        cls = vertex_class(v)
+        rows[cls - 1].append(_place(f, offsets, pushed.dims[cls - 1], {v: U.basis.data}))
+    return _pair(pushed, np.vstack(rows[0]), np.vstack(rows[1]))
 
 
-def extract_bristle_from_wedge(X: CoverRep, pushed: KroneckerModule, index: PushDownIndex,
+def extract_bristle_from_wedge(X: CoverRep, pushed: KroneckerModule,
                                j: int, i: int) -> SubmodulePair:
     """The bristle inside the pushed wedge over branch j with leaf types i, i+1.
 
     Generated by the sum of the two leaf generators; both relevant maps send
     it to the sink generator, so the type is the pair point (i, i+1).
     """
-    ip1 = i % X.n + 1
     f = X.field
-    u = [f.zero()] * pushed.dim1
-    u[index.offset((j, i))] = f.one()
-    u[index.offset((j, ip1))] = f.one()
-    v = [f.zero()] * pushed.dim2
-    v[index.offset((j,))] = f.one()
-    return SubmodulePair(pushed,
-                         Subspace.from_spanning(f, pushed.dim1, [u]),
-                         Subspace.from_spanning(f, pushed.dim2, [v]))
+    offsets = _offsets(X)
+    one = f.array([[1]])
+    return _pair(pushed,
+                 _place(f, offsets, pushed.dim1, {(j, i): one, (j, i % X.n + 1): one}),
+                 _place(f, offsets, pushed.dim2, {(j,): one}))
 
 
-def extract_mij(X: CoverRep, i: int, j: int,
-                pushed: Optional[KroneckerModule] = None,
-                index: Optional[PushDownIndex] = None):
+def extract_mij(X: CoverRep, i: int, j: int, pushed: Optional[KroneckerModule] = None):
     """Bristle submodule of the pushed path rep with equal images under both maps.
 
     The generator puts the label-j center value on the leaf (j,i), the center
@@ -408,24 +366,19 @@ def extract_mij(X: CoverRep, i: int, j: int,
 
     Returns (pair, generator vector).
     """
-    if pushed is None or index is None:
-        pushed, index = push_down(X)
+    if pushed is None:
+        pushed = push_down(X)
     f = X.field
-    sub = w_component(X, i, j)
-    wcol = sub.inclusion[BASE]
-    pi_i = (X.maps[(BASE, i)] @ wcol).row(0)[0]
-    pi_j = (X.maps[(BASE, j)] @ wcol).row(0)[0]
-    u = list(index.embed(BASE, wcol.entries_flat(), pushed.dim1, f))
-    u[index.offset((j, i))] = pi_j
-    u[index.offset((i, j))] = pi_i
-    img = pushed.alphas[i - 1].apply(u)
-    img_j = pushed.alphas[j - 1].apply(u)
-    if img != img_j or all(x == 0 for x in img):
+    line = w_component(X, i, j).spaces[BASE].basis
+    gen = Matrix(f, _place(f, _offsets(X), pushed.dim1, {
+        BASE: line.data,
+        (j, i): (line @ X.arrow(BASE, j).transpose()).data,
+        (i, j): (line @ X.arrow(BASE, i).transpose()).data,
+    }))
+    img = gen @ pushed.alphas[i - 1].transpose()
+    if img != gen @ pushed.alphas[j - 1].transpose() or img.is_zero():
         raise RuntimeError("path bristle generator failed its image identity")
-    pair = SubmodulePair(pushed,
-                         Subspace.from_spanning(f, pushed.dim1, [u]),
-                         Subspace.from_spanning(f, pushed.dim2, [img]))
-    return pair, tuple(u)
+    return _pair(pushed, gen.data, img.data), gen.row(0)
 
 
 # -- cover Hom spaces and the bristled part ----------------------------------------
@@ -443,11 +396,6 @@ def cover_hom_dim(X: CoverRep, Y: CoverRep) -> int:
         total += X.spaces[v] * Y.spaces[v]
     if total == 0:
         return 0
-
-    def arrow(R: CoverRep, v: TreeVertex, label: int) -> Matrix:
-        got = R.arrow(v, label)
-        return got if got is not None else Matrix.zeros(f, R.dim(neighbor(v, label)), R.dim(v))
-
     blocks = [f.zeros((0, total))]
     sources = {v for v in set(X.spaces) | set(Y.spaces) if vertex_class(v) == 1}
     for v in sorted(sources, key=lambda u: (len(u), u)):
@@ -458,8 +406,8 @@ def cover_hom_dim(X: CoverRep, Y: CoverRep) -> int:
             # phi_w Ax = Ay phi_v in the vertex maps phi_v and phi_w; a block
             # without columns belongs to a vertex outside the common support
             row = f.zeros((Y.dim(w) * X.dim(v), total))
-            for u, block in zip((v, w), intertwining_blocks(arrow(X, v, label),
-                                                            arrow(Y, v, label))):
+            for u, block in zip((v, w), intertwining_blocks(X.arrow(v, label),
+                                                            Y.arrow(v, label))):
                 if block.cols:
                     row[:, offsets[u]:offsets[u] + block.cols] = block.data
             blocks.append(row)
@@ -484,35 +432,21 @@ def cover_max_bristled(X: CoverRep) -> CoverSubrep:
     space is exhausted.
     """
     f = X.field
-    spaces: Dict[TreeVertex, int] = {}
-    incl: Dict[TreeVertex, Matrix] = {}
-    maps: Dict[Tuple[TreeVertex, int], Matrix] = {}
-    source_sub: Dict[TreeVertex, Subspace] = {}
-    for v in X.sorted_vertices(1):
-        in_support = [label for label in range(1, X.n + 1)
-                      if X.dim(neighbor(v, label)) > 0]
-        parts = [joint_kernel(f, X.spaces[v], [X.arrow(v, other) for other in in_support
-                                                if other != label])
+    spaces: Dict[TreeVertex, Subspace] = {}
+    for v, d in X.spaces.items():
+        if vertex_class(v) == 2:
+            spaces[v] = Subspace.full(f, d)
+            continue
+        in_support = [label for label in range(1, X.n + 1) if X.dim(neighbor(v, label)) > 0]
+        parts = [joint_kernel(f, d, [X.arrow(v, other) for other in in_support if other != label])
                  for label in in_support]
-        tr = subspace_sum(Subspace.zero(f, X.spaces[v]), *parts)
-        source_sub[v] = tr
-        if tr.dim > 0:
-            spaces[v] = tr.dim
-            incl[v] = tr.basis.transpose()
-    for w in X.sorted_vertices(2):
-        spaces[w] = X.spaces[w]
-        incl[w] = Matrix.identity(f, X.spaces[w])
-    for (v, label), mat in X.maps.items():
-        if v in spaces and neighbor(v, label) in spaces:
-            maps[(v, label)] = mat @ incl[v]
-    sub = CoverSubrep(CoverRep(X.n, f, spaces, maps), incl)
-    _check_subrep(X, sub)
-    return sub
+        spaces[v] = subspace_sum(Subspace.zero(f, d), *parts)
+    return CoverSubrep(X, spaces)
 
 
 def cover_is_bristled(X: CoverRep) -> bool:
     sub = cover_max_bristled(X)
-    return all(sub.rep.dim(v) == d for v, d in X.spaces.items())
+    return all(sub.dim(v) == d for v, d in X.spaces.items())
 
 
 def injective_star(n: int, field: FieldSpec, j: int) -> CoverRep:
@@ -528,26 +462,9 @@ def injective_star(n: int, field: FieldSpec, j: int) -> CoverRep:
 
 # -- the center decomposition and the generation equalities ------------------------
 
-@dataclass
-class EqualityCheck:
-    key: str
-    expected: object
-    computed: object
-
-    @property
-    def passed(self) -> bool:
-        return self.expected == self.computed
-
-
-def _sum_vertex_subspaces(parts: Sequence[Dict[TreeVertex, Subspace]],
-                          field: FieldSpec,
-                          dims: Dict[TreeVertex, int]) -> Dict[TreeVertex, Subspace]:
-    return {v: subspace_sum(Subspace.zero(field, d), *(part[v] for part in parts if v in part))
-            for v, d in dims.items()}
-
-
 def verify_cover_equalities(n: int, field: FieldSpec,
-                            pair_starts: Optional[Sequence[int]] = None) -> list:
+                            pair_starts: Optional[Sequence[int]] = None
+                            ) -> List[Tuple[str, bool]]:
     """Mechanical verification of the generation identities inside the ball.
 
     Checks, per branch, that the branch restriction is the sum of its two
@@ -555,67 +472,56 @@ def verify_cover_equalities(n: int, field: FieldSpec,
     of the pushed singleton bristles and the wedge bristles; that each pushed
     path rep lies in the branch part plus its extracted bristle; that the
     center space is the direct sum of the chosen path lines; and that the
-    whole push-down is the branch part plus the extracted bristles.
+    whole push-down is the branch part plus the extracted bristles.  Returns
+    one (key, holds) pair per identity.
 
     pair_starts defaults to 1..n-2 plus n (the choice avoiding the pair
     (n-1, n)); the center decomposition is additionally checked for the
     plain consecutive choice 1..n-1.
     """
     X = build_ball_rep(n, field)
-    pushed, index = push_down(X)
+    pushed = push_down(X)
     f = field
-    checks: List[EqualityCheck] = []
+    checks: List[Tuple[str, bool]] = []
     if pair_starts is None:
         pair_starts = list(range(1, n - 1)) + [n]
 
+    branches = []
     for j in range(1, n + 1):
         yj = y_component(X, j)
-        dims = {v: X.spaces[v] for v in yj.rep.spaces}
-        parts = [leaf_projective(X, (j, i)).vertex_subspaces()
-                 for i in covered_singleton_types(n, j)]
-        parts += [v_component(X, j, i).vertex_subspaces()
-                  for i in covered_pair_starts(n, j)]
-        total = _sum_vertex_subspaces(parts, f, dims)
-        full = {v: Subspace.full(f, d) for v, d in dims.items()}
-        checks.append(EqualityCheck(f"branch-decomposition-j{j}", True, total == full))
+        singles = [leaf_projective(X, (j, i)) for i in covered_singleton_types(n, j)]
+        parts = singles + [v_component(X, j, i) for i in covered_pair_starts(n, j)]
+        sums = {v: subspace_sum(Subspace.zero(f, X.dim(v)),
+                                *(p.spaces[v] for p in parts if v in p.spaces))
+                for v in yj.spaces}
+        checks.append((f"branch-decomposition-j{j}", sums == yj.spaces))
 
-    npair_parts = {}
-    for j in range(1, n + 1):
-        nj = subrep_subpair(X, y_component(X, j), pushed, index)
-        parts = [subrep_subpair(X, leaf_projective(X, (j, i)), pushed, index)
-                 for i in covered_singleton_types(n, j)]
-        rhs1 = [p.U1 for p in parts]
-        rhs2 = [p.U2 for p in parts]
-        for i in covered_pair_starts(n, j):
-            eb = extract_bristle_from_wedge(X, pushed, index, j, i)
-            rhs1.append(eb.U1)
-            rhs2.append(eb.U2)
-        s1 = subspace_sum(Subspace.zero(f, pushed.dim1), *rhs1)
-        s2 = subspace_sum(Subspace.zero(f, pushed.dim2), *rhs2)
-        checks.append(EqualityCheck(f"pushed-branch-decomposition-j{j}", True,
-                                    (s1, s2) == (nj.U1, nj.U2)))
-        npair_parts[j] = nj
+        nj = subrep_subpair(yj, pushed)
+        pieces = [subrep_subpair(s, pushed) for s in singles]
+        pieces += [extract_bristle_from_wedge(X, pushed, j, i) for i in covered_pair_starts(n, j)]
+        s1 = subspace_sum(Subspace.zero(f, pushed.dim1), *(p.U1 for p in pieces))
+        s2 = subspace_sum(Subspace.zero(f, pushed.dim2), *(p.U2 for p in pieces))
+        checks.append((f"pushed-branch-decomposition-j{j}", (s1, s2) == (nj.U1, nj.U2)))
+        branches.append(nj)
 
-    N1 = subspace_sum(Subspace.zero(f, pushed.dim1), *(nj.U1 for nj in npair_parts.values()))
-    N2 = subspace_sum(Subspace.zero(f, pushed.dim2), *(nj.U2 for nj in npair_parts.values()))
+    N1 = subspace_sum(Subspace.zero(f, pushed.dim1), *(nj.U1 for nj in branches))
+    N2 = subspace_sum(Subspace.zero(f, pushed.dim2), *(nj.U2 for nj in branches))
 
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            wp = subrep_subpair(X, w_component(X, i, j), pushed, index)
-            mij, _ = extract_mij(X, i, j, pushed, index)
+            wp = subrep_subpair(w_component(X, i, j), pushed)
+            mij, _ = extract_mij(X, i, j, pushed)
             ok = (subspace_sum(N1, mij.U1).contains(wp.U1)
                   and subspace_sum(N2, mij.U2).contains(wp.U2))
-            checks.append(EqualityCheck(f"path-inside-branches-plus-bristle-{i}-{j}", True, ok))
+            checks.append((f"path-inside-branches-plus-bristle-{i}-{j}", ok))
 
     for tag, starts in (("consecutive", list(range(1, n))), ("chosen", list(pair_starts))):
         lines = [center_line(X, i, i % n + 1).basis.row(0) for i in starts]
         span = Subspace.from_spanning(f, n - 1, lines)
-        ok = span.dim == n - 1 and len(lines) == n - 1
-        checks.append(EqualityCheck(f"center-direct-sum-{tag}", True, ok))
+        checks.append((f"center-direct-sum-{tag}", span.dim == n - 1 and len(lines) == n - 1))
 
-    mijs = [extract_mij(X, i, i % n + 1, pushed, index)[0] for i in pair_starts]
+    mijs = [extract_mij(X, i, i % n + 1, pushed)[0] for i in pair_starts]
     M1 = subspace_sum(N1, *(mij.U1 for mij in mijs))
     M2 = subspace_sum(N2, *(mij.U2 for mij in mijs))
-    checks.append(EqualityCheck("full-generation", True,
-                                M1.is_full() and M2.is_full()))
+    checks.append(("full-generation", M1.is_full() and M2.is_full()))
     return checks

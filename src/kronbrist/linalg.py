@@ -19,6 +19,7 @@ matrices are entrywise equal.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -118,9 +119,19 @@ class FieldSpec:
         return 1 if self.is_finite else Fraction(1)
 
     def normalize(self, x) -> Scalar:
-        if self.is_finite:
-            return int(x) % self.characteristic
-        return _fraction(x)
+        """x as a field element.  Over GF(p) an integer is reduced mod p and a
+        Fraction a/b becomes a * b^-1 mod p; anything else (a float, or a
+        Fraction whose denominator p divides) is refused with ValueError."""
+        if not self.is_finite:
+            return _fraction(x)
+        p = self.characteristic
+        try:
+            if isinstance(x, Fraction):
+                return x.numerator * pow(x.denominator, -1, p) % p
+            return operator.index(x) % p
+        except (TypeError, ValueError):  # no __index__, or b has no inverse mod p
+            raise ValueError(f"{x!r} is not an element of GF({p}): entries must be "
+                             f"integers or Fractions with denominator prime to {p}") from None
 
     def add(self, a: Scalar, b: Scalar) -> Scalar:
         return (a + b) % self.characteristic if self.is_finite else a + b
@@ -155,12 +166,12 @@ class FieldSpec:
         or an object array of Fractions."""
         if not self.is_finite:
             return _to_fractions(np.array(values, dtype=object))
-        try:
-            a = np.array(values, dtype=np.int64)
-        except OverflowError:  # Python ints past int64: reduce them one by one
+        a = np.asarray(values)
+        if a.dtype.kind not in "ib":
+            # Fractions, Python ints past int64, floats: one by one through
+            # normalize, which maps or refuses each entry
             a = np.frompyfunc(self.normalize, 1, 1)(np.array(values, dtype=object))
-            a = a.astype(np.int64)
-        return a % self.characteristic
+        return a.astype(np.int64, copy=False) % self.characteristic
 
     def zeros(self, shape) -> np.ndarray:
         if self.is_finite:

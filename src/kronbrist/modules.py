@@ -25,7 +25,6 @@ from .linalg import (
     Matrix,
     Subspace,
     block_diag,
-    image_subspace,
     joint_kernel,
     kernel_basis,
     quotient_projection,
@@ -313,22 +312,13 @@ def _sink_reflection(maps: Sequence[Matrix], d_src: int, d_tgt: int, field: Fiel
     return K.dim, new_maps
 
 
-def _source_reflection(maps: Sequence[Matrix], d_src: int, d_tgt: int, field: FieldSpec):
-    """Cokernel of the stacked map src -> tgt^n; returns (new dim, inclusions)."""
-    n = len(maps)
-    img = image_subspace(Matrix.zeros(field, 0, d_src).vstack(*maps))  # subspace of k^(n*d_tgt)
-    Q = quotient_projection(img)
-    new_maps = [Q.col_block(i * d_tgt, (i + 1) * d_tgt) for i in range(n)]
-    return Q.rows, new_maps
-
-
 def ar_translate(M: KroneckerModule, direction: str = "tau") -> KroneckerModule:
     """Translation by two composed reflections.
 
     direction "tau": reflect at the sink, then at the new sink; projective
-    summands die.  direction "tau-": the dual composite; injective summands
-    die.  For indecomposable non-projective M the result has dimension
-    vector coxeter_apply(M.dims).
+    summands die.  direction "tau-": the dual of tau on the dual module;
+    injective summands die.  For indecomposable non-projective M, "tau"
+    gives dimension vector coxeter_apply(M.dims).
     """
     f = M.field
     if direction == "tau":
@@ -336,9 +326,7 @@ def ar_translate(M: KroneckerModule, direction: str = "tau") -> KroneckerModule:
         dK2, proj2 = _sink_reflection(proj, dK, M.dim1, f)
         return KroneckerModule(M.n, f, dK2, dK, tuple(proj2))
     if direction == "tau-":
-        dC, incls = _source_reflection(M.alphas, M.dim1, M.dim2, f)
-        dC2, incls2 = _source_reflection(incls, M.dim2, dC, f)
-        return KroneckerModule(M.n, f, dC, dC2, tuple(incls2))
+        return dual(ar_translate(dual(M), "tau"))
     raise ValueError(f"direction must be 'tau' or 'tau-', got {direction!r}")
 
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -53,6 +54,8 @@ class TestPointsAndModules:
     def test_scalar_multiples_normalize(self):
         assert bristle_point(3, F5, [2, 4, 0]) == bristle_point(3, F5, [1, 2, 0])
         assert bristle_point(3, F5, [0, 3, 3]) == bristle_point(3, F5, [0, 1, 1])
+        # 1/2 = 3 in GF(5), and (3:1:0) = (1:2:0)
+        assert bristle_point(3, F5, [Fraction(1, 2), 1, 0]).coords == (1, 2, 0)
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):

@@ -10,6 +10,7 @@ from kronbrist.bristles import bristle, pair_point, unit_point
 from kronbrist.cover import (
     BASE,
     CoverRep,
+    CoverSubrep,
     build_ball_rep,
     build_mu_bristle_rep,
     build_tau_bristle_rep,
@@ -34,9 +35,10 @@ from kronbrist.cover import (
     y_component,
 )
 from kronbrist.families import preinjective
-from kronbrist.linalg import GF
+from kronbrist.linalg import GF, DimensionMismatch, Subspace
 from kronbrist.modules import (
     ISO,
+    NotSubmodule,
     ar_translate,
     coxeter_apply,
     ext1_dim,
@@ -68,26 +70,26 @@ class TestTreeBasics:
 class TestPushDown:
     def test_single_source_vertex(self):
         X = CoverRep(3, F5, {BASE: 1}, {})
-        M, _ = push_down(X)
+        M = push_down(X)
         assert M == simple_module(3, F5, 1)
 
     def test_single_arrow_gives_unit_bristle(self):
         for r in (1, 2, 3):
             X = cover_bristle_at(3, F5, BASE, r)
-            M, _ = push_down(X)
+            M = push_down(X)
             assert M == bristle(unit_point(3, F5, r))
 
     def test_ball_vertex_count_and_dims(self):
         X = build_ball_rep(3, F5)
         assert len(X.spaces) == 10  # center + 3 sinks + 6 leaves
-        M, _ = push_down(X)
+        M = push_down(X)
         assert M.dims == (8, 3)
-        M4, _ = push_down(build_ball_rep(4, F5))
+        M4 = push_down(build_ball_rep(4, F5))
         assert M4.dims == (15, 4)
 
     def test_dimension_totals_preserved(self):
         X = build_ball_rep(4, F2)
-        M, _ = push_down(X)
+        M = push_down(X)
         assert M.dims == tuple(sum(d for v, d in X.spaces.items() if vertex_class(v) == cls)
                                for cls in (1, 2))
 
@@ -95,16 +97,16 @@ class TestPushDown:
 class TestNamedConstructions:
     @pytest.mark.parametrize("n,field", [(3, F5), (3, F2), (4, F5)])
     def test_ball_pushes_to_second_preinjective(self, n, field):
-        M, _ = push_down(build_ball_rep(n, field))
+        M = push_down(build_ball_rep(n, field))
         assert find_isomorphism(M, preinjective(n, 2, field)).status == ISO
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_pruned_ball_dims(self, n):
-        M, _ = push_down(build_tau_bristle_rep(n, F5))
+        M = push_down(build_tau_bristle_rep(n, F5))
         assert M.dims == coxeter_apply((1, 1), n)
 
     def test_pruned_ball_is_translate(self):
-        M, _ = push_down(build_tau_bristle_rep(3, F5))
+        M = push_down(build_tau_bristle_rep(3, F5))
         T = ar_translate(bristle(unit_point(3, F5, 1)), "tau")
         assert find_isomorphism(M, T).status == ISO
 
@@ -127,13 +129,13 @@ class TestNamedConstructions:
     def test_intermediate_rep_center_and_dims(self):
         X = build_mu_bristle_rep(4, F5)
         assert X.spaces[BASE] == 3
-        M, _ = push_down(X)
+        M = push_down(X)
         assert M.dims == (12, 4)
 
     def test_intermediate_rep_quotient_and_ext(self):
         n = 3
         X = build_mu_bristle_rep(n, F5)
-        M, index = push_down(X)
+        M = push_down(X)
         assert M.dims == (6, 3)
         b1 = bristle(unit_point(n, F5, 1))
         assert ext1_dim(b1, M) == n - 1
@@ -148,7 +150,7 @@ class TestNamedConstructions:
 class TestComponents:
     def test_branch_restrictions_disjoint(self):
         X = build_ball_rep(3, F5)
-        supports = [set(y_component(X, j).rep.spaces) for j in (1, 2, 3)]
+        supports = [set(y_component(X, j).spaces) for j in (1, 2, 3)]
         for i in range(3):
             for j in range(i + 1, 3):
                 assert not (supports[i] & supports[j])
@@ -182,14 +184,14 @@ class TestComponents:
     def test_path_component_shape(self):
         X = build_ball_rep(3, F5)
         sub = w_component(X, 1, 2)
-        assert set(sub.rep.spaces) == {(2, 1), (2,), BASE, (1,), (1, 2)}
-        assert sub.rep.spaces[BASE] == 1
+        assert set(sub.spaces) == {(2, 1), (2,), BASE, (1,), (1, 2)}
+        assert sub.dim(BASE) == 1
 
     def test_leaf_projective_pushes_to_unit_bristle(self):
         X = build_ball_rep(3, F5)
-        pushed, index = push_down(X)
+        pushed = push_down(X)
         for leaf, tp in leaves_of(X):
-            pair = subrep_subpair(X, leaf_projective(X, leaf), pushed, index)
+            pair = subrep_subpair(leaf_projective(X, leaf), pushed)
             sub, _ = submodule_as_module(pushed, pair)
             assert sub == bristle(unit_point(3, F5, tp))
 
@@ -198,7 +200,7 @@ class TestComponents:
         # maps do not preserve, so merely building these certifies that each
         # component pushes down to a submodule
         X = build_ball_rep(3, F5)
-        pushed, index = push_down(X)
+        pushed = push_down(X)
         subs = [y_component(X, j) for j in (1, 2, 3)]
         subs += [leaf_projective(X, leaf) for leaf, _ in leaves_of(X)]
         subs += [v_component(X, j, i) for j in (1, 2, 3)
@@ -206,17 +208,54 @@ class TestComponents:
         subs += [w_component(X, 1, 2), w_component(X, 2, 3)]
         subs.append(cover_max_bristled(X))
         for sub in subs:
-            pair = subrep_subpair(X, sub, pushed, index)
+            pair = subrep_subpair(sub, pushed)
             assert pair.parent == pushed
-            assert pair.dims == push_down(sub.rep)[0].dims  # the inclusion is injective
+            # the vertex blocks are disjoint, so pushing down loses no dimension
+            assert pair.dims == tuple(sum(sub.dim(v) for v in sub.spaces if vertex_class(v) == cls)
+                                      for cls in (1, 2))
+
+
+class TestSubrepClosure:
+    def test_arrow_into_a_missing_vertex_is_refused(self):
+        # the center alone, and the center with only the sink (1,): the
+        # arrows to the other sinks leave both
+        X = build_ball_rep(3, F5)
+        with pytest.raises(NotSubmodule):
+            CoverSubrep(X, {BASE: Subspace.full(F5, 2)})
+        with pytest.raises(NotSubmodule):
+            CoverSubrep(X, {BASE: Subspace.full(F5, 2), (1,): Subspace.full(F5, 1)})
+        # the center line killed by the arrow 3 needs only the sinks (1,), (2,)
+        line = CoverSubrep(X, {BASE: center_line(X, 1, 2),
+                               (1,): Subspace.full(F5, 1), (2,): Subspace.full(F5, 1)})
+        assert line.dim(BASE) == 1 and line.dim((3,)) == 0
+
+    def test_subspace_outside_the_host_space_is_refused(self):
+        X = build_ball_rep(3, F5)
+        with pytest.raises(DimensionMismatch):
+            CoverSubrep(X, {(1,): Subspace.full(F5, 2)})
+
+    @pytest.mark.parametrize("n,field", [(3, F2), (3, F5), (4, F2), (4, F5)])
+    def test_named_components_are_subreps(self, n, field):
+        X = build_ball_rep(n, field)
+        subs = [y_component(X, j) for j in range(1, n + 1)]
+        subs += [leaf_projective(X, leaf) for leaf, _ in leaves_of(X)]
+        subs += [v_component(X, j, i) for j in range(1, n + 1) for i in covered_pair_starts(n, j)]
+        subs += [w_component(X, i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+        subs.append(cover_max_bristled(X))
+        T = build_tau_bristle_rep(n, field)
+        subs += [y_component(T, j) for j in range(2, n + 1)]
+        subs += [leaf_projective(T, leaf) for leaf, _ in leaves_of(T)]
+        subs += [w_component(T, i, i + 1) for i in range(2, n)]
+        for sub in subs:
+            assert all(U.dim > 0 for v, U in sub.spaces.items() if v != BASE)
 
 
 class TestPathBristles:
     def test_images_agree_under_both_maps(self):
         X = build_ball_rep(3, F5)
-        pushed, index = push_down(X)
+        pushed = push_down(X)
         for (i, j) in ((1, 2), (2, 3), (3, 1), (1, 3)):
-            pair, gen = extract_mij(X, i, j, pushed, index)
+            pair, gen = extract_mij(X, i, j, pushed)
             img_i = pushed.alphas[i - 1].apply(gen)
             img_j = pushed.alphas[j - 1].apply(gen)
             assert img_i == img_j and any(x != 0 for x in img_i)
@@ -225,10 +264,10 @@ class TestPathBristles:
 
     def test_extracted_bristle_has_pair_type(self):
         X = build_ball_rep(4, F2)
-        pushed, index = push_down(X)
+        pushed = push_down(X)
         for i in (1, 2, 3, 4):
             j = i % 4 + 1
-            pair, _ = extract_mij(X, i, j, pushed, index)
+            pair, _ = extract_mij(X, i, j, pushed)
             sub, _ = submodule_as_module(pushed, pair)
             assert find_isomorphism(sub, bristle(pair_point(4, F2, i, j))).status == ISO
 
@@ -241,8 +280,8 @@ class TestPathBristles:
 class TestEqualities:
     @pytest.mark.parametrize("n,field", [(3, F5), (3, F2), (4, F5), (4, F2)])
     def test_all_pass(self, n, field):
-        for eq in verify_cover_equalities(n, field):
-            assert eq.passed, (n, str(field), eq.key, eq.expected, eq.computed)
+        for key, ok in verify_cover_equalities(n, field):
+            assert ok, (n, str(field), key)
 
 
 class TestCoverHom:
@@ -258,8 +297,8 @@ class TestCoverHom:
 
     def test_leaf_projective_maps_into_ball(self):
         X = build_ball_rep(3, F5)
-        for leaf, _tp in leaves_of(X):
-            P = leaf_projective(X, leaf).rep
+        for leaf, tp in leaves_of(X):
+            P = cover_bristle_at(3, F5, leaf, tp)  # the projective at the leaf
             assert cover_hom_dim(P, X) >= 1
 
 
@@ -273,17 +312,17 @@ class TestBristledPart:
     def test_ball_is_not_bristled(self, n):
         X = build_ball_rep(n, F5)
         sub = cover_max_bristled(X)
-        assert sub.rep.dim(BASE) == 0
+        assert sub.dim(BASE) == 0
         assert not cover_is_bristled(X)
         # sinks and leaves are fully covered
         for v, d in X.spaces.items():
             if v != BASE:
-                assert sub.rep.dim(v) == d
+                assert sub.dim(v) == d
 
     def test_isolated_source_has_empty_trace(self):
         X = CoverRep(3, F5, {BASE: 2}, {})
         sub = cover_max_bristled(X)
-        assert not sub.rep.spaces
+        assert sub.dim(BASE) == 0
         assert not cover_is_bristled(X)
 
 
@@ -294,7 +333,7 @@ class TestLeafHomCorrespondence:
         # independent maps from that unit bristle into the push-down
         from kronbrist.modules import hom_dim
         X = build_ball_rep(n, F5)
-        pushed, _ = push_down(X)
+        pushed = push_down(X)
         counts = {tp: 0 for tp in range(1, n + 1)}
         for _, tp in leaves_of(X):
             counts[tp] += 1
@@ -309,11 +348,11 @@ class TestLeafHomCorrespondence:
         from kronbrist.modules import hom_dim, submodule_as_module
         n = 3
         X = build_ball_rep(n, F5)
-        pushed, index = push_down(X)
+        pushed = push_down(X)
         ones = bristle(bristle_point(n, F5, [1] * n))
         assert hom_dim(ones, pushed) == n - 1
         for j in range(1, n + 1):
-            pair = subrep_subpair(X, y_component(X, j), pushed, index)
+            pair = subrep_subpair(y_component(X, j), pushed)
             assert pair.dims == (n - 1, 1)
             nj, _ = submodule_as_module(pushed, pair)
             assert hom_dim(ones, nj) == 0

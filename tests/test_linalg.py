@@ -82,6 +82,21 @@ class TestFieldSpec:
         with pytest.raises(ValueError):
             QQ.elements()
 
+    def test_fractions_map_into_gf_p(self):
+        f = GF(5)
+        assert f.normalize(Fraction(1, 2)) == 3  # 2 * 3 = 1 mod 5
+        assert f.normalize(Fraction(-7, 3)) == 1  # -7 * 2 = -14 = 1 mod 5
+        assert Matrix.from_rows(f, [[Fraction(1, 2)]]) == Matrix.from_rows(f, [[3]])
+        assert f.array([Fraction(1, 2), 2**70, -1]).tolist() == [3, 2**70 % 5, 4]
+
+    @pytest.mark.parametrize("bad", [Fraction(1, 5), 2.5, 3.0])
+    def test_non_elements_of_gf_p_refused(self, bad):
+        f = GF(5)
+        with pytest.raises(ValueError, match="not an element of GF"):
+            f.normalize(bad)
+        with pytest.raises(ValueError, match="not an element of GF"):
+            Matrix.from_rows(f, [[1, bad]])
+
 
 class TestRref:
     def test_identity(self):

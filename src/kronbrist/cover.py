@@ -105,21 +105,16 @@ class CoverRep:
             return got
         return Matrix.zeros(self.field, self.dim(neighbor(v, label)), self.dim(v))
 
-    def sorted_vertices(self, cls: int) -> List[TreeVertex]:
-        return sorted((v for v in self.spaces if vertex_class(v) == cls),
-                      key=lambda v: (len(v), v))
-
 
 def _offsets(X: CoverRep) -> Dict[TreeVertex, int]:
     """The push-down layout: where each vertex's block starts in the space of
     its vertex class.  The blocks of a class follow one another in
     (depth, label path) order."""
-    offsets = {}
-    for cls in (1, 2):
-        off = 0
-        for v in X.sorted_vertices(cls):
-            offsets[v] = off
-            off += X.spaces[v]
+    offsets, ends = {}, [0, 0]
+    for v in sorted(X.spaces, key=lambda u: (len(u), u)):
+        cls = vertex_class(v) - 1
+        offsets[v] = ends[cls]
+        ends[cls] += X.spaces[v]
     return offsets
 
 
@@ -234,7 +229,8 @@ def build_mu_bristle_rep(n: int, field: FieldSpec) -> CoverRep:
 class CoverSubrep:
     """Vertexwise subspaces of a host rep, closed under every host arrow.
 
-    A vertex missing from ``spaces`` carries the zero subspace.
+    A vertex missing from ``spaces`` carries the zero subspace.  Only the
+    stored host maps need checking: every other arrow is zero.
     """
 
     host: CoverRep

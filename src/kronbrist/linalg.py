@@ -7,14 +7,22 @@ and all operations are pure, so they are safe to use from concurrent
 contexts.  Entries leave a matrix (``row``, ``apply``, ``solve``,
 coordinates) as Python ``int`` or ``Fraction``, never as numpy scalars.
 
-One elimination routine serves both fields: the field supplies the
-reduction (``% p``, or none over Q) and the pivot inverse.  Over GF(p)
-every intermediate product stays below p^2 < 2^62, so int64 arithmetic is
-exact; a matrix product switches to Python integers once a sum of products
-could reach 2^62.  Pivot choice is deterministic: first nonzero entry
-scanning columns left to right, rows top to bottom.  Subspaces are kept in
-reduced row-echelon form, so two subspaces are equal iff their basis
-matrices are entrywise equal.
+Arithmetic runs on integers; over Q entries become Fractions again only
+at the end.  One elimination routine serves both fields and never divides
+mid-way: it works on integer rows (over Q each row scaled by the lcm of its
+denominators), clears a column from a row x with pivot row y as
+piv * x - x[c] * y, and puts each updated row back in lowest terms: reduced
+mod p over GF(p), divided by the gcd of its entries over Q.  Each pivot row
+is divided by its pivot at the end.  A product over Q multiplies integer
+numerators over one common denominator per operand and builds one Fraction
+per nonzero entry of the result.
+
+Over GF(p) every intermediate product stays below p^2 < 2^62, so int64
+arithmetic is exact; a matrix product switches to Python integers once a
+sum of products could reach 2^62.  Pivot choice is deterministic: first
+nonzero entry scanning columns left to right, rows top to bottom.
+Subspaces are kept in reduced row-echelon form, so two subspaces are equal
+iff their basis matrices are entrywise equal.
 """
 
 from __future__ import annotations
@@ -68,9 +76,15 @@ def is_prime(p: int) -> bool:
 
 
 def _fraction(x) -> Fraction:
-    if type(x) is Fraction:
+    """x as an element of Q: an integer (Python or numpy) or a Fraction.
+    Anything else (a float, a string) is refused with ValueError."""
+    if isinstance(x, Fraction):
         return x
-    return Fraction(int(x) if isinstance(x, np.integer) else x)
+    try:
+        return Fraction(operator.index(x))
+    except TypeError:  # no __index__
+        raise ValueError(f"{x!r} is not an element of Q: entries must be "
+                         f"integers or Fractions") from None
 
 
 _to_fractions = np.frompyfunc(_fraction, 1, 1)
@@ -119,9 +133,11 @@ class FieldSpec:
         return 1 if self.is_finite else Fraction(1)
 
     def normalize(self, x) -> Scalar:
-        """x as a field element.  Over GF(p) an integer is reduced mod p and a
-        Fraction a/b becomes a * b^-1 mod p; anything else (a float, or a
-        Fraction whose denominator p divides) is refused with ValueError."""
+        """x as a field element.  Over Q an integer or a Fraction is kept as a
+        Fraction.  Over GF(p) an integer is reduced mod p and a Fraction a/b
+        becomes a * b^-1 mod p.  Anything else (a float, a string, or over
+        GF(p) a Fraction whose denominator p divides) is refused with
+        ValueError."""
         if not self.is_finite:
             return _fraction(x)
         p = self.characteristic
@@ -193,14 +209,29 @@ def GF(p: int) -> FieldSpec:
     return FieldSpec.gf(p)
 
 
-_scaled_numerator = np.frompyfunc(lambda x, d: x.numerator * (d // x.denominator), 2, 1)
+# (numerators, denominators) of an array of Fractions, one call per entry
+_integer_ratios = np.frompyfunc(Fraction.as_integer_ratio, 1, 2)
 _fraction_over = np.frompyfunc(Fraction, 2, 1)
+
+
+def _fractions(num: np.ndarray, den) -> np.ndarray:
+    """The Fractions num / den for an integer array num; den is an integer or
+    an integer array that broadcasts against num.
+
+    Every zero entry is one shared Fraction(0): most entries of the systems
+    built here are zero, and making a Fraction is the costly step.
+    """
+    out = np.full(num.shape, Fraction(0), dtype=object)
+    nz = num != 0
+    out[nz] = _fraction_over(num[nz], np.broadcast_to(den, num.shape)[nz])
+    return out
 
 
 def _over_common_denominator(a: np.ndarray):
     """Integer numerators and one denominator d with a == numerators / d."""
-    d = lcm(*(x.denominator for x in a.flat))
-    return _scaled_numerator(a, d), d
+    num, den = _integer_ratios(a)
+    d = lcm(*den.flat)
+    return (num if d == 1 else num * (d // den)), d
 
 
 def _dot(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -217,7 +248,7 @@ def _dot(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return field.zeros(a.shape[:-1] + b.shape[1:])
     if not field.is_finite:
         (na, da), (nb, db) = _over_common_denominator(a), _over_common_denominator(b)
-        return _fraction_over(na @ nb, da * db)
+        return _fractions(na @ nb, da * db)
     p = field.characteristic
     if inner * (p - 1) ** 2 < 2**62:
         return a @ b % p
@@ -228,6 +259,8 @@ def _dot(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class Matrix:
     """Immutable dense matrix; ``data`` is a read-only 2-d array of field entries.
 
+    Over Q every entry is a ``Fraction`` (``from_rows`` converts integers);
+    the rational arithmetic reads numerators and denominators from them.
     Equality and hashing go by field, shape and entries.
     """
 
@@ -304,10 +337,12 @@ class Matrix:
         """Kronecker product; row-major vec(A X B) = (A kron B^T) vec(X)."""
         if self.field != other.field:
             raise DimensionMismatch("kron field mismatch")
-        a, b = self.data, other.data
+        f, a, b = self.field, self.data, other.data
+        if not f.is_finite:
+            (a, da), (b, db) = _over_common_denominator(a), _over_common_denominator(b)
         out = (a[:, None, :, None] * b[None, :, None, :]).reshape(
             a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
-        return Matrix(self.field, self.field.reduce(out))
+        return Matrix(f, f.reduce(out) if f.is_finite else _fractions(out, da * db))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -322,8 +357,11 @@ class Matrix:
         return Matrix(self.field, self.field.reduce(self.data + other.data))
 
     def scale(self, c: Scalar) -> "Matrix":
-        f = self.field
-        return Matrix(f, f.reduce(self.data * f.normalize(c)))
+        f, c = self.field, self.field.normalize(c)
+        if f.is_finite:
+            return Matrix(f, f.reduce(self.data * c))
+        num, d = _over_common_denominator(self.data)
+        return Matrix(f, _fractions(num * c.numerator, d * c.denominator))
 
     def apply(self, v: Sequence) -> Vector:
         """Apply to a column vector, returning the image as a tuple."""
@@ -357,8 +395,37 @@ class RrefResult(NamedTuple):
     rank: int
 
 
+def _integer_rows(a: np.ndarray, field: FieldSpec) -> np.ndarray:
+    """A copy of a whose rows span the same row space and hold integers:
+    as is over GF(p); over Q each row times the lcm of its denominators."""
+    if field.is_finite:
+        return a.copy()
+    num, den = _integer_ratios(a)
+    return num * (np.lcm.reduce(den, axis=1)[:, None] // den)
+
+
+def _lowest_terms(U: np.ndarray, field: FieldSpec) -> np.ndarray:
+    """Put integer rows in lowest terms, in place: reduced mod p over GF(p);
+    over Q each row divided by the gcd of its entries."""
+    if field.is_finite:
+        return np.remainder(U, field.characteristic, out=U)
+    g = np.gcd.reduce(U, axis=1)
+    g[g == 0] = 1
+    return np.floor_divide(U, g[:, None], out=U)
+
+
 def _rref(a: np.ndarray, field: FieldSpec):
-    R = a.copy()
+    """Gauss-Jordan elimination on integer rows (see ``_integer_rows``).
+
+    The pivot is the first nonzero entry scanning columns left to right,
+    rows top to bottom.  Clearing column c from a row x with pivot row y
+    replaces x by piv * x - x[c] * y, put back in lowest terms, so no entry
+    is ever divided.  Over GF(p) the pivot has an inverse, so the pivot row
+    is scaled to pivot 1 when it is chosen; over Q each pivot row is divided
+    by its pivot at the end.  The reduced row-echelon form depends only on
+    the row space, so this gives the same matrix as dividing at every step.
+    """
+    R = _integer_rows(a, field)
     m, n = R.shape
     pivots = []
     for c in range(n):
@@ -371,14 +438,25 @@ def _rref(a: np.ndarray, field: FieldSpec):
         i = r + int(nz[0])
         if i != r:
             R[[r, i]] = R[[i, r]]
-        R[r] = field.reduce(R[r] * field.inv(R[r, c]))
+        piv = R[r, c]
+        if field.is_finite and piv != 1:
+            R[r] = field.reduce(R[r] * field.inv(piv))
+            piv = 1
         col = R[:, c].copy()
         col[r] = 0
         mask = col != 0
         if mask.any():
-            R[mask] = field.reduce(R[mask] - np.outer(col[mask], R[r]))
+            U = R[mask]
+            if piv != 1:
+                U *= piv
+            U -= np.outer(col[mask], R[r])
+            R[mask] = _lowest_terms(U, field)
         pivots.append(c)
-    return R, pivots
+    if field.is_finite:
+        return R, pivots
+    d = np.ones((m, 1), dtype=object)
+    d[:len(pivots), 0] = R[np.arange(len(pivots)), pivots]
+    return _fractions(R, d), pivots
 
 
 def rref(A: Matrix) -> RrefResult:

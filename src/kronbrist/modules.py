@@ -145,9 +145,12 @@ class Morphism:
             raise DimensionMismatch("f1 shape mismatch")
         if (self.f2.rows, self.f2.cols) != (N.dim2, M.dim2):
             raise DimensionMismatch("f2 shape mismatch")
-        for aM, aN in zip(M.alphas, N.alphas):
-            if self.f2 @ aM != aN @ self.f1:
-                raise ValueError("matrices do not intertwine the structure maps")
+        # f2 aM_i = aN_i f1 for every i, as two products:
+        # f2 [aM_1 | ... | aM_n] against [aN_1; ...; aN_n] f1, block by block
+        left = (self.f2 @ M.alphas[0].hstack(*M.alphas[1:])).data.reshape(N.dim2, M.n, M.dim1)
+        right = (N.alphas[0].vstack(*N.alphas[1:]) @ self.f1).data.reshape(M.n, N.dim2, M.dim1)
+        if not (left.transpose(1, 0, 2) == right).all():
+            raise ValueError("matrices do not intertwine the structure maps")
 
     def is_zero(self) -> bool:
         return self.f1.is_zero() and self.f2.is_zero()

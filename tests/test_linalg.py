@@ -10,7 +10,9 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
+import numpy as np
 import pytest
 
 from kronbrist.linalg import (
@@ -22,6 +24,7 @@ from kronbrist.linalg import (
     is_prime,
     joint_kernel,
     kernel_basis,
+    quotient_projection,
     rank,
     rref,
     solve,
@@ -96,6 +99,21 @@ class TestFieldSpec:
             f.normalize(bad)
         with pytest.raises(ValueError, match="not an element of GF"):
             Matrix.from_rows(f, [[1, bad]])
+
+    def test_rationals_accept_integers_and_fractions(self):
+        for x, want in [(3, Fraction(3)), (np.int64(-4), Fraction(-4)), (2**70, Fraction(2**70)),
+                        (Fraction(2, 6), Fraction(1, 3))]:
+            got = QQ.normalize(x)
+            assert type(got) is Fraction and got == want
+        A = Matrix.from_rows(QQ, [[np.int64(1), Fraction(1, 3)], [2**70, -2]])
+        assert [type(x) for x in A.entries_flat()] == [Fraction] * 4
+
+    @pytest.mark.parametrize("bad", [0.1, 2.5, "1/3"])
+    def test_non_elements_of_q_refused(self, bad):
+        with pytest.raises(ValueError, match="not an element of Q"):
+            QQ.normalize(bad)
+        with pytest.raises(ValueError, match="not an element of Q"):
+            Matrix.from_rows(QQ, [[1, bad]])
 
 
 class TestRref:
@@ -292,6 +310,47 @@ class TestSubspaces:
         R, pivots, rk = rref(A)
         assert rk == 2
         assert all(isinstance(x, Fraction) for row in R.data for x in row)
+
+
+def _assert_fractions_in_lowest_terms(M: Matrix):
+    for x in M.entries_flat():
+        assert type(x) is Fraction
+        assert x.denominator > 0 and gcd(x.numerator, x.denominator) == 1
+
+
+class TestRationalEntryTypes:
+    """Over Q every entry leaving linalg is a Fraction in lowest terms.
+
+    The rational path computes on integer numerators.  An int left in an
+    object array would pass the dtype check of Matrix, but a report renders
+    it as a JSON number where the equal Fraction is a string, and the next
+    product over Q, which reads entries as Fractions, would fail on it.
+    """
+
+    A = Matrix.from_rows(QQ, [[Fraction(2, 3), Fraction(-1, 6), 0, 4],
+                              [Fraction(4, 3), Fraction(-1, 3), 0, 8],
+                              [0, Fraction(5, 7), 1, 2**70],
+                              [0, 0, 0, 0]])
+    B = Matrix.from_rows(QQ, [[1, 0], [0, 1], [Fraction(3, 2), 0], [0, Fraction(-1, 4)]])
+    INTEGER = Matrix.from_rows(QQ, [[2, 4, 6], [1, 2, 3]])
+
+    def test_rref_and_kernel(self):
+        for M in (self.A, self.B, self.INTEGER, Matrix.identity(QQ, 3), Matrix.zeros(QQ, 2, 3)):
+            R = rref(M)
+            _assert_fractions_in_lowest_terms(R.matrix)
+            K = kernel_basis(M)
+            _assert_fractions_in_lowest_terms(K.basis)
+            _assert_fractions_in_lowest_terms(quotient_projection(K))
+        assert rref(self.INTEGER).matrix == Matrix.from_rows(QQ, [[1, 2, 3], [0, 0, 0]])
+
+    def test_products(self):
+        for M in (self.A @ self.B, self.INTEGER @ self.INTEGER.transpose(),
+                  self.A @ Matrix.zeros(QQ, 4, 2), self.A.kron(self.B), self.B.kron(self.INTEGER),
+                  self.A.scale(Fraction(3, 2)), self.A.scale(-1), self.INTEGER.scale(0),
+                  self.A.scale(np.int64(6))):
+            _assert_fractions_in_lowest_terms(M)
+        assert self.A.scale(-1).scale(-1) == self.A
+        assert self.A.kron(self.B).data[0, 0] == Fraction(2, 3)
 
 
 class TestMatrixValue:

@@ -108,6 +108,57 @@ class TestHom:
                      Matrix.identity(F5, 1), Matrix.identity(F5, 1))
 
 
+def _guard_pair(field, wrong_arrow=None):
+    """M of dims (2, 3), N of dims (3, 4) at n = 3 and (f1, f2) with
+    f2 aM_i = aN_i f1 for every arrow i except ``wrong_arrow``.
+
+    f1 is the inclusion of the first two coordinates, so aN_i f1 is the
+    first two columns of aN_i: set them to f2 aM_i, the last one freely.
+    """
+    rng = random.Random(7)
+
+    def entry():
+        x = rng.randrange(-4, 5)
+        return x if field.is_finite else Fraction(x, rng.randrange(1, 4))
+
+    def mat(rows, cols):
+        return Matrix.from_rows(field, [[entry() for _ in range(cols)] for _ in range(rows)])
+
+    a_m = [mat(3, 2) for _ in range(3)]
+    f1 = Matrix.from_rows(field, [[1, 0], [0, 1], [0, 0]])
+    f2 = mat(4, 3)
+    a_n = []
+    for i, a in enumerate(a_m):
+        first = (f2 @ a).data.copy()
+        if i == wrong_arrow:
+            first[3, 1] += 1  # one entry off, in the last row
+        a_n.append(Matrix.from_rows(field, first.tolist()).hstack(mat(4, 1)))
+    M = KroneckerModule(3, field, 2, 3, tuple(a_m))
+    N = KroneckerModule(3, field, 3, 4, tuple(a_n))
+    return M, N, f1, f2
+
+
+class TestIntertwiningGuard:
+    """The guard compares f2 [aM_1 | ... | aM_n] with [aN_1; ...; aN_n] f1
+    block by block; non-square dims and n = 3 pin the block layout."""
+
+    @pytest.mark.parametrize("field", [F5, QQ], ids=str)
+    def test_genuine_morphisms_pass(self, field):
+        M, N, f1, f2 = _guard_pair(field)
+        assert Morphism(M, N, f1, f2).f2 == f2
+        basis = hom_basis(M, N)
+        assert basis
+        for b in basis:
+            assert Morphism(M, N, b.f1, b.f2) == b
+
+    @pytest.mark.parametrize("field", [F5, QQ], ids=str)
+    @pytest.mark.parametrize("arrow", [0, 1, 2])
+    def test_one_failing_arrow_raises(self, field, arrow):
+        M, N, f1, f2 = _guard_pair(field, wrong_arrow=arrow)
+        with pytest.raises(ValueError, match="do not intertwine"):
+            Morphism(M, N, f1, f2)
+
+
 class TestExt:
     def test_bristle_self_extensions(self):
         b = B([1, 0, 0])

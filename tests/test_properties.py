@@ -1,12 +1,15 @@
 """Property tests: rank agrees over Q, over a large prime field and with
-sympy; Hom and Ext dimensions are invariant under a change of basis at both
-vertices; the two Ext routes agree; module files round-trip exactly.
+sympy, and the whole RREF over Q (matrix and pivots) equals sympy's; Hom
+and Ext dimensions are invariant under a change of basis at both vertices;
+the two Ext routes agree; module files round-trip exactly.
 
 hypothesis runs derandomized with few examples, so every run checks the
 same inputs.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 import pytest
 
@@ -95,6 +98,30 @@ def test_rank_over_q_matches_sympy_and_large_prime(rows):
     r = rank(Matrix.from_rows(QQ, rows))
     assert r == sympy.Matrix(rows).rank()
     assert r == rank(Matrix.from_rows(MERSENNE, rows))
+
+
+@st.composite
+def rational_matrices(draw):
+    """Rows of Fractions with small denominators or numerators near 2^70,
+    plus repeated and zero rows, in a drawn order."""
+    c = draw(st.integers(1, 6))
+    entry = st.one_of(
+        st.fractions(min_value=-5, max_value=5, max_denominator=12),
+        st.builds(lambda k, d: Fraction(2**70 + k, d), st.integers(-3, 3), st.integers(1, 7)))
+    rows = [[draw(entry) for _ in range(c)] for _ in range(draw(st.integers(1, 5)))]
+    rows += draw(st.lists(st.sampled_from(rows + [[Fraction(0)] * c]), max_size=3))
+    return draw(st.permutations(rows))
+
+
+@PROPERTY
+@given(rational_matrices())
+def test_rref_over_q_matches_sympy(rows):
+    sympy = pytest.importorskip("sympy")
+    R, pivots, rk = rref(Matrix.from_rows(QQ, rows))
+    S, sympy_pivots = sympy.Matrix(rows).rref()
+    assert pivots == tuple(sympy_pivots) and rk == len(pivots)
+    assert R.data.tolist() == [[Fraction(int(x.p), int(x.q)) for x in S.row(i)]
+                               for i in range(S.rows)]
 
 
 @PROPERTY

@@ -7,6 +7,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import subprocess
+import sys
 from itertools import combinations
 from pathlib import Path
 
@@ -62,6 +64,18 @@ def test_scenario_passes_on_defaults(name):
     assert not failed, [(c.name, c.expected, c.computed) for c in failed]
     assert report.to_json() == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
     assert report.to_table() == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+
+
+def test_rational_api_reproduces_benchmark_digests():
+    """The ``@rational-api`` benchmark item (preinjective dims, generation by
+    B0 and both Ext routes over Q) gives its expected values and reproduces
+    the SHA-256 digest of every result recorded in perfbench/digests.json."""
+    done = subprocess.run([sys.executable, str(ROOT / "perfbench" / "worker.py"), "@rational-api"],
+                          capture_output=True, text=True, check=True, cwd=ROOT)
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    recorded = json.loads((ROOT / "perfbench" / "digests.json").read_text(encoding="utf-8"))
+    assert result["wrong"] == []
+    assert result["outputs"] == recorded["digests"]["@rational-api"]
 
 
 def test_reports_byte_identical_across_runs():

@@ -37,17 +37,21 @@ QUICK_OVERRIDES = {
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 GOLDEN_MODULE = "tests/data/dim32_bristled.kron"
-GOLDEN_VARIANTS = ["main-theorem-b-bristle-orbits-module", "annihilated-lemma-rational"]
+GOLDEN_VARIANTS = ["main-theorem-b-bristle-orbits-module", "annihilated-lemma-rational",
+                   "main-theorem-a-n4-q3-tmax4"]
 
 
 def _golden_config(name: str):
     """Default config of a golden entry; the ``-module`` entry adds GOLDEN_MODULE,
-    the ``-rational`` entry runs over Q at n = 4."""
+    the ``-rational`` entry runs over Q at n = 4, and ``main-theorem-a-n4-q3-tmax4``
+    checks saturation on preinjectives larger than any default reaches."""
     if name == "main-theorem-b-bristle-orbits-module":
         return default_config("main-theorem-b-bristle-orbits", module_path=GOLDEN_MODULE,
                               module_text=(ROOT / GOLDEN_MODULE).read_text(encoding="utf-8"))
     if name == "annihilated-lemma-rational":
         return default_config("annihilated-lemma", field=QQ, n=4)
+    if name == "main-theorem-a-n4-q3-tmax4":
+        return default_config("main-theorem-a", n=4, field=GF(3), t_max=4)
     return default_config(name)
 
 

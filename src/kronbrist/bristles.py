@@ -18,7 +18,8 @@ from .linalg import FieldSpec, Matrix, Subspace, joint_kernel
 from .modules import (
     KroneckerModule,
     SubmodulePair,
-    ext1_dim,
+    ar_translate,
+    hom_dim,
     quotient,
     trace_submodule,
 )
@@ -193,8 +194,23 @@ def is_bristled(M: KroneckerModule) -> bool:
 
 
 def is_saturated(M: KroneckerModule) -> bool:
-    """True iff Ext^1(B, M) = 0 for every bristle B over the (finite) field."""
+    """True iff Ext^1(B, M) = 0 for every bristle B over the (finite) field.
+
+    Two exact steps decide it.  First the bilinear form: hom - ext =
+    <(1, 1), dim M> = dim1 - (n - 1) dim2 for every bristle, and hom >= 0, so
+    (n - 1) dim2 > dim1 forces Ext^1(B, M) > 0 and M is refused at once.
+    Otherwise the Auslander-Reiten formula over a hereditary algebra,
+    Ext^1(B, M) = D Hom(tau^- M, B) (Assem, Simson and Skowronski,
+    Elements of the Representation Theory of Associative Algebras 1,
+    Cor. IV.2.14), turns each bristle's Ext into a Hom from tau^- M, computed
+    once, into the bristle.  Its unknowns are the entries of tau^- M's two
+    spaces, far fewer than M's when M is preinjective.  ext1_dim and
+    ext1_dim_via_resolution compute the same numbers directly.
+    """
     if not M.field.is_finite:
         raise ValueError("saturation requires finite-field enumeration; "
                          "test ext1_dim against an explicit list instead")
-    return all(ext1_dim(bristle(p), M) == 0 for p in enumerate_bristles(M.n, M.field))
+    if (M.n - 1) * M.dim2 > M.dim1:
+        return False
+    X = ar_translate(M, "tau-")
+    return all(hom_dim(X, bristle(p)) == 0 for p in enumerate_bristles(M.n, M.field))

@@ -145,15 +145,37 @@ class Morphism:
             raise DimensionMismatch("f1 shape mismatch")
         if (self.f2.rows, self.f2.cols) != (N.dim2, M.dim2):
             raise DimensionMismatch("f2 shape mismatch")
-        # f2 aM_i = aN_i f1 for every i, as two products:
-        # f2 [aM_1 | ... | aM_n] against [aN_1; ...; aN_n] f1, block by block
-        left = (self.f2 @ M.alphas[0].hstack(*M.alphas[1:])).data.reshape(N.dim2, M.n, M.dim1)
-        right = (N.alphas[0].vstack(*N.alphas[1:]) @ self.f1).data.reshape(M.n, N.dim2, M.dim1)
-        if not (left.transpose(1, 0, 2) == right).all():
+        if not _intertwine(M, N, self.f1.data[None], self.f2.data[None]):
             raise ValueError("matrices do not intertwine the structure maps")
+
+    @classmethod
+    def _checked(cls, source: KroneckerModule, target: KroneckerModule,
+                 f1: Matrix, f2: Matrix) -> "Morphism":
+        """A morphism whose shapes and intertwining the caller has checked."""
+        fm = object.__new__(cls)
+        for name, value in (("source", source), ("target", target), ("f1", f1), ("f2", f2)):
+            object.__setattr__(fm, name, value)
+        return fm
 
     def is_zero(self) -> bool:
         return self.f1.is_zero() and self.f2.is_zero()
+
+
+def _intertwine(M: KroneckerModule, N: KroneckerModule, F1: np.ndarray, F2: np.ndarray) -> bool:
+    """Whether F2[j] aM_i = aN_i F1[j] for every arrow i and every j < k.
+
+    F1 and F2 are stacks of k pairs, shapes (k, N.dim1, M.dim1) and
+    (k, N.dim2, M.dim2).  All k pairs are checked with two products,
+    [F2_1; ...; F2_k] [aM_1 | ... | aM_n] against
+    [aN_1; ...; aN_n] [F1_1 | ... | F1_k], compared block by block.
+    """
+    f, k, n = M.field, len(F1), M.n
+    aM = M.alphas[0].hstack(*M.alphas[1:])
+    aN = N.alphas[0].vstack(*N.alphas[1:])
+    left = Matrix(f, F2.reshape(k * N.dim2, M.dim2)) @ aM
+    right = aN @ Matrix(f, F1.transpose(1, 0, 2).reshape(N.dim1, k * M.dim1))
+    return bool((left.data.reshape(k, N.dim2, n, M.dim1).transpose(0, 2, 1, 3)
+                 == right.data.reshape(n, N.dim2, k, M.dim1).transpose(2, 0, 1, 3)).all())
 
 
 def identity_morphism(M: KroneckerModule) -> Morphism:
@@ -178,9 +200,12 @@ class SubmodulePair:
         M = self.parent
         if self.U1.ambient_dim != M.dim1 or self.U2.ambient_dim != M.dim2:
             raise DimensionMismatch("subspace ambient dims do not match the module")
-        for a in M.alphas:
-            if not self.U2.contains_rows(self.U1.basis @ a.transpose()):
-                raise NotSubmodule("not a submodule: subspaces not closed under the maps")
+        if self.U2.is_full():
+            return  # every image lies in the full space: nothing can fail
+        # one product: row r of U1 times [a_1; ...; a_n]^T holds a_1 u_r, ..., a_n u_r
+        images = self.U1.basis @ M.alphas[0].vstack(*M.alphas[1:]).transpose()
+        if not self.U2.contains_rows(Matrix(M.field, images.data.reshape(-1, M.dim2))):
+            raise NotSubmodule("not a submodule: subspaces not closed under the maps")
 
     @property
     def dims(self) -> DimVector:
@@ -227,16 +252,24 @@ def hom_dim(M: KroneckerModule, N: KroneckerModule) -> int:
 
 
 def hom_basis(M: KroneckerModule, N: KroneckerModule) -> list:
-    """Canonical basis of the space of morphisms M -> N."""
+    """Canonical basis of the space of morphisms M -> N.
+
+    One intertwining guard covers the whole basis; a mismatch is a bug in
+    the Hom system or the kernel, so it raises InternalCheckFailed.
+    """
     _check_same_category(M, N)
     t1 = N.dim1 * M.dim1
     t2 = N.dim2 * M.dim2
     if t1 + t2 == 0:
         return []
-    ker = kernel_basis(_hom_system(M, N))
-    return [Morphism(M, N, Matrix(M.field, v[:t1].reshape(N.dim1, M.dim1)),
-                     Matrix(M.field, v[t1:].reshape(N.dim2, M.dim2)))
-            for v in ker.basis.data]
+    ker = kernel_basis(_hom_system(M, N)).basis.data
+    k = len(ker)
+    F1 = ker[:, :t1].reshape(k, N.dim1, M.dim1)
+    F2 = ker[:, t1:].reshape(k, N.dim2, M.dim2)
+    if not _intertwine(M, N, F1, F2):
+        raise InternalCheckFailed("a Hom basis element does not intertwine the structure maps")
+    f = M.field
+    return [Morphism._checked(M, N, Matrix(f, f1), Matrix(f, f2)) for f1, f2 in zip(F1, F2)]
 
 
 def end_dim(M: KroneckerModule) -> int:

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from kronbrist import bristles
 from kronbrist.bristles import (
     BristlePoint,
     bristle,
@@ -34,6 +35,7 @@ from kronbrist.modules import (
     ext1_dim,
     hom_dim,
     projective_module,
+    random_module,
     simple_module,
 )
 
@@ -230,6 +232,42 @@ class TestBristledAndSaturated:
     def test_saturation_rationals_rejected(self):
         with pytest.raises(ValueError):
             is_saturated(bristle(bristle_point(3, QQ, [1, 0, 0])))
+
+
+class TestSaturationRoute:
+    """is_saturated refuses by the bilinear form or decides through tau^-;
+    both must agree with the definition, Ext^1(B, M) = 0 for every bristle."""
+
+    @staticmethod
+    def _refused(M) -> bool:
+        return (M.n - 1) * M.dim2 > M.dim1
+
+    def test_matches_the_definition_on_random_modules(self):
+        rng = random.Random(31)
+        refused = translated = saturated = 0
+        for i in range(60):
+            n, f = 2 + i % 3, (F2, F3)[i // 3 % 2]
+            M = random_module(n, f, rng, 5, 2)
+            if i % 4 == 0:
+                M = direct_sum(M, random_module(n, f, rng, 3, 1))
+            expected = all(ext1_dim(bristle(p), M) == 0 for p in enumerate_bristles(n, f))
+            assert is_saturated(M) == expected, (n, f, M.dims)
+            refused += self._refused(M)
+            translated += not self._refused(M)
+            saturated += expected
+        assert refused and translated and saturated, (refused, translated, saturated)
+
+    def test_refusal_needs_no_translate(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("the bilinear form alone decides this module")
+
+        monkeypatch.setattr(bristles, "ar_translate", unreachable)
+        monkeypatch.setattr(bristles, "hom_dim", unreachable)
+        for M in (simple_module(3, F2, 2), projective_module(3, F3, 1),
+                  bristle(unit_point(3, F2, 1)),
+                  direct_sum(bristle(unit_point(4, F3, 2)), simple_module(4, F3, 1))):
+            assert self._refused(M)
+            assert not is_saturated(M)
 
 
 class TestOrthogonality:

@@ -10,9 +10,19 @@ from fractions import Fraction
 
 import pytest
 
+from kronbrist import modules
 from kronbrist.bristles import bristle, bristle_point, enumerate_bristles
 from kronbrist.families import preinjective
-from kronbrist.linalg import GF, QQ, Matrix, Subspace, image_subspace, rank, solve
+from kronbrist.linalg import (
+    GF,
+    QQ,
+    InternalCheckFailed,
+    Matrix,
+    Subspace,
+    image_subspace,
+    rank,
+    solve,
+)
 from kronbrist.modules import (
     ISO,
     NON_ISO,
@@ -158,6 +168,26 @@ class TestIntertwiningGuard:
         with pytest.raises(ValueError, match="do not intertwine"):
             Morphism(M, N, f1, f2)
 
+    @pytest.mark.parametrize("corrupt", [0, 4, 8])
+    def test_one_corrupt_basis_element_raises(self, monkeypatch, corrupt):
+        """hom_basis checks its k basis elements with one guard: one entry
+        changed in one of the k = 9 kernel vectors, first, middle or last,
+        must trip it."""
+        b = B([1, 2, 3])
+        M = direct_sum(direct_sum(b, b), b)  # End(M) is all 3 x 3 matrices
+        real = modules.kernel_basis
+
+        def corrupted(A):
+            K = real(A)
+            data = K.basis.data.copy()
+            data[corrupt, 0] = (data[corrupt, 0] + 1) % 5  # f1[0, 0] of one vector
+            return Subspace(K.field, K.ambient_dim, Matrix(K.field, data), K.pivot_cols)
+
+        assert len(hom_basis(M, M)) == 9
+        monkeypatch.setattr(modules, "kernel_basis", corrupted)
+        with pytest.raises(InternalCheckFailed, match="does not intertwine"):
+            hom_basis(M, M)
+
 
 class TestExt:
     def test_bristle_self_extensions(self):
@@ -263,10 +293,14 @@ class TestTranslation:
         assert T.dims == (5, 2)
 
     def test_round_trip_on_non_projectives(self):
-        for M in (B([1, 0, 0]), B([1, 2, 3]),
+        tau_b1 = ar_translate(B([1, 0, 0]), "tau")
+        tau2_b1 = ar_translate(tau_b1, "tau")
+        assert (tau_b1.dims, tau2_b1.dims) == ((5, 2), (34, 13))
+        for M in (B([1, 0, 0]), tau_b1, tau2_b1, B([1, 2, 3]),
                   direct_sum(B([1, 0, 0]), B([0, 1, 0])),
                   preinjective(3, 1, F5), preinjective(3, 2, F5)):
             back = ar_translate(ar_translate(M, "tau"), "tau-")
+            assert back.dims == M.dims
             assert find_isomorphism(M, back).status == ISO
 
     def test_dims_follow_lattice_transform(self):

@@ -1,7 +1,8 @@
 """Property tests: rank agrees over Q, over a large prime field and with
 sympy, and the whole RREF over Q (matrix and pivots) equals sympy's; Hom
 and Ext dimensions are invariant under a change of basis at both vertices;
-the two Ext routes agree; module files round-trip exactly.
+the two Ext routes and both forms of the Auslander-Reiten formula agree;
+module files round-trip exactly.
 
 hypothesis runs derandomized with few examples, so every run checks the
 same inputs.
@@ -22,6 +23,7 @@ from kronbrist.linalg import GF, QQ, Matrix, rank, rref  # noqa: E402
 from kronbrist.modfile import parse_module_file, write_module_file  # noqa: E402
 from kronbrist.modules import (  # noqa: E402
     KroneckerModule,
+    ar_translate,
     ext1_dim,
     ext1_dim_via_resolution,
     hom_dim,
@@ -137,7 +139,10 @@ def test_hom_and_ext_invariant_under_change_of_basis(data):
 @given(module_pairs())
 def test_ext_routes_agree(pair):
     M, N = pair
-    assert ext1_dim(M, N) == ext1_dim_via_resolution(M, N)
+    e = ext1_dim(M, N)
+    assert e == ext1_dim_via_resolution(M, N)
+    # Auslander-Reiten: Ext^1(M, N) = D Hom(tau^- N, M) = D Hom(N, tau M)
+    assert e == hom_dim(ar_translate(N, "tau-"), M) == hom_dim(N, ar_translate(M, "tau"))
 
 
 @PROPERTY

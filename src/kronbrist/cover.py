@@ -29,14 +29,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .linalg import (
     DimensionMismatch,
     FieldSpec,
     Matrix,
     Subspace,
     joint_kernel,
+    place_blocks,
     rank,
     subspace_sum,
 )
@@ -120,33 +119,26 @@ def _offsets(X: CoverRep) -> Dict[TreeVertex, int]:
 
 def push_down(X: CoverRep) -> KroneckerModule:
     """Sum the spaces over each vertex class and assemble the label maps blockwise."""
-    f = X.field
     offsets = _offsets(X)
     d1, d2 = (sum(d for v, d in X.spaces.items() if vertex_class(v) == cls) for cls in (1, 2))
-    alphas = [f.zeros((d2, d1)) for _ in range(X.n)]
-    for (v, label), mat in X.maps.items():
-        r, c = offsets[neighbor(v, label)], offsets[v]
-        alphas[label - 1][r:r + mat.rows, c:c + mat.cols] = mat.data
-    return KroneckerModule(X.n, f, d1, d2, tuple(Matrix(f, a) for a in alphas))
+    alphas = tuple(place_blocks(X.field, d2, d1, [(offsets[neighbor(v, label)], offsets[v], mat)
+                                                  for (v, label), mat in X.maps.items() if label == i])
+                   for i in range(1, X.n + 1))
+    return KroneckerModule(X.n, X.field, d1, d2, alphas)
 
 
-def _place(field: FieldSpec, offsets: Dict[TreeVertex, int], total: int,
-           parts: Dict[TreeVertex, np.ndarray]) -> np.ndarray:
-    """Rows of one push-down space, of dimension ``total``: row r holds row r
-    of every part in the block of the part's vertex and zeros elsewhere.
-    The parts have equal row counts and vertices of one class."""
-    rows = next(iter(parts.values())).shape[0]
-    out = field.zeros((rows, total))
-    for v, local in parts.items():
-        out[:, offsets[v]:offsets[v] + local.shape[1]] = local
-    return out
+def _place(X: CoverRep, total: int, parts: Dict[TreeVertex, Matrix]) -> Matrix:
+    """Rows of one push-down space of X, of dimension ``total``: row r holds
+    row r of every part in the block of the part's vertex and zeros
+    elsewhere.  The parts have equal row counts and vertices of one class."""
+    offsets = _offsets(X)
+    rows = next(iter(parts.values())).rows
+    return place_blocks(X.field, rows, total, [(0, offsets[v], B) for v, B in parts.items()])
 
 
-def _pair(pushed: KroneckerModule, rows1: np.ndarray, rows2: np.ndarray) -> SubmodulePair:
+def _pair(pushed: KroneckerModule, rows1: Matrix, rows2: Matrix) -> SubmodulePair:
     """The subspace pair of ``pushed`` spanned by the given rows at each vertex."""
-    f = pushed.field
-    return SubmodulePair(pushed, Subspace.from_spanning(f, pushed.dim1, rows1),
-                         Subspace.from_spanning(f, pushed.dim2, rows2))
+    return SubmodulePair(pushed, Subspace.row_space(rows1), Subspace.row_space(rows2))
 
 
 # -- named constructions -------------------------------------------------------
@@ -329,12 +321,11 @@ def w_component(X: CoverRep, i: int, j: int) -> CoverSubrep:
 def subrep_subpair(sub: CoverSubrep, pushed: KroneckerModule) -> SubmodulePair:
     """The push-down of a subrep as a subspace pair of ``push_down(sub.host)``."""
     f = sub.host.field
-    offsets = _offsets(sub.host)
-    rows = ([f.zeros((0, pushed.dim1))], [f.zeros((0, pushed.dim2))])
+    rows = ([Matrix.zeros(f, 0, pushed.dim1)], [Matrix.zeros(f, 0, pushed.dim2)])
     for v, U in sub.spaces.items():
         cls = vertex_class(v)
-        rows[cls - 1].append(_place(f, offsets, pushed.dims[cls - 1], {v: U.basis.data}))
-    return _pair(pushed, np.vstack(rows[0]), np.vstack(rows[1]))
+        rows[cls - 1].append(_place(sub.host, pushed.dims[cls - 1], {v: U.basis}))
+    return _pair(pushed, Matrix.vstack(*rows[0]), Matrix.vstack(*rows[1]))
 
 
 def extract_bristle_from_wedge(X: CoverRep, pushed: KroneckerModule,
@@ -344,12 +335,10 @@ def extract_bristle_from_wedge(X: CoverRep, pushed: KroneckerModule,
     Generated by the sum of the two leaf generators; both relevant maps send
     it to the sink generator, so the type is the pair point (i, i+1).
     """
-    f = X.field
-    offsets = _offsets(X)
-    one = f.array([[1]])
+    one = Matrix.identity(X.field, 1)
     return _pair(pushed,
-                 _place(f, offsets, pushed.dim1, {(j, i): one, (j, i % X.n + 1): one}),
-                 _place(f, offsets, pushed.dim2, {(j,): one}))
+                 _place(X, pushed.dim1, {(j, i): one, (j, i % X.n + 1): one}),
+                 _place(X, pushed.dim2, {(j,): one}))
 
 
 def extract_mij(X: CoverRep, i: int, j: int, pushed: Optional[KroneckerModule] = None):
@@ -364,17 +353,16 @@ def extract_mij(X: CoverRep, i: int, j: int, pushed: Optional[KroneckerModule] =
     """
     if pushed is None:
         pushed = push_down(X)
-    f = X.field
     line = w_component(X, i, j).spaces[BASE].basis
-    gen = Matrix(f, _place(f, _offsets(X), pushed.dim1, {
-        BASE: line.data,
-        (j, i): (line @ X.arrow(BASE, j).transpose()).data,
-        (i, j): (line @ X.arrow(BASE, i).transpose()).data,
-    }))
+    gen = _place(X, pushed.dim1, {
+        BASE: line,
+        (j, i): line @ X.arrow(BASE, j).transpose(),
+        (i, j): line @ X.arrow(BASE, i).transpose(),
+    })
     img = gen @ pushed.alphas[i - 1].transpose()
     if img != gen @ pushed.alphas[j - 1].transpose() or img.is_zero():
         raise RuntimeError("path bristle generator failed its image identity")
-    return _pair(pushed, gen.data, img.data), gen.row(0)
+    return _pair(pushed, gen, img), gen.row(0)
 
 
 # -- cover Hom spaces and the bristled part ----------------------------------------
@@ -383,16 +371,13 @@ def cover_hom_dim(X: CoverRep, Y: CoverRep) -> int:
     """Dimension of the space of morphisms X -> Y (vertexwise intertwiners)."""
     if X.n != Y.n or X.field != Y.field:
         raise DimensionMismatch("cover reps over different trees or fields")
-    f = X.field
     common = sorted(set(X.spaces) & set(Y.spaces), key=lambda v: (len(v), v))
     offsets = {}
     total = 0
     for v in common:
         offsets[v] = total
         total += X.spaces[v] * Y.spaces[v]
-    if total == 0:
-        return 0
-    blocks = [f.zeros((0, total))]
+    blocks, rows = [], 0
     sources = {v for v in set(X.spaces) | set(Y.spaces) if vertex_class(v) == 1}
     for v in sorted(sources, key=lambda u: (len(u), u)):
         for label in range(1, X.n + 1):
@@ -401,13 +386,12 @@ def cover_hom_dim(X: CoverRep, Y: CoverRep) -> int:
                 continue
             # phi_w Ax = Ay phi_v in the vertex maps phi_v and phi_w; a block
             # without columns belongs to a vertex outside the common support
-            row = f.zeros((Y.dim(w) * X.dim(v), total))
             for u, block in zip((v, w), intertwining_blocks(X.arrow(v, label),
                                                             Y.arrow(v, label))):
                 if block.cols:
-                    row[:, offsets[u]:offsets[u] + block.cols] = block.data
-            blocks.append(row)
-    return total - rank(Matrix(f, np.vstack(blocks)))
+                    blocks.append((rows, offsets[u], block))
+            rows += Y.dim(w) * X.dim(v)
+    return total - rank(place_blocks(X.field, rows, total, blocks))
 
 
 def cover_bristle_at(n: int, field: FieldSpec, v: TreeVertex, label: int) -> CoverRep:

@@ -1,21 +1,22 @@
 """Exact dense linear algebra over prime fields GF(p) and the rationals.
 
-Everything here is exact.  A ``Matrix`` holds one read-only numpy array:
-int64 entries reduced into [0, p) over GF(p), an object array of
-``fractions.Fraction`` over Q.  All values are immutable after construction
-and all operations are pure, so they are safe to use from concurrent
-contexts.  Entries leave a matrix (``row``, ``apply``, ``solve``,
-coordinates) as Python ``int`` or ``Fraction``, never as numpy scalars.
+Everything here is exact.  A ``Matrix`` is one read-only integer numpy
+array over one positive denominator, in the same format for both fields:
+over GF(p) int64 entries reduced into [0, p) over 1; over Q an object array
+of Python ints, put in lowest terms with its denominator at construction
+so that equal matrices hold equal integers.  Fractions and integers are
+converted only on the way in (``FieldSpec.array``, ``from_rows``) and out:
+entries leave (``row``, ``apply``, ``solve``, coordinates) as Python ``int``
+or ``Fraction``, never as numpy scalars.  Values are immutable and
+operations pure, so they are safe to use from concurrent contexts.
 
-Arithmetic runs on integers; over Q entries become Fractions again only
-at the end.  One elimination routine serves both fields and never divides
-mid-way: it works on integer rows (over Q each row scaled by the lcm of its
-denominators), clears a column from a row x with pivot row y as
-piv * x - x[c] * y, and puts each updated row back in lowest terms: reduced
-mod p over GF(p), divided by the gcd of its entries over Q.  Each pivot row
-is divided by its pivot at the end.  A product over Q multiplies integer
-numerators over one common denominator per operand and builds one Fraction
-per nonzero entry of the result.
+Each operation is one integer expression for both fields.  A product
+multiplies the arrays and the denominators; stacking and block placement
+first bring their parts to the lcm of the denominators.  One elimination
+routine never divides mid-way: it clears a column from a row x with pivot
+row y as piv * x - x[c] * y and puts each updated row back in lowest
+terms: reduced mod p over GF(p), divided by the gcd of its entries over
+Q.  Over Q the pivot rows are brought to the lcm of the pivots at the end.
 
 Over GF(p) every intermediate product stays below p^2 < 2^62, so int64
 arithmetic is exact; a matrix product switches to Python integers once a
@@ -30,7 +31,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -177,22 +178,23 @@ class FieldSpec:
     def dtype(self):
         return np.int64 if self.is_finite else object
 
-    def array(self, values) -> np.ndarray:
-        """Nested sequences (or an array) as field entries: int64 reduced mod p,
-        or an object array of Fractions."""
+    def array(self, values):
+        """Nested sequences (or an array) of field entries as integers over one
+        denominator, the pair (array, denominator): int64 reduced mod p over 1,
+        or Python ints over the lcm of the entries' denominators over Q."""
         if not self.is_finite:
-            return _to_fractions(np.array(values, dtype=object))
+            num, den = _integer_ratios(_to_fractions(np.array(values, dtype=object)))
+            d = lcm(*den.flat)
+            return num * (d // den), d
         a = np.asarray(values)
         if a.dtype.kind not in "ib":
             # Fractions, Python ints past int64, floats: one by one through
             # normalize, which maps or refuses each entry
             a = np.frompyfunc(self.normalize, 1, 1)(np.array(values, dtype=object))
-        return a.astype(np.int64, copy=False) % self.characteristic
+        return a.astype(np.int64, copy=False) % self.characteristic, 1
 
     def zeros(self, shape) -> np.ndarray:
-        if self.is_finite:
-            return np.zeros(shape, dtype=np.int64)
-        return np.full(shape, Fraction(0), dtype=object)
+        return np.zeros(shape, dtype=self.dtype)
 
     def reduce(self, a: np.ndarray) -> np.ndarray:
         """Canonical entries of an integer combination of canonical entries."""
@@ -212,65 +214,73 @@ def GF(p: int) -> FieldSpec:
 # (numerators, denominators) of an array of Fractions, one call per entry
 _integer_ratios = np.frompyfunc(Fraction.as_integer_ratio, 1, 2)
 _fraction_over = np.frompyfunc(Fraction, 2, 1)
+_as_int = np.frompyfunc(operator.index, 1, 1)
 
 
-def _fractions(num: np.ndarray, den) -> np.ndarray:
-    """The Fractions num / den for an integer array num; den is an integer or
-    an integer array that broadcasts against num.
-
-    Every zero entry is one shared Fraction(0): most entries of the systems
-    built here are zero, and making a Fraction is the costly step.
-    """
-    out = np.full(num.shape, Fraction(0), dtype=object)
-    nz = num != 0
-    out[nz] = _fraction_over(num[nz], np.broadcast_to(den, num.shape)[nz])
-    return out
-
-
-def _over_common_denominator(a: np.ndarray):
-    """Integer numerators and one denominator d with a == numerators / d."""
-    num, den = _integer_ratios(a)
-    d = lcm(*den.flat)
-    return (num if d == 1 else num * (d // den)), d
+def _scalars(field: FieldSpec, num: np.ndarray, den: int) -> list:
+    """num / den as nested lists of Python ints (GF(p)) or Fractions (Q)."""
+    return num.tolist() if field.is_finite else _fraction_over(num, den).tolist()
 
 
 def _dot(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b over the field; b may be a vector.
+    """The integer product a @ b, reduced mod p over GF(p); b may be a vector.
 
     Over GF(p) the product runs on int64 while every sum of products stays
     below 2^62 (inner length times (p-1)^2); past that bound the same
-    expression runs on Python integers.  Over Q it runs on the integer
-    numerators of both operands over a common denominator, which is exact
-    and avoids a Fraction normalization per product.
+    expression runs on Python integers, as it always does over Q.
     """
-    inner = a.shape[-1]
-    if inner == 0:
-        return field.zeros(a.shape[:-1] + b.shape[1:])
     if not field.is_finite:
-        (na, da), (nb, db) = _over_common_denominator(a), _over_common_denominator(b)
-        return _fractions(na @ nb, da * db)
+        return a @ b
     p = field.characteristic
-    if inner * (p - 1) ** 2 < 2**62:
+    if a.shape[-1] * (p - 1) ** 2 < 2**62:
         return a @ b % p
     return (a.astype(object) @ b.astype(object) % p).astype(np.int64)
 
 
+def _numerators(field: FieldSpec, mats: Sequence["Matrix"]):
+    """The arrays of mats over the lcm of their denominators, and that lcm."""
+    if field.is_finite:
+        return [m.data for m in mats], 1
+    den = lcm(*(m.den for m in mats))
+    return [m.data if m.den == den else m.data * (den // m.den) for m in mats], den
+
+
 @dataclass(frozen=True, eq=False)
 class Matrix:
-    """Immutable dense matrix; ``data`` is a read-only 2-d array of field entries.
+    """Immutable dense matrix: the read-only 2-d integer array ``data`` over
+    the positive denominator ``den``.
 
-    Over Q every entry is a ``Fraction`` (``from_rows`` converts integers);
-    the rational arithmetic reads numerators and denominators from them.
-    Equality and hashing go by field, shape and entries.
+    Over GF(p) ``data`` is int64 reduced mod p and ``den`` is 1.  Over Q
+    ``data`` is an object array of Python ints, and construction divides
+    ``data`` and ``den`` by their gcd; an entry that is not an integer (a
+    Fraction or a float) is refused with ValueError.  Both parts are then
+    canonical, so equality and hashing go by field, shape and value.
     """
 
     field: FieldSpec
     data: np.ndarray
+    den: int = 1
 
     def __post_init__(self):
-        if self.data.ndim != 2 or self.data.dtype != self.field.dtype:
+        a, den = self.data, self.den
+        if a.ndim != 2 or a.dtype != self.field.dtype:
             raise ValueError("matrix data must be a 2-d array of the field's dtype")
-        self.data.flags.writeable = False
+        if self.field.is_finite:
+            if den != 1:
+                raise ValueError("a matrix over GF(p) has denominator 1")
+        else:
+            try:  # operator.index refuses a Fraction, a float, a string
+                a, den = _as_int(a), operator.index(den)
+                g = gcd(den, *a.flat)
+            except TypeError:
+                raise ValueError("a matrix over Q holds integers over an integer denominator") from None
+            if den <= 0:
+                raise ValueError(f"denominator must be positive, got {den}")
+            if g > 1:
+                a, den = a // g, den // g
+            object.__setattr__(self, "data", a)
+            object.__setattr__(self, "den", den)
+        a.flags.writeable = False
 
     @property
     def rows(self) -> int:
@@ -283,13 +293,13 @@ class Matrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
-        return (self.field == other.field and self.data.shape == other.data.shape
-                and bool((self.data == other.data).all()))
+        return (self.field == other.field and self.den == other.den
+                and self.data.shape == other.data.shape and bool((self.data == other.data).all()))
 
     def __hash__(self) -> int:
         # object arrays hold pointers, so hash their entries, not their bytes
-        entries = self.data.tobytes() if self.field.is_finite else self.entries_flat()
-        return hash((self.field, self.data.shape, entries))
+        entries = self.data.tobytes() if self.field.is_finite else tuple(self.data.ravel().tolist())
+        return hash((self.field, self.data.shape, self.den, entries))
 
     # -- constructors ------------------------------------------------------
 
@@ -297,10 +307,10 @@ class Matrix:
     def from_rows(field: FieldSpec, rows: Sequence[Sequence], cols: Optional[int] = None) -> "Matrix":
         if len(rows) == 0:
             return Matrix.zeros(field, 0, cols if cols is not None else 0)
-        data = field.array(rows)
+        data, den = field.array(rows)
         if data.ndim != 2:
             raise ValueError("matrix rows differ in length")
-        return Matrix(field, data)
+        return Matrix(field, data, den)
 
     @staticmethod
     def zeros(field: FieldSpec, rows: int, cols: int) -> "Matrix":
@@ -309,82 +319,106 @@ class Matrix:
     @staticmethod
     def identity(field: FieldSpec, n: int) -> "Matrix":
         a = field.zeros((n, n))
-        np.fill_diagonal(a, field.one())
+        np.fill_diagonal(a, 1)
         return Matrix(field, a)
 
     # -- shape helpers -----------------------------------------------------
 
+    def _with(self, data: np.ndarray) -> "Matrix":
+        """Entries of this matrix rearranged, over the same denominator."""
+        return Matrix(self.field, data, self.den)
+
     def row(self, i: int) -> Vector:
-        return tuple(self.data[i].tolist())
+        return tuple(_scalars(self.field, self.data[i], self.den))
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, self.data.T)
+        return self._with(self.data.T)
+
+    def reshape(self, rows: int, cols: int) -> "Matrix":
+        """The entries in row-major order read into rows x cols (one may be -1)."""
+        return self._with(self.data.reshape(rows, cols))
+
+    def transpose_blocks(self, a: int, b: int) -> "Matrix":
+        """This matrix as an a x b grid of equal blocks, with the grid
+        transposed and every block kept: block (i, j) moves to (j, i)."""
+        r, c = self.rows // a, self.cols // b
+        return self._with(self.data.reshape(a, r, b, c).transpose(2, 1, 0, 3).reshape(b * r, a * c))
+
+    def split_rows(self, k: int) -> list:
+        """The k blocks of equal height that stack to this matrix."""
+        h = self.rows // k if k else 0
+        return [self._with(self.data[j * h:(j + 1) * h]) for j in range(k)]
+
+    def col_block(self, j0: int, j1: int) -> "Matrix":
+        return self._with(self.data[:, j0:j1])
+
+    def select_cols(self, cols: Sequence[int]) -> "Matrix":
+        return self._with(self.data[:, list(cols)])
 
     def hstack(self, *others: "Matrix") -> "Matrix":
         if any(o.rows != self.rows or o.field != self.field for o in others):
             raise DimensionMismatch("hstack shape/field mismatch")
-        return Matrix(self.field, np.hstack([self.data] + [o.data for o in others]))
+        arrays, den = _numerators(self.field, (self,) + others)
+        return Matrix(self.field, np.hstack(arrays), den)
 
     def vstack(self, *others: "Matrix") -> "Matrix":
         if any(o.cols != self.cols or o.field != self.field for o in others):
             raise DimensionMismatch("vstack shape/field mismatch")
-        return Matrix(self.field, np.vstack([self.data] + [o.data for o in others]))
-
-    def col_block(self, j0: int, j1: int) -> "Matrix":
-        return Matrix(self.field, self.data[:, j0:j1])
+        arrays, den = _numerators(self.field, (self,) + others)
+        return Matrix(self.field, np.vstack(arrays), den)
 
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product; row-major vec(A X B) = (A kron B^T) vec(X)."""
         if self.field != other.field:
             raise DimensionMismatch("kron field mismatch")
-        f, a, b = self.field, self.data, other.data
-        if not f.is_finite:
-            (a, da), (b, db) = _over_common_denominator(a), _over_common_denominator(b)
+        a, b = self.data, other.data
         out = (a[:, None, :, None] * b[None, :, None, :]).reshape(
             a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
-        return Matrix(f, f.reduce(out) if f.is_finite else _fractions(out, da * db))
+        return Matrix(self.field, self.field.reduce(out), self.den * other.den)
 
     # -- arithmetic --------------------------------------------------------
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows or self.field != other.field:
             raise DimensionMismatch("matmul shape/field mismatch")
-        return Matrix(self.field, _dot(self.field, self.data, other.data))
+        return Matrix(self.field, _dot(self.field, self.data, other.data), self.den * other.den)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if self.data.shape != other.data.shape or self.field != other.field:
             raise DimensionMismatch("matrix addition shape/field mismatch")
-        return Matrix(self.field, self.field.reduce(self.data + other.data))
+        (a, b), den = _numerators(self.field, (self, other))
+        return Matrix(self.field, self.field.reduce(a + b), den)
 
     def scale(self, c: Scalar) -> "Matrix":
-        f, c = self.field, self.field.normalize(c)
-        if f.is_finite:
-            return Matrix(f, f.reduce(self.data * c))
-        num, d = _over_common_denominator(self.data)
-        return Matrix(f, _fractions(num * c.numerator, d * c.denominator))
+        f = self.field
+        num, d = f.normalize(c).as_integer_ratio()
+        return Matrix(f, f.reduce(self.data * num), self.den * d)
 
     def apply(self, v: Sequence) -> Vector:
         """Apply to a column vector, returning the image as a tuple."""
         if len(v) != self.cols:
             raise DimensionMismatch(f"vector length {len(v)} != cols {self.cols}")
         f = self.field
-        return tuple(_dot(f, self.data, f.array(v)).tolist())
+        num, d = f.array(v)
+        return tuple(_scalars(f, _dot(f, self.data, num), self.den * d))
 
     def is_zero(self) -> bool:
         return not np.count_nonzero(self.data)
 
     def entries_flat(self) -> Vector:
-        return tuple(self.data.ravel().tolist())
+        return tuple(_scalars(self.field, self.data.ravel(), self.den))
 
 
-def block_diag(field: FieldSpec, blocks: Sequence[Matrix]) -> Matrix:
-    out = field.zeros((sum(b.rows for b in blocks), sum(b.cols for b in blocks)))
-    r0 = c0 = 0
-    for b in blocks:
-        out[r0:r0 + b.rows, c0:c0 + b.cols] = b.data
-        r0 += b.rows
-        c0 += b.cols
-    return Matrix(field, out)
+def place_blocks(field: FieldSpec, rows: int, cols: int, blocks: Sequence) -> Matrix:
+    """The rows x cols matrix holding each (row offset, column offset, Matrix)
+    of ``blocks`` at its offsets and zeros elsewhere."""
+    if any(B.field != field for _, _, B in blocks):
+        raise DimensionMismatch("block over another field")
+    arrays, den = _numerators(field, [B for _, _, B in blocks])
+    out = field.zeros((rows, cols))
+    for (r, c, B), a in zip(blocks, arrays):
+        out[r:r + B.rows, c:c + B.cols] = a
+    return Matrix(field, out, den)
 
 
 # -- row reduction -----------------------------------------------------------
@@ -393,15 +427,6 @@ class RrefResult(NamedTuple):
     matrix: Matrix
     pivot_cols: tuple
     rank: int
-
-
-def _integer_rows(a: np.ndarray, field: FieldSpec) -> np.ndarray:
-    """A copy of a whose rows span the same row space and hold integers:
-    as is over GF(p); over Q each row times the lcm of its denominators."""
-    if field.is_finite:
-        return a.copy()
-    num, den = _integer_ratios(a)
-    return num * (np.lcm.reduce(den, axis=1)[:, None] // den)
 
 
 def _lowest_terms(U: np.ndarray, field: FieldSpec) -> np.ndarray:
@@ -415,17 +440,20 @@ def _lowest_terms(U: np.ndarray, field: FieldSpec) -> np.ndarray:
 
 
 def _rref(a: np.ndarray, field: FieldSpec):
-    """Gauss-Jordan elimination on integer rows (see ``_integer_rows``).
+    """Gauss-Jordan elimination on a copy of the integer rows a, which span
+    the row space of a over any denominator.
 
     The pivot is the first nonzero entry scanning columns left to right,
     rows top to bottom.  Clearing column c from a row x with pivot row y
     replaces x by piv * x - x[c] * y, put back in lowest terms, so no entry
     is ever divided.  Over GF(p) the pivot has an inverse, so the pivot row
-    is scaled to pivot 1 when it is chosen; over Q each pivot row is divided
-    by its pivot at the end.  The reduced row-echelon form depends only on
+    is scaled to pivot 1 when it is chosen; over Q each pivot row is
+    multiplied at the end by lcm / piv, for the lcm of all pivots, which
+    becomes the denominator.  The reduced row-echelon form depends only on
     the row space, so this gives the same matrix as dividing at every step.
+    Returns (integer rows, pivot columns, denominator).
     """
-    R = _integer_rows(a, field)
+    R = a.copy()
     m, n = R.shape
     pivots = []
     for c in range(n):
@@ -452,19 +480,20 @@ def _rref(a: np.ndarray, field: FieldSpec):
             U -= np.outer(col[mask], R[r])
             R[mask] = _lowest_terms(U, field)
         pivots.append(c)
-    if field.is_finite:
-        return R, pivots
-    d = np.ones((m, 1), dtype=object)
-    d[:len(pivots), 0] = R[np.arange(len(pivots)), pivots]
-    return _fractions(R, d), pivots
+    if field.is_finite or not pivots:
+        return R, pivots, 1
+    piv = R[np.arange(len(pivots)), pivots]
+    den = lcm(*piv)
+    R[:len(pivots)] *= (den // piv)[:, None]
+    return R, pivots, den
 
 
 def rref(A: Matrix) -> RrefResult:
     """Reduced row-echelon form with deterministic first-nonzero pivoting."""
     if A.rows == 0 or A.cols == 0:
         return RrefResult(A, (), 0)
-    R, pivots = _rref(A.data, A.field)
-    return RrefResult(Matrix(A.field, R), tuple(pivots), len(pivots))
+    R, pivots, den = _rref(A.data, A.field)
+    return RrefResult(Matrix(A.field, R, den), tuple(pivots), len(pivots))
 
 
 def rank(A: Matrix) -> int:
@@ -476,13 +505,13 @@ def solve(A: Matrix, b: Sequence) -> Optional[Vector]:
     if len(b) != A.rows:
         raise DimensionMismatch(f"rhs length {len(b)} != rows {A.rows}")
     f = A.field
-    bcol = Matrix(f, f.array(b).reshape(A.rows, 1))
-    R, pivots, rk = rref(A.hstack(bcol))
+    num, d = f.array(b)
+    R, pivots, rk = rref(A.hstack(Matrix(f, num.reshape(A.rows, 1), d)))
     if A.cols in pivots:
         return None
     x = f.zeros(A.cols)
     x[list(pivots)] = R.data[:rk, A.cols]
-    return tuple(x.tolist())
+    return tuple(_scalars(f, x, R.den))
 
 
 @dataclass(frozen=True)
@@ -516,7 +545,13 @@ class Subspace:
         A = Matrix.from_rows(field, vectors, cols=ambient_dim)
         if A.cols != ambient_dim:
             raise DimensionMismatch("spanning vectors have wrong length")
-        return _row_space(A)
+        return Subspace.row_space(A)
+
+    @staticmethod
+    def row_space(A: Matrix) -> "Subspace":
+        """The span of the rows of A, a subspace of k^(A.cols)."""
+        R, pivots, rk = rref(A)
+        return Subspace(A.field, A.cols, Matrix(A.field, R.data[:rk], R.den), pivots)
 
     @property
     def dim(self) -> int:
@@ -529,22 +564,25 @@ class Subspace:
         return self.dim == self.ambient_dim
 
     def _residual(self, w: np.ndarray) -> np.ndarray:
-        """Each row of w minus its projection onto the subspace.
+        """Each integer row of w minus its projection onto the subspace, over
+        the basis denominator times that of w.
 
         The RREF basis is the identity on the pivot columns, so the
         projection has the pivot entries of w as its coordinates.
         """
         if self.dim == 0:
             return w
-        f = self.field
-        return f.reduce(w - _dot(f, w[..., list(self.pivot_cols)], self.basis.data))
+        f, B = self.field, self.basis
+        proj = _dot(f, w[..., list(self.pivot_cols)], B.data)
+        return f.reduce((w if B.den == 1 else w * B.den) - proj)
 
     def reduce_vector(self, v: Sequence) -> Vector:
         """Residual of v after subtracting its projection onto the subspace."""
-        return tuple(self._residual(self.field.array(v)).tolist())
+        num, d = self.field.array(v)
+        return tuple(_scalars(self.field, self._residual(num), d * self.basis.den))
 
     def contains_vector(self, v: Sequence) -> bool:
-        return not any(self.reduce_vector(v))
+        return not np.count_nonzero(self._residual(self.field.array(v)[0]))
 
     def contains_rows(self, A: Matrix) -> bool:
         """Every row of A lies in the subspace."""
@@ -554,9 +592,10 @@ class Subspace:
 
     def coordinates(self, v: Sequence) -> Optional[Vector]:
         """Coordinates of v in the RREF basis, or None if v is outside."""
-        if not self.contains_vector(v):
+        num, d = self.field.array(v)
+        if np.count_nonzero(self._residual(num)):
             return None
-        return tuple(self.field.array(v)[list(self.pivot_cols)].tolist())
+        return tuple(_scalars(self.field, num[list(self.pivot_cols)], d))
 
     def contains(self, other: "Subspace") -> bool:
         self._check_compatible(other)
@@ -567,31 +606,27 @@ class Subspace:
             raise DimensionMismatch("subspaces in different ambient spaces")
 
 
-def _row_space(A: Matrix) -> Subspace:
-    R, pivots, rk = rref(A)
-    return Subspace(A.field, A.cols, Matrix(A.field, R.data[:rk]), pivots)
-
-
 def subspace_sum(U: Subspace, *more: Subspace) -> Subspace:
     """U plus every subspace in ``more``: one reduction of all their basis rows."""
     for V in more:
         U._check_compatible(V)
-    return _row_space(U.basis.vstack(*(V.basis for V in more)))
+    return Subspace.row_space(U.basis.vstack(*(V.basis for V in more)))
 
 
-def _free_column_rows(field: FieldSpec, R: np.ndarray, pivots: tuple, n: int) -> np.ndarray:
+def _free_column_rows(R: Matrix, pivots: tuple, n: int) -> Matrix:
     """One row per non-pivot column c of the RREF rows R: the unit vector at c
     minus column c of R placed at the pivot slots.
 
     These rows span the kernel of R; as a map they project k^n onto the
     non-pivot coordinates with kernel the row space of R.
     """
+    f = R.field
     pivot_set = set(pivots)
     free = [c for c in range(n) if c not in pivot_set]
-    out = field.zeros((len(free), n))
-    out[np.arange(len(free)), free] = field.one()
-    out[:, list(pivots)] = field.reduce(-R[:len(pivots), free].T)
-    return out
+    out = f.zeros((len(free), n))
+    out[np.arange(len(free)), free] = R.den
+    out[:, list(pivots)] = f.reduce(-R.data[:len(pivots), free].T)
+    return Matrix(f, out, R.den)
 
 
 def kernel_basis(A: Matrix) -> Subspace:
@@ -603,7 +638,7 @@ def kernel_basis(A: Matrix) -> Subspace:
     if A.rows == 0:
         return Subspace.full(f, n)
     R, pivots, rk = rref(A)
-    return _row_space(Matrix(f, _free_column_rows(f, R.data, pivots, n)))
+    return Subspace.row_space(_free_column_rows(R, pivots, n))
 
 
 def joint_kernel(field: FieldSpec, dim: int, maps: Sequence[Matrix]) -> Subspace:
@@ -615,7 +650,7 @@ def joint_kernel(field: FieldSpec, dim: int, maps: Sequence[Matrix]) -> Subspace
 
 def image_subspace(A: Matrix) -> Subspace:
     """Column space of A, canonically, as row vectors of length A.rows."""
-    return _row_space(A.transpose())
+    return Subspace.row_space(A.transpose())
 
 
 def quotient_projection(U: Subspace) -> Matrix:
@@ -624,14 +659,11 @@ def quotient_projection(U: Subspace) -> Matrix:
     Coordinates on the quotient are the non-pivot columns of U's basis,
     taken in ascending order (greedy pivot completion).
     """
-    return Matrix(U.field, _free_column_rows(U.field, U.basis.data, U.pivot_cols, U.ambient_dim))
+    return _free_column_rows(U.basis, U.pivot_cols, U.ambient_dim)
 
 
 def embed_free_coordinates(U: Subspace) -> Matrix:
     """Section of quotient_projection: unit columns at the non-pivot slots."""
-    f = U.field
     pivot_set = set(U.pivot_cols)
     free = [c for c in range(U.ambient_dim) if c not in pivot_set]
-    out = f.zeros((U.ambient_dim, len(free)))
-    out[free, np.arange(len(free))] = f.one()
-    return Matrix(f, out)
+    return Matrix.identity(U.field, U.ambient_dim).select_cols(free)

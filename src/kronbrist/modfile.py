@@ -146,6 +146,6 @@ def write_module_file(M: KroneckerModule) -> str:
         out.append(f"alpha {i}")
         if M.dim1 == 0:
             continue  # width-zero rows are omitted, mirroring the parser
-        for row in alpha.data.tolist():
-            out.append(" ".join(_format_entry(x) for x in row))
+        for r in range(M.dim2):
+            out.append(" ".join(_format_entry(x) for x in alpha.row(r)))
     return "\n".join(out) + "\n"

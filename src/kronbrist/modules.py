@@ -13,10 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
-
-import numpy as np
 
 from .linalg import (
     DimensionMismatch,
@@ -24,9 +21,10 @@ from .linalg import (
     InternalCheckFailed,
     Matrix,
     Subspace,
-    block_diag,
+    image_subspace,
     joint_kernel,
     kernel_basis,
+    place_blocks,
     quotient_projection,
     embed_free_coordinates,
     rank,
@@ -110,9 +108,7 @@ def projective_module(n: int, field: FieldSpec, vertex: int) -> KroneckerModule:
         return simple_module(n, field, 2)
     if vertex != 1:
         raise ValueError("vertex must be 1 or 2")
-    alphas = tuple(Matrix.from_rows(field, [[field.one() if r == i else field.zero()]
-                                            for r in range(n)], cols=1)
-                   for i in range(n))
+    alphas = tuple(Matrix.identity(field, n).col_block(i, i + 1) for i in range(n))
     return KroneckerModule(n, field, 1, n, alphas)
 
 
@@ -122,9 +118,7 @@ def injective_module(n: int, field: FieldSpec, vertex: int) -> KroneckerModule:
         return simple_module(n, field, 1)
     if vertex != 2:
         raise ValueError("vertex must be 1 or 2")
-    alphas = tuple(Matrix.from_rows(field, [[field.one() if c == i else field.zero()
-                                             for c in range(n)]], cols=n)
-                   for i in range(n))
+    alphas = tuple(Matrix.identity(field, n).col_block(i, i + 1).transpose() for i in range(n))
     return KroneckerModule(n, field, n, 1, alphas)
 
 
@@ -145,7 +139,7 @@ class Morphism:
             raise DimensionMismatch("f1 shape mismatch")
         if (self.f2.rows, self.f2.cols) != (N.dim2, M.dim2):
             raise DimensionMismatch("f2 shape mismatch")
-        if not _intertwine(M, N, self.f1.data[None], self.f2.data[None]):
+        if not _intertwine(M, N, self.f1, self.f2):
             raise ValueError("matrices do not intertwine the structure maps")
 
     @classmethod
@@ -161,21 +155,18 @@ class Morphism:
         return self.f1.is_zero() and self.f2.is_zero()
 
 
-def _intertwine(M: KroneckerModule, N: KroneckerModule, F1: np.ndarray, F2: np.ndarray) -> bool:
-    """Whether F2[j] aM_i = aN_i F1[j] for every arrow i and every j < k.
+def _intertwine(M: KroneckerModule, N: KroneckerModule, F1: Matrix, F2: Matrix, k: int = 1) -> bool:
+    """Whether F2_j aM_i = aN_i F1_j for every arrow i and every j < k.
 
-    F1 and F2 are stacks of k pairs, shapes (k, N.dim1, M.dim1) and
-    (k, N.dim2, M.dim2).  All k pairs are checked with two products,
-    [F2_1; ...; F2_k] [aM_1 | ... | aM_n] against
-    [aN_1; ...; aN_n] [F1_1 | ... | F1_k], compared block by block.
+    F1 = [F1_1; ...; F1_k] and F2 = [F2_1; ...; F2_k] stack k pairs.  All k
+    pairs are checked with two products, [F2_1; ...; F2_k] [aM_1 | ... | aM_n]
+    against [aN_1; ...; aN_n] [F1_1 | ... | F1_k], compared block by block.
     """
-    f, k, n = M.field, len(F1), M.n
+    if k == 0:
+        return True
     aM = M.alphas[0].hstack(*M.alphas[1:])
     aN = N.alphas[0].vstack(*N.alphas[1:])
-    left = Matrix(f, F2.reshape(k * N.dim2, M.dim2)) @ aM
-    right = aN @ Matrix(f, F1.transpose(1, 0, 2).reshape(N.dim1, k * M.dim1))
-    return bool((left.data.reshape(k, N.dim2, n, M.dim1).transpose(0, 2, 1, 3)
-                 == right.data.reshape(n, N.dim2, k, M.dim1).transpose(2, 0, 1, 3)).all())
+    return F2 @ aM == (aN @ F1.transpose_blocks(k, 1)).transpose_blocks(M.n, k)
 
 
 def identity_morphism(M: KroneckerModule) -> Morphism:
@@ -204,7 +195,7 @@ class SubmodulePair:
             return  # every image lies in the full space: nothing can fail
         # one product: row r of U1 times [a_1; ...; a_n]^T holds a_1 u_r, ..., a_n u_r
         images = self.U1.basis @ M.alphas[0].vstack(*M.alphas[1:]).transpose()
-        if not self.U2.contains_rows(Matrix(M.field, images.data.reshape(-1, M.dim2))):
+        if not self.U2.contains_rows(images.reshape(-1, M.dim2)):
             raise NotSubmodule("not a submodule: subspaces not closed under the maps")
 
     @property
@@ -251,25 +242,25 @@ def hom_dim(M: KroneckerModule, N: KroneckerModule) -> int:
     return t - rank(_hom_system(M, N))
 
 
-def hom_basis(M: KroneckerModule, N: KroneckerModule) -> list:
-    """Canonical basis of the space of morphisms M -> N.
-
-    One intertwining guard covers the whole basis; a mismatch is a bug in
-    the Hom system or the kernel, so it raises InternalCheckFailed.
-    """
+def _hom_stacks(M: KroneckerModule, N: KroneckerModule):
+    """(k, [F1_1; ...; F1_k], [F2_1; ...; F2_k]) for the canonical basis
+    (F1_j, F2_j) of the morphisms M -> N.  One intertwining guard covers the
+    whole basis; a mismatch is a bug in the Hom system or the kernel, so it
+    raises InternalCheckFailed."""
     _check_same_category(M, N)
-    t1 = N.dim1 * M.dim1
-    t2 = N.dim2 * M.dim2
-    if t1 + t2 == 0:
-        return []
-    ker = kernel_basis(_hom_system(M, N)).basis.data
-    k = len(ker)
-    F1 = ker[:, :t1].reshape(k, N.dim1, M.dim1)
-    F2 = ker[:, t1:].reshape(k, N.dim2, M.dim2)
-    if not _intertwine(M, N, F1, F2):
+    ker = kernel_basis(_hom_system(M, N)).basis
+    k, t1 = ker.rows, N.dim1 * M.dim1
+    F1 = ker.col_block(0, t1).reshape(k * N.dim1, M.dim1)
+    F2 = ker.col_block(t1, ker.cols).reshape(k * N.dim2, M.dim2)
+    if not _intertwine(M, N, F1, F2, k):
         raise InternalCheckFailed("a Hom basis element does not intertwine the structure maps")
-    f = M.field
-    return [Morphism._checked(M, N, Matrix(f, f1), Matrix(f, f2)) for f1, f2 in zip(F1, F2)]
+    return k, F1, F2
+
+
+def hom_basis(M: KroneckerModule, N: KroneckerModule) -> list:
+    """Canonical basis of the space of morphisms M -> N."""
+    k, F1, F2 = _hom_stacks(M, N)
+    return [Morphism._checked(M, N, f1, f2) for f1, f2 in zip(F1.split_rows(k), F2.split_rows(k))]
 
 
 def end_dim(M: KroneckerModule) -> int:
@@ -304,34 +295,31 @@ def ext1_dim_via_resolution(M: KroneckerModule, N: KroneckerModule) -> int:
     P0 = direct_sum_list(blocks)
     # evaluation P0 -> M: generator of the i-th P(1) copy goes to basis vector i,
     # so that copy's j-th vertex-2 vector goes to alpha_j e_i (column i*n + j)
-    eps1 = Matrix.identity(f, m1)
-    images = np.stack([a.data for a in M.alphas], axis=2).reshape(m2, m1 * n)
-    eps2 = Matrix(f, images).hstack(Matrix.identity(f, m2))
-    eps = Morphism(P0, M, eps1, eps2)
+    images = Matrix.hstack(*(a.transpose() for a in M.alphas)).reshape(m1 * n, m2).transpose()
+    eps = Morphism(P0, M, Matrix.identity(f, m1), images.hstack(Matrix.identity(f, m2)))
     ker_pair = SubmodulePair(P0, kernel_basis(eps.f1), kernel_basis(eps.f2))
     P1, incl = submodule_as_module(P0, ker_pair)
-    h0 = hom_basis(P0, N)
-    h1_dim = hom_dim(P1, N)
-    composed = [compose(g, incl) for g in h0]
-    amb = N.dim1 * P1.dim1 + N.dim2 * P1.dim2
-    vecs = [g.f1.entries_flat() + g.f2.entries_flat() for g in composed]
-    img = Subspace.from_spanning(f, amb, vecs) if amb else Subspace.zero(f, 0)
-    return h1_dim - img.dim
+    # g . incl for the k basis elements g of Hom(P0, N), stacked; no guard: P1
+    # sits at vertex 2, so any pair of maps intertwines its zero-width maps
+    k, G1, G2 = _hom_stacks(P0, N)
+    img = (G1 @ incl.f1).reshape(k, N.dim1 * P1.dim1).hstack(
+        (G2 @ incl.f2).reshape(k, N.dim2 * P1.dim2))
+    return hom_dim(P1, N) - rank(img)
 
 
 # -- trace submodules and generation -----------------------------------------
 
 def trace_submodule(generators: Sequence[KroneckerModule], M: KroneckerModule) -> SubmodulePair:
-    """Sum of images of every morphism from the generators into M."""
-    v1, v2 = [], []
+    """Sum of images of every morphism from the generators into M: at each
+    vertex the column space of [F_1 | ... | F_k] over every Hom basis."""
+    images1, images2 = [Matrix.zeros(M.field, M.dim1, 0)], [Matrix.zeros(M.field, M.dim2, 0)]
     for G in generators:
-        _check_same_category(G, M)
-        for fm in hom_basis(G, M):
-            v1.extend(fm.f1.transpose().data)
-            v2.extend(fm.f2.transpose().data)
-    return SubmodulePair(M,
-                         Subspace.from_spanning(M.field, M.dim1, v1),
-                         Subspace.from_spanning(M.field, M.dim2, v2))
+        k, F1, F2 = _hom_stacks(G, M)
+        if k:
+            images1.append(F1.transpose_blocks(k, 1))
+            images2.append(F2.transpose_blocks(k, 1))
+    return SubmodulePair(M, image_subspace(Matrix.hstack(*images1)),
+                         image_subspace(Matrix.hstack(*images2)))
 
 
 def is_generated_by(generators: Sequence[KroneckerModule], M: KroneckerModule) -> bool:
@@ -385,10 +373,7 @@ def layers(M: KroneckerModule) -> Layers:
     """Socle (cap of kernels, all of M2), radical (0, sum of images), tops."""
     f = M.field
     soc1 = joint_kernel(f, M.dim1, M.alphas)
-    rad_vecs = []
-    for a in M.alphas:
-        rad_vecs.extend(a.transpose().data)
-    rad2 = Subspace.from_spanning(f, M.dim2, rad_vecs)
+    rad2 = image_subspace(Matrix.hstack(*M.alphas))
     socle = SubmodulePair(M, soc1, Subspace.full(f, M.dim2))
     radical = SubmodulePair(M, Subspace.zero(f, M.dim1), rad2)
     return Layers(socle, radical,
@@ -400,16 +385,16 @@ def is_faithful(M: KroneckerModule) -> bool:
     """Both spaces nonzero and the structure maps linearly independent."""
     if M.dim1 == 0 or M.dim2 == 0:
         return False
-    flat = Matrix.from_rows(M.field, [a.entries_flat() for a in M.alphas],
-                            cols=M.dim1 * M.dim2)
-    return rank(flat) == M.n
+    return rank(Matrix.vstack(*(a.reshape(1, -1) for a in M.alphas))) == M.n
 
 
 # -- sums, submodules, quotients ---------------------------------------------
 
 def direct_sum(M: KroneckerModule, N: KroneckerModule) -> KroneckerModule:
     _check_same_category(M, N)
-    alphas = tuple(block_diag(M.field, [a, b]) for a, b in zip(M.alphas, N.alphas))
+    alphas = tuple(place_blocks(M.field, a.rows + b.rows, a.cols + b.cols,
+                                [(0, 0, a), (a.rows, a.cols, b)])
+                   for a, b in zip(M.alphas, N.alphas))
     return KroneckerModule(M.n, M.field, M.dim1 + N.dim1, M.dim2 + N.dim2, alphas)
 
 
@@ -431,7 +416,7 @@ def submodule_as_module(M: KroneckerModule, U: SubmodulePair):
         if not U.U2.contains_rows(images):
             raise NotSubmodule("not a submodule: image leaves the subspace")
         # coordinates in the RREF basis of U2 are the entries at its pivots
-        alphas.append(Matrix(f, images.data[:, list(U.U2.pivot_cols)].T))
+        alphas.append(images.select_cols(U.U2.pivot_cols).transpose())
     sub = KroneckerModule(M.n, f, U.U1.dim, U.U2.dim, tuple(alphas))
     incl = Morphism(sub, M, U.U1.basis.transpose(), U.U2.basis.transpose())
     return sub, incl
@@ -494,11 +479,9 @@ def find_isomorphism(M: KroneckerModule, N: KroneckerModule,
         return IsoResult(NON_ISO)  # nonzero modules with Hom = 0 on both sides
     rng = rng if rng is not None else random.Random(0xA11CE)
     f = M.field
+    lo, hi = (0, f.characteristic) if f.is_finite else (-4, 5)
     for _ in range(attempts):
-        if f.is_finite:
-            coeffs = [rng.randrange(f.characteristic) for _ in basis]
-        else:
-            coeffs = [Fraction(rng.randrange(-4, 5)) for _ in basis]
+        coeffs = [rng.randrange(lo, hi) for _ in basis]
         f1 = Matrix.zeros(f, N.dim1, M.dim1)
         f2 = Matrix.zeros(f, N.dim2, M.dim2)
         for c, bm in zip(coeffs, basis):
@@ -519,14 +502,12 @@ def random_module(n: int, field: FieldSpec, rng: random.Random,
     """Uniform random module with dims in [0, max]; optionally one map zeroed."""
     d1 = rng.randrange(max_dim1 + 1)
     d2 = rng.randrange(max_dim2 + 1)
+    lo, hi = (0, field.characteristic) if field.is_finite else (-3, 4)
     alphas = []
     for i in range(n):
         if i == zero_map_index:
             alphas.append(Matrix.zeros(field, d2, d1))
             continue
-        if field.is_finite:
-            rows = [[rng.randrange(field.characteristic) for _ in range(d1)] for _ in range(d2)]
-        else:
-            rows = [[Fraction(rng.randrange(-3, 4)) for _ in range(d1)] for _ in range(d2)]
+        rows = [[rng.randrange(lo, hi) for _ in range(d1)] for _ in range(d2)]
         alphas.append(Matrix.from_rows(field, rows, cols=d1))
     return KroneckerModule(n, field, d1, d2, tuple(alphas))

@@ -51,7 +51,7 @@ from .cover import (
     y_component,
 )
 from .families import INF, n2_bristle_generator, n2_bristle_index_to_point, n2_preinjective, preinjective
-from .linalg import FieldSpec, Matrix, Subspace, kernel_basis, rank, subspace_sum
+from .linalg import FieldSpec, Matrix, Subspace, kernel_basis, place_blocks, rank, subspace_sum
 from .modules import (
     ISO,
     KroneckerModule,
@@ -638,13 +638,11 @@ def _scn_indecomposable_generator(cfg: ScenarioConfig) -> List[Check]:
     found = None
     for _ in range(cfg.attempts):
         xi = [[rng.randrange(f.order) for _ in range(C.dim1)] for _ in range(n)]
-        alphas = []
-        for i in range(n):
-            rows = [list(A.alphas[i].row(0)) + xi[i]]
-            for r in range(C.dim2):
-                rows.append([f.zero()] + list(C.alphas[i].row(r)))
-            alphas.append(Matrix.from_rows(f, rows, cols=1 + C.dim1))
-        E = KroneckerModule(n, f, 1 + C.dim1, 1 + C.dim2, tuple(alphas))
+        # alpha_i = [A_i xi_i; 0 C_i]: A on top, C below, xi the extension
+        alphas = tuple(place_blocks(f, 1 + C.dim2, 1 + C.dim1, [
+            (0, 0, A.alphas[i]), (0, 1, Matrix.from_rows(f, [xi[i]])), (1, 1, C.alphas[i])])
+            for i in range(n))
+        E = KroneckerModule(n, f, 1 + C.dim1, 1 + C.dim2, alphas)
         if end_dim(E) == 1:
             found = E
             break

@@ -35,7 +35,7 @@ from kronbrist.cover import (
     y_component,
 )
 from kronbrist.families import preinjective
-from kronbrist.linalg import GF, DimensionMismatch, Subspace
+from kronbrist.linalg import GF, QQ, DimensionMismatch, Subspace
 from kronbrist.modules import (
     ISO,
     NotSubmodule,
@@ -282,6 +282,36 @@ class TestEqualities:
     def test_all_pass(self, n, field):
         for key, ok in verify_cover_equalities(n, field):
             assert ok, (n, str(field), key)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+class TestOverRationals:
+    """The push-down layout and the cover Hom system place blocks over one
+    denominator; over Q the same identities hold as over GF(p)."""
+
+    def test_equalities_hold(self, n):
+        for key, ok in verify_cover_equalities(n, QQ):
+            assert ok, (n, key)
+
+    def test_ball_pushes_to_second_preinjective(self, n):
+        M = push_down(build_ball_rep(n, QQ))
+        assert find_isomorphism(M, preinjective(n, 2, QQ)).status == ISO
+
+    def test_path_bristle_image_identity(self, n):
+        X = build_ball_rep(n, QQ)
+        pushed = push_down(X)
+        for i in range(1, n + 1):
+            for j in range(i + 1, n + 1):
+                pair, gen = extract_mij(X, i, j, pushed)
+                img_i = pushed.alphas[i - 1].apply(gen)
+                assert img_i == pushed.alphas[j - 1].apply(gen) and any(img_i)
+                assert pair.dims == (1, 1)
+
+    def test_cover_hom_dim_matches_gf5(self, n):
+        X, Y = build_ball_rep(n, QQ), build_mu_bristle_rep(n, QQ)
+        X5, Y5 = build_ball_rep(n, F5), build_mu_bristle_rep(n, F5)
+        assert cover_hom_dim(Y, X) == cover_hom_dim(Y5, X5)
+        assert cover_hom_dim(X, X) == cover_hom_dim(X5, X5)
 
 
 class TestCoverHom:

@@ -1,8 +1,10 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used in that module, and only
+``linalg`` imports numpy.
 
 No linter is a declared dependency, so this walks the syntax tree with the
-standard library.  ``__init__.py`` is exempt: its imports are the public
-re-exports.  ``from __future__`` imports are compiler directives.
+standard library.  ``__init__.py`` is exempt from the unused-import check:
+its imports are the public re-exports.  ``from __future__`` imports are
+compiler directives.
 """
 
 from __future__ import annotations
@@ -37,3 +39,29 @@ def test_guard_flags_an_unused_import():
 @pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py"))
 def test_no_unused_imports(path):
     assert unused_imports((SRC / path).read_text(encoding="utf-8")) == []
+
+
+def imported_packages(source: str) -> set:
+    """Top-level names of the absolute imports in ``source``."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            out.add(node.module.split(".")[0])
+    return out
+
+
+def test_guard_sees_every_form_of_numpy_import():
+    for src in ("import numpy as np\n", "import numpy.linalg\n", "from numpy import zeros\n",
+                "def f():\n    import numpy\n"):
+        assert "numpy" in imported_packages(src)
+    assert "numpy" not in imported_packages("from .linalg import numpy_like\n")
+
+
+def test_only_linalg_imports_numpy():
+    """The integer-over-denominator matrix format is known to linalg alone:
+    every other module works through Matrix and Subspace."""
+    importers = [p.name for p in sorted(SRC.glob("*.py"))
+                 if "numpy" in imported_packages(p.read_text(encoding="utf-8"))]
+    assert importers == ["linalg.py"]

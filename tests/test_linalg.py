@@ -24,6 +24,7 @@ from kronbrist.linalg import (
     is_prime,
     joint_kernel,
     kernel_basis,
+    place_blocks,
     quotient_projection,
     rank,
     rref,
@@ -90,7 +91,8 @@ class TestFieldSpec:
         assert f.normalize(Fraction(1, 2)) == 3  # 2 * 3 = 1 mod 5
         assert f.normalize(Fraction(-7, 3)) == 1  # -7 * 2 = -14 = 1 mod 5
         assert Matrix.from_rows(f, [[Fraction(1, 2)]]) == Matrix.from_rows(f, [[3]])
-        assert f.array([Fraction(1, 2), 2**70, -1]).tolist() == [3, 2**70 % 5, 4]
+        num, den = f.array([Fraction(1, 2), 2**70, -1])
+        assert num.tolist() == [3, 2**70 % 5, 4] and den == 1
 
     @pytest.mark.parametrize("bad", [Fraction(1, 5), 2.5, 3.0])
     def test_non_elements_of_gf_p_refused(self, bad):
@@ -309,7 +311,7 @@ class TestSubspaces:
         A = Matrix.from_rows(QQ, [[Fraction(1, 3), Fraction(1, 2)], [1, 1]])
         R, pivots, rk = rref(A)
         assert rk == 2
-        assert all(isinstance(x, Fraction) for row in R.data for x in row)
+        assert all(isinstance(x, Fraction) for x in R.entries_flat())
 
 
 def _assert_fractions_in_lowest_terms(M: Matrix):
@@ -321,10 +323,9 @@ def _assert_fractions_in_lowest_terms(M: Matrix):
 class TestRationalEntryTypes:
     """Over Q every entry leaving linalg is a Fraction in lowest terms.
 
-    The rational path computes on integer numerators.  An int left in an
-    object array would pass the dtype check of Matrix, but a report renders
-    it as a JSON number where the equal Fraction is a string, and the next
-    product over Q, which reads entries as Fractions, would fail on it.
+    The rational path computes on integer numerators over one denominator.
+    An int leaving linalg where a Fraction is due would render in a report
+    as a JSON number where the equal Fraction is a string.
     """
 
     A = Matrix.from_rows(QQ, [[Fraction(2, 3), Fraction(-1, 6), 0, 4],
@@ -350,7 +351,57 @@ class TestRationalEntryTypes:
                   self.A.scale(np.int64(6))):
             _assert_fractions_in_lowest_terms(M)
         assert self.A.scale(-1).scale(-1) == self.A
-        assert self.A.kron(self.B).data[0, 0] == Fraction(2, 3)
+        assert self.A.kron(self.B).entries_flat()[0] == Fraction(2, 3)
+
+
+class TestIntegerFormat:
+    """Over Q a Matrix is Python ints over one positive denominator, in
+    lowest terms from construction on; stacking and placement bring their
+    parts to the lcm of the denominators."""
+
+    def test_raw_integer_object_array_multiplies(self):
+        A = Matrix(QQ, np.array([[1, 2]], dtype=object))
+        B = Matrix(QQ, np.array([[3], [1]], dtype=object), 4)
+        assert (A @ B).entries_flat() == (Fraction(5, 4),)
+        assert A @ B == Matrix.from_rows(QQ, [[Fraction(5, 4)]])
+
+    @pytest.mark.parametrize("bad", [Fraction(1, 2), 0.5, 2.0])
+    def test_raw_non_integer_entries_refused(self, bad):
+        with pytest.raises(ValueError, match="integers"):
+            Matrix(QQ, np.array([[1, bad]], dtype=object))
+
+    @pytest.mark.parametrize("den", [0, -2, 0.5])
+    def test_bad_denominator_refused(self, den):
+        with pytest.raises(ValueError):
+            Matrix(QQ, np.array([[1, 2]], dtype=object), den)
+
+    def test_lowest_terms_at_construction(self):
+        A = Matrix(QQ, np.array([[2, 4]], dtype=object), 6)
+        assert (A.data.tolist(), A.den) == ([[1, 2]], 3)
+        B = Matrix.from_rows(QQ, [[Fraction(1, 3), Fraction(2, 3)]])
+        assert A == B and hash(A) == hash(B)
+        assert Matrix(QQ, np.zeros((2, 2), dtype=object), 7).den == 1
+        assert B.scale(3) == Matrix.from_rows(QQ, [[1, 2]])
+        assert B.scale(3).den == 1
+
+    def test_parts_brought_to_one_denominator(self):
+        half = Matrix.from_rows(QQ, [[Fraction(1, 2), 1]])
+        third = Matrix.from_rows(QQ, [[Fraction(1, 3), 0]])
+        h, t = Fraction(1, 2), Fraction(1, 3)
+        assert half.vstack(third) == Matrix.from_rows(QQ, [[h, 1], [t, 0]])
+        assert half.hstack(third) == Matrix.from_rows(QQ, [[h, 1, t, 0]])
+        assert half + third == Matrix.from_rows(QQ, [[h + t, 1]])
+        placed = place_blocks(QQ, 2, 3, [(0, 0, half), (1, 1, third)])
+        assert placed == Matrix.from_rows(QQ, [[h, 1, 0], [0, t, 0]])
+
+    def test_reshape_and_block_transpose(self):
+        f = GF(7)
+        A = Matrix.from_rows(f, [[1, 2], [3, 4], [5, 6], [0, 1]])  # [A1; A2], 2 x 2 each
+        assert A.reshape(2, 4) == Matrix.from_rows(f, [[1, 2, 3, 4], [5, 6, 0, 1]])
+        assert A.transpose_blocks(2, 1) == Matrix.from_rows(f, [[1, 2, 5, 6], [3, 4, 0, 1]])
+        assert A.transpose_blocks(2, 1).transpose_blocks(1, 2) == A
+        assert [B.rows for B in A.split_rows(2)] == [2, 2]
+        assert A.split_rows(2)[1] == Matrix.from_rows(f, [[5, 6], [0, 1]])
 
 
 class TestMatrixValue:

@@ -139,10 +139,10 @@ def _guard_pair(field, wrong_arrow=None):
     f2 = mat(4, 3)
     a_n = []
     for i, a in enumerate(a_m):
-        first = (f2 @ a).data.copy()
+        first = [list((f2 @ a).row(r)) for r in range(4)]
         if i == wrong_arrow:
-            first[3, 1] += 1  # one entry off, in the last row
-        a_n.append(Matrix.from_rows(field, first.tolist()).hstack(mat(4, 1)))
+            first[3][1] += 1  # one entry off, in the last row
+        a_n.append(Matrix.from_rows(field, first).hstack(mat(4, 1)))
     M = KroneckerModule(3, field, 2, 3, tuple(a_m))
     N = KroneckerModule(3, field, 3, 4, tuple(a_n))
     return M, N, f1, f2
@@ -302,6 +302,27 @@ class TestTranslation:
             back = ar_translate(ar_translate(M, "tau"), "tau-")
             assert back.dims == M.dims
             assert find_isomorphism(M, back).status == ISO
+
+    @pytest.mark.parametrize("field", [F2, GF(3), QQ], ids=str)
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_round_trip_on_random_modules_drops_projectives(self, n, field):
+        """tau kills the projective summands, P(1) of dims (1, n) and S(2) of
+        dims (0, 1), and tau- tau gives back the rest: dims(M) minus
+        dims(tau- tau M) is a (1, n) + b (0, 1) with a, b >= 0."""
+        rng = random.Random(100 * n + field.characteristic)
+        for _ in range(6):
+            M = random_module(n, field, rng, 3, 4)
+            back = ar_translate(ar_translate(M, "tau"), "tau-")
+            a = M.dim1 - back.dim1
+            assert a >= 0 and M.dim2 - back.dim2 - n * a >= 0, (M.dims, back.dims)
+
+    @pytest.mark.parametrize("field", [GF(3), QQ], ids=str)
+    def test_round_trip_strips_projective_summands(self, field):
+        X = direct_sum(ar_translate(B([1, 0, 0], field), "tau"), preinjective(3, 2, field))
+        M = direct_sum(direct_sum(X, projective_module(3, field, 1)), simple_module(3, field, 2))
+        back = ar_translate(ar_translate(M, "tau"), "tau-")
+        assert back.dims == X.dims
+        assert find_isomorphism(X, back).status == ISO
 
     def test_dims_follow_lattice_transform(self):
         for t in range(4):

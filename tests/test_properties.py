@@ -122,8 +122,8 @@ def test_rref_over_q_matches_sympy(rows):
     R, pivots, rk = rref(Matrix.from_rows(QQ, rows))
     S, sympy_pivots = sympy.Matrix(rows).rref()
     assert pivots == tuple(sympy_pivots) and rk == len(pivots)
-    assert R.data.tolist() == [[Fraction(int(x.p), int(x.q)) for x in S.row(i)]
-                               for i in range(S.rows)]
+    assert [list(R.row(i)) for i in range(R.rows)] == \
+        [[Fraction(int(x.p), int(x.q)) for x in S.row(i)] for i in range(S.rows)]
 
 
 @PROPERTY

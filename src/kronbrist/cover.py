@@ -34,12 +34,13 @@ from .linalg import (
     FieldSpec,
     Matrix,
     Subspace,
+    intertwining_system,
     joint_kernel,
     place_blocks,
     rank,
     subspace_sum,
 )
-from .modules import KroneckerModule, NotSubmodule, SubmodulePair, intertwining_blocks
+from .modules import KroneckerModule, NotSubmodule, SubmodulePair
 
 TreeVertex = Tuple[int, ...]
 
@@ -377,21 +378,17 @@ def cover_hom_dim(X: CoverRep, Y: CoverRep) -> int:
     for v in common:
         offsets[v] = total
         total += X.spaces[v] * Y.spaces[v]
-    blocks, rows = [], 0
+    terms, rows = [], 0
     sources = {v for v in set(X.spaces) | set(Y.spaces) if vertex_class(v) == 1}
     for v in sorted(sources, key=lambda u: (len(u), u)):
         for label in range(1, X.n + 1):
             w = neighbor(v, label)
             if Y.dim(w) == 0 or X.dim(v) == 0:
                 continue
-            # phi_w Ax = Ay phi_v in the vertex maps phi_v and phi_w; a block
-            # without columns belongs to a vertex outside the common support
-            for u, block in zip((v, w), intertwining_blocks(X.arrow(v, label),
-                                                            Y.arrow(v, label))):
-                if block.cols:
-                    blocks.append((rows, offsets[u], block))
+            # phi_w Ax = Ay phi_v in the vertex maps phi_v and phi_w
+            terms.append((rows, offsets.get(v), offsets.get(w), X.arrow(v, label), Y.arrow(v, label)))
             rows += Y.dim(w) * X.dim(v)
-    return total - rank(place_blocks(X.field, rows, total, blocks))
+    return total - rank(intertwining_system(X.field, rows, total, terms))
 
 
 def cover_bristle_at(n: int, field: FieldSpec, v: TreeVertex, label: int) -> CoverRep:

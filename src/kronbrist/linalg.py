@@ -2,21 +2,21 @@
 
 Everything here is exact.  A ``Matrix`` is one read-only integer numpy
 array over one positive denominator, in the same format for both fields:
-over GF(p) int64 entries reduced into [0, p) over 1; over Q an object array
-of Python ints, put in lowest terms with its denominator at construction
-so that equal matrices hold equal integers.  Fractions and integers are
-converted only on the way in (``FieldSpec.array``, ``from_rows``) and out:
-entries leave (``row``, ``apply``, ``solve``, coordinates) as Python ``int``
-or ``Fraction``, never as numpy scalars.  Values are immutable and
-operations pure, so they are safe to use from concurrent contexts.
+over GF(p) int64 in [0, p) over 1; over Q an object array of Python ints
+in lowest terms with its denominator, so equal matrices hold equal
+integers.  Entries are converted only on the way in (``FieldSpec.array``,
+``from_rows``; a raw ``Matrix(...)`` is checked) and out (``row``,
+``apply``, ``solve``, coordinates: Python ``int`` or ``Fraction``, never
+numpy scalars).  Values are immutable and operations pure.
 
 Each operation is one integer expression for both fields.  A product
 multiplies the arrays and the denominators; stacking and block placement
-first bring their parts to the lcm of the denominators.  One elimination
-routine never divides mid-way: it clears a column from a row x with pivot
-row y as piv * x - x[c] * y and puts each updated row back in lowest
-terms: reduced mod p over GF(p), divided by the gcd of its entries over
-Q.  Over Q the pivot rows are brought to the lcm of the pivots at the end.
+bring their parts to the lcm of the denominators; ``intertwining_system``,
+the one Hom-system builder, writes only nonzeros into a zero array.  One
+elimination routine never divides mid-way: it clears a column from a row x
+with pivot row y as piv * x - x[c] * y and puts each updated row back in
+lowest terms: reduced mod p over GF(p), divided by the gcd of its entries
+over Q.  Over Q the pivot rows are brought to the lcm of the pivots.
 
 Over GF(p) every intermediate product stays below p^2 < 2^62, so int64
 arithmetic is exact; a matrix product switches to Python integers once a
@@ -250,11 +250,11 @@ class Matrix:
     """Immutable dense matrix: the read-only 2-d integer array ``data`` over
     the positive denominator ``den``.
 
-    Over GF(p) ``data`` is int64 reduced mod p and ``den`` is 1.  Over Q
-    ``data`` is an object array of Python ints, and construction divides
-    ``data`` and ``den`` by their gcd; an entry that is not an integer (a
-    Fraction or a float) is refused with ValueError.  Both parts are then
-    canonical, so equality and hashing go by field, shape and value.
+    Over GF(p) ``data`` is int64 in [0, p) and ``den`` is 1.  Over Q ``data``
+    is an object array of Python ints, divided with ``den`` by their gcd.
+    Both parts are canonical, so equality and hashing go by value.  An array
+    from outside (``Matrix(...)``) with an entry outside [0, p), or over Q
+    not an integer, is refused with ValueError; linalg's results skip that.
     """
 
     field: FieldSpec
@@ -262,25 +262,37 @@ class Matrix:
     den: int = 1
 
     def __post_init__(self):
-        a, den = self.data, self.den
-        if a.ndim != 2 or a.dtype != self.field.dtype:
+        a, den, f = self.data, self.den, self.field
+        if a.ndim != 2 or a.dtype != f.dtype:
             raise ValueError("matrix data must be a 2-d array of the field's dtype")
-        if self.field.is_finite:
+        if f.is_finite:
             if den != 1:
                 raise ValueError("a matrix over GF(p) has denominator 1")
+            if a.size and not (0 <= a.min() and a.max() < f.characteristic):
+                raise ValueError(f"entries of a matrix over {f} lie in [0, {f.characteristic})")
         else:
             try:  # operator.index refuses a Fraction, a float, a string
                 a, den = _as_int(a), operator.index(den)
-                g = gcd(den, *a.flat)
             except TypeError:
                 raise ValueError("a matrix over Q holds integers over an integer denominator") from None
             if den <= 0:
                 raise ValueError(f"denominator must be positive, got {den}")
-            if g > 1:
-                a, den = a // g, den // g
-            object.__setattr__(self, "data", a)
-            object.__setattr__(self, "den", den)
+        self._set(a, den)
+
+    @classmethod
+    def _of(cls, field: FieldSpec, data: np.ndarray, den: int = 1, lowest: bool = True) -> "Matrix":
+        """Integers linalg computed, unchecked; a rearrangement skips the gcd (``lowest=False``)."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "field", field)
+        m._set(data, den, lowest)
+        return m
+
+    def _set(self, a: np.ndarray, den: int, lowest: bool = True):
+        if lowest and den != 1 and (g := gcd(den, *a.flat)) > 1:  # over 1 the gcd is 1
+            a, den = a // g, den // g
         a.flags.writeable = False
+        object.__setattr__(self, "data", a)
+        object.__setattr__(self, "den", den)
 
     @property
     def rows(self) -> int:
@@ -310,39 +322,40 @@ class Matrix:
         data, den = field.array(rows)
         if data.ndim != 2:
             raise ValueError("matrix rows differ in length")
-        return Matrix(field, data, den)
+        return Matrix._of(field, data, den)
 
     @staticmethod
     def zeros(field: FieldSpec, rows: int, cols: int) -> "Matrix":
-        return Matrix(field, field.zeros((rows, cols)))
+        return Matrix._of(field, field.zeros((rows, cols)))
 
     @staticmethod
     def identity(field: FieldSpec, n: int) -> "Matrix":
         a = field.zeros((n, n))
         np.fill_diagonal(a, 1)
-        return Matrix(field, a)
+        return Matrix._of(field, a)
 
     # -- shape helpers -----------------------------------------------------
 
-    def _with(self, data: np.ndarray) -> "Matrix":
-        """Entries of this matrix rearranged, over the same denominator."""
-        return Matrix(self.field, data, self.den)
+    def _with(self, data: np.ndarray, lowest: bool = True) -> "Matrix":
+        """Entries of this matrix selected or rearranged, over the same denominator."""
+        return Matrix._of(self.field, data, self.den, lowest)
 
     def row(self, i: int) -> Vector:
         return tuple(_scalars(self.field, self.data[i], self.den))
 
     def transpose(self) -> "Matrix":
-        return self._with(self.data.T)
+        return self._with(self.data.T, lowest=False)
 
     def reshape(self, rows: int, cols: int) -> "Matrix":
         """The entries in row-major order read into rows x cols (one may be -1)."""
-        return self._with(self.data.reshape(rows, cols))
+        return self._with(self.data.reshape(rows, cols), lowest=False)
 
     def transpose_blocks(self, a: int, b: int) -> "Matrix":
         """This matrix as an a x b grid of equal blocks, with the grid
         transposed and every block kept: block (i, j) moves to (j, i)."""
         r, c = self.rows // a, self.cols // b
-        return self._with(self.data.reshape(a, r, b, c).transpose(2, 1, 0, 3).reshape(b * r, a * c))
+        grid = self.data.reshape(a, r, b, c).swapaxes(0, 2)
+        return self._with(grid.reshape(b * r, a * c), lowest=False)
 
     def split_rows(self, k: int) -> list:
         """The k blocks of equal height that stack to this matrix."""
@@ -359,40 +372,31 @@ class Matrix:
         if any(o.rows != self.rows or o.field != self.field for o in others):
             raise DimensionMismatch("hstack shape/field mismatch")
         arrays, den = _numerators(self.field, (self,) + others)
-        return Matrix(self.field, np.hstack(arrays), den)
+        return Matrix._of(self.field, np.hstack(arrays), den)
 
     def vstack(self, *others: "Matrix") -> "Matrix":
         if any(o.cols != self.cols or o.field != self.field for o in others):
             raise DimensionMismatch("vstack shape/field mismatch")
         arrays, den = _numerators(self.field, (self,) + others)
-        return Matrix(self.field, np.vstack(arrays), den)
-
-    def kron(self, other: "Matrix") -> "Matrix":
-        """Kronecker product; row-major vec(A X B) = (A kron B^T) vec(X)."""
-        if self.field != other.field:
-            raise DimensionMismatch("kron field mismatch")
-        a, b = self.data, other.data
-        out = (a[:, None, :, None] * b[None, :, None, :]).reshape(
-            a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
-        return Matrix(self.field, self.field.reduce(out), self.den * other.den)
+        return Matrix._of(self.field, np.vstack(arrays), den)
 
     # -- arithmetic --------------------------------------------------------
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows or self.field != other.field:
             raise DimensionMismatch("matmul shape/field mismatch")
-        return Matrix(self.field, _dot(self.field, self.data, other.data), self.den * other.den)
+        return Matrix._of(self.field, _dot(self.field, self.data, other.data), self.den * other.den)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if self.data.shape != other.data.shape or self.field != other.field:
             raise DimensionMismatch("matrix addition shape/field mismatch")
         (a, b), den = _numerators(self.field, (self, other))
-        return Matrix(self.field, self.field.reduce(a + b), den)
+        return Matrix._of(self.field, self.field.reduce(a + b), den)
 
     def scale(self, c: Scalar) -> "Matrix":
         f = self.field
         num, d = f.normalize(c).as_integer_ratio()
-        return Matrix(f, f.reduce(self.data * num), self.den * d)
+        return Matrix._of(f, f.reduce(self.data * num), self.den * d)
 
     def apply(self, v: Sequence) -> Vector:
         """Apply to a column vector, returning the image as a tuple."""
@@ -418,7 +422,29 @@ def place_blocks(field: FieldSpec, rows: int, cols: int, blocks: Sequence) -> Ma
     out = field.zeros((rows, cols))
     for (r, c, B), a in zip(blocks, arrays):
         out[r:r + B.rows, c:c + B.cols] = a
-    return Matrix(field, out, den)
+    return Matrix._of(field, out, den)
+
+
+def intertwining_system(field: FieldSpec, rows: int, cols: int, terms: Sequence) -> Matrix:
+    """Coefficients of F2 A = B F1 in row-major vec(F1), vec(F2): for each term
+    (row offset, F1 column offset, F2 column offset, A: X1 -> X2, B: Y1 -> Y2)
+    a block of rows with -B kron I at the F1 columns and I kron A^T at the F2
+    columns; an offset of None places no unknowns.  Only nonzeros are written,
+    into one zero array; over Q each block is multiplied by A.den * B.den, so
+    the matrix has the same kernel over denominator 1."""
+    out = field.zeros((rows, cols))
+    for r, c1, c2, A, B in terms:
+        x1, x2 = A.cols, A.rows
+        if c1 is not None:  # -B[i, k] at (i, j) of the rows and (k, j) of F1
+            i, k = np.nonzero(B.data)
+            j = np.arange(x1)
+            values = field.reduce(-B.data[i, k] * A.den)[:, None]
+            out[(r + i * x1)[:, None] + j, (c1 + k * x1)[:, None] + j] = values
+        if c2 is not None:  # A[l, j] at (i, j) of the rows and (i, l) of F2
+            l, j = np.nonzero(A.data)
+            i = np.arange(B.rows)[:, None]
+            out[r + i * x1 + j, c2 + i * x2 + l] = A.data[l, j] * B.den
+    return Matrix._of(field, out)
 
 
 # -- row reduction -----------------------------------------------------------
@@ -493,7 +519,7 @@ def rref(A: Matrix) -> RrefResult:
     if A.rows == 0 or A.cols == 0:
         return RrefResult(A, (), 0)
     R, pivots, den = _rref(A.data, A.field)
-    return RrefResult(Matrix(A.field, R, den), tuple(pivots), len(pivots))
+    return RrefResult(Matrix._of(A.field, R, den), tuple(pivots), len(pivots))
 
 
 def rank(A: Matrix) -> int:
@@ -506,7 +532,7 @@ def solve(A: Matrix, b: Sequence) -> Optional[Vector]:
         raise DimensionMismatch(f"rhs length {len(b)} != rows {A.rows}")
     f = A.field
     num, d = f.array(b)
-    R, pivots, rk = rref(A.hstack(Matrix(f, num.reshape(A.rows, 1), d)))
+    R, pivots, rk = rref(A.hstack(Matrix._of(f, num.reshape(A.rows, 1), d)))
     if A.cols in pivots:
         return None
     x = f.zeros(A.cols)
@@ -551,7 +577,7 @@ class Subspace:
     def row_space(A: Matrix) -> "Subspace":
         """The span of the rows of A, a subspace of k^(A.cols)."""
         R, pivots, rk = rref(A)
-        return Subspace(A.field, A.cols, Matrix(A.field, R.data[:rk], R.den), pivots)
+        return Subspace(A.field, A.cols, Matrix._of(A.field, R.data[:rk], R.den), pivots)
 
     @property
     def dim(self) -> int:
@@ -626,7 +652,7 @@ def _free_column_rows(R: Matrix, pivots: tuple, n: int) -> Matrix:
     out = f.zeros((len(free), n))
     out[np.arange(len(free)), free] = R.den
     out[:, list(pivots)] = f.reduce(-R.data[:len(pivots), free].T)
-    return Matrix(f, out, R.den)
+    return Matrix._of(f, out, R.den)
 
 
 def kernel_basis(A: Matrix) -> Subspace:

@@ -22,6 +22,7 @@ from .linalg import (
     Matrix,
     Subspace,
     image_subspace,
+    intertwining_system,
     joint_kernel,
     kernel_basis,
     place_blocks,
@@ -216,22 +217,11 @@ def _check_same_category(M: KroneckerModule, N: KroneckerModule):
         raise DimensionMismatch("modules over different quivers or fields")
 
 
-def intertwining_blocks(a_src: Matrix, a_tgt: Matrix):
-    """Coefficients of f2.a_src - a_tgt.f1 = 0 in row-major vec(f1) and vec(f2).
-
-    For a_src: X1 -> X2 and a_tgt: Y1 -> Y2 the unknowns are f1: X1 -> Y1 and
-    f2: X2 -> Y2; the blocks are -a_tgt kron I_{dim X1} and I_{dim Y2} kron
-    a_src^T, one row per entry of the (dim Y2) x (dim X1) equation.
-    """
-    f = a_src.field
-    return (a_tgt.scale(-1).kron(Matrix.identity(f, a_src.cols)),
-            Matrix.identity(f, a_tgt.rows).kron(a_src.transpose()))
-
-
 def _hom_system(M: KroneckerModule, N: KroneckerModule) -> Matrix:
     """Coefficient matrix of f2.aM - aN.f1 = 0 in unknowns vec(f1) ++ vec(f2)."""
-    rows = [Matrix.hstack(*intertwining_blocks(aM, aN)) for aM, aN in zip(M.alphas, N.alphas)]
-    return rows[0].vstack(*rows[1:])
+    t1, h = N.dim1 * M.dim1, N.dim2 * M.dim1
+    terms = [(i * h, 0, t1, aM, aN) for i, (aM, aN) in enumerate(zip(M.alphas, N.alphas))]
+    return intertwining_system(M.field, M.n * h, t1 + N.dim2 * M.dim2, terms)
 
 
 def hom_dim(M: KroneckerModule, N: KroneckerModule) -> int:
@@ -458,9 +448,10 @@ def find_isomorphism(M: KroneckerModule, N: KroneckerModule,
                      attempts: int = 64, rng: Optional[random.Random] = None) -> IsoResult:
     """Tri-state isomorphism test.
 
-    Non-isomorphy is certified by dimension vectors or asymmetric Hom
-    dimensions; isomorphy by an explicit invertible intertwiner found among
-    the Hom basis elements or `attempts` random combinations of them.
+    Certificates in the order tried: unequal dims (non-iso); M == N (iso); an
+    invertible Hom(M, N) basis element (iso); Hom(M, N) = 0 or dim Hom(M, N)
+    != dim Hom(N, M) (non-iso); an invertible one of `attempts` random
+    combinations of the basis (iso); otherwise unknown.
     """
     _check_same_category(M, N)
     if M.dims != N.dims:
@@ -468,15 +459,11 @@ def find_isomorphism(M: KroneckerModule, N: KroneckerModule,
     if M == N:
         return IsoResult(ISO, identity_morphism(M))
     basis = hom_basis(M, N)
-    if len(basis) != hom_dim(N, M):
-        return IsoResult(NON_ISO)
-    if M.is_zero():
-        return IsoResult(ISO, identity_morphism(M))
     for fm in basis:
         if _invertible_pair(fm):
             return IsoResult(ISO, fm)
-    if not basis:
-        return IsoResult(NON_ISO)  # nonzero modules with Hom = 0 on both sides
+    if not basis or len(basis) != hom_dim(N, M):
+        return IsoResult(NON_ISO)
     rng = rng if rng is not None else random.Random(0xA11CE)
     f = M.field
     lo, hi = (0, f.characteristic) if f.is_finite else (-4, 5)

@@ -21,6 +21,7 @@ from kronbrist.linalg import (
     DimensionMismatch,
     Matrix,
     Subspace,
+    intertwining_system,
     is_prime,
     joint_kernel,
     kernel_basis,
@@ -315,6 +316,8 @@ class TestSubspaces:
 
 
 def _assert_fractions_in_lowest_terms(M: Matrix):
+    # the stored integers are Python ints: numpy ints would overflow silently
+    assert type(M.den) is int and all(type(x) is int for x in M.data.flat)
     for x in M.entries_flat():
         assert type(x) is Fraction
         assert x.denominator > 0 and gcd(x.numerator, x.denominator) == 1
@@ -344,14 +347,33 @@ class TestRationalEntryTypes:
             _assert_fractions_in_lowest_terms(quotient_projection(K))
         assert rref(self.INTEGER).matrix == Matrix.from_rows(QQ, [[1, 2, 3], [0, 0, 0]])
 
+    def systems(self):
+        """F2 A = B F1 for A = self.A, B = self.B (F1 4 x 2 at column 0, F2 4 x 4
+        at 8), and for A = self.B^T, B = self.INTEGER (F1 3 x 4, F2 2 x 2)."""
+        return (intertwining_system(QQ, 16, 24, [(0, 0, 8, self.A, self.B)]),
+                intertwining_system(QQ, 8, 16, [(0, 0, 12, self.B.transpose(), self.INTEGER)]))
+
     def test_products(self):
         for M in (self.A @ self.B, self.INTEGER @ self.INTEGER.transpose(),
-                  self.A @ Matrix.zeros(QQ, 4, 2), self.A.kron(self.B), self.B.kron(self.INTEGER),
+                  self.A @ Matrix.zeros(QQ, 4, 2), *self.systems(),
                   self.A.scale(Fraction(3, 2)), self.A.scale(-1), self.INTEGER.scale(0),
                   self.A.scale(np.int64(6))):
             _assert_fractions_in_lowest_terms(M)
         assert self.A.scale(-1).scale(-1) == self.A
-        assert self.A.kron(self.B).entries_flat()[0] == Fraction(2, 3)
+        # -B[0, 0] times A.den * B.den = 42 * 4, over denominator 1
+        S = self.systems()[0]
+        assert S.den == 1 and S.entries_flat()[0] == Fraction(-168)
+
+    def test_every_output_stores_python_ints(self):
+        A, B = self.A, self.B
+        U = Subspace.row_space(A)
+        outputs = [A.transpose(), A.reshape(2, 8), A.transpose_blocks(2, 2), *A.split_rows(2),
+                   A.col_block(1, 3), A.select_cols([3, 0]), A.hstack(B), A.vstack(B.transpose()),
+                   A + A, place_blocks(QQ, 5, 6, [(0, 0, A), (1, 4, B.col_block(0, 2))]),
+                   Matrix.identity(QQ, 3), Matrix.zeros(QQ, 2, 2), U.basis,
+                   joint_kernel(QQ, 4, [A]).basis, subspace_sum(U, U).basis]
+        for M in outputs:
+            _assert_fractions_in_lowest_terms(M)
 
 
 class TestIntegerFormat:
@@ -369,6 +391,12 @@ class TestIntegerFormat:
     def test_raw_non_integer_entries_refused(self, bad):
         with pytest.raises(ValueError, match="integers"):
             Matrix(QQ, np.array([[1, bad]], dtype=object))
+
+    @pytest.mark.parametrize("bad", [7, -1])
+    def test_raw_entries_outside_gf_p_refused(self, bad):
+        assert Matrix(GF(5), np.array([[4, 0]])) == Matrix.from_rows(GF(5), [[4, 0]])
+        with pytest.raises(ValueError, match=r"\[0, 5\)"):
+            Matrix(GF(5), np.array([[bad]]))
 
     @pytest.mark.parametrize("den", [0, -2, 0.5])
     def test_bad_denominator_refused(self, den):

@@ -6,12 +6,14 @@ from __future__ import annotations
 
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from kronbrist import modules
 from kronbrist.bristles import bristle, bristle_point, enumerate_bristles
+from kronbrist.cover import build_ball_rep, push_down
 from kronbrist.families import preinjective
 from kronbrist.linalg import (
     GF,
@@ -473,6 +475,39 @@ class TestIsoSearch:
         assert res.status == ISO
         from kronbrist.linalg import rank
         assert rank(res.morphism.f1) == M.dim1 and rank(res.morphism.f2) == M.dim2
+
+    def test_iso_from_a_basis_element_builds_one_system(self, monkeypatch):
+        """An invertible element of the Hom(M, N) basis proves ISO before
+        Hom(N, M) is built."""
+        M, N = push_down(build_ball_rep(4, F5)), preinjective(4, 2, F5)
+        built, real = [], modules._hom_system
+        monkeypatch.setattr(modules, "_hom_system", lambda A, B: built.append(A) or real(A, B))
+        assert find_isomorphism(M, N).status == ISO
+        assert len(built) == 1
+
+    def test_unequal_hom_dims_non_iso(self):
+        """Equal dims (2, 1), no invertible Hom(M, N) element, and
+        dim Hom(M, N) = 3 against dim Hom(N, M) = 4."""
+        zero = Matrix.zeros(F2, 1, 2)
+        M = KroneckerModule(2, F2, 2, 1, (zero, zero))
+        N = KroneckerModule(2, F2, 2, 1, (zero, Matrix.from_rows(F2, [[1, 0]])))
+        assert (hom_dim(M, N), hom_dim(N, M)) == (3, 4)
+        assert find_isomorphism(M, N).status == NON_ISO
+
+
+class TestHomSystem:
+    def test_build_peak_memory_is_one_system(self):
+        """The Hom system is written into one array: building it holds no
+        second copy of the system, as assembling it from kron blocks would."""
+        M, N = push_down(build_ball_rep(6, F5)), preinjective(6, 2, F5)
+        tracemalloc.start()
+        try:
+            S = modules._hom_system(M, N)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert S.data.shape == (1260, 1261)
+        assert peak <= 1.25 * S.data.nbytes
 
 
 class TestCompose:

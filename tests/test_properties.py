@@ -1,8 +1,9 @@
 """Property tests: rank agrees over Q, over a large prime field and with
-sympy, and the whole RREF over Q (matrix and pivots) equals sympy's; Hom
-and Ext dimensions are invariant under a change of basis at both vertices;
-the two Ext routes and both forms of the Auslander-Reiten formula agree;
-module files round-trip exactly.
+sympy, and the whole RREF over Q (matrix and pivots) equals sympy's; the
+Hom systems of modules and of cover representations have the kernels of
+the systems written out with np.kron; Hom and Ext dimensions are invariant
+under a change of basis at both vertices; the two Ext routes and both forms
+of the Auslander-Reiten formula agree; module files round-trip exactly.
 
 hypothesis runs derandomized with few examples, so every run checks the
 same inputs.
@@ -19,13 +20,26 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from kronbrist.linalg import GF, QQ, Matrix, rank, rref  # noqa: E402
+import numpy as np  # noqa: E402
+
+from kronbrist.cover import (  # noqa: E402
+    build_ball_rep,
+    build_mu_bristle_rep,
+    build_tau_bristle_rep,
+    cover_bristle_at,
+    cover_hom_dim,
+    neighbor,
+    vertex_class,
+)
+from kronbrist.linalg import GF, QQ, Matrix, kernel_basis, rank, rref  # noqa: E402
 from kronbrist.modfile import parse_module_file, write_module_file  # noqa: E402
 from kronbrist.modules import (  # noqa: E402
     KroneckerModule,
+    _hom_system,
     ar_translate,
     ext1_dim,
     ext1_dim_via_resolution,
+    hom_basis,
     hom_dim,
 )
 
@@ -124,6 +138,87 @@ def test_rref_over_q_matches_sympy(rows):
     assert pivots == tuple(sympy_pivots) and rk == len(pivots)
     assert [list(R.row(i)) for i in range(R.rows)] == \
         [[Fraction(int(x.p), int(x.q)) for x in S.row(i)] for i in range(S.rows)]
+
+
+def _entries(A: Matrix) -> np.ndarray:
+    """The entries of A as an object array of Python ints or Fractions."""
+    return np.array([A.row(i) for i in range(A.rows)], dtype=object).reshape(A.rows, A.cols)
+
+
+def _eye(d: int) -> np.ndarray:
+    return np.eye(d, dtype=int).astype(object)
+
+
+def kron_hom_system(M, N) -> Matrix:
+    """f2.aM = aN.f1 by the kron formula: [-aN kron I | I kron aM^T] per arrow."""
+    S = np.vstack([np.hstack([np.kron(-_entries(aN), _eye(M.dim1)),
+                              np.kron(_eye(N.dim2), _entries(aM).T)])
+                   for aM, aN in zip(M.alphas, N.alphas)])
+    return Matrix.from_rows(M.field, S.tolist(), cols=S.shape[1])
+
+
+def kron_cover_hom_dim(X, Y) -> int:
+    """dim Hom(X, Y) of cover reps from phi_w Ax = Ay phi_v by the kron formula."""
+    common = sorted(set(X.spaces) & set(Y.spaces), key=lambda v: (len(v), v))
+    cols, total = {}, 0
+    for v in common:
+        cols[v] = slice(total, total + Y.dim(v) * X.dim(v))
+        total += Y.dim(v) * X.dim(v)
+    rows = []
+    for v in (set(X.spaces) | set(Y.spaces)):
+        for label in range(1, X.n + 1) if vertex_class(v) == 1 else ():
+            w = neighbor(v, label)
+            block = np.zeros((Y.dim(w) * X.dim(v), total), dtype=object)
+            if v in cols:
+                block[:, cols[v]] = np.kron(-_entries(Y.arrow(v, label)), _eye(X.dim(v)))
+            if w in cols:
+                block[:, cols[w]] = np.kron(_eye(Y.dim(w)), _entries(X.arrow(v, label)).T)
+            rows += block.tolist()
+    return total - rank(Matrix.from_rows(X.field, rows, cols=total))
+
+
+# over Q, maps with denominators such as 3 and 7
+Q_ENTRIES = st.sampled_from([0, 1, -2, Fraction(1, 3), Fraction(2, 7), Fraction(-5, 6)])
+
+
+@st.composite
+def builder_pairs(draw):
+    """Two modules with dims in 0..3 over GF(2), GF(5), GF(2^31 - 1) or Q."""
+    field = draw(st.sampled_from([GF(2), GF(5), MERSENNE, QQ]))
+    entry = entries(field) if field.is_finite else Q_ENTRIES
+    n = draw(st.integers(1, 3))
+
+    def module():
+        d1, d2 = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+        return KroneckerModule(n, field, d1, d2, tuple(
+            Matrix.from_rows(field, [[draw(entry) for _ in range(d1)] for _ in range(d2)], cols=d1)
+            for _ in range(n)))
+    return module(), module()
+
+
+@settings(PROPERTY, max_examples=60)
+@given(builder_pairs())
+def test_hom_system_matches_kron_formula(pair):
+    M, N = pair
+    ref = kron_hom_system(M, N)
+    if M.field.is_finite:  # over Q each arrow's rows are scaled by its denominators
+        assert _hom_system(M, N) == ref
+    K = kernel_basis(ref)
+    assert hom_dim(M, N) == K.dim
+    # the canonical basis: row-major f1 then f2 of each element is a kernel row
+    basis = hom_basis(M, N)
+    assert [b.f1.reshape(1, -1).hstack(b.f2.reshape(1, -1)) for b in basis] == \
+        K.basis.split_rows(K.dim)
+
+
+@pytest.mark.parametrize("field", [GF(5), QQ], ids=str)
+@pytest.mark.parametrize("n", [3, 4])
+def test_cover_hom_dim_matches_kron_formula(field, n):
+    reps = [build_ball_rep(n, field), build_tau_bristle_rep(n, field),
+            build_mu_bristle_rep(n, field), cover_bristle_at(n, field, (), 2)]
+    for X in reps:
+        for Y in reps:
+            assert cover_hom_dim(X, Y) == kron_cover_hom_dim(X, Y)
 
 
 @PROPERTY

@@ -33,11 +33,12 @@ from .linalg import (
     DimensionMismatch,
     FieldSpec,
     Matrix,
+    SparseSystem,
     Subspace,
     intertwining_system,
     joint_kernel,
     place_blocks,
-    rank,
+    sparse_rank,
     subspace_sum,
 )
 from .modules import KroneckerModule, NotSubmodule, SubmodulePair
@@ -368,8 +369,8 @@ def extract_mij(X: CoverRep, i: int, j: int, pushed: Optional[KroneckerModule] =
 
 # -- cover Hom spaces and the bristled part ----------------------------------------
 
-def cover_hom_dim(X: CoverRep, Y: CoverRep) -> int:
-    """Dimension of the space of morphisms X -> Y (vertexwise intertwiners)."""
+def _cover_hom_system(X: CoverRep, Y: CoverRep) -> SparseSystem:
+    """The sparse system of the vertexwise intertwiners X -> Y."""
     if X.n != Y.n or X.field != Y.field:
         raise DimensionMismatch("cover reps over different trees or fields")
     common = sorted(set(X.spaces) & set(Y.spaces), key=lambda v: (len(v), v))
@@ -388,7 +389,13 @@ def cover_hom_dim(X: CoverRep, Y: CoverRep) -> int:
             # phi_w Ax = Ay phi_v in the vertex maps phi_v and phi_w
             terms.append((rows, offsets.get(v), offsets.get(w), X.arrow(v, label), Y.arrow(v, label)))
             rows += Y.dim(w) * X.dim(v)
-    return total - rank(intertwining_system(X.field, rows, total, terms))
+    return intertwining_system(X.field, rows, total, terms)
+
+
+def cover_hom_dim(X: CoverRep, Y: CoverRep) -> int:
+    """Dimension of the space of morphisms X -> Y (vertexwise intertwiners)."""
+    S = _cover_hom_system(X, Y)
+    return S.cols - sparse_rank(S)
 
 
 def cover_bristle_at(n: int, field: FieldSpec, v: TreeVertex, label: int) -> CoverRep:

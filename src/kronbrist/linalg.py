@@ -1,4 +1,4 @@
-"""Exact dense linear algebra over prime fields GF(p) and the rationals.
+"""Exact linear algebra over prime fields GF(p) and the rationals.
 
 Everything here is exact.  A ``Matrix`` is one read-only integer numpy
 array over one positive denominator, in the same format for both fields:
@@ -11,12 +11,15 @@ numpy scalars).  Values are immutable and operations pure.
 
 Each operation is one integer expression for both fields.  A product
 multiplies the arrays and the denominators; stacking and block placement
-bring their parts to the lcm of the denominators; ``intertwining_system``,
-the one Hom-system builder, writes only nonzeros into a zero array.  One
-elimination routine never divides mid-way: it clears a column from a row x
-with pivot row y as piv * x - x[c] * y and puts each updated row back in
-lowest terms: reduced mod p over GF(p), divided by the gcd of its entries
-over Q.  Over Q the pivot rows are brought to the lcm of the pivots.
+bring their parts to the lcm of the denominators.  ``intertwining_system``,
+the one Hom-system builder, lists only the nonzeros of a system, a
+``SparseSystem``; ``sparse_rank`` and ``sparse_kernel`` peel its singleton
+rows and columns without arithmetic and eliminate only the dense core that
+is left.  One elimination routine never divides mid-way: it clears a
+column from a row x with pivot row y as piv * x - x[c] * y and puts each
+updated row back in lowest terms: reduced mod p over GF(p), divided by the
+gcd of its entries over Q.  Over Q the pivot rows are brought to the lcm of
+the pivots.
 
 Over GF(p) every intermediate product stays below p^2 < 2^62, so int64
 arithmetic is exact; a matrix product switches to Python integers once a
@@ -254,7 +257,8 @@ class Matrix:
     is an object array of Python ints, divided with ``den`` by their gcd.
     Both parts are canonical, so equality and hashing go by value.  An array
     from outside (``Matrix(...)``) with an entry outside [0, p), or over Q
-    not an integer, is refused with ValueError; linalg's results skip that.
+    not an integer, is refused with ValueError, and is copied, so the
+    caller's array stays writeable; linalg's results skip both.
     """
 
     field: FieldSpec
@@ -270,6 +274,7 @@ class Matrix:
                 raise ValueError("a matrix over GF(p) has denominator 1")
             if a.size and not (0 <= a.min() and a.max() < f.characteristic):
                 raise ValueError(f"entries of a matrix over {f} lie in [0, {f.characteristic})")
+            a = a.copy()  # the caller keeps its array writeable; over Q _as_int copies
         else:
             try:  # operator.index refuses a Fraction, a float, a string
                 a, den = _as_int(a), operator.index(den)
@@ -425,26 +430,43 @@ def place_blocks(field: FieldSpec, rows: int, cols: int, blocks: Sequence) -> Ma
     return Matrix._of(field, out, den)
 
 
-def intertwining_system(field: FieldSpec, rows: int, cols: int, terms: Sequence) -> Matrix:
+class SparseSystem(NamedTuple):
+    """A rows x cols integer matrix over denominator 1 given by its nonzeros:
+    v[t] at row i[t], column j[t], each cell at most once.  Over GF(p) v is
+    int64 in [0, p); over Q it holds Python ints."""
+
+    field: FieldSpec
+    rows: int
+    cols: int
+    i: np.ndarray
+    j: np.ndarray
+    v: np.ndarray
+
+
+def intertwining_system(field: FieldSpec, rows: int, cols: int, terms: Sequence) -> SparseSystem:
     """Coefficients of F2 A = B F1 in row-major vec(F1), vec(F2): for each term
     (row offset, F1 column offset, F2 column offset, A: X1 -> X2, B: Y1 -> Y2)
     a block of rows with -B kron I at the F1 columns and I kron A^T at the F2
-    columns; an offset of None places no unknowns.  Only nonzeros are written,
-    into one zero array; over Q each block is multiplied by A.den * B.den, so
-    the matrix has the same kernel over denominator 1."""
-    out = field.zeros((rows, cols))
+    columns; an offset of None places no unknowns.  The terms cover disjoint
+    cells, and only their nonzeros are listed; over Q each block is
+    multiplied by A.den * B.den, so the system has the same kernel over
+    denominator 1."""
+    ii, jj, vv = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], [field.zeros(0)]
     for r, c1, c2, A, B in terms:
         x1, x2 = A.cols, A.rows
         if c1 is not None:  # -B[i, k] at (i, j) of the rows and (k, j) of F1
-            i, k = np.nonzero(B.data)
+            i, k = B.data.nonzero()
             j = np.arange(x1)
-            values = field.reduce(-B.data[i, k] * A.den)[:, None]
-            out[(r + i * x1)[:, None] + j, (c1 + k * x1)[:, None] + j] = values
+            ii.append(((r + i * x1)[:, None] + j).ravel())
+            jj.append(((c1 + k * x1)[:, None] + j).ravel())
+            vv.append(field.reduce(-B.data[i, k] * A.den).repeat(x1))
         if c2 is not None:  # A[l, j] at (i, j) of the rows and (i, l) of F2
-            l, j = np.nonzero(A.data)
+            l, j = A.data.nonzero()
             i = np.arange(B.rows)[:, None]
-            out[r + i * x1 + j, c2 + i * x2 + l] = A.data[l, j] * B.den
-    return Matrix._of(field, out)
+            ii.append((r + j + i * x1).ravel())
+            jj.append((c2 + l + i * x2).ravel())
+            vv.append((A.data[l, j] * B.den)[None, :].repeat(B.rows, axis=0).ravel())
+    return SparseSystem(field, rows, cols, np.concatenate(ii), np.concatenate(jj), np.concatenate(vv))
 
 
 # -- row reduction -----------------------------------------------------------
@@ -665,6 +687,113 @@ def kernel_basis(A: Matrix) -> Subspace:
         return Subspace.full(f, n)
     R, pivots, rk = rref(A)
     return Subspace.row_space(_free_column_rows(R, pivots, n))
+
+
+class _Peeled(NamedTuple):
+    batches: list     # each batch's pivot entries (r, c), by entry index, in peel order
+    peeled: int       # columns determined or forced to 0
+    free: np.ndarray  # columns with no entry left: free unknowns
+    core_cols: np.ndarray
+    core: Matrix      # the rows and columns with entries left, dense
+
+
+def _peel(S: SparseSystem) -> _Peeled:
+    """Structured Gaussian elimination without arithmetic (LaMacchia and
+    Odlyzko): remove singletons from S until none is left.
+
+    A column with one entry (r, c) in the remaining rows is determined by row
+    r, which is removed with it; a row holding several such columns
+    determines only one of them, the others are left with no entry.  A row
+    with one entry (r, c) in the remaining columns forces x_c = 0, and column
+    c is removed.  Each removed column adds 1 to the rank, and each kernel
+    vector is its restriction to the remaining columns with the determined
+    columns back-substituted.  No row of a batch holds a column determined in
+    the same batch or earlier, so batches back-substitute in reverse order.
+    """
+    i, j = S.i, S.j
+    row_alive, col_alive = np.ones(S.rows, bool), np.ones(S.cols, bool)
+    live = np.arange(i.size)  # entries in remaining rows and columns
+    batches = []
+    while live.size:
+        li, lj = i[live], j[live]
+        single = live[np.bincount(lj, minlength=S.cols)[lj] == 1]
+        if single.size:
+            owner = np.full(S.rows, -1)  # one singleton entry per row, any one will do
+            owner[i[single]] = single
+            batches.append(owner[owner >= 0])
+            row_alive[i[single]] = False
+            col_alive[j[batches[-1]]] = False
+            live = live[row_alive[li]]
+            li, lj = i[live], j[live]
+        forced = lj[np.bincount(li, minlength=S.rows)[li] == 1]
+        if forced.size:
+            col_alive[forced] = False
+            live = live[col_alive[lj]]
+        elif not single.size:
+            break
+    peeled = S.cols - int(np.count_nonzero(col_alive))
+    li, lj = i[live], j[live]
+    in_rows, in_cols = np.zeros(S.rows, bool), np.zeros(S.cols, bool)
+    in_rows[li] = True
+    in_cols[lj] = True
+    core_rows, core_cols = np.flatnonzero(in_rows), np.flatnonzero(in_cols)
+    core = S.field.zeros((core_rows.size, core_cols.size))
+    core[np.searchsorted(core_rows, li), np.searchsorted(core_cols, lj)] = S.v[live]
+    return _Peeled(batches, peeled, np.flatnonzero(col_alive & ~in_cols), core_cols,
+                   Matrix._of(S.field, core))
+
+
+def sparse_rank(S: SparseSystem) -> int:
+    """Rank of the sparse system S: its peeled columns plus the rank of its core."""
+    P = _peel(S)
+    return P.peeled + rank(P.core)
+
+
+def sparse_kernel(S: SparseSystem) -> Subspace:
+    """Canonical basis of {x : S x = 0}, the same subspace as ``kernel_basis``
+    of S written out densely.
+
+    The free columns and the kernel of the core give the kernel vectors K
+    restricted to the unknowns left after peeling.  Then, last batch first,
+    each batch fills in its columns x_c = -(sum of a_rk x_k over k != c) /
+    a_rc with one elementwise product of its rows' entries with K and one
+    summation per row.  Over GF(p) each product is reduced mod p before it
+    is summed, since at p near 2^31 a sum of a few products passes 2^63;
+    over Q the vectors are first scaled by the lcm of the batch's pivots
+    a_rc, so the quotients are integers.
+    """
+    f = S.field
+    P = _peel(S)
+    R, pivots, _ = rref(P.core)
+    core = _free_column_rows(R, pivots, P.core.cols)
+    den = core.den
+    K = f.zeros((core.rows + P.free.size, S.cols))
+    K[:core.rows, P.core_cols] = core.data
+    K[core.rows + np.arange(P.free.size), P.free] = den
+    # the batch of each entry's row, and the row's place in its batch
+    batch_of_row, slot = np.full(S.rows, -1), np.zeros(S.rows, np.int64)
+    for t, batch in enumerate(P.batches):
+        batch_of_row[S.i[batch]] = t
+        slot[S.i[batch]] = np.arange(batch.size)
+    batch_of = batch_of_row[S.i]
+    for t in reversed(range(len(P.batches))):
+        batch, entries = P.batches[t], np.flatnonzero(batch_of == t)
+        # each row holds its pivot, whose column is still 0 in K
+        terms = f.reduce(K[:, S.j[entries]] * S.v[entries])
+        sums = f.zeros((K.shape[0], batch.size))
+        np.add.at(sums, (slice(None), slot[S.i[entries]]), terms)
+        sums = f.reduce(sums)
+        piv = S.v[batch]
+        if f.is_finite:
+            p = f.characteristic
+            K[:, S.j[batch]] = f.reduce(-sums * np.array([pow(int(a), -1, p) for a in piv]))
+        else:
+            m = lcm(*piv)
+            if m != 1:
+                K *= m
+                den *= m
+            K[:, S.j[batch]] = -sums * (m // piv)
+    return Subspace.row_space(Matrix._of(f, K, den))
 
 
 def joint_kernel(field: FieldSpec, dim: int, maps: Sequence[Matrix]) -> Subspace:

@@ -29,6 +29,9 @@ from .linalg import (
     quotient_projection,
     embed_free_coordinates,
     rank,
+    SparseSystem,
+    sparse_kernel,
+    sparse_rank,
 )
 
 DimVector = tuple  # (dim at vertex 1, dim at vertex 2)
@@ -217,8 +220,8 @@ def _check_same_category(M: KroneckerModule, N: KroneckerModule):
         raise DimensionMismatch("modules over different quivers or fields")
 
 
-def _hom_system(M: KroneckerModule, N: KroneckerModule) -> Matrix:
-    """Coefficient matrix of f2.aM - aN.f1 = 0 in unknowns vec(f1) ++ vec(f2)."""
+def _hom_system(M: KroneckerModule, N: KroneckerModule) -> SparseSystem:
+    """The sparse system f2.aM - aN.f1 = 0 in unknowns vec(f1) ++ vec(f2)."""
     t1, h = N.dim1 * M.dim1, N.dim2 * M.dim1
     terms = [(i * h, 0, t1, aM, aN) for i, (aM, aN) in enumerate(zip(M.alphas, N.alphas))]
     return intertwining_system(M.field, M.n * h, t1 + N.dim2 * M.dim2, terms)
@@ -229,7 +232,7 @@ def hom_dim(M: KroneckerModule, N: KroneckerModule) -> int:
     t = N.dim1 * M.dim1 + N.dim2 * M.dim2
     if t == 0:
         return 0
-    return t - rank(_hom_system(M, N))
+    return t - sparse_rank(_hom_system(M, N))
 
 
 def _hom_stacks(M: KroneckerModule, N: KroneckerModule):
@@ -238,7 +241,7 @@ def _hom_stacks(M: KroneckerModule, N: KroneckerModule):
     whole basis; a mismatch is a bug in the Hom system or the kernel, so it
     raises InternalCheckFailed."""
     _check_same_category(M, N)
-    ker = kernel_basis(_hom_system(M, N)).basis
+    ker = sparse_kernel(_hom_system(M, N)).basis
     k, t1 = ker.rows, N.dim1 * M.dim1
     F1 = ker.col_block(0, t1).reshape(k * N.dim1, M.dim1)
     F2 = ker.col_block(t1, ker.cols).reshape(k * N.dim2, M.dim2)

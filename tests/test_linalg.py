@@ -20,6 +20,7 @@ from kronbrist.linalg import (
     QQ,
     DimensionMismatch,
     Matrix,
+    SparseSystem,
     Subspace,
     intertwining_system,
     is_prime,
@@ -315,6 +316,13 @@ class TestSubspaces:
         assert all(isinstance(x, Fraction) for x in R.entries_flat())
 
 
+def written_out(S: SparseSystem) -> Matrix:
+    """The sparse system S as a dense Matrix, its entries stored as they are."""
+    a = S.field.zeros((S.rows, S.cols))
+    a[S.i, S.j] = S.v
+    return Matrix._of(S.field, a)
+
+
 def _assert_fractions_in_lowest_terms(M: Matrix):
     # the stored integers are Python ints: numpy ints would overflow silently
     assert type(M.den) is int and all(type(x) is int for x in M.data.flat)
@@ -350,8 +358,8 @@ class TestRationalEntryTypes:
     def systems(self):
         """F2 A = B F1 for A = self.A, B = self.B (F1 4 x 2 at column 0, F2 4 x 4
         at 8), and for A = self.B^T, B = self.INTEGER (F1 3 x 4, F2 2 x 2)."""
-        return (intertwining_system(QQ, 16, 24, [(0, 0, 8, self.A, self.B)]),
-                intertwining_system(QQ, 8, 16, [(0, 0, 12, self.B.transpose(), self.INTEGER)]))
+        return (written_out(intertwining_system(QQ, 16, 24, [(0, 0, 8, self.A, self.B)])),
+                written_out(intertwining_system(QQ, 8, 16, [(0, 0, 12, self.B.transpose(), self.INTEGER)])))
 
     def test_products(self):
         for M in (self.A @ self.B, self.INTEGER @ self.INTEGER.transpose(),
@@ -397,6 +405,16 @@ class TestIntegerFormat:
         assert Matrix(GF(5), np.array([[4, 0]])) == Matrix.from_rows(GF(5), [[4, 0]])
         with pytest.raises(ValueError, match=r"\[0, 5\)"):
             Matrix(GF(5), np.array([[bad]]))
+
+    @pytest.mark.parametrize("field", [GF(5), QQ], ids=str)
+    def test_raw_array_is_copied(self, field):
+        """The caller's array stays writeable, and writing to it leaves the
+        matrix as it was."""
+        a = np.array([[1, 2], [3, 4]], dtype=field.dtype)
+        M = Matrix(field, a)
+        a[0, 0] = 0
+        assert M == Matrix.from_rows(field, [[1, 2], [3, 4]])
+        assert not M.data.flags.writeable
 
     @pytest.mark.parametrize("den", [0, -2, 0.5])
     def test_bad_denominator_refused(self, den):

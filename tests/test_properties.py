@@ -1,9 +1,11 @@
 """Property tests: rank agrees over Q, over a large prime field and with
 sympy, and the whole RREF over Q (matrix and pivots) equals sympy's; the
-Hom systems of modules and of cover representations have the kernels of
-the systems written out with np.kron; Hom and Ext dimensions are invariant
-under a change of basis at both vertices; the two Ext routes and both forms
-of the Auslander-Reiten formula agree; module files round-trip exactly.
+rank and kernel of a sparse system, peeled, equal those of the system
+written out densely; the Hom systems of modules and of cover
+representations have the kernels of the systems written out with np.kron;
+Hom and Ext dimensions are invariant under a change of basis at both
+vertices; the two Ext routes and both forms of the Auslander-Reiten
+formula agree; module files round-trip exactly.
 
 hypothesis runs derandomized with few examples, so every run checks the
 same inputs.
@@ -23,6 +25,7 @@ from hypothesis import strategies as st  # noqa: E402
 import numpy as np  # noqa: E402
 
 from kronbrist.cover import (  # noqa: E402
+    _cover_hom_system,
     build_ball_rep,
     build_mu_bristle_rep,
     build_tau_bristle_rep,
@@ -31,7 +34,17 @@ from kronbrist.cover import (  # noqa: E402
     neighbor,
     vertex_class,
 )
-from kronbrist.linalg import GF, QQ, Matrix, kernel_basis, rank, rref  # noqa: E402
+from kronbrist.linalg import (  # noqa: E402
+    GF,
+    QQ,
+    Matrix,
+    SparseSystem,
+    kernel_basis,
+    rank,
+    rref,
+    sparse_kernel,
+    sparse_rank,
+)
 from kronbrist.modfile import parse_module_file, write_module_file  # noqa: E402
 from kronbrist.modules import (  # noqa: E402
     KroneckerModule,
@@ -140,6 +153,20 @@ def test_rref_over_q_matches_sympy(rows):
         [[Fraction(int(x.p), int(x.q)) for x in S.row(i)] for i in range(S.rows)]
 
 
+def written_out(S: SparseSystem) -> Matrix:
+    """The sparse system S as a dense Matrix, its entries stored as they are."""
+    a = S.field.zeros((S.rows, S.cols))
+    a[S.i, S.j] = S.v
+    return Matrix._of(S.field, a)
+
+
+def sparse_of(field, rows, cols) -> SparseSystem:
+    """The nonzeros of integer rows, as a sparse system over field."""
+    a = field.array(rows)[0].reshape(len(rows), cols)
+    i, j = np.nonzero(a)
+    return SparseSystem(field, a.shape[0], cols, i, j, a[i, j])
+
+
 def _entries(A: Matrix) -> np.ndarray:
     """The entries of A as an object array of Python ints or Fractions."""
     return np.array([A.row(i) for i in range(A.rows)], dtype=object).reshape(A.rows, A.cols)
@@ -202,7 +229,7 @@ def test_hom_system_matches_kron_formula(pair):
     M, N = pair
     ref = kron_hom_system(M, N)
     if M.field.is_finite:  # over Q each arrow's rows are scaled by its denominators
-        assert _hom_system(M, N) == ref
+        assert written_out(_hom_system(M, N)) == ref
     K = kernel_basis(ref)
     assert hom_dim(M, N) == K.dim
     # the canonical basis: row-major f1 then f2 of each element is a kernel row
@@ -218,7 +245,67 @@ def test_cover_hom_dim_matches_kron_formula(field, n):
             build_mu_bristle_rep(n, field), cover_bristle_at(n, field, (), 2)]
     for X in reps:
         for Y in reps:
-            assert cover_hom_dim(X, Y) == kron_cover_hom_dim(X, Y)
+            S = _cover_hom_system(X, Y)
+            assert cover_hom_dim(X, Y) == S.cols - rank(written_out(S)) == kron_cover_hom_dim(X, Y)
+
+
+def _sparse_matches_dense(S: SparseSystem):
+    A = written_out(S)
+    assert sparse_rank(S) == rank(A)
+    assert sparse_kernel(S) == kernel_basis(A)
+
+
+P = 2**31 - 1
+# (rows, cols): dense integer rows; each case is peeled as described
+SPARSE_CASES = {
+    # x0 and x1 are singleton columns of one row: one is determined, one free
+    "two-singletons-in-a-row": ([[1, 1, 0], [0, 0, 1]], 3),
+    "two-singletons-chained": ([[1, 2, 3, 0], [0, 0, 1, 1], [0, 0, 1, 2]], 4),
+    # no singleton column; rows 0 and 2 force x0 = x1 = 0, then row 1 is empty
+    "row-singletons": ([[1, 0], [1, 1], [0, 1]], 2),
+    # column 0 first forced to 0, leaving column 1 a singleton of row 2
+    "forced-then-determined": ([[3, 0, 0], [1, 1, 0], [1, 0, 1], [1, 0, 1]], 3),
+    # columns 0 and 3 have no entry: free
+    "empty-columns": ([[0, 1, 1, 0], [0, 1, 2, 0]], 4),
+    # every row and column has two or more entries: all core
+    "no-singletons": ([[1, 1, 1], [1, 2, 3], [1, 4, 2]], 3),
+    "all-zero": ([[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]], 4),
+    "no-rows": ([], 3),
+    "no-columns": ([[], []], 0),
+    # x0 = -(P-1)(x1 + x2 + x3), each of x1, x2, x3 = -x4 = P-1: three
+    # products of about 2^62 overflow int64 unless reduced before summing
+    "near-p-chain": ([[1, P - 1, P - 1, P - 1, 0], [0, 1, 0, 0, 1], [0, 0, 1, 0, 1],
+                      [0, 0, 0, 1, 1]], 5),
+    # determined columns with pivots 2, 3 and 6: over Q an lcm to clear
+    "pivots-to-clear": ([[2, 1, 0, 0, 0], [0, 3, 1, 1, 0], [0, 0, 0, 6, 1], [0, 0, 5, 0, 7]], 5),
+}
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(5), MERSENNE, QQ], ids=str)
+@pytest.mark.parametrize("case", list(SPARSE_CASES))
+def test_sparse_edge_cases_match_dense(field, case):
+    _sparse_matches_dense(sparse_of(field, *SPARSE_CASES[case]))
+
+
+@st.composite
+def sparse_systems(draw):
+    """Up to 7 x 7 systems over GF(2), GF(5), GF(2^31 - 1) or Q, mostly
+    zeros, with entries near p or of varied size over Q."""
+    field = draw(st.sampled_from([GF(2), GF(5), MERSENNE, QQ]))
+    m, n = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    if field.is_finite:
+        p = field.characteristic
+        nonzero = st.one_of(st.sampled_from([1, p - 1, p - 2]), st.integers(1, p - 1))
+    else:
+        nonzero = st.sampled_from([1, -1, 2, -3, 6, 7, 2**40])
+    cell = st.one_of(st.just(0), st.just(0), nonzero)
+    return sparse_of(field, [[draw(cell) for _ in range(n)] for _ in range(m)], n)
+
+
+@settings(PROPERTY, max_examples=200)
+@given(sparse_systems())
+def test_sparse_rank_and_kernel_match_dense(S):
+    _sparse_matches_dense(S)
 
 
 @PROPERTY

@@ -13,7 +13,7 @@ Each operation is one integer expression for both fields.  A product
 multiplies the arrays and the denominators; stacking and block placement
 bring their parts to the lcm of the denominators.  ``intertwining_system``,
 the one Hom-system builder, lists only the nonzeros of a system, a
-``SparseSystem``; ``sparse_rank`` and ``sparse_kernel`` peel its singleton
+``SparseSystem``; ``sparse_rank`` and the sparse kernels peel its singleton
 rows and columns without arithmetic and eliminate only the dense core that
 is left.  One elimination routine never divides mid-way: it clears a
 column from a row x with pivot row y as piv * x - x[c] * y and puts each
@@ -749,9 +749,9 @@ def sparse_rank(S: SparseSystem) -> int:
     return P.peeled + rank(P.core)
 
 
-def sparse_kernel(S: SparseSystem) -> Subspace:
-    """Canonical basis of {x : S x = 0}, the same subspace as ``kernel_basis``
-    of S written out densely.
+def sparse_kernel_rows(S: SparseSystem) -> Matrix:
+    """A basis of {x : S x = 0} as matrix rows, not in canonical form: use it
+    where only the span matters, and ``sparse_kernel`` for the canonical one.
 
     The free columns and the kernel of the core give the kernel vectors K
     restricted to the unknowns left after peeling.  Then, last batch first,
@@ -793,7 +793,13 @@ def sparse_kernel(S: SparseSystem) -> Subspace:
                 K *= m
                 den *= m
             K[:, S.j[batch]] = -sums * (m // piv)
-    return Subspace.row_space(Matrix._of(f, K, den))
+    return Matrix._of(f, K, den)
+
+
+def sparse_kernel(S: SparseSystem) -> Subspace:
+    """Canonical basis of {x : S x = 0}, the same subspace as ``kernel_basis``
+    of S written out densely."""
+    return Subspace.row_space(sparse_kernel_rows(S))
 
 
 def joint_kernel(field: FieldSpec, dim: int, maps: Sequence[Matrix]) -> Subspace:

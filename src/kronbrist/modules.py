@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .linalg import (
     DimensionMismatch,
@@ -31,6 +31,7 @@ from .linalg import (
     rank,
     SparseSystem,
     sparse_kernel,
+    sparse_kernel_rows,
     sparse_rank,
 )
 
@@ -235,13 +236,16 @@ def hom_dim(M: KroneckerModule, N: KroneckerModule) -> int:
     return t - sparse_rank(_hom_system(M, N))
 
 
-def _hom_stacks(M: KroneckerModule, N: KroneckerModule):
-    """(k, [F1_1; ...; F1_k], [F2_1; ...; F2_k]) for the canonical basis
-    (F1_j, F2_j) of the morphisms M -> N.  One intertwining guard covers the
-    whole basis; a mismatch is a bug in the Hom system or the kernel, so it
-    raises InternalCheckFailed."""
+def _hom_stacks(M: KroneckerModule, N: KroneckerModule,
+                kernel: Callable[[SparseSystem], Matrix]):
+    """(k, [F1_1; ...; F1_k], [F2_1; ...; F2_k]) for the basis (F1_j, F2_j)
+    of the morphisms M -> N whose vectors are the rows ``kernel`` gives for
+    the Hom system: the canonical basis for ``hom_basis``, any basis where
+    only the span matters.  One intertwining guard covers the whole basis; a
+    mismatch is a bug in the Hom system or the kernel, so it raises
+    InternalCheckFailed."""
     _check_same_category(M, N)
-    ker = sparse_kernel(_hom_system(M, N)).basis
+    ker = kernel(_hom_system(M, N))
     k, t1 = ker.rows, N.dim1 * M.dim1
     F1 = ker.col_block(0, t1).reshape(k * N.dim1, M.dim1)
     F2 = ker.col_block(t1, ker.cols).reshape(k * N.dim2, M.dim2)
@@ -252,7 +256,7 @@ def _hom_stacks(M: KroneckerModule, N: KroneckerModule):
 
 def hom_basis(M: KroneckerModule, N: KroneckerModule) -> list:
     """Canonical basis of the space of morphisms M -> N."""
-    k, F1, F2 = _hom_stacks(M, N)
+    k, F1, F2 = _hom_stacks(M, N, lambda S: sparse_kernel(S).basis)
     return [Morphism._checked(M, N, f1, f2) for f1, f2 in zip(F1.split_rows(k), F2.split_rows(k))]
 
 
@@ -294,7 +298,7 @@ def ext1_dim_via_resolution(M: KroneckerModule, N: KroneckerModule) -> int:
     P1, incl = submodule_as_module(P0, ker_pair)
     # g . incl for the k basis elements g of Hom(P0, N), stacked; no guard: P1
     # sits at vertex 2, so any pair of maps intertwines its zero-width maps
-    k, G1, G2 = _hom_stacks(P0, N)
+    k, G1, G2 = _hom_stacks(P0, N, sparse_kernel_rows)
     img = (G1 @ incl.f1).reshape(k, N.dim1 * P1.dim1).hstack(
         (G2 @ incl.f2).reshape(k, N.dim2 * P1.dim2))
     return hom_dim(P1, N) - rank(img)
@@ -307,7 +311,7 @@ def trace_submodule(generators: Sequence[KroneckerModule], M: KroneckerModule) -
     vertex the column space of [F_1 | ... | F_k] over every Hom basis."""
     images1, images2 = [Matrix.zeros(M.field, M.dim1, 0)], [Matrix.zeros(M.field, M.dim2, 0)]
     for G in generators:
-        k, F1, F2 = _hom_stacks(G, M)
+        k, F1, F2 = _hom_stacks(G, M, sparse_kernel_rows)
         if k:
             images1.append(F1.transpose_blocks(k, 1))
             images2.append(F2.transpose_blocks(k, 1))

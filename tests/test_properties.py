@@ -5,7 +5,8 @@ written out densely; the Hom systems of modules and of cover
 representations have the kernels of the systems written out with np.kron;
 Hom and Ext dimensions are invariant under a change of basis at both
 vertices; the two Ext routes and both forms of the Auslander-Reiten
-formula agree; module files round-trip exactly.
+formula agree; module files round-trip exactly; the pruned subset search
+counts the generating subsets of each size as brute force does.
 
 hypothesis runs derandomized with few examples, so every run checks the
 same inputs.
@@ -14,6 +15,8 @@ same inputs.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -39,15 +42,18 @@ from kronbrist.linalg import (  # noqa: E402
     QQ,
     Matrix,
     SparseSystem,
+    Subspace,
     kernel_basis,
     rank,
     rref,
     sparse_kernel,
+    sparse_kernel_rows,
     sparse_rank,
 )
 from kronbrist.modfile import parse_module_file, write_module_file  # noqa: E402
 from kronbrist.modules import (  # noqa: E402
     KroneckerModule,
+    SubmodulePair,
     _hom_system,
     ar_translate,
     ext1_dim,
@@ -55,6 +61,7 @@ from kronbrist.modules import (  # noqa: E402
     hom_basis,
     hom_dim,
 )
+from kronbrist.scenarios import _generates, _generating_by_size  # noqa: E402
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=25, deadline=None)
 FIELDS = [GF(2), GF(3), GF(5), QQ]
@@ -253,6 +260,10 @@ def _sparse_matches_dense(S: SparseSystem):
     A = written_out(S)
     assert sparse_rank(S) == rank(A)
     assert sparse_kernel(S) == kernel_basis(A)
+    # the unreduced rows are a basis of the same kernel
+    rows = sparse_kernel_rows(S)
+    assert rank(rows) == rows.rows == kernel_basis(A).dim
+    assert Subspace.row_space(rows) == kernel_basis(A)
 
 
 P = 2**31 - 1
@@ -306,6 +317,38 @@ def sparse_systems(draw):
 @given(sparse_systems())
 def test_sparse_rank_and_kernel_match_dense(S):
     _sparse_matches_dense(S)
+
+
+@st.composite
+def trace_lists(draw):
+    """(M, traces, max_size): up to 7 traces in a module of dimension at most
+    (3, 3) over GF(2), GF(3) or Q whose maps are all zero, so that any pair
+    of subspaces is a submodule; each trace spans at most two drawn vectors
+    per vertex."""
+    field = draw(st.sampled_from([GF(2), GF(3), QQ]))
+    d1, d2 = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    M = KroneckerModule(2, field, d1, d2, (Matrix.zeros(field, d2, d1),) * 2)
+
+    def subspace(d):
+        vectors = [[draw(entries(field)) for _ in range(d)]
+                   for _ in range(draw(st.integers(0, 2)) if d else 0)]
+        return Subspace.from_spanning(field, d, vectors)
+
+    traces = [SubmodulePair(M, subspace(d1), subspace(d2))
+              for _ in range(draw(st.integers(0, 7)))]
+    return M, traces, draw(st.integers(0, len(traces)))
+
+
+@settings(PROPERTY, max_examples=200)
+@given(trace_lists())
+def test_subset_search_matches_brute_force(case):
+    """The pruned search counts, size by size, the subsets that ``_generates``
+    says span M, and decides every subset up to the size bound."""
+    M, traces, max_size = case
+    spanning, decided = _generating_by_size(M, traces, max_size)
+    assert spanning == [sum(_generates(M, sub) for sub in combinations(traces, s))
+                        for s in range(max_size + 1)]
+    assert decided == [comb(len(traces), s) for s in range(max_size + 1)]
 
 
 @PROPERTY

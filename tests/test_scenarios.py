@@ -10,19 +10,28 @@ import json
 import subprocess
 import sys
 from itertools import combinations
+from math import comb
 from pathlib import Path
 
 import pytest
 
+from kronbrist import scenarios
 from kronbrist.bristles import bristle, canonical_set, enumerate_bristles, unit_point
 from kronbrist.cli import main as cli_main
 from kronbrist.families import preinjective
-from kronbrist.linalg import GF, QQ, InternalCheckFailed
-from kronbrist.modules import ar_translate, is_generated_by, trace_submodule
+from kronbrist.linalg import GF, QQ, InternalCheckFailed, Matrix, Subspace
+from kronbrist.modules import (
+    KroneckerModule,
+    SubmodulePair,
+    ar_translate,
+    is_generated_by,
+    trace_submodule,
+)
 from kronbrist.scenarios import (
     SCENARIOS,
     ScenarioConfigError,
     _generates,
+    _generating_by_size,
     default_config,
     run_scenario,
 )
@@ -37,14 +46,26 @@ QUICK_OVERRIDES = {
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 GOLDEN_MODULE = "tests/data/dim32_bristled.kron"
+# the subset searches at the configs of the ``subsets`` benchmark, and one
+# larger n = 2 search; rendered before the searches were made incremental
+SEARCH_GOLDENS = {
+    "opt-taub1-n4-q2": ("opt-taub1", {"n": 4, "field": GF(2)}),
+    "optimality-I3-n3-q3": ("optimality-I3", {"n": 3, "field": GF(3)}),
+    "n2-generation-q7-tmax3": ("n2-generation", {"field": GF(7), "t_max": 3}),
+    "n2-generation-q11-tmax3": ("n2-generation", {"field": GF(11), "t_max": 3}),
+}
 GOLDEN_VARIANTS = ["main-theorem-b-bristle-orbits-module", "annihilated-lemma-rational",
-                   "main-theorem-a-n4-q3-tmax4"]
+                   "main-theorem-a-n4-q3-tmax4"] + sorted(SEARCH_GOLDENS)
 
 
 def _golden_config(name: str):
     """Default config of a golden entry; the ``-module`` entry adds GOLDEN_MODULE,
-    the ``-rational`` entry runs over Q at n = 4, and ``main-theorem-a-n4-q3-tmax4``
-    checks saturation on preinjectives larger than any default reaches."""
+    the ``-rational`` entry runs over Q at n = 4, ``main-theorem-a-n4-q3-tmax4``
+    checks saturation on preinjectives larger than any default reaches, and
+    the SEARCH_GOLDENS entries run their subset searches at larger configs."""
+    if name in SEARCH_GOLDENS:
+        scenario, overrides = SEARCH_GOLDENS[name]
+        return default_config(scenario, **overrides)
     if name == "main-theorem-b-bristle-orbits-module":
         return default_config("main-theorem-b-bristle-orbits", module_path=GOLDEN_MODULE,
                               module_text=(ROOT / GOLDEN_MODULE).read_text(encoding="utf-8"))
@@ -124,9 +145,10 @@ def test_subset_cap_refuses():
 
 
 class TestGenerates:
-    """Positive and negative controls for the subset-search helper: the
-    optimality scenarios expect zero generating subsets, which a helper that
-    never answers "generates" would also report."""
+    """Positive and negative controls for ``_generates``, the one-set check
+    and the oracle the subset search is tested against: the optimality
+    scenarios expect zero generating subsets, which a check that never
+    answers "generates" would also report."""
 
     def test_b0_traces_generate_third_preinjective(self):
         f = GF(2)
@@ -156,6 +178,70 @@ class TestGenerates:
                 assert got == is_generated_by([bristle(pts[i]) for i in idxs], I2)
                 seen.add(got)
         assert seen == {True, False}
+
+
+def _zero_map_traces(field, dims, spans):
+    """A module of the given dimensions whose maps are zero, and one trace
+    per (rows at vertex 1, rows at vertex 2) in ``spans``: with zero maps
+    any pair of subspaces is a submodule."""
+    d1, d2 = dims
+    M = KroneckerModule(2, field, d1, d2, (Matrix.zeros(field, d2, d1),) * 2)
+    return M, [SubmodulePair(M, Subspace.from_spanning(field, d1, r1),
+                             Subspace.from_spanning(field, d2, r2)) for r1, r2 in spans]
+
+
+E1, E2, E3 = [1, 0, 0], [0, 1, 0], [0, 0, 1]
+# name: (dims, spans, max_size, spanning subsets by size)
+SEARCH_CASES = {
+    "no-traces": ((3, 1), [], 0, [0]),
+    "no-traces-zero-module": ((0, 0), [], 0, [1]),
+    "zero-module": ((0, 0), [([], [])] * 3, 3, [1, 3, 3, 1]),
+    "trace-is-all-of-M": ((3, 1), [([E1], []), ([E1, E2, E3], [[1]]), ([E2], [[1]]), ([E3], [])],
+                          4, [0, 1, 3, 4, 1]),
+    "duplicate-traces": ((3, 1), [([E1], [[1]]), ([E2, E3], []), ([E1], [[1]]), ([E2, E3], [])],
+                         4, [0, 0, 4, 4, 1]),
+    "exact-dimension-sum": ((3, 0), [([E1], []), ([E2], []), ([E3], []), ([E1, E2], [])],
+                            3, [0, 0, 1, 3]),
+    "max-size-0": ((3, 1), [([E1, E2, E3], [[1]]), ([E1], [])], 0, [0]),
+    "max-size-below-N": ((3, 1), [([E1], [[1]]), ([E2], []), ([E3], []), ([E1, E2, E3], []),
+                                  ([[1, 1, 1]], [[1]])], 2, [0, 0, 2]),
+}
+
+
+class TestGeneratingBySize:
+    """Fixed edge cases of the pruned subset search, each checked against
+    brute force over combinations with ``_generates``; tests/test_properties.py
+    checks random trace lists."""
+
+    @pytest.mark.parametrize("field", [GF(2), GF(3), QQ], ids=str)
+    @pytest.mark.parametrize("case", list(SEARCH_CASES))
+    def test_matches_brute_force(self, field, case):
+        dims, spans, max_size, expected = SEARCH_CASES[case]
+        M, traces = _zero_map_traces(field, dims, spans)
+        spanning, decided = _generating_by_size(M, traces, max_size)
+        assert spanning == expected
+        assert spanning == [sum(_generates(M, sub) for sub in combinations(traces, s))
+                            for s in range(max_size + 1)]
+        assert decided == [comb(len(traces), s) for s in range(max_size + 1)]
+
+    def test_subsets_tested_is_what_the_search_decided(self, monkeypatch):
+        """``subsets-tested`` is the search's own tally: a search that skips
+        the branch of the first trace fails the check."""
+        cfg = default_config("optimality-I3")
+        assert run_scenario(cfg).passed
+        real, skipped = scenarios._grow, []
+
+        def skipping(search, k, i, U1, U2):
+            if k == 1 and not skipped:
+                skipped.append(i)
+                return
+            real(search, k, i, U1, U2)
+
+        monkeypatch.setattr(scenarios, "_grow", skipping)
+        checks = {c.name: c for c in run_scenario(cfg).checks}
+        assert skipped
+        assert not checks["subsets-tested"].passed
+        assert checks["subsets-tested"].computed < checks["subsets-tested"].expected
 
 
 class TestCli:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 from .linalg import FieldSpec, Matrix, Subspace, joint_kernel
@@ -121,6 +122,13 @@ def enumerate_bristles(n: int, field: FieldSpec) -> list:
     return [BristlePoint(n, field, c) for c in _projective_points(field, n)]
 
 
+@lru_cache(maxsize=None)
+def bristle_modules(n: int, field: FieldSpec) -> tuple:
+    """The bristle of every point, in ``enumerate_bristles`` order, built once
+    per (n, field): modules are immutable, so callers share them."""
+    return tuple(bristle(p) for p in enumerate_bristles(n, field))
+
+
 def bristle_count(n: int, q: int) -> int:
     return (q ** n - 1) // (q - 1)
 
@@ -183,8 +191,7 @@ def maximal_bristled_submodule(M: KroneckerModule) -> SubmodulePair:
     """Trace of all bristles plus the full vertex-2 space."""
     if not M.field.is_finite:
         raise ValueError("maximal bristled submodule requires a finite field")
-    gens = [bristle(p) for p in enumerate_bristles(M.n, M.field)]
-    tr = trace_submodule(gens, M)
+    tr = trace_submodule(bristle_modules(M.n, M.field), M)
     return SubmodulePair(M, tr.U1, Subspace.full(M.field, M.dim2))
 
 
@@ -193,12 +200,18 @@ def is_bristled(M: KroneckerModule) -> bool:
     return maximal_bristled_submodule(M).is_full()
 
 
+def form_forces_extensions(M: KroneckerModule) -> bool:
+    """True iff (n - 1) dim2 > dim1, which forces Ext^1(B, M) > 0 for every
+    bristle B: hom - ext = <(1, 1), dim M> = dim1 - (n - 1) dim2, and
+    hom >= 0.  Such an M is not saturated."""
+    return (M.n - 1) * M.dim2 > M.dim1
+
+
 def is_saturated(M: KroneckerModule) -> bool:
     """True iff Ext^1(B, M) = 0 for every bristle B over the (finite) field.
 
-    Two exact steps decide it.  First the bilinear form: hom - ext =
-    <(1, 1), dim M> = dim1 - (n - 1) dim2 for every bristle, and hom >= 0, so
-    (n - 1) dim2 > dim1 forces Ext^1(B, M) > 0 and M is refused at once.
+    Two exact steps decide it.  First the bilinear form: when
+    ``form_forces_extensions(M)``, M is refused at once.
     Otherwise the Auslander-Reiten formula over a hereditary algebra,
     Ext^1(B, M) = D Hom(tau^- M, B) (Assem, Simson and Skowronski,
     Elements of the Representation Theory of Associative Algebras 1,
@@ -210,7 +223,7 @@ def is_saturated(M: KroneckerModule) -> bool:
     if not M.field.is_finite:
         raise ValueError("saturation requires finite-field enumeration; "
                          "test ext1_dim against an explicit list instead")
-    if (M.n - 1) * M.dim2 > M.dim1:
+    if form_forces_extensions(M):
         return False
     X = ar_translate(M, "tau-")
-    return all(hom_dim(X, bristle(p)) == 0 for p in enumerate_bristles(M.n, M.field))
+    return all(hom_dim(X, B) == 0 for B in bristle_modules(M.n, M.field))

@@ -23,10 +23,16 @@ the pivots.
 
 Over GF(p) every intermediate product stays below p^2 < 2^62, so int64
 arithmetic is exact; a matrix product switches to Python integers once a
-sum of products could reach 2^62.  Pivot choice is deterministic: first
-nonzero entry scanning columns left to right, rows top to bottom.
-Subspaces are kept in reduced row-echelon form, so two subspaces are equal
-iff their basis matrices are entrywise equal.
+sum of products could reach 2^62.  Below that bound a product whose dense
+form takes more than 2^16 multiply-adds, and one of whose operands has
+fewer than 1/8 nonzeros (τ-translates and preinjectives have about one per
+row), adds up the products of that operand's nonzeros, unreduced, and
+reduces mod p at the end: each output entry still sums at most
+inner-length products below p^2, so the same bound keeps it exact.
+
+Pivot choice is deterministic: first nonzero entry scanning columns left to
+right, rows top to bottom.  Subspaces are kept in reduced row-echelon form,
+so two subspaces are equal iff their basis matrices are entrywise equal.
 """
 
 from __future__ import annotations
@@ -225,19 +231,60 @@ def _scalars(field: FieldSpec, num: np.ndarray, den: int) -> list:
     return num.tolist() if field.is_finite else _fraction_over(num, den).tolist()
 
 
+# a product over GF(p) whose dense form takes more multiply-adds than this,
+# with an operand of fewer than 1/_SPARSE_DENSITY nonzeros, is summed over
+# that operand's nonzeros; below it the dense product is faster
+_SPARSE_MIN_WORK = 2**16
+_SPARSE_DENSITY = 8
+
+
 def _dot(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The integer product a @ b, reduced mod p over GF(p); b may be a vector.
 
     Over GF(p) the product runs on int64 while every sum of products stays
     below 2^62 (inner length times (p-1)^2); past that bound the same
-    expression runs on Python integers, as it always does over Q.
+    expression runs on Python integers, as it always does over Q.  Below the
+    bound a large product with a sparse operand is summed over that
+    operand's nonzeros (``_sparse_dot``; a sparse right operand through the
+    transposes), over the operand that gives fewer products when both are
+    sparse.  Integer sums do not depend on their order, so both paths give
+    the same array.
     """
     if not field.is_finite:
         return a @ b
     p = field.characteristic
-    if a.shape[-1] * (p - 1) ** 2 < 2**62:
-        return a @ b % p
-    return (a.astype(object) @ b.astype(object) % p).astype(np.int64)
+    if a.shape[-1] * (p - 1) ** 2 >= 2**62:
+        return (a.astype(object) @ b.astype(object) % p).astype(np.int64)
+    n = b.shape[1] if b.ndim == 2 else 1
+    work = a.size * n  # multiply-adds of the dense product
+    if a.ndim == 2 and work > _SPARSE_MIN_WORK:
+        # products of a scatter over a's nonzeros, and over b's
+        cost_a = np.count_nonzero(a) * n
+        cost_b = np.count_nonzero(b) * a.shape[0] if b.ndim == 2 else cost_a
+        if min(cost_a, cost_b) * _SPARSE_DENSITY < work:
+            if cost_a <= cost_b:
+                return _sparse_dot(a, b, p)
+            return _sparse_dot(b.T, a.T, p).T
+    return a @ b % p
+
+
+def _sparse_dot(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b % p as, for each nonzero a[r, c], a[r, c] * b[c] added to row r.
+
+    The nonzeros are taken at most as many at a time as a has rows, so no
+    chunk's products take more cells than the output.  Every output entry
+    sums at most a.shape[1] products below p^2, unreduced, as the dense
+    product does.
+    """
+    r, c = np.nonzero(a)
+    out = np.zeros((a.shape[0],) + b.shape[1:], np.int64)
+    step = max(a.shape[0], 1)
+    for s in range(0, r.size, step):
+        rs, cs = r[s:s + step], c[s:s + step]
+        prods = b[cs]
+        prods *= a[rs, cs][:, None] if b.ndim == 2 else a[rs, cs]
+        np.add.at(out, rs, prods)
+    return np.remainder(out, p, out=out)
 
 
 def _numerators(field: FieldSpec, mats: Sequence["Matrix"]):

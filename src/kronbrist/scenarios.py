@@ -20,9 +20,11 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
 from . import __version__
 from .bristles import (
     bristle,
+    bristle_modules,
     bristle_type_of,
     canonical_set,
     enumerate_bristles,
+    form_forces_extensions,
     is_bristle_vector,
     is_bristled,
     is_saturated,
@@ -131,10 +133,6 @@ def _b0_modules(n: int, field: FieldSpec) -> list:
     return [bristle(p) for p in canonical_set("B0", n, field)]
 
 
-def _all_bristles(n: int, field: FieldSpec) -> list:
-    return [bristle(p) for p in enumerate_bristles(n, field)]
-
-
 def _generates(M: KroneckerModule, traces: Sequence[SubmodulePair]) -> bool:
     """Whether the given trace submodules of M together span all of M.
 
@@ -230,7 +228,7 @@ def _scn_main_theorem_a(cfg: ScenarioConfig) -> List[Check]:
     _require_wild(cfg)
     n, f = cfg.n, cfg.field
     b0 = _b0_modules(n, f)
-    allb = _all_bristles(n, f)
+    allb = bristle_modules(n, f)
     checks = []
     for t in range(cfg.t_max + 1):
         It = preinjective(n, t, f)
@@ -307,7 +305,7 @@ def _scn_optimality_i3(cfg: ScenarioConfig) -> List[Check]:
     total = comb(len(pts), n + 1)
     _subset_cap(total, cfg)
     I3 = preinjective(n, 3, f)
-    traces = [trace_submodule([bristle(p)], I3) for p in pts]
+    traces = [trace_submodule([B], I3) for B in bristle_modules(n, f)]
     spanning, decided = _generating_by_size(I3, traces, n + 1)
     checks = [
         Check("b0-generates-I3",
@@ -329,15 +327,14 @@ def _scn_opt_taub1(cfg: ScenarioConfig) -> List[Check]:
     n, f = cfg.n, cfg.field
     b1pt = unit_point(n, f, 1)
     T = ar_translate(bristle(b1pt), "tau")
-    pts = enumerate_bristles(n, f)
-    others = [p for p in pts if p != b1pt]
+    others = [B for p, B in zip(enumerate_bristles(n, f), bristle_modules(n, f)) if p != b1pt]
     total = comb(len(others), n + 1)
     _subset_cap(total, cfg)
-    traces = [trace_submodule([bristle(p)], T) for p in others]
+    traces = [trace_submodule([B], T) for B in others]
     spanning, decided = _generating_by_size(T, traces, n + 1)
     b1prime = [bristle(p) for p in canonical_set("B1prime", n, f)]
     hom_self = hom_dim(bristle(b1pt), T)
-    hom_others = sorted({hom_dim(bristle(p), T) for p in others})
+    hom_others = sorted({hom_dim(B, T) for B in others})
     return [
         Check("taub1-dims",
               "the translate of the first unit bristle has dimension vector Phi(1,1)",
@@ -363,7 +360,7 @@ def _scn_n2_generation(cfg: ScenarioConfig) -> List[Check]:
     f = cfg.field
     pts = enumerate_bristles(2, f)
     _subset_cap(2 ** len(pts) * (cfg.t_max + 1), cfg)
-    mods = [bristle(p) for p in pts]
+    mods = bristle_modules(2, f)
     indices = list(f.elements()) + [INF]
     checks = []
     for t in range(cfg.t_max + 1):
@@ -412,7 +409,7 @@ def _scn_n2_classification(cfg: ScenarioConfig) -> List[Check]:
     _require_two_arrows(cfg)
     f = cfg.field
     q = f.order
-    allb = _all_bristles(2, f)
+    allb = bristle_modules(2, f)
     checks = []
     for t in range(cfg.t_max + 1):
         It = preinjective(2, t, f)
@@ -596,9 +593,9 @@ def _scn_saturated_faithful(cfg: ScenarioConfig) -> List[Check]:
         M = random_module(n, f, rng, 6, 4)
         if M.is_zero() or M.dims in ((1, 0), (0, 1)):
             continue
-        if end_dim(M) != 1:
-            continue
-        if not is_saturated(M):
+        # pure predicates, cheapest first: the bilinear form refuses most
+        # samples by their dimension vector alone, before any Hom system
+        if form_forces_extensions(M) or end_dim(M) != 1 or not is_saturated(M):
             continue
         found += 1
         if not is_faithful(M):

@@ -15,11 +15,13 @@ from kronbrist.bristles import (
     BristlePoint,
     bristle,
     bristle_count,
+    bristle_modules,
     bristle_point,
     bristle_type_of,
     bristle_variety,
     canonical_set,
     enumerate_bristles,
+    form_forces_extensions,
     is_bristle_vector,
     is_bristled,
     is_saturated,
@@ -116,6 +118,14 @@ class TestEnumeration:
     def test_rationals_rejected(self):
         with pytest.raises(ValueError):
             enumerate_bristles(3, QQ)
+        with pytest.raises(ValueError):
+            bristle_modules(3, QQ)
+
+    @pytest.mark.parametrize("n,q", [(2, 3), (3, 2), (4, 2)])
+    def test_bristle_modules_built_once_in_enumeration_order(self, n, q):
+        mods = bristle_modules(n, GF(q))
+        assert mods == tuple(bristle(p) for p in enumerate_bristles(n, GF(q)))
+        assert bristle_modules(n, GF(q)) is mods
 
 
 class TestBristleVectors:
@@ -252,6 +262,7 @@ class TestSaturationRoute:
                 M = direct_sum(M, random_module(n, f, rng, 3, 1))
             expected = all(ext1_dim(bristle(p), M) == 0 for p in enumerate_bristles(n, f))
             assert is_saturated(M) == expected, (n, f, M.dims)
+            assert form_forces_extensions(M) == self._refused(M)
             refused += self._refused(M)
             translated += not self._refused(M)
             saturated += expected

@@ -15,6 +15,7 @@ from math import gcd
 import numpy as np
 import pytest
 
+from kronbrist import linalg
 from kronbrist.linalg import (
     GF,
     QQ,
@@ -529,6 +530,74 @@ def _hom_dim_reference(M, N, p):
                     row[t * M.dim1 + c] -= an[r][t]
                 rows.append(row)
     return t1 + t2 - _rank_mod_p(rows, p)
+
+
+class TestNonzeroProduct:
+    """Which path a product over GF(p) takes; tests/test_properties.py checks
+    that both give the same array."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        calls, real = [], linalg._sparse_dot
+
+        def spy(a, b, p):
+            calls.append((a.shape, b.shape))
+            return real(a, b, p)
+
+        monkeypatch.setattr(linalg, "_sparse_dot", spy)
+        return calls
+
+    @staticmethod
+    def _diagonal(field, rows, cols):
+        a = np.zeros((rows, cols), np.int64)
+        np.fill_diagonal(a, 1)
+        return Matrix(field, a)
+
+    def test_sparse_left_operand(self, monkeypatch):
+        calls = self._spy(monkeypatch)
+        f = GF(5)
+        dense = Matrix(f, np.full((64, 40), 3, np.int64))
+        C = self._diagonal(f, 50, 64) @ dense
+        assert calls == [((50, 64), (64, 40))]
+        assert C == dense.split_rows(32)[0].vstack(*dense.split_rows(32)[1:25])
+
+    def test_sparse_right_operand_through_the_transposes(self, monkeypatch):
+        calls = self._spy(monkeypatch)
+        f = GF(5)
+        dense = Matrix(f, np.full((40, 64), 3, np.int64))
+        C = dense @ self._diagonal(f, 64, 50)
+        assert calls == [((50, 64), (64, 40))]
+        assert C == dense.col_block(0, 50)
+
+    def test_fewer_products_side_is_chosen(self, monkeypatch):
+        calls = self._spy(monkeypatch)
+        f = GF(2)
+        two = np.zeros((100, 40), np.int64)
+        two[[0, 1], [0, 1]] = 1
+        # a: 100 nonzeros times 40 columns of b; b: 2 nonzeros times 200 rows of a
+        C = self._diagonal(f, 200, 100) @ Matrix(f, two)
+        assert calls == [((40, 100), (100, 200))]
+        assert C == Matrix(f, np.vstack([two, np.zeros((100, 40), np.int64)]))
+
+    def test_dense_small_and_rational_products_stay_dense(self, monkeypatch):
+        calls = self._spy(monkeypatch)
+        f = GF(5)
+        dense = Matrix(f, np.full((64, 64), 3, np.int64))
+        dense @ dense  # density 1
+        self._diagonal(f, 30, 30) @ self._diagonal(f, 30, 30)  # 900 cells: tiny
+        self._diagonal(f, 64, 64).apply([1] * 64)  # a vector of 64 cells
+        Matrix.identity(QQ, 64) @ Matrix.identity(QQ, 64)  # Q keeps a @ b
+        assert calls == []
+
+    def test_density_threshold_is_strict(self, monkeypatch):
+        calls = self._spy(monkeypatch)
+        f = GF(3)
+        a = np.zeros((64, 64), np.int64)
+        a[:, :8] = 1  # exactly 1/8 nonzeros: dense
+        Matrix(f, a) @ Matrix(f, np.ones((64, 64), np.int64))
+        a[0, 0] = 0  # one below: nonzeros
+        Matrix(f, a) @ Matrix(f, np.ones((64, 64), np.int64))
+        assert calls == [((64, 64), (64, 64))]
 
 
 class TestLargeCharacteristic:

@@ -6,7 +6,8 @@ representations have the kernels of the systems written out with np.kron;
 Hom and Ext dimensions are invariant under a change of basis at both
 vertices; the two Ext routes and both forms of the Auslander-Reiten
 formula agree; module files round-trip exactly; the pruned subset search
-counts the generating subsets of each size as brute force does.
+counts the generating subsets of each size as brute force does; a
+product summed over the nonzeros of either operand equals the dense one.
 
 hypothesis runs derandomized with few examples, so every run checks the
 same inputs.
@@ -37,6 +38,7 @@ from kronbrist.cover import (  # noqa: E402
     neighbor,
     vertex_class,
 )
+from kronbrist import linalg  # noqa: E402
 from kronbrist.linalg import (  # noqa: E402
     GF,
     QQ,
@@ -379,3 +381,49 @@ def test_module_file_round_trips(data):
     back = parse_module_file(text)
     assert back == M
     assert write_module_file(back) == text
+
+
+DOT_FIELDS = [GF(2), GF(5), MERSENNE]
+# densities on both sides of the 1/_SPARSE_DENSITY threshold, and the ends
+DOT_DENSITIES = [0.0, 1 / 64, 1 / 16, 1 / 9, 1 / 7, 1 / 3, 1.0]
+
+
+def _sparse_array(rng, field, shape, density):
+    p = field.characteristic
+    values = rng.integers(1, p, size=shape, dtype=np.int64) if p > 2 else np.ones(shape, np.int64)
+    return np.where(rng.random(shape) < density, values, 0)
+
+
+@st.composite
+def dot_operands(draw):
+    """(field, a, b): a is m x k; b is k x n or, as a vector, k; either side
+    may be sparse, and shapes reach past _SPARSE_MIN_WORK multiply-adds."""
+    field = draw(st.sampled_from(DOT_FIELDS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m, k = draw(st.integers(0, 70)), draw(st.integers(0, 40))
+    a = _sparse_array(rng, field, (m, k), draw(st.sampled_from(DOT_DENSITIES)))
+    b_shape = (k,) if draw(st.booleans()) else (k, draw(st.integers(0, 70)))
+    b = _sparse_array(rng, field, b_shape, draw(st.sampled_from(DOT_DENSITIES)))
+    return field, a, b
+
+
+def _python_int_product(a, b, p):
+    return (a.astype(object) @ b.astype(object) % p).astype(np.int64)
+
+
+@settings(PROPERTY, max_examples=120)
+@given(dot_operands())
+def test_nonzero_product_matches_dense(case):
+    """The nonzero path of ``_dot``, over either operand, gives the array of
+    the dense product, which over GF(2^31 - 1) is the Python-int fallback
+    once the inner length passes 1."""
+    field, a, b = case
+    p = field.characteristic
+    expected = _python_int_product(a, b, p)
+    got = linalg._dot(field, a, b)
+    assert got.dtype == np.int64 and got.shape == expected.shape
+    assert np.array_equal(got, expected)
+    if a.shape[1] * (p - 1) ** 2 < 2**62:  # where the nonzero path may run
+        assert np.array_equal(linalg._sparse_dot(a, b, p), expected)
+        if b.ndim == 2:
+            assert np.array_equal(linalg._sparse_dot(b.T, a.T, p).T, expected)

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import subprocess
 import sys
 from itertools import combinations
@@ -16,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from kronbrist import scenarios
-from kronbrist.bristles import bristle, canonical_set, enumerate_bristles, unit_point
+from kronbrist.bristles import bristle, canonical_set, enumerate_bristles, is_saturated, unit_point
 from kronbrist.cli import main as cli_main
 from kronbrist.families import preinjective
 from kronbrist.linalg import GF, QQ, InternalCheckFailed, Matrix, Subspace
@@ -24,7 +25,10 @@ from kronbrist.modules import (
     KroneckerModule,
     SubmodulePair,
     ar_translate,
+    end_dim,
+    is_faithful,
     is_generated_by,
+    random_module,
     trace_submodule,
 )
 from kronbrist.scenarios import (
@@ -244,7 +248,40 @@ class TestGeneratingBySize:
         assert checks["subsets-tested"].computed < checks["subsets-tested"].expected
 
 
+@pytest.mark.parametrize("seed,n,q", [(0, 3, 5), (1, 3, 5), (23, 3, 5), (1729, 3, 5),
+                                      (1, 2, 3), (5, 2, 2)])
+def test_saturated_faithful_counts_do_not_depend_on_test_order(seed, n, q):
+    """``saturated-faithful`` refuses by the bilinear form before the brick
+    test and the saturation test; all are pure predicates, so it counts the
+    same modules as the brick test first would."""
+    cfg = default_config("saturated-faithful", n=n, field=GF(q), seed=seed)
+    check, = run_scenario(cfg).checks
+    rng = scenarios._derived_rng(cfg.seed, f"saturated-faithful:{n}:{cfg.field}")
+    found = bad = 0
+    for _ in range(check.details["samples"]):
+        M = random_module(n, cfg.field, rng, 6, 4)
+        if M.is_zero() or M.dims in ((1, 0), (0, 1)):
+            continue
+        if end_dim(M) == 1 and is_saturated(M):
+            found += 1
+            bad += not is_faithful(M)
+    assert (check.details["saturated_bricks_found"], check.computed) == (found, bad)
+
+
 class TestCli:
+    def test_python_m_kronbrist_renders_the_cli_bytes(self, capsys):
+        """``python -m kronbrist`` is the CLI: same report bytes, same exit."""
+        for fmt in ("json", "table"):
+            assert cli_main(["tau-b1-cover", "--format", fmt]) == 0
+            expected = capsys.readouterr().out
+            env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+                filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+            done = subprocess.run([sys.executable, "-m", "kronbrist", "tau-b1-cover",
+                                   "--format", fmt], capture_output=True, text=True, env=env)
+            assert done.returncode == 0, done.stderr
+            assert done.stdout == expected
+            assert done.stderr.startswith("elapsed: ")
+
     def test_pass_run_table(self, capsys, tmp_path):
         rc = cli_main(["n2-classification", "--q", "2", "--tmax", "2"])
         out = capsys.readouterr()

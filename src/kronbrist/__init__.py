@@ -9,7 +9,7 @@ scenario harness with its CLI (scenarios, report, cli).
 
 __version__ = "0.1.0"
 
-from .linalg import GF, QQ, FieldSpec, Matrix, Subspace, kernel_basis, rref, solve
+from .linalg import GF, QQ, FieldSpec, Matrix, Subspace, kernel_basis, rref
 from .modules import (
     KroneckerModule,
     Morphism,

@@ -129,10 +129,6 @@ def bristle_modules(n: int, field: FieldSpec) -> tuple:
     return tuple(bristle(p) for p in enumerate_bristles(n, field))
 
 
-def bristle_count(n: int, q: int) -> int:
-    return (q ** n - 1) // (q - 1)
-
-
 # -- bristle vectors and the variety of bristle lines ------------------------
 
 def is_bristle_vector(M: KroneckerModule, u: Sequence) -> bool:

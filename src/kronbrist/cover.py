@@ -27,7 +27,7 @@ or vector carried into it go through that layout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .linalg import (
     DimensionMismatch,
@@ -343,7 +343,7 @@ def extract_bristle_from_wedge(X: CoverRep, pushed: KroneckerModule,
                  _place(X, pushed.dim2, {(j,): one}))
 
 
-def extract_mij(X: CoverRep, i: int, j: int, pushed: Optional[KroneckerModule] = None):
+def extract_mij(X: CoverRep, i: int, j: int, pushed: KroneckerModule):
     """Bristle submodule of the pushed path rep with equal images under both maps.
 
     The generator puts the label-j center value on the leaf (j,i), the center
@@ -353,8 +353,6 @@ def extract_mij(X: CoverRep, i: int, j: int, pushed: Optional[KroneckerModule] =
 
     Returns (pair, generator vector).
     """
-    if pushed is None:
-        pushed = push_down(X)
     line = w_component(X, i, j).spaces[BASE].basis
     gen = _place(X, pushed.dim1, {
         BASE: line,
@@ -446,9 +444,7 @@ def injective_star(n: int, field: FieldSpec, j: int) -> CoverRep:
 
 # -- the center decomposition and the generation equalities ------------------------
 
-def verify_cover_equalities(n: int, field: FieldSpec,
-                            pair_starts: Optional[Sequence[int]] = None
-                            ) -> List[Tuple[str, bool]]:
+def verify_cover_equalities(n: int, field: FieldSpec) -> List[Tuple[str, bool]]:
     """Mechanical verification of the generation identities inside the ball.
 
     Checks, per branch, that the branch restriction is the sum of its two
@@ -459,16 +455,15 @@ def verify_cover_equalities(n: int, field: FieldSpec,
     whole push-down is the branch part plus the extracted bristles.  Returns
     one (key, holds) pair per identity.
 
-    pair_starts defaults to 1..n-2 plus n (the choice avoiding the pair
-    (n-1, n)); the center decomposition is additionally checked for the
+    The chosen path lines start at 1..n-2 plus n, the choice avoiding the
+    pair (n-1, n); the center decomposition is additionally checked for the
     plain consecutive choice 1..n-1.
     """
     X = build_ball_rep(n, field)
     pushed = push_down(X)
     f = field
     checks: List[Tuple[str, bool]] = []
-    if pair_starts is None:
-        pair_starts = list(range(1, n - 1)) + [n]
+    pair_starts = list(range(1, n - 1)) + [n]
 
     branches = []
     for j in range(1, n + 1):
@@ -499,7 +494,7 @@ def verify_cover_equalities(n: int, field: FieldSpec,
                   and subspace_sum(N2, mij.U2).contains(wp.U2))
             checks.append((f"path-inside-branches-plus-bristle-{i}-{j}", ok))
 
-    for tag, starts in (("consecutive", list(range(1, n))), ("chosen", list(pair_starts))):
+    for tag, starts in (("consecutive", list(range(1, n))), ("chosen", pair_starts)):
         lines = [center_line(X, i, i % n + 1).basis.row(0) for i in starts]
         span = Subspace.from_spanning(f, n - 1, lines)
         checks.append((f"center-direct-sum-{tag}", span.dim == n - 1 and len(lines) == n - 1))

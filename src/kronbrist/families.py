@@ -36,16 +36,27 @@ class _Infinity:
 INF = _Infinity()
 
 
+_PREINJECTIVES: dict = {}  # (n, field, t mod 2) -> [I_{t mod 2}, I_{t mod 2 + 2}, ...]
+
+
 def preinjective(n: int, t: int, field: FieldSpec) -> KroneckerModule:
     """The t-th indecomposable preinjective: the simple at vertex 1 for t = 0,
-    the injective at vertex 2 for t = 1, and translates from there.
+    the injective at vertex 2 for t = 1, and I_t = tau I_{t-2} from there.
+
+    Each I_t is built once per process: one list per (n, field, t mod 2) is
+    extended by one translate per step.  Modules are immutable, so callers
+    share them.
     """
     if t < 0:
         raise ValueError("index must be nonnegative")
-    M = simple_module(n, field, 1) if t % 2 == 0 else injective_module(n, field, 2)
-    for _ in range(t // 2):
-        M = ar_translate(M, "tau")
-    return M
+    key = (n, field, t % 2)
+    chain = _PREINJECTIVES.get(key)
+    if chain is None:
+        start = simple_module(n, field, 1) if t % 2 == 0 else injective_module(n, field, 2)
+        chain = _PREINJECTIVES[key] = [start]
+    while len(chain) <= t // 2:
+        chain.append(ar_translate(chain[-1], "tau"))
+    return chain[t // 2]
 
 
 def preprojective(n: int, t: int, field: FieldSpec) -> KroneckerModule:

@@ -6,8 +6,8 @@ over GF(p) int64 in [0, p) over 1; over Q an object array of Python ints
 in lowest terms with its denominator, so equal matrices hold equal
 integers.  Entries are converted only on the way in (``FieldSpec.array``,
 ``from_rows``; a raw ``Matrix(...)`` is checked) and out (``row``,
-``apply``, ``solve``, coordinates: Python ``int`` or ``Fraction``, never
-numpy scalars).  Values are immutable and operations pure.
+``apply``, coordinates: Python ``int`` or ``Fraction``, never numpy
+scalars).  Values are immutable and operations pure.
 
 Each operation is one integer expression for both fields.  A product
 multiplies the arrays and the denominators; stacking and block placement
@@ -461,9 +461,6 @@ class Matrix:
     def is_zero(self) -> bool:
         return not np.count_nonzero(self.data)
 
-    def entries_flat(self) -> Vector:
-        return tuple(_scalars(self.field, self.data.ravel(), self.den))
-
 
 def place_blocks(field: FieldSpec, rows: int, cols: int, blocks: Sequence) -> Matrix:
     """The rows x cols matrix holding each (row offset, column offset, Matrix)
@@ -595,20 +592,6 @@ def rank(A: Matrix) -> int:
     return rref(A).rank
 
 
-def solve(A: Matrix, b: Sequence) -> Optional[Vector]:
-    """Some x with A x = b, free variables set to 0; None if inconsistent."""
-    if len(b) != A.rows:
-        raise DimensionMismatch(f"rhs length {len(b)} != rows {A.rows}")
-    f = A.field
-    num, d = f.array(b)
-    R, pivots, rk = rref(A.hstack(Matrix._of(f, num.reshape(A.rows, 1), d)))
-    if A.cols in pivots:
-        return None
-    x = f.zeros(A.cols)
-    x[list(pivots)] = R.data[:rk, A.cols]
-    return tuple(_scalars(f, x, R.den))
-
-
 @dataclass(frozen=True)
 class Subspace:
     """Subspace of the row-vector space k^ambient_dim, basis in RREF.
@@ -670,14 +653,6 @@ class Subspace:
         f, B = self.field, self.basis
         proj = _dot(f, w[..., list(self.pivot_cols)], B.data)
         return f.reduce((w if B.den == 1 else w * B.den) - proj)
-
-    def reduce_vector(self, v: Sequence) -> Vector:
-        """Residual of v after subtracting its projection onto the subspace."""
-        num, d = self.field.array(v)
-        return tuple(_scalars(self.field, self._residual(num), d * self.basis.den))
-
-    def contains_vector(self, v: Sequence) -> bool:
-        return not np.count_nonzero(self._residual(self.field.array(v)[0]))
 
     def contains_rows(self, A: Matrix) -> bool:
         """Every row of A lies in the subspace."""

@@ -452,7 +452,7 @@ def _invertible_pair(fm: Morphism) -> bool:
 
 
 def find_isomorphism(M: KroneckerModule, N: KroneckerModule,
-                     attempts: int = 64, rng: Optional[random.Random] = None) -> IsoResult:
+                     attempts: int = 64) -> IsoResult:
     """Tri-state isomorphism test.
 
     Certificates in the order tried: unequal dims (non-iso); M == N (iso); an
@@ -471,7 +471,7 @@ def find_isomorphism(M: KroneckerModule, N: KroneckerModule,
             return IsoResult(ISO, fm)
     if not basis or len(basis) != hom_dim(N, M):
         return IsoResult(NON_ISO)
-    rng = rng if rng is not None else random.Random(0xA11CE)
+    rng = random.Random(0xA11CE)
     f = M.field
     lo, hi = (0, f.characteristic) if f.is_finite else (-4, 5)
     for _ in range(attempts):

@@ -659,9 +659,9 @@ def _scn_bristled_layers(cfg: ScenarioConfig) -> List[Check]:
     if n >= 3:
         for t in range(min(cfg.t_max, 3) + 1):
             fixtures.append((f"I{t}", preinjective(n, t, f)))
-        B1 = bristle(unit_point(n, f, 1))
-        fixtures.append(("tauB1", ar_translate(B1, "tau")))
-        fixtures.append(("tau2B1", ar_translate(ar_translate(B1, "tau"), "tau")))
+        tauB1 = ar_translate(bristle(unit_point(n, f, 1)), "tau")
+        fixtures.append(("tauB1", tauB1))
+        fixtures.append(("tau2B1", ar_translate(tauB1, "tau")))
         for p in canonical_set("B0", n, f):
             fixtures.append((f"bristle{p}", bristle(p)))
     else:
@@ -835,6 +835,8 @@ def run_scenario(cfg: ScenarioConfig) -> Report:
         raise ScenarioConfigError("n must be at least 1")
     if cfg.t_max < 0:
         raise ScenarioConfigError("t_max must be nonnegative")
+    if cfg.attempts < 0:
+        raise ScenarioConfigError("attempts must be nonnegative")
     start = time.perf_counter()
     checks = SCENARIOS[cfg.scenario].func(cfg)
     elapsed = time.perf_counter() - start

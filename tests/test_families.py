@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import pytest
 
+from kronbrist import families
 from kronbrist.bristles import bristle, enumerate_bristles
 from kronbrist.families import (
     INF,
@@ -15,15 +16,17 @@ from kronbrist.families import (
     preinjective,
     preprojective,
 )
-from kronbrist.linalg import GF, Matrix, rank
+from kronbrist.linalg import GF, QQ, Matrix, rank
 from kronbrist.modules import (
     ISO,
     Morphism,
+    ar_translate,
     coxeter_apply,
     dual,
     end_dim,
     find_isomorphism,
     hom_dim,
+    injective_module,
     is_generated_by,
     simple_module,
 )
@@ -78,6 +81,51 @@ class TestPreinjectives:
         I3 = preinjective(4, 3, F2)
         assert I3.dims == (4 ** 3 - 2 * 4, 4 ** 2 - 1)
         assert hom_dim(bristle(unit_point(4, F2, 1)), I3) == 11
+
+
+def preinjective_from_scratch(n, t, field):
+    """I_t by its definition, t // 2 translates of S(1) or I(2), sharing
+    nothing between calls: the oracle for the shared chain."""
+    M = simple_module(n, field, 1) if t % 2 == 0 else injective_module(n, field, 2)
+    for _ in range(t // 2):
+        M = ar_translate(M, "tau")
+    return M
+
+
+class TestPreinjectiveChain:
+    # I_7 at n = 4 is 10864 x 2911 with four dense maps, too large for a unit
+    # test; n = 4 stops at I_5 (780 x 209)
+    @pytest.mark.parametrize("field", [F2, F5, QQ], ids=str)
+    @pytest.mark.parametrize("n,tmax", [(2, 7), (3, 7), (4, 5)])
+    def test_equals_translates_from_scratch(self, n, tmax, field):
+        for t in range(tmax + 1):
+            assert preinjective(n, t, field) == preinjective_from_scratch(n, t, field)
+
+    def test_second_call_returns_the_same_module(self):
+        M = preinjective(3, 4, F5)
+        assert preinjective(3, 4, F5) is M
+        assert preinjective(3, 4, GF(5)) is M  # an equal field object shares it
+        assert preinjective(3, 4, F2) is not M
+
+    @pytest.mark.parametrize("order", [range(9), reversed(range(9)), [8, 7, 0, 1, 5, 6]],
+                             ids=["ascending", "descending", "mixed"])
+    def test_each_module_translated_once(self, monkeypatch, order):
+        # I_0..I_8 take 4 translates on the even side and 3 on the odd side;
+        # asking again, in any order, translates nothing
+        calls = []
+
+        def counting(M, direction):
+            calls.append((M.dims, direction))
+            return ar_translate(M, direction)
+
+        monkeypatch.setattr(families, "_PREINJECTIVES", {})
+        monkeypatch.setattr(families, "ar_translate", counting)
+        for t in order:
+            preinjective(3, t, F2)
+        preinjective(3, 2, F2)
+        preinjective(3, 3, F2)
+        assert len(calls) == 7
+        assert len(set(calls)) == 7 and {d for _, d in calls} == {"tau"}
 
 
 class TestPreprojectives:

@@ -23,7 +23,6 @@ from kronbrist.linalg import (
     Subspace,
     image_subspace,
     rank,
-    solve,
 )
 from kronbrist.modules import (
     ISO,
@@ -106,7 +105,8 @@ class TestHom:
         I2 = preinjective(3, 2, F5)
         basis = hom_basis(B([1, 1, 0]), I2)
         assert len(basis) == 2
-        flat = [b.f1.entries_flat() + b.f2.entries_flat() for b in basis]
+        flat = [tuple(x for m in (b.f1, b.f2) for i in range(m.rows) for x in m.row(i))
+                for b in basis]
         assert Subspace.from_spanning(F5, len(flat[0]), flat).dim == 2
 
     def test_hom_additivity_over_direct_sum(self):
@@ -536,10 +536,9 @@ class TestPythonScalars:
         scalar = int if field.is_finite else Fraction
         A = Matrix.from_rows(field, [[1, 2, 0], [0, 1, 1]])
         image = A.apply((1, 1, 1))
-        x = solve(A, image)
         U = Subspace.from_spanning(field, 3, [(1, 2, 0), (0, 1, 1)])
         coords = U.coordinates((1, 3, 1))
-        for values in (image, x, coords, A.row(1), A.entries_flat(), U.reduce_vector((0, 0, 1))):
+        for values in (image, coords, A.row(1)):
             assert all(type(v) is scalar for v in values), values
         assert all(type(c) is int for c in U.pivot_cols)
         M = preinjective(3, 2, field)
@@ -551,5 +550,5 @@ class TestPythonScalars:
         assert all(type(v) is int for v in ints), ints
         json.dumps(ints)
         if field.is_finite:
-            json.dumps([image, x, coords])
+            json.dumps([image, coords])
 

@@ -354,6 +354,11 @@ class TestCli:
         rc = cli_main(["annihilated-lemma", "--rational"])
         assert rc == 0
 
+    def test_negative_attempts_exit_2(self, capsys):
+        # a budget below zero is a usage error, not a failed search
+        assert cli_main(["indecomposable-generator", "--attempts", "-1"]) == 2
+        assert "attempts must be nonnegative" in capsys.readouterr().err
+
     def test_zero_arrows_exit_2(self, capsys):
         for name in ("bristled-layers", "saturated-faithful"):
             assert cli_main([name, "--n", "0"]) == 2

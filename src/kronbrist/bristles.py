@@ -20,9 +20,10 @@ from .modules import (
     KroneckerModule,
     SubmodulePair,
     ar_translate,
-    hom_dim,
+    bristle_hom_dims,
+    bristle_images,
+    dual,
     quotient,
-    trace_submodule,
 )
 
 
@@ -129,6 +130,13 @@ def bristle_modules(n: int, field: FieldSpec) -> tuple:
     return tuple(bristle(p) for p in enumerate_bristles(n, field))
 
 
+@lru_cache(maxsize=None)
+def bristle_points(n: int, field: FieldSpec) -> Matrix:
+    """The coordinates of every point, one row each, in ``enumerate_bristles``
+    order, built once per (n, field)."""
+    return Matrix.from_rows(field, [p.coords for p in enumerate_bristles(n, field)], cols=n)
+
+
 # -- bristle vectors and the variety of bristle lines ------------------------
 
 def is_bristle_vector(M: KroneckerModule, u: Sequence) -> bool:
@@ -184,11 +192,12 @@ def bristle_variety(M: KroneckerModule) -> list:
 # -- bristled modules and saturation ------------------------------------------
 
 def maximal_bristled_submodule(M: KroneckerModule) -> SubmodulePair:
-    """Trace of all bristles plus the full vertex-2 space."""
+    """Trace of all bristles plus the full vertex-2 space: at vertex 1 the
+    span of the images of every bristle's Hom basis (``bristle_images``)."""
     if not M.field.is_finite:
         raise ValueError("maximal bristled submodule requires a finite field")
-    tr = trace_submodule(bristle_modules(M.n, M.field), M)
-    return SubmodulePair(M, tr.U1, Subspace.full(M.field, M.dim2))
+    X, _ = bristle_images(bristle_points(M.n, M.field), M)
+    return SubmodulePair(M, Subspace.row_space(X), Subspace.full(M.field, M.dim2))
 
 
 def is_bristled(M: KroneckerModule) -> bool:
@@ -207,13 +216,18 @@ def is_saturated(M: KroneckerModule) -> bool:
     """True iff Ext^1(B, M) = 0 for every bristle B over the (finite) field.
 
     Two exact steps decide it.  First the bilinear form: when
-    ``form_forces_extensions(M)``, M is refused at once.
-    Otherwise the Auslander-Reiten formula over a hereditary algebra,
+    ``form_forces_extensions(M)``, M is refused at once, with no Hom system
+    built.  Otherwise the Auslander-Reiten formula over a hereditary algebra,
     Ext^1(B, M) = D Hom(tau^- M, B) (Assem, Simson and Skowronski,
     Elements of the Representation Theory of Associative Algebras 1,
-    Cor. IV.2.14), turns each bristle's Ext into a Hom from tau^- M, computed
-    once, into the bristle.  Its unknowns are the entries of tau^- M's two
-    spaces, far fewer than M's when M is preinjective.  ext1_dim and
+    Cor. IV.2.14), and duality, Hom(tau^- M, B) = Hom(B, D tau^- M) as
+    D B = B, turn each bristle's Ext into a Hom from the bristle into
+    D tau^- M = tau D M, translated once.  Its unknowns are the entries of
+    tau^- M's two spaces, far fewer than M's when M is preinjective.  One
+    block system holds these Homs for all bristles and is peeled once
+    (``bristle_hom_dims``).  The test stops at the first nonzero Hom: the
+    bristles the peel decided come first, then the others in enumeration
+    order, so no core past that bristle is eliminated.  ext1_dim and
     ext1_dim_via_resolution compute the same numbers directly.
     """
     if not M.field.is_finite:
@@ -221,5 +235,5 @@ def is_saturated(M: KroneckerModule) -> bool:
                          "test ext1_dim against an explicit list instead")
     if form_forces_extensions(M):
         return False
-    X = ar_translate(M, "tau-")
-    return all(hom_dim(X, B) == 0 for B in bristle_modules(M.n, M.field))
+    X = ar_translate(dual(M), "tau")  # D tau^- M, as tau^- is D tau D
+    return all(d == 0 for _, d in bristle_hom_dims(bristle_points(M.n, M.field), X))

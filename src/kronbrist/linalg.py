@@ -15,7 +15,15 @@ bring their parts to the lcm of the denominators.  ``intertwining_system``,
 the one Hom-system builder, lists only the nonzeros of a system, a
 ``SparseSystem``; ``sparse_rank`` and the sparse kernels peel its singleton
 rows and columns without arithmetic and eliminate only the dense core that
-is left.  One elimination routine never divides mid-way: it clears a
+is left.  Morphisms from the (1, 1) modules with scalar maps p (bristles)
+into one module N are laid out for a whole list of points at once by
+``bristle_hom_system``: one block-diagonal system, the nonzeros of N's
+stacked maps tiled once per block and p_i at each block's y columns.
+``sparse_block_ranks`` reads every block's rank off one peel of it: the
+peeled columns of each block from one count, and only the blocks left
+with a core are eliminated, each through ``rank``.
+
+One elimination routine never divides mid-way: it clears a
 column from a row x with pivot row y as piv * x - x[c] * y and puts each
 updated row back in lowest terms: reduced mod p over GF(p), divided by the
 gcd of its entries over Q.  Over Q the pivot rows are brought to the lcm of
@@ -40,6 +48,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
@@ -420,6 +429,10 @@ class Matrix:
     def select_cols(self, cols: Sequence[int]) -> "Matrix":
         return self._with(self.data[:, list(cols)])
 
+    def select_rows(self, rows: Sequence[int]) -> "Matrix":
+        """Rows of this matrix by index, in the order given; an index may repeat."""
+        return self._with(self.data[np.asarray(rows, np.int64)])
+
     def hstack(self, *others: "Matrix") -> "Matrix":
         if any(o.rows != self.rows or o.field != self.field for o in others):
             raise DimensionMismatch("hstack shape/field mismatch")
@@ -444,6 +457,17 @@ class Matrix:
             raise DimensionMismatch("matrix addition shape/field mismatch")
         (a, b), den = _numerators(self.field, (self, other))
         return Matrix._of(self.field, self.field.reduce(a + b), den)
+
+    def row_kron(self, other: "Matrix") -> "Matrix":
+        """Row r is the Kronecker product of row r of this matrix with row r
+        of ``other``: entry (r, i * other.cols + k) is self[r, i] * other[r, k]."""
+        if self.rows != other.rows or self.field != other.field:
+            raise DimensionMismatch("row_kron shape/field mismatch")
+        prod = self.data[:, :, None] * other.data[:, None, :]
+        prod = prod.reshape(self.rows, self.cols * other.cols)
+        if self.field.is_finite:
+            np.remainder(prod, self.field.characteristic, out=prod)
+        return Matrix._of(self.field, prod, self.den * other.den)
 
     def scale(self, c: Scalar) -> "Matrix":
         f = self.field
@@ -486,6 +510,20 @@ class SparseSystem(NamedTuple):
     j: np.ndarray
     v: np.ndarray
 
+    @staticmethod
+    def of(field: FieldSpec, cols: int, mats: Sequence[Matrix]) -> "SparseSystem":
+        """The nonzeros of the integers of ``mats`` (each with ``cols``
+        columns), stacked: each row is a row of a matrix times its
+        denominator, so the rank, row space and kernel are those of the
+        stacked matrices."""
+        nonzeros = [np.nonzero(A.data) for A in mats]
+        offsets = np.cumsum([0] + [A.rows for A in mats])
+        return SparseSystem(
+            field, int(offsets[-1]), cols,
+            np.concatenate([np.zeros(0, np.int64)] + [i + o for (i, _), o in zip(nonzeros, offsets)]),
+            np.concatenate([np.zeros(0, np.int64)] + [j for _, j in nonzeros]),
+            np.concatenate([field.zeros(0)] + [A.data[i, j] for A, (i, j) in zip(mats, nonzeros)]))
+
 
 def intertwining_system(field: FieldSpec, rows: int, cols: int, terms: Sequence) -> SparseSystem:
     """Coefficients of F2 A = B F1 in row-major vec(F1), vec(F2): for each term
@@ -511,6 +549,34 @@ def intertwining_system(field: FieldSpec, rows: int, cols: int, terms: Sequence)
             jj.append((c2 + l + i * x2).ravel())
             vv.append((A.data[l, j] * B.den)[None, :].repeat(B.rows, axis=0).ravel())
     return SparseSystem(field, rows, cols, np.concatenate(ii), np.concatenate(jj), np.concatenate(vv))
+
+
+def bristle_hom_system(maps: Sequence[Matrix], points: Matrix) -> SparseSystem:
+    """Morphisms into the module N with structure maps ``maps`` (each
+    d2 x d1) from the (1, 1) module B_p with scalar maps p, for every row p
+    of ``points``, as one block-diagonal system.
+
+    Block b holds Hom(B_p, N) for p = points[b]: unknowns (x, y) in
+    columns b (d1 + d2) onwards, and for each arrow i the d2 rows of
+    p_i y - a_i x = 0, the layout of ``intertwining_system`` for the pair
+    (B_p, N).  The nonzeros of the stacked maps [a_1; ...; a_n] are tiled
+    once per block, and p_i sits at each block's y columns; over Q every
+    block is multiplied by the denominators of the maps and of the points.
+    """
+    field = points.field
+    d2, d1 = maps[0].rows, maps[0].cols
+    A = maps[0].vstack(*maps[1:])
+    height, width, blocks = A.rows, d1 + d2, np.arange(points.rows)[:, None]
+    r, c = np.nonzero(A.data)
+    x_v = field.reduce(-A.data[r, c] * points.den)
+    b, i = np.nonzero(points.data)  # p_i at rows i d2 + k, columns d1 + k of block b
+    k = np.arange(d2)
+    y_i, y_j = (b * height + i * d2)[:, None] + k, (b * width + d1)[:, None] + k
+    return SparseSystem(
+        field, points.rows * height, points.rows * width,
+        np.concatenate([(blocks * height + r).ravel(), y_i.ravel()]),
+        np.concatenate([(blocks * width + c).ravel(), y_j.ravel()]),
+        np.concatenate([np.tile(x_v, points.rows), (points.data[b, i] * A.den).repeat(d2)]))
 
 
 # -- row reduction -----------------------------------------------------------
@@ -712,11 +778,9 @@ def kernel_basis(A: Matrix) -> Subspace:
 
 
 class _Peeled(NamedTuple):
-    batches: list     # each batch's pivot entries (r, c), by entry index, in peel order
-    peeled: int       # columns determined or forced to 0
-    free: np.ndarray  # columns with no entry left: free unknowns
-    core_cols: np.ndarray
-    core: Matrix      # the rows and columns with entries left, dense
+    batches: list        # each batch's pivot entries (r, c), by entry index, in peel order
+    removed: np.ndarray  # per column: determined or forced to 0
+    live: np.ndarray     # the entries left in remaining rows and columns: the core
 
 
 def _peel(S: SparseSystem) -> _Peeled:
@@ -753,22 +817,62 @@ def _peel(S: SparseSystem) -> _Peeled:
             live = live[col_alive[lj]]
         elif not single.size:
             break
-    peeled = S.cols - int(np.count_nonzero(col_alive))
-    li, lj = i[live], j[live]
-    in_rows, in_cols = np.zeros(S.rows, bool), np.zeros(S.cols, bool)
-    in_rows[li] = True
-    in_cols[lj] = True
-    core_rows, core_cols = np.flatnonzero(in_rows), np.flatnonzero(in_cols)
-    core = S.field.zeros((core_rows.size, core_cols.size))
-    core[np.searchsorted(core_rows, li), np.searchsorted(core_cols, lj)] = S.v[live]
-    return _Peeled(batches, peeled, np.flatnonzero(col_alive & ~in_cols), core_cols,
-                   Matrix._of(S.field, core))
+    return _Peeled(batches, ~col_alive, live)
+
+
+def _dense_core(S: SparseSystem, entries: np.ndarray):
+    """(columns, core): the rows and columns of S that hold ``entries``, in
+    ascending order, as a dense Matrix of those entries, and its columns."""
+    rows, r = np.unique(S.i[entries], return_inverse=True)
+    cols, c = np.unique(S.j[entries], return_inverse=True)
+    core = S.field.zeros((rows.size, cols.size))
+    core[r, c] = S.v[entries]
+    return cols, Matrix._of(S.field, core)
 
 
 def sparse_rank(S: SparseSystem) -> int:
     """Rank of the sparse system S: its peeled columns plus the rank of its core."""
     P = _peel(S)
-    return P.peeled + rank(P.core)
+    return int(np.count_nonzero(P.removed)) + rank(_dense_core(S, P.live)[1])
+
+
+def sparse_block_ranks(S: SparseSystem, blocks: int):
+    """An iterator of (block, rank) for each of the ``blocks`` diagonal
+    blocks of S, a system whose block b has its entries only in the b-th of
+    ``blocks`` equal spans of rows and of columns (``bristle_hom_system``).
+
+    Blocks do not meet, so one ``_peel`` of S, done at once, peels each
+    block as it would alone: a block's rank is its peeled columns, counted
+    for all blocks with one bincount, plus the rank of its own dense core.
+    The blocks the peel decided, with no core left, come first in block
+    order; then the blocks with a core, in block order, each core
+    eliminated only when the caller asks for its rank, so a caller that
+    stops early ranks no more.
+    """
+    if S.cols == 0:
+        return iter([(b, 0) for b in range(blocks)])
+    width = S.cols // blocks
+    P = _peel(S)
+    ranks = np.bincount(np.flatnonzero(P.removed) // width, minlength=blocks)
+    owner = S.j[P.live] // width
+    order = np.argsort(owner, kind="stable")
+    cored, starts = np.unique(owner[order], return_index=True)
+    decided = np.ones(blocks, bool)
+    decided[cored] = False
+    return chain(((int(b), int(ranks[b])) for b in np.flatnonzero(decided)),
+                 ((int(b), int(ranks[b]) + rank(_dense_core(S, part)[1]))
+                  for b, part in zip(cored, np.split(P.live[order], starts[1:]))))
+
+
+def sparse_blocks(S: SparseSystem, blocks: int) -> list:
+    """The ``blocks`` diagonal blocks of S (as in ``sparse_block_ranks``),
+    each as its own system, its entries in the order S lists them."""
+    height, width = S.rows // blocks, S.cols // blocks
+    owner = S.j // max(width, 1)
+    order = np.argsort(owner, kind="stable")
+    bounds = np.searchsorted(owner[order], np.arange(1, blocks))
+    return [SparseSystem(S.field, height, width, S.i[e] - b * height, S.j[e] - b * width, S.v[e])
+            for b, e in enumerate(np.split(order, bounds))]
 
 
 def sparse_kernel_rows(S: SparseSystem) -> Matrix:
@@ -786,12 +890,16 @@ def sparse_kernel_rows(S: SparseSystem) -> Matrix:
     """
     f = S.field
     P = _peel(S)
-    R, pivots, _ = rref(P.core)
-    core = _free_column_rows(R, pivots, P.core.cols)
+    core_cols, core_matrix = _dense_core(S, P.live)
+    R, pivots, _ = rref(core_matrix)
+    core = _free_column_rows(R, pivots, core_matrix.cols)
+    free = P.removed.copy()
+    free[core_cols] = True
+    free = np.flatnonzero(~free)  # columns with no entry left: free unknowns
     den = core.den
-    K = f.zeros((core.rows + P.free.size, S.cols))
-    K[:core.rows, P.core_cols] = core.data
-    K[core.rows + np.arange(P.free.size), P.free] = den
+    K = f.zeros((core.rows + free.size, S.cols))
+    K[:core.rows, core_cols] = core.data
+    K[core.rows + np.arange(free.size), free] = den
     # the batch of each entry's row, and the row's place in its batch
     batch_of_row, slot = np.full(S.rows, -1), np.zeros(S.rows, np.int64)
     for t, batch in enumerate(P.batches):
@@ -799,12 +907,13 @@ def sparse_kernel_rows(S: SparseSystem) -> Matrix:
         slot[S.i[batch]] = np.arange(batch.size)
     batch_of = batch_of_row[S.i]
     for t in reversed(range(len(P.batches))):
-        batch, entries = P.batches[t], np.flatnonzero(batch_of == t)
-        # each row holds its pivot, whose column is still 0 in K
+        # each row holds its pivot, whose column is still 0 in K, so every
+        # slot has an entry: the entries by slot sum as runs of columns
+        entries = np.flatnonzero(batch_of == t)
+        entries = entries[np.argsort(slot[S.i[entries]], kind="stable")]
+        batch, runs = P.batches[t], np.flatnonzero(np.diff(slot[S.i[entries]], prepend=-1))
         terms = f.reduce(K[:, S.j[entries]] * S.v[entries])
-        sums = f.zeros((K.shape[0], batch.size))
-        np.add.at(sums, (slice(None), slot[S.i[entries]]), terms)
-        sums = f.reduce(sums)
+        sums = f.reduce(np.add.reduceat(terms, runs, axis=1))
         piv = S.v[batch]
         if f.is_finite:
             p = f.characteristic

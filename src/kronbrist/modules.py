@@ -21,6 +21,7 @@ from .linalg import (
     InternalCheckFailed,
     Matrix,
     Subspace,
+    bristle_hom_system,
     image_subspace,
     intertwining_system,
     joint_kernel,
@@ -30,6 +31,8 @@ from .linalg import (
     embed_free_coordinates,
     rank,
     SparseSystem,
+    sparse_block_ranks,
+    sparse_blocks,
     sparse_kernel,
     sparse_kernel_rows,
     sparse_rank,
@@ -221,11 +224,34 @@ def _check_same_category(M: KroneckerModule, N: KroneckerModule):
         raise DimensionMismatch("modules over different quivers or fields")
 
 
+def _is_bristle(M: KroneckerModule) -> bool:
+    """Dimension (1, 1) with a nonzero map: a bristle, up to the scaling of its point."""
+    return M.dims == (1, 1) and not all(a.is_zero() for a in M.alphas)
+
+
+def _point(M: KroneckerModule) -> Matrix:
+    """The scalar maps of a (1, 1) module as one row."""
+    return M.alphas[0].hstack(*M.alphas[1:])
+
+
 def _hom_system(M: KroneckerModule, N: KroneckerModule) -> SparseSystem:
-    """The sparse system f2.aM - aN.f1 = 0 in unknowns vec(f1) ++ vec(f2)."""
+    """The sparse system f2.aM - aN.f1 = 0 in unknowns vec(f1) ++ vec(f2);
+    from a bristle M, the one-point block of ``bristle_hom_system``."""
+    if _is_bristle(M):
+        return bristle_hom_system(N.alphas, _point(M))
     t1, h = N.dim1 * M.dim1, N.dim2 * M.dim1
     terms = [(i * h, 0, t1, aM, aN) for i, (aM, aN) in enumerate(zip(M.alphas, N.alphas))]
     return intertwining_system(M.field, M.n * h, t1 + N.dim2 * M.dim2, terms)
+
+
+def bristle_hom_dims(points: Matrix, N: KroneckerModule):
+    """(b, dim Hom(B_p, N)) for the bristle B_p of each row p of ``points``,
+    from one block system and one peel (``sparse_block_ranks``): first the
+    points the peel decided, then the others in row order, each core
+    eliminated only when the caller asks for its dimension."""
+    width = N.dim1 + N.dim2
+    S = bristle_hom_system(N.alphas, points)
+    return ((b, width - r) for b, r in sparse_block_ranks(S, points.rows))
 
 
 def hom_dim(M: KroneckerModule, N: KroneckerModule) -> int:
@@ -319,8 +345,54 @@ def trace_submodule(generators: Sequence[KroneckerModule], M: KroneckerModule) -
                          image_subspace(Matrix.hstack(*images2)))
 
 
+def bristle_images(points: Matrix, M: KroneckerModule):
+    """(X, Y): the images of a basis of Hom(B_p, M) for every row p of
+    ``points``, stacked: row r of X and of Y is the pair (x, y) with
+    a_i x = p_i y of one basis element.
+
+    The Hom spaces come from one block system (``bristle_hom_system``), a
+    kernel per block, and all the rows pass one intertwining guard: for
+    each arrow i, X a_i^T against Y with each row scaled by p_i of its
+    point.  A mismatch is a bug in the system or a kernel, so it raises
+    InternalCheckFailed.
+    """
+    S = bristle_hom_system(M.alphas, points)
+    kernels = [sparse_kernel_rows(block) for block in sparse_blocks(S, points.rows)]
+    H = kernels[0].vstack(*kernels[1:])
+    X, Y = H.col_block(0, M.dim1), H.col_block(M.dim1, H.cols)
+    P = points.select_rows([b for b, K in enumerate(kernels) for _ in range(K.rows)])
+    if not all(X @ a.transpose() == P.col_block(i, i + 1).row_kron(Y)
+               for i, a in enumerate(M.alphas)):
+        raise InternalCheckFailed("a Hom basis element does not intertwine the structure maps")
+    return X, Y
+
+
 def is_generated_by(generators: Sequence[KroneckerModule], M: KroneckerModule) -> bool:
-    return trace_submodule(generators, M).is_full()
+    """Whether the trace of the generators is all of M, decided by rank
+    alone: the images of every Hom basis element span M at each vertex.
+
+    The bristles among the generators bring their images from
+    ``bristle_images``, one system and one guard for all of them; any other
+    generator brings the columns of its basis maps, checked by
+    ``_hom_stacks``.  The stacked images at each vertex are ranked as their
+    nonzeros (``sparse_rank``); no canonical basis is formed.
+    """
+    images1, images2, points = [], [], []
+    for G in generators:
+        _check_same_category(G, M)
+        if _is_bristle(G):
+            points.append(_point(G))
+            continue
+        k, F1, F2 = _hom_stacks(G, M, sparse_kernel_rows)
+        if k:
+            images1.append(F1.transpose_blocks(k, 1).transpose())
+            images2.append(F2.transpose_blocks(k, 1).transpose())
+    if points:
+        X, Y = bristle_images(points[0].vstack(*points[1:]), M)
+        images1.append(X)
+        images2.append(Y)
+    return all(sparse_rank(SparseSystem.of(M.field, d, images)) == d
+               for d, images in ((M.dim1, images1), (M.dim2, images2)))
 
 
 # -- translation by composed reflections -------------------------------------

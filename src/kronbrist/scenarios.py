@@ -21,6 +21,7 @@ from . import __version__
 from .bristles import (
     bristle,
     bristle_modules,
+    bristle_points,
     bristle_type_of,
     canonical_set,
     enumerate_bristles,
@@ -59,6 +60,7 @@ from .modules import (
     KroneckerModule,
     SubmodulePair,
     ar_translate,
+    bristle_hom_dims,
     compose,
     coxeter_apply,
     direct_sum_list,
@@ -66,7 +68,6 @@ from .modules import (
     ext1_dim,
     find_isomorphism,
     hom_basis,
-    hom_dim,
     is_faithful,
     is_generated_by,
     layers,
@@ -228,7 +229,6 @@ def _scn_main_theorem_a(cfg: ScenarioConfig) -> List[Check]:
     _require_wild(cfg)
     n, f = cfg.n, cfg.field
     b0 = _b0_modules(n, f)
-    allb = bristle_modules(n, f)
     checks = []
     for t in range(cfg.t_max + 1):
         It = preinjective(n, t, f)
@@ -242,14 +242,14 @@ def _scn_main_theorem_a(cfg: ScenarioConfig) -> List[Check]:
             True, is_saturated(It)))
     if cfg.t_max >= 2:
         I2 = preinjective(n, 2, f)
-        dims = sorted({hom_dim(B, I2) for B in allb})
+        dims = sorted({d for _, d in bristle_hom_dims(bristle_points(n, f), I2)})
         checks.append(Check(
             "hom-into-I2-uniform",
             "maps from each bristle into the second preinjective span n-1 dimensions",
             [n - 1], dims))
     if cfg.t_max >= 3:
         I3 = preinjective(n, 3, f)
-        dims = sorted({hom_dim(B, I3) for B in allb})
+        dims = sorted({d for _, d in bristle_hom_dims(bristle_points(n, f), I3)})
         checks.append(Check(
             "hom-into-I3-uniform",
             "maps from each bristle into the third preinjective span n^2-n-1 dimensions",
@@ -327,14 +327,16 @@ def _scn_opt_taub1(cfg: ScenarioConfig) -> List[Check]:
     n, f = cfg.n, cfg.field
     b1pt = unit_point(n, f, 1)
     T = ar_translate(bristle(b1pt), "tau")
-    others = [B for p, B in zip(enumerate_bristles(n, f), bristle_modules(n, f)) if p != b1pt]
+    pts = enumerate_bristles(n, f)
+    others = [B for p, B in zip(pts, bristle_modules(n, f)) if p != b1pt]
     total = comb(len(others), n + 1)
     _subset_cap(total, cfg)
     traces = [trace_submodule([B], T) for B in others]
     spanning, decided = _generating_by_size(T, traces, n + 1)
     b1prime = [bristle(p) for p in canonical_set("B1prime", n, f)]
-    hom_self = hom_dim(bristle(b1pt), T)
-    hom_others = sorted({hom_dim(B, T) for B in others})
+    homs = dict(bristle_hom_dims(bristle_points(n, f), T))
+    hom_self = homs.pop(pts.index(b1pt))
+    hom_others = sorted(set(homs.values()))
     return [
         Check("taub1-dims",
               "the translate of the first unit bristle has dimension vector Phi(1,1)",

@@ -38,6 +38,7 @@ from kronbrist.modules import (
     projective_module,
     random_module,
     simple_module,
+    trace_submodule,
 )
 
 F2, F3, F5 = GF(2), GF(3), GF(5)
@@ -243,6 +244,22 @@ class TestBristledAndSaturated:
             is_saturated(bristle(bristle_point(3, QQ, [1, 0, 0])))
 
 
+class TestMaximalBristledSubmodule:
+    @pytest.mark.parametrize("field", [F2, F3], ids=str)
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_matches_the_trace_of_all_bristles(self, field, n):
+        """The vertex-1 space built from one block system for all bristles
+        is the canonical trace of the bristles, one Hom system each."""
+        rng = random.Random(7 * n + field.characteristic)
+        fixtures = [random_module(n, field, rng, 4, 3) for _ in range(12)]
+        fixtures += [n2_preinjective(t, field) for t in range(4)] if n == 2 else \
+            [dim32_bristled(field), dim32_not_bristled(field)]
+        for M in fixtures:
+            trace = trace_submodule(bristle_modules(n, field), M)
+            assert maximal_bristled_submodule(M).U1 == trace.U1
+            assert is_bristled(M) == trace.U1.is_full()
+
+
 class TestSaturationRoute:
     """is_saturated refuses by the bilinear form or decides through tau^-;
     both must agree with the definition, Ext^1(B, M) = 0 for every bristle."""
@@ -267,12 +284,23 @@ class TestSaturationRoute:
             saturated += expected
         assert refused and translated and saturated, (refused, translated, saturated)
 
+    @pytest.mark.parametrize("field", [F2, F3], ids=str)
+    def test_the_one_bristle_with_extensions_is_found(self, field):
+        """Ext^1(B, tau B_p) = D Hom(B_p, B) is nonzero for B = B_p alone, so
+        the sweep over all bristles must reach whichever block holds B_p."""
+        points = enumerate_bristles(3, field)
+        for p in points:
+            M = ar_translate(bristle(p), "tau")
+            assert not form_forces_extensions(M)
+            assert [ext1_dim(bristle(q), M) for q in points] == [int(q == p) for q in points]
+            assert not is_saturated(M)
+
     def test_refusal_needs_no_translate(self, monkeypatch):
         def unreachable(*args):
             raise AssertionError("the bilinear form alone decides this module")
 
         monkeypatch.setattr(bristles, "ar_translate", unreachable)
-        monkeypatch.setattr(bristles, "hom_dim", unreachable)
+        monkeypatch.setattr(bristles, "bristle_hom_dims", unreachable)
         for M in (simple_module(3, F2, 2), projective_module(3, F3, 1),
                   bristle(unit_point(3, F2, 1)),
                   direct_sum(bristle(unit_point(4, F3, 2)), simple_module(4, F3, 1))):

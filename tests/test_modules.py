@@ -190,6 +190,30 @@ class TestIntertwiningGuard:
         with pytest.raises(InternalCheckFailed, match="does not intertwine"):
             hom_basis(M, M)
 
+    @pytest.mark.parametrize("corrupt", [0, 4, 8])
+    def test_one_corrupt_bristle_row_raises(self, monkeypatch, corrupt):
+        """is_generated_by checks the Hom rows of all its bristles with one
+        guard: one entry changed in one of the 9 stacked rows (three
+        bristles, three rows each), first, middle or last, must trip it."""
+        b = B([1, 2, 3])
+        M = direct_sum(direct_sum(b, b), b)  # Hom(b, M) = k^3
+        real, calls = modules.sparse_kernel_rows, []
+
+        def corrupted(S):
+            K = real(S)
+            calls.append(K)
+            if len(calls) - 1 != corrupt // 3:
+                return K
+            data = K.data.copy()
+            data[corrupt % 3, 0] = (data[corrupt % 3, 0] + 1) % 5  # x[0] of one row
+            return Matrix(K.field, data)
+
+        assert is_generated_by([b, b, b], M)
+        monkeypatch.setattr(modules, "sparse_kernel_rows", corrupted)
+        with pytest.raises(InternalCheckFailed, match="does not intertwine"):
+            is_generated_by([b, b, b], M)
+        assert [K.rows for K in calls] == [3, 3, 3]
+
 
 class TestExt:
     def test_bristle_self_extensions(self):

@@ -7,7 +7,10 @@ Hom and Ext dimensions are invariant under a change of basis at both
 vertices; the two Ext routes and both forms of the Auslander-Reiten
 formula agree; module files round-trip exactly; the pruned subset search
 counts the generating subsets of each size as brute force does; a
-product summed over the nonzeros of either operand equals the dense one.
+product summed over the nonzeros of either operand equals the dense one;
+the block system of many bristles gives, block by block, the Hom spaces
+the one Hom-system builder gives; generation decided by rank agrees with
+the canonical trace.
 
 hypothesis runs derandomized with few examples, so every run checks the
 same inputs.
@@ -45,9 +48,12 @@ from kronbrist.linalg import (  # noqa: E402
     Matrix,
     SparseSystem,
     Subspace,
+    bristle_hom_system,
+    intertwining_system,
     kernel_basis,
     rank,
     rref,
+    sparse_block_ranks,
     sparse_kernel,
     sparse_kernel_rows,
     sparse_rank,
@@ -58,10 +64,17 @@ from kronbrist.modules import (  # noqa: E402
     SubmodulePair,
     _hom_system,
     ar_translate,
+    bristle_hom_dims,
+    direct_sum,
+    direct_sum_list,
     ext1_dim,
     ext1_dim_via_resolution,
     hom_basis,
     hom_dim,
+    is_generated_by,
+    simple_module,
+    trace_submodule,
+    zero_module,
 )
 from kronbrist.scenarios import _generates, _generating_by_size  # noqa: E402
 
@@ -427,3 +440,110 @@ def test_nonzero_product_matches_dense(case):
         assert np.array_equal(linalg._sparse_dot(a, b, p), expected)
         if b.ndim == 2:
             assert np.array_equal(linalg._sparse_dot(b.T, a.T, p).T, expected)
+
+
+def generic_hom_system(M, N) -> SparseSystem:
+    """Hom(M, N) through ``intertwining_system``, for any M: the oracle of
+    the bristle block system."""
+    t1, h = N.dim1 * M.dim1, N.dim2 * M.dim1
+    terms = [(i * h, 0, t1, aM, aN) for i, (aM, aN) in enumerate(zip(M.alphas, N.alphas))]
+    return intertwining_system(M.field, M.n * h, t1 + N.dim2 * M.dim2, terms)
+
+
+def one_by_one(field, coords) -> KroneckerModule:
+    """The (1, 1) module whose i-th map is multiplication by coords[i]."""
+    return KroneckerModule(len(coords), field, 1, 1,
+                           tuple(Matrix.from_rows(field, [[c]], cols=1) for c in coords))
+
+
+SWEEP_FIELDS = [GF(2), GF(3), MERSENNE, QQ]
+
+
+@st.composite
+def bristle_sweeps(draw):
+    """(N, points): a module N with dims in 0..3, n in 1..4, over GF(2),
+    GF(3), GF(2^31 - 1) or Q (maps with denominators), and one to four
+    nonzero points, not normalized; half the time N has the bristle of the
+    first point as a summand."""
+    field = draw(st.sampled_from(SWEEP_FIELDS))
+    entry = entries(field) if field.is_finite else Q_ENTRIES
+    n = draw(st.integers(1, 4))
+    d1, d2 = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    N = KroneckerModule(n, field, d1, d2, tuple(
+        Matrix.from_rows(field, [[draw(entry) for _ in range(d1)] for _ in range(d2)], cols=d1)
+        for _ in range(n)))
+    point = st.lists(entry, min_size=n, max_size=n).filter(lambda c: any(x != 0 for x in c))
+    points = draw(st.lists(point, min_size=1, max_size=4))
+    if draw(st.booleans()):  # a summand B_p makes Hom(B_p, N) nonzero, with y != 0
+        N = direct_sum(N, one_by_one(field, points[0]))
+    return N, points
+
+
+@settings(PROPERTY, max_examples=100)
+@given(bristle_sweeps())
+def test_bristle_block_ranks_match_one_system_each(case):
+    """Block b of ``bristle_hom_system`` has the rank of Hom(B_p, N) built by
+    ``intertwining_system``, and each block is ranked once, the blocks with
+    no core after peeling first; a one-point block has the same kernel, and
+    is what ``_hom_system`` builds for the bristle."""
+    N, coords = case
+    f, width = N.field, N.dim1 + N.dim2
+    points = Matrix.from_rows(f, coords, cols=N.n)
+    expected = [width - sparse_rank(generic_hom_system(one_by_one(f, c), N)) for c in coords]
+    S = bristle_hom_system(N.alphas, points)
+    assert (S.rows, S.cols) == (len(coords) * N.n * N.dim2, len(coords) * width)
+    ranks = list(sparse_block_ranks(S, len(coords)))
+    assert sorted(b for b, _ in ranks) == list(range(len(coords)))
+    assert [width - r for _, r in sorted(ranks)] == expected
+    assert sorted(bristle_hom_dims(points, N)) == list(enumerate(expected))
+    for c, dim in zip(coords, expected):
+        B = one_by_one(f, c)
+        one = bristle_hom_system(N.alphas, Matrix.from_rows(f, [c], cols=N.n))
+        assert sparse_kernel(one) == sparse_kernel(generic_hom_system(B, N))
+        assert sparse_kernel(_hom_system(B, N)) == sparse_kernel(one)
+        assert hom_dim(B, N) == dim
+
+
+@settings(PROPERTY, max_examples=60)
+@given(bristle_sweeps())
+def test_zero_one_by_one_modules_keep_the_generic_system(case):
+    """A (1, 1) module whose maps are all zero is no bristle: its Hom system
+    into N is the one ``intertwining_system`` builds."""
+    N, _ = case
+    Z = one_by_one(N.field, [0] * N.n)
+    S, ref = _hom_system(Z, N), generic_hom_system(Z, N)
+    assert (S.rows, S.cols) == (ref.rows, ref.cols)
+    assert written_out(S) == written_out(ref)
+    assert hom_dim(Z, N) == N.dim1 + N.dim2 - sparse_rank(ref)
+
+
+@st.composite
+def generation_cases(draw):
+    """(generators, M) over GF(2), GF(3) or Q with n in 1..3: M random with
+    dims in 0..3, the zero module or S(2)^k; up to four generators among
+    bristles, random modules, zero-map (1, 1) modules, the zero module and
+    the simples."""
+    field = draw(st.sampled_from([GF(2), GF(3), QQ]))
+    n = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["random", "random", "zero", "sink-simples"]))
+    if kind == "zero":
+        M = zero_module(n, field)
+    elif kind == "sink-simples":
+        M = direct_sum_list([simple_module(n, field, 2)] * draw(st.integers(1, 3)))
+    else:
+        M = draw(modules(field, n))
+    point = st.lists(entries(field), min_size=n, max_size=n)
+    generator = st.one_of(
+        point.filter(lambda c: any(x != 0 for x in c)).map(lambda c: one_by_one(field, c)),
+        point.map(lambda c: one_by_one(field, c)),
+        modules(field, n, max_dim=2),
+        st.sampled_from([zero_module(n, field), simple_module(n, field, 1),
+                         simple_module(n, field, 2)]))
+    return draw(st.lists(generator, max_size=4)), M
+
+
+@settings(PROPERTY, max_examples=150)
+@given(generation_cases())
+def test_generation_by_rank_matches_the_trace(case):
+    gens, M = case
+    assert is_generated_by(gens, M) == trace_submodule(gens, M).is_full()

@@ -59,14 +59,16 @@ SEARCH_GOLDENS = {
     "n2-generation-q11-tmax3": ("n2-generation", {"field": GF(11), "t_max": 3}),
 }
 GOLDEN_VARIANTS = ["main-theorem-b-bristle-orbits-module", "annihilated-lemma-rational",
-                   "main-theorem-a-n4-q3-tmax4"] + sorted(SEARCH_GOLDENS)
+                   "main-theorem-a-n4-q3-tmax4", "main-theorem-a-n3-q2-tmax7"] + sorted(SEARCH_GOLDENS)
 
 
 def _golden_config(name: str):
     """Default config of a golden entry; the ``-module`` entry adds GOLDEN_MODULE,
     the ``-rational`` entry runs over Q at n = 4, ``main-theorem-a-n4-q3-tmax4``
-    checks saturation on preinjectives larger than any default reaches, and
-    the SEARCH_GOLDENS entries run their subset searches at larger configs."""
+    checks saturation on preinjectives larger than any default reaches,
+    ``main-theorem-a-n3-q2-tmax7`` sweeps the bristles over I_0..I_7, up to
+    dimension (987, 377), and the SEARCH_GOLDENS entries run their subset
+    searches at larger configs."""
     if name in SEARCH_GOLDENS:
         scenario, overrides = SEARCH_GOLDENS[name]
         return default_config(scenario, **overrides)
@@ -77,6 +79,8 @@ def _golden_config(name: str):
         return default_config("annihilated-lemma", field=QQ, n=4)
     if name == "main-theorem-a-n4-q3-tmax4":
         return default_config("main-theorem-a", n=4, field=GF(3), t_max=4)
+    if name == "main-theorem-a-n3-q2-tmax7":
+        return default_config("main-theorem-a", n=3, field=GF(2), t_max=7)
     return default_config(name)
 
 

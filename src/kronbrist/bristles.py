@@ -196,7 +196,7 @@ def maximal_bristled_submodule(M: KroneckerModule) -> SubmodulePair:
     span of the images of every bristle's Hom basis (``bristle_images``)."""
     if not M.field.is_finite:
         raise ValueError("maximal bristled submodule requires a finite field")
-    X, _ = bristle_images(bristle_points(M.n, M.field), M)
+    X, _, _ = bristle_images(bristle_points(M.n, M.field), M)
     return SubmodulePair(M, Subspace.row_space(X), Subspace.full(M.field, M.dim2))
 
 

@@ -21,7 +21,12 @@ into one module N are laid out for a whole list of points at once by
 stacked maps tiled once per block and p_i at each block's y columns.
 ``sparse_block_ranks`` reads every block's rank off one peel of it: the
 peeled columns of each block from one count, and only the blocks left
-with a core are eliminated, each through ``rank``.
+with a core are eliminated, each through ``rank``.  ``sparse_block_kernels``
+gives every block's kernel from the same one peel: each block's core
+through ``rref``, then one back-substitution per peel batch over an array
+of all blocks' kernel vectors; the kernel of one system is its one-block
+case.  ``kernel_basis`` reads the canonical kernel of a dense matrix off
+one elimination of its columns in reverse order.
 
 One elimination routine never divides mid-way: it clears a
 column from a row x with pivot row y as piv * x - x[c] * y and puts each
@@ -766,15 +771,26 @@ def _free_column_rows(R: Matrix, pivots: tuple, n: int) -> Matrix:
 
 
 def kernel_basis(A: Matrix) -> Subspace:
-    """Canonical basis of {v : A v = 0} as a subspace of k^cols."""
+    """Canonical basis of {v : A v = 0} as a subspace of k^cols, from one
+    elimination.
+
+    ``rref`` runs on A with its columns reversed.  Read back in the original
+    order, the kernel row of each free column has its unit at that column
+    and its other entries at pivots of later columns, so these rows, sorted
+    by free column, are already in reduced row-echelon form with the free
+    columns as pivots.
+    """
     f = A.field
     n = A.cols
     if n == 0:
         return Subspace.zero(f, 0)
     if A.rows == 0:
         return Subspace.full(f, n)
-    R, pivots, rk = rref(A)
-    return Subspace.row_space(_free_column_rows(R, pivots, n))
+    R, pivots, _ = rref(A._with(A.data[:, ::-1], lowest=False))
+    K = _free_column_rows(R, pivots, n)
+    pivot_set = set(pivots)
+    free = [n - 1 - c for c in reversed(range(n)) if c not in pivot_set]
+    return Subspace(f, n, K._with(K.data[::-1, ::-1], lowest=False), tuple(free))
 
 
 class _Peeled(NamedTuple):
@@ -836,6 +852,16 @@ def sparse_rank(S: SparseSystem) -> int:
     return int(np.count_nonzero(P.removed)) + rank(_dense_core(S, P.live)[1])
 
 
+def _cored_blocks(S: SparseSystem, P: _Peeled, width: int):
+    """(blocks, entries): the diagonal blocks of S, ``width`` columns each,
+    that the peel P left with a core, in block order, and the live entries
+    of each of their cores."""
+    owner = S.j[P.live] // max(width, 1)
+    order = np.argsort(owner, kind="stable")
+    cored, starts = np.unique(owner[order], return_index=True)
+    return cored, np.split(P.live[order], starts[1:])
+
+
 def sparse_block_ranks(S: SparseSystem, blocks: int):
     """An iterator of (block, rank) for each of the ``blocks`` diagonal
     blocks of S, a system whose block b has its entries only in the b-th of
@@ -854,77 +880,141 @@ def sparse_block_ranks(S: SparseSystem, blocks: int):
     width = S.cols // blocks
     P = _peel(S)
     ranks = np.bincount(np.flatnonzero(P.removed) // width, minlength=blocks)
-    owner = S.j[P.live] // width
-    order = np.argsort(owner, kind="stable")
-    cored, starts = np.unique(owner[order], return_index=True)
+    cored, parts = _cored_blocks(S, P, width)
     decided = np.ones(blocks, bool)
     decided[cored] = False
     return chain(((int(b), int(ranks[b])) for b in np.flatnonzero(decided)),
                  ((int(b), int(ranks[b]) + rank(_dense_core(S, part)[1]))
-                  for b, part in zip(cored, np.split(P.live[order], starts[1:]))))
+                  for b, part in zip(cored, parts)))
 
 
-def sparse_blocks(S: SparseSystem, blocks: int) -> list:
-    """The ``blocks`` diagonal blocks of S (as in ``sparse_block_ranks``),
-    each as its own system, its entries in the order S lists them."""
-    height, width = S.rows // blocks, S.cols // blocks
-    owner = S.j // max(width, 1)
-    order = np.argsort(owner, kind="stable")
-    bounds = np.searchsorted(owner[order], np.arange(1, blocks))
-    return [SparseSystem(S.field, height, width, S.i[e] - b * height, S.j[e] - b * width, S.v[e])
-            for b, e in enumerate(np.split(order, bounds))]
+def sparse_block_kernels(S: SparseSystem, blocks: int):
+    """(rows, counts): a basis of the kernel of each of the ``blocks``
+    diagonal blocks of S (as in ``sparse_block_ranks``) as rows as wide as
+    a block, stacked in block order, and the number of rows of each block.
+    The rows are not in canonical form: use them where only the span
+    matters, and ``sparse_kernel`` for the canonical basis.
+
+    One ``_peel`` of S serves every block, as it would each block alone.
+    A block's vectors, restricted to the unknowns left after peeling, are
+    the kernel of its dense core (the cores eliminated through ``rref`` in
+    block order) and one unit vector per free column.  All blocks' vectors
+    live in one array K[block, vector, column], with as many vectors per
+    block as the largest block kernel has, padded with zero vectors.
+    ``_back_substitute`` fills in the peeled columns of every block at
+    once, one pass per peel batch.  When all blocks have as many vectors,
+    the stacked rows are K itself, reshaped.
+    """
+    f = S.field
+    width = S.cols // blocks
+    P = _peel(S)
+    cored, parts = _cored_blocks(S, P, width)
+    cores = []  # per cored block: the columns of its core and the core's kernel rows
+    for part in parts:
+        cols, core = _dense_core(S, part)
+        R, pivots, _ = rref(core)
+        cores.append((cols, _free_column_rows(R, pivots, core.cols)))
+    unknown = ~P.removed
+    for cols, _ in cores:
+        unknown[cols] = False
+    free = np.flatnonzero(unknown)  # columns with no entry left: free unknowns
+    free_block = free // max(width, 1)
+    core_rows = np.zeros(blocks, np.int64)
+    core_rows[cored] = [core.rows for _, core in cores]
+    counts = core_rows + np.bincount(free_block, minlength=blocks)
+    K = f.zeros((blocks, int(counts.max(initial=0)), width))
+    for b, (cols, core) in zip(cored, cores):
+        K[b][:core.rows, cols - b * width] = core.data
+    # a block's free columns come after its core's vectors, in column order
+    slot = core_rows[free_block] + np.arange(free.size) - np.searchsorted(free_block, free_block)
+    K[free_block, slot, free - free_block * width] = 1
+    _back_substitute(S, P.batches, K, counts)
+    valid = np.arange(K.shape[1]) < counts[:, None]
+    rows = K.reshape(blocks * K.shape[1], width) if valid.all() else K[valid]
+    return Matrix._of(f, rows), counts.tolist()
+
+
+def _pivot_row_entries(S: SparseSystem, batches: list):
+    """(entries, row_start): the entries of S in the rows of the peel
+    batches, batch by batch and row by row within a batch, and where each
+    such row starts: entries[row_start[r]:row_start[r + 1]] lie in the r-th
+    row.  Each row holds its pivot, so none is empty."""
+    rows = np.concatenate([S.i[batch] for batch in batches])
+    at = np.full(S.rows, -1)
+    at[rows] = np.arange(rows.size)
+    at = at[S.i]  # the place of each entry's row among those rows, or -1
+    row_start = np.cumsum(np.bincount(at[at >= 0] + 1, minlength=rows.size + 1))
+    return np.argsort(at, kind="stable")[-row_start[-1]:].copy(), row_start
+
+
+def _back_substitute(S: SparseSystem, batches: list, K: np.ndarray, counts: np.ndarray):
+    """Fill in the peeled columns of the block kernels K[block, vector,
+    column] of ``sparse_block_kernels``, last batch first: x_c = -(sum of
+    a_rk x_k over k != c) / a_rc for the pivot a_rc of each row r of the
+    batch.
+
+    A batch gathers, at each entry of its rows, that column of the entry's
+    block's vectors, scales it by the entry and sums per row.  The gathers
+    take a run of rows at a time, no larger than the largest one a block's
+    own back-substitution would make: its vector count times its entries
+    in one batch.  Over GF(p) each product is reduced mod p before it is
+    summed, since at p near 2^31 a sum of a few products passes 2^63.  Over
+    Q each block's vectors are first scaled by the lcm of the batch's
+    pivots in that block, so the quotients are integers; a kernel vector
+    times a nonzero integer is still one.
+    """
+    blocks, vectors, width = K.shape
+    if not batches or not vectors:
+        return
+    f = S.field
+    entries, row_start = _pivot_row_entries(S, batches)
+    batch_start = np.cumsum([0] + [batch.size for batch in batches])
+    for t in reversed(range(len(batches))):
+        r0, end = batch_start[t], batch_start[t + 1]
+        # a block's own back-substitution gathers its vectors at its entries
+        # in this batch; the largest such gather bounds the entries of one here
+        per_block = np.bincount(S.j[entries[row_start[r0]:row_start[end]]] // width, minlength=blocks)
+        cap = int((per_block * counts).max())
+        if not cap:  # every row of the batch lies in a block with no vector
+            continue
+        step = max(cap // vectors, 1)
+        pivot_block, pivot_col = np.divmod(S.j[batches[t]], width)
+        piv = S.v[batches[t]]
+        if f.is_finite:
+            p = f.characteristic
+            scale = np.array([pow(int(a), -1, p) for a in piv])
+        else:
+            order = np.argsort(pivot_block, kind="stable")
+            present, starts = np.unique(pivot_block[order], return_index=True)
+            m = np.ones(blocks, object)
+            m[present] = [lcm(*g) for g in np.split(piv[order], starts[1:])]
+            scaled = present[m[present] != 1]
+            if scaled.size:
+                K[scaled] *= m[scaled][:, None, None]
+        while r0 < end:
+            r1 = min(max(int(np.searchsorted(row_start, row_start[r0] + step, "right")) - 1, r0 + 1), end)
+            e = entries[row_start[r0]:row_start[r1]]
+            block, col = np.divmod(S.j[e], width)
+            terms = K[block, :, col]
+            terms *= S.v[e][:, None]
+            if f.is_finite:
+                np.remainder(terms, p, out=terms)
+            sums = np.negative(np.add.reduceat(terms, row_start[r0:r1] - row_start[r0], axis=0))
+            rows = slice(r0 - batch_start[t], r1 - batch_start[t])
+            if f.is_finite:
+                sums %= p
+                sums *= scale[rows, None]
+                sums %= p
+            else:  # the sums are over the scaled vectors, so a_rc divides them
+                sums //= piv[rows, None]
+            K[pivot_block[rows], :, pivot_col[rows]] = sums
+            r0 = r1
 
 
 def sparse_kernel_rows(S: SparseSystem) -> Matrix:
-    """A basis of {x : S x = 0} as matrix rows, not in canonical form: use it
-    where only the span matters, and ``sparse_kernel`` for the canonical one.
-
-    The free columns and the kernel of the core give the kernel vectors K
-    restricted to the unknowns left after peeling.  Then, last batch first,
-    each batch fills in its columns x_c = -(sum of a_rk x_k over k != c) /
-    a_rc with one elementwise product of its rows' entries with K and one
-    summation per row.  Over GF(p) each product is reduced mod p before it
-    is summed, since at p near 2^31 a sum of a few products passes 2^63;
-    over Q the vectors are first scaled by the lcm of the batch's pivots
-    a_rc, so the quotients are integers.
-    """
-    f = S.field
-    P = _peel(S)
-    core_cols, core_matrix = _dense_core(S, P.live)
-    R, pivots, _ = rref(core_matrix)
-    core = _free_column_rows(R, pivots, core_matrix.cols)
-    free = P.removed.copy()
-    free[core_cols] = True
-    free = np.flatnonzero(~free)  # columns with no entry left: free unknowns
-    den = core.den
-    K = f.zeros((core.rows + free.size, S.cols))
-    K[:core.rows, core_cols] = core.data
-    K[core.rows + np.arange(free.size), free] = den
-    # the batch of each entry's row, and the row's place in its batch
-    batch_of_row, slot = np.full(S.rows, -1), np.zeros(S.rows, np.int64)
-    for t, batch in enumerate(P.batches):
-        batch_of_row[S.i[batch]] = t
-        slot[S.i[batch]] = np.arange(batch.size)
-    batch_of = batch_of_row[S.i]
-    for t in reversed(range(len(P.batches))):
-        # each row holds its pivot, whose column is still 0 in K, so every
-        # slot has an entry: the entries by slot sum as runs of columns
-        entries = np.flatnonzero(batch_of == t)
-        entries = entries[np.argsort(slot[S.i[entries]], kind="stable")]
-        batch, runs = P.batches[t], np.flatnonzero(np.diff(slot[S.i[entries]], prepend=-1))
-        terms = f.reduce(K[:, S.j[entries]] * S.v[entries])
-        sums = f.reduce(np.add.reduceat(terms, runs, axis=1))
-        piv = S.v[batch]
-        if f.is_finite:
-            p = f.characteristic
-            K[:, S.j[batch]] = f.reduce(-sums * np.array([pow(int(a), -1, p) for a in piv]))
-        else:
-            m = lcm(*piv)
-            if m != 1:
-                K *= m
-                den *= m
-            K[:, S.j[batch]] = -sums * (m // piv)
-    return Matrix._of(f, K, den)
+    """A basis of {x : S x = 0} as matrix rows, not in canonical form: the
+    one-block case of ``sparse_block_kernels``."""
+    return sparse_block_kernels(S, 1)[0]
 
 
 def sparse_kernel(S: SparseSystem) -> Subspace:

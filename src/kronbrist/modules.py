@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .linalg import (
@@ -31,8 +32,8 @@ from .linalg import (
     embed_free_coordinates,
     rank,
     SparseSystem,
+    sparse_block_kernels,
     sparse_block_ranks,
-    sparse_blocks,
     sparse_kernel,
     sparse_kernel_rows,
     sparse_rank,
@@ -346,25 +347,35 @@ def trace_submodule(generators: Sequence[KroneckerModule], M: KroneckerModule) -
 
 
 def bristle_images(points: Matrix, M: KroneckerModule):
-    """(X, Y): the images of a basis of Hom(B_p, M) for every row p of
-    ``points``, stacked: row r of X and of Y is the pair (x, y) with
-    a_i x = p_i y of one basis element.
+    """(X, Y, counts): the images of a basis of Hom(B_p, M) for every row p
+    of ``points``, stacked in row order, and the number of basis elements
+    of each: row r of X and of Y is the pair (x, y) with a_i x = p_i y of
+    one basis element.
 
-    The Hom spaces come from one block system (``bristle_hom_system``), a
-    kernel per block, and all the rows pass one intertwining guard: for
-    each arrow i, X a_i^T against Y with each row scaled by p_i of its
-    point.  A mismatch is a bug in the system or a kernel, so it raises
-    InternalCheckFailed.
+    The Hom spaces come from one block system (``bristle_hom_system``) and
+    one peel of it (``sparse_block_kernels``), and all the rows pass one
+    intertwining guard: for each arrow i, X a_i^T against Y with each row
+    scaled by p_i of its point.  A mismatch is a bug in the system or the
+    kernels, so it raises InternalCheckFailed.
     """
     S = bristle_hom_system(M.alphas, points)
-    kernels = [sparse_kernel_rows(block) for block in sparse_blocks(S, points.rows)]
-    H = kernels[0].vstack(*kernels[1:])
+    H, counts = sparse_block_kernels(S, points.rows)
     X, Y = H.col_block(0, M.dim1), H.col_block(M.dim1, H.cols)
-    P = points.select_rows([b for b, K in enumerate(kernels) for _ in range(K.rows)])
+    P = points.select_rows([b for b, k in enumerate(counts) for _ in range(k)])
     if not all(X @ a.transpose() == P.col_block(i, i + 1).row_kron(Y)
                for i, a in enumerate(M.alphas)):
         raise InternalCheckFailed("a Hom basis element does not intertwine the structure maps")
-    return X, Y
+    return X, Y, counts
+
+
+def bristle_traces(points: Matrix, M: KroneckerModule) -> list:
+    """The trace of the bristle B_p in M for every row p of ``points``, in
+    row order: the row spaces of the rows ``bristle_images`` gives for p,
+    the same pairs as ``trace_submodule([B_p], M)`` from one system."""
+    X, Y, counts = bristle_images(points, M)
+    return [SubmodulePair(M, Subspace.row_space(X.select_rows(range(e - k, e))),
+                          Subspace.row_space(Y.select_rows(range(e - k, e))))
+            for k, e in zip(counts, accumulate(counts))]
 
 
 def is_generated_by(generators: Sequence[KroneckerModule], M: KroneckerModule) -> bool:
@@ -388,7 +399,7 @@ def is_generated_by(generators: Sequence[KroneckerModule], M: KroneckerModule) -
             images1.append(F1.transpose_blocks(k, 1).transpose())
             images2.append(F2.transpose_blocks(k, 1).transpose())
     if points:
-        X, Y = bristle_images(points[0].vstack(*points[1:]), M)
+        X, Y, _ = bristle_images(points[0].vstack(*points[1:]), M)
         images1.append(X)
         images2.append(Y)
     return all(sparse_rank(SparseSystem.of(M.field, d, images)) == d

@@ -61,6 +61,7 @@ from .modules import (
     SubmodulePair,
     ar_translate,
     bristle_hom_dims,
+    bristle_traces,
     compose,
     coxeter_apply,
     direct_sum_list,
@@ -75,7 +76,6 @@ from .modules import (
     random_module,
     simple_module,
     submodule_as_module,
-    trace_submodule,
 )
 from .modfile import parse_module_file
 from .report import Check, Report
@@ -305,7 +305,7 @@ def _scn_optimality_i3(cfg: ScenarioConfig) -> List[Check]:
     total = comb(len(pts), n + 1)
     _subset_cap(total, cfg)
     I3 = preinjective(n, 3, f)
-    traces = [trace_submodule([B], I3) for B in bristle_modules(n, f)]
+    traces = bristle_traces(bristle_points(n, f), I3)
     spanning, decided = _generating_by_size(I3, traces, n + 1)
     checks = [
         Check("b0-generates-I3",
@@ -328,10 +328,10 @@ def _scn_opt_taub1(cfg: ScenarioConfig) -> List[Check]:
     b1pt = unit_point(n, f, 1)
     T = ar_translate(bristle(b1pt), "tau")
     pts = enumerate_bristles(n, f)
-    others = [B for p, B in zip(pts, bristle_modules(n, f)) if p != b1pt]
+    others = [i for i, p in enumerate(pts) if p != b1pt]
     total = comb(len(others), n + 1)
     _subset_cap(total, cfg)
-    traces = [trace_submodule([B], T) for B in others]
+    traces = bristle_traces(bristle_points(n, f).select_rows(others), T)
     spanning, decided = _generating_by_size(T, traces, n + 1)
     b1prime = [bristle(p) for p in canonical_set("B1prime", n, f)]
     homs = dict(bristle_hom_dims(bristle_points(n, f), T))
@@ -362,12 +362,11 @@ def _scn_n2_generation(cfg: ScenarioConfig) -> List[Check]:
     f = cfg.field
     pts = enumerate_bristles(2, f)
     _subset_cap(2 ** len(pts) * (cfg.t_max + 1), cfg)
-    mods = bristle_modules(2, f)
     indices = list(f.elements()) + [INF]
     checks = []
     for t in range(cfg.t_max + 1):
         It = n2_preinjective(t, f)
-        traces = [trace_submodule([m], It) for m in mods]
+        traces = bristle_traces(bristle_points(2, f), It)
         spanning, decided = _generating_by_size(It, traces, len(pts))
         # a subset counts as a violation unless it was decided the law's way
         violations = sum(comb(len(pts), size) - (spanning[size] if size >= t + 1

@@ -9,8 +9,11 @@ formula agree; module files round-trip exactly; the pruned subset search
 counts the generating subsets of each size as brute force does; a
 product summed over the nonzeros of either operand equals the dense one;
 the block system of many bristles gives, block by block, the Hom spaces
-the one Hom-system builder gives; generation decided by rank agrees with
-the canonical trace.
+the one Hom-system builder gives; the kernels of all diagonal blocks from
+one peel span the kernel of each block written out densely, and the
+bristle traces from one system are the traces built one bristle at a
+time; the canonical kernel from one elimination equals the one from two;
+generation decided by rank agrees with the canonical trace.
 
 hypothesis runs derandomized with few examples, so every run checks the
 same inputs.
@@ -48,11 +51,13 @@ from kronbrist.linalg import (  # noqa: E402
     Matrix,
     SparseSystem,
     Subspace,
+    _free_column_rows,
     bristle_hom_system,
     intertwining_system,
     kernel_basis,
     rank,
     rref,
+    sparse_block_kernels,
     sparse_block_ranks,
     sparse_kernel,
     sparse_kernel_rows,
@@ -65,6 +70,7 @@ from kronbrist.modules import (  # noqa: E402
     _hom_system,
     ar_translate,
     bristle_hom_dims,
+    bristle_traces,
     direct_sum,
     direct_sum_list,
     ext1_dim,
@@ -335,6 +341,79 @@ def test_sparse_rank_and_kernel_match_dense(S):
 
 
 @st.composite
+def block_systems(draw):
+    """(field, w, blocks): one to four dense blocks w columns wide and up to
+    4 rows high (w and the height may be 0), over GF(2), GF(3), GF(2^31 - 1) or Q, each
+    random and mostly zeros, all zero (the whole block is kernel) or the
+    identity over random rows (no kernel), so kernel sizes differ."""
+    field = draw(st.sampled_from([GF(2), GF(3), MERSENNE, QQ]))
+    h, w = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    if field.is_finite:
+        p = field.characteristic
+        nonzero = st.one_of(st.sampled_from([1, p - 1]), st.integers(1, p - 1))
+    else:
+        nonzero = st.sampled_from([1, -1, 2, -3, 6, 7, 2**40])
+    cell = st.one_of(st.just(0), st.just(0), nonzero)
+
+    def block():
+        kind = draw(st.sampled_from(["random", "random", "zero", "unit"]))
+        rows = [[0 if kind == "zero" else draw(cell) for _ in range(w)] for _ in range(h)]
+        if kind == "unit":
+            rows = [[int(i == j) for j in range(w)] for i in range(w)] + rows
+        return rows
+    return field, w, [block() for _ in range(draw(st.integers(1, 4)))]
+
+
+@settings(PROPERTY, max_examples=150)
+@given(block_systems())
+def test_block_kernels_span_each_dense_block_kernel(case):
+    """One peel of a block-diagonal system gives, for each block, a basis
+    of the kernel of that block written out densely, stacked in block
+    order; zero-width blocks, blocks with no kernel and blocks of uneven
+    kernel sizes included."""
+    field, w, blocks = case
+    height = max(len(b) for b in blocks)
+    rows = []
+    for k, b in enumerate(blocks):  # blocks padded with zero rows to one height
+        for r in b + [[0] * w] * (height - len(b)):
+            rows.append([0] * (k * w) + list(r) + [0] * ((len(blocks) - k - 1) * w))
+    S = sparse_of(field, rows, len(blocks) * w) if rows else SparseSystem(
+        field, 0, len(blocks) * w, np.zeros(0, np.int64), np.zeros(0, np.int64), field.zeros(0))
+    H, counts = sparse_block_kernels(S, len(blocks))
+    assert (H.rows, H.cols) == (sum(counts), w)
+    start = 0
+    for b, k in zip(blocks, counts):
+        dense = sparse_of(field, b, w) if b else SparseSystem(
+            field, 0, w, np.zeros(0, np.int64), np.zeros(0, np.int64), field.zeros(0))
+        rows = H.select_rows(range(start, start + k))
+        assert rank(rows) == k and Subspace.row_space(rows) == kernel_basis(written_out(dense))
+        start += k
+
+
+def two_elimination_kernel(A: Matrix) -> Subspace:
+    """The canonical kernel as it was first computed: the free-column rows
+    of the RREF of A, brought to RREF by a second elimination."""
+    if A.rows == 0 or A.cols == 0:
+        return kernel_basis(A)
+    R, pivots, _ = rref(A)
+    return Subspace.row_space(_free_column_rows(R, pivots, A.cols))
+
+
+@settings(PROPERTY, max_examples=200)
+@given(st.data())
+def test_kernel_basis_from_one_elimination_matches_two(data):
+    """The kernel read off one elimination of the reversed columns equals
+    the two-elimination form entry for entry: basis, denominator and
+    pivots."""
+    field = data.draw(st.sampled_from([GF(2), GF(3), GF(5), MERSENNE, QQ]))
+    r, c = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 6))
+    A = data.draw(matrices(field, r, c))
+    K, ref = kernel_basis(A), two_elimination_kernel(A)
+    assert K == ref
+    assert (K.basis.den, K.pivot_cols) == (ref.basis.den, ref.pivot_cols)
+
+
+@st.composite
 def trace_lists(draw):
     """(M, traces, max_size): up to 7 traces in a module of dimension at most
     (3, 3) over GF(2), GF(3) or Q whose maps are all zero, so that any pair
@@ -515,6 +594,25 @@ def test_zero_one_by_one_modules_keep_the_generic_system(case):
     assert (S.rows, S.cols) == (ref.rows, ref.cols)
     assert written_out(S) == written_out(ref)
     assert hom_dim(Z, N) == N.dim1 + N.dim2 - sparse_rank(ref)
+
+
+@settings(PROPERTY, max_examples=100)
+@given(bristle_sweeps())
+def test_bristle_traces_match_one_trace_each(case):
+    """The traces from one block system are, bristle by bristle, the ones
+    ``trace_submodule`` builds from one Hom system each, and the block
+    kernels span the kernel of each one-point system written out."""
+    N, coords = case
+    f = N.field
+    points = Matrix.from_rows(f, coords, cols=N.n)
+    H, counts = sparse_block_kernels(bristle_hom_system(N.alphas, points), len(coords))
+    start = 0
+    for c, k in zip(coords, counts):
+        one = bristle_hom_system(N.alphas, Matrix.from_rows(f, [c], cols=N.n))
+        assert Subspace.row_space(H.select_rows(range(start, start + k))) == \
+            kernel_basis(written_out(one))
+        start += k
+    assert bristle_traces(points, N) == [trace_submodule([one_by_one(f, c)], N) for c in coords]
 
 
 @st.composite

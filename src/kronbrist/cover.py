@@ -20,13 +20,14 @@ literal coordinate identity.
 A subrepresentation (``CoverSubrep``) is a subspace of the host's space at
 each vertex, checked once for closure under the host's arrows.  The
 push-down layout, the block of the pushed spaces that each vertex occupies,
-is worked out in one place (``_offsets``); the push-down and every subspace
-or vector carried into it go through that layout.
+is worked out once per representation (``CoverRep.offsets``); the push-down
+and every subspace or vector carried into it go through that layout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Sequence, Tuple
 
 from .linalg import (
@@ -106,22 +107,22 @@ class CoverRep:
             return got
         return Matrix.zeros(self.field, self.dim(neighbor(v, label)), self.dim(v))
 
-
-def _offsets(X: CoverRep) -> Dict[TreeVertex, int]:
-    """The push-down layout: where each vertex's block starts in the space of
-    its vertex class.  The blocks of a class follow one another in
-    (depth, label path) order."""
-    offsets, ends = {}, [0, 0]
-    for v in sorted(X.spaces, key=lambda u: (len(u), u)):
-        cls = vertex_class(v) - 1
-        offsets[v] = ends[cls]
-        ends[cls] += X.spaces[v]
-    return offsets
+    @cached_property
+    def offsets(self) -> Dict[TreeVertex, int]:
+        """The push-down layout: where each vertex's block starts in the space
+        of its vertex class.  The blocks of a class follow one another in
+        (depth, label path) order."""
+        offsets, ends = {}, [0, 0]
+        for v in sorted(self.spaces, key=lambda u: (len(u), u)):
+            cls = vertex_class(v) - 1
+            offsets[v] = ends[cls]
+            ends[cls] += self.spaces[v]
+        return offsets
 
 
 def push_down(X: CoverRep) -> KroneckerModule:
     """Sum the spaces over each vertex class and assemble the label maps blockwise."""
-    offsets = _offsets(X)
+    offsets = X.offsets
     d1, d2 = (sum(d for v, d in X.spaces.items() if vertex_class(v) == cls) for cls in (1, 2))
     alphas = tuple(place_blocks(X.field, d2, d1, [(offsets[neighbor(v, label)], offsets[v], mat)
                                                   for (v, label), mat in X.maps.items() if label == i])
@@ -133,9 +134,8 @@ def _place(X: CoverRep, total: int, parts: Dict[TreeVertex, Matrix]) -> Matrix:
     """Rows of one push-down space of X, of dimension ``total``: row r holds
     row r of every part in the block of the part's vertex and zeros
     elsewhere.  The parts have equal row counts and vertices of one class."""
-    offsets = _offsets(X)
     rows = next(iter(parts.values())).rows
-    return place_blocks(X.field, rows, total, [(0, offsets[v], B) for v, B in parts.items()])
+    return place_blocks(X.field, rows, total, [(0, X.offsets[v], B) for v, B in parts.items()])
 
 
 def _pair(pushed: KroneckerModule, rows1: Matrix, rows2: Matrix) -> SubmodulePair:
@@ -240,7 +240,7 @@ class CoverSubrep:
             if U is None:
                 continue
             w = neighbor(v, label)
-            target = self.spaces.get(w, Subspace.zero(X.field, X.dim(w)))
+            target = self.spaces.get(w) or Subspace.zero(X.field, X.dim(w))
             if not target.contains_rows(U.basis @ mat.transpose()):
                 raise NotSubmodule(f"not a subrep: the arrow ({v}, {label}) leaves the subspaces")
 
@@ -353,7 +353,12 @@ def extract_mij(X: CoverRep, i: int, j: int, pushed: KroneckerModule):
 
     Returns (pair, generator vector).
     """
-    line = w_component(X, i, j).spaces[BASE].basis
+    return _path_bristle(X, w_component(X, i, j).spaces[BASE].basis, i, j, pushed)
+
+
+def _path_bristle(X: CoverRep, line: Matrix, i: int, j: int, pushed: KroneckerModule):
+    """``extract_mij`` for the path rep between (j,i) and (i,j) with center
+    line ``line``; the same for (i, j) and (j, i)."""
     gen = _place(X, pushed.dim1, {
         BASE: line,
         (j, i): line @ X.arrow(BASE, j).transpose(),
@@ -486,10 +491,12 @@ def verify_cover_equalities(n: int, field: FieldSpec) -> List[Tuple[str, bool]]:
     N1 = subspace_sum(Subspace.zero(f, pushed.dim1), *(nj.U1 for nj in branches))
     N2 = subspace_sum(Subspace.zero(f, pushed.dim2), *(nj.U2 for nj in branches))
 
+    mijs = {}  # the path bristle of each pair {i, j}, keyed by (min, max)
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            wp = subrep_subpair(w_component(X, i, j), pushed)
-            mij, _ = extract_mij(X, i, j, pushed)
+            w = w_component(X, i, j)
+            wp = subrep_subpair(w, pushed)
+            mij = mijs[i, j] = _path_bristle(X, w.spaces[BASE].basis, i, j, pushed)[0]
             ok = (subspace_sum(N1, mij.U1).contains(wp.U1)
                   and subspace_sum(N2, mij.U2).contains(wp.U2))
             checks.append((f"path-inside-branches-plus-bristle-{i}-{j}", ok))
@@ -499,8 +506,8 @@ def verify_cover_equalities(n: int, field: FieldSpec) -> List[Tuple[str, bool]]:
         span = Subspace.from_spanning(f, n - 1, lines)
         checks.append((f"center-direct-sum-{tag}", span.dim == n - 1 and len(lines) == n - 1))
 
-    mijs = [extract_mij(X, i, i % n + 1, pushed)[0] for i in pair_starts]
-    M1 = subspace_sum(N1, *(mij.U1 for mij in mijs))
-    M2 = subspace_sum(N2, *(mij.U2 for mij in mijs))
+    chosen = [mijs[min(i, i % n + 1), max(i, i % n + 1)] for i in pair_starts]
+    M1 = subspace_sum(N1, *(mij.U1 for mij in chosen))
+    M2 = subspace_sum(N2, *(mij.U2 for mij in chosen))
     checks.append(("full-generation", M1.is_full() and M2.is_full()))
     return checks

@@ -28,11 +28,13 @@ of all blocks' kernel vectors; the kernel of one system is its one-block
 case.  ``kernel_basis`` reads the canonical kernel of a dense matrix off
 one elimination of its columns in reverse order.
 
-One elimination routine never divides mid-way: it clears a
-column from a row x with pivot row y as piv * x - x[c] * y and puts each
-updated row back in lowest terms: reduced mod p over GF(p), divided by the
-gcd of its entries over Q.  Over Q the pivot rows are brought to the lcm of
-the pivots.
+One elimination routine never divides mid-way: it gathers by index only the
+rows with a nonzero in the pivot column c, clears c from each such row x with
+pivot row y as piv * x - x[c] * y and puts it back in lowest terms: reduced
+mod p over GF(p), divided by the gcd of its entries over Q.  Over GF(p) the
+pivot is scaled to 1 and a row not yet a pivot row is zero left of c, so only
+columns c onwards change; over Q the gcd takes the whole row, and the pivot
+rows are brought to the lcm of the pivots at the end.
 
 Over GF(p) every intermediate product stays below p^2 < 2^62, so int64
 arithmetic is exact; a matrix product switches to Python integers once a
@@ -285,19 +287,20 @@ def _dot(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _sparse_dot(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """a @ b % p as, for each nonzero a[r, c], a[r, c] * b[c] added to row r.
 
-    The nonzeros are taken at most as many at a time as a has rows, so no
-    chunk's products take more cells than the output.  Every output entry
-    sums at most a.shape[1] products below p^2, unreduced, as the dense
-    product does.
+    The nonzeros go in layers: layer t holds the t-th nonzero of every row
+    that has one, so the rows of a layer are distinct, its products take no
+    more cells than the output, and a plain indexed ``+=`` adds them up.
+    Every output entry sums at most a.shape[1] products below p^2,
+    unreduced, as the dense product does.
     """
-    r, c = np.nonzero(a)
+    r, c = np.nonzero(a)  # sorted by row
+    layer = np.arange(r.size) - np.searchsorted(r, r)
     out = np.zeros((a.shape[0],) + b.shape[1:], np.int64)
-    step = max(a.shape[0], 1)
-    for s in range(0, r.size, step):
-        rs, cs = r[s:s + step], c[s:s + step]
+    for t in range(int(layer.max(initial=-1)) + 1):
+        rs, cs = r[layer == t], c[layer == t]
         prods = b[cs]
         prods *= a[rs, cs][:, None] if b.ndim == 2 else a[rs, cs]
-        np.add.at(out, rs, prods)
+        out[rs] += prods
     return np.remainder(out, p, out=out)
 
 
@@ -592,16 +595,6 @@ class RrefResult(NamedTuple):
     rank: int
 
 
-def _lowest_terms(U: np.ndarray, field: FieldSpec) -> np.ndarray:
-    """Put integer rows in lowest terms, in place: reduced mod p over GF(p);
-    over Q each row divided by the gcd of its entries."""
-    if field.is_finite:
-        return np.remainder(U, field.characteristic, out=U)
-    g = np.gcd.reduce(U, axis=1)
-    g[g == 0] = 1
-    return np.floor_divide(U, g[:, None], out=U)
-
-
 def _rref(a: np.ndarray, field: FieldSpec):
     """Gauss-Jordan elimination on a copy of the integer rows a, which span
     the row space of a over any denominator.
@@ -609,8 +602,14 @@ def _rref(a: np.ndarray, field: FieldSpec):
     The pivot is the first nonzero entry scanning columns left to right,
     rows top to bottom.  Clearing column c from a row x with pivot row y
     replaces x by piv * x - x[c] * y, put back in lowest terms, so no entry
-    is ever divided.  Over GF(p) the pivot has an inverse, so the pivot row
-    is scaled to pivot 1 when it is chosen; over Q each pivot row is
+    is ever divided.  Only the rows with a nonzero in column c are gathered,
+    by index, and updated.  Over GF(p) the pivot has an inverse, so the
+    pivot row is scaled to pivot 1 when it is chosen, and then x - x[c] * y
+    is reduced mod p.  There every row that is not yet a pivot row, the new
+    pivot row y among them, is zero left of c, so the scaling and the update
+    touch only columns c onwards; each product is below p^2 < 2^62, so
+    int64 stays exact.  Over Q each updated row is divided by the gcd of
+    all its entries, so the whole row is updated, and each pivot row is
     multiplied at the end by lcm / piv, for the lcm of all pivots, which
     becomes the denominator.  The reduced row-echelon form depends only on
     the row space, so this gives the same matrix as dividing at every step.
@@ -618,30 +617,38 @@ def _rref(a: np.ndarray, field: FieldSpec):
     """
     R = a.copy()
     m, n = R.shape
+    p = field.characteristic
     pivots = []
     for c in range(n):
         r = len(pivots)
         if r == m:
             break
-        nz = np.flatnonzero(R[r:, c])
-        if nz.size == 0:
+        below = R[r:, c].nonzero()[0]
+        if not below.size:
             continue
-        i = r + int(nz[0])
-        if i != r:
+        if below[0]:
+            i = r + int(below[0])
             R[[r, i]] = R[[i, r]]
-        piv = R[r, c]
-        if field.is_finite and piv != 1:
-            R[r] = field.reduce(R[r] * field.inv(piv))
-            piv = 1
-        col = R[:, c].copy()
-        col[r] = 0
-        mask = col != 0
-        if mask.any():
-            U = R[mask]
+        rows = R[:, c].nonzero()[0]
+        rows = rows[rows != r]
+        if field.is_finite:
+            y = R[r, c:]
+            if y[0] != 1:
+                y *= pow(int(y[0]), -1, p)
+                y %= p
+            if rows.size:
+                U = R[rows, c:]
+                U -= U[:, :1] * y
+                R[rows, c:] = np.remainder(U, p, out=U)
+        elif rows.size:
+            piv, U = R[r, c], R[rows]
+            xy = U[:, c, None] * R[r]
             if piv != 1:
                 U *= piv
-            U -= np.outer(col[mask], R[r])
-            R[mask] = _lowest_terms(U, field)
+            U -= xy
+            g = np.gcd.reduce(U, axis=1)
+            g[g == 0] = 1
+            R[rows] = np.floor_divide(U, g[:, None], out=U)
         pivots.append(c)
     if field.is_finite or not pivots:
         return R, pivots, 1

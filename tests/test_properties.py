@@ -1,6 +1,8 @@
 """Property tests: rank agrees over Q, over a large prime field and with
 sympy, and the whole RREF over Q (matrix and pivots) equals sympy's; the
-rank and kernel of a sparse system, peeled, equal those of the system
+RREF over GF(2), GF(5) and GF(2^31 - 1) equals a textbook Gauss-Jordan
+that divides at every step, and leaves its input unchanged; the rank and
+kernel of a sparse system, peeled, equal those of the system
 written out densely; the Hom systems of modules and of cover
 representations have the kernels of the systems written out with np.kron;
 Hom and Ext dimensions are invariant under a change of basis at both
@@ -179,6 +181,56 @@ def test_rref_over_q_matches_sympy(rows):
     assert pivots == tuple(sympy_pivots) and rk == len(pivots)
     assert [list(R.row(i)) for i in range(R.rows)] == \
         [[Fraction(int(x.p), int(x.q)) for x in S.row(i)] for i in range(S.rows)]
+
+
+def textbook_rref(rows, p):
+    """Gauss-Jordan on lists of Python ints mod p, dividing at every step:
+    the pivot row is divided by its pivot and then subtracted from every
+    other row with a nonzero in the pivot column."""
+    R, pivots = [list(row) for row in rows], []
+    for c in range(len(R[0])):
+        r = len(pivots)
+        i = next((i for i in range(r, len(R)) if R[i][c]), None)
+        if i is None:
+            continue
+        R[r], R[i] = R[i], R[r]
+        inv = pow(R[r][c], -1, p)
+        R[r] = [x * inv % p for x in R[r]]
+        for k in range(len(R)):
+            if k != r and R[k][c]:
+                R[k] = [(x - R[k][c] * y) % p for x, y in zip(R[k], R[r])]
+        pivots.append(c)
+    return R, pivots
+
+
+@st.composite
+def prime_field_rows(draw):
+    """(field, rows): up to 12 x 30 over GF(2), GF(5) or GF(2^31 - 1), with
+    entries drawn often from {0, 1, p - 1}, some columns zero, and zero and
+    repeated rows, in a drawn order."""
+    field = draw(st.sampled_from([GF(2), GF(5), MERSENNE]))
+    p = field.characteristic
+    entry = st.one_of(st.sampled_from([0, 0, 1, p - 1]), st.integers(0, p - 1))
+    r, c = draw(st.integers(1, 10)), draw(st.integers(1, 30))
+    zero_cols = draw(st.sets(st.integers(0, c - 1), max_size=c // 2))
+    rows = [[0 if j in zero_cols else draw(entry) for j in range(c)] for _ in range(r)]
+    rows += draw(st.lists(st.sampled_from(rows + [[0] * c]), max_size=2))
+    return field, draw(st.permutations(rows))
+
+
+@settings(PROPERTY, max_examples=150)
+@given(prime_field_rows())
+def test_rref_over_prime_fields_matches_textbook_gauss_jordan(case):
+    """The elimination kernel over GF(p), which updates only the rows and
+    columns a pivot touches, gives the textbook RREF and pivots, and leaves
+    its input array as it was."""
+    field, rows = case
+    a = np.array(rows, dtype=np.int64)
+    before = a.copy()
+    R, pivots, den = linalg._rref(a, field)
+    expected, expected_pivots = textbook_rref(rows, field.characteristic)
+    assert np.array_equal(a, before)
+    assert (R.tolist(), pivots, den) == (expected, expected_pivots, 1)
 
 
 def written_out(S: SparseSystem) -> Matrix:

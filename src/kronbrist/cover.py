@@ -36,13 +36,12 @@ from .linalg import (
     Matrix,
     SparseSystem,
     Subspace,
-    intertwining_system,
     joint_kernel,
     place_blocks,
     sparse_rank,
     subspace_sum,
 )
-from .modules import KroneckerModule, NotSubmodule, SubmodulePair
+from .modules import KroneckerModule, NotSubmodule, SubmodulePair, _hom_system
 
 TreeVertex = Tuple[int, ...]
 
@@ -343,8 +342,9 @@ def extract_bristle_from_wedge(X: CoverRep, pushed: KroneckerModule,
                  _place(X, pushed.dim2, {(j,): one}))
 
 
-def extract_mij(X: CoverRep, i: int, j: int, pushed: KroneckerModule):
-    """Bristle submodule of the pushed path rep with equal images under both maps.
+def extract_mij(w: CoverSubrep, i: int, j: int, pushed: KroneckerModule):
+    """Bristle submodule of the pushed path rep ``w = w_component(X, i, j)``
+    with equal images under both maps; the same for (i, j) and (j, i).
 
     The generator puts the label-j center value on the leaf (j,i), the center
     line generator in the middle, and the label-i center value on the leaf
@@ -353,12 +353,7 @@ def extract_mij(X: CoverRep, i: int, j: int, pushed: KroneckerModule):
 
     Returns (pair, generator vector).
     """
-    return _path_bristle(X, w_component(X, i, j).spaces[BASE].basis, i, j, pushed)
-
-
-def _path_bristle(X: CoverRep, line: Matrix, i: int, j: int, pushed: KroneckerModule):
-    """``extract_mij`` for the path rep between (j,i) and (i,j) with center
-    line ``line``; the same for (i, j) and (j, i)."""
+    X, line = w.host, w.spaces[BASE].basis
     gen = _place(X, pushed.dim1, {
         BASE: line,
         (j, i): line @ X.arrow(BASE, j).transpose(),
@@ -373,26 +368,21 @@ def _path_bristle(X: CoverRep, line: Matrix, i: int, j: int, pushed: KroneckerMo
 # -- cover Hom spaces and the bristled part ----------------------------------------
 
 def _cover_hom_system(X: CoverRep, Y: CoverRep) -> SparseSystem:
-    """The sparse system of the vertexwise intertwiners X -> Y."""
+    """The sparse system of the vertexwise intertwiners X -> Y: the Hom
+    system of the push-downs on the unknowns that map the block of each
+    vertex of X into the block of the same vertex of Y, the others set to 0.
+    The unknowns go vertex by vertex in (depth, label path) order, each
+    vertex's map row-major."""
     if X.n != Y.n or X.field != Y.field:
         raise DimensionMismatch("cover reps over different trees or fields")
-    common = sorted(set(X.spaces) & set(Y.spaces), key=lambda v: (len(v), v))
-    offsets = {}
-    total = 0
-    for v in common:
-        offsets[v] = total
-        total += X.spaces[v] * Y.spaces[v]
-    terms, rows = [], 0
-    sources = {v for v in set(X.spaces) | set(Y.spaces) if vertex_class(v) == 1}
-    for v in sorted(sources, key=lambda u: (len(u), u)):
-        for label in range(1, X.n + 1):
-            w = neighbor(v, label)
-            if Y.dim(w) == 0 or X.dim(v) == 0:
-                continue
-            # phi_w Ax = Ay phi_v in the vertex maps phi_v and phi_w
-            terms.append((rows, offsets.get(v), offsets.get(w), X.arrow(v, label), Y.arrow(v, label)))
-            rows += Y.dim(w) * X.dim(v)
-    return intertwining_system(X.field, rows, total, terms)
+    P, Q = push_down(X), push_down(Y)
+    cols = []
+    for v in sorted(set(X.spaces) & set(Y.spaces), key=lambda u: (len(u), u)):
+        cls = vertex_class(v) - 1  # F1 of the push-downs, then F2 at Q.dim1 * P.dim1
+        start, stride = cls * Q.dim1 * P.dim1, P.dims[cls]
+        cols += [start + (Y.offsets[v] + r) * stride + X.offsets[v] + c
+                 for r in range(Y.spaces[v]) for c in range(X.spaces[v])]
+    return _hom_system(P, Q).select_cols(cols)
 
 
 def cover_hom_dim(X: CoverRep, Y: CoverRep) -> int:
@@ -449,24 +439,26 @@ def injective_star(n: int, field: FieldSpec, j: int) -> CoverRep:
 
 # -- the center decomposition and the generation equalities ------------------------
 
-def verify_cover_equalities(n: int, field: FieldSpec) -> List[Tuple[str, bool]]:
-    """Mechanical verification of the generation identities inside the ball.
+def verify_cover_equalities(X: CoverRep, pushed: KroneckerModule) -> tuple:
+    """Mechanical verification of the generation identities inside the ball
+    X = ``build_ball_rep(n, field)`` with push-down ``pushed``.
 
     Checks, per branch, that the branch restriction is the sum of its two
     singleton leaf projectives and the wedges; that its push-down is the sum
     of the pushed singleton bristles and the wedge bristles; that each pushed
     path rep lies in the branch part plus its extracted bristle; that the
     center space is the direct sum of the chosen path lines; and that the
-    whole push-down is the branch part plus the extracted bristles.  Returns
-    one (key, holds) pair per identity.
+    whole push-down is the branch part plus the extracted bristles.
 
     The chosen path lines start at 1..n-2 plus n, the choice avoiding the
     pair (n-1, n); the center decomposition is additionally checked for the
     plain consecutive choice 1..n-1.
+
+    Returns (checks, paths): one (key, holds) pair per identity, and for
+    each pair i < j of labels the path rep ``w_component(X, i, j)`` and its
+    bristle from ``extract_mij``, keyed by (i, j).
     """
-    X = build_ball_rep(n, field)
-    pushed = push_down(X)
-    f = field
+    n, f = X.n, X.field
     checks: List[Tuple[str, bool]] = []
     pair_starts = list(range(1, n - 1)) + [n]
 
@@ -491,23 +483,27 @@ def verify_cover_equalities(n: int, field: FieldSpec) -> List[Tuple[str, bool]]:
     N1 = subspace_sum(Subspace.zero(f, pushed.dim1), *(nj.U1 for nj in branches))
     N2 = subspace_sum(Subspace.zero(f, pushed.dim2), *(nj.U2 for nj in branches))
 
-    mijs = {}  # the path bristle of each pair {i, j}, keyed by (min, max)
+    paths = {}
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             w = w_component(X, i, j)
             wp = subrep_subpair(w, pushed)
-            mij = mijs[i, j] = _path_bristle(X, w.spaces[BASE].basis, i, j, pushed)[0]
+            mij = extract_mij(w, i, j, pushed)[0]
+            paths[i, j] = w, mij
             ok = (subspace_sum(N1, mij.U1).contains(wp.U1)
                   and subspace_sum(N2, mij.U2).contains(wp.U2))
             checks.append((f"path-inside-branches-plus-bristle-{i}-{j}", ok))
 
+    def path(i: int):  # the path of the consecutive pair (i, i + 1 mod n)
+        return paths[min(i, i % n + 1), max(i, i % n + 1)]
+
     for tag, starts in (("consecutive", list(range(1, n))), ("chosen", pair_starts)):
-        lines = [center_line(X, i, i % n + 1).basis.row(0) for i in starts]
+        lines = [path(i)[0].spaces[BASE].basis.row(0) for i in starts]
         span = Subspace.from_spanning(f, n - 1, lines)
         checks.append((f"center-direct-sum-{tag}", span.dim == n - 1 and len(lines) == n - 1))
 
-    chosen = [mijs[min(i, i % n + 1), max(i, i % n + 1)] for i in pair_starts]
+    chosen = [path(i)[1] for i in pair_starts]
     M1 = subspace_sum(N1, *(mij.U1 for mij in chosen))
     M2 = subspace_sum(N2, *(mij.U2 for mij in chosen))
     checks.append(("full-generation", M1.is_full() and M2.is_full()))
-    return checks
+    return checks, paths

@@ -11,14 +11,17 @@ scalars).  Values are immutable and operations pure.
 
 Each operation is one integer expression for both fields.  A product
 multiplies the arrays and the denominators; stacking and block placement
-bring their parts to the lcm of the denominators.  ``intertwining_system``,
-the one Hom-system builder, lists only the nonzeros of a system, a
-``SparseSystem``; ``sparse_rank`` and the sparse kernels peel its singleton
-rows and columns without arithmetic and eliminate only the dense core that
-is left.  Morphisms from the (1, 1) modules with scalar maps p (bristles)
-into one module N are laid out for a whole list of points at once by
-``bristle_hom_system``: one block-diagonal system, the nonzeros of N's
-stacked maps tiled once per block and p_i at each block's y columns.
+bring their parts to the lcm of the denominators.  ``hom_system``, the one
+Hom-system builder, lists only the nonzeros of a system, a ``SparseSystem``:
+Hom(M_b, N) from a list of sources M_b of one dimension vector into one
+module N, as one block-diagonal system with the nonzeros of N's stacked
+maps tiled once per block.  The system of one pair of modules is its
+one-block case, a sweep over bristles (the (1, 1) modules with scalar maps)
+its case (1, 1), and the system of two cover representations that of their
+push-downs on the unknowns that map each vertex's block into the same
+vertex's block (``SparseSystem.select_cols``).  ``sparse_rank`` and the
+sparse kernels peel its singleton rows and columns without arithmetic and
+eliminate only the dense core that is left.
 ``sparse_block_ranks`` reads every block's rank off one peel of it: the
 peeled columns of each block from one count, and only the blocks left
 with a core are eliminated, each through ``rank``.  ``sparse_block_kernels``
@@ -445,13 +448,13 @@ class Matrix:
         if any(o.rows != self.rows or o.field != self.field for o in others):
             raise DimensionMismatch("hstack shape/field mismatch")
         arrays, den = _numerators(self.field, (self,) + others)
-        return Matrix._of(self.field, np.hstack(arrays), den)
+        return Matrix._of(self.field, np.concatenate(arrays, axis=1), den)
 
     def vstack(self, *others: "Matrix") -> "Matrix":
         if any(o.cols != self.cols or o.field != self.field for o in others):
             raise DimensionMismatch("vstack shape/field mismatch")
         arrays, den = _numerators(self.field, (self,) + others)
-        return Matrix._of(self.field, np.vstack(arrays), den)
+        return Matrix._of(self.field, np.concatenate(arrays), den)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -532,59 +535,52 @@ class SparseSystem(NamedTuple):
             np.concatenate([np.zeros(0, np.int64)] + [j for _, j in nonzeros]),
             np.concatenate([field.zeros(0)] + [A.data[i, j] for A, (i, j) in zip(mats, nonzeros)]))
 
-
-def intertwining_system(field: FieldSpec, rows: int, cols: int, terms: Sequence) -> SparseSystem:
-    """Coefficients of F2 A = B F1 in row-major vec(F1), vec(F2): for each term
-    (row offset, F1 column offset, F2 column offset, A: X1 -> X2, B: Y1 -> Y2)
-    a block of rows with -B kron I at the F1 columns and I kron A^T at the F2
-    columns; an offset of None places no unknowns.  The terms cover disjoint
-    cells, and only their nonzeros are listed; over Q each block is
-    multiplied by A.den * B.den, so the system has the same kernel over
-    denominator 1."""
-    ii, jj, vv = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], [field.zeros(0)]
-    for r, c1, c2, A, B in terms:
-        x1, x2 = A.cols, A.rows
-        if c1 is not None:  # -B[i, k] at (i, j) of the rows and (k, j) of F1
-            i, k = B.data.nonzero()
-            j = np.arange(x1)
-            ii.append(((r + i * x1)[:, None] + j).ravel())
-            jj.append(((c1 + k * x1)[:, None] + j).ravel())
-            vv.append(field.reduce(-B.data[i, k] * A.den).repeat(x1))
-        if c2 is not None:  # A[l, j] at (i, j) of the rows and (i, l) of F2
-            l, j = A.data.nonzero()
-            i = np.arange(B.rows)[:, None]
-            ii.append((r + j + i * x1).ravel())
-            jj.append((c2 + l + i * x2).ravel())
-            vv.append((A.data[l, j] * B.den)[None, :].repeat(B.rows, axis=0).ravel())
-    return SparseSystem(field, rows, cols, np.concatenate(ii), np.concatenate(jj), np.concatenate(vv))
+    def select_cols(self, cols: Sequence[int]) -> "SparseSystem":
+        """The system on the unknowns ``cols`` alone, in the order given, the
+        other unknowns set to 0: column t of the result is column cols[t]."""
+        at = np.full(self.cols, -1)
+        at[np.asarray(cols, np.int64)] = np.arange(len(cols))
+        j = at[self.j]
+        keep = j >= 0
+        return SparseSystem(self.field, self.rows, len(cols), self.i[keep], j[keep], self.v[keep])
 
 
-def bristle_hom_system(maps: Sequence[Matrix], points: Matrix) -> SparseSystem:
-    """Morphisms into the module N with structure maps ``maps`` (each
-    d2 x d1) from the (1, 1) module B_p with scalar maps p, for every row p
-    of ``points``, as one block-diagonal system.
+def hom_system(maps: Sequence[Matrix], sources: Matrix, dims: tuple) -> SparseSystem:
+    """Hom(M_b, N) for a list of sources M_b as one block-diagonal system.
 
-    Block b holds Hom(B_p, N) for p = points[b]: unknowns (x, y) in
-    columns b (d1 + d2) onwards, and for each arrow i the d2 rows of
-    p_i y - a_i x = 0, the layout of ``intertwining_system`` for the pair
-    (B_p, N).  The nonzeros of the stacked maps [a_1; ...; a_n] are tiled
-    once per block, and p_i sits at each block's y columns; over Q every
-    block is multiplied by the denominators of the maps and of the points.
+    N has the structure maps ``maps`` (each d2 x d1).  Every M_b has the
+    dimension vector dims = (m1, m2), and row b of ``sources`` holds its
+    maps, each m2 x m1, read row-major one after another.  Block b has the
+    unknowns vec(F1) ++ vec(F2), F1 d1 x m1 and F2 d2 x m2 row-major, in
+    columns b (d1 m1 + d2 m2) onwards, and for each arrow i the d2 m1 rows
+    of F2 aM_i - a_i F1 = 0, entry (k, j) in row (i d2 + k) m1 + j.  The
+    nonzeros of N's stacked maps [a_1; ...; a_n] are tiled once per j and
+    once per block; each nonzero aM_i[l, j] of a source sits at F2[k, l] for
+    every k.  Over Q every block is multiplied by the denominators of the
+    maps and of the sources, which leaves its kernel as it is.
     """
-    field = points.field
+    field = sources.field
+    m1, m2 = dims
     d2, d1 = maps[0].rows, maps[0].cols
-    A = maps[0].vstack(*maps[1:])
-    height, width, blocks = A.rows, d1 + d2, np.arange(points.rows)[:, None]
-    r, c = np.nonzero(A.data)
-    x_v = field.reduce(-A.data[r, c] * points.den)
-    b, i = np.nonzero(points.data)  # p_i at rows i d2 + k, columns d1 + k of block b
+    arrays, den = _numerators(field, maps)
+    A = np.concatenate(arrays)
+    count, height, width = sources.rows, A.shape[0] * m1, d1 * m1 + d2 * m2
+    block, j = np.arange(count)[:, None, None], np.arange(m1)
+    # -a_i[k, c] at row (i d2 + k) m1 + j, column c m1 + j: F1[c, j]
+    r, c = np.nonzero(A)
+    x_v = field.reduce(-A[r, c] * sources.den).repeat(m1)
+    x_i = block * height + (r * m1)[:, None] + j
+    x_j = block * width + (c * m1)[:, None] + j
+    # aM_i[l, j] at row (i d2 + k) m1 + j, column d1 m1 + k m2 + l: F2[k, l]
+    aM = sources.data.reshape(count, len(maps), m2, m1)
+    b, i, l, j = np.nonzero(aM)
     k = np.arange(d2)
-    y_i, y_j = (b * height + i * d2)[:, None] + k, (b * width + d1)[:, None] + k
+    y_i = (b * height + i * (d2 * m1) + j)[:, None] + k * m1
+    y_j = (b * width + l + d1 * m1)[:, None] + k * m2
     return SparseSystem(
-        field, points.rows * height, points.rows * width,
-        np.concatenate([(blocks * height + r).ravel(), y_i.ravel()]),
-        np.concatenate([(blocks * width + c).ravel(), y_j.ravel()]),
-        np.concatenate([np.tile(x_v, points.rows), (points.data[b, i] * A.den).repeat(d2)]))
+        field, count * height, count * width,
+        np.concatenate([x_i.ravel(), y_i.ravel()]), np.concatenate([x_j.ravel(), y_j.ravel()]),
+        np.concatenate([x_v] * count + [(aM[b, i, l, j] * den).repeat(d2)]))
 
 
 # -- row reduction -----------------------------------------------------------
@@ -872,7 +868,7 @@ def _cored_blocks(S: SparseSystem, P: _Peeled, width: int):
 def sparse_block_ranks(S: SparseSystem, blocks: int):
     """An iterator of (block, rank) for each of the ``blocks`` diagonal
     blocks of S, a system whose block b has its entries only in the b-th of
-    ``blocks`` equal spans of rows and of columns (``bristle_hom_system``).
+    ``blocks`` equal spans of rows and of columns (``hom_system``).
 
     Blocks do not meet, so one ``_peel`` of S, done at once, peels each
     block as it would alone: a block's rank is its peeled columns, counted

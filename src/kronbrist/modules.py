@@ -22,9 +22,8 @@ from .linalg import (
     InternalCheckFailed,
     Matrix,
     Subspace,
-    bristle_hom_system,
+    hom_system,
     image_subspace,
-    intertwining_system,
     joint_kernel,
     kernel_basis,
     place_blocks,
@@ -230,19 +229,16 @@ def _is_bristle(M: KroneckerModule) -> bool:
     return M.dims == (1, 1) and not all(a.is_zero() for a in M.alphas)
 
 
-def _point(M: KroneckerModule) -> Matrix:
-    """The scalar maps of a (1, 1) module as one row."""
-    return M.alphas[0].hstack(*M.alphas[1:])
+def _source(M: KroneckerModule) -> Matrix:
+    """The structure maps of M read row-major one after another, as one row:
+    M as a source of ``hom_system``."""
+    return M.alphas[0].vstack(*M.alphas[1:]).reshape(1, -1)
 
 
 def _hom_system(M: KroneckerModule, N: KroneckerModule) -> SparseSystem:
-    """The sparse system f2.aM - aN.f1 = 0 in unknowns vec(f1) ++ vec(f2);
-    from a bristle M, the one-point block of ``bristle_hom_system``."""
-    if _is_bristle(M):
-        return bristle_hom_system(N.alphas, _point(M))
-    t1, h = N.dim1 * M.dim1, N.dim2 * M.dim1
-    terms = [(i * h, 0, t1, aM, aN) for i, (aM, aN) in enumerate(zip(M.alphas, N.alphas))]
-    return intertwining_system(M.field, M.n * h, t1 + N.dim2 * M.dim2, terms)
+    """The sparse system f2.aM - aN.f1 = 0 in unknowns vec(f1) ++ vec(f2),
+    the one-block case of ``hom_system``."""
+    return hom_system(N.alphas, _source(M), M.dims)
 
 
 def bristle_hom_dims(points: Matrix, N: KroneckerModule):
@@ -251,7 +247,7 @@ def bristle_hom_dims(points: Matrix, N: KroneckerModule):
     points the peel decided, then the others in row order, each core
     eliminated only when the caller asks for its dimension."""
     width = N.dim1 + N.dim2
-    S = bristle_hom_system(N.alphas, points)
+    S = hom_system(N.alphas, points, (1, 1))
     return ((b, width - r) for b, r in sparse_block_ranks(S, points.rows))
 
 
@@ -352,13 +348,13 @@ def bristle_images(points: Matrix, M: KroneckerModule):
     of each: row r of X and of Y is the pair (x, y) with a_i x = p_i y of
     one basis element.
 
-    The Hom spaces come from one block system (``bristle_hom_system``) and
+    The Hom spaces come from one block system (``hom_system``) and
     one peel of it (``sparse_block_kernels``), and all the rows pass one
     intertwining guard: for each arrow i, X a_i^T against Y with each row
     scaled by p_i of its point.  A mismatch is a bug in the system or the
     kernels, so it raises InternalCheckFailed.
     """
-    S = bristle_hom_system(M.alphas, points)
+    S = hom_system(M.alphas, points, (1, 1))
     H, counts = sparse_block_kernels(S, points.rows)
     X, Y = H.col_block(0, M.dim1), H.col_block(M.dim1, H.cols)
     P = points.select_rows([b for b, k in enumerate(counts) for _ in range(k)])
@@ -392,7 +388,7 @@ def is_generated_by(generators: Sequence[KroneckerModule], M: KroneckerModule) -
     for G in generators:
         _check_same_category(G, M)
         if _is_bristle(G):
-            points.append(_point(G))
+            points.append(_source(G))
             continue
         k, F1, F2 = _hom_stacks(G, M, sparse_kernel_rows)
         if k:

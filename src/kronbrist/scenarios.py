@@ -38,7 +38,6 @@ from .cover import (
     build_ball_rep,
     build_mu_bristle_rep,
     build_tau_bristle_rep,
-    center_line,
     cover_bristle_at,
     cover_hom_dim,
     cover_is_bristled,
@@ -51,6 +50,7 @@ from .cover import (
     push_down,
     subrep_subpair,
     verify_cover_equalities,
+    w_component,
     y_component,
 )
 from .families import INF, n2_bristle_generator, n2_bristle_index_to_point, n2_preinjective, preinjective
@@ -98,7 +98,7 @@ class ScenarioConfig:
     seed: int = DEFAULT_SEED
     attempts: int = DEFAULT_ATTEMPTS
     module_path: Optional[str] = None
-    module_text: Optional[str] = None
+    module: Optional[KroneckerModule] = None  # the parsed --module file
 
     def echo(self) -> dict:
         out = {"n": self.n, "field": str(self.field), "t_max": self.t_max,
@@ -260,9 +260,8 @@ def _scn_main_theorem_a(cfg: ScenarioConfig) -> List[Check]:
 def _scn_main_theorem_b(cfg: ScenarioConfig) -> List[Check]:
     _require_finite(cfg)
     checks = []
-    user = None
-    if cfg.module_text is not None:
-        user = parse_module_file(cfg.module_text)
+    user = cfg.module
+    if user is not None:
         if (user.n, user.field) != (cfg.n, cfg.field):
             raise ScenarioConfigError(
                 "user module quiver/field disagree with the scenario configuration")
@@ -438,14 +437,15 @@ def _scn_cover_equalities(cfg: ScenarioConfig) -> List[Check]:
     _require_finite(cfg)
     _require_wild(cfg)
     n, f = cfg.n, cfg.field
+    X = build_ball_rep(n, f)
+    pushed = push_down(X)
+    equalities, paths = verify_cover_equalities(X, pushed)
     checks = []
-    for key, ok in verify_cover_equalities(n, f):
+    for key, ok in equalities:
         checks.append(Check(
             "eq-" + key,
             "the ball representation decomposes into leaf projectives, wedges and path bristles",
             True, ok))
-    X = build_ball_rep(n, f)
-    pushed = push_down(X)
     iso = find_isomorphism(pushed, preinjective(n, 2, f), attempts=cfg.attempts)
     checks.append(Check(
         "pushdown-is-I2",
@@ -471,8 +471,7 @@ def _scn_cover_equalities(cfg: ScenarioConfig) -> List[Check]:
     mij_bad = 0
     for i in pair_starts:
         jpair = i % n + 1
-        pair, _ = extract_mij(X, i, jpair, pushed)
-        sub, _ = submodule_as_module(pushed, pair)
+        sub, _ = submodule_as_module(pushed, paths[min(i, jpair), max(i, jpair)][1])
         if find_isomorphism(sub, bristle(pair_point(n, f, i, jpair)),
                             attempts=cfg.attempts).status != ISO:
             mij_bad += 1
@@ -517,13 +516,14 @@ def _scn_tau_b1_cover(cfg: ScenarioConfig) -> List[Check]:
         "leaf-counts-high-types",
         "the pruned ball has n-2 leaves of each of the two highest types",
         [n - 2, n - 2], [counts[n - 1], counts[n]]))
+    paths = [w_component(X, i, i + 1) for i in range(2, n)]
     parts = [subrep_subpair(y_component(X, j), pushed) for j in range(2, n + 1)]
-    parts += [extract_mij(X, i, i + 1, pushed)[0] for i in range(2, n)]
+    parts += [extract_mij(w, i, i + 1, pushed)[0] for i, w in enumerate(paths, 2)]
     checks.append(Check(
         "generation-sum",
         "branch push-downs plus interior path bristles generate the whole translate",
         True, _generates(pushed, parts)))
-    lines = [center_line(X, i, i + 1).basis.row(0) for i in range(2, n)]
+    lines = [w.spaces[BASE].basis.row(0) for w in paths]
     span = Subspace.from_spanning(f, n - 2, lines)
     checks.append(Check(
         "center-decomposition",
@@ -807,6 +807,7 @@ def default_config(scenario: str, n: Optional[int] = None, field: Optional[Field
         known = ", ".join(sorted(SCENARIOS))
         raise ScenarioConfigError(f"unknown scenario {scenario!r}; known: {known}")
     spec = SCENARIOS[scenario]
+    user = None
     if module_text is not None:
         # a user module fixes the quiver and the field; explicit flags must agree
         user = parse_module_file(module_text)
@@ -824,7 +825,7 @@ def default_config(scenario: str, n: Optional[int] = None, field: Optional[Field
         seed=seed if seed is not None else DEFAULT_SEED,
         attempts=attempts if attempts is not None else DEFAULT_ATTEMPTS,
         module_path=module_path,
-        module_text=module_text,
+        module=user,
     )
 
 

@@ -160,16 +160,17 @@ def test_criterion_5_cover_equalities():
                       "push-downs certified; census (n+1)(n-1) with n-1 per type"):
         for n in (3, 4):
             for f in (F5, F2):
-                for key, ok in verify_cover_equalities(n, f):
+                X = build_ball_rep(n, f)
+                ball = push_down(X)
+                for key, ok in verify_cover_equalities(X, ball)[0]:
                     assert ok, (n, str(f), key)
-                ball = push_down(build_ball_rep(n, f))
                 assert find_isomorphism(ball, preinjective(n, 2, f)).status == ISO
                 pruned = push_down(build_tau_bristle_rep(n, f))
                 T = ar_translate(bristle(unit_point(n, f, 1)), "tau")
                 assert find_isomorphism(pruned, T).status == ISO
                 # census over the actual construction
                 census = {}
-                for _, tp in leaves_of(build_ball_rep(n, f)):
+                for _, tp in leaves_of(X):
                     if tp in (n - 1, n):
                         census[f"unit-{tp}"] = census.get(f"unit-{tp}", 0) + 1
                 for i in list(range(1, n - 1)) + [n]:

@@ -255,7 +255,7 @@ class TestPathBristles:
         X = build_ball_rep(3, F5)
         pushed = push_down(X)
         for (i, j) in ((1, 2), (2, 3), (3, 1), (1, 3)):
-            pair, gen = extract_mij(X, i, j, pushed)
+            pair, gen = extract_mij(w_component(X, i, j), i, j, pushed)
             img_i = pushed.alphas[i - 1].apply(gen)
             img_j = pushed.alphas[j - 1].apply(gen)
             assert img_i == img_j and any(x != 0 for x in img_i)
@@ -267,7 +267,7 @@ class TestPathBristles:
         pushed = push_down(X)
         for i in (1, 2, 3, 4):
             j = i % 4 + 1
-            pair, _ = extract_mij(X, i, j, pushed)
+            pair, _ = extract_mij(w_component(X, i, j), i, j, pushed)
             sub, _ = submodule_as_module(pushed, pair)
             assert find_isomorphism(sub, bristle(pair_point(4, F2, i, j))).status == ISO
 
@@ -280,8 +280,11 @@ class TestPathBristles:
 class TestEqualities:
     @pytest.mark.parametrize("n,field", [(3, F5), (3, F2), (4, F5), (4, F2)])
     def test_all_pass(self, n, field):
-        for key, ok in verify_cover_equalities(n, field):
+        X = build_ball_rep(n, field)
+        checks, paths = verify_cover_equalities(X, push_down(X))
+        for key, ok in checks:
             assert ok, (n, str(field), key)
+        assert sorted(paths) == [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -290,7 +293,8 @@ class TestOverRationals:
     denominator; over Q the same identities hold as over GF(p)."""
 
     def test_equalities_hold(self, n):
-        for key, ok in verify_cover_equalities(n, QQ):
+        X = build_ball_rep(n, QQ)
+        for key, ok in verify_cover_equalities(X, push_down(X))[0]:
             assert ok, (n, key)
 
     def test_ball_pushes_to_second_preinjective(self, n):
@@ -302,7 +306,7 @@ class TestOverRationals:
         pushed = push_down(X)
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):
-                pair, gen = extract_mij(X, i, j, pushed)
+                pair, gen = extract_mij(w_component(X, i, j), i, j, pushed)
                 img_i = pushed.alphas[i - 1].apply(gen)
                 assert img_i == pushed.alphas[j - 1].apply(gen) and any(img_i)
                 assert pair.dims == (1, 1)

@@ -23,7 +23,7 @@ from kronbrist.linalg import (
     Matrix,
     SparseSystem,
     Subspace,
-    intertwining_system,
+    hom_system,
     is_prime,
     joint_kernel,
     kernel_basis,
@@ -327,10 +327,11 @@ class TestRationalEntryTypes:
         assert rref(self.INTEGER).matrix == Matrix.from_rows(QQ, [[1, 2, 3], [0, 0, 0]])
 
     def systems(self):
-        """F2 A = B F1 for A = self.A, B = self.B (F1 4 x 2 at column 0, F2 4 x 4
-        at 8), and for A = self.B^T, B = self.INTEGER (F1 3 x 4, F2 2 x 2)."""
-        return (written_out(intertwining_system(QQ, 16, 24, [(0, 0, 8, self.A, self.B)])),
-                written_out(intertwining_system(QQ, 8, 16, [(0, 0, 12, self.B.transpose(), self.INTEGER)])))
+        """F2 A = B F1 for the source maps A = self.A and the target maps
+        B = self.B (F1 2 x 4 at column 0, F2 4 x 4 at 8), and for A = self.B^T,
+        B = self.INTEGER (F1 3 x 4, F2 2 x 2)."""
+        return (written_out(hom_system([self.B], self.A.reshape(1, -1), (4, 4))),
+                written_out(hom_system([self.INTEGER], self.B.transpose().reshape(1, -1), (4, 2))))
 
     def test_products(self):
         for M in (self.A @ self.B, self.INTEGER @ self.INTEGER.transpose(),

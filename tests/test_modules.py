@@ -23,7 +23,7 @@ from kronbrist.linalg import (
     Matrix,
     SparseSystem,
     Subspace,
-    bristle_hom_system,
+    hom_system,
     image_subspace,
     rank,
     sparse_kernel_rows,
@@ -543,7 +543,7 @@ def per_block_images(points, M):
     """``bristle_images`` as it was first computed, the oracle of its
     memory: the block system split into one system per block, one kernel
     each, stacked, behind the same guard."""
-    S = bristle_hom_system(M.alphas, points)
+    S = hom_system(M.alphas, points, (1, 1))
     height, width = S.rows // points.rows, S.cols // points.rows
     owner = S.j // width
     order = np.argsort(owner, kind="stable")

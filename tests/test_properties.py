@@ -10,12 +10,12 @@ vertices; the two Ext routes and both forms of the Auslander-Reiten
 formula agree; module files round-trip exactly; the pruned subset search
 counts the generating subsets of each size as brute force does; a
 product summed over the nonzeros of either operand equals the dense one;
-the block system of many bristles gives, block by block, the Hom spaces
-the one Hom-system builder gives; the kernels of all diagonal blocks from
-one peel span the kernel of each block written out densely, and the
-bristle traces from one system are the traces built one bristle at a
-time; the canonical kernel from one elimination equals the one from two;
-generation decided by rank agrees with the canonical trace.
+the block system of many sources, bristles among them, gives block by
+block the Hom systems the kron formula writes out; the kernels of all
+diagonal blocks from one peel span the kernel of each block written out
+densely, and the bristle traces from one system are the traces built one
+bristle at a time; the canonical kernel from one elimination equals the
+one from two; generation decided by rank agrees with the canonical trace.
 
 hypothesis runs derandomized with few examples, so every run checks the
 same inputs.
@@ -54,8 +54,7 @@ from kronbrist.linalg import (  # noqa: E402
     SparseSystem,
     Subspace,
     _free_column_rows,
-    bristle_hom_system,
-    intertwining_system,
+    hom_system,
     kernel_basis,
     rank,
     rref,
@@ -318,6 +317,52 @@ def test_hom_system_matches_kron_formula(pair):
         K.basis.split_rows(K.dim)
 
 
+@st.composite
+def source_sweeps(draw):
+    """(sources, N): one to four random modules of one dimension vector
+    (m1, m2) in {0, 1, 2}^2 and a random N with dims in 0..3, n in 1..3,
+    over GF(2), GF(5) or Q (maps with denominators)."""
+    field = draw(st.sampled_from([GF(2), GF(5), QQ]))
+    entry = entries(field) if field.is_finite else Q_ENTRIES
+    n = draw(st.integers(1, 3))
+
+    def module(d1, d2):
+        return KroneckerModule(n, field, d1, d2, tuple(
+            Matrix.from_rows(field, [[draw(entry) for _ in range(d1)] for _ in range(d2)], cols=d1)
+            for _ in range(n)))
+    m1, m2 = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    sources = [module(m1, m2) for _ in range(draw(st.integers(1, 4)))]
+    return sources, module(draw(st.integers(0, 3)), draw(st.integers(0, 3)))
+
+
+@settings(PROPERTY, max_examples=250)
+@given(source_sweeps())
+def test_hom_system_blocks_match_kron_formula(case):
+    """Block b of ``hom_system`` over the sources M_b is Hom(M_b, N): it has
+    the rank of the kron system and as many kernel vectors from
+    ``sparse_block_kernels`` as that system has, nothing lies outside the
+    blocks, and over GF(p) each block is the kron system entry for entry."""
+    sources, N = case
+    m1, m2 = sources[0].dims
+    rows = [M.alphas[0].vstack(*M.alphas[1:]).reshape(1, -1) for M in sources]
+    S = hom_system(N.alphas, rows[0].vstack(*rows[1:]), (m1, m2))
+    height, width = N.n * N.dim2 * m1, N.dim1 * m1 + N.dim2 * m2
+    assert (S.rows, S.cols) == (len(sources) * height, len(sources) * width)
+    A = written_out(S)
+    _, counts = sparse_block_kernels(S, len(sources))
+    nonzeros = 0
+    for b, M in enumerate(sources):
+        block = A.select_rows(range(b * height, (b + 1) * height))
+        block = block.col_block(b * width, (b + 1) * width)
+        ref = kron_hom_system(M, N)
+        assert rank(block) == rank(ref)
+        assert counts[b] == width - rank(ref)
+        if N.field.is_finite:
+            assert block == ref
+        nonzeros += np.count_nonzero(block.data)
+    assert np.count_nonzero(A.data) == nonzeros
+
+
 @pytest.mark.parametrize("field", [GF(5), QQ], ids=str)
 @pytest.mark.parametrize("n", [3, 4])
 def test_cover_hom_dim_matches_kron_formula(field, n):
@@ -574,11 +619,10 @@ def test_nonzero_product_matches_dense(case):
 
 
 def generic_hom_system(M, N) -> SparseSystem:
-    """Hom(M, N) through ``intertwining_system``, for any M: the oracle of
-    the bristle block system."""
-    t1, h = N.dim1 * M.dim1, N.dim2 * M.dim1
-    terms = [(i * h, 0, t1, aM, aN) for i, (aM, aN) in enumerate(zip(M.alphas, N.alphas))]
-    return intertwining_system(M.field, M.n * h, t1 + N.dim2 * M.dim2, terms)
+    """Hom(M, N) as the nonzeros of ``kron_hom_system``, for any M: the
+    oracle of the bristle block system, sharing no code with it."""
+    K = kron_hom_system(M, N)
+    return SparseSystem.of(M.field, K.cols, [K])
 
 
 def one_by_one(field, coords) -> KroneckerModule:
@@ -613,15 +657,15 @@ def bristle_sweeps(draw):
 @settings(PROPERTY, max_examples=100)
 @given(bristle_sweeps())
 def test_bristle_block_ranks_match_one_system_each(case):
-    """Block b of ``bristle_hom_system`` has the rank of Hom(B_p, N) built by
-    ``intertwining_system``, and each block is ranked once, the blocks with
-    no core after peeling first; a one-point block has the same kernel, and
-    is what ``_hom_system`` builds for the bristle."""
+    """Block b of ``hom_system`` over the points has the rank of Hom(B_p, N)
+    written out by the kron formula, and each block is ranked once, the
+    blocks with no core after peeling first; a one-point block has the same
+    kernel, and is what ``_hom_system`` builds for the bristle."""
     N, coords = case
     f, width = N.field, N.dim1 + N.dim2
     points = Matrix.from_rows(f, coords, cols=N.n)
     expected = [width - sparse_rank(generic_hom_system(one_by_one(f, c), N)) for c in coords]
-    S = bristle_hom_system(N.alphas, points)
+    S = hom_system(N.alphas, points, (1, 1))
     assert (S.rows, S.cols) == (len(coords) * N.n * N.dim2, len(coords) * width)
     ranks = list(sparse_block_ranks(S, len(coords)))
     assert sorted(b for b, _ in ranks) == list(range(len(coords)))
@@ -629,7 +673,7 @@ def test_bristle_block_ranks_match_one_system_each(case):
     assert sorted(bristle_hom_dims(points, N)) == list(enumerate(expected))
     for c, dim in zip(coords, expected):
         B = one_by_one(f, c)
-        one = bristle_hom_system(N.alphas, Matrix.from_rows(f, [c], cols=N.n))
+        one = hom_system(N.alphas, Matrix.from_rows(f, [c], cols=N.n), (1, 1))
         assert sparse_kernel(one) == sparse_kernel(generic_hom_system(B, N))
         assert sparse_kernel(_hom_system(B, N)) == sparse_kernel(one)
         assert hom_dim(B, N) == dim
@@ -639,7 +683,7 @@ def test_bristle_block_ranks_match_one_system_each(case):
 @given(bristle_sweeps())
 def test_zero_one_by_one_modules_keep_the_generic_system(case):
     """A (1, 1) module whose maps are all zero is no bristle: its Hom system
-    into N is the one ``intertwining_system`` builds."""
+    into N, from the same builder, is the one the kron formula writes out."""
     N, _ = case
     Z = one_by_one(N.field, [0] * N.n)
     S, ref = _hom_system(Z, N), generic_hom_system(Z, N)
@@ -657,10 +701,10 @@ def test_bristle_traces_match_one_trace_each(case):
     N, coords = case
     f = N.field
     points = Matrix.from_rows(f, coords, cols=N.n)
-    H, counts = sparse_block_kernels(bristle_hom_system(N.alphas, points), len(coords))
+    H, counts = sparse_block_kernels(hom_system(N.alphas, points, (1, 1)), len(coords))
     start = 0
     for c, k in zip(coords, counts):
-        one = bristle_hom_system(N.alphas, Matrix.from_rows(f, [c], cols=N.n))
+        one = hom_system(N.alphas, Matrix.from_rows(f, [c], cols=N.n), (1, 1))
         assert Subspace.row_space(H.select_rows(range(start, start + k))) == \
             kernel_basis(written_out(one))
         start += k

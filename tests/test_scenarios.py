@@ -352,6 +352,23 @@ class TestCli:
         assert report.config["field"] == "gf(2)"
         assert report.passed  # minimal t is 2 for a bristle
 
+    def test_module_file_parsed_once(self, monkeypatch):
+        """The config carries the module that fixed n and the field, so a run
+        with a module file parses it once."""
+        parsed, real = [], scenarios.parse_module_file
+        monkeypatch.setattr(scenarios, "parse_module_file",
+                            lambda text: parsed.append(text) or real(text))
+        cfg = _golden_config("main-theorem-b-bristle-orbits-module")
+        run_scenario(dataclasses.replace(cfg, t_max=1))
+        assert len(parsed) == 1 and cfg.module.dims == (3, 2)
+
+    def test_hand_built_config_with_disagreeing_module_refused(self):
+        """A config built by hand whose module lives over another field is
+        refused by the scenario itself."""
+        cfg = _golden_config("main-theorem-b-bristle-orbits-module")
+        with pytest.raises(ScenarioConfigError):
+            run_scenario(dataclasses.replace(cfg, field=GF(3)))
+
     def test_rational_scenario_allowed_where_meaningful(self, capsys):
         # the annihilator bound needs no bristle enumeration, so it runs
         # over the rationals too

@@ -448,7 +448,7 @@ class Matrix:
         if any(o.rows != self.rows or o.field != self.field for o in others):
             raise DimensionMismatch("hstack shape/field mismatch")
         arrays, den = _numerators(self.field, (self,) + others)
-        return Matrix._of(self.field, np.concatenate(arrays, axis=1), den)
+        return Matrix._of(self.field, np.hstack(arrays), den)
 
     def vstack(self, *others: "Matrix") -> "Matrix":
         if any(o.cols != self.cols or o.field != self.field for o in others):

@@ -261,10 +261,9 @@ def _scn_main_theorem_b(cfg: ScenarioConfig) -> List[Check]:
     _require_finite(cfg)
     checks = []
     user = cfg.module
-    if user is not None:
-        if (user.n, user.field) != (cfg.n, cfg.field):
-            raise ScenarioConfigError(
-                "user module quiver/field disagree with the scenario configuration")
+    if user is not None and (user.n, user.field) != (cfg.n, cfg.field):
+        raise ScenarioConfigError(
+            "user module quiver/field disagree with the scenario configuration")
     _require_wild(cfg)
     n, f = cfg.n, cfg.field
     b0 = _b0_modules(n, f)

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import Dict, List, Sequence, Tuple
 
 from .linalg import (
@@ -320,13 +321,27 @@ def w_component(X: CoverRep, i: int, j: int) -> CoverSubrep:
 # -- push-down bookkeeping --------------------------------------------------------
 
 def subrep_subpair(sub: CoverSubrep, pushed: KroneckerModule) -> SubmodulePair:
-    """The push-down of a subrep as a subspace pair of ``push_down(sub.host)``."""
-    f = sub.host.field
-    rows = ([Matrix.zeros(f, 0, pushed.dim1)], [Matrix.zeros(f, 0, pushed.dim2)])
-    for v, U in sub.spaces.items():
-        cls = vertex_class(v)
-        rows[cls - 1].append(_place(sub.host, pushed.dims[cls - 1], {v: U.basis}))
-    return _pair(pushed, Matrix.vstack(*rows[0]), Matrix.vstack(*rows[1]))
+    """The push-down of a subrep as a subspace pair of ``push_down(sub.host)``.
+
+    Each vertex's RREF basis is placed in its block, the blocks in layout
+    order.  The blocks are disjoint column ranges, so the placed rows are
+    already the RREF of their span, with each vertex's pivots moved by its
+    offset: nothing is eliminated.
+    """
+    X = sub.host
+    offsets = X.offsets
+    parts: Tuple[list, list] = ([], [])
+    for v in sorted(sub.spaces, key=offsets.__getitem__):
+        if sub.spaces[v].dim:
+            parts[vertex_class(v) - 1].append((offsets[v], sub.spaces[v]))
+    spaces = []
+    for total, placed in zip(pushed.dims, parts):
+        starts = list(accumulate((U.dim for _, U in placed), initial=0))
+        rows = place_blocks(X.field, starts[-1], total,
+                            [(r, c, U.basis) for r, (c, U) in zip(starts, placed)])
+        spaces.append(Subspace(X.field, total, rows,
+                               tuple(c + j for c, U in placed for j in U.pivot_cols)))
+    return SubmodulePair(pushed, *spaces)
 
 
 def extract_bristle_from_wedge(X: CoverRep, pushed: KroneckerModule,

@@ -751,10 +751,37 @@ class Subspace:
 
 
 def subspace_sum(U: Subspace, *more: Subspace) -> Subspace:
-    """U plus every subspace in ``more``: one reduction of all their basis rows."""
+    """U plus every subspace in ``more``, by extending the RREF basis B of
+    the largest summand (the first of largest dimension).
+
+    The other summands' basis rows are reduced against B (``_residual``),
+    which leaves them zero at B's pivots P; when nothing is left, that
+    summand is the sum, with no elimination.  Otherwise only the residual
+    goes through ``rref``, giving RREF rows R' with pivots P' (not in P),
+    and B is cleared at P': B' = B - B[:, P'] R', still the identity at P.
+    The rows of B' and R' merged by pivot column are the RREF of the sum,
+    which is unique, so the result equals ``Subspace.row_space`` of all the
+    stacked bases entry for entry.
+    """
     for V in more:
         U._check_compatible(V)
-    return Subspace.row_space(U.basis.vstack(*(V.basis for V in more)))
+    base = max((U,) + more, key=lambda V: V.dim)
+    others = [V.basis for V in (U,) + more if V is not base and V.dim]
+    if not others:
+        return base
+    f, B = base.field, base.basis
+    arrays, _ = _numerators(f, others)  # a scale of the rows spans the same space
+    res = base._residual(np.concatenate(arrays))
+    res = res[np.count_nonzero(res, axis=1) > 0]
+    if not res.shape[0]:
+        return base
+    R, new, rk = rref(Matrix._of(f, res))
+    R, den = R.data[:rk], R.den
+    # B' and R' as integers over the one denominator B.den * den
+    cleared = f.reduce(B.data * den - _dot(f, B.data[:, new], R))
+    pivots = base.pivot_cols + new
+    rows = np.concatenate([cleared, R if B.den == 1 else R * B.den])[np.argsort(pivots)]
+    return Subspace(f, base.ambient_dim, Matrix._of(f, rows, B.den * den), tuple(sorted(pivots)))
 
 
 def _free_column_rows(R: Matrix, pivots: tuple, n: int) -> Matrix:

@@ -15,7 +15,10 @@ block the Hom systems the kron formula writes out; the kernels of all
 diagonal blocks from one peel span the kernel of each block written out
 densely, and the bristle traces from one system are the traces built one
 bristle at a time; the canonical kernel from one elimination equals the
-one from two; generation decided by rank agrees with the canonical trace.
+one from two; generation decided by rank agrees with the canonical trace;
+a sum of subspaces extended from its largest summand, and the push-down
+of a cover subrep placed block by block, equal the reduced row-echelon
+form of all their rows, denominator and dtype included.
 
 hypothesis runs derandomized with few examples, so every run checks the
 same inputs.
@@ -36,14 +39,18 @@ from hypothesis import strategies as st  # noqa: E402
 
 import numpy as np  # noqa: E402
 
+from kronbrist import cover  # noqa: E402
 from kronbrist.cover import (  # noqa: E402
     _cover_hom_system,
+    _place,
     build_ball_rep,
     build_mu_bristle_rep,
     build_tau_bristle_rep,
     cover_bristle_at,
     cover_hom_dim,
     neighbor,
+    push_down,
+    verify_cover_equalities,
     vertex_class,
 )
 from kronbrist import linalg  # noqa: E402
@@ -63,6 +70,7 @@ from kronbrist.linalg import (  # noqa: E402
     sparse_kernel,
     sparse_kernel_rows,
     sparse_rank,
+    subspace_sum,
 )
 from kronbrist.modfile import parse_module_file, write_module_file  # noqa: E402
 from kronbrist.modules import (  # noqa: E402
@@ -741,3 +749,93 @@ def generation_cases(draw):
 def test_generation_by_rank_matches_the_trace(case):
     gens, M = case
     assert is_generated_by(gens, M) == trace_submodule(gens, M).is_full()
+
+
+def assert_same_subspace(got: Subspace, ref: Subspace):
+    """Entry for entry: integers, denominator, dtype and pivots."""
+    assert got.basis.data.dtype == ref.basis.data.dtype
+    assert got.basis.den == ref.basis.den and type(got.basis.den) is int
+    assert got.basis.data.shape == ref.basis.data.shape
+    assert np.array_equal(got.basis.data, ref.basis.data)
+    assert got.pivot_cols == ref.pivot_cols
+    assert all(type(c) is int for c in got.pivot_cols)
+
+
+@st.composite
+def summand_lists(draw):
+    """(field, spaces): one to five subspaces of k^d, d in 0..7, over GF(2),
+    GF(5), GF(2^31 - 1) or Q, each zero, full, random, equal to an earlier
+    one (the same object or a copy), nested in or around an earlier one, or
+    supported on columns no earlier one uses."""
+    field = draw(st.sampled_from([GF(2), GF(5), MERSENNE, QQ]))
+    d = draw(st.integers(0, 7))
+
+    def spanned(cols, extra=()):
+        rows = [[draw(entries(field)) if j in cols else 0 for j in range(d)]
+                for _ in range(draw(st.integers(0, 4)))]
+        return Subspace.from_spanning(field, d, rows + list(extra))
+
+    spaces = []
+    for _ in range(draw(st.integers(1, 5))):
+        kinds = ["zero", "full", "random"] + (["equal", "copy", "inside", "around", "disjoint"]
+                                              if spaces else [])
+        kind = draw(st.sampled_from(kinds))
+        if kind in ("zero", "full", "random"):
+            V = {"zero": lambda: Subspace.zero(field, d), "full": lambda: Subspace.full(field, d),
+                 "random": lambda: spanned(range(d))}[kind]()
+        else:
+            W = draw(st.sampled_from(spaces))
+            rows = [W.basis.row(i) for i in range(W.dim)]
+            if kind == "equal":
+                V = W
+            elif kind == "copy":
+                V = Subspace.row_space(W.basis)
+            elif kind == "inside":
+                V = Subspace.from_spanning(field, d, [
+                    [sum(field.mul(draw(entries(field)), r[j]) for r in rows) for j in range(d)]
+                    for _ in range(draw(st.integers(0, 3)))])
+            elif kind == "around":
+                V = spanned(range(d), rows)
+            else:
+                used = {j for U in spaces for j in range(d)
+                        if any(U.basis.row(i)[j] for i in range(U.dim))}
+                V = spanned([j for j in range(d) if j not in used])
+        spaces.append(V)
+    return field, spaces
+
+
+@settings(PROPERTY, max_examples=300)
+@given(summand_lists())
+def test_subspace_sum_is_the_row_space_of_all_bases(case):
+    """A sum extended from its largest summand's basis is, entry for entry,
+    the RREF of every summand's basis rows stacked."""
+    field, spaces = case
+    ref = Subspace.row_space(spaces[0].basis.vstack(*(V.basis for V in spaces[1:])))
+    assert_same_subspace(subspace_sum(*spaces), ref)
+
+
+@pytest.mark.parametrize("field", [GF(5), QQ], ids=str)
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_subrep_subpair_is_the_row_space_of_its_placed_rows(field, n, monkeypatch):
+    """Every subrep that ``verify_cover_equalities`` pushes down is, entry
+    for entry, the RREF of each vertex's basis placed in its block."""
+    X = build_ball_rep(n, field)
+    pushed = push_down(X)
+    direct, seen = cover.subrep_subpair, []
+
+    def checked(sub, parent):
+        pair = direct(sub, parent)
+        for cls, U in ((1, pair.U1), (2, pair.U2)):
+            total = parent.dims[cls - 1]
+            rows = [_place(X, total, {v: V.basis}) for v, V in sub.spaces.items()
+                    if vertex_class(v) == cls]
+            assert_same_subspace(U, Subspace.row_space(Matrix.zeros(field, 0, total).vstack(*rows)))
+        seen.append(sub)
+        return pair
+
+    monkeypatch.setattr(cover, "subrep_subpair", checked)
+    checks, _ = verify_cover_equalities(X, pushed)
+    assert all(ok for _, ok in checks)
+    # per branch its restriction and singleton leaves, then every path rep
+    singles = sum(len(cover.covered_singleton_types(n, j)) for j in range(1, n + 1))
+    assert len(seen) == n + singles + comb(n, 2)

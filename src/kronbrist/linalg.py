@@ -50,7 +50,9 @@ inner-length products below p^2, so the same bound keeps it exact.
 
 Pivot choice is deterministic: first nonzero entry scanning columns left to
 right, rows top to bottom.  Subspaces are kept in reduced row-echelon form,
-so two subspaces are equal iff their basis matrices are entrywise equal.
+so two subspaces are equal iff their basis matrices are entrywise equal; a
+sum of subspaces extends the basis of its largest summand and eliminates
+only what the others add to it.
 """
 
 from __future__ import annotations
@@ -772,16 +774,17 @@ def subspace_sum(U: Subspace, *more: Subspace) -> Subspace:
     f, B = base.field, base.basis
     arrays, _ = _numerators(f, others)  # a scale of the rows spans the same space
     res = base._residual(np.concatenate(arrays))
-    res = res[np.count_nonzero(res, axis=1) > 0]
-    if not res.shape[0]:
+    if not res.any():
         return base
     R, new, rk = rref(Matrix._of(f, res))
     R, den = R.data[:rk], R.den
     # B' and R' as integers over the one denominator B.den * den
-    cleared = f.reduce(B.data * den - _dot(f, B.data[:, new], R))
+    cleared = f.reduce((B.data if den == 1 else B.data * den) - _dot(f, B.data[:, new], R))
     pivots = base.pivot_cols + new
-    rows = np.concatenate([cleared, R if B.den == 1 else R * B.den])[np.argsort(pivots)]
-    return Subspace(f, base.ambient_dim, Matrix._of(f, rows, B.den * den), tuple(sorted(pivots)))
+    order = sorted(range(len(pivots)), key=pivots.__getitem__)
+    rows = np.concatenate([cleared, R if B.den == 1 else R * B.den])[order]
+    return Subspace(f, base.ambient_dim, Matrix._of(f, rows, B.den * den),
+                    tuple(pivots[i] for i in order))
 
 
 def _free_column_rows(R: Matrix, pivots: tuple, n: int) -> Matrix:

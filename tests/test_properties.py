@@ -34,7 +34,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -780,32 +780,42 @@ def summand_lists(draw):
         kinds = ["zero", "full", "random"] + (["equal", "copy", "inside", "around", "disjoint"]
                                               if spaces else [])
         kind = draw(st.sampled_from(kinds))
-        if kind in ("zero", "full", "random"):
-            V = {"zero": lambda: Subspace.zero(field, d), "full": lambda: Subspace.full(field, d),
-                 "random": lambda: spanned(range(d))}[kind]()
+        W = draw(st.sampled_from(spaces)) if spaces else None
+        rows = [W.basis.row(i) for i in range(W.dim)] if spaces else []
+        if kind == "zero":
+            V = Subspace.zero(field, d)
+        elif kind == "full":
+            V = Subspace.full(field, d)
+        elif kind == "random":
+            V = spanned(range(d))
+        elif kind == "equal":
+            V = W
+        elif kind == "copy":
+            V = Subspace.row_space(W.basis)
+        elif kind == "inside":
+            V = Subspace.from_spanning(field, d, [
+                [sum(field.mul(draw(entries(field)), r[j]) for r in rows) for j in range(d)]
+                for _ in range(draw(st.integers(0, 3)))])
+        elif kind == "around":
+            V = spanned(range(d), rows)
         else:
-            W = draw(st.sampled_from(spaces))
-            rows = [W.basis.row(i) for i in range(W.dim)]
-            if kind == "equal":
-                V = W
-            elif kind == "copy":
-                V = Subspace.row_space(W.basis)
-            elif kind == "inside":
-                V = Subspace.from_spanning(field, d, [
-                    [sum(field.mul(draw(entries(field)), r[j]) for r in rows) for j in range(d)]
-                    for _ in range(draw(st.integers(0, 3)))])
-            elif kind == "around":
-                V = spanned(range(d), rows)
-            else:
-                used = {j for U in spaces for j in range(d)
-                        if any(U.basis.row(i)[j] for i in range(U.dim))}
-                V = spanned([j for j in range(d) if j not in used])
+            used = {j for U in spaces for j in range(d)
+                    if any(U.basis.row(i)[j] for i in range(U.dim))}
+            V = spanned([j for j in range(d) if j not in used])
         spaces.append(V)
     return field, spaces
 
 
+# over Q, a base whose RREF basis has a denominator (6) and a residual whose
+# RREF has another (7), with the base first and second
+FRACTIONAL_BASE = Subspace.from_spanning(QQ, 4, [[2, 1, 0, 1], [0, 3, 1, 0]])
+FRACTIONAL_NEW = Subspace.from_spanning(QQ, 4, [[1, 1, 1, Fraction(1, 7)]])
+
+
 @settings(PROPERTY, max_examples=300)
 @given(summand_lists())
+@example((QQ, [FRACTIONAL_BASE, FRACTIONAL_NEW]))
+@example((QQ, [FRACTIONAL_NEW, Subspace.zero(QQ, 4), FRACTIONAL_BASE]))
 def test_subspace_sum_is_the_row_space_of_all_bases(case):
     """A sum extended from its largest summand's basis is, entry for entry,
     the RREF of every summand's basis rows stacked."""

@@ -781,7 +781,7 @@ def summand_lists(draw):
                                               if spaces else [])
         kind = draw(st.sampled_from(kinds))
         W = draw(st.sampled_from(spaces)) if spaces else None
-        rows = [W.basis.row(i) for i in range(W.dim)] if spaces else []
+        rows = [W.basis.row(i) for i in range(W.dim)] if W is not None else []
         if kind == "zero":
             V = Subspace.zero(field, d)
         elif kind == "full":
@@ -807,7 +807,7 @@ def summand_lists(draw):
 
 
 # over Q, a base whose RREF basis has a denominator (6) and a residual whose
-# RREF has another (7), with the base first and second
+# RREF has another (7), with the base first and last
 FRACTIONAL_BASE = Subspace.from_spanning(QQ, 4, [[2, 1, 0, 1], [0, 3, 1, 0]])
 FRACTIONAL_NEW = Subspace.from_spanning(QQ, 4, [[1, 1, 1, Fraction(1, 7)]])
 

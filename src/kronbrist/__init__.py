@@ -29,7 +29,6 @@ from .modules import (
     is_generated_by,
     layers,
     quotient,
-    trace_submodule,
 )
 from .bristles import (
     BristlePoint,

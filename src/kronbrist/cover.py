@@ -224,7 +224,8 @@ class CoverSubrep:
     """Vertexwise subspaces of a host rep, closed under every host arrow.
 
     A vertex missing from ``spaces`` carries the zero subspace.  Only the
-    stored host maps need checking: every other arrow is zero.
+    stored host maps into a target subspace short of its host space need
+    checking: every other arrow is zero, and nothing can leave a full space.
     """
 
     host: CoverRep
@@ -241,7 +242,7 @@ class CoverSubrep:
                 continue
             w = neighbor(v, label)
             target = self.spaces.get(w) or Subspace.zero(X.field, X.dim(w))
-            if not target.contains_rows(U.basis @ mat.transpose()):
+            if not target.is_full() and not target.contains_rows(U.basis @ mat.transpose()):
                 raise NotSubmodule(f"not a subrep: the arrow ({v}, {label}) leaves the subspaces")
 
     def dim(self, v: TreeVertex) -> int:

@@ -1075,10 +1075,3 @@ def quotient_projection(U: Subspace) -> Matrix:
     taken in ascending order (greedy pivot completion).
     """
     return _free_column_rows(U.basis, U.pivot_cols, U.ambient_dim)
-
-
-def embed_free_coordinates(U: Subspace) -> Matrix:
-    """Section of quotient_projection: unit columns at the non-pivot slots."""
-    pivot_set = set(U.pivot_cols)
-    free = [c for c in range(U.ambient_dim) if c not in pivot_set]
-    return Matrix.identity(U.field, U.ambient_dim).select_cols(free)

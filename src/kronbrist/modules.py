@@ -5,8 +5,8 @@ column vectors M1 -> M2.  Provided here: Hom/Ext spaces via the exact
 intertwining system, the bilinear form on dimension vectors and its
 companion lattice transformation, translation by composed reflections
 (kernel at the sink, then again at the new sink), duality, socle/radical
-layers, trace submodules and generation tests, quotients, and a tri-state
-isomorphism search.
+layers, the traces of bristles and generation tests, quotients, and a
+tri-state isomorphism search.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .linalg import (
     kernel_basis,
     place_blocks,
     quotient_projection,
-    embed_free_coordinates,
     rank,
     SparseSystem,
     sparse_block_kernels,
@@ -224,11 +223,6 @@ def _check_same_category(M: KroneckerModule, N: KroneckerModule):
         raise DimensionMismatch("modules over different quivers or fields")
 
 
-def _is_bristle(M: KroneckerModule) -> bool:
-    """Dimension (1, 1) with a nonzero map: a bristle, up to the scaling of its point."""
-    return M.dims == (1, 1) and not all(a.is_zero() for a in M.alphas)
-
-
 def _source(M: KroneckerModule) -> Matrix:
     """The structure maps of M read row-major one after another, as one row:
     M as a source of ``hom_system``."""
@@ -327,20 +321,7 @@ def ext1_dim_via_resolution(M: KroneckerModule, N: KroneckerModule) -> int:
     return hom_dim(P1, N) - rank(img)
 
 
-# -- trace submodules and generation -----------------------------------------
-
-def trace_submodule(generators: Sequence[KroneckerModule], M: KroneckerModule) -> SubmodulePair:
-    """Sum of images of every morphism from the generators into M: at each
-    vertex the column space of [F_1 | ... | F_k] over every Hom basis."""
-    images1, images2 = [Matrix.zeros(M.field, M.dim1, 0)], [Matrix.zeros(M.field, M.dim2, 0)]
-    for G in generators:
-        k, F1, F2 = _hom_stacks(G, M, sparse_kernel_rows)
-        if k:
-            images1.append(F1.transpose_blocks(k, 1))
-            images2.append(F2.transpose_blocks(k, 1))
-    return SubmodulePair(M, image_subspace(Matrix.hstack(*images1)),
-                         image_subspace(Matrix.hstack(*images2)))
-
+# -- bristle traces and generation -------------------------------------------
 
 def bristle_images(points: Matrix, M: KroneckerModule):
     """(X, Y, counts): the images of a basis of Hom(B_p, M) for every row p
@@ -366,8 +347,8 @@ def bristle_images(points: Matrix, M: KroneckerModule):
 
 def bristle_traces(points: Matrix, M: KroneckerModule) -> list:
     """The trace of the bristle B_p in M for every row p of ``points``, in
-    row order: the row spaces of the rows ``bristle_images`` gives for p,
-    the same pairs as ``trace_submodule([B_p], M)`` from one system."""
+    row order, all from one system: the row spaces of the rows
+    ``bristle_images`` gives for p."""
     X, Y, counts = bristle_images(points, M)
     return [SubmodulePair(M, Subspace.row_space(X.select_rows(range(e - k, e))),
                           Subspace.row_space(Y.select_rows(range(e - k, e))))
@@ -378,16 +359,17 @@ def is_generated_by(generators: Sequence[KroneckerModule], M: KroneckerModule) -
     """Whether the trace of the generators is all of M, decided by rank
     alone: the images of every Hom basis element span M at each vertex.
 
-    The bristles among the generators bring their images from
-    ``bristle_images``, one system and one guard for all of them; any other
-    generator brings the columns of its basis maps, checked by
-    ``_hom_stacks``.  The stacked images at each vertex are ranked as their
-    nonzeros (``sparse_rank``); no canonical basis is formed.
+    The generators of dimension (1, 1) bring their images from
+    ``bristle_images``, one system and one guard for all of them; one with
+    zero maps passes the guard too, as its images have x in the joint
+    kernel.  Any other generator brings the columns of its basis maps,
+    checked by ``_hom_stacks``.  The stacked images at each vertex are
+    ranked as their nonzeros (``sparse_rank``); no canonical basis is formed.
     """
     images1, images2, points = [], [], []
     for G in generators:
         _check_same_category(G, M)
-        if _is_bristle(G):
+        if G.dims == (1, 1):
             points.append(_source(G))
             continue
         k, F1, F2 = _hom_stacks(G, M, sparse_kernel_rows)
@@ -484,16 +466,17 @@ def direct_sum_list(mods: Sequence[KroneckerModule]) -> KroneckerModule:
 
 
 def submodule_as_module(M: KroneckerModule, U: SubmodulePair):
-    """U as an abstract module in its RREF bases, with the inclusion map."""
-    f = M.field
-    alphas = []
-    for a in M.alphas:
-        images = U.U1.basis @ a.transpose()  # row i: the image of basis vector i
-        if not U.U2.contains_rows(images):
-            raise NotSubmodule("not a submodule: image leaves the subspace")
-        # coordinates in the RREF basis of U2 are the entries at its pivots
-        alphas.append(images.select_cols(U.U2.pivot_cols).transpose())
-    sub = KroneckerModule(M.n, f, U.U1.dim, U.U2.dim, tuple(alphas))
+    """U as an abstract module in its RREF bases, with the inclusion map.
+
+    U was checked closed when it was built.  Row i of U1's basis times a^T is
+    the image of basis vector i, and its coordinates in the RREF basis of U2
+    are its entries at U2's pivots.
+    """
+    if U.parent != M:
+        raise DimensionMismatch("submodule of a different parent")
+    alphas = tuple((U.U1.basis @ a.transpose()).select_cols(U.U2.pivot_cols).transpose()
+                   for a in M.alphas)
+    sub = KroneckerModule(M.n, M.field, U.U1.dim, U.U2.dim, alphas)
     incl = Morphism(sub, M, U.U1.basis.transpose(), U.U2.basis.transpose())
     return sub, incl
 
@@ -502,12 +485,12 @@ def quotient(M: KroneckerModule, U: SubmodulePair):
     """Quotient module on the complement coordinates, with the projection."""
     if U.parent != M:
         raise DimensionMismatch("submodule of a different parent")
-    f = M.field
     Q1 = quotient_projection(U.U1)
     Q2 = quotient_projection(U.U2)
-    L1 = embed_free_coordinates(U.U1)
-    alphas = tuple(Q2 @ a @ L1 for a in M.alphas)
-    quot = KroneckerModule(M.n, f, Q1.rows, Q2.rows, alphas)
+    pivots = set(U.U1.pivot_cols)
+    free = [c for c in range(M.dim1) if c not in pivots]  # U1's quotient coordinates
+    alphas = tuple(Q2 @ a.select_cols(free) for a in M.alphas)
+    quot = KroneckerModule(M.n, M.field, Q1.rows, Q2.rows, alphas)
     proj = Morphism(M, quot, Q1, Q2)
     return quot, proj
 

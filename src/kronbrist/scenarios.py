@@ -134,18 +134,6 @@ def _b0_modules(n: int, field: FieldSpec) -> list:
     return [bristle(p) for p in canonical_set("B0", n, field)]
 
 
-def _generates(M: KroneckerModule, traces: Sequence[SubmodulePair]) -> bool:
-    """Whether the given trace submodules of M together span all of M.
-
-    Traces whose dimensions at a vertex sum to less than the dimension of M
-    there cannot span it, so most subsets need no elimination at all.
-    """
-    if sum(tr.U1.dim for tr in traces) < M.dim1 or sum(tr.U2.dim for tr in traces) < M.dim2:
-        return False
-    return (subspace_sum(Subspace.zero(M.field, M.dim1), *(tr.U1 for tr in traces)).is_full()
-            and subspace_sum(Subspace.zero(M.field, M.dim2), *(tr.U2 for tr in traces)).is_full())
-
-
 class _Search(NamedTuple):
     """What the subset search carries: the traces, the target dimensions of
     M, the size bound, and the per-size tallies it fills in."""
@@ -521,7 +509,8 @@ def _scn_tau_b1_cover(cfg: ScenarioConfig) -> List[Check]:
     checks.append(Check(
         "generation-sum",
         "branch push-downs plus interior path bristles generate the whole translate",
-        True, _generates(pushed, parts)))
+        True, subspace_sum(*(part.U1 for part in parts)).is_full()
+        and subspace_sum(*(part.U2 for part in parts)).is_full()))
     lines = [w.spaces[BASE].basis.row(0) for w in paths]
     span = Subspace.from_spanning(f, n - 2, lines)
     checks.append(Check(

@@ -47,9 +47,10 @@ from kronbrist.modules import (
     is_generated_by,
     layers,
     random_module,
-    trace_submodule,
 )
 from kronbrist.scenarios import _derived_rng
+
+from oracles import trace_submodule
 
 F2, F3, F5 = GF(2), GF(3), GF(5)
 

@@ -38,8 +38,9 @@ from kronbrist.modules import (
     projective_module,
     random_module,
     simple_module,
-    trace_submodule,
 )
+
+from oracles import trace_submodule
 
 F2, F3, F5 = GF(2), GF(3), GF(5)
 

@@ -35,7 +35,7 @@ from kronbrist.cover import (
     y_component,
 )
 from kronbrist.families import preinjective
-from kronbrist.linalg import GF, QQ, DimensionMismatch, Subspace
+from kronbrist.linalg import GF, QQ, DimensionMismatch, Matrix, Subspace
 from kronbrist.modules import (
     ISO,
     NotSubmodule,
@@ -233,6 +233,16 @@ class TestSubrepClosure:
         X = build_ball_rep(3, F5)
         with pytest.raises(DimensionMismatch):
             CoverSubrep(X, {(1,): Subspace.full(F5, 2)})
+
+    def test_arrow_into_a_line_of_a_plane_is_checked(self):
+        # every target of the named reps is zero or full; here the sink is a
+        # plane and the subrep holds a line of it
+        X = CoverRep(3, F5, {BASE: 1, (1,): 2}, {(BASE, 1): Matrix.from_rows(F5, [[1], [0]])})
+        source = Subspace.full(F5, 1)
+        with pytest.raises(NotSubmodule):
+            CoverSubrep(X, {BASE: source, (1,): Subspace.from_spanning(F5, 2, [[0, 1]])})
+        image = Subspace.from_spanning(F5, 2, [[1, 0]])
+        assert CoverSubrep(X, {BASE: source, (1,): image}).dim((1,)) == 1
 
     @pytest.mark.parametrize("n,field", [(3, F2), (3, F5), (4, F2), (4, F5)])
     def test_named_components_are_subreps(self, n, field):

@@ -19,6 +19,7 @@ from kronbrist.families import preinjective
 from kronbrist.linalg import (
     GF,
     QQ,
+    DimensionMismatch,
     InternalCheckFailed,
     Matrix,
     SparseSystem,
@@ -57,9 +58,10 @@ from kronbrist.modules import (
     random_module,
     simple_module,
     submodule_as_module,
-    trace_submodule,
     zero_module,
 )
+
+from oracles import trace_submodule
 
 F5 = GF(5)
 F2 = GF(2)
@@ -468,6 +470,17 @@ class TestSubsAndQuotients:
         assert sub.dims == tr.dims
         assert incl.source == sub and incl.target == M
         assert image_subspace(incl.f1) == tr.U1 and image_subspace(incl.f2) == tr.U2
+
+    def test_submodule_as_module_of_another_parent_is_refused(self):
+        # a full pair is closed under the maps of any module of its dims, so
+        # only its parent tells these apart
+        M = preinjective(3, 2, F5)
+        zero_maps = KroneckerModule(3, F5, M.dim1, M.dim2,
+                                    tuple(Matrix.zeros(F5, M.dim2, M.dim1) for _ in range(3)))
+        for parent, other in ((B([0, 1, 0]), B([1, 0, 0])), (zero_maps, M)):
+            full = SubmodulePair(other, Subspace.full(F5, other.dim1), Subspace.full(F5, other.dim2))
+            with pytest.raises(DimensionMismatch):
+                submodule_as_module(parent, full)
 
     def test_quotient_projection_kernel(self):
         M = preinjective(3, 1, F5)

@@ -88,10 +88,11 @@ from kronbrist.modules import (  # noqa: E402
     hom_dim,
     is_generated_by,
     simple_module,
-    trace_submodule,
     zero_module,
 )
-from kronbrist.scenarios import _generates, _generating_by_size  # noqa: E402
+from kronbrist.scenarios import _generating_by_size  # noqa: E402
+
+from oracles import generates, trace_submodule  # noqa: E402
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=25, deadline=None)
 FIELDS = [GF(2), GF(3), GF(5), QQ]
@@ -541,11 +542,11 @@ def trace_lists(draw):
 @settings(PROPERTY, max_examples=200)
 @given(trace_lists())
 def test_subset_search_matches_brute_force(case):
-    """The pruned search counts, size by size, the subsets that ``_generates``
+    """The pruned search counts, size by size, the subsets that ``generates``
     says span M, and decides every subset up to the size bound."""
     M, traces, max_size = case
     spanning, decided = _generating_by_size(M, traces, max_size)
-    assert spanning == [sum(_generates(M, sub) for sub in combinations(traces, s))
+    assert spanning == [sum(generates(M, sub) for sub in combinations(traces, s))
                         for s in range(max_size + 1)]
     assert decided == [comb(len(traces), s) for s in range(max_size + 1)]
 

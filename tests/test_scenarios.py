@@ -29,16 +29,16 @@ from kronbrist.modules import (
     is_faithful,
     is_generated_by,
     random_module,
-    trace_submodule,
 )
 from kronbrist.scenarios import (
     SCENARIOS,
     ScenarioConfigError,
-    _generates,
     _generating_by_size,
     default_config,
     run_scenario,
 )
+
+from oracles import generates, trace_submodule
 
 QUICK_OVERRIDES = {
     # keep the orbit scenario off the largest translate in the smoke run
@@ -159,25 +159,25 @@ def test_subset_cap_refuses():
 
 
 class TestGenerates:
-    """Positive and negative controls for ``_generates``, the one-set check
-    and the oracle the subset search is tested against: the optimality
-    scenarios expect zero generating subsets, which a check that never
-    answers "generates" would also report."""
+    """Positive and negative controls for ``generates``, the oracle the
+    subset search is tested against: the optimality scenarios expect zero
+    generating subsets, which a check that never answers "generates" would
+    also report."""
 
     def test_b0_traces_generate_third_preinjective(self):
         f = GF(2)
         I3 = preinjective(3, 3, f)
         traces = [trace_submodule([bristle(p)], I3) for p in canonical_set("B0", 3, f)]
-        assert _generates(I3, traces)
-        assert not _generates(I3, traces[:-1])
-        assert not _generates(I3, [])
+        assert generates(I3, traces)
+        assert not generates(I3, traces[:-1])
+        assert not generates(I3, [])
 
     def test_b1prime_traces_generate_translate(self):
         f = GF(2)
         T = ar_translate(bristle(unit_point(3, f, 1)), "tau")
         traces = [trace_submodule([bristle(p)], T) for p in canonical_set("B1prime", 3, f)]
-        assert _generates(T, traces)
-        assert not _generates(T, traces[1:])  # the unit-1 bristle is needed
+        assert generates(T, traces)
+        assert not generates(T, traces[1:])  # the unit-1 bristle is needed
 
     def test_agrees_with_trace_of_all_generators(self):
         # the dimension shortcut never changes the answer of the full sum
@@ -188,7 +188,7 @@ class TestGenerates:
         seen = set()
         for size in (2, 3, 4):
             for idxs in combinations(range(len(pts)), size):
-                got = _generates(I2, [traces[i] for i in idxs])
+                got = generates(I2, [traces[i] for i in idxs])
                 assert got == is_generated_by([bristle(pts[i]) for i in idxs], I2)
                 seen.add(got)
         assert seen == {True, False}
@@ -224,7 +224,7 @@ SEARCH_CASES = {
 
 class TestGeneratingBySize:
     """Fixed edge cases of the pruned subset search, each checked against
-    brute force over combinations with ``_generates``; tests/test_properties.py
+    brute force over combinations with ``generates``; tests/test_properties.py
     checks random trace lists."""
 
     @pytest.mark.parametrize("field", [GF(2), GF(3), QQ], ids=str)
@@ -234,7 +234,7 @@ class TestGeneratingBySize:
         M, traces = _zero_map_traces(field, dims, spans)
         spanning, decided = _generating_by_size(M, traces, max_size)
         assert spanning == expected
-        assert spanning == [sum(_generates(M, sub) for sub in combinations(traces, s))
+        assert spanning == [sum(generates(M, sub) for sub in combinations(traces, s))
                             for s in range(max_size + 1)]
         assert decided == [comb(len(traces), s) for s in range(max_size + 1)]
 

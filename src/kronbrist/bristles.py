@@ -218,17 +218,17 @@ def is_saturated(M: KroneckerModule) -> bool:
     Two exact steps decide it.  First the bilinear form: when
     ``form_forces_extensions(M)``, M is refused at once, with no Hom system
     built.  Otherwise the Auslander-Reiten formula over a hereditary algebra,
-    Ext^1(B, M) = D Hom(tau^- M, B) (Assem, Simson and Skowronski,
-    Elements of the Representation Theory of Associative Algebras 1,
-    Cor. IV.2.14), and duality, Hom(tau^- M, B) = Hom(B, D tau^- M) as
-    D B = B, turn each bristle's Ext into a Hom from the bristle into
-    D tau^- M = tau D M, translated once.  Its unknowns are the entries of
-    tau^- M's two spaces, far fewer than M's when M is preinjective.  One
-    block system holds these Homs for all bristles and is peeled once
-    (``bristle_hom_dims``).  The test stops at the first nonzero Hom: the
-    bristles the peel decided come first, then the others in enumeration
-    order, so no core past that bristle is eliminated.  ext1_dim and
-    ext1_dim_via_resolution compute the same numbers directly.
+    Ext^1(B, M) = D Hom(tau^- M, B) (Assem, Simson and Skowronski, Elements of
+    the Representation Theory of Associative Algebras 1, Cor. IV.2.14), and
+    duality, Hom(tau^- M, B) = Hom(B, D tau^- M) as D B = B, turn each bristle's
+    Ext into a Hom from the bristle into D tau^- M = tau D M, translated once.
+    Its unknowns are the entries of tau^- M's two spaces, far fewer than M's
+    when M is preinjective.  One block system holds these Homs for all bristles
+    and is peeled once (``bristle_hom_dims``).  The test stops at the first
+    nonzero Hom: the bristles the peel decided come first, then the others in
+    enumeration order, so no core past that bristle is eliminated.  ext1_dim, by
+    the Hom system, and ext1_dim_via_resolution, by a projective presentation
+    with no Hom system, give the same numbers directly.
     """
     if not M.field.is_finite:
         raise ValueError("saturation requires finite-field enumeration; "

@@ -1,12 +1,12 @@
 """Finite-dimensional n-Kronecker modules and their homological calculus.
 
 A module is a pair of spaces (M1, M2) with n structure matrices acting on
-column vectors M1 -> M2.  Provided here: Hom/Ext spaces via the exact
-intertwining system, the bilinear form on dimension vectors and its
-companion lattice transformation, translation by composed reflections
-(kernel at the sink, then again at the new sink), duality, socle/radical
-layers, the traces of bristles and generation tests, quotients, and a
-tri-state isomorphism search.
+column vectors M1 -> M2.  Provided here: Hom and Ext via the exact
+intertwining system, Ext again from the matrices of a projective
+presentation with no Hom system, the bilinear form and its companion lattice
+transformation, translation by composed reflections (kernel at the sink,
+then again at the new sink), duality, socle/radical layers, bristle traces
+and generation tests, quotients, and a tri-state isomorphism search.
 """
 
 from __future__ import annotations
@@ -248,8 +248,8 @@ def bristle_hom_dims(points: Matrix, N: KroneckerModule):
 def hom_dim(M: KroneckerModule, N: KroneckerModule) -> int:
     _check_same_category(M, N)
     t = N.dim1 * M.dim1 + N.dim2 * M.dim2
-    if t == 0:
-        return 0
+    if t == 0 or M.dim1 * N.dim2 == 0:
+        return t  # no unknowns, or no equations: every pair of maps intertwines
     return t - sparse_rank(_hom_system(M, N))
 
 
@@ -294,31 +294,35 @@ def ext1_dim(M: KroneckerModule, N: KroneckerModule) -> int:
 
 
 def ext1_dim_via_resolution(M: KroneckerModule, N: KroneckerModule) -> int:
-    """Independent route: Hom(-, N) applied to a projective presentation of M.
+    """Independent route: Hom(-, N) on a projective presentation of M, read
+    off its matrices with no Hom system.
 
-    P0 = P(1)^dim1 (+) P(2)^dim2 surjects onto M by evaluation; its kernel P1
-    is concentrated at vertex 2, hence projective.  Ext^1(M, N) is the
-    cokernel of Hom(P0, N) -> Hom(P1, N).
+    P0 = P(1)^m1 (+) P(2)^m2 maps onto M by the identity at vertex 1 and by
+    eps2 = [images | I_m2] at vertex 2 (column i n + j is alpha_j e_i); its
+    kernel P1 = P(2)^k is spanned by the canonical kernel basis K of eps2.
+    By Yoneda a map from P(1) is the image of its generator in N1 and one
+    from P(2) a vector of N2, so restriction from Hom(P0, N) = N1^m1 (+) N2^m2
+    to Hom(P1, N) = N2^k is R, with blocks (r, i) = sum_j K[r, i n + j] a_j and
+    (r, l) = K[r, n m1 + l] I, and Ext^1(M, N) = k d2 - rank(R).  The guard
+    eps2 K^T = 0 stands for the morphism checks of the modules not built here.
     """
     _check_same_category(M, N)
-    n, f = M.n, M.field
-    m1, m2 = M.dims
-    blocks = [projective_module(n, f, 1)] * m1 + [projective_module(n, f, 2)] * m2
-    if not blocks:
-        return 0
-    P0 = direct_sum_list(blocks)
-    # evaluation P0 -> M: generator of the i-th P(1) copy goes to basis vector i,
-    # so that copy's j-th vertex-2 vector goes to alpha_j e_i (column i*n + j)
+    n, f, (m1, m2), (d1, d2) = M.n, M.field, M.dims, N.dims
     images = Matrix.hstack(*(a.transpose() for a in M.alphas)).reshape(m1 * n, m2).transpose()
-    eps = Morphism(P0, M, Matrix.identity(f, m1), images.hstack(Matrix.identity(f, m2)))
-    ker_pair = SubmodulePair(P0, kernel_basis(eps.f1), kernel_basis(eps.f2))
-    P1, incl = submodule_as_module(P0, ker_pair)
-    # g . incl for the k basis elements g of Hom(P0, N), stacked; no guard: P1
-    # sits at vertex 2, so any pair of maps intertwines its zero-width maps
-    k, G1, G2 = _hom_stacks(P0, N, sparse_kernel_rows)
-    img = (G1 @ incl.f1).reshape(k, N.dim1 * P1.dim1).hstack(
-        (G2 @ incl.f2).reshape(k, N.dim2 * P1.dim2))
-    return hom_dim(P1, N) - rank(img)
+    eps2 = images.hstack(Matrix.identity(f, m2))
+    K = kernel_basis(eps2).basis
+    k = K.rows
+    if k == 0 or d2 == 0:
+        return 0
+    if not (eps2 @ K.transpose()).is_zero():
+        raise InternalCheckFailed("a kernel vector of the presentation is not in the kernel")
+    # the blocks (r, i) stacked in (r, i) order, regridded to k rows of m1 blocks
+    A = N.alphas[0].vstack(*N.alphas[1:]).reshape(n, d2 * d1)
+    R1 = (K.col_block(0, n * m1).reshape(k * m1, n) @ A).reshape(k * m1 * d2, d1)
+    R1 = R1.transpose_blocks(k * m1, 1).transpose_blocks(1, k)
+    R2 = K.col_block(n * m1, K.cols).select_rows([r for r in range(k) for _ in range(d2)])
+    R2 = R2.row_kron(Matrix.identity(f, d2).select_rows(list(range(d2)) * k))  # row (r, p) times e_p
+    return k * d2 - rank(R1.hstack(R2))
 
 
 # -- bristle traces and generation -------------------------------------------

@@ -363,22 +363,18 @@ def _scn_n2_generation(cfg: ScenarioConfig) -> List[Check]:
             "a two-arrow preinjective of index t is generated by a bristle subset "
             "exactly when the subset has more than t elements",
             0, violations, details={"subsets": 2 ** len(pts)}))
-        vand_bad = 0
-        for subset in combinations(indices, t + 1):
-            vecs = [n2_bristle_generator(t, c, f) for c in subset]
-            if rank(Matrix.from_rows(f, [list(v) for v in vecs], cols=t + 1)) != t + 1:
-                vand_bad += 1
+        vecs = [n2_bristle_generator(t, c, f) for c in indices]
+        gens = Matrix.from_rows(f, [list(v) for v in vecs], cols=t + 1)
+        vand_bad = sum(rank(gens.select_rows(subset)) != t + 1
+                       for subset in combinations(range(len(indices)), t + 1))
         checks.append(Check(
             f"generator-independence-t{t}",
             "geometric-series generators for distinct slopes are linearly independent",
             0, vand_bad))
         if t >= 1:
-            type_bad = 0
-            for c in indices:
-                u = n2_bristle_generator(t, c, f)
-                if not is_bristle_vector(It, u) or \
-                        bristle_type_of(It, u) != n2_bristle_index_to_point(c, f):
-                    type_bad += 1
+            type_bad = sum(not is_bristle_vector(It, u)
+                           or bristle_type_of(It, u) != n2_bristle_index_to_point(c, f)
+                           for c, u in zip(indices, vecs))
             checks.append(Check(
                 f"generator-types-t{t}",
                 "the slope-c generator spans a bristle of slope c",

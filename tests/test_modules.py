@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from kronbrist import modules
+from kronbrist import linalg, modules
 from kronbrist.bristles import bristle, bristle_point, bristle_points, enumerate_bristles, unit_point
 from kronbrist.cover import build_ball_rep, push_down
 from kronbrist.families import preinjective
@@ -28,6 +28,7 @@ from kronbrist.linalg import (
     image_subspace,
     rank,
     sparse_kernel_rows,
+    sparse_rank,
 )
 from kronbrist.modules import (
     ISO,
@@ -69,6 +70,24 @@ F2 = GF(2)
 
 def B(coords, field=F5, n=3):
     return bristle(bristle_point(n, field, coords))
+
+
+def sparse_module(n, field, dims, rng):
+    """A module of dimension vector ``dims`` with mostly zero entries, so its
+    Hom and Ext spaces are often larger than the bilinear form forces; over
+    Q the entries are fractions."""
+    def entry():
+        x = rng.choice((0, 0, 0, 1, -1, 2))
+        return x if field.is_finite else Fraction(x, rng.randrange(1, 5))
+
+    d1, d2 = dims
+    return KroneckerModule(n, field, d1, d2, tuple(
+        Matrix.from_rows(field, [[entry() for _ in range(d1)] for _ in range(d2)], cols=d1)
+        for _ in range(n)))
+
+
+def forbidden(*args, **kwargs):
+    raise AssertionError("a routine the caller must not reach was called")
 
 
 class TestDimensionArithmetic:
@@ -124,6 +143,23 @@ class TestHom:
         with pytest.raises(ValueError):
             Morphism(B([1, 0, 0]), B([0, 1, 0]),
                      Matrix.identity(F5, 1), Matrix.identity(F5, 1))
+
+    @pytest.mark.parametrize("field", [F2, F5, GF(2**31 - 1), QQ], ids=str)
+    def test_hom_dim_without_equations(self, field, monkeypatch):
+        """When M.dim1 * N.dim2 = 0 the Hom system has no rows (or, when
+        t = 0, no columns), so hom_dim is its number of unknowns minus a
+        zero rank, returned without building the system."""
+        rng = random.Random(13)
+        cases = []
+        for m, d in (((0, 3), (2, 2)), ((2, 3), (3, 0)), ((0, 0), (2, 1)), ((2, 1), (0, 0)),
+                     ((0, 2), (0, 3)), ((3, 0), (2, 0)), ((1, 2), (3, 0)), ((2, 0), (0, 3))):
+            M, N = sparse_module(3, field, m, rng), sparse_module(3, field, d, rng)
+            S = modules._hom_system(M, N)
+            assert S.rows == 0 or S.cols == 0
+            cases.append((M, N, S.cols - sparse_rank(S)))
+        assert any(e for *_, e in cases)
+        monkeypatch.setattr(modules, "hom_system", forbidden)
+        assert [hom_dim(M, N) for M, N, _ in cases] == [e for *_, e in cases]
 
 
 def _guard_pair(field, wrong_arrow=None):
@@ -258,6 +294,56 @@ class TestExt:
             e = ext1_dim(M, N)
             assert e == ext1_dim_via_resolution(M, N)
             assert h - e == euler_form(M.dims, N.dims, n)
+
+    @pytest.mark.parametrize("field", [F2, GF(2**31 - 1), QQ], ids=str)
+    @pytest.mark.parametrize("n, m, d", [
+        (3, (0, 0), (2, 2)),  # M zero
+        (3, (2, 1), (0, 0)),  # N zero
+        (3, (0, 2), (2, 3)),  # m1 = 0: M projective, no kernel
+        (3, (2, 0), (1, 2)),  # m2 = 0: eps2 has no rows
+        (3, (2, 2), (3, 0)),  # d2 = 0
+        (3, (2, 1), (0, 2)),  # d1 = 0: no x blocks
+        (1, (3, 2), (2, 3)),
+        (4, (2, 3), (3, 2)),
+    ])
+    def test_resolution_route_explicit_cases(self, field, n, m, d):
+        rng = random.Random(f"{field} {n} {m} {d}")
+        for _ in range(6):
+            M, N = sparse_module(n, field, m, rng), sparse_module(n, field, d, rng)
+            assert ext1_dim_via_resolution(M, N) == ext1_dim(M, N)
+
+    def test_resolution_route_builds_no_hom_system(self, monkeypatch):
+        """The resolution route shares nothing with ext1_dim above the dense
+        elimination: with every Hom-system routine made to raise, it still
+        returns the values ext1_dim gave."""
+        rng = random.Random(11)
+        pairs = [tuple(sparse_module(n, f, (rng.randrange(5), rng.randrange(5)), rng)
+                       for _ in range(2))
+                 for f in (F2, F5, QQ) for n in (2, 3) for _ in range(8)]
+        expected = [ext1_dim(M, N) for M, N in pairs]
+        assert sum(e > 0 for e in expected) >= 10
+        for name in ("hom_system", "hom_dim", "_hom_stacks", "sparse_rank", "sparse_kernel",
+                     "sparse_kernel_rows", "sparse_block_kernels", "sparse_block_ranks",
+                     "Morphism", "SubmodulePair", "submodule_as_module"):
+            monkeypatch.setattr(modules, name, forbidden)
+        monkeypatch.setattr(linalg, "_peel", forbidden)
+        assert [ext1_dim_via_resolution(M, N) for M, N in pairs] == expected
+
+    def test_resolution_guard_catches_a_wrong_kernel_row(self, monkeypatch):
+        """One entry changed in the last row of the presentation's kernel
+        basis must trip the guard eps2 K^T = 0."""
+        b = B([1, 2, 3])
+        real = modules.kernel_basis
+
+        def corrupted(A):
+            data = real(A).basis.data.copy()
+            data[-1, 0] = (data[-1, 0] + 1) % 5
+            return Subspace.row_space(Matrix(F5, data))
+
+        assert ext1_dim_via_resolution(b, b) == 2
+        monkeypatch.setattr(modules, "kernel_basis", corrupted)
+        with pytest.raises(InternalCheckFailed, match="not in the kernel"):
+            ext1_dim_via_resolution(b, b)
 
     def test_annihilated_map_lower_bound(self):
         rng = random.Random(9)

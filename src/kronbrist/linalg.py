@@ -31,13 +31,22 @@ of all blocks' kernel vectors; the kernel of one system is its one-block
 case.  ``kernel_basis`` reads the canonical kernel of a dense matrix off
 one elimination of its columns in reverse order.
 
-One elimination routine never divides mid-way: it gathers by index only the
-rows with a nonzero in the pivot column c, clears c from each such row x with
-pivot row y as piv * x - x[c] * y and puts it back in lowest terms: reduced
-mod p over GF(p), divided by the gcd of its entries over Q.  Over GF(p) the
-pivot is scaled to 1 and a row not yet a pivot row is zero left of c, so only
-columns c onwards change; over Q the gcd takes the whole row, and the pivot
-rows are brought to the lcm of the pivots at the end.
+Elimination never divides mid-way: it clears the pivot column c from each
+row x with pivot row y as piv * x - x[c] * y and puts the row back in lowest
+terms: reduced mod p over GF(p), divided by the gcd of its entries over Q.
+Over GF(p) the pivot is scaled to 1 and a row not yet a pivot row is zero
+left of c, so only columns c onwards change; over Q the gcd takes the whole
+row, and the pivot rows are brought to the lcm of the pivots at the end.
+Two sweeps keep that rule, and the caller's input picks one, never an
+option.  ``_rref`` eliminates one matrix, gathering by index only the rows
+with a nonzero in c (a single row needs no column loop at all); it serves
+``rref`` and everything built on it: ranks, kernels, canonical bases, sums
+of subspaces and the dense cores of sparse systems.  ``_rref_stack``
+eliminates a stack of small matrices in one sweep over the columns, each
+member with its own pivots, and serves only ``row_spaces``: many row
+spaces at once, such as a subset search's sums for a whole level.  It pays
+numpy's per-call cost once per column for the stack, where ``_rref`` pays
+it per matrix, but for a single matrix it is the slower one.
 
 Over GF(p) every intermediate product stays below p^2 < 2^62, so int64
 arithmetic is exact; a matrix product switches to Python integers once a
@@ -611,11 +620,29 @@ def _rref(a: np.ndarray, field: FieldSpec):
     multiplied at the end by lcm / piv, for the lcm of all pivots, which
     becomes the denominator.  The reduced row-echelon form depends only on
     the row space, so this gives the same matrix as dividing at every step.
+    A single row needs no column loop: its first nonzero is the pivot, and
+    the row is scaled to pivot 1 over GF(p), or over Q keeps its integers,
+    times the sign of the pivot, over the pivot's absolute value.
     Returns (integer rows, pivot columns, denominator).
     """
     R = a.copy()
     m, n = R.shape
     p = field.characteristic
+    if m == 1:
+        nonzero = R[0].nonzero()[0]
+        if not nonzero.size:
+            return R, [], 1
+        c = int(nonzero[0])
+        piv = R[0, c]
+        if not field.is_finite:
+            if piv < 0:
+                np.negative(R, out=R)
+            return R, [c], abs(piv)
+        if piv != 1:
+            y = R[0, c:]
+            y *= pow(int(piv), -1, p)
+            y %= p
+        return R, [c], 1
     pivots = []
     for c in range(n):
         r = len(pivots)
@@ -666,6 +693,67 @@ def rref(A: Matrix) -> RrefResult:
 
 def rank(A: Matrix) -> int:
     return rref(A).rank
+
+
+def _rref_stack(a: np.ndarray, field: FieldSpec):
+    """Gauss-Jordan elimination on a copy of every member a[k] of a
+    (members, rows, cols) integer stack, each as ``_rref`` eliminates one
+    matrix, all in one sweep over the columns.
+
+    Each member keeps its own first-nonzero pivot and its own count of
+    pivot rows.  At column c the members with a nonzero at or below their
+    next pivot row swap it into place, every row of those members is
+    updated by ``_rref``'s rule x -> piv * x - x[c] * y, and the pivot row y
+    is written over its own update: over GF(p) with y scaled to pivot 1 and
+    only columns c onwards, over Q on whole rows divided by their gcd.  A
+    row with x[c] = 0 only changes by a scale, so each member's row space
+    and its reduced form are those of ``_rref``.  Returns (integer rows,
+    pivots, ranks, denominators): member k has the pivot columns
+    pivots[k, :ranks[k]] and the reduced rows R[k, :ranks[k]] over
+    dens[k], and zero rows below them.
+    """
+    R = a.copy()
+    count, m, n = R.shape
+    p = field.characteristic
+    ranks = np.zeros(count, np.int64)
+    pivots = np.zeros((count, min(m, n)), np.int64)
+    below = np.ones((count, m), bool)  # the rows of each member not yet pivot rows
+    for c in range(n if m else 0):
+        open_rows = (R[:, :, c] != 0) & below
+        first = open_rows.argmax(axis=1)
+        sel = np.flatnonzero(open_rows[np.arange(count), first])
+        if not sel.size:
+            continue
+        r, i, at = ranks[sel], first[sel], np.arange(sel.size)
+        y = R[sel, i]
+        R[sel, i] = R[sel, r]
+        x = R[sel, :, c]
+        if field.is_finite:
+            y = y[:, c:]
+            if (y[:, 0] != 1).any():
+                y = y * np.array([pow(v, -1, p) for v in y[:, 0].tolist()])[:, None] % p
+            U = R[sel, :, c:]
+            U -= x[:, :, None] * y[:, None, :]
+            np.remainder(U, p, out=U)
+            U[at, r] = y
+            R[sel, :, c:] = U
+        else:
+            U = R[sel] * y[:, c, None, None] - x[:, :, None] * y[:, None, :]
+            U[at, r] = y
+            g = np.gcd.reduce(U, axis=2)
+            g[g == 0] = 1
+            R[sel] = U // g[:, :, None]
+        pivots[sel, r] = c
+        ranks[sel] += 1
+        below[sel, r] = False
+    dens = [1] * count
+    if not field.is_finite:
+        for k in np.flatnonzero(ranks):
+            rk = ranks[k]
+            piv = R[k, np.arange(rk), pivots[k, :rk]]
+            dens[k] = lcm(*piv)
+            R[k, :rk] *= (dens[k] // piv)[:, None]
+    return R, pivots, ranks, dens
 
 
 @dataclass(frozen=True)
@@ -785,6 +873,43 @@ def subspace_sum(U: Subspace, *more: Subspace) -> Subspace:
     rows = np.concatenate([cleared, R if B.den == 1 else R * B.den])[order]
     return Subspace(f, base.ambient_dim, Matrix._of(f, rows, B.den * den),
                     tuple(pivots[i] for i in order))
+
+
+# the most cells one stacked sweep of ``row_spaces`` takes (8 MB of int64),
+# so that a long list of members is reduced in bounded memory
+_STACK_CELLS = 2**20
+
+
+def row_spaces(field: FieldSpec, cols: int, members: Sequence[Sequence[Matrix]]) -> list:
+    """The row space of each member: the span of its parts' rows (matrices
+    with ``cols`` columns) taken together, equal entry for entry to
+    ``Subspace.row_space`` of the stacked parts.
+
+    The parts' integer rows go one under another (a scale of a row spans
+    the same line) into one (members, rows, cols) stack, padded with zero
+    rows to the tallest member, and one ``_rref_stack`` sweep reduces them
+    all; past ``_STACK_CELLS`` cells the members are swept in runs.
+    """
+    heights = []
+    for parts in members:
+        if any(P.field != field or P.data.shape[1] != cols for P in parts):
+            raise DimensionMismatch("row_spaces parts over another field or of another width")
+        heights.append(sum(P.data.shape[0] for P in parts))
+    step = max(_STACK_CELLS // max(max(heights, default=0) * cols, 1), 1)
+    out = []
+    for s in range(0, len(members), step):
+        run = members[s:s + step]
+        a = field.zeros((len(run), max(heights[s:s + step]), cols))
+        for k, parts in enumerate(run):
+            r = 0
+            for P in parts:
+                a[k, r:r + P.rows] = P.data
+                r += P.rows
+        R, pivots, ranks, dens = _rref_stack(a, field)
+        out.extend(Subspace(field, cols, Matrix._of(field, R[k, :rk], dens[k]),
+                            tuple(pivots[k, :rk].tolist()))
+                   for k, rk in enumerate(ranks.tolist()))
+    return out
 
 
 def _free_column_rows(R: Matrix, pivots: tuple, n: int) -> Matrix:

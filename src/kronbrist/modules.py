@@ -109,16 +109,6 @@ def simple_module(n: int, field: FieldSpec, vertex: int) -> KroneckerModule:
     raise ValueError("vertex must be 1 or 2")
 
 
-def projective_module(n: int, field: FieldSpec, vertex: int) -> KroneckerModule:
-    """P(1) = (k, k^n; coordinate inclusions); P(2) = S(2)."""
-    if vertex == 2:
-        return simple_module(n, field, 2)
-    if vertex != 1:
-        raise ValueError("vertex must be 1 or 2")
-    alphas = tuple(Matrix.identity(field, n).col_block(i, i + 1) for i in range(n))
-    return KroneckerModule(n, field, 1, n, alphas)
-
-
 def injective_module(n: int, field: FieldSpec, vertex: int) -> KroneckerModule:
     """I(1) = S(1); I(2) = (k^n, k; coordinate projections)."""
     if vertex == 1:

@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass
 from itertools import accumulate, combinations
 from math import comb
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from . import __version__
 from .bristles import (
@@ -54,7 +54,7 @@ from .cover import (
     y_component,
 )
 from .families import INF, n2_bristle_generator, n2_bristle_index_to_point, n2_preinjective, preinjective
-from .linalg import FieldSpec, Matrix, Subspace, kernel_basis, place_blocks, rank, subspace_sum
+from .linalg import FieldSpec, Matrix, Subspace, kernel_basis, place_blocks, row_spaces, subspace_sum
 from .modules import (
     ISO,
     KroneckerModule,
@@ -134,17 +134,6 @@ def _b0_modules(n: int, field: FieldSpec) -> list:
     return [bristle(p) for p in canonical_set("B0", n, field)]
 
 
-class _Search(NamedTuple):
-    """What the subset search carries: the traces, the target dimensions of
-    M, the size bound, and the per-size tallies it fills in."""
-    traces: Sequence[SubmodulePair]
-    target: tuple          # (M.dim1, M.dim2)
-    max_size: int
-    reach: tuple           # reach[v][i][r]: the r largest trace dims at vertex v from index i on
-    spanning: list         # spanning[s]: s-subsets that span M
-    decided: list          # decided[s]: s-subsets visited, implied or ruled out
-
-
 def _tally(counts: list, k: int, avail: int, most: int):
     """Count a k-subset and its supersets that add at most ``most`` of
     ``avail`` further traces."""
@@ -152,28 +141,22 @@ def _tally(counts: list, k: int, avail: int, most: int):
         counts[k + e] += comb(avail, e)
 
 
-def _grow(search: _Search, k: int, i: int, U1: Subspace, U2: Subspace):
-    """Decide the branch of subsets that add trace i, then traces of larger
-    index, to the (k - 1)-subset whose traces sum to (U1, U2)."""
-    N, tr = len(search.traces), search.traces[i]
-    avail = N - 1 - i
-    most = min(search.max_size - k, avail)
-    (d1, d2), (r1, r2) = search.target, search.reach
-    if U1.dim + tr.U1.dim + r1[i + 1][most] < d1 or U2.dim + tr.U2.dim + r2[i + 1][most] < d2:
-        # no subset of the branch reaches the dimension of M
-        _tally(search.decided, k, avail, most)
-        return
-    U1 = U1 if U1.is_full() else subspace_sum(U1, tr.U1)
-    U2 = U2 if U2.is_full() else subspace_sum(U2, tr.U2)
-    if U1.is_full() and U2.is_full():
-        # the k-subset spans M, so every superset does: count them, do not visit them
-        _tally(search.spanning, k, avail, most)
-        _tally(search.decided, k, avail, most)
-        return
-    search.decided[k] += 1
-    if most:
-        for j in range(i + 1, N):
-            _grow(search, k + 1, j, U1, U2)
+def _children(level: list, count: int):
+    """Each subset (i, U1, U2) of a level, with last index i and trace sums
+    U1, U2, grown by each trace j > i: (j, U1, U2)."""
+    return [(j, U1, U2) for i, U1, U2 in level for j in range(i + 1, count)]
+
+
+def _sums(field: FieldSpec, dim: int, pairs: list) -> list:
+    """U + V for each pair of subspaces of k^dim: U itself when it is full
+    or V is zero, V when U is zero, and the rest from one ``row_spaces``."""
+    out = [U if U.is_full() or V.is_zero() else V if U.is_zero() else None for U, V in pairs]
+    todo = [k for k, S in enumerate(out) if S is None]
+    if todo:
+        for k, S in zip(todo, row_spaces(field, dim, [(pairs[k][0].basis, pairs[k][1].basis)
+                                                      for k in todo])):
+            out[k] = S
+    return out
 
 
 def _generating_by_size(M: KroneckerModule, traces: Sequence[SubmodulePair], max_size: int):
@@ -181,25 +164,51 @@ def _generating_by_size(M: KroneckerModule, traces: Sequence[SubmodulePair], max
     of the traces span M, and how many subsets of that size the search
     decided, which is all of them.
 
-    The search walks the index-sorted subsets depth first and carries the
-    running trace sum at each vertex, so a subset costs one two-term
-    ``subspace_sum`` per vertex that its prefix has not yet filled.  A
-    subset that spans M decides all its supersets, which are counted with
-    ``comb``, not visited.  A branch whose running dimension plus the largest
-    trace dimensions still available falls short of M at a vertex is ruled
-    out whole, before its sums are formed.  Nothing is memoized: besides a
-    table of the largest trace dimensions, only the current path is kept.
+    The search goes level by level over the index-sorted subsets: level k
+    holds the k-subsets still open, each with its last index and its trace
+    sum at each vertex.  Their children, each grown by one trace of larger
+    index, are first pruned: a child whose parent's dimension plus the
+    largest trace dimensions still available falls short of M at a vertex
+    is ruled out with its whole branch, before its sums are formed.  The
+    sums of the rest come from one stacked ``row_spaces`` call per vertex
+    for the whole level, leaving out the vertices a parent has filled.  A
+    child that spans M decides all its supersets, which are counted with
+    ``comb``, not visited; the others make the next level.  The search
+    keeps one level at a time: at most comb(len(traces), k) subsets with
+    their sums, which the scenarios' cap bounds by ``SUBSET_LIMIT``, and a
+    stacked call pads no member past the largest member's row count.
     """
-    reach = tuple([list(accumulate(sorted(dims[i:], reverse=True), initial=0))
-                   for i in range(len(dims) + 1)]
-                  for dims in ([tr.U1.dim for tr in traces], [tr.U2.dim for tr in traces]))
-    search = _Search(traces, M.dims, max_size, reach, [0] * (max_size + 1), [0] * (max_size + 1))
-    search.decided[0] = 1
-    search.spanning[0] = int(M.is_zero())  # the empty subset spans only the zero module
-    zero1, zero2 = Subspace.zero(M.field, M.dim1), Subspace.zero(M.field, M.dim2)
-    for i in range(len(traces) if max_size else 0):
-        _grow(search, 1, i, zero1, zero2)
-    return search.spanning, search.decided
+    f, (d1, d2), count = M.field, M.dims, len(traces)
+    r1, r2 = (tuple(list(accumulate(sorted(dims[i:], reverse=True), initial=0))
+                    for i in range(count + 1))
+              for dims in ([tr.U1.dim for tr in traces], [tr.U2.dim for tr in traces]))
+    spanning, decided = [0] * (max_size + 1), [0] * (max_size + 1)
+    decided[0] = 1
+    spanning[0] = int(M.is_zero())  # the empty subset spans only the zero module
+    level = [(-1, Subspace.zero(f, d1), Subspace.zero(f, d2))]
+    for k in range(1, max_size + 1):
+        grown = []  # (j, avail, most, U1, U2): the children not ruled out
+        for j, U1, U2 in _children(level, count):
+            tr, avail = traces[j], count - 1 - j
+            most = min(max_size - k, avail)
+            if U1.dim + tr.U1.dim + r1[j + 1][most] < d1 or U2.dim + tr.U2.dim + r2[j + 1][most] < d2:
+                # no subset of the branch reaches the dimension of M
+                _tally(decided, k, avail, most)
+            else:
+                grown.append((j, avail, most, U1, U2))
+        sums1 = _sums(f, d1, [(U1, traces[j].U1) for j, _, _, U1, _ in grown])
+        sums2 = _sums(f, d2, [(U2, traces[j].U2) for j, _, _, _, U2 in grown])
+        level = []
+        for (j, avail, most, _, _), U1, U2 in zip(grown, sums1, sums2):
+            if U1.is_full() and U2.is_full():
+                # the subset spans M, so every superset does: count them, do not visit them
+                _tally(spanning, k, avail, most)
+                _tally(decided, k, avail, most)
+            else:
+                decided[k] += 1
+                if most:
+                    level.append((j, U1, U2))
+    return spanning, decided
 
 
 def _subset_cap(count: int, cfg: ScenarioConfig):
@@ -365,8 +374,8 @@ def _scn_n2_generation(cfg: ScenarioConfig) -> List[Check]:
             0, violations, details={"subsets": 2 ** len(pts)}))
         vecs = [n2_bristle_generator(t, c, f) for c in indices]
         gens = Matrix.from_rows(f, [list(v) for v in vecs], cols=t + 1)
-        vand_bad = sum(rank(gens.select_rows(subset)) != t + 1
-                       for subset in combinations(range(len(indices)), t + 1))
+        vand_bad = sum(S.dim != t + 1 for S in row_spaces(
+            f, t + 1, [[gens.select_rows(subset)] for subset in combinations(range(len(indices)), t + 1)]))
         checks.append(Check(
             f"generator-independence-t{t}",
             "geometric-series generators for distinct slopes are linearly independent",

@@ -6,14 +6,16 @@ from their Hom bases, one Hom system per generator (the library's
 ``bristle_traces`` and ``is_generated_by`` use one block system), and
 ``generates`` sums a set of traces outright (the library's subset search
 carries running sums and rules out branches by dimension).
+``projective_module`` builds the indecomposable projectives as modules,
+which the library's resolution route for Ext reads by Yoneda instead.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from kronbrist.linalg import Matrix, Subspace, image_subspace, sparse_kernel_rows, subspace_sum
-from kronbrist.modules import KroneckerModule, SubmodulePair, _hom_stacks
+from kronbrist.linalg import FieldSpec, Matrix, Subspace, image_subspace, sparse_kernel_rows, subspace_sum
+from kronbrist.modules import KroneckerModule, SubmodulePair, _hom_stacks, simple_module
 
 
 def trace_submodule(generators: Sequence[KroneckerModule], M: KroneckerModule) -> SubmodulePair:
@@ -39,3 +41,13 @@ def generates(M: KroneckerModule, traces: Sequence[SubmodulePair]) -> bool:
         return False
     return (subspace_sum(Subspace.zero(M.field, M.dim1), *(tr.U1 for tr in traces)).is_full()
             and subspace_sum(Subspace.zero(M.field, M.dim2), *(tr.U2 for tr in traces)).is_full())
+
+
+def projective_module(n: int, field: FieldSpec, vertex: int) -> KroneckerModule:
+    """P(1) = (k, k^n; coordinate inclusions); P(2) = S(2)."""
+    if vertex == 2:
+        return simple_module(n, field, 2)
+    if vertex != 1:
+        raise ValueError("vertex must be 1 or 2")
+    alphas = tuple(Matrix.identity(field, n).col_block(i, i + 1) for i in range(n))
+    return KroneckerModule(n, field, 1, n, alphas)

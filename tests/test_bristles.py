@@ -35,12 +35,11 @@ from kronbrist.modules import (
     direct_sum,
     ext1_dim,
     hom_dim,
-    projective_module,
     random_module,
     simple_module,
 )
 
-from oracles import trace_submodule
+from oracles import projective_module, trace_submodule
 
 F2, F3, F5 = GF(2), GF(3), GF(5)
 

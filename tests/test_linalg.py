@@ -30,6 +30,7 @@ from kronbrist.linalg import (
     place_blocks,
     quotient_projection,
     rank,
+    row_spaces,
     rref,
     subspace_sum,
 )
@@ -285,6 +286,23 @@ class TestSubspaces:
         R, pivots, rk = rref(A)
         assert rk == 2
         assert all(isinstance(x, Fraction) for i in range(R.rows) for x in R.row(i))
+
+    @pytest.mark.parametrize("field", [GF(5), QQ], ids=str)
+    def test_row_spaces_in_runs_match_one_sweep(self, field, monkeypatch):
+        """A list of members too large for one stack is swept in runs, each
+        padded to its own tallest member, with the same result."""
+        rng = random.Random(7)
+        members = [[random_matrix(field, rng, rng.randint(0, 3), 4) for _ in range(rng.randint(1, 3))]
+                   for _ in range(9)]
+        whole = row_spaces(field, 4, members)
+        monkeypatch.setattr(linalg, "_STACK_CELLS", 20)
+        assert row_spaces(field, 4, members) == whole
+        assert whole == [Subspace.row_space(parts[0].vstack(*parts[1:])) for parts in members]
+
+    def test_row_spaces_refuses_a_part_of_another_width(self):
+        f = GF(3)
+        with pytest.raises(DimensionMismatch):
+            row_spaces(f, 3, [[Matrix.identity(f, 3)], [Matrix.zeros(f, 2, 1)]])
 
 
 def written_out(S: SparseSystem) -> Matrix:

@@ -54,7 +54,6 @@ from kronbrist.modules import (
     is_faithful,
     is_generated_by,
     layers,
-    projective_module,
     quotient,
     random_module,
     simple_module,
@@ -62,7 +61,7 @@ from kronbrist.modules import (
     zero_module,
 )
 
-from oracles import trace_submodule
+from oracles import projective_module, trace_submodule
 
 F5 = GF(5)
 F2 = GF(2)

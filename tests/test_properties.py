@@ -1,7 +1,9 @@
 """Property tests: rank agrees over Q, over a large prime field and with
 sympy, and the whole RREF over Q (matrix and pivots) equals sympy's; the
 RREF over GF(2), GF(5) and GF(2^31 - 1) equals a textbook Gauss-Jordan
-that divides at every step, and leaves its input unchanged; the rank and
+that divides at every step, and leaves its input unchanged, a single row
+(reduced without the column loop) included; one stacked sweep reduces
+every member as ``rref`` reduces it alone; the rank and
 kernel of a sparse system, peeled, equal those of the system
 written out densely; the Hom systems of modules and of cover
 representations have the kernels of the systems written out with np.kron;
@@ -64,6 +66,7 @@ from kronbrist.linalg import (  # noqa: E402
     hom_system,
     kernel_basis,
     rank,
+    row_spaces,
     rref,
     sparse_block_kernels,
     sparse_block_ranks,
@@ -239,6 +242,116 @@ def test_rref_over_prime_fields_matches_textbook_gauss_jordan(case):
     expected, expected_pivots = textbook_rref(rows, field.characteristic)
     assert np.array_equal(a, before)
     assert (R.tolist(), pivots, den) == (expected, expected_pivots, 1)
+
+
+@st.composite
+def single_rows(draw):
+    """(field, row): one row of up to 12 integers over GF(2), GF(2^31 - 1)
+    or Q, entries drawn often from {0, 1, p - 1} (over Q from -3..3), so
+    zero rows and rows with a negative first nonzero come up."""
+    field = draw(st.sampled_from([GF(2), MERSENNE, QQ]))
+    p = field.characteristic
+    entry = (st.one_of(st.sampled_from([0, 0, 1, p - 1]), st.integers(0, p - 1)) if p
+             else st.one_of(st.sampled_from([0, 0, 1, -1]), st.integers(-3, 3)))
+    return field, draw(st.lists(entry, min_size=1, max_size=12))
+
+
+@settings(PROPERTY, max_examples=100)
+@given(single_rows())
+@example((QQ, [0, -6, 4, 0]))
+@example((QQ, [0, 0, 0]))
+@example((MERSENNE, [0, 2**31 - 2, 5]))
+def test_one_row_rref_matches_textbook_gauss_jordan(case):
+    """A single row is reduced without the column loop: over GF(p) it is
+    the textbook RREF, and over both fields it gives the integers,
+    pivots and denominator the column loop gives the row over a zero row;
+    over Q that is the row divided by its first nonzero."""
+    field, row = case
+    a = np.array([row], dtype=field.dtype)
+    R, pivots, den = linalg._rref(a, field)
+    looped = linalg._rref(np.vstack([a, np.zeros_like(a)]), field)
+    assert (R.tolist(), pivots, den) == (looped[0][:1].tolist(), looped[1], looped[2])
+    assert np.array_equal(a, np.array([row], dtype=field.dtype))
+    if field.is_finite:
+        assert (R.tolist(), pivots) == textbook_rref([row], field.characteristic)
+    else:
+        first = next((x for x in row if x), 1)
+        assert [Fraction(x, den) for x in R[0]] == [Fraction(x, first) for x in row]
+
+
+def test_one_row_rref_over_q_keeps_fractional_entries():
+    """``rref`` of one row with fractional entries is that row divided by
+    its first nonzero, with the pivot columns the textbook gives."""
+    row = [0, Fraction(-2, 3), Fraction(1, 2), 0, Fraction(5, 7)]
+    R, pivots, rk = rref(Matrix.from_rows(QQ, [row]))
+    assert (pivots, rk) == ((1,), 1)
+    assert list(R.row(0)) == [x / row[1] for x in row]
+
+
+@st.composite
+def stacks(draw):
+    """(field, cols, members): up to five members of one width cols in
+    0..6, each split into one to three parts of up to five rows, over
+    GF(2), GF(3), GF(2^31 - 1) (entries often p - 1, so products come near
+    2^62) or Q with fractional entries.  A member is all zero, random, rank
+    deficient (a row is a combination of two others) or of full rank
+    (unit upper triangular, rows shuffled)."""
+    field = draw(st.sampled_from([GF(2), GF(3), MERSENNE, QQ]))
+    cols = draw(st.integers(0, 6))
+    entry = entries(field)
+    if field is MERSENNE:
+        entry = st.one_of(st.sampled_from([0, 1, 2**31 - 2, 2**31 - 3]), entry)
+
+    def random_rows(count):
+        return [[draw(entry) for _ in range(cols)] for _ in range(count)]
+
+    members = []
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["zero", "random", "deficient", "full"]))
+        if kind == "zero":
+            rows = [[0] * cols for _ in range(draw(st.integers(0, 4)))]
+        elif kind == "random":
+            rows = random_rows(draw(st.integers(0, 5)))
+        elif kind == "deficient":
+            rows = random_rows(draw(st.integers(2, 4)))
+            a, b = draw(entry), draw(entry)
+            rows.append([field.add(field.mul(a, x), field.mul(b, y)) for x, y in zip(rows[0], rows[1])])
+        else:
+            rows = [[0] * j + [1] + [draw(entry) for _ in range(cols - j - 1)] for j in range(cols)]
+        rows = draw(st.permutations(rows))
+        cuts = sorted(draw(st.lists(st.integers(0, len(rows)), max_size=2)))
+        members.append([Matrix.from_rows(field, rows[i:j], cols=cols)
+                        for i, j in zip([0] + cuts, cuts + [len(rows)])])
+    return field, cols, members
+
+
+@settings(PROPERTY, max_examples=200)
+@given(stacks())
+@example((GF(3), 4, []))
+@example((QQ, 3, [[Matrix.from_rows(QQ, [[0, -2, 1], [Fraction(1, 2), 0, 3]])],
+                  [Matrix.zeros(QQ, 2, 3)], [Matrix.zeros(QQ, 0, 3)]]))
+def test_stacked_sweep_matches_rref_member_by_member(case):
+    """One stacked sweep reduces every member as ``rref`` reduces it alone:
+    the same pivots, the same canonical integer rows and denominator, zero
+    rows below them, and ``row_spaces`` gives ``Subspace.row_space`` of
+    each member entry for entry."""
+    field, cols, members = case
+    stacked = [parts[0].vstack(*parts[1:]) for parts in members]
+    height = max((A.rows for A in stacked), default=0)
+    a = field.zeros((len(members), height, cols))
+    for k, A in enumerate(stacked):
+        a[k, :A.rows] = A.data
+    R, pivots, ranks, dens = linalg._rref_stack(a, field)
+    assert len(ranks) == len(dens) == len(members)
+    for k, A in enumerate(stacked):
+        ref = rref(A)
+        assert tuple(pivots[k, :ranks[k]].tolist()) == ref.pivot_cols
+        assert Matrix._of(field, R[k, :A.rows], dens[k]) == ref.matrix
+        assert not R[k, A.rows:].any()
+    spaces = row_spaces(field, cols, members)
+    assert len(spaces) == len(members)
+    for S, A in zip(spaces, stacked):
+        assert_same_subspace(S, Subspace.row_space(A))
 
 
 def written_out(S: SparseSystem) -> Matrix:

@@ -243,19 +243,47 @@ class TestGeneratingBySize:
         the branch of the first trace fails the check."""
         cfg = default_config("optimality-I3")
         assert run_scenario(cfg).passed
-        real, skipped = scenarios._grow, []
+        real, skipped = scenarios._children, []
 
-        def skipping(search, k, i, U1, U2):
-            if k == 1 and not skipped:
-                skipped.append(i)
-                return
-            real(search, k, i, U1, U2)
+        def skipping(level, count):
+            children = real(level, count)
+            if not skipped:  # the first call grows the empty subset: drop one 1-subset
+                skipped.append(children.pop(0))
+            return children
 
-        monkeypatch.setattr(scenarios, "_grow", skipping)
+        monkeypatch.setattr(scenarios, "_children", skipping)
         checks = {c.name: c for c in run_scenario(cfg).checks}
         assert skipped
         assert not checks["subsets-tested"].passed
         assert checks["subsets-tested"].computed < checks["subsets-tested"].expected
+
+    def test_n2_generation_stacks_each_level(self, monkeypatch):
+        """``n2-generation --q 7 --tmax 3`` forms no sum with
+        ``subspace_sum``: each search makes at most one ``row_spaces`` call
+        per level and vertex, and the generator check one per t."""
+        calls, searches = [0], []
+        real_row_spaces, real_search = scenarios.row_spaces, scenarios._generating_by_size
+
+        def counting(*args):
+            calls[0] += 1
+            return real_row_spaces(*args)
+
+        def searching(M, traces, max_size):
+            before = calls[0]
+            result = real_search(M, traces, max_size)
+            searches.append((calls[0] - before, max_size))
+            return result
+
+        def refused(*args):
+            raise AssertionError("subspace_sum called")
+
+        monkeypatch.setattr(scenarios, "row_spaces", counting)
+        monkeypatch.setattr(scenarios, "_generating_by_size", searching)
+        monkeypatch.setattr(scenarios, "subspace_sum", refused)
+        assert run_scenario(default_config("n2-generation", field=GF(7), t_max=3)).passed
+        assert [levels for _, levels in searches] == [8] * 4
+        assert all(used <= 2 * levels for used, levels in searches)
+        assert calls[0] == sum(used for used, _ in searches) + 4
 
 
 @pytest.mark.parametrize("seed,n,q", [(0, 3, 5), (1, 3, 5), (23, 3, 5), (1729, 3, 5),

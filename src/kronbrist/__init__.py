@@ -1,10 +1,10 @@
 """Exact-arithmetic workbench for n-Kronecker quiver representations.
 
 Layers: exact linear algebra over GF(p) and the rationals (linalg); the
-module category with Hom/Ext, translation and trace submodules (modules);
-length-two module machinery (bristles); named families (families); tree
-covers and push-downs (cover); the module file format (modfile); and the
-scenario harness with its CLI (scenarios, report, cli).
+module category with Hom/Ext, the translate tau and bristle traces
+(modules); length-two module machinery (bristles); named families
+(families); tree covers and push-downs (cover); the module file parser
+(modfile); and the scenario harness with its CLI (scenarios, report, cli).
 """
 
 __version__ = "0.1.0"
@@ -34,7 +34,6 @@ from .bristles import (
     BristlePoint,
     bristle,
     bristle_point,
-    bristle_variety,
     canonical_set,
     enumerate_bristles,
     is_bristle_vector,
@@ -44,5 +43,5 @@ from .bristles import (
 )
 from .families import INF, n2_bristle_generator, n2_preinjective, preinjective, preprojective
 from .cover import CoverRep, build_ball_rep, build_mu_bristle_rep, build_tau_bristle_rep, push_down
-from .modfile import ModuleFileError, parse_module_file, write_module_file
+from .modfile import ModuleFileError, parse_module_file
 from .scenarios import ScenarioConfig, default_config, run_scenario

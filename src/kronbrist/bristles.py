@@ -1,5 +1,5 @@
 """Length-two indecomposables: construction, canonical sets, enumeration,
-variety of bristle lines, maximal bristled submodule, saturation.
+bristle vectors, maximal bristled submodule, saturation.
 
 A bristle is determined by a nonzero coefficient tuple up to scaling; points
 are normalized so the first nonzero coordinate is 1, making equality a plain
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .linalg import FieldSpec, Matrix, Subspace, joint_kernel
+from .linalg import FieldSpec, Matrix, Subspace
 from .modules import (
     KroneckerModule,
     SubmodulePair,
@@ -23,7 +23,6 @@ from .modules import (
     bristle_hom_dims,
     bristle_images,
     dual,
-    quotient,
 )
 
 
@@ -137,7 +136,7 @@ def bristle_points(n: int, field: FieldSpec) -> Matrix:
     return Matrix.from_rows(field, [p.coords for p in enumerate_bristles(n, field)], cols=n)
 
 
-# -- bristle vectors and the variety of bristle lines ------------------------
+# -- bristle vectors ----------------------------------------------------------
 
 def is_bristle_vector(M: KroneckerModule, u: Sequence) -> bool:
     """True iff the images of u under the structure maps span one dimension."""
@@ -163,30 +162,6 @@ def bristle_type_of(M: KroneckerModule, u: Sequence) -> BristlePoint:
             raise ValueError("u is not a bristle vector: images span more than a line")
         coeffs.append(coords[0])
     return bristle_point(M.n, f, coeffs)
-
-
-def s1_generated_submodule(M: KroneckerModule) -> SubmodulePair:
-    """Largest submodule generated by the simple at vertex 1: (cap of kernels, 0)."""
-    return SubmodulePair(M, joint_kernel(M.field, M.dim1, M.alphas),
-                         Subspace.zero(M.field, M.dim2))
-
-
-def bristle_variety(M: KroneckerModule) -> list:
-    """All bristle lines of M (after splitting off the vertex-1 socle).
-
-    Returns (normalized generator in the reduced module, bristle type) pairs
-    in lexicographic order of the generator.  Finite fields only; over the
-    rationals use is_bristle_vector as a membership test instead.
-    """
-    if not M.field.is_finite:
-        raise ValueError("variety enumeration requires a finite field; "
-                         "use is_bristle_vector for membership over the rationals")
-    reduced, _ = quotient(M, s1_generated_submodule(M))
-    out = []
-    for u in _projective_points(M.field, reduced.dim1):
-        if is_bristle_vector(reduced, u):
-            out.append((u, bristle_type_of(reduced, u)))
-    return out
 
 
 # -- bristled modules and saturation ------------------------------------------
@@ -235,5 +210,5 @@ def is_saturated(M: KroneckerModule) -> bool:
                          "test ext1_dim against an explicit list instead")
     if form_forces_extensions(M):
         return False
-    X = ar_translate(dual(M), "tau")  # D tau^- M, as tau^- is D tau D
+    X = ar_translate(dual(M))  # D tau^- M, as tau^- is D tau D
     return all(d == 0 for _, d in bristle_hom_dims(bristle_points(M.n, M.field), X))

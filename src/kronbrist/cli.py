@@ -17,7 +17,7 @@ import traceback
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .linalg import FieldSpec
+from .linalg import CharacteristicError, FieldSpec
 from .modfile import ModuleFileError
 from .scenarios import SCENARIOS, ScenarioConfigError, default_config, run_scenario
 
@@ -58,7 +58,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         elif args.q is not None:
             try:
                 field = FieldSpec.gf(args.q)
-            except ValueError as exc:
+            except CharacteristicError as exc:
                 raise ScenarioConfigError(str(exc)) from None
         module_text = None
         if args.module is not None:

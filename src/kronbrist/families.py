@@ -1,7 +1,5 @@
 """Named module families: the two countable series outside the regular part,
-the explicit two-arrow family with its geometric-series generators, and the
-pair of (3,2)-dimensional fixtures that have equal dimension vectors but
-different bristled behaviour.
+and the explicit two-arrow family with its geometric-series generators.
 """
 
 from __future__ import annotations
@@ -55,7 +53,7 @@ def preinjective(n: int, t: int, field: FieldSpec) -> KroneckerModule:
         start = simple_module(n, field, 1) if t % 2 == 0 else injective_module(n, field, 2)
         chain = _PREINJECTIVES[key] = [start]
     while len(chain) <= t // 2:
-        chain.append(ar_translate(chain[-1], "tau"))
+        chain.append(ar_translate(chain[-1]))
     return chain[t // 2]
 
 
@@ -103,29 +101,3 @@ def n2_bristle_index_to_point(c: Union[Scalar, _Infinity], field: FieldSpec):
     if c is INF:
         return bristle_point(2, field, [field.zero(), field.one()])
     return bristle_point(2, field, [field.one(), field.normalize(c)])
-
-
-def dim32_bristled(field: FieldSpec) -> KroneckerModule:
-    """Zig-zag fixture of dimension (3,2) that is bristled.
-
-    Three generators u0, u1, u2 over v1, v2: the first map sends u0 to v1,
-    the second sends u1 to v1 + v2, the third sends u2 to v2.
-    """
-    o, z = field.one(), field.zero()
-    a1 = Matrix.from_rows(field, [[o, z, z], [z, z, z]], cols=3)
-    a2 = Matrix.from_rows(field, [[z, o, z], [z, o, z]], cols=3)
-    a3 = Matrix.from_rows(field, [[z, z, z], [z, z, o]], cols=3)
-    return KroneckerModule(3, field, 3, 2, (a1, a2, a3))
-
-
-def dim32_not_bristled(field: FieldSpec) -> KroneckerModule:
-    """Companion fixture of the same dimension (3,2) that is not bristled.
-
-    Generators w0, w1, w2 over x1, x2: the first map sends w0 to x1 and
-    w2 to x2, the second sends w1 to x1, the third sends w2 to x1.
-    """
-    o, z = field.one(), field.zero()
-    a1 = Matrix.from_rows(field, [[o, z, z], [z, z, o]], cols=3)
-    a2 = Matrix.from_rows(field, [[z, o, z], [z, z, z]], cols=3)
-    a3 = Matrix.from_rows(field, [[z, z, o], [z, z, z]], cols=3)
-    return KroneckerModule(3, field, 3, 2, (a1, a2, a3))

@@ -83,6 +83,11 @@ class DimensionMismatch(ValueError):
     """Operands live in incompatible spaces or over different fields."""
 
 
+class CharacteristicError(ValueError):
+    """A prime field was asked for with a characteristic that is not a prime
+    in [2, 2^31): bad input, which the CLI and the module file refuse."""
+
+
 class InternalCheckFailed(RuntimeError):
     """An internal consistency guard tripped: a bug, never valid data."""
 
@@ -141,7 +146,7 @@ class FieldSpec:
         if self.kind == "prime-field":
             p = self.characteristic
             if not (2 <= p < 2**31 and is_prime(p)):
-                raise ValueError(f"characteristic must be a prime in [2, 2^31), got {p}")
+                raise CharacteristicError(f"characteristic must be a prime in [2, 2^31), got {p}")
         elif self.kind == "rationals":
             if self.characteristic != 0:
                 raise ValueError("rationals have characteristic 0")

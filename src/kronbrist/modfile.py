@@ -10,8 +10,7 @@ Grammar (UTF-8, line oriented, ``#`` starts a comment):
     <b rows>
 
 Entries are integers in [0, p) over gf(p), or rationals ``num`` /
-``num/den`` in lowest terms with positive denominator over q.  Writing is
-canonical, so parse(write(M)) round-trips byte-identically.
+``num/den`` in lowest terms with positive denominator over q.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ import re
 from fractions import Fraction
 from math import gcd
 
-from .linalg import FieldSpec, Matrix
+from .linalg import CharacteristicError, FieldSpec, Matrix
 from .modules import KroneckerModule
 
 
@@ -104,7 +103,7 @@ def parse_module_file(text: str) -> KroneckerModule:
         p = int(field_token[3:-1])
         try:
             field = FieldSpec.gf(p)
-        except ValueError as exc:
+        except CharacteristicError as exc:
             raise ModuleFileError(str(exc), lineno) from None
     a, b = int(m.group(3)), int(m.group(4))
 
@@ -132,20 +131,3 @@ def parse_module_file(text: str) -> KroneckerModule:
         lineno = lines[cursor][0]
         raise ModuleFileError("trailing content after the last matrix block", lineno)
     return KroneckerModule(n, field, a, b, tuple(alphas))
-
-
-def _format_entry(x) -> str:
-    if isinstance(x, Fraction):
-        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-    return str(x)
-
-
-def write_module_file(M: KroneckerModule) -> str:
-    out = [f"kron n={M.n} field={M.field} dims={M.dim1},{M.dim2}"]
-    for i, alpha in enumerate(M.alphas, start=1):
-        out.append(f"alpha {i}")
-        if M.dim1 == 0:
-            continue  # width-zero rows are omitted, mirroring the parser
-        for r in range(M.dim2):
-            out.append(" ".join(_format_entry(x) for x in alpha.row(r)))
-    return "\n".join(out) + "\n"

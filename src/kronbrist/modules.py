@@ -4,9 +4,9 @@ A module is a pair of spaces (M1, M2) with n structure matrices acting on
 column vectors M1 -> M2.  Provided here: Hom and Ext via the exact
 intertwining system, Ext again from the matrices of a projective
 presentation with no Hom system, the bilinear form and its companion lattice
-transformation, translation by composed reflections (kernel at the sink,
-then again at the new sink), duality, socle/radical layers, bristle traces
-and generation tests, quotients, and a tri-state isomorphism search.
+transformation, the translate tau by composed reflections (kernel at the
+sink, then again at the new sink), duality, socle/radical layers, bristle
+traces and generation tests, quotients, and a tri-state isomorphism search.
 """
 
 from __future__ import annotations
@@ -202,9 +202,6 @@ class SubmodulePair:
     def is_full(self) -> bool:
         return self.U1.is_full() and self.U2.is_full()
 
-    def contains(self, other: "SubmodulePair") -> bool:
-        return self.U1.contains(other.U1) and self.U2.contains(other.U2)
-
 
 # -- Hom and Ext -------------------------------------------------------------
 
@@ -388,22 +385,15 @@ def _sink_reflection(maps: Sequence[Matrix], d_src: int, d_tgt: int, field: Fiel
     return K.dim, new_maps
 
 
-def ar_translate(M: KroneckerModule, direction: str = "tau") -> KroneckerModule:
-    """Translation by two composed reflections.
-
-    direction "tau": reflect at the sink, then at the new sink; projective
-    summands die.  direction "tau-": the dual of tau on the dual module;
-    injective summands die.  For indecomposable non-projective M, "tau"
-    gives dimension vector coxeter_apply(M.dims).
-    """
+def ar_translate(M: KroneckerModule) -> KroneckerModule:
+    """The Auslander-Reiten translate tau M, by two composed reflections:
+    at the sink, then at the new sink; projective summands die.  For
+    indecomposable non-projective M it has dimension vector
+    coxeter_apply(M.dims)."""
     f = M.field
-    if direction == "tau":
-        dK, proj = _sink_reflection(M.alphas, M.dim1, M.dim2, f)
-        dK2, proj2 = _sink_reflection(proj, dK, M.dim1, f)
-        return KroneckerModule(M.n, f, dK2, dK, tuple(proj2))
-    if direction == "tau-":
-        return dual(ar_translate(dual(M), "tau"))
-    raise ValueError(f"direction must be 'tau' or 'tau-', got {direction!r}")
+    dK, proj = _sink_reflection(M.alphas, M.dim1, M.dim2, f)
+    dK2, proj2 = _sink_reflection(proj, dK, M.dim1, f)
+    return KroneckerModule(M.n, f, dK2, dK, tuple(proj2))
 
 
 # -- duality, layers, faithfulness -------------------------------------------

@@ -237,20 +237,15 @@ def _scn_main_theorem_a(cfg: ScenarioConfig) -> List[Check]:
             f"saturated-I{t}",
             "preinjective modules admit no extensions from any bristle",
             True, is_saturated(It)))
-    if cfg.t_max >= 2:
-        I2 = preinjective(n, 2, f)
-        dims = sorted({d for _, d in bristle_hom_dims(bristle_points(n, f), I2)})
-        checks.append(Check(
-            "hom-into-I2-uniform",
-            "maps from each bristle into the second preinjective span n-1 dimensions",
-            [n - 1], dims))
-    if cfg.t_max >= 3:
-        I3 = preinjective(n, 3, f)
-        dims = sorted({d for _, d in bristle_hom_dims(bristle_points(n, f), I3)})
-        checks.append(Check(
-            "hom-into-I3-uniform",
-            "maps from each bristle into the third preinjective span n^2-n-1 dimensions",
-            [n * n - n - 1], dims))
+    for t, ordinal, formula, expected in ((2, "second", "n-1", n - 1),
+                                          (3, "third", "n^2-n-1", n * n - n - 1)):
+        if cfg.t_max >= t:
+            It = preinjective(n, t, f)
+            dims = sorted({d for _, d in bristle_hom_dims(bristle_points(n, f), It)})
+            checks.append(Check(
+                f"hom-into-I{t}-uniform",
+                f"maps from each bristle into the {ordinal} preinjective span {formula} dimensions",
+                [expected], dims))
     return checks
 
 
@@ -266,7 +261,7 @@ def _scn_main_theorem_b(cfg: ScenarioConfig) -> List[Check]:
     b0 = _b0_modules(n, f)
     M = bristle(unit_point(n, f, 1))
     for t in range(1, cfg.t_max + 1):
-        M = ar_translate(M, "tau")
+        M = ar_translate(M)
         checks.append(Check(
             f"orbit-generated-t{t}",
             "every translate of a bristle is generated by the canonical set",
@@ -280,7 +275,7 @@ def _scn_main_theorem_b(cfg: ScenarioConfig) -> List[Check]:
         Mt = user
         for t in range(cfg.t_max + 1):
             if t > 0:
-                Mt = ar_translate(Mt, "tau")
+                Mt = ar_translate(Mt)
             if is_generated_by(b0, Mt) and is_saturated(Mt):
                 found = t
                 break
@@ -321,7 +316,7 @@ def _scn_opt_taub1(cfg: ScenarioConfig) -> List[Check]:
     _require_wild(cfg)
     n, f = cfg.n, cfg.field
     b1pt = unit_point(n, f, 1)
-    T = ar_translate(bristle(b1pt), "tau")
+    T = ar_translate(bristle(b1pt))
     pts = enumerate_bristles(n, f)
     others = [i for i, p in enumerate(pts) if p != b1pt]
     total = comb(len(others), n + 1)
@@ -480,7 +475,7 @@ def _scn_tau_b1_cover(cfg: ScenarioConfig) -> List[Check]:
     n, f = cfg.n, cfg.field
     X = build_tau_bristle_rep(n, f)
     pushed = push_down(X)
-    T = ar_translate(bristle(unit_point(n, f, 1)), "tau")
+    T = ar_translate(bristle(unit_point(n, f, 1)))
     checks = [
         Check("pruned-ball-dims",
               "the pruned ball pushes down to dimension vector Phi(1,1)",
@@ -564,7 +559,7 @@ def _scn_mu_ext(cfg: ScenarioConfig) -> List[Check]:
     checks.append(Check(
         "extension-class-unique",
         "extensions of the bristle by its translate form a one-dimensional space",
-        1, ext1_dim(b1, ar_translate(b1, "tau"))))
+        1, ext1_dim(b1, ar_translate(b1))))
     checks.append(Check(
         "ext-b1-into-mu",
         "extensions of the bristle by its middle term form an (n-1)-dimensional space",
@@ -653,9 +648,9 @@ def _scn_bristled_layers(cfg: ScenarioConfig) -> List[Check]:
     if n >= 3:
         for t in range(min(cfg.t_max, 3) + 1):
             fixtures.append((f"I{t}", preinjective(n, t, f)))
-        tauB1 = ar_translate(bristle(unit_point(n, f, 1)), "tau")
+        tauB1 = ar_translate(bristle(unit_point(n, f, 1)))
         fixtures.append(("tauB1", tauB1))
-        fixtures.append(("tau2B1", ar_translate(tauB1, "tau")))
+        fixtures.append(("tau2B1", ar_translate(tauB1)))
         for p in canonical_set("B0", n, f):
             fixtures.append((f"bristle{p}", bristle(p)))
     else:
@@ -792,14 +787,19 @@ SCENARIOS: Dict[str, ScenarioSpec] = {
 }
 
 
+def _spec(scenario: str) -> ScenarioSpec:
+    spec = SCENARIOS.get(scenario)
+    if spec is None:
+        known = ", ".join(sorted(SCENARIOS))
+        raise ScenarioConfigError(f"unknown scenario {scenario!r}; known: {known}")
+    return spec
+
+
 def default_config(scenario: str, n: Optional[int] = None, field: Optional[FieldSpec] = None,
                    t_max: Optional[int] = None, seed: Optional[int] = None,
                    attempts: Optional[int] = None, module_path: Optional[str] = None,
                    module_text: Optional[str] = None) -> ScenarioConfig:
-    if scenario not in SCENARIOS:
-        known = ", ".join(sorted(SCENARIOS))
-        raise ScenarioConfigError(f"unknown scenario {scenario!r}; known: {known}")
-    spec = SCENARIOS[scenario]
+    spec = _spec(scenario)
     user = None
     if module_text is not None:
         # a user module fixes the quiver and the field; explicit flags must agree
@@ -823,9 +823,7 @@ def default_config(scenario: str, n: Optional[int] = None, field: Optional[Field
 
 
 def run_scenario(cfg: ScenarioConfig) -> Report:
-    if cfg.scenario not in SCENARIOS:
-        known = ", ".join(sorted(SCENARIOS))
-        raise ScenarioConfigError(f"unknown scenario {cfg.scenario!r}; known: {known}")
+    spec = _spec(cfg.scenario)
     if cfg.n < 1:
         raise ScenarioConfigError("n must be at least 1")
     if cfg.t_max < 0:
@@ -833,7 +831,7 @@ def run_scenario(cfg: ScenarioConfig) -> Report:
     if cfg.attempts < 0:
         raise ScenarioConfigError("attempts must be nonnegative")
     start = time.perf_counter()
-    checks = SCENARIOS[cfg.scenario].func(cfg)
+    checks = spec.func(cfg)
     elapsed = time.perf_counter() - start
     return Report(scenario=cfg.scenario, config=cfg.echo(), version=__version__,
                   checks=checks, elapsed_seconds=elapsed)

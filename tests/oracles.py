@@ -1,21 +1,53 @@
-"""Reference routines the tests compare the library against.
+"""Reference routines the tests compare the library against, and the
+fixtures and module-file writer the tests share.
 
-Each answers a question the library answers by another route, and is kept
-only as an oracle: ``trace_submodule`` forms the trace of any generators
-from their Hom bases, one Hom system per generator (the library's
+Each routine answers a question the library answers by another route, and
+is kept only as an oracle: ``trace_submodule`` forms the trace of any
+generators from their Hom bases, one Hom system per generator (the library's
 ``bristle_traces`` and ``is_generated_by`` use one block system), and
 ``generates`` sums a set of traces outright (the library's subset search
 carries running sums and rules out branches by dimension).
 ``projective_module`` builds the indecomposable projectives as modules,
 which the library's resolution route for Ext reads by Yoneda instead.
+``tau_minus`` is the inverse translate D tau D, the other half of the
+tau/tau^- round trips; the library translates by tau alone.
+``bristle_variety`` lists every bristle line of a module by brute force over
+its projective points, where the library asks only whether the bristles
+generate.
+
+``kron_fixture`` reads a module from ``tests/data``, and
+``write_module_file`` is the canonical writer that ``parse_module_file`` is
+checked against: ``parse(write(M)) == M``.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from pathlib import Path
 from typing import Sequence
 
-from kronbrist.linalg import FieldSpec, Matrix, Subspace, image_subspace, sparse_kernel_rows, subspace_sum
-from kronbrist.modules import KroneckerModule, SubmodulePair, _hom_stacks, simple_module
+from kronbrist.bristles import _projective_points, bristle_type_of, is_bristle_vector
+from kronbrist.linalg import (
+    FieldSpec,
+    Matrix,
+    Subspace,
+    image_subspace,
+    joint_kernel,
+    sparse_kernel_rows,
+    subspace_sum,
+)
+from kronbrist.modfile import parse_module_file
+from kronbrist.modules import (
+    KroneckerModule,
+    SubmodulePair,
+    _hom_stacks,
+    ar_translate,
+    dual,
+    quotient,
+    simple_module,
+)
+
+DATA = Path(__file__).parent / "data"
 
 
 def trace_submodule(generators: Sequence[KroneckerModule], M: KroneckerModule) -> SubmodulePair:
@@ -51,3 +83,59 @@ def projective_module(n: int, field: FieldSpec, vertex: int) -> KroneckerModule:
         raise ValueError("vertex must be 1 or 2")
     alphas = tuple(Matrix.identity(field, n).col_block(i, i + 1) for i in range(n))
     return KroneckerModule(n, field, 1, n, alphas)
+
+
+def tau_minus(M: KroneckerModule) -> KroneckerModule:
+    """The inverse translate D tau D M; injective summands die."""
+    return dual(ar_translate(dual(M)))
+
+
+def s1_generated_submodule(M: KroneckerModule) -> SubmodulePair:
+    """Largest submodule generated by the simple at vertex 1: (cap of kernels, 0)."""
+    return SubmodulePair(M, joint_kernel(M.field, M.dim1, M.alphas),
+                         Subspace.zero(M.field, M.dim2))
+
+
+def bristle_variety(M: KroneckerModule) -> list:
+    """All bristle lines of M (after splitting off the vertex-1 socle).
+
+    Returns (normalized generator in the reduced module, bristle type) pairs
+    in lexicographic order of the generator.  Finite fields only; over the
+    rationals use is_bristle_vector as a membership test instead.
+    """
+    if not M.field.is_finite:
+        raise ValueError("variety enumeration requires a finite field; "
+                         "use is_bristle_vector for membership over the rationals")
+    reduced, _ = quotient(M, s1_generated_submodule(M))
+    out = []
+    for u in _projective_points(M.field, reduced.dim1):
+        if is_bristle_vector(reduced, u):
+            out.append((u, bristle_type_of(reduced, u)))
+    return out
+
+
+def kron_fixture(name: str, field: FieldSpec) -> KroneckerModule:
+    """The module of ``tests/data/<name>.kron``, over ``field``.  The
+    fixtures there are written over gf(2) with entries 0 and 1 alone, so
+    the same matrices define a module over any field."""
+    text = (DATA / f"{name}.kron").read_text(encoding="utf-8")
+    return parse_module_file(text.replace("field=gf(2)", f"field={field}", 1))
+
+
+def _format_entry(x) -> str:
+    if isinstance(x, Fraction):
+        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    return str(x)
+
+
+def write_module_file(M: KroneckerModule) -> str:
+    """M in the module file format, canonically: one space between entries,
+    rationals in lowest terms, no comments."""
+    out = [f"kron n={M.n} field={M.field} dims={M.dim1},{M.dim2}"]
+    for i, alpha in enumerate(M.alphas, start=1):
+        out.append(f"alpha {i}")
+        if M.dim1 == 0:
+            continue  # width-zero rows are omitted, mirroring the parser
+        for r in range(M.dim2):
+            out.append(" ".join(_format_entry(x) for x in alpha.row(r)))
+    return "\n".join(out) + "\n"

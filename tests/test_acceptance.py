@@ -31,7 +31,7 @@ from kronbrist.cover import (
     push_down,
     verify_cover_equalities,
 )
-from kronbrist.families import dim32_bristled, dim32_not_bristled, n2_preinjective, preinjective
+from kronbrist.families import n2_preinjective, preinjective
 from kronbrist.linalg import GF, Subspace, subspace_sum
 from kronbrist.modules import (
     ISO,
@@ -50,7 +50,7 @@ from kronbrist.modules import (
 )
 from kronbrist.scenarios import _derived_rng
 
-from oracles import trace_submodule
+from oracles import kron_fixture, trace_submodule
 
 F2, F3, F5 = GF(2), GF(3), GF(5)
 
@@ -119,7 +119,7 @@ def test_criterion_3_translate_optimality():
         n = 3
         for f in (F2, F5):
             b1pt = unit_point(n, f, 1)
-            T = ar_translate(bristle(b1pt), "tau")
+            T = ar_translate(bristle(b1pt))
             assert T.dims == (5, 2)
             b1prime = [bristle(p) for p in canonical_set("B1prime", n, f)]
             assert is_generated_by(b1prime, T)
@@ -127,7 +127,7 @@ def test_criterion_3_translate_optimality():
             others = [p for p in enumerate_bristles(n, f) if p != b1pt]
             assert all(hom_dim(bristle(p), T) == 1 for p in others)
         f = F2
-        T = ar_translate(bristle(unit_point(n, f, 1)), "tau")
+        T = ar_translate(bristle(unit_point(n, f, 1)))
         others = [p for p in enumerate_bristles(n, f) if p != unit_point(n, f, 1)]
         traces = [trace_submodule([bristle(p)], T) for p in others]
         for idxs in combinations(range(len(others)), 4):
@@ -167,7 +167,7 @@ def test_criterion_5_cover_equalities():
                     assert ok, (n, str(f), key)
                 assert find_isomorphism(ball, preinjective(n, 2, f)).status == ISO
                 pruned = push_down(build_tau_bristle_rep(n, f))
-                T = ar_translate(bristle(unit_point(n, f, 1)), "tau")
+                T = ar_translate(bristle(unit_point(n, f, 1)))
                 assert find_isomorphism(pruned, T).status == ISO
                 # census over the actual construction
                 census = {}
@@ -193,19 +193,19 @@ def test_criterion_6_translate_orbit_suite():
         b1 = bristle(unit_point(n, f, 1))
         M = b1
         for t in range(1, 4):
-            M = ar_translate(M, "tau")
+            M = ar_translate(M)
             assert M.dims == coxeter_apply((1, 1), n, t)
-        T = ar_translate(b1, "tau")
+        T = ar_translate(b1)
         assert is_generated_by(b0, T)
         assert ext1_dim(b1, T) == 1  # so not saturated
         assert not all(ext1_dim(B, T) == 0 for B in allb)
-        T2 = ar_translate(T, "tau")
+        T2 = ar_translate(T)
         assert is_generated_by(b0, T2)
         assert all(ext1_dim(B, T2) == 0 for B in allb)
         for p in pts:
             M = bristle(p)
             for t in (1, 2):
-                M = ar_translate(M, "tau")
+                M = ar_translate(M)
                 assert all(hom_dim(M, B) == 0 for B in allb)
 
 
@@ -275,8 +275,8 @@ def test_criterion_9_cover_and_layer_suite():
         for t in range(4):
             fixtures.append(preinjective(n, t, f))
         b1 = bristle(unit_point(n, f, 1))
-        fixtures.append(ar_translate(b1, "tau"))
-        fixtures.append(ar_translate(ar_translate(b1, "tau"), "tau"))
+        fixtures.append(ar_translate(b1))
+        fixtures.append(ar_translate(ar_translate(b1)))
         fixtures.extend(bristle(p) for p in canonical_set("B0", n, f))
         for t in range(3):
             fixtures.append(preinjective(2, t, F2))
@@ -290,5 +290,5 @@ def test_criterion_10_dimension_vector_fixtures():
     with criterion(10, "the (3,2) fixture pair: one bristled, one not, over "
                        "GF(2) and GF(5)"):
         for f in (F2, F5):
-            assert is_bristled(dim32_bristled(f))
-            assert not is_bristled(dim32_not_bristled(f))
+            assert is_bristled(kron_fixture("dim32_bristled", f))
+            assert not is_bristled(kron_fixture("dim32_not_bristled", f))

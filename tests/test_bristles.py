@@ -1,5 +1,6 @@
 """Bristle machinery: canonical sets, enumeration, bristle vectors, the
-variety of bristle lines, maximal bristled submodules, saturation.
+variety of bristle lines (the tests' oracle), maximal bristled submodules,
+saturation.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from kronbrist.bristles import (
     bristle_modules,
     bristle_point,
     bristle_type_of,
-    bristle_variety,
     canonical_set,
     enumerate_bristles,
     form_forces_extensions,
@@ -28,7 +28,7 @@ from kronbrist.bristles import (
     pair_point,
     unit_point,
 )
-from kronbrist.families import dim32_bristled, dim32_not_bristled, n2_preinjective
+from kronbrist.families import n2_preinjective
 from kronbrist.linalg import GF, QQ, Matrix
 from kronbrist.modules import (
     ar_translate,
@@ -39,7 +39,13 @@ from kronbrist.modules import (
     simple_module,
 )
 
-from oracles import projective_module, trace_submodule
+from oracles import (
+    bristle_variety,
+    kron_fixture,
+    projective_module,
+    s1_generated_submodule,
+    trace_submodule,
+)
 
 F2, F3, F5 = GF(2), GF(3), GF(5)
 
@@ -197,7 +203,6 @@ class TestVariety:
             S = direct_sum(M, N)
             expected = set()
             # the reduced sum is the sum of the reduced parts, coordinatewise
-            from kronbrist.bristles import s1_generated_submodule
             dm = M.dim1 - s1_generated_submodule(M).U1.dim
             dn = N.dim1 - s1_generated_submodule(N).U1.dim
             for u, p in var_m:
@@ -235,9 +240,9 @@ class TestBristledAndSaturated:
         assert is_saturated(preinjective(3, 2, F2))
         assert not is_saturated(simple_module(3, F2, 2))
         b = bristle(unit_point(3, F2, 1))
-        T = ar_translate(b, "tau")
+        T = ar_translate(b)
         assert not is_saturated(T)
-        assert is_saturated(ar_translate(T, "tau"))
+        assert is_saturated(ar_translate(T))
 
     def test_saturation_rationals_rejected(self):
         with pytest.raises(ValueError):
@@ -253,7 +258,7 @@ class TestMaximalBristledSubmodule:
         rng = random.Random(7 * n + field.characteristic)
         fixtures = [random_module(n, field, rng, 4, 3) for _ in range(12)]
         fixtures += [n2_preinjective(t, field) for t in range(4)] if n == 2 else \
-            [dim32_bristled(field), dim32_not_bristled(field)]
+            [kron_fixture("dim32_bristled", field), kron_fixture("dim32_not_bristled", field)]
         for M in fixtures:
             trace = trace_submodule(bristle_modules(n, field), M)
             assert maximal_bristled_submodule(M).U1 == trace.U1
@@ -290,7 +295,7 @@ class TestSaturationRoute:
         the sweep over all bristles must reach whichever block holds B_p."""
         points = enumerate_bristles(3, field)
         for p in points:
-            M = ar_translate(bristle(p), "tau")
+            M = ar_translate(bristle(p))
             assert not form_forces_extensions(M)
             assert [ext1_dim(bristle(q), M) for q in points] == [int(q == p) for q in points]
             assert not is_saturated(M)
@@ -326,8 +331,8 @@ class TestOrthogonality:
 class TestDim32Fixtures:
     @pytest.mark.parametrize("field", [F2, F5])
     def test_left_is_bristled_right_is_not(self, field):
-        left = dim32_bristled(field)
-        right = dim32_not_bristled(field)
+        left = kron_fixture("dim32_bristled", field)
+        right = kron_fixture("dim32_not_bristled", field)
         assert left.dims == right.dims == (3, 2)
         assert is_bristled(left)
         assert not is_bristled(right)
@@ -335,9 +340,9 @@ class TestDim32Fixtures:
     @pytest.mark.parametrize("field", [F2, F5])
     def test_both_faithful(self, field):
         from kronbrist.modules import is_faithful
-        assert is_faithful(dim32_bristled(field))
-        assert is_faithful(dim32_not_bristled(field))
+        assert is_faithful(kron_fixture("dim32_bristled", field))
+        assert is_faithful(kron_fixture("dim32_not_bristled", field))
 
     def test_left_variety_is_three_coordinate_lines(self):
-        var = bristle_variety(dim32_bristled(F2))
+        var = bristle_variety(kron_fixture("dim32_bristled", F2))
         assert [u for u, _ in var] == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]

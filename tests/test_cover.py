@@ -107,7 +107,7 @@ class TestNamedConstructions:
 
     def test_pruned_ball_is_translate(self):
         M = push_down(build_tau_bristle_rep(3, F5))
-        T = ar_translate(bristle(unit_point(3, F5, 1)), "tau")
+        T = ar_translate(bristle(unit_point(3, F5, 1)))
         assert find_isomorphism(M, T).status == ISO
 
     def test_ball_leaf_counts(self):

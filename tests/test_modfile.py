@@ -1,4 +1,5 @@
-"""Module file format: canonical round trips and positioned parse errors."""
+"""Module file format: round trips through the tests' canonical writer and
+positioned parse errors."""
 
 from __future__ import annotations
 
@@ -8,10 +9,12 @@ from pathlib import Path
 import pytest
 
 from kronbrist.bristles import bristle, is_bristled, unit_point
-from kronbrist.families import dim32_bristled, preinjective
+from kronbrist.families import preinjective
 from kronbrist.linalg import GF, QQ, Matrix
-from kronbrist.modfile import ModuleFileError, parse_module_file, write_module_file
+from kronbrist.modfile import ModuleFileError, parse_module_file
 from kronbrist.modules import KroneckerModule, simple_module
+
+from oracles import kron_fixture, write_module_file
 
 DATA = Path(__file__).parent / "data"
 
@@ -33,7 +36,7 @@ class TestRoundTrip:
 
     def test_write_then_parse_identity(self):
         for M in (preinjective(3, 2, GF(5)), preinjective(2, 3, GF(3)),
-                  dim32_bristled(GF(2))):
+                  kron_fixture("dim32_bristled", GF(2))):
             assert parse_module_file(write_module_file(M)) == M
 
     def test_sink_simple_has_empty_blocks(self):
@@ -71,8 +74,14 @@ alpha 3
 
 class TestFixtureFiles:
     def test_dim32_bristled_file(self):
+        """The zig-zag fixture: over v1, v2 the first map sends u0 to v1, the
+        second u1 to v1 + v2, the third u2 to v2."""
         M = parse_module_file((DATA / "dim32_bristled.kron").read_text())
-        assert M == dim32_bristled(GF(2))
+        F2 = GF(2)
+        alphas = (Matrix.from_rows(F2, [[1, 0, 0], [0, 0, 0]]),
+                  Matrix.from_rows(F2, [[0, 1, 0], [0, 1, 0]]),
+                  Matrix.from_rows(F2, [[0, 0, 0], [0, 0, 1]]))
+        assert M == KroneckerModule(3, F2, 3, 2, alphas)
         assert is_bristled(M)
 
     def test_dim32_not_bristled_file(self):

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from kronbrist import scenarios
+from kronbrist import linalg, scenarios
 from kronbrist.bristles import bristle, canonical_set, enumerate_bristles, is_saturated, unit_point
 from kronbrist.cli import main as cli_main
 from kronbrist.families import preinjective
@@ -174,7 +174,7 @@ class TestGenerates:
 
     def test_b1prime_traces_generate_translate(self):
         f = GF(2)
-        T = ar_translate(bristle(unit_point(3, f, 1)), "tau")
+        T = ar_translate(bristle(unit_point(3, f, 1)))
         traces = [trace_submodule([bristle(p)], T) for p in canonical_set("B1prime", 3, f)]
         assert generates(T, traces)
         assert not generates(T, traces[1:])  # the unit-1 bristle is needed
@@ -343,8 +343,13 @@ class TestCli:
     def test_unknown_scenario_exit_2(self, capsys):
         assert cli_main(["definitely-not-a-scenario"]) == 2
 
-    def test_bad_field_exit_2(self, capsys):
-        assert cli_main(["main-theorem-a", "--q", "6"]) == 2
+    def test_bad_field_exit_2(self, capsys, tmp_path):
+        module = tmp_path / "gf4.kron"
+        module.write_text("kron n=3 field=gf(4) dims=0,0\nalpha 1\nalpha 2\nalpha 3\n")
+        for argv in (["main-theorem-a", "--q", "6"], ["main-theorem-a", "--q", "4"],
+                     ["main-theorem-b-bristle-orbits", "--module", str(module)]):
+            assert cli_main(argv) == 2
+            assert "characteristic must be a prime" in capsys.readouterr().err
 
     def test_rational_for_enumeration_exit_2(self, capsys):
         assert cli_main(["main-theorem-a", "--rational", "--tmax", "1"]) == 2
@@ -430,6 +435,20 @@ class TestCli:
         assert cli_main(["n2-classification"]) == 3
         err = capsys.readouterr().err
         assert "internal error" in err and "Traceback" in err
+
+    def test_internal_value_error_under_field_input_exit_3(self, monkeypatch, capsys, tmp_path):
+        """A ValueError from inside the field check is a bug, under --q and
+        under --module alike: only a bad characteristic is a usage error."""
+        def broken(p):
+            raise ValueError("primality test broke")
+        monkeypatch.setattr(linalg, "is_prime", broken)
+        out = tmp_path / "report.txt"
+        for argv in (["main-theorem-a", "--q", "5"],
+                     ["main-theorem-b-bristle-orbits", "--module", str(ROOT / GOLDEN_MODULE)]):
+            assert cli_main(argv + ["--out", str(out)]) == 3
+            captured = capsys.readouterr()
+            assert "internal error" in captured.err and captured.out == ""
+            assert not out.exists()
 
     def test_help_lists_scenarios(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -29,6 +29,7 @@ from .modules import (
     is_generated_by,
     layers,
     quotient,
+    zero_module,
 )
 from .bristles import (
     BristlePoint,

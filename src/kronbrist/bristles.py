@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .linalg import FieldSpec, Matrix, Subspace
 from .modules import (
@@ -123,13 +123,6 @@ def enumerate_bristles(n: int, field: FieldSpec) -> list:
 
 
 @lru_cache(maxsize=None)
-def bristle_modules(n: int, field: FieldSpec) -> tuple:
-    """The bristle of every point, in ``enumerate_bristles`` order, built once
-    per (n, field): modules are immutable, so callers share them."""
-    return tuple(bristle(p) for p in enumerate_bristles(n, field))
-
-
-@lru_cache(maxsize=None)
 def bristle_points(n: int, field: FieldSpec) -> Matrix:
     """The coordinates of every point, one row each, in ``enumerate_bristles``
     order, built once per (n, field)."""
@@ -142,26 +135,24 @@ def is_bristle_vector(M: KroneckerModule, u: Sequence) -> bool:
     """True iff the images of u under the structure maps span one dimension."""
     if all(x == 0 for x in u):
         raise ValueError("bristle vectors must be nonzero")
-    images = [a.apply(u) for a in M.alphas]
-    span = Subspace.from_spanning(M.field, M.dim2, images)
-    return span.dim == 1
+    return bristle_type_of(M, u) is not None
 
 
-def bristle_type_of(M: KroneckerModule, u: Sequence) -> BristlePoint:
-    """The point indexing the bristle generated by u (requires is_bristle_vector)."""
-    f = M.field
-    images = [a.apply(u) for a in M.alphas]
-    gen = next((w for w in images if any(x != 0 for x in w)), None)
-    if gen is None:
-        raise ValueError("u generates no bristle: all images vanish")
-    line = Subspace.from_spanning(f, M.dim2, [gen])
-    coeffs = []
-    for w in images:
-        coords = line.coordinates(w)
-        if coords is None:
-            raise ValueError("u is not a bristle vector: images span more than a line")
-        coeffs.append(coords[0])
-    return bristle_point(M.n, f, coeffs)
+def bristle_type_of(M: KroneckerModule, u: Sequence) -> Optional[BristlePoint]:
+    """The point indexing the bristle generated by u, or None when the
+    images of u do not span exactly one line.
+
+    One product forms the images: [u] [a_1; ...; a_n]^T read as n rows,
+    a_i u in row i.  Their row space is one line exactly when u is a bristle
+    vector, with a_i u = p_i w for the canonical w, which is 1 at its pivot;
+    so p_i is the entry of a_i u there.
+    """
+    images = (Matrix.from_rows(M.field, [list(u)], cols=M.dim1)
+              @ M.alphas[0].vstack(*M.alphas[1:]).transpose()).reshape(M.n, M.dim2)
+    line = Subspace.row_space(images)
+    if line.dim != 1:
+        return None
+    return bristle_point(M.n, M.field, images.transpose().row(line.pivot_cols[0]))
 
 
 # -- bristled modules and saturation ------------------------------------------

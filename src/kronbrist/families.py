@@ -18,14 +18,8 @@ from .modules import (
 
 
 class _Infinity:
-    """Distinguished tag for the slope-infinity bristle index (not a scalar)."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    """Distinguished tag for the slope-infinity bristle index (not a scalar);
+    ``INF`` is its one instance."""
 
     def __repr__(self):
         return "inf"
@@ -50,7 +44,7 @@ def preinjective(n: int, t: int, field: FieldSpec) -> KroneckerModule:
     key = (n, field, t % 2)
     chain = _PREINJECTIVES.get(key)
     if chain is None:
-        start = simple_module(n, field, 1) if t % 2 == 0 else injective_module(n, field, 2)
+        start = simple_module(n, field, 1) if t % 2 == 0 else injective_module(n, field)
         chain = _PREINJECTIVES[key] = [start]
     while len(chain) <= t // 2:
         chain.append(ar_translate(chain[-1]))

@@ -42,9 +42,10 @@ option.  ``_rref`` eliminates one matrix, gathering by index only the rows
 with a nonzero in c (a single row needs no column loop at all); it serves
 ``rref`` and everything built on it: ranks, kernels, canonical bases, sums
 of subspaces and the dense cores of sparse systems.  ``_rref_stack``
-eliminates a stack of small matrices in one sweep over the columns, each
-member with its own pivots, and serves only ``row_spaces``: many row
-spaces at once, such as a subset search's sums for a whole level.  It pays
+eliminates a stack of small matrices over GF(p) in one sweep over the
+columns, each member with its own pivots, and serves only ``row_spaces``:
+many row spaces at once, such as a subset search's sums for a whole level,
+whose callers all enumerate bristles over a finite field.  It pays
 numpy's per-call cost once per column for the stack, where ``_rref`` pays
 it per matrix, but for a single matrix it is the slower one.
 
@@ -274,7 +275,7 @@ _SPARSE_DENSITY = 8
 
 
 def _dot(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The integer product a @ b, reduced mod p over GF(p); b may be a vector.
+    """The integer product a @ b of two 2-d arrays, reduced mod p over GF(p).
 
     Over GF(p) the product runs on int64 while every sum of products stays
     below 2^62 (inner length times (p-1)^2); past that bound the same
@@ -290,12 +291,12 @@ def _dot(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     p = field.characteristic
     if a.shape[-1] * (p - 1) ** 2 >= 2**62:
         return (a.astype(object) @ b.astype(object) % p).astype(np.int64)
-    n = b.shape[1] if b.ndim == 2 else 1
+    n = b.shape[1]
     work = a.size * n  # multiply-adds of the dense product
-    if a.ndim == 2 and work > _SPARSE_MIN_WORK:
+    if work > _SPARSE_MIN_WORK:
         # products of a scatter over a's nonzeros, and over b's
         cost_a = np.count_nonzero(a) * n
-        cost_b = np.count_nonzero(b) * a.shape[0] if b.ndim == 2 else cost_a
+        cost_b = np.count_nonzero(b) * a.shape[0]
         if min(cost_a, cost_b) * _SPARSE_DENSITY < work:
             if cost_a <= cost_b:
                 return _sparse_dot(a, b, p)
@@ -314,11 +315,11 @@ def _sparse_dot(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """
     r, c = np.nonzero(a)  # sorted by row
     layer = np.arange(r.size) - np.searchsorted(r, r)
-    out = np.zeros((a.shape[0],) + b.shape[1:], np.int64)
+    out = np.zeros((a.shape[0], b.shape[1]), np.int64)
     for t in range(int(layer.max(initial=-1)) + 1):
         rs, cs = r[layer == t], c[layer == t]
         prods = b[cs]
-        prods *= a[rs, cs][:, None] if b.ndim == 2 else a[rs, cs]
+        prods *= a[rs, cs][:, None]
         out[rs] += prods
     return np.remainder(out, p, out=out)
 
@@ -479,12 +480,6 @@ class Matrix:
             raise DimensionMismatch("matmul shape/field mismatch")
         return Matrix._of(self.field, _dot(self.field, self.data, other.data), self.den * other.den)
 
-    def __add__(self, other: "Matrix") -> "Matrix":
-        if self.data.shape != other.data.shape or self.field != other.field:
-            raise DimensionMismatch("matrix addition shape/field mismatch")
-        (a, b), den = _numerators(self.field, (self, other))
-        return Matrix._of(self.field, self.field.reduce(a + b), den)
-
     def row_kron(self, other: "Matrix") -> "Matrix":
         """Row r is the Kronecker product of row r of this matrix with row r
         of ``other``: entry (r, i * other.cols + k) is self[r, i] * other[r, k]."""
@@ -496,18 +491,13 @@ class Matrix:
             np.remainder(prod, self.field.characteristic, out=prod)
         return Matrix._of(self.field, prod, self.den * other.den)
 
-    def scale(self, c: Scalar) -> "Matrix":
-        f = self.field
-        num, d = f.normalize(c).as_integer_ratio()
-        return Matrix._of(f, f.reduce(self.data * num), self.den * d)
-
     def apply(self, v: Sequence) -> Vector:
         """Apply to a column vector, returning the image as a tuple."""
         if len(v) != self.cols:
             raise DimensionMismatch(f"vector length {len(v)} != cols {self.cols}")
         f = self.field
         num, d = f.array(v)
-        return tuple(_scalars(f, _dot(f, self.data, num), self.den * d))
+        return tuple(_scalars(f, _dot(f, self.data, num[:, None])[:, 0], self.den * d))
 
     def is_zero(self) -> bool:
         return not np.count_nonzero(self.data)
@@ -700,26 +690,23 @@ def rank(A: Matrix) -> int:
     return rref(A).rank
 
 
-def _rref_stack(a: np.ndarray, field: FieldSpec):
-    """Gauss-Jordan elimination on a copy of every member a[k] of a
-    (members, rows, cols) integer stack, each as ``_rref`` eliminates one
-    matrix, all in one sweep over the columns.
+def _rref_stack(a: np.ndarray, p: int):
+    """Gauss-Jordan elimination over GF(p) on a copy of every member a[k] of
+    a (members, rows, cols) stack of entries in [0, p), each as ``_rref``
+    eliminates one matrix, all in one sweep over the columns.
 
     Each member keeps its own first-nonzero pivot and its own count of
     pivot rows.  At column c the members with a nonzero at or below their
-    next pivot row swap it into place, every row of those members is
-    updated by ``_rref``'s rule x -> piv * x - x[c] * y, and the pivot row y
-    is written over its own update: over GF(p) with y scaled to pivot 1 and
-    only columns c onwards, over Q on whole rows divided by their gcd.  A
-    row with x[c] = 0 only changes by a scale, so each member's row space
-    and its reduced form are those of ``_rref``.  Returns (integer rows,
-    pivots, ranks, denominators): member k has the pivot columns
-    pivots[k, :ranks[k]] and the reduced rows R[k, :ranks[k]] over
-    dens[k], and zero rows below them.
+    next pivot row swap it into place, the pivot row y is scaled to pivot
+    1, every row x of those members is updated by ``_rref``'s rule
+    x -> x - x[c] * y on columns c onwards, and y is written over its own
+    update.  A row with x[c] = 0 does not change, so each member's reduced
+    form is that of ``_rref``.  Returns (rows, pivots, ranks): member k has
+    the pivot columns pivots[k, :ranks[k]] and the reduced rows
+    R[k, :ranks[k]], and zero rows below them.
     """
     R = a.copy()
     count, m, n = R.shape
-    p = field.characteristic
     ranks = np.zeros(count, np.int64)
     pivots = np.zeros((count, min(m, n)), np.int64)
     below = np.ones((count, m), bool)  # the rows of each member not yet pivot rows
@@ -730,35 +717,20 @@ def _rref_stack(a: np.ndarray, field: FieldSpec):
         if not sel.size:
             continue
         r, i, at = ranks[sel], first[sel], np.arange(sel.size)
-        y = R[sel, i]
+        y = R[sel, i, c:]
         R[sel, i] = R[sel, r]
         x = R[sel, :, c]
-        if field.is_finite:
-            y = y[:, c:]
-            if (y[:, 0] != 1).any():
-                y = y * np.array([pow(v, -1, p) for v in y[:, 0].tolist()])[:, None] % p
-            U = R[sel, :, c:]
-            U -= x[:, :, None] * y[:, None, :]
-            np.remainder(U, p, out=U)
-            U[at, r] = y
-            R[sel, :, c:] = U
-        else:
-            U = R[sel] * y[:, c, None, None] - x[:, :, None] * y[:, None, :]
-            U[at, r] = y
-            g = np.gcd.reduce(U, axis=2)
-            g[g == 0] = 1
-            R[sel] = U // g[:, :, None]
+        if (y[:, 0] != 1).any():
+            y = y * np.array([pow(v, -1, p) for v in y[:, 0].tolist()])[:, None] % p
+        U = R[sel, :, c:]
+        U -= x[:, :, None] * y[:, None, :]
+        np.remainder(U, p, out=U)
+        U[at, r] = y
+        R[sel, :, c:] = U
         pivots[sel, r] = c
         ranks[sel] += 1
         below[sel, r] = False
-    dens = [1] * count
-    if not field.is_finite:
-        for k in np.flatnonzero(ranks):
-            rk = ranks[k]
-            piv = R[k, np.arange(rk), pivots[k, :rk]]
-            dens[k] = lcm(*piv)
-            R[k, :rk] *= (dens[k] // piv)[:, None]
-    return R, pivots, ranks, dens
+    return R, pivots, ranks
 
 
 @dataclass(frozen=True)
@@ -820,7 +792,7 @@ class Subspace:
         if self.dim == 0:
             return w
         f, B = self.field, self.basis
-        proj = _dot(f, w[..., list(self.pivot_cols)], B.data)
+        proj = _dot(f, w[:, list(self.pivot_cols)], B.data)
         return f.reduce((w if B.den == 1 else w * B.den) - proj)
 
     def contains_rows(self, A: Matrix) -> bool:
@@ -832,7 +804,7 @@ class Subspace:
     def coordinates(self, v: Sequence) -> Optional[Vector]:
         """Coordinates of v in the RREF basis, or None if v is outside."""
         num, d = self.field.array(v)
-        if np.count_nonzero(self._residual(num)):
+        if np.count_nonzero(self._residual(num[None])):
             return None
         return tuple(_scalars(self.field, num[list(self.pivot_cols)], d))
 
@@ -887,14 +859,17 @@ _STACK_CELLS = 2**20
 
 def row_spaces(field: FieldSpec, cols: int, members: Sequence[Sequence[Matrix]]) -> list:
     """The row space of each member: the span of its parts' rows (matrices
-    with ``cols`` columns) taken together, equal entry for entry to
-    ``Subspace.row_space`` of the stacked parts.
+    with ``cols`` columns over GF(p)) taken together, equal entry for entry
+    to ``Subspace.row_space`` of the stacked parts.
 
-    The parts' integer rows go one under another (a scale of a row spans
-    the same line) into one (members, rows, cols) stack, padded with zero
-    rows to the tallest member, and one ``_rref_stack`` sweep reduces them
-    all; past ``_STACK_CELLS`` cells the members are swept in runs.
+    The parts' rows go one under another into one (members, rows, cols)
+    stack, padded with zero rows to the tallest member, and one
+    ``_rref_stack`` sweep reduces them all; past ``_STACK_CELLS`` cells the
+    members are swept in runs.  Over Q it raises ValueError: its callers
+    enumerate bristles, which needs a finite field.
     """
+    if not field.is_finite:
+        raise ValueError("row_spaces runs over GF(p) only")
     heights = []
     for parts in members:
         if any(P.field != field or P.data.shape[1] != cols for P in parts):
@@ -910,8 +885,8 @@ def row_spaces(field: FieldSpec, cols: int, members: Sequence[Sequence[Matrix]])
             for P in parts:
                 a[k, r:r + P.rows] = P.data
                 r += P.rows
-        R, pivots, ranks, dens = _rref_stack(a, field)
-        out.extend(Subspace(field, cols, Matrix._of(field, R[k, :rk], dens[k]),
+        R, pivots, ranks = _rref_stack(a, field.characteristic)
+        out.extend(Subspace(field, cols, Matrix._of(field, R[k, :rk]),
                             tuple(pivots[k, :rk].tolist()))
                    for k, rk in enumerate(ranks.tolist()))
     return out

@@ -109,12 +109,9 @@ def simple_module(n: int, field: FieldSpec, vertex: int) -> KroneckerModule:
     raise ValueError("vertex must be 1 or 2")
 
 
-def injective_module(n: int, field: FieldSpec, vertex: int) -> KroneckerModule:
-    """I(1) = S(1); I(2) = (k^n, k; coordinate projections)."""
-    if vertex == 1:
-        return simple_module(n, field, 1)
-    if vertex != 2:
-        raise ValueError("vertex must be 1 or 2")
+def injective_module(n: int, field: FieldSpec) -> KroneckerModule:
+    """The injective I(2) = (k^n, k; coordinate projections); I(1) is the
+    simple module S(1)."""
     alphas = tuple(Matrix.identity(field, n).col_block(i, i + 1).transpose() for i in range(n))
     return KroneckerModule(n, field, n, 1, alphas)
 
@@ -492,9 +489,9 @@ class IsoResult:
     morphism: Optional[Morphism] = None
 
 
-def _invertible_pair(fm: Morphism) -> bool:
-    return (fm.f1.rows == fm.f1.cols and fm.f2.rows == fm.f2.cols
-            and rank(fm.f1) == fm.f1.rows and rank(fm.f2) == fm.f2.rows)
+def _invertible_pair(f1: Matrix, f2: Matrix) -> bool:
+    """Whether the square matrices f1 and f2 are both invertible."""
+    return rank(f1) == f1.rows and rank(f2) == f2.rows
 
 
 def find_isomorphism(M: KroneckerModule, N: KroneckerModule,
@@ -505,32 +502,32 @@ def find_isomorphism(M: KroneckerModule, N: KroneckerModule,
     invertible Hom(M, N) basis element (iso); Hom(M, N) = 0 or dim Hom(M, N)
     != dim Hom(N, M) (non-iso); an invertible one of `attempts` random
     combinations of the basis (iso); otherwise unknown.
+
+    Each combination is one product, its coefficient row times the basis
+    stacked as rows vec(f1) ++ vec(f2); only the certificate returned is
+    built, and checked, as a ``Morphism``.
     """
     _check_same_category(M, N)
     if M.dims != N.dims:
         return IsoResult(NON_ISO)
     if M == N:
         return IsoResult(ISO, identity_morphism(M))
-    basis = hom_basis(M, N)
-    for fm in basis:
-        if _invertible_pair(fm):
-            return IsoResult(ISO, fm)
-    if not basis or len(basis) != hom_dim(N, M):
+    k, F1, F2 = _hom_stacks(M, N, lambda S: sparse_kernel(S).basis)
+    for f1, f2 in zip(F1.split_rows(k), F2.split_rows(k)):
+        if _invertible_pair(f1, f2):
+            return IsoResult(ISO, Morphism._checked(M, N, f1, f2))
+    if not k or k != hom_dim(N, M):
         return IsoResult(NON_ISO)
     rng = random.Random(0xA11CE)
-    f = M.field
+    f, (d1, d2), t1 = M.field, M.dims, M.dim1 * M.dim1
+    basis = F1.reshape(k, t1).hstack(F2.reshape(k, d2 * d2))
     lo, hi = (0, f.characteristic) if f.is_finite else (-4, 5)
     for _ in range(attempts):
-        coeffs = [rng.randrange(lo, hi) for _ in basis]
-        f1 = Matrix.zeros(f, N.dim1, M.dim1)
-        f2 = Matrix.zeros(f, N.dim2, M.dim2)
-        for c, bm in zip(coeffs, basis):
-            if c:
-                f1 = f1 + bm.f1.scale(c)
-                f2 = f2 + bm.f2.scale(c)
-        cand = Morphism(M, N, f1, f2)
-        if _invertible_pair(cand):
-            return IsoResult(ISO, cand)
+        cand = Matrix.from_rows(f, [[rng.randrange(lo, hi) for _ in range(k)]]) @ basis
+        f1 = cand.col_block(0, t1).reshape(d1, d1)
+        f2 = cand.col_block(t1, cand.cols).reshape(d2, d2)
+        if _invertible_pair(f1, f2):
+            return IsoResult(ISO, Morphism(M, N, f1, f2))
     return IsoResult(UNKNOWN)
 
 

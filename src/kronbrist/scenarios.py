@@ -20,13 +20,11 @@ from typing import Callable, Dict, List, Optional, Sequence
 from . import __version__
 from .bristles import (
     bristle,
-    bristle_modules,
     bristle_points,
     bristle_type_of,
     canonical_set,
     enumerate_bristles,
     form_forces_extensions,
-    is_bristle_vector,
     is_bristled,
     is_saturated,
     pair_point,
@@ -376,8 +374,7 @@ def _scn_n2_generation(cfg: ScenarioConfig) -> List[Check]:
             "geometric-series generators for distinct slopes are linearly independent",
             0, vand_bad))
         if t >= 1:
-            type_bad = sum(not is_bristle_vector(It, u)
-                           or bristle_type_of(It, u) != n2_bristle_index_to_point(c, f)
+            type_bad = sum(bristle_type_of(It, u) != n2_bristle_index_to_point(c, f)
                            for c, u in zip(indices, vecs))
             checks.append(Check(
                 f"generator-types-t{t}",
@@ -396,7 +393,7 @@ def _scn_n2_classification(cfg: ScenarioConfig) -> List[Check]:
     _require_two_arrows(cfg)
     f = cfg.field
     q = f.order
-    allb = bristle_modules(2, f)
+    allb = [bristle(p) for p in enumerate_bristles(2, f)]
     checks = []
     for t in range(cfg.t_max + 1):
         It = preinjective(2, t, f)

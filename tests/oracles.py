@@ -13,7 +13,12 @@ which the library's resolution route for Ext reads by Yoneda instead.
 tau/tau^- round trips; the library translates by tau alone.
 ``bristle_variety`` lists every bristle line of a module by brute force over
 its projective points, where the library asks only whether the bristles
-generate.
+generate.  ``bristle_type_by_images`` reads the type of a bristle vector
+one image at a time, through ``apply``, ``from_spanning`` and
+``coordinates`` (the library forms all images with one product), and
+``find_isomorphism_by_sums`` draws the isomorphism candidates as sums of
+scaled basis morphisms, entry by entry (the library multiplies the
+coefficient row by the stacked basis).
 
 ``kron_fixture`` reads a module from ``tests/data``, and
 ``write_module_file`` is the canonical writer that ``parse_module_file`` is
@@ -22,27 +27,38 @@ checked against: ``parse(write(M)) == M``.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from pathlib import Path
-from typing import Sequence
+from typing import Optional, Sequence
 
-from kronbrist.bristles import _projective_points, bristle_type_of, is_bristle_vector
+from kronbrist.bristles import BristlePoint, _projective_points, bristle_point, bristle_type_of, is_bristle_vector
 from kronbrist.linalg import (
     FieldSpec,
     Matrix,
     Subspace,
     image_subspace,
     joint_kernel,
+    rank,
     sparse_kernel_rows,
     subspace_sum,
 )
 from kronbrist.modfile import parse_module_file
 from kronbrist.modules import (
+    ISO,
+    NON_ISO,
+    UNKNOWN,
+    IsoResult,
     KroneckerModule,
+    Morphism,
     SubmodulePair,
+    _check_same_category,
     _hom_stacks,
     ar_translate,
     dual,
+    hom_basis,
+    hom_dim,
+    identity_morphism,
     quotient,
     simple_module,
 )
@@ -112,6 +128,59 @@ def bristle_variety(M: KroneckerModule) -> list:
         if is_bristle_vector(reduced, u):
             out.append((u, bristle_type_of(reduced, u)))
     return out
+
+
+def bristle_type_by_images(M: KroneckerModule, u: Sequence) -> Optional[BristlePoint]:
+    """The point of the bristle that u generates, or None when the images
+    of u do not span exactly one line: each image a_i u by ``apply``, their
+    span by ``from_spanning``, and each image's coordinate on the line of
+    the first nonzero one."""
+    images = [a.apply(u) for a in M.alphas]
+    if Subspace.from_spanning(M.field, M.dim2, images).dim != 1:
+        return None
+    gen = next(w for w in images if any(x != 0 for x in w))
+    line = Subspace.from_spanning(M.field, M.dim2, [gen])
+    return bristle_point(M.n, M.field, [line.coordinates(w)[0] for w in images])
+
+
+def _combination(field: FieldSpec, coeffs: Sequence, mats: Sequence[Matrix]) -> Matrix:
+    """sum c * A over the coefficients c and the matrices A, entry by entry."""
+    rows, cols = mats[0].rows, mats[0].cols
+    out = [[field.zero()] * cols for _ in range(rows)]
+    for c, A in zip(coeffs, mats):
+        for i in range(rows):
+            out[i] = [field.add(x, field.mul(field.normalize(c), y)) for x, y in zip(out[i], A.row(i))]
+    return Matrix.from_rows(field, out, cols=cols)
+
+
+def find_isomorphism_by_sums(M: KroneckerModule, N: KroneckerModule, attempts: int = 64) -> IsoResult:
+    """``find_isomorphism`` with each random candidate formed as the sum of
+    the basis morphisms scaled by its coefficients, from the same draws in
+    the same order."""
+    def invertible(fm):
+        return rank(fm.f1) == fm.f1.rows and rank(fm.f2) == fm.f2.rows
+
+    _check_same_category(M, N)
+    if M.dims != N.dims:
+        return IsoResult(NON_ISO)
+    if M == N:
+        return IsoResult(ISO, identity_morphism(M))
+    basis = hom_basis(M, N)
+    for fm in basis:
+        if invertible(fm):
+            return IsoResult(ISO, fm)
+    if not basis or len(basis) != hom_dim(N, M):
+        return IsoResult(NON_ISO)
+    rng = random.Random(0xA11CE)
+    f = M.field
+    lo, hi = (0, f.characteristic) if f.is_finite else (-4, 5)
+    for _ in range(attempts):
+        coeffs = [rng.randrange(lo, hi) for _ in basis]
+        cand = Morphism(M, N, _combination(f, coeffs, [fm.f1 for fm in basis]),
+                        _combination(f, coeffs, [fm.f2 for fm in basis]))
+        if invertible(cand):
+            return IsoResult(ISO, cand)
+    return IsoResult(UNKNOWN)
 
 
 def kron_fixture(name: str, field: FieldSpec) -> KroneckerModule:

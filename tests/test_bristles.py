@@ -15,7 +15,6 @@ from kronbrist import bristles
 from kronbrist.bristles import (
     BristlePoint,
     bristle,
-    bristle_modules,
     bristle_point,
     bristle_type_of,
     canonical_set,
@@ -124,14 +123,6 @@ class TestEnumeration:
     def test_rationals_rejected(self):
         with pytest.raises(ValueError):
             enumerate_bristles(3, QQ)
-        with pytest.raises(ValueError):
-            bristle_modules(3, QQ)
-
-    @pytest.mark.parametrize("n,q", [(2, 3), (3, 2), (4, 2)])
-    def test_bristle_modules_built_once_in_enumeration_order(self, n, q):
-        mods = bristle_modules(n, GF(q))
-        assert mods == tuple(bristle(p) for p in enumerate_bristles(n, GF(q)))
-        assert bristle_modules(n, GF(q)) is mods
 
 
 class TestBristleVectors:
@@ -149,6 +140,13 @@ class TestBristleVectors:
     def test_generic_vector_of_projective_fails(self):
         P1 = projective_module(3, F5, 1)
         assert not is_bristle_vector(P1, (1,))
+
+    def test_no_line_of_images_has_no_type(self):
+        """Images that vanish (the simple at vertex 1) or span a plane (the
+        projective at vertex 1) give no point."""
+        assert bristle_type_of(simple_module(3, F5, 1), (1,)) is None
+        assert not is_bristle_vector(simple_module(3, F5, 1), (1,))
+        assert bristle_type_of(projective_module(3, F5, 1), (1,)) is None
 
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
@@ -260,7 +258,7 @@ class TestMaximalBristledSubmodule:
         fixtures += [n2_preinjective(t, field) for t in range(4)] if n == 2 else \
             [kron_fixture("dim32_bristled", field), kron_fixture("dim32_not_bristled", field)]
         for M in fixtures:
-            trace = trace_submodule(bristle_modules(n, field), M)
+            trace = trace_submodule([bristle(p) for p in enumerate_bristles(n, field)], M)
             assert maximal_bristled_submodule(M).U1 == trace.U1
             assert is_bristled(M) == trace.U1.is_full()
 

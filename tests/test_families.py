@@ -86,7 +86,7 @@ class TestPreinjectives:
 def preinjective_from_scratch(n, t, field):
     """I_t by its definition, t // 2 translates of S(1) or I(2), sharing
     nothing between calls: the oracle for the shared chain."""
-    M = simple_module(n, field, 1) if t % 2 == 0 else injective_module(n, field, 2)
+    M = simple_module(n, field, 1) if t % 2 == 0 else injective_module(n, field)
     for _ in range(t // 2):
         M = ar_translate(M)
     return M

@@ -1,5 +1,6 @@
-"""Every name a library module imports is used in that module, and only
-``linalg`` imports numpy.
+"""Every name a library module imports is used in that module, every
+module-level function and class is used somewhere in the library or
+re-exported, and only ``linalg`` imports numpy.
 
 No linter is a declared dependency, so this walks the syntax tree with the
 standard library.  ``__init__.py`` is exempt from the unused-import check:
@@ -39,6 +40,34 @@ def test_guard_flags_an_unused_import():
 @pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py"))
 def test_no_unused_imports(path):
     assert unused_imports((SRC / path).read_text(encoding="utf-8")) == []
+
+
+def unreferenced_definitions(sources: dict, exported: set) -> list:
+    """(file, name) for each module-level function and class of the
+    ``sources`` (file name -> source) that no file refers to by name and
+    that is not in ``exported``."""
+    trees = {name: ast.parse(src) for name, src in sources.items()}
+    used = {node.id for tree in trees.values() for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((name, node.name) for name, tree in trees.items() for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and node.name not in used and node.name not in exported)
+
+
+def test_guard_flags_an_unreferenced_definition():
+    sources = {"a.py": "def f():\n    pass\n\n\nclass C:\n    pass\n",
+               "b.py": "from .a import f\n\n\ndef g():\n    return f()\n\n\ndef h():\n    pass\n"}
+    assert unreferenced_definitions(sources, exported={"h"}) == [("a.py", "C"), ("b.py", "g")]
+
+
+def test_every_definition_is_used_or_exported():
+    """Code that nothing calls is deleted: each module-level function or
+    class of the library is referred to by name in some library module, or
+    is public through ``kronbrist/__init__.py``."""
+    init = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    exported = {alias.asname or alias.name for node in ast.walk(init)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert unreferenced_definitions(sources, exported) == []
 
 
 def imported_packages(source: str) -> set:

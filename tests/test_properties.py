@@ -20,7 +20,13 @@ bristle at a time; the canonical kernel from one elimination equals the
 one from two; generation decided by rank agrees with the canonical trace;
 a sum of subspaces extended from its largest summand, and the push-down
 of a cover subrep placed block by block, equal the reduced row-echelon
-form of all their rows, denominator and dtype included.
+form of all their rows, denominator and dtype included; the type of a
+bristle vector from one product of its images, and the isomorphism
+candidates from one product with the stacked Hom basis, equal the routes
+that take one image and one scaled basis morphism at a time; and mixing the
+arrows by an invertible h, which sends the bristle B_p to B_hp, carries
+Hom dimensions, traces and bristle types from p to hp and keeps
+saturation and bristledness.
 
 hypothesis runs derandomized with few examples, so every run checks the
 same inputs.
@@ -42,6 +48,15 @@ from hypothesis import strategies as st  # noqa: E402
 import numpy as np  # noqa: E402
 
 from kronbrist import cover  # noqa: E402
+from kronbrist.bristles import (  # noqa: E402
+    bristle_point,
+    bristle_points,
+    bristle_type_of,
+    enumerate_bristles,
+    is_bristle_vector,
+    is_bristled,
+    is_saturated,
+)
 from kronbrist.cover import (  # noqa: E402
     _cover_hom_system,
     _place,
@@ -87,6 +102,7 @@ from kronbrist.modules import (  # noqa: E402
     direct_sum_list,
     ext1_dim,
     ext1_dim_via_resolution,
+    find_isomorphism,
     hom_basis,
     hom_dim,
     is_generated_by,
@@ -95,7 +111,14 @@ from kronbrist.modules import (  # noqa: E402
 )
 from kronbrist.scenarios import _generating_by_size  # noqa: E402
 
-from oracles import generates, tau_minus, trace_submodule, write_module_file  # noqa: E402
+from oracles import (  # noqa: E402
+    bristle_type_by_images,
+    find_isomorphism_by_sums,
+    generates,
+    tau_minus,
+    trace_submodule,
+    write_module_file,
+)
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=25, deadline=None)
 FIELDS = [GF(2), GF(3), GF(5), QQ]
@@ -150,13 +173,16 @@ def module_pairs(draw):
     return draw(modules(field, n)), draw(modules(field, n))
 
 
-@st.composite
-def rebased(draw, M):
+def conjugated(M: KroneckerModule, g1: Matrix, g2: Matrix) -> KroneckerModule:
     """M in new bases at both vertices: alpha -> g2 alpha g1^-1."""
-    g1 = draw(invertible(M.field, M.dim1))
-    g2 = draw(invertible(M.field, M.dim2))
     h1 = inverse(g1)
     return KroneckerModule(M.n, M.field, M.dim1, M.dim2, tuple(g2 @ a @ h1 for a in M.alphas))
+
+
+@st.composite
+def rebased(draw, M):
+    """M in new bases at both vertices, drawn."""
+    return conjugated(M, draw(invertible(M.field, M.dim1)), draw(invertible(M.field, M.dim2)))
 
 
 @PROPERTY
@@ -292,11 +318,11 @@ def test_one_row_rref_over_q_keeps_fractional_entries():
 def stacks(draw):
     """(field, cols, members): up to five members of one width cols in
     0..6, each split into one to three parts of up to five rows, over
-    GF(2), GF(3), GF(2^31 - 1) (entries often p - 1, so products come near
-    2^62) or Q with fractional entries.  A member is all zero, random, rank
+    GF(2), GF(3) or GF(2^31 - 1) (entries often p - 1, so products come
+    near 2^62).  A member is all zero, random, rank
     deficient (a row is a combination of two others) or of full rank
     (unit upper triangular, rows shuffled)."""
-    field = draw(st.sampled_from([GF(2), GF(3), MERSENNE, QQ]))
+    field = draw(st.sampled_from([GF(2), GF(3), MERSENNE]))
     cols = draw(st.integers(0, 6))
     entry = entries(field)
     if field is MERSENNE:
@@ -328,25 +354,25 @@ def stacks(draw):
 @settings(PROPERTY, max_examples=200)
 @given(stacks())
 @example((GF(3), 4, []))
-@example((QQ, 3, [[Matrix.from_rows(QQ, [[0, -2, 1], [Fraction(1, 2), 0, 3]])],
-                  [Matrix.zeros(QQ, 2, 3)], [Matrix.zeros(QQ, 0, 3)]]))
+@example((GF(5), 3, [[Matrix.from_rows(GF(5), [[0, 3, 1], [2, 0, 3]])],
+                     [Matrix.zeros(GF(5), 2, 3)], [Matrix.zeros(GF(5), 0, 3)]]))
 def test_stacked_sweep_matches_rref_member_by_member(case):
     """One stacked sweep reduces every member as ``rref`` reduces it alone:
-    the same pivots, the same canonical integer rows and denominator, zero
-    rows below them, and ``row_spaces`` gives ``Subspace.row_space`` of
-    each member entry for entry."""
+    the same pivots, the same canonical rows, zero rows below them, and
+    ``row_spaces`` gives ``Subspace.row_space`` of each member entry for
+    entry."""
     field, cols, members = case
     stacked = [parts[0].vstack(*parts[1:]) for parts in members]
     height = max((A.rows for A in stacked), default=0)
     a = field.zeros((len(members), height, cols))
     for k, A in enumerate(stacked):
         a[k, :A.rows] = A.data
-    R, pivots, ranks, dens = linalg._rref_stack(a, field)
-    assert len(ranks) == len(dens) == len(members)
+    R, pivots, ranks = linalg._rref_stack(a, field.characteristic)
+    assert len(ranks) == len(members)
     for k, A in enumerate(stacked):
         ref = rref(A)
         assert tuple(pivots[k, :ranks[k]].tolist()) == ref.pivot_cols
-        assert Matrix._of(field, R[k, :A.rows], dens[k]) == ref.matrix
+        assert Matrix._of(field, R[k, :A.rows]) == ref.matrix
         assert not R[k, A.rows:].any()
     spaces = row_spaces(field, cols, members)
     assert len(spaces) == len(members)
@@ -635,10 +661,11 @@ def test_kernel_basis_from_one_elimination_matches_two(data):
 @st.composite
 def trace_lists(draw):
     """(M, traces, max_size): up to 7 traces in a module of dimension at most
-    (3, 3) over GF(2), GF(3) or Q whose maps are all zero, so that any pair
-    of subspaces is a submodule; each trace spans at most two drawn vectors
-    per vertex."""
-    field = draw(st.sampled_from([GF(2), GF(3), QQ]))
+    (3, 3) over GF(2), GF(3) or GF(5) whose maps are all zero, so that any
+    pair of subspaces is a submodule; each trace spans at most two drawn
+    vectors per vertex.  The search sums through ``row_spaces``, which
+    runs over GF(p) only, as the scenarios that search do."""
+    field = draw(st.sampled_from([GF(2), GF(3), GF(5)]))
     d1, d2 = draw(st.integers(0, 3)), draw(st.integers(0, 3))
     M = KroneckerModule(2, field, d1, d2, (Matrix.zeros(field, d2, d1),) * 2)
 
@@ -707,14 +734,13 @@ def _sparse_array(rng, field, shape, density):
 
 @st.composite
 def dot_operands(draw):
-    """(field, a, b): a is m x k; b is k x n or, as a vector, k; either side
-    may be sparse, and shapes reach past _SPARSE_MIN_WORK multiply-adds."""
+    """(field, a, b): a is m x k and b is k x n; either side may be sparse,
+    and shapes reach past _SPARSE_MIN_WORK multiply-adds."""
     field = draw(st.sampled_from(DOT_FIELDS))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     m, k = draw(st.integers(0, 70)), draw(st.integers(0, 40))
     a = _sparse_array(rng, field, (m, k), draw(st.sampled_from(DOT_DENSITIES)))
-    b_shape = (k,) if draw(st.booleans()) else (k, draw(st.integers(0, 70)))
-    b = _sparse_array(rng, field, b_shape, draw(st.sampled_from(DOT_DENSITIES)))
+    b = _sparse_array(rng, field, (k, draw(st.integers(0, 70))), draw(st.sampled_from(DOT_DENSITIES)))
     return field, a, b
 
 
@@ -736,8 +762,7 @@ def test_nonzero_product_matches_dense(case):
     assert np.array_equal(got, expected)
     if a.shape[1] * (p - 1) ** 2 < 2**62:  # where the nonzero path may run
         assert np.array_equal(linalg._sparse_dot(a, b, p), expected)
-        if b.ndim == 2:
-            assert np.array_equal(linalg._sparse_dot(b.T, a.T, p).T, expected)
+        assert np.array_equal(linalg._sparse_dot(b.T, a.T, p).T, expected)
 
 
 def generic_hom_system(M, N) -> SparseSystem:
@@ -963,3 +988,130 @@ def test_subrep_subpair_is_the_row_space_of_its_placed_rows(field, n, monkeypatc
     # per branch its restriction and singleton leaves, then every path rep
     singles = sum(len(cover.covered_singleton_types(n, j)) for j in range(1, n + 1))
     assert len(seen) == n + singles + comb(n, 2)
+
+
+@st.composite
+def bristle_vector_cases(draw):
+    """(M, u, p): a module over GF(2), GF(3), GF(5) or Q with n in 1..3 and
+    a nonzero u at vertex 1.  Half the time u is drawn at random in a random
+    module, so its images may vanish, span a line or span a plane (p is
+    None); otherwise M is X + B_p in new bases at both vertices and u the
+    image of B_p's basis vector, whose images span the line of g2 e, with
+    its pivot anywhere."""
+    field = draw(st.sampled_from(FIELDS))
+    n = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        M = draw(modules(field, n).filter(lambda M: M.dim1 > 0))
+        u = draw(st.lists(entries(field), min_size=M.dim1, max_size=M.dim1).filter(any))
+        return M, u, None
+    X = draw(modules(field, n, max_dim=2))
+    p = draw(st.lists(entries(field), min_size=n, max_size=n).filter(any))
+    M0 = direct_sum(X, one_by_one(field, p))
+    g1, g2 = draw(invertible(field, M0.dim1)), draw(invertible(field, M0.dim2))
+    return conjugated(M0, g1, g2), g1.transpose().row(X.dim1), p
+
+
+@settings(PROPERTY, max_examples=120)
+@given(bristle_vector_cases())
+def test_bristle_type_matches_the_image_by_image_route(case):
+    """``bristle_type_of`` gives the point the images read one at a time
+    give, None when they do not span one line, and ``is_bristle_vector``
+    says whether there is a point; a hidden B_p is found as p."""
+    M, u, p = case
+    got = bristle_type_of(M, u)
+    assert got == bristle_type_by_images(M, u)
+    assert is_bristle_vector(M, u) == (got is not None)
+    if p is not None:
+        assert got == bristle_point(M.n, M.field, p)
+
+
+@st.composite
+def iso_cases(draw):
+    """(M, N): M = X + X for a bristle or a small random X, over GF(2),
+    GF(3), GF(5) or Q, and N = M in new bases at both vertices.  For a
+    bristle X no element of the canonical Hom(M, N) basis is invertible, so
+    the random candidates decide."""
+    field = draw(st.sampled_from(FIELDS))
+    n = draw(st.integers(2, 3))
+    if draw(st.booleans()):
+        X = one_by_one(field, draw(st.lists(entries(field), min_size=n, max_size=n).filter(any)))
+    else:
+        X = draw(modules(field, n, max_dim=2))
+    M = direct_sum(X, X)
+    return M, draw(rebased(M))
+
+
+@settings(PROPERTY, max_examples=60)
+@given(iso_cases())
+def test_iso_candidates_match_sums_of_scaled_basis_morphisms(case):
+    """Status and certificate equal those of the candidates summed entry by
+    entry from the same draws, for no attempt, one, and the default 64."""
+    M, N = case
+    for attempts in (0, 1, 64):
+        got, ref = find_isomorphism(M, N, attempts), find_isomorphism_by_sums(M, N, attempts)
+        assert got.status == ref.status
+        if ref.morphism is None:
+            assert got.morphism is None
+        else:
+            assert (got.morphism.f1, got.morphism.f2) == (ref.morphism.f1, ref.morphism.f2)
+
+
+MIXING_FIELDS = [GF(2), GF(3), GF(5)]
+
+
+@st.composite
+def mixed_arrows(draw):
+    """(M, Mh, h, u): M = X + B_q + B_r in new bases at both vertices, X
+    small and random, over GF(2), GF(3) or GF(5) with n in 2..3; h an
+    invertible n x n matrix and Mh the module with the mixed arrows
+    a'_i = sum_j h_ij a_j; u a nonzero vector at vertex 1 of M.  The
+    bristle summands make Hom(B_p, M) depend on p."""
+    field = draw(st.sampled_from(MIXING_FIELDS))
+    n = draw(st.integers(2, 3))
+    point = st.lists(entries(field), min_size=n, max_size=n).filter(any)
+    M = direct_sum_list([draw(modules(field, n, max_dim=2))]
+                        + [one_by_one(field, draw(point)) for _ in range(draw(st.integers(0, 2)))])
+    M = draw(rebased(M))
+    h = draw(invertible(field, n))
+    u = draw(st.lists(entries(field), min_size=M.dim1, max_size=M.dim1))
+    return M, mix_arrows(M, h), h, u
+
+
+def mix_arrows(M: KroneckerModule, h: Matrix) -> KroneckerModule:
+    """M with the arrows a'_i = sum_j h_ij a_j: h times the maps read as
+    rows vec(a_1), ..., vec(a_n)."""
+    d1, d2 = M.dims
+    mixed = h @ Matrix.vstack(*(a.reshape(1, d2 * d1) for a in M.alphas))
+    return KroneckerModule(M.n, M.field, d1, d2,
+                           tuple(mixed.select_rows([i]).reshape(d2, d1) for i in range(M.n)))
+
+
+def mixed_point(h: Matrix, coords) -> tuple:
+    """The normalized coordinates of h p for the point p."""
+    hp = h @ Matrix.from_rows(h.field, [list(coords)]).transpose()
+    return bristle_point(h.rows, h.field, hp.transpose().row(0)).coords
+
+
+@settings(PROPERTY, max_examples=40)
+@given(mixed_arrows())
+def test_mixing_the_arrows_moves_bristles_from_p_to_hp(case):
+    """Mixing the arrows by h sends B_p to B_hp, so point by point
+    dim Hom(B_p, M) = dim Hom(B_hp, M^h) and the traces have the same
+    dimensions; saturation and bristledness do not change; and u has the
+    type h p in M^h when it has the type p in M."""
+    M, Mh, h, u = case
+    f, n = M.field, M.n
+    coords = [p.coords for p in enumerate_bristles(n, f)]
+    at = {c: b for b, c in enumerate(coords)}
+    image = [at[mixed_point(h, c)] for c in coords]  # the index of h p, per point p
+    points = bristle_points(n, f)
+    dims, dims_h = dict(bristle_hom_dims(points, M)), dict(bristle_hom_dims(points, Mh))
+    assert [dims[b] for b in range(len(coords))] == [dims_h[image[b]] for b in range(len(coords))]
+    traces, traces_h = bristle_traces(points, M), bristle_traces(points, Mh)
+    assert [tr.dims for tr in traces] == [traces_h[image[b]].dims for b in range(len(coords))]
+    assert is_saturated(Mh) == is_saturated(M)
+    assert is_bristled(Mh) == is_bristled(M)
+    if any(x != 0 for x in u):
+        p = bristle_type_of(M, u)
+        expected = None if p is None else bristle_point(n, f, mixed_point(h, p.coords))
+        assert bristle_type_of(Mh, u) == expected

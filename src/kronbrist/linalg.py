@@ -42,12 +42,12 @@ option.  ``_rref`` eliminates one matrix, gathering by index only the rows
 with a nonzero in c (a single row needs no column loop at all); it serves
 ``rref`` and everything built on it: ranks, kernels, canonical bases, sums
 of subspaces and the dense cores of sparse systems.  ``_rref_stack``
-eliminates a stack of small matrices over GF(p) in one sweep over the
-columns, each member with its own pivots, and serves only ``row_spaces``:
-many row spaces at once, such as a subset search's sums for a whole level,
-whose callers all enumerate bristles over a finite field.  It pays
-numpy's per-call cost once per column for the stack, where ``_rref`` pays
-it per matrix, but for a single matrix it is the slower one.
+eliminates a stack of small matrices over GF(p) in one sweep of pivot
+steps, each member with its own pivots.  It serves the subset search
+``spanning_by_size`` (all traces at once, then each level's sums) and
+``subset_ranks``, whose callers all enumerate bristles over a finite
+field.  It pays numpy's per-call cost once per step for the stack, where
+``_rref`` pays it per matrix, but for a single matrix it is the slower one.
 
 Over GF(p) every intermediate product stays below p^2 < 2^62, so int64
 arithmetic is exact; a matrix product switches to Python integers once a
@@ -70,8 +70,8 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
-from math import gcd, lcm
+from itertools import chain, combinations
+from math import comb, gcd, lcm
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -691,45 +691,58 @@ def rank(A: Matrix) -> int:
 
 
 def _rref_stack(a: np.ndarray, p: int):
-    """Gauss-Jordan elimination over GF(p) on a copy of every member a[k] of
-    a (members, rows, cols) stack of entries in [0, p), each as ``_rref``
-    eliminates one matrix, all in one sweep over the columns.
+    """Gauss-Jordan elimination over GF(p), in place, on every member a[k]
+    of a (members, rows, cols) stack of entries in [0, p), each as
+    ``_rref`` eliminates one matrix, all in one sweep of pivot steps.
 
-    Each member keeps its own first-nonzero pivot and its own count of
-    pivot rows.  At column c the members with a nonzero at or below their
-    next pivot row swap it into place, the pivot row y is scaled to pivot
-    1, every row x of those members is updated by ``_rref``'s rule
-    x -> x - x[c] * y on columns c onwards, and y is written over its own
-    update.  A row with x[c] = 0 does not change, so each member's reduced
-    form is that of ``_rref``.  Returns (rows, pivots, ranks): member k has
-    the pivot columns pivots[k, :ranks[k]] and the reduced rows
+    At step r every member still live has r pivot rows on top, so its open
+    rows are rows r onwards.  Its next pivot is ``_rref``'s: the first
+    nonzero of the open rows read column by column, from the first column
+    no member has passed.  That row is swapped into row r and scaled to
+    pivot 1 (by piv^(p-2), formed for all members by repeated squaring),
+    and every row x of the member is updated by ``_rref``'s rule
+    x -> x - x[c] * y, on the columns from the step's first pivot column
+    on (y is zero left of its own), with y written over its own update.  A
+    member with no open nonzero is done, so the sweep takes as many steps
+    as the largest rank, plus one.  Returns (rows, pivots, ranks): member k
+    has the pivot columns pivots[k, :ranks[k]] and the reduced rows
     R[k, :ranks[k]], and zero rows below them.
     """
-    R = a.copy()
+    R = a
     count, m, n = R.shape
     ranks = np.zeros(count, np.int64)
     pivots = np.zeros((count, min(m, n)), np.int64)
-    below = np.ones((count, m), bool)  # the rows of each member not yet pivot rows
-    for c in range(n if m else 0):
-        open_rows = (R[:, :, c] != 0) & below
-        first = open_rows.argmax(axis=1)
-        sel = np.flatnonzero(open_rows[np.arange(count), first])
-        if not sel.size:
-            continue
-        r, i, at = ranks[sel], first[sel], np.arange(sel.size)
-        y = R[sel, i, c:]
-        R[sel, i] = R[sel, r]
-        x = R[sel, :, c]
-        if (y[:, 0] != 1).any():
-            y = y * np.array([pow(v, -1, p) for v in y[:, 0].tolist()])[:, None] % p
-        U = R[sel, :, c:]
-        U -= x[:, :, None] * y[:, None, :]
+    live, start, rows = np.arange(count), 0, np.arange(m)
+    for r in range(min(m, n)):
+        nonzero = (R[live, r:, start:] != 0).transpose(0, 2, 1).reshape(live.size, (m - r) * (n - start))
+        first = nonzero.argmax(axis=1)
+        found = nonzero[np.arange(live.size), first]
+        live, first = live[found], first[found]
+        if not live.size:
+            break
+        c, i = np.divmod(first, m - r)
+        c, i, at = c + start, i + r, np.arange(live.size)
+        y = R[live, i]
+        R[live, i] = R[live, r]
+        piv = y[at, c]
+        if (piv != 1).any():
+            inv, e = np.ones(live.size, np.int64), p - 2
+            while e:
+                if e & 1:
+                    inv = inv * piv % p
+                piv, e = piv * piv % p, e >> 1
+            y = y * inv[:, None] % p
+        start = int(c.min())
+        U = R[live, :, start:]
+        U -= U[at[:, None], rows, c[:, None] - start][:, :, None] * y[:, None, start:]
         np.remainder(U, p, out=U)
-        U[at, r] = y
-        R[sel, :, c:] = U
-        pivots[sel, r] = c
-        ranks[sel] += 1
-        below[sel, r] = False
+        U[at, r] = y[:, start:]
+        R[live, :, start:] = U
+        pivots[live, r] = c
+        ranks[live] += 1
+        start += 1
+        if start == n:
+            break
     return R, pivots, ranks
 
 
@@ -852,44 +865,114 @@ def subspace_sum(U: Subspace, *more: Subspace) -> Subspace:
                     tuple(pivots[i] for i in order))
 
 
-# the most cells one stacked sweep of ``row_spaces`` takes (8 MB of int64),
-# so that a long list of members is reduced in bounded memory
+# the most cells one stacked sweep takes (8 MB of int64), so that a long
+# stack of members is reduced in bounded memory
 _STACK_CELLS = 2**20
 
 
-def row_spaces(field: FieldSpec, cols: int, members: Sequence[Sequence[Matrix]]) -> list:
-    """The row space of each member: the span of its parts' rows (matrices
-    with ``cols`` columns over GF(p)) taken together, equal entry for entry
-    to ``Subspace.row_space`` of the stacked parts.
-
-    The parts' rows go one under another into one (members, rows, cols)
-    stack, padded with zero rows to the tallest member, and one
-    ``_rref_stack`` sweep reduces them all; past ``_STACK_CELLS`` cells the
-    members are swept in runs.  Over Q it raises ValueError: its callers
-    enumerate bristles, which needs a finite field.
-    """
+def _swept(field: FieldSpec, a: np.ndarray):
+    """(rows, ranks): every member of the (members, rows, cols) stack a
+    reduced in place by ``_rref_stack``, in runs of at most ``_STACK_CELLS``
+    cells, and the rank of each.  Over Q it raises ValueError: its callers
+    enumerate bristles, which needs a finite field."""
+    ranks = np.zeros(len(a), np.int64)
+    if not a.size:
+        return a, ranks
     if not field.is_finite:
-        raise ValueError("row_spaces runs over GF(p) only")
-    heights = []
-    for parts in members:
-        if any(P.field != field or P.data.shape[1] != cols for P in parts):
-            raise DimensionMismatch("row_spaces parts over another field or of another width")
-        heights.append(sum(P.data.shape[0] for P in parts))
-    step = max(_STACK_CELLS // max(max(heights, default=0) * cols, 1), 1)
-    out = []
-    for s in range(0, len(members), step):
-        run = members[s:s + step]
-        a = field.zeros((len(run), max(heights[s:s + step]), cols))
-        for k, parts in enumerate(run):
-            r = 0
-            for P in parts:
-                a[k, r:r + P.rows] = P.data
-                r += P.rows
-        R, pivots, ranks = _rref_stack(a, field.characteristic)
-        out.extend(Subspace(field, cols, Matrix._of(field, R[k, :rk]),
-                            tuple(pivots[k, :rk].tolist()))
-                   for k, rk in enumerate(ranks.tolist()))
-    return out
+        raise ValueError("the stacked sweep runs over GF(p) only")
+    step = max(_STACK_CELLS // (a.shape[1] * a.shape[2]), 1)
+    for s in range(0, len(a), step):
+        ranks[s:s + step] = _rref_stack(a[s:s + step], field.characteristic)[2]
+    return a, ranks
+
+
+def subset_ranks(A: Matrix, size: int) -> list:
+    """The rank of every ``size`` rows of A over GF(p), in the order of
+    ``itertools.combinations``, from one gathered stack and one sweep."""
+    picks = np.array(list(combinations(range(A.rows), size)), np.int64).reshape(-1, size)
+    return _swept(A.field, A.data[picks])[1].tolist()
+
+
+def spanning_by_size(stacks: Sequence[Matrix], counts: Sequence[int], max_size: int):
+    """(spanning, decided): for each size s <= max_size, how many s-subsets
+    of the groups of rows span the whole space of every stack, and how many
+    s-subsets the search decided, which is all of them.  Group b is the
+    next counts[b] rows of each stack over GF(p), as ``bristle_images``
+    gives the traces of bristles, one stack per vertex.
+
+    One first sweep per stack reduces every group and ranks it.  The search
+    then goes level by level over the index-sorted subsets; level k holds
+    its open k-subsets as arrays: their last indices and, per stack, their
+    reduced rows and ranks.  Each child, a parent grown by a group of
+    larger index, is ruled out with its whole branch when the parent's
+    rank plus the group's plus the largest ranks still available (a table
+    from the first sweep) falls short in some stack.  Per stack, one
+    gather of the parents' rows with the groups' rows and one sweep give
+    the rest their rows and ranks, leaving out the children whose parent
+    is full there or whose group is zero.  A child that spans decides all
+    its supersets, counted from a table of binomials, not visited; the
+    others make the next level, which is held alone: at most
+    comb(len(counts), k) subsets, which the scenarios' cap bounds.
+    """
+    f, count = stacks[0].field, len(counts)
+    binom = np.array([[comb(a, e) for e in range(max_size + 1)] for a in range(count + 1)], np.int64)
+    spanning, decided = np.zeros(max_size + 1, np.int64), np.zeros(max_size + 1, np.int64)
+
+    def tally(out, k, avail):
+        """Add each k-subset and its supersets by up to max_size - k of its
+        ``avail`` further groups: comb(avail, e) of size k + e."""
+        out[k:] += binom[avail, :max_size + 1 - k].sum(axis=0)
+
+    decided[0], spanning[0] = 1, all(S.cols == 0 for S in stacks)
+    if not max_size:  # no level to search, so no group is reduced
+        return spanning.tolist(), decided.tolist()
+    group = np.repeat(np.arange(count), counts)
+    at = np.arange(group.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    groups, level = [], []  # per stack: (rows, ranks, bound) of the groups; (rows, ranks) of a level
+    for S in stacks:
+        a = f.zeros((count, max(counts, default=0), S.cols))
+        a[group, at] = S.data
+        rows, ranks = _swept(f, a)
+        # bound[b, e]: the rank of group b plus the e largest ranks of the groups after it
+        after = -np.sort(-np.triu(np.broadcast_to(ranks, (count, count)), 1), axis=1)[:, :max_size]
+        bound = np.repeat(ranks[:, None], max_size + 1, axis=1)
+        bound[:, 1:after.shape[1] + 1] += after.cumsum(axis=1)
+        groups.append((rows[:, :ranks.max(initial=0)], ranks, bound))
+        level.append((f.zeros((1, 0, S.cols)), np.zeros(1, np.int64)))
+    last = np.array([-1])
+    for k in range(1, max_size + 1):
+        if not last.size:
+            break
+        parent, j = np.nonzero(np.arange(count) > last[:, None])
+        avail = count - 1 - j
+        most = np.minimum(max_size - k, avail)
+        reach = np.logical_and.reduce([ranks[parent] + bound[j, most] >= S.cols
+                                       for (_, ranks), (_, _, bound), S in zip(level, groups, stacks)])
+        tally(decided, k, avail[~reach])  # no subset of the branch can span
+        parent, j, avail, most = parent[reach], j[reach], avail[reach], most[reach]
+        grown = []
+        for (P, ranks), (T, dims, _), S in zip(level, groups, stacks):
+            ranks = ranks[parent]
+            sweep = (ranks < S.cols) & (dims[j] > 0)
+            # where every parent is zero (at level 1), each child is its group
+            R, ranks[sweep] = (_swept(f, np.concatenate([P[parent[sweep]], T[j[sweep]]], axis=1))
+                               if P.shape[1] else (T[j[sweep]], dims[j[sweep]]))
+            grown.append((ranks, sweep, R))
+        full = np.logical_and.reduce([ranks == S.cols for (ranks, _, _), S in zip(grown, stacks)])
+        tally(spanning, k, avail[full])  # every superset spans too
+        tally(decided, k, avail[full])
+        decided[k] += np.count_nonzero(~full)
+        keep = ~full & (most > 0)
+        opened = []
+        for (P, _), (ranks, sweep, R), S in zip(level, grown, stacks):
+            ranks = ranks[keep]
+            rows = f.zeros((ranks.size, int(ranks.max(initial=0)), S.cols))
+            w = min(rows.shape[1], P.shape[1])
+            rows[~sweep[keep], :w] = P[parent[keep & ~sweep], :w]
+            rows[sweep[keep]] = R[keep[sweep], :rows.shape[1]]
+            opened.append((rows, ranks))
+        last, level = j[keep], opened
+    return spanning.tolist(), decided.tolist()
 
 
 def _free_column_rows(R: Matrix, pivots: tuple, n: int) -> Matrix:
@@ -976,12 +1059,15 @@ def _peel(S: SparseSystem) -> _Peeled:
 
 def _dense_core(S: SparseSystem, entries: np.ndarray):
     """(columns, core): the rows and columns of S that hold ``entries``, in
-    ascending order, as a dense Matrix of those entries, and its columns."""
-    rows, r = np.unique(S.i[entries], return_inverse=True)
-    cols, c = np.unique(S.j[entries], return_inverse=True)
-    core = S.field.zeros((rows.size, cols.size))
-    core[r, c] = S.v[entries]
-    return cols, Matrix._of(S.field, core)
+    ascending order, as a dense Matrix of those entries, and its columns.
+    An entry's place in the core is the count of held rows (columns)
+    before its own, read off a mask of S's rows (columns), with no sort."""
+    i, j = S.i[entries], S.j[entries]
+    rows, cols = np.zeros(S.rows, bool), np.zeros(S.cols, bool)
+    rows[i], cols[j] = True, True
+    core = S.field.zeros((np.count_nonzero(rows), np.count_nonzero(cols)))
+    core[(np.cumsum(rows) - 1)[i], (np.cumsum(cols) - 1)[j]] = S.v[entries]
+    return np.flatnonzero(cols), Matrix._of(S.field, core)
 
 
 def sparse_rank(S: SparseSystem) -> int:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .linalg import (
@@ -331,16 +330,6 @@ def bristle_images(points: Matrix, M: KroneckerModule):
                for i, a in enumerate(M.alphas)):
         raise InternalCheckFailed("a Hom basis element does not intertwine the structure maps")
     return X, Y, counts
-
-
-def bristle_traces(points: Matrix, M: KroneckerModule) -> list:
-    """The trace of the bristle B_p in M for every row p of ``points``, in
-    row order, all from one system: the row spaces of the rows
-    ``bristle_images`` gives for p."""
-    X, Y, counts = bristle_images(points, M)
-    return [SubmodulePair(M, Subspace.row_space(X.select_rows(range(e - k, e))),
-                          Subspace.row_space(Y.select_rows(range(e - k, e))))
-            for k, e in zip(counts, accumulate(counts))]
 
 
 def is_generated_by(generators: Sequence[KroneckerModule], M: KroneckerModule) -> bool:

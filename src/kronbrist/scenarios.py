@@ -13,9 +13,8 @@ import hashlib
 import random
 import time
 from dataclasses import dataclass
-from itertools import accumulate, combinations
 from math import comb
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional
 
 from . import __version__
 from .bristles import (
@@ -52,14 +51,14 @@ from .cover import (
     y_component,
 )
 from .families import INF, n2_bristle_generator, n2_bristle_index_to_point, n2_preinjective, preinjective
-from .linalg import FieldSpec, Matrix, Subspace, kernel_basis, place_blocks, row_spaces, subspace_sum
+from .linalg import (FieldSpec, Matrix, Subspace, kernel_basis, place_blocks, spanning_by_size,
+                     subset_ranks, subspace_sum)
 from .modules import (
     ISO,
     KroneckerModule,
-    SubmodulePair,
     ar_translate,
     bristle_hom_dims,
-    bristle_traces,
+    bristle_images,
     compose,
     coxeter_apply,
     direct_sum_list,
@@ -130,83 +129,6 @@ def _require_two_arrows(cfg: ScenarioConfig):
 
 def _b0_modules(n: int, field: FieldSpec) -> list:
     return [bristle(p) for p in canonical_set("B0", n, field)]
-
-
-def _tally(counts: list, k: int, avail: int, most: int):
-    """Count a k-subset and its supersets that add at most ``most`` of
-    ``avail`` further traces."""
-    for e in range(most + 1):
-        counts[k + e] += comb(avail, e)
-
-
-def _children(level: list, count: int):
-    """Each subset (i, U1, U2) of a level, with last index i and trace sums
-    U1, U2, grown by each trace j > i: (j, U1, U2)."""
-    return [(j, U1, U2) for i, U1, U2 in level for j in range(i + 1, count)]
-
-
-def _sums(field: FieldSpec, dim: int, pairs: list) -> list:
-    """U + V for each pair of subspaces of k^dim: U itself when it is full
-    or V is zero, V when U is zero, and the rest from one ``row_spaces``."""
-    out = [U if U.is_full() or V.is_zero() else V if U.is_zero() else None for U, V in pairs]
-    todo = [k for k, S in enumerate(out) if S is None]
-    if todo:
-        for k, S in zip(todo, row_spaces(field, dim, [(pairs[k][0].basis, pairs[k][1].basis)
-                                                      for k in todo])):
-            out[k] = S
-    return out
-
-
-def _generating_by_size(M: KroneckerModule, traces: Sequence[SubmodulePair], max_size: int):
-    """(spanning, decided): for each size s <= max_size, how many s-subsets
-    of the traces span M, and how many subsets of that size the search
-    decided, which is all of them.
-
-    The search goes level by level over the index-sorted subsets: level k
-    holds the k-subsets still open, each with its last index and its trace
-    sum at each vertex.  Their children, each grown by one trace of larger
-    index, are first pruned: a child whose parent's dimension plus the
-    largest trace dimensions still available falls short of M at a vertex
-    is ruled out with its whole branch, before its sums are formed.  The
-    sums of the rest come from one stacked ``row_spaces`` call per vertex
-    for the whole level, leaving out the vertices a parent has filled.  A
-    child that spans M decides all its supersets, which are counted with
-    ``comb``, not visited; the others make the next level.  The search
-    keeps one level at a time: at most comb(len(traces), k) subsets with
-    their sums, which the scenarios' cap bounds by ``SUBSET_LIMIT``, and a
-    stacked call pads no member past the largest member's row count.
-    """
-    f, (d1, d2), count = M.field, M.dims, len(traces)
-    r1, r2 = (tuple(list(accumulate(sorted(dims[i:], reverse=True), initial=0))
-                    for i in range(count + 1))
-              for dims in ([tr.U1.dim for tr in traces], [tr.U2.dim for tr in traces]))
-    spanning, decided = [0] * (max_size + 1), [0] * (max_size + 1)
-    decided[0] = 1
-    spanning[0] = int(M.is_zero())  # the empty subset spans only the zero module
-    level = [(-1, Subspace.zero(f, d1), Subspace.zero(f, d2))]
-    for k in range(1, max_size + 1):
-        grown = []  # (j, avail, most, U1, U2): the children not ruled out
-        for j, U1, U2 in _children(level, count):
-            tr, avail = traces[j], count - 1 - j
-            most = min(max_size - k, avail)
-            if U1.dim + tr.U1.dim + r1[j + 1][most] < d1 or U2.dim + tr.U2.dim + r2[j + 1][most] < d2:
-                # no subset of the branch reaches the dimension of M
-                _tally(decided, k, avail, most)
-            else:
-                grown.append((j, avail, most, U1, U2))
-        sums1 = _sums(f, d1, [(U1, traces[j].U1) for j, _, _, U1, _ in grown])
-        sums2 = _sums(f, d2, [(U2, traces[j].U2) for j, _, _, _, U2 in grown])
-        level = []
-        for (j, avail, most, _, _), U1, U2 in zip(grown, sums1, sums2):
-            if U1.is_full() and U2.is_full():
-                # the subset spans M, so every superset does: count them, do not visit them
-                _tally(spanning, k, avail, most)
-                _tally(decided, k, avail, most)
-            else:
-                decided[k] += 1
-                if most:
-                    level.append((j, U1, U2))
-    return spanning, decided
 
 
 def _subset_cap(count: int, cfg: ScenarioConfig):
@@ -293,8 +215,8 @@ def _scn_optimality_i3(cfg: ScenarioConfig) -> List[Check]:
     total = comb(len(pts), n + 1)
     _subset_cap(total, cfg)
     I3 = preinjective(n, 3, f)
-    traces = bristle_traces(bristle_points(n, f), I3)
-    spanning, decided = _generating_by_size(I3, traces, n + 1)
+    X, Y, counts = bristle_images(bristle_points(n, f), I3)
+    spanning, decided = spanning_by_size((X, Y), counts, n + 1)
     checks = [
         Check("b0-generates-I3",
               "the canonical (n+2)-bristle set generates the third preinjective",
@@ -319,8 +241,8 @@ def _scn_opt_taub1(cfg: ScenarioConfig) -> List[Check]:
     others = [i for i, p in enumerate(pts) if p != b1pt]
     total = comb(len(others), n + 1)
     _subset_cap(total, cfg)
-    traces = bristle_traces(bristle_points(n, f).select_rows(others), T)
-    spanning, decided = _generating_by_size(T, traces, n + 1)
+    X, Y, counts = bristle_images(bristle_points(n, f).select_rows(others), T)
+    spanning, decided = spanning_by_size((X, Y), counts, n + 1)
     b1prime = [bristle(p) for p in canonical_set("B1prime", n, f)]
     homs = dict(bristle_hom_dims(bristle_points(n, f), T))
     hom_self = homs.pop(pts.index(b1pt))
@@ -354,8 +276,8 @@ def _scn_n2_generation(cfg: ScenarioConfig) -> List[Check]:
     checks = []
     for t in range(cfg.t_max + 1):
         It = n2_preinjective(t, f)
-        traces = bristle_traces(bristle_points(2, f), It)
-        spanning, decided = _generating_by_size(It, traces, len(pts))
+        X, Y, counts = bristle_images(bristle_points(2, f), It)
+        spanning, decided = spanning_by_size((X, Y), counts, len(pts))
         # a subset counts as a violation unless it was decided the law's way
         violations = sum(comb(len(pts), size) - (spanning[size] if size >= t + 1
                                                  else decided[size] - spanning[size])
@@ -367,8 +289,7 @@ def _scn_n2_generation(cfg: ScenarioConfig) -> List[Check]:
             0, violations, details={"subsets": 2 ** len(pts)}))
         vecs = [n2_bristle_generator(t, c, f) for c in indices]
         gens = Matrix.from_rows(f, [list(v) for v in vecs], cols=t + 1)
-        vand_bad = sum(S.dim != t + 1 for S in row_spaces(
-            f, t + 1, [[gens.select_rows(subset)] for subset in combinations(range(len(indices)), t + 1)]))
+        vand_bad = sum(r != t + 1 for r in subset_ranks(gens, t + 1))
         checks.append(Check(
             f"generator-independence-t{t}",
             "geometric-series generators for distinct slopes are linearly independent",

@@ -4,9 +4,12 @@ fixtures and module-file writer the tests share.
 Each routine answers a question the library answers by another route, and
 is kept only as an oracle: ``trace_submodule`` forms the trace of any
 generators from their Hom bases, one Hom system per generator (the library's
-``bristle_traces`` and ``is_generated_by`` use one block system), and
-``generates`` sums a set of traces outright (the library's subset search
-carries running sums and rules out branches by dimension).
+``bristle_images`` and ``is_generated_by`` use one block system);
+``bristle_traces`` forms each bristle's trace as a ``SubmodulePair`` from
+those images, one ``row_space`` per point and vertex, over any field (the
+library's subset search reduces all the traces in one stacked sweep and
+builds no subspace); and ``generates`` sums a set of traces outright (the
+search carries reduced rows and rules out branches by rank).
 ``projective_module`` builds the indecomposable projectives as modules,
 which the library's resolution route for Ext reads by Yoneda instead.
 ``tau_minus`` is the inverse translate D tau D, the other half of the
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import accumulate
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -40,6 +44,7 @@ from kronbrist.linalg import (
     image_subspace,
     joint_kernel,
     rank,
+    spanning_by_size,
     sparse_kernel_rows,
     subspace_sum,
 )
@@ -55,6 +60,7 @@ from kronbrist.modules import (
     _check_same_category,
     _hom_stacks,
     ar_translate,
+    bristle_images,
     dual,
     hom_basis,
     hom_dim,
@@ -79,6 +85,16 @@ def trace_submodule(generators: Sequence[KroneckerModule], M: KroneckerModule) -
                          image_subspace(Matrix.hstack(*images2)))
 
 
+def bristle_traces(points: Matrix, M: KroneckerModule) -> list:
+    """The trace of the bristle B_p in M for every row p of ``points``, in
+    row order, over any field: the row spaces of the rows
+    ``bristle_images`` gives for p."""
+    X, Y, counts = bristle_images(points, M)
+    return [SubmodulePair(M, Subspace.row_space(X.select_rows(range(e - k, e))),
+                          Subspace.row_space(Y.select_rows(range(e - k, e))))
+            for k, e in zip(counts, accumulate(counts))]
+
+
 def generates(M: KroneckerModule, traces: Sequence[SubmodulePair]) -> bool:
     """Whether the given trace submodules of M together span all of M.
 
@@ -89,6 +105,16 @@ def generates(M: KroneckerModule, traces: Sequence[SubmodulePair]) -> bool:
         return False
     return (subspace_sum(Subspace.zero(M.field, M.dim1), *(tr.U1 for tr in traces)).is_full()
             and subspace_sum(Subspace.zero(M.field, M.dim2), *(tr.U2 for tr in traces)).is_full())
+
+
+def search_traces(M: KroneckerModule, traces: Sequence[SubmodulePair], max_size: int):
+    """``spanning_by_size`` over the traces' bases as groups of rows, one
+    stack per vertex, the shorter basis of each trace padded with zero rows."""
+    counts = [max(tr.U1.dim, tr.U2.dim) for tr in traces]
+    stacks = [Matrix.zeros(M.field, 0, d).vstack(*(
+        U.basis.vstack(Matrix.zeros(M.field, k - U.dim, d)) for U, k in zip(spaces, counts)))
+        for d, spaces in ((M.dim1, [tr.U1 for tr in traces]), (M.dim2, [tr.U2 for tr in traces]))]
+    return spanning_by_size(stacks, counts, max_size)
 
 
 def projective_module(n: int, field: FieldSpec, vertex: int) -> KroneckerModule:

@@ -30,8 +30,9 @@ from kronbrist.linalg import (
     place_blocks,
     quotient_projection,
     rank,
-    row_spaces,
     rref,
+    spanning_by_size,
+    subset_ranks,
     subspace_sum,
 )
 
@@ -288,27 +289,22 @@ class TestSubspaces:
         assert all(isinstance(x, Fraction) for i in range(R.rows) for x in R.row(i))
 
     @pytest.mark.parametrize("field", [GF(5)], ids=str)
-    def test_row_spaces_in_runs_match_one_sweep(self, field, monkeypatch):
-        """A list of members too large for one stack is swept in runs, each
-        padded to its own tallest member, with the same result."""
-        rng = random.Random(7)
-        members = [[random_matrix(field, rng, rng.randint(0, 3), 4) for _ in range(rng.randint(1, 3))]
-                   for _ in range(9)]
-        whole = row_spaces(field, 4, members)
+    def test_subset_ranks_in_runs_match_one_sweep(self, field, monkeypatch):
+        """A gathered stack too large for one sweep is swept in runs, with
+        the same ranks, each that of ``rank`` on the selected rows."""
+        A = random_matrix(field, random.Random(7), 9, 4)
+        whole = subset_ranks(A, 3)
+        assert whole == [rank(A.select_rows(rows)) for rows in itertools.combinations(range(9), 3)]
         monkeypatch.setattr(linalg, "_STACK_CELLS", 20)
-        assert row_spaces(field, 4, members) == whole
-        assert whole == [Subspace.row_space(parts[0].vstack(*parts[1:])) for parts in members]
+        assert subset_ranks(A, 3) == whole
 
-    def test_row_spaces_refuses_a_part_of_another_width(self):
-        f = GF(3)
-        with pytest.raises(DimensionMismatch):
-            row_spaces(f, 3, [[Matrix.identity(f, 3)], [Matrix.zeros(f, 2, 1)]])
-
-    def test_row_spaces_refuses_the_rationals(self):
-        """The stacked sweep runs over GF(p) only; over Q it is refused up
-        front, before any part is read."""
+    def test_stacked_sweep_refuses_the_rationals(self):
+        """The stacked sweep runs over GF(p) only; over Q its callers are
+        refused once there are rows to reduce."""
         with pytest.raises(ValueError, match="GF"):
-            row_spaces(QQ, 2, [[Matrix.identity(QQ, 2)]])
+            subset_ranks(Matrix.identity(QQ, 2), 1)
+        with pytest.raises(ValueError, match="GF"):
+            spanning_by_size([Matrix.identity(QQ, 2)], [1, 1], 1)
 
 
 def written_out(S: SparseSystem) -> Matrix:

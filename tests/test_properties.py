@@ -26,7 +26,8 @@ candidates from one product with the stacked Hom basis, equal the routes
 that take one image and one scaled basis morphism at a time; and mixing the
 arrows by an invertible h, which sends the bristle B_p to B_hp, carries
 Hom dimensions, traces and bristle types from p to hp and keeps
-saturation and bristledness.
+saturation and bristledness, while new bases at both vertices keep them
+at every point, with generation by B0 and the subset search's counts.
 
 hypothesis runs derandomized with few examples, so every run checks the
 same inputs.
@@ -49,8 +50,10 @@ import numpy as np  # noqa: E402
 
 from kronbrist import cover  # noqa: E402
 from kronbrist.bristles import (  # noqa: E402
+    bristle,
     bristle_point,
     bristle_points,
+    canonical_set,
     bristle_type_of,
     enumerate_bristles,
     is_bristle_vector,
@@ -81,8 +84,8 @@ from kronbrist.linalg import (  # noqa: E402
     hom_system,
     kernel_basis,
     rank,
-    row_spaces,
     rref,
+    spanning_by_size,
     sparse_block_kernels,
     sparse_block_ranks,
     sparse_kernel,
@@ -97,7 +100,7 @@ from kronbrist.modules import (  # noqa: E402
     _hom_system,
     ar_translate,
     bristle_hom_dims,
-    bristle_traces,
+    bristle_images,
     direct_sum,
     direct_sum_list,
     ext1_dim,
@@ -109,12 +112,13 @@ from kronbrist.modules import (  # noqa: E402
     simple_module,
     zero_module,
 )
-from kronbrist.scenarios import _generating_by_size  # noqa: E402
 
 from oracles import (  # noqa: E402
+    bristle_traces,
     bristle_type_by_images,
     find_isomorphism_by_sums,
     generates,
+    search_traces,
     tau_minus,
     trace_submodule,
     write_module_file,
@@ -357,10 +361,9 @@ def stacks(draw):
 @example((GF(5), 3, [[Matrix.from_rows(GF(5), [[0, 3, 1], [2, 0, 3]])],
                      [Matrix.zeros(GF(5), 2, 3)], [Matrix.zeros(GF(5), 0, 3)]]))
 def test_stacked_sweep_matches_rref_member_by_member(case):
-    """One stacked sweep reduces every member as ``rref`` reduces it alone:
-    the same pivots, the same canonical rows, zero rows below them, and
-    ``row_spaces`` gives ``Subspace.row_space`` of each member entry for
-    entry."""
+    """One stacked sweep reduces every member, in place, as ``rref``
+    reduces it alone: the same pivots and rank, the same canonical rows,
+    and zero rows below them."""
     field, cols, members = case
     stacked = [parts[0].vstack(*parts[1:]) for parts in members]
     height = max((A.rows for A in stacked), default=0)
@@ -368,16 +371,12 @@ def test_stacked_sweep_matches_rref_member_by_member(case):
     for k, A in enumerate(stacked):
         a[k, :A.rows] = A.data
     R, pivots, ranks = linalg._rref_stack(a, field.characteristic)
-    assert len(ranks) == len(members)
+    assert R is a and len(ranks) == len(members)
     for k, A in enumerate(stacked):
         ref = rref(A)
-        assert tuple(pivots[k, :ranks[k]].tolist()) == ref.pivot_cols
+        assert (tuple(pivots[k, :ranks[k]].tolist()), ranks[k]) == (ref.pivot_cols, ref.rank)
         assert Matrix._of(field, R[k, :A.rows]) == ref.matrix
         assert not R[k, A.rows:].any()
-    spaces = row_spaces(field, cols, members)
-    assert len(spaces) == len(members)
-    for S, A in zip(spaces, stacked):
-        assert_same_subspace(S, Subspace.row_space(A))
 
 
 def written_out(S: SparseSystem) -> Matrix:
@@ -663,8 +662,8 @@ def trace_lists(draw):
     """(M, traces, max_size): up to 7 traces in a module of dimension at most
     (3, 3) over GF(2), GF(3) or GF(5) whose maps are all zero, so that any
     pair of subspaces is a submodule; each trace spans at most two drawn
-    vectors per vertex.  The search sums through ``row_spaces``, which
-    runs over GF(p) only, as the scenarios that search do."""
+    vectors per vertex.  The search sweeps stacks of rows, which runs over
+    GF(p) only, as the scenarios that search do."""
     field = draw(st.sampled_from([GF(2), GF(3), GF(5)]))
     d1, d2 = draw(st.integers(0, 3)), draw(st.integers(0, 3))
     M = KroneckerModule(2, field, d1, d2, (Matrix.zeros(field, d2, d1),) * 2)
@@ -685,7 +684,7 @@ def test_subset_search_matches_brute_force(case):
     """The pruned search counts, size by size, the subsets that ``generates``
     says span M, and decides every subset up to the size bound."""
     M, traces, max_size = case
-    spanning, decided = _generating_by_size(M, traces, max_size)
+    spanning, decided = search_traces(M, traces, max_size)
     assert spanning == [sum(generates(M, sub) for sub in combinations(traces, s))
                         for s in range(max_size + 1)]
     assert decided == [comb(len(traces), s) for s in range(max_size + 1)]
@@ -1115,3 +1114,59 @@ def test_mixing_the_arrows_moves_bristles_from_p_to_hp(case):
         p = bristle_type_of(M, u)
         expected = None if p is None else bristle_point(n, f, mixed_point(h, p.coords))
         assert bristle_type_of(Mh, u) == expected
+
+
+CHANGE_OF_BASIS_FIELDS = [GF(2), GF(3), GF(5), QQ]
+
+
+@st.composite
+def rebased_pairs(draw):
+    """(M, Mg, coords): up to five bristle points at n = 3, drawn from the
+    enumeration over GF(2), GF(3) or GF(5) and written out as explicit
+    nonzero lists over Q; M the sum of one to three bristles at those
+    points, half the time plus a small random X; and Mg = g2 M g1^-1 for
+    invertible g1 and g2 drawn at the two vertices.  The bristle summands
+    make Hom(B_p, M) depend on p, and M is generated by the points of its
+    summands together, often by no fewer."""
+    field = draw(st.sampled_from(CHANGE_OF_BASIS_FIELDS))
+    if field.is_finite:
+        every = [p.coords for p in enumerate_bristles(3, field)]
+        coords = draw(st.lists(st.sampled_from(every), min_size=1, max_size=5, unique=True))
+    else:
+        coords = draw(st.lists(st.lists(Q_ENTRIES, min_size=3, max_size=3).filter(any),
+                               min_size=1, max_size=4))
+    summands = [one_by_one(field, c) for c in draw(st.lists(st.sampled_from(coords),
+                                                            min_size=1, max_size=3))]
+    if draw(st.booleans()):
+        summands.append(draw(modules(field, 3, max_dim=2)))
+    M = direct_sum_list(summands)
+    return M, draw(rebased(M)), coords
+
+
+@settings(PROPERTY, max_examples=40)
+@given(rebased_pairs())
+def test_bristle_predicates_invariant_under_change_of_basis(case):
+    """New bases at both vertices change no bristle predicate, point by
+    point: dim Hom(B_p, M), the dimensions of the trace of B_p, generation
+    by B0, and over GF(p) saturation, bristledness and the subset search's
+    (spanning, decided) counts over the drawn points, which also equal the
+    brute-force counts of ``generates`` on the traces."""
+    M, Mg, coords = case
+    f = M.field
+    points = Matrix.from_rows(f, coords, cols=3)
+    assert dict(bristle_hom_dims(points, Mg)) == dict(bristle_hom_dims(points, M))
+    traces = bristle_traces(points, M)
+    assert [tr.dims for tr in bristle_traces(points, Mg)] == [tr.dims for tr in traces]
+    b0 = [bristle(p) for p in canonical_set("B0", 3, f)]
+    assert is_generated_by(b0, Mg) == is_generated_by(b0, M)
+    if not f.is_finite:
+        return
+    assert is_saturated(Mg) == is_saturated(M)
+    assert is_bristled(Mg) == is_bristled(M)
+    X, Y, counts = bristle_images(points, M)
+    found = spanning_by_size((X, Y), counts, len(coords))
+    Xg, Yg, counts_g = bristle_images(points, Mg)
+    assert spanning_by_size((Xg, Yg), counts_g, len(coords)) == found
+    assert found == ([sum(generates(M, sub) for sub in combinations(traces, s))
+                      for s in range(len(coords) + 1)],
+                     [comb(len(coords), s) for s in range(len(coords) + 1)])

@@ -30,15 +30,9 @@ from kronbrist.modules import (
     is_generated_by,
     random_module,
 )
-from kronbrist.scenarios import (
-    SCENARIOS,
-    ScenarioConfigError,
-    _generating_by_size,
-    default_config,
-    run_scenario,
-)
+from kronbrist.scenarios import SCENARIOS, ScenarioConfigError, default_config, run_scenario
 
-from oracles import generates, trace_submodule
+from oracles import generates, search_traces, trace_submodule
 
 QUICK_OVERRIDES = {
     # keep the orbit scenario off the largest translate in the smoke run
@@ -57,6 +51,7 @@ SEARCH_GOLDENS = {
     "optimality-I3-n3-q3": ("optimality-I3", {"n": 3, "field": GF(3)}),
     "n2-generation-q7-tmax3": ("n2-generation", {"field": GF(7), "t_max": 3}),
     "n2-generation-q11-tmax3": ("n2-generation", {"field": GF(11), "t_max": 3}),
+    "n2-generation-q13-tmax5": ("n2-generation", {"field": GF(13), "t_max": 5}),
 }
 GOLDEN_VARIANTS = ["main-theorem-b-bristle-orbits-module", "annihilated-lemma-rational",
                    "main-theorem-a-n4-q3-tmax4", "main-theorem-a-n3-q2-tmax7",
@@ -220,8 +215,8 @@ SEARCH_CASES = {
     "max-size-below-N": ((3, 1), [([E1], [[1]]), ([E2], []), ([E3], []), ([E1, E2, E3], []),
                                   ([[1, 1, 1]], [[1]])], 2, [0, 0, 2]),
 }
-# the cases whose search forms no sum of two subspaces run over Q as well;
-# the others need ``row_spaces``, which runs over GF(p) only
+# the cases whose search reduces no rows run over Q as well; the others need
+# the stacked sweep, which runs over GF(p) only
 SUMLESS_CASES = ("no-traces", "no-traces-zero-module", "zero-module", "max-size-0")
 
 
@@ -236,7 +231,7 @@ class TestGeneratingBySize:
     def test_matches_brute_force(self, field, case):
         dims, spans, max_size, expected = SEARCH_CASES[case]
         M, traces = _zero_map_traces(field, dims, spans)
-        spanning, decided = _generating_by_size(M, traces, max_size)
+        spanning, decided = search_traces(M, traces, max_size)
         assert spanning == expected
         assert spanning == [sum(generates(M, sub) for sub in combinations(traces, s))
                             for s in range(max_size + 1)]
@@ -247,47 +242,64 @@ class TestGeneratingBySize:
         the branch of the first trace fails the check."""
         cfg = default_config("optimality-I3")
         assert run_scenario(cfg).passed
-        real, skipped = scenarios._children, []
+        real, skipped = scenarios.spanning_by_size, []
 
-        def skipping(level, count):
-            children = real(level, count)
-            if not skipped:  # the first call grows the empty subset: drop one 1-subset
-                skipped.append(children.pop(0))
-            return children
+        def skipping(stacks, counts, max_size):
+            skipped.append(counts[0])  # drop the first trace's rows and its branch
+            rest = [S.select_rows(range(counts[0], S.rows)) for S in stacks]
+            return real(rest, counts[1:], max_size)
 
-        monkeypatch.setattr(scenarios, "_children", skipping)
+        monkeypatch.setattr(scenarios, "spanning_by_size", skipping)
         checks = {c.name: c for c in run_scenario(cfg).checks}
         assert skipped
         assert not checks["subsets-tested"].passed
         assert checks["subsets-tested"].computed < checks["subsets-tested"].expected
 
     def test_n2_generation_stacks_each_level(self, monkeypatch):
-        """``n2-generation --q 7 --tmax 3`` forms no sum with
-        ``subspace_sum``: each search makes at most one ``row_spaces`` call
-        per level and vertex, and the generator check one per t."""
-        calls, searches = [0], []
-        real_row_spaces, real_search = scenarios.row_spaces, scenarios._generating_by_size
+        """``n2-generation --q 7 --tmax 3`` sweeps each level of a search
+        once per vertex: at most one ``_rref_stack`` per level and vertex,
+        plus one per vertex for the traces, and the generator ranks one per
+        t.  The searches build no ``Subspace``, and the scenario forms no
+        sum with ``subspace_sum``.  With ``_STACK_CELLS`` capped small the
+        sweeps run in more batches and give the same report."""
+        cfg = default_config("n2-generation", field=GF(7), t_max=3)
+        whole = run_scenario(cfg).to_json()
+        sweeps, searches, inside = [0], [], [False]
+        real_sweep, real_search = linalg._rref_stack, scenarios.spanning_by_size
+        real_post_init = Subspace.__post_init__
 
         def counting(*args):
-            calls[0] += 1
-            return real_row_spaces(*args)
+            sweeps[0] += 1
+            return real_sweep(*args)
 
-        def searching(M, traces, max_size):
-            before = calls[0]
-            result = real_search(M, traces, max_size)
-            searches.append((calls[0] - before, max_size))
+        def searching(stacks, counts, max_size):
+            before, inside[0] = sweeps[0], True
+            try:
+                result = real_search(stacks, counts, max_size)
+            finally:
+                inside[0] = False
+            searches.append((sweeps[0] - before, max_size))
             return result
+
+        def post_init(self):
+            assert not inside[0], "a Subspace built inside the search"
+            real_post_init(self)
 
         def refused(*args):
             raise AssertionError("subspace_sum called")
 
-        monkeypatch.setattr(scenarios, "row_spaces", counting)
-        monkeypatch.setattr(scenarios, "_generating_by_size", searching)
+        monkeypatch.setattr(linalg, "_rref_stack", counting)
+        monkeypatch.setattr(scenarios, "spanning_by_size", searching)
+        monkeypatch.setattr(Subspace, "__post_init__", post_init)
         monkeypatch.setattr(scenarios, "subspace_sum", refused)
-        assert run_scenario(default_config("n2-generation", field=GF(7), t_max=3)).passed
+        assert run_scenario(cfg).to_json() == whole
         assert [levels for _, levels in searches] == [8] * 4
-        assert all(used <= 2 * levels for used, levels in searches)
-        assert calls[0] == sum(used for used, _ in searches) + 4
+        assert all(used <= 2 * levels + 2 for used, levels in searches)
+        assert sweeps[0] == sum(used for used, _ in searches) + 4
+        one_sweep = sweeps[0]
+        monkeypatch.setattr(linalg, "_STACK_CELLS", 64)
+        assert run_scenario(cfg).to_json() == whole
+        assert sweeps[0] - one_sweep > one_sweep
 
 
 @pytest.mark.parametrize("seed,n,q", [(0, 3, 5), (1, 3, 5), (23, 3, 5), (1729, 3, 5),

@@ -70,7 +70,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import accumulate, chain, combinations
 from math import comb, gcd, lcm
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
@@ -934,15 +934,14 @@ def spanning_by_size(stacks: Sequence[Matrix], counts: Sequence[int], max_size: 
         a[group, at] = S.data
         rows, ranks = _swept(f, a)
         # bound[b, e]: the rank of group b plus the e largest ranks of the groups after it
-        after = -np.sort(-np.triu(np.broadcast_to(ranks, (count, count)), 1), axis=1)[:, :max_size]
-        bound = np.repeat(ranks[:, None], max_size + 1, axis=1)
-        bound[:, 1:after.shape[1] + 1] += after.cumsum(axis=1)
+        dims = ranks.tolist()
+        bound = np.array([list(accumulate(sorted(dims[b + 1:], reverse=True)[:max_size], initial=d))
+                          + [0] * (max_size + b + 1 - count) for b, d in enumerate(dims)],
+                         np.int64).reshape(count, max_size + 1)
         groups.append((rows[:, :ranks.max(initial=0)], ranks, bound))
         level.append((f.zeros((1, 0, S.cols)), np.zeros(1, np.int64)))
     last = np.array([-1])
     for k in range(1, max_size + 1):
-        if not last.size:
-            break
         parent, j = np.nonzero(np.arange(count) > last[:, None])
         avail = count - 1 - j
         most = np.minimum(max_size - k, avail)
@@ -950,6 +949,8 @@ def spanning_by_size(stacks: Sequence[Matrix], counts: Sequence[int], max_size: 
                                        for (_, ranks), (_, _, bound), S in zip(level, groups, stacks)])
         tally(decided, k, avail[~reach])  # no subset of the branch can span
         parent, j, avail, most = parent[reach], j[reach], avail[reach], most[reach]
+        if not j.size:
+            break
         grown = []
         for (P, ranks), (T, dims, _), S in zip(level, groups, stacks):
             ranks = ranks[parent]

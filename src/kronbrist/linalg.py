@@ -714,14 +714,16 @@ def _rref_stack(a: np.ndarray, p: int):
     pivots = np.zeros((count, min(m, n)), np.int64)
     live, start, rows = np.arange(count), 0, np.arange(m)
     for r in range(min(m, n)):
-        nonzero = (R[live, r:, start:] != 0).transpose(0, 2, 1).reshape(live.size, (m - r) * (n - start))
-        first = nonzero.argmax(axis=1)
-        found = nonzero[np.arange(live.size), first]
-        live, first = live[found], first[found]
-        if not live.size:
+        # each member's open entries read column by column and scored from
+        # the first down: its best nonzero score marks its pivot
+        width = (m - r) * (n - start)
+        best = ((R[live, r:, start:] != 0).transpose(0, 2, 1).reshape(live.size, width)
+                * np.arange(width, 0, -1)).max(axis=1)
+        found = best > 0
+        if not found.any():
             break
-        c, i = np.divmod(first, m - r)
-        c, i, at = c + start, i + r, np.arange(live.size)
+        c, i = np.divmod(width - best[found], m - r)
+        live, c, i, at = live[found], c + start, i + r, np.arange(np.count_nonzero(found))
         y = R[live, i]
         R[live, i] = R[live, r]
         piv = y[at, c]

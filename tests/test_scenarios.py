@@ -44,8 +44,9 @@ QUICK_OVERRIDES = {
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 GOLDEN_MODULE = "tests/data/dim32_bristled.kron"
-# the subset searches at the configs of the ``subsets`` benchmark, and one
-# larger n = 2 search; rendered before the searches were made incremental
+# the subset searches at the configs of the ``subsets`` benchmark and two
+# larger n = 2 searches, the last (98 304 subsets) the largest the cap
+# admits; each was rendered before a rewrite of the search
 SEARCH_GOLDENS = {
     "opt-taub1-n4-q2": ("opt-taub1", {"n": 4, "field": GF(2)}),
     "optimality-I3-n3-q3": ("optimality-I3", {"n": 3, "field": GF(3)}),

@@ -42,7 +42,7 @@ from .bristles import (
     is_saturated,
     maximal_bristled_submodule,
 )
-from .families import INF, n2_bristle_generator, n2_preinjective, preinjective, preprojective
+from .families import n2_bristle_generator, n2_preinjective, preinjective, preprojective
 from .cover import CoverRep, build_ball_rep, build_mu_bristle_rep, build_tau_bristle_rep, push_down
 from .modfile import ModuleFileError, parse_module_file
 from .scenarios import ScenarioConfig, default_config, run_scenario

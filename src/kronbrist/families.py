@@ -1,13 +1,12 @@
 """Named module families: the two countable series outside the regular part,
-and the explicit two-arrow family with its geometric-series generators.
+and the explicit two-arrow family with one generator per projective point,
+the point's image on the rational normal curve.
 """
 
 from __future__ import annotations
 
-from typing import Union
-
-from .bristles import bristle_point
-from .linalg import FieldSpec, Matrix, Scalar
+from .bristles import BristlePoint
+from .linalg import FieldSpec, Matrix
 from .modules import (
     KroneckerModule,
     ar_translate,
@@ -15,17 +14,6 @@ from .modules import (
     injective_module,
     simple_module,
 )
-
-
-class _Infinity:
-    """Distinguished tag for the slope-infinity bristle index (not a scalar);
-    ``INF`` is its one instance."""
-
-    def __repr__(self):
-        return "inf"
-
-
-INF = _Infinity()
 
 
 _PREINJECTIVES: dict = {}  # (n, field, t mod 2) -> [I_{t mod 2}, I_{t mod 2 + 2}, ...]
@@ -73,25 +61,13 @@ def n2_preinjective(t: int, field: FieldSpec) -> KroneckerModule:
     return KroneckerModule(2, field, t + 1, t, (a1, a2))
 
 
-def n2_bristle_generator(t: int, c: Union[Scalar, _Infinity], field: FieldSpec) -> tuple:
-    """Vector of n2_preinjective(t) generating the bristle of slope c.
+def n2_bristle_generator(t: int, point: BristlePoint, field: FieldSpec) -> tuple:
+    """Vector of n2_preinjective(t) generating the bristle at the point (a:b).
 
-    For a scalar c this is the geometric series (1, c, c^2, ..., c^t); the
-    INF tag selects the last basis vector e_t instead.
+    It is the point's image (a^t, a^(t-1) b, ..., b^t) on the degree-t
+    rational normal curve: the geometric series (1, c, ..., c^t) at (1:c),
+    and e_t at (0:1).  Any t + 1 distinct points give independent vectors
+    (a Vandermonde determinant).
     """
-    if c is INF:
-        return tuple(field.one() if i == t else field.zero() for i in range(t + 1))
-    c = field.normalize(c)
-    out = []
-    acc = field.one()
-    for _ in range(t + 1):
-        out.append(acc)
-        acc = field.mul(acc, c)
-    return tuple(out)
-
-
-def n2_bristle_index_to_point(c: Union[Scalar, _Infinity], field: FieldSpec):
-    """Slope index c (or INF) as a projective point (1:c) resp. (0:1)."""
-    if c is INF:
-        return bristle_point(2, field, [field.zero(), field.one()])
-    return bristle_point(2, field, [field.one(), field.normalize(c)])
+    a, b = point.coords
+    return tuple(field.normalize(a ** (t - i) * b ** i) for i in range(t + 1))

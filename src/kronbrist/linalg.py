@@ -6,8 +6,8 @@ over GF(p) int64 in [0, p) over 1; over Q an object array of Python ints
 in lowest terms with its denominator, so equal matrices hold equal
 integers.  Entries are converted only on the way in (``FieldSpec.array``,
 ``from_rows``; a raw ``Matrix(...)`` is checked) and out (``row``,
-``apply``, coordinates: Python ``int`` or ``Fraction``, never numpy
-scalars).  Values are immutable and operations pure.
+``apply``: Python ``int`` or ``Fraction``, never numpy scalars).  Values
+are immutable and operations pure.
 
 Each operation is one integer expression for both fields.  A product
 multiplies the arrays and the denominators; stacking and block placement
@@ -815,13 +815,6 @@ class Subspace:
         if A.cols != self.ambient_dim or A.field != self.field:
             raise DimensionMismatch("rows live in a different ambient space")
         return not np.count_nonzero(self._residual(A.data))
-
-    def coordinates(self, v: Sequence) -> Optional[Vector]:
-        """Coordinates of v in the RREF basis, or None if v is outside."""
-        num, d = self.field.array(v)
-        if np.count_nonzero(self._residual(num[None])):
-            return None
-        return tuple(_scalars(self.field, num[list(self.pivot_cols)], d))
 
     def contains(self, other: "Subspace") -> bool:
         self._check_compatible(other)

@@ -50,7 +50,7 @@ from .cover import (
     w_component,
     y_component,
 )
-from .families import INF, n2_bristle_generator, n2_bristle_index_to_point, n2_preinjective, preinjective
+from .families import n2_bristle_generator, n2_preinjective, preinjective
 from .linalg import (FieldSpec, Matrix, Subspace, kernel_basis, place_blocks, spanning_by_size,
                      subset_ranks, subspace_sum)
 from .modules import (
@@ -66,6 +66,7 @@ from .modules import (
     ext1_dim,
     find_isomorphism,
     hom_basis,
+    hom_dim,
     is_faithful,
     is_generated_by,
     layers,
@@ -211,11 +212,11 @@ def _scn_optimality_i3(cfg: ScenarioConfig) -> List[Check]:
     _require_finite(cfg)
     _require_wild(cfg)
     n, f = cfg.n, cfg.field
-    pts = enumerate_bristles(n, f)
-    total = comb(len(pts), n + 1)
+    points = bristle_points(n, f)
+    total = comb(points.rows, n + 1)
     _subset_cap(total, cfg)
     I3 = preinjective(n, 3, f)
-    X, Y, counts = bristle_images(bristle_points(n, f), I3)
+    X, Y, counts = bristle_images(points, I3)
     spanning, decided = spanning_by_size((X, Y), counts, n + 1)
     checks = [
         Check("b0-generates-I3",
@@ -244,9 +245,6 @@ def _scn_opt_taub1(cfg: ScenarioConfig) -> List[Check]:
     X, Y, counts = bristle_images(bristle_points(n, f).select_rows(others), T)
     spanning, decided = spanning_by_size((X, Y), counts, n + 1)
     b1prime = [bristle(p) for p in canonical_set("B1prime", n, f)]
-    homs = dict(bristle_hom_dims(bristle_points(n, f), T))
-    hom_self = homs.pop(pts.index(b1pt))
-    hom_others = sorted(set(homs.values()))
     return [
         Check("taub1-dims",
               "the translate of the first unit bristle has dimension vector Phi(1,1)",
@@ -259,10 +257,10 @@ def _scn_opt_taub1(cfg: ScenarioConfig) -> List[Check]:
               0, spanning[n + 1], details={"subsets_tested": decided[n + 1]}),
         Check("hom-b1-into-taub1",
               "maps from the unit-1 bristle into its translate span n-1 dimensions",
-              n - 1, hom_self),
+              n - 1, hom_dim(bristle(b1pt), T)),
         Check("hom-others-into-taub1",
               "maps from any other bristle into the translate span n-2 dimensions",
-              [n - 2], hom_others),
+              [n - 2], sorted(set(counts))),
     ]
 
 
@@ -272,7 +270,6 @@ def _scn_n2_generation(cfg: ScenarioConfig) -> List[Check]:
     f = cfg.field
     pts = enumerate_bristles(2, f)
     _subset_cap(2 ** len(pts) * (cfg.t_max + 1), cfg)
-    indices = list(f.elements()) + [INF]
     checks = []
     for t in range(cfg.t_max + 1):
         It = n2_preinjective(t, f)
@@ -287,7 +284,7 @@ def _scn_n2_generation(cfg: ScenarioConfig) -> List[Check]:
             "a two-arrow preinjective of index t is generated by a bristle subset "
             "exactly when the subset has more than t elements",
             0, violations, details={"subsets": 2 ** len(pts)}))
-        vecs = [n2_bristle_generator(t, c, f) for c in indices]
+        vecs = [n2_bristle_generator(t, p, f) for p in pts]
         gens = Matrix.from_rows(f, [list(v) for v in vecs], cols=t + 1)
         vand_bad = sum(r != t + 1 for r in subset_ranks(gens, t + 1))
         checks.append(Check(
@@ -295,8 +292,7 @@ def _scn_n2_generation(cfg: ScenarioConfig) -> List[Check]:
             "geometric-series generators for distinct slopes are linearly independent",
             0, vand_bad))
         if t >= 1:
-            type_bad = sum(bristle_type_of(It, u) != n2_bristle_index_to_point(c, f)
-                           for c, u in zip(indices, vecs))
+            type_bad = sum(bristle_type_of(It, u) != p for p, u in zip(pts, vecs))
             checks.append(Check(
                 f"generator-types-t{t}",
                 "the slope-c generator spans a bristle of slope c",

@@ -18,10 +18,15 @@ tau/tau^- round trips; the library translates by tau alone.
 its projective points, where the library asks only whether the bristles
 generate.  ``bristle_type_by_images`` reads the type of a bristle vector
 one image at a time, through ``apply``, ``from_spanning`` and
-``coordinates`` (the library forms all images with one product), and
+``coordinates``, a vector's coordinates in the RREF basis of a subspace
+(the library forms all images with one product), and
 ``find_isomorphism_by_sums`` draws the isomorphism candidates as sums of
 scaled basis morphisms, entry by entry (the library multiplies the
-coefficient row by the stacked basis).
+coefficient row by the stacked basis).  ``n2_generator_by_slope`` gives the
+generator of the two-arrow family by the slope of the bristle, the
+geometric series of a scalar slope and the last basis vector for the
+infinite one (the library reads it off the point's image on the rational
+normal curve, with no special case).
 
 ``kron_fixture`` reads a module from ``tests/data``, and
 ``write_module_file`` is the canonical writer that ``parse_module_file`` is
@@ -166,7 +171,31 @@ def bristle_type_by_images(M: KroneckerModule, u: Sequence) -> Optional[BristleP
         return None
     gen = next(w for w in images if any(x != 0 for x in w))
     line = Subspace.from_spanning(M.field, M.dim2, [gen])
-    return bristle_point(M.n, M.field, [line.coordinates(w)[0] for w in images])
+    return bristle_point(M.n, M.field, [coordinates(line, w)[0] for w in images])
+
+
+def coordinates(U: Subspace, v: Sequence) -> Optional[tuple]:
+    """Coordinates of v in the RREF basis of U, or None if v is outside:
+    the basis is the identity on the pivot columns, so the only candidates
+    are the entries of v there, and v is inside when they recombine to v."""
+    w = Matrix.from_rows(U.field, [list(v)], cols=U.ambient_dim)
+    coords = tuple(w.row(0)[c] for c in U.pivot_cols)
+    if Matrix.from_rows(U.field, [list(coords)], cols=U.dim) @ U.basis != w:
+        return None
+    return coords
+
+
+def n2_generator_by_slope(t: int, slope, field: FieldSpec) -> tuple:
+    """The vector of ``n2_preinjective(t)`` generating the bristle of the
+    given slope: (1, c, c^2, ..., c^t) for a scalar slope c, the point (1:c),
+    and e_t for the slope None, the point (0:1) at infinity."""
+    if slope is None:
+        return tuple(field.one() if i == t else field.zero() for i in range(t + 1))
+    out, acc = [], field.one()
+    for _ in range(t + 1):
+        out.append(acc)
+        acc = field.mul(acc, field.normalize(slope))
+    return tuple(out)
 
 
 def _combination(field: FieldSpec, coeffs: Sequence, mats: Sequence[Matrix]) -> Matrix:

@@ -1,17 +1,17 @@
 """Family constructors: the preinjective/preprojective series and the
-explicit two-arrow family with its geometric-series generators.
+explicit two-arrow family with one generator per projective point.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
 from kronbrist import families
-from kronbrist.bristles import bristle, enumerate_bristles
+from kronbrist.bristles import bristle, bristle_point, bristle_type_of, enumerate_bristles
 from kronbrist.families import (
-    INF,
     n2_bristle_generator,
-    n2_bristle_index_to_point,
     n2_preinjective,
     preinjective,
     preprojective,
@@ -31,7 +31,9 @@ from kronbrist.modules import (
     simple_module,
 )
 
-F2, F3, F5 = GF(2), GF(3), GF(5)
+from oracles import n2_generator_by_slope
+
+F2, F3, F5, F7 = GF(2), GF(3), GF(5), GF(7)
 
 
 class TestPreinjectives:
@@ -162,17 +164,38 @@ class TestTwoArrowFamily:
 
     def test_generator_endpoints(self):
         f = F5
-        assert n2_bristle_generator(2, 0, f) == (1, 0, 0)
-        assert n2_bristle_generator(2, INF, f) == (0, 0, 1)
-        assert n2_bristle_generator(3, 2, f) == (1, 2, 4, 3)
+        assert n2_bristle_generator(2, bristle_point(2, f, [1, 0]), f) == (1, 0, 0)
+        assert n2_bristle_generator(2, bristle_point(2, f, [0, 1]), f) == (0, 0, 1)
+        assert n2_bristle_generator(3, bristle_point(2, f, [1, 2]), f) == (1, 2, 4, 3)
+        assert n2_bristle_generator(3, bristle_point(2, f, [3, 1]), f) == (1, 2, 4, 3)  # (3:1) = (1:2)
 
     def test_vandermonde_independence(self):
+        # any t + 1 of the four points of P^1(GF(3)) give independent generators
         f = F3
         t = 2
-        vecs = [n2_bristle_generator(t, c, f) for c in (0, 1, 2, INF)]
-        for triple in ((0, 1, 2), (0, 1, 3), (1, 2, 3)):
+        vecs = [n2_bristle_generator(t, p, f) for p in enumerate_bristles(2, f)]
+        for triple in ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)):
             M = Matrix.from_rows(f, [list(vecs[i]) for i in triple], cols=t + 1)
             assert rank(M) == t + 1
+
+    @pytest.mark.parametrize("field,points", [
+        (F2, None), (F3, None), (F5, None), (F7, None),
+        (QQ, [[0, 1], [1, 0], [1, 1], [1, -1], [2, 3], [-3, 1], [1, Fraction(-2, 5)]]),
+    ], ids=["gf(2)", "gf(3)", "gf(5)", "gf(7)", "q"])
+    def test_generator_is_the_slope_oracle_and_spans_its_point(self, field, points):
+        """At every point the generator is the slope route's vector, the
+        geometric series at (1:c) and e_t at (0:1), and for t >= 1 it spans
+        the bristle of that very point."""
+        pts = enumerate_bristles(2, field) if points is None else \
+            [bristle_point(2, field, c) for c in points]
+        for p in pts:
+            slope = p.coords[1] if p.coords[0] else None
+            for t in range(7):
+                gen = n2_bristle_generator(t, p, field)
+                assert gen == n2_generator_by_slope(t, slope, field)
+                assert all(type(x) is type(field.one()) for x in gen)  # exact, no numpy scalars
+                if t >= 1:
+                    assert bristle_type_of(n2_preinjective(t, field), gen) == p
 
     def test_generation_cutoff_gf2(self):
         f = F2
@@ -180,8 +203,3 @@ class TestTwoArrowFamily:
         mods = [bristle(p) for p in pts]  # all three bristles over GF(2)
         assert is_generated_by(mods, n2_preinjective(2, f))
         assert not is_generated_by(mods, n2_preinjective(3, f))
-
-    def test_index_points(self):
-        f = F3
-        assert n2_bristle_index_to_point(2, f).coords == (1, 2)
-        assert n2_bristle_index_to_point(INF, f).coords == (0, 1)

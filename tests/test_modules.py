@@ -62,7 +62,7 @@ from kronbrist.modules import (
     zero_module,
 )
 
-from oracles import projective_module, tau_minus, trace_submodule
+from oracles import coordinates, projective_module, tau_minus, trace_submodule
 
 F5 = GF(5)
 F2 = GF(2)
@@ -728,7 +728,7 @@ class TestPythonScalars:
         A = Matrix.from_rows(field, [[1, 2, 0], [0, 1, 1]])
         image = A.apply((1, 1, 1))
         U = Subspace.from_spanning(field, 3, [(1, 2, 0), (0, 1, 1)])
-        coords = U.coordinates((1, 3, 1))
+        coords = coordinates(U, (1, 3, 1))
         for values in (image, coords, A.row(1)):
             assert all(type(v) is scalar for v in values), values
         assert all(type(c) is int for c in U.pivot_cols)

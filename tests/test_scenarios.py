@@ -1,6 +1,7 @@
 """Scenario harness: every catalog entry passes on its default config and
-reproduces its golden report byte for byte, reports are byte-stable, and the
-CLI honors the documented exit codes.
+reproduces its golden report byte for byte, also when each preinjective it
+asks for comes in new bases; reports are byte-stable, and the CLI honors
+the documented exit codes.
 """
 
 from __future__ import annotations
@@ -8,6 +9,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import random
 import subprocess
 import sys
 from itertools import combinations
@@ -17,14 +19,16 @@ from pathlib import Path
 import pytest
 
 from kronbrist import linalg, scenarios
-from kronbrist.bristles import bristle, canonical_set, enumerate_bristles, is_saturated, unit_point
+from kronbrist.bristles import (bristle, bristle_points, canonical_set, enumerate_bristles,
+                                is_saturated, unit_point)
 from kronbrist.cli import main as cli_main
 from kronbrist.families import preinjective
-from kronbrist.linalg import GF, QQ, InternalCheckFailed, Matrix, Subspace
+from kronbrist.linalg import GF, QQ, InternalCheckFailed, Matrix, Subspace, rank
 from kronbrist.modules import (
     KroneckerModule,
     SubmodulePair,
     ar_translate,
+    bristle_hom_dims,
     end_dim,
     is_faithful,
     is_generated_by,
@@ -321,6 +325,58 @@ def test_saturated_faithful_counts_do_not_depend_on_test_order(seed, n, q):
             found += 1
             bad += not is_faithful(M)
     assert (check.details["saturated_bricks_found"], check.computed) == (found, bad)
+
+
+@pytest.mark.parametrize("n,q", [(3, 2), (3, 3), (4, 2), (4, 3)])
+def test_opt_taub1_homs_match_the_sweep_over_all_points(monkeypatch, n, q):
+    """``hom-b1-into-taub1`` (one Hom system) and ``hom-others-into-taub1``
+    (the counts of the search's own bristle images) equal the dimensions
+    ``bristle_hom_dims`` gives over all points.  The search is stubbed and
+    the cap lifted, since n = 4 over GF(3) has 575 757 subsets and only the
+    Hom checks are compared."""
+    f = GF(q)
+    monkeypatch.setattr(scenarios, "_subset_cap", lambda total, cfg: None)
+    monkeypatch.setattr(scenarios, "spanning_by_size",
+                        lambda stacks, counts, max_size: ([0] * (max_size + 1),) * 2)
+    checks = {c.name: c for c in run_scenario(default_config("opt-taub1", n=n, field=f)).checks}
+    T = ar_translate(bristle(unit_point(n, f, 1)))
+    homs = dict(bristle_hom_dims(bristle_points(n, f), T))
+    hom_self = homs.pop(enumerate_bristles(n, f).index(unit_point(n, f, 1)))
+    assert checks["hom-b1-into-taub1"].computed == hom_self == n - 1
+    assert checks["hom-others-into-taub1"].computed == sorted(set(homs.values())) == [n - 2]
+
+
+def _random_invertible(field, d, rng):
+    """A d x d matrix with entries drawn from rng, drawn again until invertible."""
+    while True:
+        g = Matrix.from_rows(field, [[rng.randrange(field.order) for _ in range(d)]
+                                     for _ in range(d)], cols=d)
+        if rank(g) == d:
+            return g
+
+
+@pytest.mark.parametrize("name", ["main-theorem-a", "optimality-I3", "n2-classification",
+                                  "bristled-layers", "cover-equalities",
+                                  "indecomposable-generator", "n2-generation"])
+def test_reports_do_not_depend_on_the_basis_of_each_preinjective(monkeypatch, name):
+    """Every I_t a scenario asks for comes in new bases at both vertices,
+    alpha -> g2 alpha h1 with seeded random invertible g2 and h1, drawn
+    anew at each call: the report is the golden one byte for byte, so no
+    scenario reads an entry of I_t's canonical basis."""
+    rng = random.Random(f"rebased:{name}")
+    pairs = []
+
+    def rebased_preinjective(n, t, field):
+        M = preinjective(n, t, field)
+        g2, h1 = _random_invertible(field, M.dim2, rng), _random_invertible(field, M.dim1, rng)
+        rebased = KroneckerModule(n, field, M.dim1, M.dim2, tuple(g2 @ a @ h1 for a in M.alphas))
+        pairs.append((M, rebased))
+        return rebased
+
+    monkeypatch.setattr(scenarios, "preinjective", rebased_preinjective)
+    assert run_scenario(default_config(name)).to_json() == \
+        (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+    assert any(M != rebased for M, rebased in pairs)
 
 
 class TestCli:

@@ -27,9 +27,10 @@ peeled columns of each block from one count, and only the blocks left
 with a core are eliminated, each through ``rank``.  ``sparse_block_kernels``
 gives every block's kernel from the same one peel: each block's core
 through ``rref``, then one back-substitution per peel batch over an array
-of all blocks' kernel vectors; the kernel of one system is its one-block
-case.  ``kernel_basis`` reads the canonical kernel of a dense matrix off
-one elimination of its columns in reverse order.
+of all blocks' kernel vectors, in gathers of at most a fixed number of
+cells; ``sparse_block_kernels(S, 1)[0]`` are the kernel rows of one system.
+``kernel_basis`` reads the canonical kernel of a dense matrix off one
+elimination of its columns in reverse order.
 
 Elimination never divides mid-way: it clears the pivot column c from each
 row x with pivot row y as piv * x - x[c] * y and puts the row back in lowest
@@ -194,9 +195,6 @@ class FieldSpec:
         except (TypeError, ValueError):  # no __index__, or b has no inverse mod p
             raise ValueError(f"{x!r} is not an element of GF({p}): entries must be "
                              f"integers or Fractions with denominator prime to {p}") from None
-
-    def add(self, a: Scalar, b: Scalar) -> Scalar:
-        return (a + b) % self.characteristic if self.is_finite else a + b
 
     def mul(self, a: Scalar, b: Scalar) -> Scalar:
         return (a * b) % self.characteristic if self.is_finite else a * b
@@ -690,6 +688,17 @@ def rank(A: Matrix) -> int:
     return rref(A).rank
 
 
+def _inverses(v: np.ndarray, p: int) -> np.ndarray:
+    """The inverses mod p of the nonzero entries of v, all at once: v^(p-2)
+    by repeated squaring, each product below p^2 < 2^62."""
+    inv, e = np.ones(v.size, np.int64), p - 2
+    while e:
+        if e & 1:
+            inv = inv * v % p
+        v, e = v * v % p, e >> 1
+    return inv
+
+
 def _rref_stack(a: np.ndarray, p: int):
     """Gauss-Jordan elimination over GF(p), in place, on every member a[k]
     of a (members, rows, cols) stack of entries in [0, p), each as
@@ -699,7 +708,7 @@ def _rref_stack(a: np.ndarray, p: int):
     rows are rows r onwards.  Its next pivot is ``_rref``'s: the first
     nonzero of the open rows read column by column, from the first column
     no member has passed.  That row is swapped into row r and scaled to
-    pivot 1 (by piv^(p-2), formed for all members by repeated squaring),
+    pivot 1 (by ``_inverses`` of all members' pivots at once),
     and every row x of the member is updated by ``_rref``'s rule
     x -> x - x[c] * y, on the columns from the step's first pivot column
     on (y is zero left of its own), with y written over its own update.  A
@@ -728,12 +737,7 @@ def _rref_stack(a: np.ndarray, p: int):
         R[live, i] = R[live, r]
         piv = y[at, c]
         if (piv != 1).any():
-            inv, e = np.ones(live.size, np.int64), p - 2
-            while e:
-                if e & 1:
-                    inv = inv * piv % p
-                piv, e = piv * piv % p, e >> 1
-            y = y * inv[:, None] % p
+            y = y * _inverses(piv, p)[:, None] % p
         start = int(c.min())
         U = R[live, :, start:]
         U -= U[at[:, None], rows, c[:, None] - start][:, :, None] * y[:, None, start:]
@@ -863,6 +867,8 @@ def subspace_sum(U: Subspace, *more: Subspace) -> Subspace:
 # the most cells one stacked sweep takes (8 MB of int64), so that a long
 # stack of members is reduced in bounded memory
 _STACK_CELLS = 2**20
+# the most cells (entries times vectors) one gather of ``_back_substitute`` takes (128 KB)
+_GATHER_CELLS = 2**14
 
 
 def _swept(field: FieldSpec, a: np.ndarray):
@@ -1122,8 +1128,8 @@ def sparse_block_kernels(S: SparseSystem, blocks: int):
     live in one array K[block, vector, column], with as many vectors per
     block as the largest block kernel has, padded with zero vectors.
     ``_back_substitute`` fills in the peeled columns of every block at
-    once, one pass per peel batch.  When all blocks have as many vectors,
-    the stacked rows are K itself, reshaped.
+    once, one pass per peel batch in bounded gathers.  When all blocks have
+    as many vectors, the stacked rows are K itself, reshaped.
     """
     f = S.field
     width = S.cols // blocks
@@ -1148,7 +1154,7 @@ def sparse_block_kernels(S: SparseSystem, blocks: int):
     # a block's free columns come after its core's vectors, in column order
     slot = core_rows[free_block] + np.arange(free.size) - np.searchsorted(free_block, free_block)
     K[free_block, slot, free - free_block * width] = 1
-    _back_substitute(S, P.batches, K, counts)
+    _back_substitute(S, P.batches, K)
     valid = np.arange(K.shape[1]) < counts[:, None]
     rows = K.reshape(blocks * K.shape[1], width) if valid.all() else K[valid]
     return Matrix._of(f, rows), counts.tolist()
@@ -1167,42 +1173,36 @@ def _pivot_row_entries(S: SparseSystem, batches: list):
     return np.argsort(at, kind="stable")[-row_start[-1]:].copy(), row_start
 
 
-def _back_substitute(S: SparseSystem, batches: list, K: np.ndarray, counts: np.ndarray):
+def _back_substitute(S: SparseSystem, batches: list, K: np.ndarray):
     """Fill in the peeled columns of the block kernels K[block, vector,
     column] of ``sparse_block_kernels``, last batch first: x_c = -(sum of
     a_rk x_k over k != c) / a_rc for the pivot a_rc of each row r of the
     batch.
 
     A batch gathers, at each entry of its rows, that column of the entry's
-    block's vectors, scales it by the entry and sums per row.  The gathers
-    take a run of rows at a time, no larger than the largest one a block's
-    own back-substitution would make: its vector count times its entries
-    in one batch.  Over GF(p) each product is reduced mod p before it is
-    summed, since at p near 2^31 a sum of a few products passes 2^63.  Over
-    Q each block's vectors are first scaled by the lcm of the batch's
-    pivots in that block, so the quotients are integers; a kernel vector
-    times a nonzero integer is still one.
+    block's vectors, scales it by the entry and sums per row, a run of
+    whole rows of at most ``_GATHER_CELLS`` cells (or one row) at a time;
+    each row's sum reads the same entries whatever the runs.  Over GF(p)
+    each product is reduced mod p before it is summed, since at p near
+    2^31 a sum of a few products passes 2^63, and the pivots are inverted
+    by ``_inverses``.  Over Q each block's vectors are first scaled by the
+    lcm of the batch's pivots in that block, so the quotients are integers;
+    a kernel vector times a nonzero integer is still one.
     """
     blocks, vectors, width = K.shape
     if not batches or not vectors:
         return
     f = S.field
+    step = max(_GATHER_CELLS // vectors, 1)  # entries in one gather
     entries, row_start = _pivot_row_entries(S, batches)
     batch_start = np.cumsum([0] + [batch.size for batch in batches])
     for t in reversed(range(len(batches))):
         r0, end = batch_start[t], batch_start[t + 1]
-        # a block's own back-substitution gathers its vectors at its entries
-        # in this batch; the largest such gather bounds the entries of one here
-        per_block = np.bincount(S.j[entries[row_start[r0]:row_start[end]]] // width, minlength=blocks)
-        cap = int((per_block * counts).max())
-        if not cap:  # every row of the batch lies in a block with no vector
-            continue
-        step = max(cap // vectors, 1)
         pivot_block, pivot_col = np.divmod(S.j[batches[t]], width)
         piv = S.v[batches[t]]
         if f.is_finite:
             p = f.characteristic
-            scale = np.array([pow(int(a), -1, p) for a in piv])
+            scale = _inverses(piv, p)
         else:
             order = np.argsort(pivot_block, kind="stable")
             present, starts = np.unique(pivot_block[order], return_index=True)
@@ -1231,16 +1231,10 @@ def _back_substitute(S: SparseSystem, batches: list, K: np.ndarray, counts: np.n
             r0 = r1
 
 
-def sparse_kernel_rows(S: SparseSystem) -> Matrix:
-    """A basis of {x : S x = 0} as matrix rows, not in canonical form: the
-    one-block case of ``sparse_block_kernels``."""
-    return sparse_block_kernels(S, 1)[0]
-
-
 def sparse_kernel(S: SparseSystem) -> Subspace:
     """Canonical basis of {x : S x = 0}, the same subspace as ``kernel_basis``
     of S written out densely."""
-    return Subspace.row_space(sparse_kernel_rows(S))
+    return Subspace.row_space(sparse_block_kernels(S, 1)[0])
 
 
 def joint_kernel(field: FieldSpec, dim: int, maps: Sequence[Matrix]) -> Subspace:

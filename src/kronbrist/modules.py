@@ -32,7 +32,6 @@ from .linalg import (
     sparse_block_kernels,
     sparse_block_ranks,
     sparse_kernel,
-    sparse_kernel_rows,
     sparse_rank,
 )
 
@@ -349,7 +348,7 @@ def is_generated_by(generators: Sequence[KroneckerModule], M: KroneckerModule) -
         if G.dims == (1, 1):
             points.append(_source(G))
             continue
-        k, F1, F2 = _hom_stacks(G, M, sparse_kernel_rows)
+        k, F1, F2 = _hom_stacks(G, M, lambda S: sparse_block_kernels(S, 1)[0])
         if k:
             images1.append(F1.transpose_blocks(k, 1).transpose())
             images2.append(F2.transpose_blocks(k, 1).transpose())
@@ -488,9 +487,10 @@ def find_isomorphism(M: KroneckerModule, N: KroneckerModule,
     """Tri-state isomorphism test.
 
     Certificates in the order tried: unequal dims (non-iso); M == N (iso); an
-    invertible Hom(M, N) basis element (iso); Hom(M, N) = 0 or dim Hom(M, N)
-    != dim Hom(N, M) (non-iso); an invertible one of `attempts` random
-    combinations of the basis (iso); otherwise unknown.
+    invertible Hom(M, N) basis element (iso); dim Hom(M, N) <= 1, whose one
+    basis element, if any, is then not invertible, nor is any multiple of it,
+    or dim Hom(M, N) != dim Hom(N, M) (non-iso); an invertible one of
+    `attempts` random combinations of the basis (iso); otherwise unknown.
 
     Each combination is one product, its coefficient row times the basis
     stacked as rows vec(f1) ++ vec(f2); only the certificate returned is
@@ -505,7 +505,7 @@ def find_isomorphism(M: KroneckerModule, N: KroneckerModule,
     for f1, f2 in zip(F1.split_rows(k), F2.split_rows(k)):
         if _invertible_pair(f1, f2):
             return IsoResult(ISO, Morphism._checked(M, N, f1, f2))
-    if not k or k != hom_dim(N, M):
+    if k <= 1 or k != hom_dim(N, M):
         return IsoResult(NON_ISO)
     rng = random.Random(0xA11CE)
     f, (d1, d2), t1 = M.field, M.dims, M.dim1 * M.dim1

@@ -50,7 +50,7 @@ from kronbrist.linalg import (
     joint_kernel,
     rank,
     spanning_by_size,
-    sparse_kernel_rows,
+    sparse_block_kernels,
     subspace_sum,
 )
 from kronbrist.modfile import parse_module_file
@@ -82,7 +82,7 @@ def trace_submodule(generators: Sequence[KroneckerModule], M: KroneckerModule) -
     vertex the column space of [F_1 | ... | F_k] over every Hom basis."""
     images1, images2 = [Matrix.zeros(M.field, M.dim1, 0)], [Matrix.zeros(M.field, M.dim2, 0)]
     for G in generators:
-        k, F1, F2 = _hom_stacks(G, M, sparse_kernel_rows)
+        k, F1, F2 = _hom_stacks(G, M, lambda S: sparse_block_kernels(S, 1)[0])
         if k:
             images1.append(F1.transpose_blocks(k, 1))
             images2.append(F2.transpose_blocks(k, 1))
@@ -204,7 +204,7 @@ def _combination(field: FieldSpec, coeffs: Sequence, mats: Sequence[Matrix]) -> 
     out = [[field.zero()] * cols for _ in range(rows)]
     for c, A in zip(coeffs, mats):
         for i in range(rows):
-            out[i] = [field.add(x, field.mul(field.normalize(c), y)) for x, y in zip(out[i], A.row(i))]
+            out[i] = [field.normalize(x + field.mul(field.normalize(c), y)) for x, y in zip(out[i], A.row(i))]
     return Matrix.from_rows(field, out, cols=cols)
 
 
@@ -224,7 +224,7 @@ def find_isomorphism_by_sums(M: KroneckerModule, N: KroneckerModule, attempts: i
     for fm in basis:
         if invertible(fm):
             return IsoResult(ISO, fm)
-    if not basis or len(basis) != hom_dim(N, M):
+    if len(basis) <= 1 or len(basis) != hom_dim(N, M):
         return IsoResult(NON_ISO)
     rng = random.Random(0xA11CE)
     f = M.field

@@ -27,7 +27,7 @@ from kronbrist.linalg import (
     hom_system,
     image_subspace,
     rank,
-    sparse_kernel_rows,
+    sparse_block_kernels,
     sparse_rank,
 )
 from kronbrist.modules import (
@@ -323,7 +323,7 @@ class TestExt:
         expected = [ext1_dim(M, N) for M, N in pairs]
         assert sum(e > 0 for e in expected) >= 10
         for name in ("hom_system", "hom_dim", "_hom_stacks", "sparse_rank", "sparse_kernel",
-                     "sparse_kernel_rows", "sparse_block_kernels", "sparse_block_ranks",
+                     "sparse_block_kernels", "sparse_block_ranks",
                      "Morphism", "SubmodulePair", "submodule_as_module"):
             monkeypatch.setattr(modules, name, forbidden)
         monkeypatch.setattr(linalg, "_peel", forbidden)
@@ -620,6 +620,17 @@ class TestIsoSearch:
         assert (hom_dim(M, N), hom_dim(N, M)) == (3, 4)
         assert find_isomorphism(M, N).status == NON_ISO
 
+    @pytest.mark.parametrize("field", [F5, QQ], ids=str)
+    def test_one_dimensional_hom_with_no_invertible_element_non_iso(self, field):
+        """M = S(1) + S(2) and N = B(1:2:3): equal dims, dim Hom(M, N) =
+        dim Hom(N, M) = 1, and the basis element is not invertible.  An
+        isomorphism g would give Hom(M, N) = g End(M) with g in it, so g
+        would be a multiple of that element: no random draw is needed."""
+        M = direct_sum(simple_module(3, field, 1), simple_module(3, field, 2))
+        N = B([1, 2, 3], field)
+        assert M.dims == N.dims and hom_dim(M, N) == hom_dim(N, M) == 1
+        assert find_isomorphism(M, N).status == NON_ISO
+
     def test_random_combinations_decide_when_no_basis_element_is_invertible(self):
         """M = B + B and N, M conjugated by an invertible (g1, g2): every
         element of the canonical Hom(M, N) basis has rank-one f1, so only the
@@ -666,8 +677,8 @@ def per_block_images(points, M):
     owner = S.j // width
     order = np.argsort(owner, kind="stable")
     bounds = np.searchsorted(owner[order], np.arange(1, points.rows))
-    kernels = [sparse_kernel_rows(SparseSystem(S.field, height, width, S.i[e] - b * height,
-                                               S.j[e] - b * width, S.v[e]))
+    kernels = [sparse_block_kernels(SparseSystem(S.field, height, width, S.i[e] - b * height,
+                                                 S.j[e] - b * width, S.v[e]), 1)[0]
                for b, e in enumerate(np.split(order, bounds))]
     H = kernels[0].vstack(*kernels[1:])
     X, Y = H.col_block(0, M.dim1), H.col_block(M.dim1, H.cols)
@@ -690,9 +701,9 @@ class TestBristleImages:
     def test_block_kernels_peak_no_higher_than_one_kernel_per_block(self):
         """The images of all 40 bristles at n = 4 over GF(3) in tau^2 B,
         from one peel, peak at most 1.1 times as high as with one kernel per
-        block: the back-substitution gathers a run of rows at a time, no
-        more than one block's own back-substitution would.  Gathering each
-        batch's rows at once peaks at about 1.5 times as high."""
+        block: the back-substitution gathers a run of rows at a time, of at
+        most ``linalg._GATHER_CELLS`` cells.  Gathering each batch's rows at
+        once peaks at about 1.5 times as high."""
         f = GF(3)
         M = ar_translate(ar_translate(bristle(unit_point(4, f, 1))))
         points = bristle_points(4, f)
@@ -701,6 +712,34 @@ class TestBristleImages:
         assert M.dims == (153, 41) and counts == [30] * 40
         assert traced_peak(modules.bristle_images, points, M) <= \
             1.1 * traced_peak(per_block_images, points, M)
+
+    def test_one_gather_per_peel_batch(self, monkeypatch):
+        """The sweep of all 13 bristles at n = 3 over GF(3) into I_3, the
+        one of optimality-I3, back-substitutes each of its 4 peel batches
+        with one gather and one sum (``np.add.reduceat``): no batch there
+        has more than ``linalg._GATHER_CELLS`` cells."""
+        sums, peels, real_peel = [], [], linalg._peel
+
+        class Add:  # np.add, its reduceat calls counted
+            def __getattr__(self, name):
+                return getattr(np.add, name)
+
+            def reduceat(self, *args, **kwargs):
+                sums.append(args[0].shape)
+                return np.add.reduceat(*args, **kwargs)
+
+        class Numpy:  # numpy as linalg sees it
+            add = Add()
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+        monkeypatch.setattr(linalg, "np", Numpy())
+        monkeypatch.setattr(linalg, "_peel", lambda S: peels.append(real_peel(S)) or peels[-1])
+        f = GF(3)
+        modules.bristle_images(bristle_points(3, f), preinjective(3, 3, f))
+        assert [len(P.batches) for P in peels] == [4]
+        assert len(sums) == 4, sums
 
 
 class TestCompose:

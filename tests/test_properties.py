@@ -89,7 +89,6 @@ from kronbrist.linalg import (  # noqa: E402
     sparse_block_kernels,
     sparse_block_ranks,
     sparse_kernel,
-    sparse_kernel_rows,
     sparse_rank,
     subspace_sum,
 )
@@ -345,7 +344,7 @@ def stacks(draw):
         elif kind == "deficient":
             rows = random_rows(draw(st.integers(2, 4)))
             a, b = draw(entry), draw(entry)
-            rows.append([field.add(field.mul(a, x), field.mul(b, y)) for x, y in zip(rows[0], rows[1])])
+            rows.append([field.normalize(field.mul(a, x) + field.mul(b, y)) for x, y in zip(rows[0], rows[1])])
         else:
             rows = [[0] * j + [1] + [draw(entry) for _ in range(cols - j - 1)] for j in range(cols)]
         rows = draw(st.permutations(rows))
@@ -526,7 +525,7 @@ def _sparse_matches_dense(S: SparseSystem):
     assert sparse_rank(S) == rank(A)
     assert sparse_kernel(S) == kernel_basis(A)
     # the unreduced rows are a basis of the same kernel
-    rows = sparse_kernel_rows(S)
+    rows = sparse_block_kernels(S, 1)[0]
     assert rank(rows) == rows.rows == kernel_basis(A).dim
     assert Subspace.row_space(rows) == kernel_basis(A)
 
@@ -609,12 +608,14 @@ def block_systems(draw):
 
 
 @settings(PROPERTY, max_examples=150)
-@given(block_systems())
-def test_block_kernels_span_each_dense_block_kernel(case):
+@given(block_systems(), st.integers(1, 12))
+def test_block_kernels_span_each_dense_block_kernel(case, cells):
     """One peel of a block-diagonal system gives, for each block, a basis
     of the kernel of that block written out densely, stacked in block
     order; zero-width blocks, blocks with no kernel and blocks of uneven
-    kernel sizes included."""
+    kernel sizes included.  With the back-substitution's gathers bounded
+    to ``cells`` cells, so that its batches are split into runs of a row
+    or a few, the rows and counts are the same."""
     field, w, blocks = case
     height = max(len(b) for b in blocks)
     rows = []
@@ -632,6 +633,9 @@ def test_block_kernels_span_each_dense_block_kernel(case):
         rows = H.select_rows(range(start, start + k))
         assert rank(rows) == k and Subspace.row_space(rows) == kernel_basis(written_out(dense))
         start += k
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "_GATHER_CELLS", cells)
+        assert sparse_block_kernels(S, len(blocks)) == (H, counts)
 
 
 def two_elimination_kernel(A: Matrix) -> Subspace:

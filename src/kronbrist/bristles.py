@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .linalg import FieldSpec, Matrix, Subspace
+from .linalg import FieldSpec, Matrix, Subspace, block_lines
 from .modules import (
     KroneckerModule,
     SubmodulePair,
@@ -139,20 +139,18 @@ def is_bristle_vector(M: KroneckerModule, u: Sequence) -> bool:
 
 
 def bristle_type_of(M: KroneckerModule, u: Sequence) -> Optional[BristlePoint]:
-    """The point indexing the bristle generated by u, or None when the
-    images of u do not span exactly one line.
+    """``bristle_types`` of the single vector u."""
+    return bristle_types(M, Matrix.from_rows(M.field, [list(u)], cols=M.dim1))[0]
 
-    One product forms the images: [u] [a_1; ...; a_n]^T read as n rows,
-    a_i u in row i.  Their row space is one line exactly when u is a bristle
-    vector, with a_i u = p_i w for the canonical w, which is 1 at its pivot;
-    so p_i is the entry of a_i u there.
-    """
-    images = (Matrix.from_rows(M.field, [list(u)], cols=M.dim1)
-              @ M.alphas[0].vstack(*M.alphas[1:]).transpose()).reshape(M.n, M.dim2)
-    line = Subspace.row_space(images)
-    if line.dim != 1:
-        return None
-    return bristle_point(M.n, M.field, images.transpose().row(line.pivot_cols[0]))
+
+def bristle_types(M: KroneckerModule, U: Matrix) -> list:
+    """For each row u of U, the point of the bristle u generates, or None
+    when a_1 u, ..., a_n u do not span one line.  One product gives them in
+    the row of u, read as a block of n rows (``block_lines``); for a bristle
+    vector a_i u = p_i w, so the block's first nonzero column is p."""
+    images = U @ M.alphas[0].vstack(*M.alphas[1:]).transpose()
+    return [None if col is None else bristle_point(M.n, M.field, col)
+            for col in block_lines(images.reshape(U.rows * M.n, M.dim2), M.n)]
 
 
 # -- bristled modules and saturation ------------------------------------------

@@ -894,6 +894,23 @@ def subset_ranks(A: Matrix, size: int) -> list:
     return _swept(A.field, A.data[picks])[1].tolist()
 
 
+def block_lines(A: Matrix, h: int) -> list:
+    """For each block of h rows x_i of A, its first nonzero column c as
+    scalars when the rows span one line, else None: exactly when c_i x_j =
+    c_j x_i for all i, j, as then every row is a multiple of one.  Over Q,
+    A's integers scale every entry alike.  No elimination is run."""
+    f, d = A.field, A.cols
+    blocks = A.data.reshape(A.rows // h, h, d)
+    # the first nonzero column: each block's nonzero columns scored from the first down
+    c = d - ((blocks != 0).any(axis=1) * np.arange(d, 0, -1)).max(axis=1, initial=0)
+    live = np.nonzero(c < d)[0]
+    col, B = blocks[live, :, c[live]], blocks[live]
+    minors = f.reduce(col[:, :, None, None] * B[:, None] - col[:, None, :, None] * B[:, :, None])
+    lines = ~(minors != 0).any(axis=(1, 2, 3))
+    found = dict(zip(live[lines].tolist(), _scalars(f, col[lines], A.den)))
+    return [found.get(b) for b in range(len(blocks))]
+
+
 def spanning_by_size(stacks: Sequence[Matrix], counts: Sequence[int], max_size: int):
     """(spanning, decided): for each size s <= max_size, how many s-subsets
     of the groups of rows span the whole space of every stack, and how many

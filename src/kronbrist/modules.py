@@ -339,8 +339,8 @@ def is_generated_by(generators: Sequence[KroneckerModule], M: KroneckerModule) -
     ``bristle_images``, one system and one guard for all of them; one with
     zero maps passes the guard too, as its images have x in the joint
     kernel.  Any other generator brings the columns of its basis maps,
-    checked by ``_hom_stacks``.  The stacked images at each vertex are
-    ranked as their nonzeros (``sparse_rank``); no canonical basis is formed.
+    checked by ``_hom_stacks``.  ``images_span`` ranks the stacked images at
+    each vertex; no canonical basis is formed.
     """
     images1, images2, points = [], [], []
     for G in generators:
@@ -354,8 +354,13 @@ def is_generated_by(generators: Sequence[KroneckerModule], M: KroneckerModule) -
             images2.append(F2.transpose_blocks(k, 1).transpose())
     if points:
         X, Y, _ = bristle_images(points[0].vstack(*points[1:]), M)
-        images1.append(X)
-        images2.append(Y)
+        images1, images2 = images1 + [X], images2 + [Y]
+    return images_span(M, images1, images2)
+
+
+def images_span(M: KroneckerModule, images1: Sequence[Matrix], images2: Sequence[Matrix]) -> bool:
+    """Whether the stacked rows of ``images1`` span M1 and those of
+    ``images2`` span M2, ranked as their nonzeros (``sparse_rank``)."""
     return all(sparse_rank(SparseSystem.of(M.field, d, images)) == d
                for d, images in ((M.dim1, images1), (M.dim2, images2)))
 

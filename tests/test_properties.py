@@ -35,6 +35,7 @@ same inputs.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -55,10 +56,12 @@ from kronbrist.bristles import (  # noqa: E402
     bristle_points,
     canonical_set,
     bristle_type_of,
+    bristle_types,
     enumerate_bristles,
     is_bristle_vector,
     is_bristled,
     is_saturated,
+    unit_point,
 )
 from kronbrist.cover import (  # noqa: E402
     _cover_hom_system,
@@ -73,7 +76,7 @@ from kronbrist.cover import (  # noqa: E402
     verify_cover_equalities,
     vertex_class,
 )
-from kronbrist import linalg  # noqa: E402
+from kronbrist import linalg, scenarios  # noqa: E402
 from kronbrist.linalg import (  # noqa: E402
     GF,
     QQ,
@@ -92,6 +95,7 @@ from kronbrist.linalg import (  # noqa: E402
     sparse_rank,
     subspace_sum,
 )
+from kronbrist.families import preinjective  # noqa: E402
 from kronbrist.modfile import parse_module_file  # noqa: E402
 from kronbrist.modules import (  # noqa: E402
     KroneckerModule,
@@ -107,6 +111,7 @@ from kronbrist.modules import (  # noqa: E402
     find_isomorphism,
     hom_basis,
     hom_dim,
+    images_span,
     is_generated_by,
     simple_module,
     zero_module,
@@ -1026,6 +1031,60 @@ def test_bristle_type_matches_the_image_by_image_route(case):
     assert is_bristle_vector(M, u) == (got is not None)
     if p is not None:
         assert got == bristle_point(M.n, M.field, p)
+
+
+@st.composite
+def bristle_vector_stacks(draw):
+    """(M, rows): M and its vector u from ``bristle_vector_cases``, and up to
+    seven vectors at vertex 1 in a random order: u, random ones (zero ones
+    among them) and, when u hides a bristle B_p, nonzero multiples of u."""
+    M, u, p = draw(bristle_vector_cases())
+    vectors = st.lists(entries(M.field), min_size=M.dim1, max_size=M.dim1)
+    rows = [list(u)] + draw(st.lists(vectors, max_size=4))
+    if p is not None:
+        for c in draw(st.lists(entries(M.field).filter(lambda x: x != 0), max_size=2)):
+            rows.append([M.field.mul(c, x) for x in u])
+    return M, draw(st.permutations(rows))
+
+
+@settings(PROPERTY, max_examples=120)
+@given(bristle_vector_stacks())
+@example((simple_module(3, GF(5), 1), [[1], [0]]))
+@example((KroneckerModule(2, QQ, 2, 0, (Matrix.zeros(QQ, 0, 2),) * 2), [[1, 0]]))
+def test_batched_types_match_the_image_by_image_route(case):
+    """``bristle_types`` reads a whole stack of vectors from one product and
+    gives, row by row, the point (or None) that the images read one vector
+    at a time give, and that ``bristle_type_of`` gives for each row alone."""
+    M, rows = case
+    got = bristle_types(M, Matrix.from_rows(M.field, rows, cols=M.dim1))
+    assert got == [bristle_type_by_images(M, u) for u in rows]
+    assert got == [bristle_type_of(M, u) for u in rows]
+
+
+@pytest.mark.parametrize("target", ["I3", "tauB1"])
+@pytest.mark.parametrize("n,q", [(3, 2), (3, 3), (3, 5), (4, 2), (4, 3), (4, 5)])
+def test_rows_of_the_all_points_images_span_as_the_generators_generate(target, n, q):
+    """For B0, B0prime, B1prime, B1prime without B1 and seeded random point
+    sets, the rows that one ``bristle_images`` over all points holds for
+    the set span M (``images_span``) exactly when ``is_generated_by``, with
+    its own system for the set's bristles alone, says they generate M.
+    M is the third preinjective or the translate of the unit-1 bristle,
+    and both answers occur."""
+    f = GF(q)
+    M = preinjective(n, 3, f) if target == "I3" else ar_translate(bristle(unit_point(n, f, 1)))
+    pts = enumerate_bristles(n, f)
+    X, Y, counts = bristle_images(bristle_points(n, f), M)
+    rng = random.Random(f"rows-span:{target}:{n}:{q}")
+    point_sets = [canonical_set(name, n, f) for name in ("B0", "B0prime", "B1prime")]
+    point_sets.append([p for p in point_sets[2] if p != unit_point(n, f, 1)])
+    point_sets += [rng.sample(pts, rng.randint(1, n + 3)) for _ in range(12)]
+    seen = set()
+    for chosen in point_sets:
+        X_S, Y_S = scenarios._point_rows((X, Y), counts, pts, chosen)
+        spans = images_span(M, [X_S], [Y_S])
+        assert spans == is_generated_by([bristle(p) for p in chosen], M)
+        seen.add(spans)
+    assert seen == {True, False}
 
 
 @st.composite

@@ -12,13 +12,14 @@ import os
 import random
 import subprocess
 import sys
+import time
 from itertools import combinations
 from math import comb
 from pathlib import Path
 
 import pytest
 
-from kronbrist import linalg, scenarios
+from kronbrist import bristles, linalg, scenarios
 from kronbrist.bristles import (bristle, bristle_points, canonical_set, enumerate_bristles,
                                 is_saturated, unit_point)
 from kronbrist.cli import main as cli_main
@@ -48,12 +49,16 @@ QUICK_OVERRIDES = {
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 GOLDEN_MODULE = "tests/data/dim32_bristled.kron"
-# the subset searches at the configs of the ``subsets`` benchmark and two
+# the subset searches at the configs of the ``subsets`` benchmark, two
 # larger n = 2 searches, the last (98 304 subsets) the largest the cap
-# admits; each was rendered before a rewrite of the search
+# admits, and two more optimality searches (3003 and 27 405 subsets); each
+# was rendered before a rewrite of the search or of how the scenario reads
+# its bristle images
 SEARCH_GOLDENS = {
     "opt-taub1-n4-q2": ("opt-taub1", {"n": 4, "field": GF(2)}),
+    "opt-taub1-n3-q5": ("opt-taub1", {"n": 3, "field": GF(5)}),
     "optimality-I3-n3-q3": ("optimality-I3", {"n": 3, "field": GF(3)}),
+    "optimality-I3-n4-q2": ("optimality-I3", {"n": 4, "field": GF(2)}),
     "n2-generation-q7-tmax3": ("n2-generation", {"field": GF(7), "t_max": 3}),
     "n2-generation-q11-tmax3": ("n2-generation", {"field": GF(11), "t_max": 3}),
     "n2-generation-q13-tmax5": ("n2-generation", {"field": GF(13), "t_max": 5}),
@@ -151,11 +156,27 @@ def test_finite_field_required():
 
 
 def test_subset_cap_refuses():
-    # 3 + 1 = 4-element subsets of the 31 GF(31)-...: use a big field so the
-    # count blows past the cap: (7^3-1)/6 = 57 bristles -> C(57,4) = 395010
+    # the n + 1 = 4-element subsets of the (7^3 - 1)/6 = 57 bristles over
+    # GF(7) number C(57, 4) = 395 010, past the cap
     cfg = default_config("optimality-I3", field=GF(7))
     with pytest.raises(ScenarioConfigError):
         run_scenario(cfg)
+
+
+@pytest.mark.parametrize("argv,count", [
+    (["n2-generation", "--q", "14293"], "over 2^14296 subsets"),
+    (["optimality-I3", "--n", "3", "--q", "1009"], "over 2^75 subsets"),
+    (["opt-taub1", "--n", "3", "--q", "1009"], "over 2^75 subsets"),
+    (["opt-taub1", "--n", "3", "--q", "7"], "367290 subsets")])
+def test_subset_cap_refuses_before_building_any_point(capsys, argv, count):
+    """The three searches count their subsets from (q^n - 1)/(q - 1) and
+    refuse with exit 2 within a second, before any point is enumerated; a
+    count past 64 bits is named by its power of two, as printing 2^14294
+    whole would raise (str() of an int refuses more than 4300 digits)."""
+    start = time.perf_counter()
+    assert cli_main(argv) == 2
+    assert time.perf_counter() - start < 1
+    assert f"error: {count} exceed the exhaustive-search cap" in capsys.readouterr().err
 
 
 class TestGenerates:
@@ -307,6 +328,33 @@ class TestGeneratingBySize:
         assert sweeps[0] - one_sweep > one_sweep
 
 
+@pytest.mark.parametrize("name,images", [("opt-taub1-n4-q2", 1), ("optimality-I3-n3-q3", 1),
+                                         ("n2-generation-q7-tmax3", 4)])
+def test_searches_read_every_check_from_one_bristle_images(monkeypatch, name, images):
+    """The items of the ``subsets`` benchmark render their golden reports
+    with ``is_generated_by``, ``hom_dim`` and the one-vector
+    ``bristle_type_of`` made to raise: each check reads the one
+    ``bristle_images`` over all points that the run makes (one per t in
+    ``n2-generation``, t = 0..3)."""
+    cfg = _golden_config(name)
+    calls, real = [], scenarios.bristle_images
+
+    def counting(points, M):
+        calls.append(points.rows)
+        return real(points, M)
+
+    def refused(*args):
+        raise AssertionError("a check built its own Hom system or image product")
+
+    monkeypatch.setattr(scenarios, "bristle_images", counting)
+    monkeypatch.setattr(scenarios, "is_generated_by", refused)
+    monkeypatch.setattr(scenarios, "hom_dim", refused, raising=False)
+    monkeypatch.setattr(scenarios, "bristle_type_of", refused, raising=False)
+    monkeypatch.setattr(bristles, "bristle_type_of", refused)
+    assert run_scenario(cfg).to_json() == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+    assert calls == [len(enumerate_bristles(cfg.n, cfg.field))] * images
+
+
 @pytest.mark.parametrize("seed,n,q", [(0, 3, 5), (1, 3, 5), (23, 3, 5), (1729, 3, 5),
                                       (1, 2, 3), (5, 2, 2)])
 def test_saturated_faithful_counts_do_not_depend_on_test_order(seed, n, q):
@@ -329,13 +377,13 @@ def test_saturated_faithful_counts_do_not_depend_on_test_order(seed, n, q):
 
 @pytest.mark.parametrize("n,q", [(3, 2), (3, 3), (4, 2), (4, 3)])
 def test_opt_taub1_homs_match_the_sweep_over_all_points(monkeypatch, n, q):
-    """``hom-b1-into-taub1`` (one Hom system) and ``hom-others-into-taub1``
-    (the counts of the search's own bristle images) equal the dimensions
-    ``bristle_hom_dims`` gives over all points.  The search is stubbed and
-    the cap lifted, since n = 4 over GF(3) has 575 757 subsets and only the
-    Hom checks are compared."""
+    """``hom-b1-into-taub1`` and ``hom-others-into-taub1``, both read from
+    the counts of the scenario's one ``bristle_images`` over all points,
+    equal the dimensions ``bristle_hom_dims`` gives over all points.  The
+    search is stubbed and the cap lifted, since n = 4 over GF(3) has
+    575 757 subsets and only the Hom checks are compared."""
     f = GF(q)
-    monkeypatch.setattr(scenarios, "_subset_cap", lambda total, cfg: None)
+    monkeypatch.setattr(scenarios, "_subset_cap", lambda count: count)
     monkeypatch.setattr(scenarios, "spanning_by_size",
                         lambda stacks, counts, max_size: ([0] * (max_size + 1),) * 2)
     checks = {c.name: c for c in run_scenario(default_config("opt-taub1", n=n, field=f)).checks}

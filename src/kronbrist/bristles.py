@@ -5,7 +5,8 @@ A bristle is determined by a nonzero coefficient tuple up to scaling; points
 are normalized so the first nonzero coordinate is 1, making equality a plain
 tuple comparison.  Enumeration over a finite field is exhaustive and in
 lexicographic order of the normalized coordinates, so downstream reports are
-reproducible byte for byte.
+reproducible byte for byte.  Saturation is read from the bilinear form and
+the Hom dimension of every bristle into the module itself.
 """
 
 from __future__ import annotations
@@ -15,14 +16,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .linalg import FieldSpec, Matrix, Subspace, block_lines
+from .linalg import FieldSpec, InternalCheckFailed, Matrix, Subspace, block_lines
 from .modules import (
     KroneckerModule,
     SubmodulePair,
-    ar_translate,
     bristle_hom_dims,
     bristle_images,
-    dual,
+    euler_form,
 )
 
 
@@ -170,34 +170,32 @@ def is_bristled(M: KroneckerModule) -> bool:
 
 
 def form_forces_extensions(M: KroneckerModule) -> bool:
-    """True iff (n - 1) dim2 > dim1, which forces Ext^1(B, M) > 0 for every
-    bristle B: hom - ext = <(1, 1), dim M> = dim1 - (n - 1) dim2, and
-    hom >= 0.  Such an M is not saturated."""
-    return (M.n - 1) * M.dim2 > M.dim1
+    """True iff <(1, 1), dim M> = dim1 - (n - 1) dim2 < 0, which forces Ext^1(B, M) > 0
+    for every bristle B, as hom - ext is that form and hom >= 0: M is not saturated."""
+    return euler_form((1, 1), M.dims, M.n) < 0
 
 
 def is_saturated(M: KroneckerModule) -> bool:
     """True iff Ext^1(B, M) = 0 for every bristle B over the (finite) field.
 
-    Two exact steps decide it.  First the bilinear form: when
-    ``form_forces_extensions(M)``, M is refused at once, with no Hom system
-    built.  Otherwise the Auslander-Reiten formula over a hereditary algebra,
-    Ext^1(B, M) = D Hom(tau^- M, B) (Assem, Simson and Skowronski, Elements of
-    the Representation Theory of Associative Algebras 1, Cor. IV.2.14), and
-    duality, Hom(tau^- M, B) = Hom(B, D tau^- M) as D B = B, turn each bristle's
-    Ext into a Hom from the bristle into D tau^- M = tau D M, translated once.
-    Its unknowns are the entries of tau^- M's two spaces, far fewer than M's
-    when M is preinjective.  One block system holds these Homs for all bristles
-    and is peeled once (``bristle_hom_dims``).  The test stops at the first
-    nonzero Hom: the bristles the peel decided come first, then the others in
-    enumeration order, so no core past that bristle is eliminated.  ext1_dim, by
-    the Hom system, and ext1_dim_via_resolution, by a projective presentation
-    with no Hom system, give the same numbers directly.
+    Over the hereditary Kronecker algebra hom(B, M) - ext(B, M) = <(1, 1), dim M>
+    = e (Assem, Simson and Skowronski, Elements of the Representation Theory of
+    Associative Algebras 1), so M is saturated iff hom(B, M) = e for every
+    bristle.  M with e < 0 is refused with no Hom system built.  Otherwise one
+    block system for all points is peeled once (``bristle_hom_dims``), and the
+    sweep stops at the first hom above e; one below e is a negative Ext, a bug,
+    so it raises InternalCheckFailed, as ``ext1_dim`` does.
     """
     if not M.field.is_finite:
         raise ValueError("saturation requires finite-field enumeration; "
                          "test ext1_dim against an explicit list instead")
-    if form_forces_extensions(M):
+    e = euler_form((1, 1), M.dims, M.n)
+    if e < 0:
         return False
-    X = ar_translate(dual(M))  # D tau^- M, as tau^- is D tau D
-    return all(d == 0 for _, d in bristle_hom_dims(bristle_points(M.n, M.field), X))
+    for _, d in bristle_hom_dims(bristle_points(M.n, M.field), M):
+        if d < e:
+            raise InternalCheckFailed(f"hom dim {d} below the bilinear form value {e}; "
+                                      "Ext cannot be negative")
+        if d > e:
+            return False
+    return True

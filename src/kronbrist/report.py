@@ -11,19 +11,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 SCHEMA = "kronbrist-report/1"
 
 
 def jsonable(value):
-    if isinstance(value, bool) or isinstance(value, int) or isinstance(value, str):
+    if value is None or isinstance(value, (int, str)):  # bool is an int
         return value
-    if value is None:
-        return None
-    if isinstance(value, Fraction):
-        return str(value)
     if isinstance(value, (list, tuple)):
         return [jsonable(v) for v in value]
     if isinstance(value, dict):

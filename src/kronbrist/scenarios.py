@@ -12,10 +12,11 @@ from __future__ import annotations
 import hashlib
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
 from math import comb
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, NoReturn, Optional
 
 from . import __version__
 from .bristles import (
@@ -134,13 +135,24 @@ def _require_two_arrows(cfg: ScenarioConfig) -> FieldSpec:
     return f
 
 
+def _refuse_subsets(shown) -> NoReturn:
+    raise ScenarioConfigError(f"{shown} subsets exceed the exhaustive-search cap {SUBSET_LIMIT}; "
+                              "refusing to sample a universally quantified claim")
+
+
 def _subset_cap(count: int) -> int:
     if count > SUBSET_LIMIT:  # past 64 bits named by its power of 2: str() stops at 4300 digits
-        shown = count if count.bit_length() <= 64 else f"over 2^{count.bit_length() - 1}"
-        raise ScenarioConfigError(
-            f"{shown} subsets exceed the exhaustive-search cap {SUBSET_LIMIT}; "
-            "refusing to sample a universally quantified claim")
+        _refuse_subsets(count if count.bit_length() <= 64 else f"over 2^{count.bit_length() - 1}")
     return count
+
+
+def _subsets(points: int, size: int) -> int:
+    """C(points, size), formed only when it has at most j log(points) <= 2^16 bits, j =
+    min(size, points - size); else refused as over 2^(j m) <= C(points, j), 2^m <= points // j."""
+    j = min(size, points - size)
+    if j * points.bit_length() > 1 << 16:
+        _refuse_subsets(f"over 2^{j * ((points // j).bit_length() - 1)}")
+    return comb(points, size)
 
 
 def _point_rows(images, counts: list, pts: list, chosen: list) -> list:
@@ -217,7 +229,7 @@ def _scn_main_theorem_b(cfg: ScenarioConfig) -> List[Check]:
 
 def _scn_optimality_i3(cfg: ScenarioConfig) -> List[Check]:
     n, f = _require_wild(cfg)
-    total = _subset_cap(comb((f.order ** n - 1) // (f.order - 1), n + 1))  # no point built yet
+    total = _subset_cap(_subsets((f.order ** n - 1) // (f.order - 1), n + 1))  # no point built yet
     I3 = preinjective(n, 3, f)
     X, Y, counts = bristle_images(bristle_points(n, f), I3)
     spanning, decided = spanning_by_size((X, Y), counts, n + 1)
@@ -237,7 +249,7 @@ def _scn_optimality_i3(cfg: ScenarioConfig) -> List[Check]:
 
 def _scn_opt_taub1(cfg: ScenarioConfig) -> List[Check]:
     n, f = _require_wild(cfg)
-    _subset_cap(comb((f.order ** n - 1) // (f.order - 1) - 1, n + 1))
+    _subset_cap(_subsets((f.order ** n - 1) // (f.order - 1) - 1, n + 1))
     pts = enumerate_bristles(n, f)
     b1 = pts.index(unit_point(n, f, 1))
     T = ar_translate(bristle(pts[b1]))
@@ -387,20 +399,14 @@ def _scn_tau_b1_cover(cfg: ScenarioConfig) -> List[Check]:
               ISO, find_isomorphism(pushed, T, attempts=cfg.attempts).status),
     ]
     type1 = [leaf for leaf, tp in leaves_of(X) if tp == 1]
-    bad = 0
     b1 = bristle(unit_point(n, f, 1))
-    for leaf in type1:
-        pair = subrep_subpair(leaf_projective(X, leaf), pushed)
-        sub, _ = submodule_as_module(pushed, pair)
-        if sub != b1:
-            bad += 1
+    bad = sum(submodule_as_module(pushed, subrep_subpair(leaf_projective(X, leaf), pushed))[0] != b1
+              for leaf in type1)
     checks.append(Check(
         "leaf-b1-submodules",
         "each type-1 leaf pushes down to a submodule equal to the unit-1 bristle",
         [n - 1, 0], [len(type1), bad]))
-    counts = {tp: 0 for tp in range(1, n + 1)}
-    for _, tp in leaves_of(X):
-        counts[tp] += 1
+    counts = Counter(tp for _, tp in leaves_of(X))
     checks.append(Check(
         "leaf-counts-high-types",
         "the pruned ball has n-2 leaves of each of the two highest types",

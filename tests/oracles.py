@@ -14,6 +14,9 @@ search carries reduced rows and rules out branches by rank).
 which the library's resolution route for Ext reads by Yoneda instead.
 ``tau_minus`` is the inverse translate D tau D, the other half of the
 tau/tau^- round trips; the library translates by tau alone.
+``saturated_by_translate`` decides saturation by the Auslander-Reiten
+formula, a Hom from every bristle into tau D M (the library compares each
+bristle's Hom into M itself with the bilinear form).
 ``bristle_variety`` lists every bristle line of a module by brute force over
 its projective points, where the library asks only whether the bristles
 generate.  ``bristle_type_by_images`` reads the type of a bristle vector
@@ -41,7 +44,8 @@ from itertools import accumulate
 from pathlib import Path
 from typing import Optional, Sequence
 
-from kronbrist.bristles import BristlePoint, _projective_points, bristle_point, bristle_type_of, is_bristle_vector
+from kronbrist.bristles import (BristlePoint, _projective_points, bristle_point, bristle_points,
+                                bristle_type_of, form_forces_extensions, is_bristle_vector)
 from kronbrist.linalg import (
     FieldSpec,
     Matrix,
@@ -65,6 +69,7 @@ from kronbrist.modules import (
     _check_same_category,
     _hom_stacks,
     ar_translate,
+    bristle_hom_dims,
     bristle_images,
     dual,
     hom_basis,
@@ -135,6 +140,19 @@ def projective_module(n: int, field: FieldSpec, vertex: int) -> KroneckerModule:
 def tau_minus(M: KroneckerModule) -> KroneckerModule:
     """The inverse translate D tau D M; injective summands die."""
     return dual(ar_translate(dual(M)))
+
+
+def saturated_by_translate(M: KroneckerModule) -> bool:
+    """Saturation by the Auslander-Reiten formula over a hereditary algebra:
+    Ext^1(B, M) = D Hom(tau^- M, B) (Assem, Simson and Skowronski, Elements of
+    the Representation Theory of Associative Algebras 1, Cor. IV.2.14), and
+    Hom(tau^- M, B) = Hom(B, D tau^- M) as D B = B.  So M with no refusal by
+    the bilinear form is saturated iff every bristle has no map into
+    D tau^- M = tau D M, translated once."""
+    if form_forces_extensions(M):
+        return False
+    X = ar_translate(dual(M))
+    return all(d == 0 for _, d in bristle_hom_dims(bristle_points(M.n, M.field), X))
 
 
 def s1_generated_submodule(M: KroneckerModule) -> SubmodulePair:

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -27,12 +28,14 @@ from kronbrist.bristles import (
     pair_point,
     unit_point,
 )
-from kronbrist.families import n2_preinjective
-from kronbrist.linalg import GF, QQ, Matrix
+from kronbrist.families import n2_preinjective, preinjective
+from kronbrist.linalg import GF, QQ, InternalCheckFailed, Matrix
 from kronbrist.modules import (
     ar_translate,
     direct_sum,
+    euler_form,
     ext1_dim,
+    ext1_dim_via_resolution,
     hom_dim,
     random_module,
     simple_module,
@@ -43,6 +46,7 @@ from oracles import (
     kron_fixture,
     projective_module,
     s1_generated_submodule,
+    saturated_by_translate,
     trace_submodule,
 )
 
@@ -264,8 +268,9 @@ class TestMaximalBristledSubmodule:
 
 
 class TestSaturationRoute:
-    """is_saturated refuses by the bilinear form or decides through tau^-;
-    both must agree with the definition, Ext^1(B, M) = 0 for every bristle."""
+    """is_saturated refuses by the bilinear form or compares every bristle's
+    Hom into M with it; both must agree with the definition, Ext^1(B, M) = 0
+    for every bristle."""
 
     @staticmethod
     def _refused(M) -> bool:
@@ -302,13 +307,88 @@ class TestSaturationRoute:
         def unreachable(*args):
             raise AssertionError("the bilinear form alone decides this module")
 
-        monkeypatch.setattr(bristles, "ar_translate", unreachable)
         monkeypatch.setattr(bristles, "bristle_hom_dims", unreachable)
         for M in (simple_module(3, F2, 2), projective_module(3, F3, 1),
                   bristle(unit_point(3, F2, 1)),
                   direct_sum(bristle(unit_point(4, F3, 2)), simple_module(4, F3, 1))):
             assert self._refused(M)
             assert not is_saturated(M)
+
+
+def _bristle_orbit(n, f, t_max):
+    """tau^t B(1) for t = 0..t_max."""
+    orbit = [bristle(unit_point(n, f, 1))]
+    for _ in range(t_max):
+        orbit.append(ar_translate(orbit[-1]))
+    return orbit
+
+
+class TestSaturationByForm:
+    """is_saturated compares every bristle's Hom into M itself with the
+    bilinear form <(1, 1), dim M>; it must agree with the Auslander-Reiten
+    route through tau D M (``saturated_by_translate``) and with the
+    definition read by the resolution route, which builds no Hom system."""
+
+    @staticmethod
+    def _by_resolution(M) -> bool:
+        return all(ext1_dim_via_resolution(bristle(p), M) == 0
+                   for p in enumerate_bristles(M.n, M.field))
+
+    def _assert_three_routes(self, M) -> bool:
+        got = is_saturated(M)
+        assert got == saturated_by_translate(M) == self._by_resolution(M), (M.n, M.field, M.dims)
+        return got
+
+    def test_random_modules_and_direct_sums(self):
+        rng = random.Random(2027)
+        answers = []
+        for i in range(72):
+            n, f = 2 + i % 3, (F2, F3)[i // 3 % 2]
+            M = random_module(n, f, rng, 6, 2)
+            if i % 4 == 0:
+                M = direct_sum(M, random_module(n, f, rng, 3, 1))
+            answers.append((form_forces_extensions(M), self._assert_three_routes(M)))
+        # refused by the form, swept and unsaturated, swept and saturated
+        assert {(True, False), (False, False), (False, True)} <= set(answers)
+
+    @pytest.mark.parametrize("field", [F2, F3], ids=str)
+    def test_preinjectives_and_bristle_orbits(self, field):
+        assert all(self._assert_three_routes(preinjective(3, t, field)) for t in range(7))
+        orbit = _bristle_orbit(3, field, 3)
+        assert [self._assert_three_routes(M) for M in orbit] == [False, False, True, True]
+
+    def test_no_translate_duality_or_kernel_basis(self, monkeypatch):
+        """With the modules built first, ar_translate, dual and kernel_basis
+        raise wherever a kronbrist module binds them, and saturation is
+        still decided, correctly."""
+        assert not hasattr(bristles, "ar_translate") and not hasattr(bristles, "dual")
+        mods = [preinjective(3, t, F2) for t in range(7)] + _bristle_orbit(3, F2, 3)
+        expected = [True] * 7 + [False, False, True, True]
+
+        def unreachable(*args):
+            raise AssertionError("saturation reads the bilinear form and Hom into M only")
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] == "kronbrist":
+                for name in ("ar_translate", "dual", "kernel_basis"):
+                    if hasattr(module, name):
+                        monkeypatch.setattr(module, name, unreachable)
+        assert [is_saturated(M) for M in mods] == expected
+
+    def test_hom_below_the_form_raises(self, monkeypatch):
+        """A Hom dimension below <(1, 1), dim M> is a negative Ext: a bug,
+        never an answer False."""
+        real = bristles.bristle_hom_dims
+
+        def one_below(points, M):
+            dims = list(real(points, M))
+            b, _ = dims[-1]
+            return dims[:-1] + [(b, euler_form((1, 1), M.dims, M.n) - 1)]
+
+        monkeypatch.setattr(bristles, "bristle_hom_dims", one_below)
+        for M in (preinjective(3, 2, F2), _bristle_orbit(3, F3, 2)[-1]):
+            with pytest.raises(InternalCheckFailed):
+                is_saturated(M)
 
 
 class TestOrthogonality:

@@ -37,7 +37,7 @@ from kronbrist.modules import (
 )
 from kronbrist.scenarios import SCENARIOS, ScenarioConfigError, default_config, run_scenario
 
-from oracles import generates, search_traces, trace_submodule
+from oracles import generates, search_traces, trace_submodule, write_module_file
 
 QUICK_OVERRIDES = {
     # keep the orbit scenario off the largest translate in the smoke run
@@ -65,7 +65,8 @@ SEARCH_GOLDENS = {
 }
 GOLDEN_VARIANTS = ["main-theorem-b-bristle-orbits-module", "annihilated-lemma-rational",
                    "main-theorem-a-n4-q3-tmax4", "main-theorem-a-n3-q2-tmax7",
-                   "cover-equalities-n7-q5", "tau-b1-cover-n5"] + sorted(SEARCH_GOLDENS)
+                   "cover-equalities-n7-q5", "tau-b1-cover-n5", "bristled-layers-n2",
+                   "main-theorem-b-bristle-orbits-n3-q2-tmax4"] + sorted(SEARCH_GOLDENS)
 
 
 def _golden_config(name: str):
@@ -74,8 +75,11 @@ def _golden_config(name: str):
     checks saturation on preinjectives larger than any default reaches,
     ``main-theorem-a-n3-q2-tmax7`` sweeps the bristles over I_0..I_7, up to
     dimension (987, 377), ``cover-equalities-n7-q5`` is the cover run of the
-    ``big-hom`` benchmark, ``tau-b1-cover-n5`` pushes down a larger tree, and
-    the SEARCH_GOLDENS entries run their subset searches at larger configs."""
+    ``big-hom`` benchmark, ``tau-b1-cover-n5`` pushes down a larger tree,
+    ``bristled-layers-n2`` builds the two-arrow fixtures,
+    ``main-theorem-b-bristle-orbits-n3-q2-tmax4`` tests saturation on the
+    regular translates tau^t B(1) up to t = 4, and the SEARCH_GOLDENS entries
+    run their subset searches at larger configs."""
     if name in SEARCH_GOLDENS:
         scenario, overrides = SEARCH_GOLDENS[name]
         return default_config(scenario, **overrides)
@@ -92,6 +96,10 @@ def _golden_config(name: str):
         return default_config("cover-equalities", n=7, field=GF(5))
     if name == "tau-b1-cover-n5":
         return default_config("tau-b1-cover", n=5)
+    if name == "bristled-layers-n2":
+        return default_config("bristled-layers", n=2)
+    if name == "main-theorem-b-bristle-orbits-n3-q2-tmax4":
+        return default_config("main-theorem-b-bristle-orbits", n=3, field=GF(2), t_max=4)
     return default_config(name)
 
 
@@ -177,6 +185,29 @@ def test_subset_cap_refuses_before_building_any_point(capsys, argv, count):
     assert cli_main(argv) == 2
     assert time.perf_counter() - start < 1
     assert f"error: {count} exceed the exhaustive-search cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scenario", ["optimality-I3", "opt-taub1"])
+@pytest.mark.parametrize("n,count", [(3000, "over 2^8966988 subsets"),
+                                     (100_000, "over 2^9998399983 subsets")])
+def test_subset_cap_refuses_any_n_within_a_second(capsys, scenario, n, count):
+    """C(2^n - 1, n + 1) has about n^2 bits, so it is not formed: the
+    refusal names a power of two it exceeds, within a second at any n."""
+    start = time.perf_counter()
+    assert cli_main([scenario, "--n", str(n), "--q", "2"]) == 2
+    assert time.perf_counter() - start < 1
+    assert f"error: {count} exceed the exhaustive-search cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("points,size", [(2 ** 600, 120), (2 ** 600, 2 ** 600 - 120),
+                                         (20_000, 10_000), (2 ** 5000, 14)])
+def test_subset_count_named_by_a_power_it_exceeds(points, size):
+    """A binomial too costly to form is refused by a power of two that the
+    count, formed here, does exceed, and that is past the cap."""
+    with pytest.raises(ScenarioConfigError, match=r"over 2\^(\d+) subsets") as refused:
+        scenarios._subsets(points, size)
+    bits = int(refused.value.args[0].split("^")[1].split()[0])
+    assert scenarios.SUBSET_LIMIT < 2 ** bits < comb(points, size)
 
 
 class TestGenerates:
@@ -488,6 +519,33 @@ class TestCli:
                        "--module", str(module)])
         assert rc == 1
         assert "FAIL" in capsys.readouterr().out
+
+    def test_no_translate_found_renders_minimal_t_null(self, capsys, tmp_path):
+        """B(1:0:0) over GF(5) is unsaturated at t = 0 and 1, so the search
+        finds no translate and its ``minimal_t`` renders as JSON null."""
+        module = tmp_path / "b1.kron"
+        module.write_text(write_module_file(bristle(unit_point(3, GF(5), 1))))
+        assert cli_main(["main-theorem-b-bristle-orbits", "--module", str(module),
+                         "--tmax", "1", "--format", "json"]) == 1
+        check, = [c for c in json.loads(capsys.readouterr().out)["checks"]
+                  if c["name"] == "user-module-orbit-bound"]
+        assert check["details"] == {"minimal_t": None, "t_max": 1}
+
+    def test_hom_below_the_form_exit_3(self, monkeypatch, capsys, tmp_path):
+        """A bristle's Hom dimension below <(1, 1), dim I_t> is a negative
+        Ext: main-theorem-a stops with exit 3 and writes no report."""
+        real = bristles.bristle_hom_dims
+
+        def one_below(points, M):
+            dims = list(real(points, M))
+            return dims[:-1] + [(dims[-1][0], M.dim1 - (M.n - 1) * M.dim2 - 1)]
+
+        monkeypatch.setattr(bristles, "bristle_hom_dims", one_below)
+        out = tmp_path / "report.txt"
+        assert cli_main(["main-theorem-a", "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert "InternalCheckFailed" in captured.err and captured.out == ""
+        assert not out.exists()
 
     def test_missing_module_file_exit_2(self, capsys):
         assert cli_main(["main-theorem-b-bristle-orbits", "--module",

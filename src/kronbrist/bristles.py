@@ -30,13 +30,12 @@ from .modules import (
 class BristlePoint:
     """Point of the projective space indexing a bristle; first nonzero is 1."""
 
-    n: int
     field: FieldSpec
     coords: tuple
 
+    n = property(lambda self: len(self.coords))
+
     def __post_init__(self):
-        if len(self.coords) != self.n:
-            raise ValueError(f"expected {self.n} coordinates")
         if all(c == 0 for c in self.coords):
             raise ValueError("bristle coordinates must not all vanish")
         lead = next(c for c in self.coords if c != 0)
@@ -56,28 +55,26 @@ def bristle_point(n: int, field: FieldSpec, coords: Sequence) -> BristlePoint:
     if lead is None:
         raise ValueError("bristle coordinates must not all vanish")
     inv = field.inv(lead)
-    return BristlePoint(n, field, tuple(field.mul(inv, c) for c in raw))
+    return BristlePoint(field, tuple(field.mul(inv, c) for c in raw))
 
 
 def unit_point(n: int, field: FieldSpec, r: int) -> BristlePoint:
     """The point with a single 1 in slot r (1-indexed)."""
-    return bristle_point(n, field, [field.one() if i == r - 1 else field.zero()
-                                    for i in range(n)])
+    return bristle_point(n, field, [int(i == r - 1) for i in range(n)])
 
 
 def pair_point(n: int, field: FieldSpec, r: int, s: int) -> BristlePoint:
     """The point with 1 in slots r and s (1-indexed, r != s)."""
     if r == s:
         raise ValueError("pair point needs two distinct slots")
-    return bristle_point(n, field, [field.one() if i + 1 in (r, s) else field.zero()
-                                    for i in range(n)])
+    return bristle_point(n, field, [int(i + 1 in (r, s)) for i in range(n)])
 
 
 def bristle(point: BristlePoint) -> KroneckerModule:
     """The module (k, k) whose i-th map is multiplication by the i-th coordinate."""
     f = point.field
     alphas = tuple(Matrix.from_rows(f, [[c]], cols=1) for c in point.coords)
-    return KroneckerModule(point.n, f, 1, 1, alphas)
+    return KroneckerModule(alphas)
 
 
 def canonical_set(name: str, n: int, field: FieldSpec) -> list:
@@ -119,7 +116,7 @@ def enumerate_bristles(n: int, field: FieldSpec) -> list:
     """All (q^n - 1)/(q - 1) points, lexicographic by normalized coordinates."""
     if not field.is_finite:
         raise ValueError("enumeration requires a finite field")
-    return [BristlePoint(n, field, c) for c in _projective_points(field, n)]
+    return [BristlePoint(field, c) for c in _projective_points(field, n)]
 
 
 @lru_cache(maxsize=None)

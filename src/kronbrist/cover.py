@@ -127,7 +127,7 @@ def push_down(X: CoverRep) -> KroneckerModule:
     alphas = tuple(place_blocks(X.field, d2, d1, [(offsets[neighbor(v, label)], offsets[v], mat)
                                                   for (v, label), mat in X.maps.items() if label == i])
                    for i in range(1, X.n + 1))
-    return KroneckerModule(X.n, X.field, d1, d2, alphas)
+    return KroneckerModule(alphas)
 
 
 def _place(X: CoverRep, total: int, parts: Dict[TreeVertex, Matrix]) -> Matrix:
@@ -340,8 +340,7 @@ def subrep_subpair(sub: CoverSubrep, pushed: KroneckerModule) -> SubmodulePair:
         starts = list(accumulate((U.dim for _, U in placed), initial=0))
         rows = place_blocks(X.field, starts[-1], total,
                             [(r, c, U.basis) for r, (c, U) in zip(starts, placed)])
-        spaces.append(Subspace(X.field, total, rows,
-                               tuple(c + j for c, U in placed for j in U.pivot_cols)))
+        spaces.append(Subspace(rows, tuple(c + j for c, U in placed for j in U.pivot_cols)))
     return SubmodulePair(pushed, *spaces)
 
 

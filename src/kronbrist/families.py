@@ -53,15 +53,11 @@ def n2_preinjective(t: int, field: FieldSpec) -> KroneckerModule:
     """
     if t < 0:
         raise ValueError("index must be nonnegative")
-    one, zero = field.one(), field.zero()
-    a1 = Matrix.from_rows(field, [[one if c == r else zero for c in range(t + 1)]
-                                  for r in range(t)], cols=t + 1)
-    a2 = Matrix.from_rows(field, [[one if c == r + 1 else zero for c in range(t + 1)]
-                                  for r in range(t)], cols=t + 1)
-    return KroneckerModule(2, field, t + 1, t, (a1, a2))
+    e = Matrix.identity(field, t + 1)
+    return KroneckerModule((e.select_rows(range(t)), e.select_rows(range(1, t + 1))))
 
 
-def n2_bristle_generator(t: int, point: BristlePoint, field: FieldSpec) -> tuple:
+def n2_bristle_generator(t: int, point: BristlePoint) -> tuple:
     """Vector of n2_preinjective(t) generating the bristle at the point (a:b).
 
     It is the point's image (a^t, a^(t-1) b, ..., b^t) on the degree-t
@@ -70,4 +66,4 @@ def n2_bristle_generator(t: int, point: BristlePoint, field: FieldSpec) -> tuple
     (a Vandermonde determinant).
     """
     a, b = point.coords
-    return tuple(field.normalize(a ** (t - i) * b ** i) for i in range(t + 1))
+    return tuple(point.field.normalize(a ** (t - i) * b ** i) for i in range(t + 1))

@@ -1,13 +1,14 @@
 """Exact linear algebra over prime fields GF(p) and the rationals.
 
-Everything here is exact.  A ``Matrix`` is one read-only integer numpy
-array over one positive denominator, in the same format for both fields:
-over GF(p) int64 in [0, p) over 1; over Q an object array of Python ints
-in lowest terms with its denominator, so equal matrices hold equal
-integers.  Entries are converted only on the way in (``FieldSpec.array``,
-``from_rows``; a raw ``Matrix(...)`` is checked) and out (``row``,
-``apply``: Python ``int`` or ``Fraction``, never numpy scalars).  Values
-are immutable and operations pure.
+Everything here is exact.  A field is its characteristic, 0 for Q.  A
+``Matrix`` is one read-only integer numpy array over one positive
+denominator, in the same format for both fields: over GF(p) int64 in
+[0, p) over 1; over Q an object array of Python ints in lowest terms with
+its denominator, so equal matrices hold equal integers.  Entries are
+converted only on the way in (``FieldSpec.array``, ``from_rows``; a raw
+``Matrix(...)`` is checked) and out (``row``, ``apply``: Python ``int`` or
+``Fraction``, never numpy scalars).  Values are immutable and operations
+pure.
 
 Each operation is one integer expression for both fields.  A product
 multiplies the arrays and the denominators; stacking and block placement
@@ -60,10 +61,11 @@ reduces mod p at the end: each output entry still sums at most
 inner-length products below p^2, so the same bound keeps it exact.
 
 Pivot choice is deterministic: first nonzero entry scanning columns left to
-right, rows top to bottom.  Subspaces are kept in reduced row-echelon form,
-so two subspaces are equal iff their basis matrices are entrywise equal; a
-sum of subspaces extends the basis of its largest summand and eliminates
-only what the others add to it.
+right, rows top to bottom.  A subspace is its basis in reduced row-echelon
+form, with the pivot columns every projection reads; its field and ambient
+dimension are the basis's.  So two subspaces are equal iff their basis
+matrices are entrywise equal; a sum of subspaces extends the basis of its
+largest summand and eliminates only what the others add to it.
 """
 
 from __future__ import annotations
@@ -137,35 +139,33 @@ def _fraction(x) -> Fraction:
 _to_fractions = np.frompyfunc(_fraction, 1, 1)
 
 
+def _require_prime(p: int):
+    if not (2 <= p < 2**31 and is_prime(p)):
+        raise CharacteristicError(f"characteristic must be a prime in [2, 2^31), got {p}")
+
+
 @dataclass(frozen=True)
 class FieldSpec:
     """Field context: GF(p) for a prime p, or the rationals (characteristic 0)."""
 
-    kind: str  # "prime-field" | "rationals"
     characteristic: int
 
     def __post_init__(self):
-        if self.kind == "prime-field":
-            p = self.characteristic
-            if not (2 <= p < 2**31 and is_prime(p)):
-                raise CharacteristicError(f"characteristic must be a prime in [2, 2^31), got {p}")
-        elif self.kind == "rationals":
-            if self.characteristic != 0:
-                raise ValueError("rationals have characteristic 0")
-        else:
-            raise ValueError(f"unknown field kind {self.kind!r}")
+        if self.characteristic:
+            _require_prime(self.characteristic)
 
     @staticmethod
     def gf(p: int) -> "FieldSpec":
-        return FieldSpec("prime-field", p)
+        _require_prime(p)  # refuses 0 too, which FieldSpec reads as Q
+        return FieldSpec(p)
 
     @staticmethod
     def rationals() -> "FieldSpec":
-        return FieldSpec("rationals", 0)
+        return FieldSpec(0)
 
     @property
     def is_finite(self) -> bool:
-        return self.kind == "prime-field"
+        return self.characteristic != 0
 
     @property
     def order(self) -> int:
@@ -248,10 +248,7 @@ class FieldSpec:
 
 
 QQ = FieldSpec.rationals()
-
-
-def GF(p: int) -> FieldSpec:
-    return FieldSpec.gf(p)
+GF = FieldSpec.gf
 
 
 # (numerators, denominators) of an array of Fractions, one call per entry
@@ -760,23 +757,23 @@ class Subspace:
     equal iff their basis matrices agree entrywise.
     """
 
-    field: FieldSpec
-    ambient_dim: int
     basis: Matrix
-    pivot_cols: tuple
+    pivot_cols: tuple  # the column of each basis row's leading 1
+
+    field = property(lambda self: self.basis.field)
+    ambient_dim = property(lambda self: self.basis.cols)
 
     def __post_init__(self):
-        if self.basis.cols != self.ambient_dim or self.basis.rows != len(self.pivot_cols):
-            raise ValueError("subspace basis inconsistent with ambient/pivots")
+        if self.basis.rows != len(self.pivot_cols):
+            raise ValueError("subspace basis inconsistent with its pivots")
 
     @staticmethod
     def zero(field: FieldSpec, ambient_dim: int) -> "Subspace":
-        return Subspace(field, ambient_dim, Matrix.zeros(field, 0, ambient_dim), ())
+        return Subspace(Matrix.zeros(field, 0, ambient_dim), ())
 
     @staticmethod
     def full(field: FieldSpec, ambient_dim: int) -> "Subspace":
-        return Subspace(field, ambient_dim, Matrix.identity(field, ambient_dim),
-                        tuple(range(ambient_dim)))
+        return Subspace(Matrix.identity(field, ambient_dim), tuple(range(ambient_dim)))
 
     @staticmethod
     def from_spanning(field: FieldSpec, ambient_dim: int, vectors: Sequence[Sequence]) -> "Subspace":
@@ -789,7 +786,7 @@ class Subspace:
     def row_space(A: Matrix) -> "Subspace":
         """The span of the rows of A, a subspace of k^(A.cols)."""
         R, pivots, rk = rref(A)
-        return Subspace(A.field, A.cols, Matrix._of(A.field, R.data[:rk], R.den), pivots)
+        return Subspace(Matrix._of(A.field, R.data[:rk], R.den), pivots)
 
     @property
     def dim(self) -> int:
@@ -860,8 +857,7 @@ def subspace_sum(U: Subspace, *more: Subspace) -> Subspace:
     pivots = base.pivot_cols + new
     order = sorted(range(len(pivots)), key=pivots.__getitem__)
     rows = np.concatenate([cleared, R if B.den == 1 else R * B.den])[order]
-    return Subspace(f, base.ambient_dim, Matrix._of(f, rows, B.den * den),
-                    tuple(pivots[i] for i in order))
+    return Subspace(Matrix._of(f, rows, B.den * den), tuple(pivots[i] for i in order))
 
 
 # the most cells one stacked sweep takes (8 MB of int64), so that a long
@@ -994,14 +990,14 @@ def spanning_by_size(stacks: Sequence[Matrix], counts: Sequence[int], max_size: 
     return spanning.tolist(), decided.tolist()
 
 
-def _free_column_rows(R: Matrix, pivots: tuple, n: int) -> Matrix:
+def _free_column_rows(R: Matrix, pivots: tuple) -> Matrix:
     """One row per non-pivot column c of the RREF rows R: the unit vector at c
     minus column c of R placed at the pivot slots.
 
     These rows span the kernel of R; as a map they project k^n onto the
     non-pivot coordinates with kernel the row space of R.
     """
-    f = R.field
+    f, n = R.field, R.cols
     pivot_set = set(pivots)
     free = [c for c in range(n) if c not in pivot_set]
     out = f.zeros((len(free), n))
@@ -1027,10 +1023,10 @@ def kernel_basis(A: Matrix) -> Subspace:
     if A.rows == 0:
         return Subspace.full(f, n)
     R, pivots, _ = rref(A._with(A.data[:, ::-1], lowest=False))
-    K = _free_column_rows(R, pivots, n)
+    K = _free_column_rows(R, pivots)
     pivot_set = set(pivots)
     free = [n - 1 - c for c in reversed(range(n)) if c not in pivot_set]
-    return Subspace(f, n, K._with(K.data[::-1, ::-1], lowest=False), tuple(free))
+    return Subspace(K._with(K.data[::-1, ::-1], lowest=False), tuple(free))
 
 
 class _Peeled(NamedTuple):
@@ -1156,7 +1152,7 @@ def sparse_block_kernels(S: SparseSystem, blocks: int):
     for part in parts:
         cols, core = _dense_core(S, part)
         R, pivots, _ = rref(core)
-        cores.append((cols, _free_column_rows(R, pivots, core.cols)))
+        cores.append((cols, _free_column_rows(R, pivots)))
     unknown = ~P.removed
     for cols, _ in cores:
         unknown[cols] = False
@@ -1272,4 +1268,4 @@ def quotient_projection(U: Subspace) -> Matrix:
     Coordinates on the quotient are the non-pivot columns of U's basis,
     taken in ascending order (greedy pivot completion).
     """
-    return _free_column_rows(U.basis, U.pivot_cols, U.ambient_dim)
+    return _free_column_rows(U.basis, U.pivot_cols)

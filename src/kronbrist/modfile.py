@@ -130,4 +130,4 @@ def parse_module_file(text: str) -> KroneckerModule:
     if cursor != len(lines):
         lineno = lines[cursor][0]
         raise ModuleFileError("trailing content after the last matrix block", lineno)
-    return KroneckerModule(n, field, a, b, tuple(alphas))
+    return KroneckerModule(tuple(alphas))

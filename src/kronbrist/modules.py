@@ -1,12 +1,13 @@
 """Finite-dimensional n-Kronecker modules and their homological calculus.
 
-A module is a pair of spaces (M1, M2) with n structure matrices acting on
-column vectors M1 -> M2.  Provided here: Hom and Ext via the exact
-intertwining system, Ext again from the matrices of a projective
-presentation with no Hom system, the bilinear form and its companion lattice
-transformation, the translate tau by composed reflections (kernel at the
-sink, then again at the new sink), duality, socle/radical layers, bristle
-traces and generation tests, quotients, and a tri-state isomorphism search.
+A module is its n structure matrices, acting on column vectors M1 -> M2;
+n, the field and the dimension vector are read off them.  Provided here: Hom
+and Ext via the exact intertwining system, Ext again from the matrices of a
+projective presentation with no Hom system, the bilinear form and its
+companion lattice transformation, the translate tau by composed reflections
+(kernel at the sink, then again at the new sink), duality, socle/radical
+layers, bristle traces and generation tests, quotients, and a tri-state
+isomorphism search.
 """
 
 from __future__ import annotations
@@ -71,20 +72,22 @@ def coxeter_apply(x: DimVector, n: int, power: int = 1) -> DimVector:
 
 @dataclass(frozen=True)
 class KroneckerModule:
-    n: int
-    field: FieldSpec
-    dim1: int
-    dim2: int
-    alphas: tuple  # n matrices, each dim2 x dim1
+    """The n structure matrices M1 -> M2, each dim2 x dim1 over one field;
+    n, the field and the dimension vector are read off them."""
+
+    alphas: tuple
+
+    n = property(lambda self: len(self.alphas))
+    field = property(lambda self: self.alphas[0].field)
+    dim1 = property(lambda self: self.alphas[0].cols)
+    dim2 = property(lambda self: self.alphas[0].rows)
 
     def __post_init__(self):
-        if self.n < 1:
+        if not self.alphas:
             raise ValueError("need at least one arrow")
-        if len(self.alphas) != self.n:
-            raise ValueError(f"expected {self.n} structure matrices, got {len(self.alphas)}")
-        for a in self.alphas:
-            if (a.rows, a.cols) != (self.dim2, self.dim1) or a.field != self.field:
-                raise DimensionMismatch("structure matrix shape/field mismatch")
+        a0 = self.alphas[0]
+        if any((a.rows, a.cols, a.field) != (a0.rows, a0.cols, a0.field) for a in self.alphas):
+            raise DimensionMismatch("structure matrix shape/field mismatch")
 
     @property
     def dims(self) -> DimVector:
@@ -95,15 +98,14 @@ class KroneckerModule:
 
 
 def zero_module(n: int, field: FieldSpec) -> KroneckerModule:
-    z = Matrix.zeros(field, 0, 0)
-    return KroneckerModule(n, field, 0, 0, tuple(z for _ in range(n)))
+    return KroneckerModule((Matrix.zeros(field, 0, 0),) * n)
 
 
 def simple_module(n: int, field: FieldSpec, vertex: int) -> KroneckerModule:
     if vertex == 1:
-        return KroneckerModule(n, field, 1, 0, tuple(Matrix.zeros(field, 0, 1) for _ in range(n)))
+        return KroneckerModule((Matrix.zeros(field, 0, 1),) * n)
     if vertex == 2:
-        return KroneckerModule(n, field, 0, 1, tuple(Matrix.zeros(field, 1, 0) for _ in range(n)))
+        return KroneckerModule((Matrix.zeros(field, 1, 0),) * n)
     raise ValueError("vertex must be 1 or 2")
 
 
@@ -111,7 +113,7 @@ def injective_module(n: int, field: FieldSpec) -> KroneckerModule:
     """The injective I(2) = (k^n, k; coordinate projections); I(1) is the
     simple module S(1)."""
     alphas = tuple(Matrix.identity(field, n).col_block(i, i + 1).transpose() for i in range(n))
-    return KroneckerModule(n, field, n, 1, alphas)
+    return KroneckerModule(alphas)
 
 
 @dataclass(frozen=True)
@@ -367,12 +369,11 @@ def images_span(M: KroneckerModule, images1: Sequence[Matrix], images2: Sequence
 
 # -- translation by composed reflections -------------------------------------
 
-def _sink_reflection(maps: Sequence[Matrix], d_src: int, d_tgt: int, field: FieldSpec):
-    """Kernel of the summed map src^n -> tgt; returns (new dim, projections)."""
-    n = len(maps)
-    K = kernel_basis(Matrix.zeros(field, d_tgt, 0).hstack(*maps))
-    new_maps = [K.basis.col_block(i * d_src, (i + 1) * d_src).transpose() for i in range(n)]
-    return K.dim, new_maps
+def _sink_reflection(maps: Sequence[Matrix]) -> tuple:
+    """The maps of the reflected module: the projections K -> src of the
+    kernel K of the summed map [a_1 ... a_n]: src^n -> tgt onto its n summands."""
+    K, d = kernel_basis(maps[0].hstack(*maps[1:])).basis, maps[0].cols
+    return tuple(K.col_block(i * d, (i + 1) * d).transpose() for i in range(len(maps)))
 
 
 def ar_translate(M: KroneckerModule) -> KroneckerModule:
@@ -380,18 +381,14 @@ def ar_translate(M: KroneckerModule) -> KroneckerModule:
     at the sink, then at the new sink; projective summands die.  For
     indecomposable non-projective M it has dimension vector
     coxeter_apply(M.dims)."""
-    f = M.field
-    dK, proj = _sink_reflection(M.alphas, M.dim1, M.dim2, f)
-    dK2, proj2 = _sink_reflection(proj, dK, M.dim1, f)
-    return KroneckerModule(M.n, f, dK2, dK, tuple(proj2))
+    return KroneckerModule(_sink_reflection(_sink_reflection(M.alphas)))
 
 
 # -- duality, layers, faithfulness -------------------------------------------
 
 def dual(M: KroneckerModule) -> KroneckerModule:
     """Vector-space duality: swap the vertices and transpose every map."""
-    return KroneckerModule(M.n, M.field, M.dim2, M.dim1,
-                           tuple(a.transpose() for a in M.alphas))
+    return KroneckerModule(tuple(a.transpose() for a in M.alphas))
 
 
 class Layers(NamedTuple):
@@ -427,7 +424,7 @@ def direct_sum(M: KroneckerModule, N: KroneckerModule) -> KroneckerModule:
     alphas = tuple(place_blocks(M.field, a.rows + b.rows, a.cols + b.cols,
                                 [(0, 0, a), (a.rows, a.cols, b)])
                    for a, b in zip(M.alphas, N.alphas))
-    return KroneckerModule(M.n, M.field, M.dim1 + N.dim1, M.dim2 + N.dim2, alphas)
+    return KroneckerModule(alphas)
 
 
 def direct_sum_list(mods: Sequence[KroneckerModule]) -> KroneckerModule:
@@ -450,7 +447,7 @@ def submodule_as_module(M: KroneckerModule, U: SubmodulePair):
         raise DimensionMismatch("submodule of a different parent")
     alphas = tuple((U.U1.basis @ a.transpose()).select_cols(U.U2.pivot_cols).transpose()
                    for a in M.alphas)
-    sub = KroneckerModule(M.n, M.field, U.U1.dim, U.U2.dim, alphas)
+    sub = KroneckerModule(alphas)
     incl = Morphism(sub, M, U.U1.basis.transpose(), U.U2.basis.transpose())
     return sub, incl
 
@@ -464,7 +461,7 @@ def quotient(M: KroneckerModule, U: SubmodulePair):
     pivots = set(U.U1.pivot_cols)
     free = [c for c in range(M.dim1) if c not in pivots]  # U1's quotient coordinates
     alphas = tuple(Q2 @ a.select_cols(free) for a in M.alphas)
-    quot = KroneckerModule(M.n, M.field, Q1.rows, Q2.rows, alphas)
+    quot = KroneckerModule(alphas)
     proj = Morphism(M, quot, Q1, Q2)
     return quot, proj
 
@@ -541,4 +538,4 @@ def random_module(n: int, field: FieldSpec, rng: random.Random,
             continue
         rows = [[rng.randrange(lo, hi) for _ in range(d1)] for _ in range(d2)]
         alphas.append(Matrix.from_rows(field, rows, cols=d1))
-    return KroneckerModule(n, field, d1, d2, tuple(alphas))
+    return KroneckerModule(tuple(alphas))

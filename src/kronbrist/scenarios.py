@@ -140,10 +140,24 @@ def _refuse_subsets(shown) -> NoReturn:
                               "refusing to sample a universally quantified claim")
 
 
-def _subset_cap(count: int) -> int:
-    if count > SUBSET_LIMIT:  # past 64 bits named by its power of 2: str() stops at 4300 digits
-        _refuse_subsets(count if count.bit_length() <= 64 else f"over 2^{count.bit_length() - 1}")
+def _subset_cap(count: int, shift: int = 0) -> int:
+    """count 2^shift, refused past the cap.  A count of more than 64 bits is
+    named by its power of two, from its bit length, and never formed: str()
+    stops at 4300 digits, and 2^shift alone takes shift bits."""
+    if (bits := count.bit_length() + shift) > 64:
+        _refuse_subsets(f"over 2^{bits - 1}")
+    if (count := count << shift) > SUBSET_LIMIT:
+        _refuse_subsets(count)
     return count
+
+
+def _point_count(q: int, n: int) -> int:
+    """(q^n - 1)/(q - 1), the points of P^(n-1) over GF(q), not formed when
+    q^(n-1) >= 2^e, e = (n - 1)(bit length of q - 1), has e > 2^20: then the
+    searches' (n + 1)-subsets of the points number over 2^e, and are refused."""
+    if (e := (n - 1) * (q.bit_length() - 1)) > 1 << 20:
+        _refuse_subsets(f"over 2^{e}")
+    return (q ** n - 1) // (q - 1)
 
 
 def _subsets(points: int, size: int) -> int:
@@ -229,7 +243,7 @@ def _scn_main_theorem_b(cfg: ScenarioConfig) -> List[Check]:
 
 def _scn_optimality_i3(cfg: ScenarioConfig) -> List[Check]:
     n, f = _require_wild(cfg)
-    total = _subset_cap(_subsets((f.order ** n - 1) // (f.order - 1), n + 1))  # no point built yet
+    total = _subset_cap(_subsets(_point_count(f.order, n), n + 1))  # no point built yet
     I3 = preinjective(n, 3, f)
     X, Y, counts = bristle_images(bristle_points(n, f), I3)
     spanning, decided = spanning_by_size((X, Y), counts, n + 1)
@@ -249,7 +263,7 @@ def _scn_optimality_i3(cfg: ScenarioConfig) -> List[Check]:
 
 def _scn_opt_taub1(cfg: ScenarioConfig) -> List[Check]:
     n, f = _require_wild(cfg)
-    _subset_cap(_subsets((f.order ** n - 1) // (f.order - 1) - 1, n + 1))
+    _subset_cap(_subsets(_point_count(f.order, n) - 1, n + 1))
     pts = enumerate_bristles(n, f)
     b1 = pts.index(unit_point(n, f, 1))
     T = ar_translate(bristle(pts[b1]))
@@ -279,7 +293,7 @@ def _scn_opt_taub1(cfg: ScenarioConfig) -> List[Check]:
 
 def _scn_n2_generation(cfg: ScenarioConfig) -> List[Check]:
     f = _require_two_arrows(cfg)
-    _subset_cap(2 ** (f.order + 1) * (cfg.t_max + 1))  # P^1 has q + 1 points
+    _subset_cap(cfg.t_max + 1, f.order + 1)  # 2^(q+1) (t+1): P^1 has q + 1 points
     pts = enumerate_bristles(2, f)
     checks = []
     for t in range(cfg.t_max + 1):
@@ -295,7 +309,7 @@ def _scn_n2_generation(cfg: ScenarioConfig) -> List[Check]:
             "a two-arrow preinjective of index t is generated by a bristle subset "
             "exactly when the subset has more than t elements",
             0, violations, details={"subsets": 2 ** len(pts)}))
-        gens = Matrix.from_rows(f, [list(n2_bristle_generator(t, p, f)) for p in pts], cols=t + 1)
+        gens = Matrix.from_rows(f, [list(n2_bristle_generator(t, p)) for p in pts], cols=t + 1)
         checks.append(Check(
             f"generator-independence-t{t}",
             "geometric-series generators for distinct slopes are linearly independent",
@@ -592,7 +606,7 @@ def _scn_indecomposable_generator(cfg: ScenarioConfig) -> List[Check]:
         alphas = tuple(place_blocks(f, 1 + C.dim2, 1 + C.dim1, [
             (0, 0, A.alphas[i]), (0, 1, Matrix.from_rows(f, [xi[i]])), (1, 1, C.alphas[i])])
             for i in range(n))
-        E = KroneckerModule(n, f, 1 + C.dim1, 1 + C.dim2, alphas)
+        E = KroneckerModule(alphas)
         if end_dim(E) == 1:
             found = E
             break

@@ -134,7 +134,7 @@ def projective_module(n: int, field: FieldSpec, vertex: int) -> KroneckerModule:
     if vertex != 1:
         raise ValueError("vertex must be 1 or 2")
     alphas = tuple(Matrix.identity(field, n).col_block(i, i + 1) for i in range(n))
-    return KroneckerModule(n, field, 1, n, alphas)
+    return KroneckerModule(alphas)
 
 
 def tau_minus(M: KroneckerModule) -> KroneckerModule:

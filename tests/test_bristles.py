@@ -76,7 +76,7 @@ class TestPointsAndModules:
 
     def test_unnormalized_constructor_rejected(self):
         with pytest.raises(ValueError):
-            BristlePoint(3, F5, (2, 0, 0))
+            BristlePoint(F5, (2, 0, 0))
 
 
 class TestCanonicalSets:

@@ -164,16 +164,16 @@ class TestTwoArrowFamily:
 
     def test_generator_endpoints(self):
         f = F5
-        assert n2_bristle_generator(2, bristle_point(2, f, [1, 0]), f) == (1, 0, 0)
-        assert n2_bristle_generator(2, bristle_point(2, f, [0, 1]), f) == (0, 0, 1)
-        assert n2_bristle_generator(3, bristle_point(2, f, [1, 2]), f) == (1, 2, 4, 3)
-        assert n2_bristle_generator(3, bristle_point(2, f, [3, 1]), f) == (1, 2, 4, 3)  # (3:1) = (1:2)
+        assert n2_bristle_generator(2, bristle_point(2, f, [1, 0])) == (1, 0, 0)
+        assert n2_bristle_generator(2, bristle_point(2, f, [0, 1])) == (0, 0, 1)
+        assert n2_bristle_generator(3, bristle_point(2, f, [1, 2])) == (1, 2, 4, 3)
+        assert n2_bristle_generator(3, bristle_point(2, f, [3, 1])) == (1, 2, 4, 3)  # (3:1) = (1:2)
 
     def test_vandermonde_independence(self):
         # any t + 1 of the four points of P^1(GF(3)) give independent generators
         f = F3
         t = 2
-        vecs = [n2_bristle_generator(t, p, f) for p in enumerate_bristles(2, f)]
+        vecs = [n2_bristle_generator(t, p) for p in enumerate_bristles(2, f)]
         for triple in ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)):
             M = Matrix.from_rows(f, [list(vecs[i]) for i in triple], cols=t + 1)
             assert rank(M) == t + 1
@@ -191,7 +191,7 @@ class TestTwoArrowFamily:
         for p in pts:
             slope = p.coords[1] if p.coords[0] else None
             for t in range(7):
-                gen = n2_bristle_generator(t, p, field)
+                gen = n2_bristle_generator(t, p)
                 assert gen == n2_generator_by_slope(t, slope, field)
                 assert all(type(x) is type(field.one()) for x in gen)  # exact, no numpy scalars
                 if t >= 1:

@@ -76,6 +76,13 @@ class TestFieldSpec:
             with pytest.raises(ValueError):
                 GF(bad)
 
+    def test_gf_zero_is_refused_though_characteristic_zero_is_q(self):
+        """A field is its characteristic, 0 meaning Q, but GF(0) is no field."""
+        assert linalg.FieldSpec(0) == QQ and not QQ.is_finite
+        with pytest.raises(linalg.CharacteristicError,
+                           match=r"^characteristic must be a prime in \[2, 2\^31\), got 0$"):
+            GF(0)
+
     def test_is_prime_small(self):
         primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31}
         for k in range(2, 32):
@@ -659,13 +666,13 @@ class TestLargeCharacteristic:
         def module(start):
             alphas = tuple(Matrix.from_rows(f, _near_p_rows(p, 3, 3, start + 5 * i))
                            for i in range(2))
-            return KroneckerModule(2, f, 3, 3, alphas)
+            return KroneckerModule(alphas)
 
         M, N = module(0), module(1)
         g = Matrix.from_rows(f, _near_p_rows(p, 3, 3, 9))
         assert rank(g) == 3
         # M twisted by g at vertex 2 (identity at vertex 1) is isomorphic to M
-        G = KroneckerModule(2, f, 3, 3, tuple(g @ a for a in M.alphas))
+        G = KroneckerModule(tuple(g @ a for a in M.alphas))
         for X, Y in ((M, M), (M, N), (N, M), (M, G), (G, M)):
             assert hom_dim(X, Y) == _hom_dim_reference(X, Y, p)
         assert hom_dim(M, G) == hom_dim(M, M) >= 1

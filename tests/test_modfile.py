@@ -46,8 +46,7 @@ class TestRoundTrip:
         assert parse_module_file(text) == S2
 
     def test_rational_entries(self):
-        M = KroneckerModule(2, QQ, 1, 1,
-                            (Matrix.from_rows(QQ, [[Fraction(3, 2)]]),
+        M = KroneckerModule((Matrix.from_rows(QQ, [[Fraction(3, 2)]]),
                              Matrix.from_rows(QQ, [[Fraction(-1)]])))
         text = write_module_file(M)
         assert "3/2" in text and "field=q" in text
@@ -81,7 +80,7 @@ class TestFixtureFiles:
         alphas = (Matrix.from_rows(F2, [[1, 0, 0], [0, 0, 0]]),
                   Matrix.from_rows(F2, [[0, 1, 0], [0, 1, 0]]),
                   Matrix.from_rows(F2, [[0, 0, 0], [0, 0, 1]]))
-        assert M == KroneckerModule(3, F2, 3, 2, alphas)
+        assert M == KroneckerModule(alphas)
         assert is_bristled(M)
 
     def test_dim32_not_bristled_file(self):

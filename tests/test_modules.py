@@ -81,7 +81,7 @@ def sparse_module(n, field, dims, rng):
         return x if field.is_finite else Fraction(x, rng.randrange(1, 5))
 
     d1, d2 = dims
-    return KroneckerModule(n, field, d1, d2, tuple(
+    return KroneckerModule(tuple(
         Matrix.from_rows(field, [[entry() for _ in range(d1)] for _ in range(d2)], cols=d1)
         for _ in range(n)))
 
@@ -115,6 +115,25 @@ class TestDimensionArithmetic:
             y = coxeter_apply(x, n, 1)
             assert coxeter_apply(y, n, -1) == x
             assert coxeter_apply(x, n, 3) == coxeter_apply(coxeter_apply(x, n, 2), n, 1)
+
+
+class TestModuleIsItsMaps:
+    """A module stores its maps alone; n, the field and the dimension vector
+    are read off them, and the two checks it keeps refuse what has none."""
+
+    def test_arrows_field_and_dims_come_from_the_maps(self):
+        M = KroneckerModule((Matrix.zeros(F5, 2, 3),) * 4)
+        assert (M.n, M.field, M.dims) == (4, F5, (3, 2))
+
+    def test_no_maps_refused(self):
+        with pytest.raises(ValueError, match="need at least one arrow"):
+            KroneckerModule(())
+
+    @pytest.mark.parametrize("second", [Matrix.zeros(F5, 3, 2), Matrix.zeros(F5, 2, 2),
+                                        Matrix.zeros(F2, 2, 3), Matrix.zeros(QQ, 2, 3)])
+    def test_maps_of_another_shape_or_field_refused(self, second):
+        with pytest.raises(DimensionMismatch, match="structure matrix shape/field mismatch"):
+            KroneckerModule((Matrix.zeros(F5, 2, 3), second))
 
 
 class TestHom:
@@ -187,8 +206,8 @@ def _guard_pair(field, wrong_arrow=None):
         if i == wrong_arrow:
             first[3][1] += 1  # one entry off, in the last row
         a_n.append(Matrix.from_rows(field, first).hstack(mat(4, 1)))
-    M = KroneckerModule(3, field, 2, 3, tuple(a_m))
-    N = KroneckerModule(3, field, 3, 4, tuple(a_n))
+    M = KroneckerModule(tuple(a_m))
+    N = KroneckerModule(tuple(a_n))
     return M, N, f1, f2
 
 
@@ -225,7 +244,7 @@ class TestIntertwiningGuard:
             K = real(A)
             data = K.basis.data.copy()
             data[corrupt, 0] = (data[corrupt, 0] + 1) % 5  # f1[0, 0] of one vector
-            return Subspace(K.field, K.ambient_dim, Matrix(K.field, data), K.pivot_cols)
+            return Subspace(Matrix(K.field, data), K.pivot_cols)
 
         assert len(hom_basis(M, M)) == 9
         monkeypatch.setattr(modules, "sparse_kernel", corrupted)
@@ -488,11 +507,11 @@ class TestDualityLayersFaithful:
     @pytest.mark.parametrize("field", [F5, QQ])
     def test_modules_built_separately_are_equal_values(self, field):
         rows = [[1, 2, 0], [0, 3, 4]]
-        M = KroneckerModule(1, field, 3, 2, (Matrix.from_rows(field, rows),))
-        N = KroneckerModule(1, field, 3, 2, (Matrix.from_rows(field, [list(r) for r in rows]),))
+        M = KroneckerModule((Matrix.from_rows(field, rows),))
+        N = KroneckerModule((Matrix.from_rows(field, [list(r) for r in rows]),))
         assert M == N and hash(M) == hash(N) and {M: 1}[N] == 1
         rows[1][1] = 1
-        assert M != KroneckerModule(1, field, 3, 2, (Matrix.from_rows(field, rows),))
+        assert M != KroneckerModule((Matrix.from_rows(field, rows),))
 
     def test_layers_of_simples(self):
         S1 = simple_module(3, F5, 1)
@@ -561,8 +580,7 @@ class TestSubsAndQuotients:
         # a full pair is closed under the maps of any module of its dims, so
         # only its parent tells these apart
         M = preinjective(3, 2, F5)
-        zero_maps = KroneckerModule(3, F5, M.dim1, M.dim2,
-                                    tuple(Matrix.zeros(F5, M.dim2, M.dim1) for _ in range(3)))
+        zero_maps = KroneckerModule(tuple(Matrix.zeros(F5, M.dim2, M.dim1) for _ in range(3)))
         for parent, other in ((B([0, 1, 0]), B([1, 0, 0])), (zero_maps, M)):
             full = SubmodulePair(other, Subspace.full(F5, other.dim1), Subspace.full(F5, other.dim2))
             with pytest.raises(DimensionMismatch):
@@ -615,8 +633,8 @@ class TestIsoSearch:
         """Equal dims (2, 1), no invertible Hom(M, N) element, and
         dim Hom(M, N) = 3 against dim Hom(N, M) = 4."""
         zero = Matrix.zeros(F2, 1, 2)
-        M = KroneckerModule(2, F2, 2, 1, (zero, zero))
-        N = KroneckerModule(2, F2, 2, 1, (zero, Matrix.from_rows(F2, [[1, 0]])))
+        M = KroneckerModule((zero, zero))
+        N = KroneckerModule((zero, Matrix.from_rows(F2, [[1, 0]])))
         assert (hom_dim(M, N), hom_dim(N, M)) == (3, 4)
         assert find_isomorphism(M, N).status == NON_ISO
 
@@ -641,7 +659,7 @@ class TestIsoSearch:
         g1_inv = Matrix.from_rows(F5, [[1, 4], [0, 1]])
         g2 = Matrix.from_rows(F5, [[2, 0], [1, 1]])
         assert g1 @ g1_inv == Matrix.identity(F5, 2) and rank(g2) == 2
-        N = KroneckerModule(3, F5, 2, 2, tuple(g2 @ a @ g1_inv for a in M.alphas))
+        N = KroneckerModule(tuple(g2 @ a @ g1_inv for a in M.alphas))
         assert N != M
         basis = hom_basis(M, N)
         assert basis and not any(rank(fm.f1) == 2 and rank(fm.f2) == 2 for fm in basis)

@@ -13,6 +13,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from itertools import combinations
 from math import comb
 from pathlib import Path
@@ -210,6 +211,25 @@ def test_subset_count_named_by_a_power_it_exceeds(points, size):
     assert scenarios.SUBSET_LIMIT < 2 ** bits < comb(points, size)
 
 
+@pytest.mark.parametrize("argv,count", [
+    (["n2-generation", "--q", "2147483647"], "over 2^2147483650 subsets"),
+    (["optimality-I3", "--n", "3000000", "--q", "2147483647"], "over 2^89999970 subsets")])
+def test_subset_prechecks_form_no_power_of_q(capsys, argv, count):
+    """2^(q+1) (t+1) is sized from its bit length, and (q^n - 1)/(q - 1)
+    from the power of two below q^(n-1) once that has more than 2^20 bits:
+    neither is formed, so the refusal takes neither time nor memory in q or
+    n (2^(2^31) alone would take 256 MiB)."""
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        assert cli_main(argv) == 2
+        assert time.perf_counter() - start < 1
+        assert tracemalloc.get_traced_memory()[1] < 2**20
+    finally:
+        tracemalloc.stop()
+    assert f"error: {count} exceed the exhaustive-search cap" in capsys.readouterr().err
+
+
 class TestGenerates:
     """Positive and negative controls for ``generates``, the oracle the
     subset search is tested against: the optimality scenarios expect zero
@@ -251,7 +271,7 @@ def _zero_map_traces(field, dims, spans):
     per (rows at vertex 1, rows at vertex 2) in ``spans``: with zero maps
     any pair of subspaces is a submodule."""
     d1, d2 = dims
-    M = KroneckerModule(2, field, d1, d2, (Matrix.zeros(field, d2, d1),) * 2)
+    M = KroneckerModule((Matrix.zeros(field, d2, d1),) * 2)
     return M, [SubmodulePair(M, Subspace.from_spanning(field, d1, r1),
                              Subspace.from_spanning(field, d2, r2)) for r1, r2 in spans]
 
@@ -448,7 +468,7 @@ def test_reports_do_not_depend_on_the_basis_of_each_preinjective(monkeypatch, na
     def rebased_preinjective(n, t, field):
         M = preinjective(n, t, field)
         g2, h1 = _random_invertible(field, M.dim2, rng), _random_invertible(field, M.dim1, rng)
-        rebased = KroneckerModule(n, field, M.dim1, M.dim2, tuple(g2 @ a @ h1 for a in M.alphas))
+        rebased = KroneckerModule(tuple(g2 @ a @ h1 for a in M.alphas))
         pairs.append((M, rebased))
         return rebased
 
@@ -597,6 +617,34 @@ class TestCli:
         # a budget below zero is a usage error, not a failed search
         assert cli_main(["indecomposable-generator", "--attempts", "-1"]) == 2
         assert "attempts must be nonnegative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["main-theorem-a", "--n", "2"], "scenario main-theorem-a needs n >= 3"),
+        (["n2-generation", "--n", "3"], "scenario n2-generation is specific to n = 2"),
+        (["annihilated-lemma", "--n", "1"], "the annihilator bound needs n >= 2"),
+        (["main-theorem-b-bristle-orbits", "--n", "4", "--module", GOLDEN_MODULE],
+         "--n 4 disagrees with the module file (n=3)"),
+        (["main-theorem-a", "--tmax", "-1"], "t_max must be nonnegative"),
+        (["main-theorem-a", "--q", "0"], "characteristic must be a prime in [2, 2^31), got 0")])
+    def test_bad_config_exit_2(self, capsys, monkeypatch, argv, message):
+        monkeypatch.chdir(ROOT)
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err == f"kronbrist: error: {message}\n"
+
+    @pytest.mark.parametrize("text,message", [
+        ("kron n=0 field=gf(2) dims=1,1\n", "line 1, column 1: need n >= 1"),
+        ("kron n=1 field=gf(0) dims=0,0\nalpha 1\n",
+         "line 1, column 1: characteristic must be a prime in [2, 2^31), got 0"),
+        ("kron n=1 field=gf(2) dims=1,1\nalpha 1\nx\n",
+         "line 3, column 1: expected an integer entry, got 'x'"),
+        ("kron n=1 field=q dims=2,1\nalpha 1\n1 1/x\n",
+         "line 3, column 3: expected num or num/den, got '1/x'"),
+        ("kron n=1 field=q dims=1,1\nalpha 1\n1/0\n", "line 3, column 1: zero denominator")])
+    def test_bad_module_file_exit_2(self, capsys, tmp_path, text, message):
+        module = tmp_path / "bad.kron"
+        module.write_text(text)
+        assert cli_main(["main-theorem-b-bristle-orbits", "--module", str(module)]) == 2
+        assert capsys.readouterr().err == f"kronbrist: error: {message}\n"
 
     def test_zero_arrows_exit_2(self, capsys):
         for name in ("bristled-layers", "saturated-faithful"):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .linalg import FieldSpec, InternalCheckFailed, Matrix, Subspace, block_lines
+from .linalg import FieldSpec, InternalCheckFailed, Matrix, Subspace, block_lines, rref
 from .modules import (
     KroneckerModule,
     SubmodulePair,
@@ -158,7 +158,7 @@ def maximal_bristled_submodule(M: KroneckerModule) -> SubmodulePair:
     if not M.field.is_finite:
         raise ValueError("maximal bristled submodule requires a finite field")
     X, _, _ = bristle_images(bristle_points(M.n, M.field), M)
-    return SubmodulePair(M, Subspace.row_space(X), Subspace.full(M.field, M.dim2))
+    return SubmodulePair(M, rref(X), Subspace.full(M.field, M.dim2))
 
 
 def is_bristled(M: KroneckerModule) -> bool:

@@ -20,8 +20,9 @@ literal coordinate identity.
 A subrepresentation (``CoverSubrep``) is a subspace of the host's space at
 each vertex, checked once for closure under the host's arrows.  The
 push-down layout, the block of the pushed spaces that each vertex occupies,
-is worked out once per representation (``CoverRep.offsets``); the push-down
-and every subspace or vector carried into it go through that layout.
+is worked out once per representation (``CoverRep.offsets``), and so is
+the push-down (``CoverRep.pushed``); every subspace or vector carried into
+it goes through that layout.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .linalg import (
     Subspace,
     joint_kernel,
     place_blocks,
+    rref,
     sparse_rank,
     subspace_sum,
 )
@@ -119,6 +121,11 @@ class CoverRep:
             ends[cls] += self.spaces[v]
         return offsets
 
+    @cached_property
+    def pushed(self) -> KroneckerModule:
+        """The push-down of this representation (``push_down``)."""
+        return push_down(self)
+
 
 def push_down(X: CoverRep) -> KroneckerModule:
     """Sum the spaces over each vertex class and assemble the label maps blockwise."""
@@ -130,17 +137,18 @@ def push_down(X: CoverRep) -> KroneckerModule:
     return KroneckerModule(alphas)
 
 
-def _place(X: CoverRep, total: int, parts: Dict[TreeVertex, Matrix]) -> Matrix:
-    """Rows of one push-down space of X, of dimension ``total``: row r holds
+def _place(X: CoverRep, parts: Dict[TreeVertex, Matrix]) -> Matrix:
+    """Rows of the push-down space of the parts' vertex class: row r holds
     row r of every part in the block of the part's vertex and zeros
     elsewhere.  The parts have equal row counts and vertices of one class."""
-    rows = next(iter(parts.values())).rows
-    return place_blocks(X.field, rows, total, [(0, X.offsets[v], B) for v, B in parts.items()])
+    v, B = next(iter(parts.items()))
+    return place_blocks(X.field, B.rows, X.pushed.dims[vertex_class(v) - 1],
+                        [(0, X.offsets[v], B) for v, B in parts.items()])
 
 
-def _pair(pushed: KroneckerModule, rows1: Matrix, rows2: Matrix) -> SubmodulePair:
-    """The subspace pair of ``pushed`` spanned by the given rows at each vertex."""
-    return SubmodulePair(pushed, Subspace.row_space(rows1), Subspace.row_space(rows2))
+def _pair(X: CoverRep, rows1: Matrix, rows2: Matrix) -> SubmodulePair:
+    """The subspace pair of the push-down of X spanned by the given rows at each vertex."""
+    return SubmodulePair(X.pushed, rref(rows1), rref(rows2))
 
 
 # -- named constructions -------------------------------------------------------
@@ -321,8 +329,8 @@ def w_component(X: CoverRep, i: int, j: int) -> CoverSubrep:
 
 # -- push-down bookkeeping --------------------------------------------------------
 
-def subrep_subpair(sub: CoverSubrep, pushed: KroneckerModule) -> SubmodulePair:
-    """The push-down of a subrep as a subspace pair of ``push_down(sub.host)``.
+def subrep_subpair(sub: CoverSubrep) -> SubmodulePair:
+    """The push-down of a subrep as a subspace pair of its host's push-down.
 
     Each vertex's RREF basis is placed in its block, the blocks in layout
     order.  The blocks are disjoint column ranges, so the placed rows are
@@ -336,28 +344,25 @@ def subrep_subpair(sub: CoverSubrep, pushed: KroneckerModule) -> SubmodulePair:
         if sub.spaces[v].dim:
             parts[vertex_class(v) - 1].append((offsets[v], sub.spaces[v]))
     spaces = []
-    for total, placed in zip(pushed.dims, parts):
+    for total, placed in zip(X.pushed.dims, parts):
         starts = list(accumulate((U.dim for _, U in placed), initial=0))
         rows = place_blocks(X.field, starts[-1], total,
                             [(r, c, U.basis) for r, (c, U) in zip(starts, placed)])
         spaces.append(Subspace(rows, tuple(c + j for c, U in placed for j in U.pivot_cols)))
-    return SubmodulePair(pushed, *spaces)
+    return SubmodulePair(X.pushed, *spaces)
 
 
-def extract_bristle_from_wedge(X: CoverRep, pushed: KroneckerModule,
-                               j: int, i: int) -> SubmodulePair:
+def extract_bristle_from_wedge(X: CoverRep, j: int, i: int) -> SubmodulePair:
     """The bristle inside the pushed wedge over branch j with leaf types i, i+1.
 
     Generated by the sum of the two leaf generators; both relevant maps send
     it to the sink generator, so the type is the pair point (i, i+1).
     """
     one = Matrix.identity(X.field, 1)
-    return _pair(pushed,
-                 _place(X, pushed.dim1, {(j, i): one, (j, i % X.n + 1): one}),
-                 _place(X, pushed.dim2, {(j,): one}))
+    return _pair(X, _place(X, {(j, i): one, (j, i % X.n + 1): one}), _place(X, {(j,): one}))
 
 
-def extract_mij(w: CoverSubrep, i: int, j: int, pushed: KroneckerModule):
+def extract_mij(w: CoverSubrep, i: int, j: int):
     """Bristle submodule of the pushed path rep ``w = w_component(X, i, j)``
     with equal images under both maps; the same for (i, j) and (j, i).
 
@@ -369,15 +374,15 @@ def extract_mij(w: CoverSubrep, i: int, j: int, pushed: KroneckerModule):
     Returns (pair, generator vector).
     """
     X, line = w.host, w.spaces[BASE].basis
-    gen = _place(X, pushed.dim1, {
+    gen = _place(X, {
         BASE: line,
         (j, i): line @ X.arrow(BASE, j).transpose(),
         (i, j): line @ X.arrow(BASE, i).transpose(),
     })
-    img = gen @ pushed.alphas[i - 1].transpose()
-    if img != gen @ pushed.alphas[j - 1].transpose() or img.is_zero():
+    img = gen @ X.pushed.alphas[i - 1].transpose()
+    if img != gen @ X.pushed.alphas[j - 1].transpose() or img.is_zero():
         raise RuntimeError("path bristle generator failed its image identity")
-    return _pair(pushed, gen, img), gen.row(0)
+    return _pair(X, gen, img), gen.row(0)
 
 
 # -- cover Hom spaces and the bristled part ----------------------------------------
@@ -390,7 +395,7 @@ def _cover_hom_system(X: CoverRep, Y: CoverRep) -> SparseSystem:
     vertex's map row-major."""
     if X.n != Y.n or X.field != Y.field:
         raise DimensionMismatch("cover reps over different trees or fields")
-    P, Q = push_down(X), push_down(Y)
+    P, Q = X.pushed, Y.pushed
     cols = []
     for v in sorted(set(X.spaces) & set(Y.spaces), key=lambda u: (len(u), u)):
         cls = vertex_class(v) - 1  # F1 of the push-downs, then F2 at Q.dim1 * P.dim1
@@ -454,9 +459,9 @@ def injective_star(n: int, field: FieldSpec, j: int) -> CoverRep:
 
 # -- the center decomposition and the generation equalities ------------------------
 
-def verify_cover_equalities(X: CoverRep, pushed: KroneckerModule) -> tuple:
+def verify_cover_equalities(X: CoverRep) -> tuple:
     """Mechanical verification of the generation identities inside the ball
-    X = ``build_ball_rep(n, field)`` with push-down ``pushed``.
+    X = ``build_ball_rep(n, field)`` and its push-down.
 
     Checks, per branch, that the branch restriction is the sum of its two
     singleton leaf projectives and the wedges; that its push-down is the sum
@@ -473,7 +478,7 @@ def verify_cover_equalities(X: CoverRep, pushed: KroneckerModule) -> tuple:
     each pair i < j of labels the path rep ``w_component(X, i, j)`` and its
     bristle from ``extract_mij``, keyed by (i, j).
     """
-    n, f = X.n, X.field
+    n, f, pushed = X.n, X.field, X.pushed
     checks: List[Tuple[str, bool]] = []
     pair_starts = list(range(1, n - 1)) + [n]
 
@@ -487,9 +492,9 @@ def verify_cover_equalities(X: CoverRep, pushed: KroneckerModule) -> tuple:
                 for v in yj.spaces}
         checks.append((f"branch-decomposition-j{j}", sums == yj.spaces))
 
-        nj = subrep_subpair(yj, pushed)
-        pieces = [subrep_subpair(s, pushed) for s in singles]
-        pieces += [extract_bristle_from_wedge(X, pushed, j, i) for i in covered_pair_starts(n, j)]
+        nj = subrep_subpair(yj)
+        pieces = [subrep_subpair(s) for s in singles]
+        pieces += [extract_bristle_from_wedge(X, j, i) for i in covered_pair_starts(n, j)]
         s1 = subspace_sum(Subspace.zero(f, pushed.dim1), *(p.U1 for p in pieces))
         s2 = subspace_sum(Subspace.zero(f, pushed.dim2), *(p.U2 for p in pieces))
         checks.append((f"pushed-branch-decomposition-j{j}", (s1, s2) == (nj.U1, nj.U2)))
@@ -502,8 +507,8 @@ def verify_cover_equalities(X: CoverRep, pushed: KroneckerModule) -> tuple:
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             w = w_component(X, i, j)
-            wp = subrep_subpair(w, pushed)
-            mij = extract_mij(w, i, j, pushed)[0]
+            wp = subrep_subpair(w)
+            mij = extract_mij(w, i, j)[0]
             paths[i, j] = w, mij
             ok = (subspace_sum(N1, mij.U1).contains(wp.U1)
                   and subspace_sum(N2, mij.U2).contains(wp.U2))

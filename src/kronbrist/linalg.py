@@ -63,9 +63,10 @@ inner-length products below p^2, so the same bound keeps it exact.
 Pivot choice is deterministic: first nonzero entry scanning columns left to
 right, rows top to bottom.  A subspace is its basis in reduced row-echelon
 form, with the pivot columns every projection reads; its field and ambient
-dimension are the basis's.  So two subspaces are equal iff their basis
-matrices are entrywise equal; a sum of subspaces extends the basis of its
-largest summand and eliminates only what the others add to it.
+dimension are the basis's, and ``rref`` gives the one a matrix's rows span.
+So two subspaces are equal iff their basis matrices are entrywise equal; a
+sum of subspaces extends the basis of its largest summand and eliminates
+only what the others add to it.
 """
 
 from __future__ import annotations
@@ -586,12 +587,6 @@ def hom_system(maps: Sequence[Matrix], sources: Matrix, dims: tuple) -> SparseSy
 
 # -- row reduction -----------------------------------------------------------
 
-class RrefResult(NamedTuple):
-    matrix: Matrix
-    pivot_cols: tuple
-    rank: int
-
-
 def _rref(a: np.ndarray, field: FieldSpec):
     """Gauss-Jordan elimination on a copy of the integer rows a, which span
     the row space of a over any denominator.
@@ -673,16 +668,17 @@ def _rref(a: np.ndarray, field: FieldSpec):
     return R, pivots, den
 
 
-def rref(A: Matrix) -> RrefResult:
-    """Reduced row-echelon form with deterministic first-nonzero pivoting."""
+def rref(A: Matrix) -> Subspace:
+    """The row space of A: its reduced row-echelon form with deterministic
+    first-nonzero pivoting, without the zero rows."""
     if A.rows == 0 or A.cols == 0:
-        return RrefResult(A, (), 0)
+        return Subspace.zero(A.field, A.cols)
     R, pivots, den = _rref(A.data, A.field)
-    return RrefResult(Matrix._of(A.field, R, den), tuple(pivots), len(pivots))
+    return Subspace(Matrix._of(A.field, R[:len(pivots)], den), tuple(pivots))
 
 
 def rank(A: Matrix) -> int:
-    return rref(A).rank
+    return rref(A).dim
 
 
 def _inverses(v: np.ndarray, p: int) -> np.ndarray:
@@ -780,13 +776,7 @@ class Subspace:
         A = Matrix.from_rows(field, vectors, cols=ambient_dim)
         if A.cols != ambient_dim:
             raise DimensionMismatch("spanning vectors have wrong length")
-        return Subspace.row_space(A)
-
-    @staticmethod
-    def row_space(A: Matrix) -> "Subspace":
-        """The span of the rows of A, a subspace of k^(A.cols)."""
-        R, pivots, rk = rref(A)
-        return Subspace(Matrix._of(A.field, R.data[:rk], R.den), pivots)
+        return rref(A)
 
     @property
     def dim(self) -> int:
@@ -836,8 +826,8 @@ def subspace_sum(U: Subspace, *more: Subspace) -> Subspace:
     goes through ``rref``, giving RREF rows R' with pivots P' (not in P),
     and B is cleared at P': B' = B - B[:, P'] R', still the identity at P.
     The rows of B' and R' merged by pivot column are the RREF of the sum,
-    which is unique, so the result equals ``Subspace.row_space`` of all the
-    stacked bases entry for entry.
+    which is unique, so the result equals ``rref`` of all the stacked bases
+    entry for entry.
     """
     for V in more:
         U._check_compatible(V)
@@ -850,8 +840,8 @@ def subspace_sum(U: Subspace, *more: Subspace) -> Subspace:
     res = base._residual(np.concatenate(arrays))
     if not res.any():
         return base
-    R, new, rk = rref(Matrix._of(f, res))
-    R, den = R.data[:rk], R.den
+    V = rref(Matrix._of(f, res))
+    R, den, new = V.basis.data, V.basis.den, V.pivot_cols
     # B' and R' as integers over the one denominator B.den * den
     cleared = f.reduce((B.data if den == 1 else B.data * den) - _dot(f, B.data[:, new], R))
     pivots = base.pivot_cols + new
@@ -990,41 +980,25 @@ def spanning_by_size(stacks: Sequence[Matrix], counts: Sequence[int], max_size: 
     return spanning.tolist(), decided.tolist()
 
 
-def _free_column_rows(R: Matrix, pivots: tuple) -> Matrix:
-    """One row per non-pivot column c of the RREF rows R: the unit vector at c
-    minus column c of R placed at the pivot slots.
-
-    These rows span the kernel of R; as a map they project k^n onto the
-    non-pivot coordinates with kernel the row space of R.
-    """
-    f, n = R.field, R.cols
-    pivot_set = set(pivots)
-    free = [c for c in range(n) if c not in pivot_set]
-    out = f.zeros((len(free), n))
-    out[np.arange(len(free)), free] = R.den
-    out[:, list(pivots)] = f.reduce(-R.data[:len(pivots), free].T)
-    return Matrix._of(f, out, R.den)
-
-
 def kernel_basis(A: Matrix) -> Subspace:
     """Canonical basis of {v : A v = 0} as a subspace of k^cols, from one
     elimination.
 
-    ``rref`` runs on A with its columns reversed.  Read back in the original
-    order, the kernel row of each free column has its unit at that column
-    and its other entries at pivots of later columns, so these rows, sorted
-    by free column, are already in reduced row-echelon form with the free
-    columns as pivots.
+    ``quotient_projection`` of the row space (``rref``) of A with its
+    columns reversed gives one kernel row per free column.  Read back in
+    the original order, each has its unit at its free column and its other
+    entries at pivots of later columns, so these rows, sorted by free
+    column, are already in reduced row-echelon form with the free columns
+    as pivots.
     """
-    f = A.field
-    n = A.cols
+    f, n = A.field, A.cols
     if n == 0:
         return Subspace.zero(f, 0)
     if A.rows == 0:
         return Subspace.full(f, n)
-    R, pivots, _ = rref(A._with(A.data[:, ::-1], lowest=False))
-    K = _free_column_rows(R, pivots)
-    pivot_set = set(pivots)
+    R = rref(A._with(A.data[:, ::-1], lowest=False))
+    K = quotient_projection(R)
+    pivot_set = set(R.pivot_cols)
     free = [n - 1 - c for c in reversed(range(n)) if c not in pivot_set]
     return Subspace(K._with(K.data[::-1, ::-1], lowest=False), tuple(free))
 
@@ -1151,8 +1125,7 @@ def sparse_block_kernels(S: SparseSystem, blocks: int):
     cores = []  # per cored block: the columns of its core and the core's kernel rows
     for part in parts:
         cols, core = _dense_core(S, part)
-        R, pivots, _ = rref(core)
-        cores.append((cols, _free_column_rows(R, pivots)))
+        cores.append((cols, quotient_projection(rref(core))))
     unknown = ~P.removed
     for cols, _ in cores:
         unknown[cols] = False
@@ -1247,7 +1220,7 @@ def _back_substitute(S: SparseSystem, batches: list, K: np.ndarray):
 def sparse_kernel(S: SparseSystem) -> Subspace:
     """Canonical basis of {x : S x = 0}, the same subspace as ``kernel_basis``
     of S written out densely."""
-    return Subspace.row_space(sparse_block_kernels(S, 1)[0])
+    return rref(sparse_block_kernels(S, 1)[0])
 
 
 def joint_kernel(field: FieldSpec, dim: int, maps: Sequence[Matrix]) -> Subspace:
@@ -1259,13 +1232,22 @@ def joint_kernel(field: FieldSpec, dim: int, maps: Sequence[Matrix]) -> Subspace
 
 def image_subspace(A: Matrix) -> Subspace:
     """Column space of A, canonically, as row vectors of length A.rows."""
-    return Subspace.row_space(A.transpose())
+    return rref(A.transpose())
 
 
 def quotient_projection(U: Subspace) -> Matrix:
     """Canonical projection k^ambient -> k^(ambient - dim U) with kernel U.
 
-    Coordinates on the quotient are the non-pivot columns of U's basis,
-    taken in ascending order (greedy pivot completion).
+    Coordinates on the quotient are the non-pivot columns c of U's basis,
+    in ascending order (greedy pivot completion); the row of c, the unit
+    vector at c minus column c of the basis placed at the pivots, is also
+    a kernel vector of the basis read as a map.
     """
-    return _free_column_rows(U.basis, U.pivot_cols)
+    R, pivots = U.basis, U.pivot_cols
+    f, n = R.field, R.cols
+    pivot_set = set(pivots)
+    free = [c for c in range(n) if c not in pivot_set]
+    out = f.zeros((len(free), n))
+    out[np.arange(len(free)), free] = R.den
+    out[:, list(pivots)] = f.reduce(-R.data[:, free].T)
+    return Matrix._of(f, out, R.den)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .linalg import (
@@ -394,20 +395,22 @@ def dual(M: KroneckerModule) -> KroneckerModule:
 class Layers(NamedTuple):
     socle: SubmodulePair
     radical: SubmodulePair
-    top_dims: DimVector
-    soc_dims: DimVector
+
+    @property
+    def top_dims(self) -> DimVector:  # of M modulo its radical
+        return tuple(d - r for d, r in zip(self.radical.parent.dims, self.radical.dims))
+
+    @property
+    def soc_dims(self) -> DimVector:
+        return self.socle.dims
 
 
 def layers(M: KroneckerModule) -> Layers:
-    """Socle (cap of kernels, all of M2), radical (0, sum of images), tops."""
+    """Socle (cap of kernels, all of M2) and radical (0, sum of images)."""
     f = M.field
-    soc1 = joint_kernel(f, M.dim1, M.alphas)
-    rad2 = image_subspace(Matrix.hstack(*M.alphas))
-    socle = SubmodulePair(M, soc1, Subspace.full(f, M.dim2))
-    radical = SubmodulePair(M, Subspace.zero(f, M.dim1), rad2)
-    return Layers(socle, radical,
-                  (M.dim1, M.dim2 - rad2.dim),
-                  (soc1.dim, M.dim2))
+    socle = SubmodulePair(M, joint_kernel(f, M.dim1, M.alphas), Subspace.full(f, M.dim2))
+    radical = SubmodulePair(M, Subspace.zero(f, M.dim1), image_subspace(Matrix.hstack(*M.alphas)))
+    return Layers(socle, radical)
 
 
 def is_faithful(M: KroneckerModule) -> bool:
@@ -419,32 +422,30 @@ def is_faithful(M: KroneckerModule) -> bool:
 
 # -- sums, submodules, quotients ---------------------------------------------
 
-def direct_sum(M: KroneckerModule, N: KroneckerModule) -> KroneckerModule:
-    _check_same_category(M, N)
-    alphas = tuple(place_blocks(M.field, a.rows + b.rows, a.cols + b.cols,
-                                [(0, 0, a), (a.rows, a.cols, b)])
-                   for a, b in zip(M.alphas, N.alphas))
-    return KroneckerModule(alphas)
-
-
-def direct_sum_list(mods: Sequence[KroneckerModule]) -> KroneckerModule:
+def direct_sum(*mods: KroneckerModule) -> KroneckerModule:
+    """The direct sum of the modules, each placed once: one block-diagonal
+    matrix per arrow."""
     if not mods:
         raise ValueError("empty direct sum needs an explicit zero_module")
-    out = mods[0]
-    for m in mods[1:]:
-        out = direct_sum(out, m)
-    return out
+    for N in mods[1:]:
+        _check_same_category(mods[0], N)
+    rows = list(accumulate((M.dim2 for M in mods), initial=0))
+    cols = list(accumulate((M.dim1 for M in mods), initial=0))
+    return KroneckerModule(tuple(
+        place_blocks(mods[0].field, rows[-1], cols[-1],
+                     [(r, c, M.alphas[i]) for r, c, M in zip(rows, cols, mods)])
+        for i in range(mods[0].n)))
 
 
-def submodule_as_module(M: KroneckerModule, U: SubmodulePair):
-    """U as an abstract module in its RREF bases, with the inclusion map.
+def submodule_as_module(U: SubmodulePair):
+    """U as an abstract module in its RREF bases, with the inclusion map
+    into its parent.
 
     U was checked closed when it was built.  Row i of U1's basis times a^T is
     the image of basis vector i, and its coordinates in the RREF basis of U2
     are its entries at U2's pivots.
     """
-    if U.parent != M:
-        raise DimensionMismatch("submodule of a different parent")
+    M = U.parent
     alphas = tuple((U.U1.basis @ a.transpose()).select_cols(U.U2.pivot_cols).transpose()
                    for a in M.alphas)
     sub = KroneckerModule(alphas)
@@ -452,10 +453,10 @@ def submodule_as_module(M: KroneckerModule, U: SubmodulePair):
     return sub, incl
 
 
-def quotient(M: KroneckerModule, U: SubmodulePair):
-    """Quotient module on the complement coordinates, with the projection."""
-    if U.parent != M:
-        raise DimensionMismatch("submodule of a different parent")
+def quotient(U: SubmodulePair):
+    """The parent of U modulo U on the complement coordinates, with the
+    projection."""
+    M = U.parent
     Q1 = quotient_projection(U.U1)
     Q2 = quotient_projection(U.U2)
     pivots = set(U.U1.pivot_cols)

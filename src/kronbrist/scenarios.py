@@ -46,7 +46,6 @@ from .cover import (
     injective_star,
     leaf_projective,
     leaves_of,
-    push_down,
     subrep_subpair,
     verify_cover_equalities,
     w_component,
@@ -63,7 +62,7 @@ from .modules import (
     bristle_images,
     compose,
     coxeter_apply,
-    direct_sum_list,
+    direct_sum,
     end_dim,
     ext1_dim,
     find_isomorphism,
@@ -355,15 +354,14 @@ def _scn_n2_classification(cfg: ScenarioConfig) -> List[Check]:
 def _scn_cover_equalities(cfg: ScenarioConfig) -> List[Check]:
     n, f = _require_wild(cfg)
     X = build_ball_rep(n, f)
-    pushed = push_down(X)
-    equalities, paths = verify_cover_equalities(X, pushed)
+    equalities, paths = verify_cover_equalities(X)
     checks = []
     for key, ok in equalities:
         checks.append(Check(
             "eq-" + key,
             "the ball representation decomposes into leaf projectives, wedges and path bristles",
             True, ok))
-    iso = find_isomorphism(pushed, preinjective(n, 2, f), attempts=cfg.attempts)
+    iso = find_isomorphism(X.pushed, preinjective(n, 2, f), attempts=cfg.attempts)
     checks.append(Check(
         "pushdown-is-I2",
         "the ball representation pushes down to the second preinjective",
@@ -388,7 +386,7 @@ def _scn_cover_equalities(cfg: ScenarioConfig) -> List[Check]:
     mij_bad = 0
     for i in pair_starts:
         jpair = i % n + 1
-        sub, _ = submodule_as_module(pushed, paths[min(i, jpair), max(i, jpair)][1])
+        sub, _ = submodule_as_module(paths[min(i, jpair), max(i, jpair)][1])
         if find_isomorphism(sub, bristle(pair_point(n, f, i, jpair)),
                             attempts=cfg.attempts).status != ISO:
             mij_bad += 1
@@ -402,7 +400,7 @@ def _scn_cover_equalities(cfg: ScenarioConfig) -> List[Check]:
 def _scn_tau_b1_cover(cfg: ScenarioConfig) -> List[Check]:
     n, f = _require_wild(cfg)
     X = build_tau_bristle_rep(n, f)
-    pushed = push_down(X)
+    pushed = X.pushed
     T = ar_translate(bristle(unit_point(n, f, 1)))
     checks = [
         Check("pruned-ball-dims",
@@ -414,8 +412,7 @@ def _scn_tau_b1_cover(cfg: ScenarioConfig) -> List[Check]:
     ]
     type1 = [leaf for leaf, tp in leaves_of(X) if tp == 1]
     b1 = bristle(unit_point(n, f, 1))
-    bad = sum(submodule_as_module(pushed, subrep_subpair(leaf_projective(X, leaf), pushed))[0] != b1
-              for leaf in type1)
+    bad = sum(submodule_as_module(subrep_subpair(leaf_projective(X, leaf)))[0] != b1 for leaf in type1)
     checks.append(Check(
         "leaf-b1-submodules",
         "each type-1 leaf pushes down to a submodule equal to the unit-1 bristle",
@@ -426,8 +423,8 @@ def _scn_tau_b1_cover(cfg: ScenarioConfig) -> List[Check]:
         "the pruned ball has n-2 leaves of each of the two highest types",
         [n - 2, n - 2], [counts[n - 1], counts[n]]))
     paths = [w_component(X, i, i + 1) for i in range(2, n)]
-    parts = [subrep_subpair(y_component(X, j), pushed) for j in range(2, n + 1)]
-    parts += [extract_mij(w, i, i + 1, pushed)[0] for i, w in enumerate(paths, 2)]
+    parts = [subrep_subpair(y_component(X, j)) for j in range(2, n + 1)]
+    parts += [extract_mij(w, i, i + 1)[0] for i, w in enumerate(paths, 2)]
     checks.append(Check(
         "generation-sum",
         "branch push-downs plus interior path bristles generate the whole translate",
@@ -445,7 +442,7 @@ def _scn_tau_b1_cover(cfg: ScenarioConfig) -> List[Check]:
 def _scn_mu_ext(cfg: ScenarioConfig) -> List[Check]:
     n, f = _require_wild(cfg)
     X = build_mu_bristle_rep(n, f)
-    pushed = push_down(X)
+    pushed = X.pushed
     tdims = coxeter_apply((1, 1), n)
     checks = [
         Check("mu-dims",
@@ -457,12 +454,12 @@ def _scn_mu_ext(cfg: ScenarioConfig) -> List[Check]:
     thin = [leaf for leaf, _tp in leaves_of(X)] + [(j,) for j in range(2, n + 1)]
     spaces = {v: Subspace.full(f, X.dim(v)) for v in thin}
     spaces[BASE] = kernel_basis(X.arrow(BASE, 1))
-    tau_pair = subrep_subpair(CoverSubrep(X, spaces), pushed)
+    tau_pair = subrep_subpair(CoverSubrep(X, spaces))
     checks.append(Check(
         "tau-subobject-dims",
         "the middle term contains the translate with dimension vector Phi(1,1)",
         list(tdims), list(tau_pair.dims)))
-    quot, proj = quotient(pushed, tau_pair)
+    quot, proj = quotient(tau_pair)
     b1 = bristle(unit_point(n, f, 1))
     checks.append(Check(
         "quotient-by-translate-is-b1",
@@ -597,7 +594,7 @@ def _scn_indecomposable_generator(cfg: ScenarioConfig) -> List[Check]:
     n, f = _require_wild(cfg)
     rng = _derived_rng(cfg.seed, f"indecomposable-generator:{n}:{f}")
     b0pts = canonical_set("B0", n, f)
-    C = direct_sum_list([bristle(p) for p in b0pts])
+    C = direct_sum(*(bristle(p) for p in b0pts))
     A = bristle(unit_point(n, f, 1))
     found = None
     for _ in range(cfg.attempts):

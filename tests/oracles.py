@@ -6,7 +6,7 @@ is kept only as an oracle: ``trace_submodule`` forms the trace of any
 generators from their Hom bases, one Hom system per generator (the library's
 ``bristle_images`` and ``is_generated_by`` use one block system);
 ``bristle_traces`` forms each bristle's trace as a ``SubmodulePair`` from
-those images, one ``row_space`` per point and vertex, over any field (the
+those images, one ``rref`` per point and vertex, over any field (the
 library's subset search reduces all the traces in one stacked sweep and
 builds no subspace); and ``generates`` sums a set of traces outright (the
 search carries reduced rows and rules out branches by rank).
@@ -53,6 +53,7 @@ from kronbrist.linalg import (
     image_subspace,
     joint_kernel,
     rank,
+    rref,
     spanning_by_size,
     sparse_block_kernels,
     subspace_sum,
@@ -100,8 +101,7 @@ def bristle_traces(points: Matrix, M: KroneckerModule) -> list:
     row order, over any field: the row spaces of the rows
     ``bristle_images`` gives for p."""
     X, Y, counts = bristle_images(points, M)
-    return [SubmodulePair(M, Subspace.row_space(X.select_rows(range(e - k, e))),
-                          Subspace.row_space(Y.select_rows(range(e - k, e))))
+    return [SubmodulePair(M, rref(X.select_rows(range(e - k, e))), rref(Y.select_rows(range(e - k, e))))
             for k, e in zip(counts, accumulate(counts))]
 
 
@@ -171,7 +171,7 @@ def bristle_variety(M: KroneckerModule) -> list:
     if not M.field.is_finite:
         raise ValueError("variety enumeration requires a finite field; "
                          "use is_bristle_vector for membership over the rationals")
-    reduced, _ = quotient(M, s1_generated_submodule(M))
+    reduced, _ = quotient(s1_generated_submodule(M))
     out = []
     for u in _projective_points(M.field, reduced.dim1):
         if is_bristle_vector(reduced, u):

@@ -163,7 +163,7 @@ def test_criterion_5_cover_equalities():
             for f in (F5, F2):
                 X = build_ball_rep(n, f)
                 ball = push_down(X)
-                for key, ok in verify_cover_equalities(X, ball)[0]:
+                for key, ok in verify_cover_equalities(X)[0]:
                     assert ok, (n, str(f), key)
                 assert find_isomorphism(ball, preinjective(n, 2, f)).status == ISO
                 pruned = push_down(build_tau_bristle_rep(n, f))

@@ -191,8 +191,8 @@ class TestComponents:
         X = build_ball_rep(3, F5)
         pushed = push_down(X)
         for leaf, tp in leaves_of(X):
-            pair = subrep_subpair(leaf_projective(X, leaf), pushed)
-            sub, _ = submodule_as_module(pushed, pair)
+            pair = subrep_subpair(leaf_projective(X, leaf))
+            sub, _ = submodule_as_module(pair)
             assert sub == bristle(unit_point(3, F5, tp))
 
     def test_component_inclusions_push_to_valid_morphisms(self):
@@ -208,7 +208,7 @@ class TestComponents:
         subs += [w_component(X, 1, 2), w_component(X, 2, 3)]
         subs.append(cover_max_bristled(X))
         for sub in subs:
-            pair = subrep_subpair(sub, pushed)
+            pair = subrep_subpair(sub)
             assert pair.parent == pushed
             # the vertex blocks are disjoint, so pushing down loses no dimension
             assert pair.dims == tuple(sum(sub.dim(v) for v in sub.spaces if vertex_class(v) == cls)
@@ -265,7 +265,7 @@ class TestPathBristles:
         X = build_ball_rep(3, F5)
         pushed = push_down(X)
         for (i, j) in ((1, 2), (2, 3), (3, 1), (1, 3)):
-            pair, gen = extract_mij(w_component(X, i, j), i, j, pushed)
+            pair, gen = extract_mij(w_component(X, i, j), i, j)
             img_i = pushed.alphas[i - 1].apply(gen)
             img_j = pushed.alphas[j - 1].apply(gen)
             assert img_i == img_j and any(x != 0 for x in img_i)
@@ -277,8 +277,8 @@ class TestPathBristles:
         pushed = push_down(X)
         for i in (1, 2, 3, 4):
             j = i % 4 + 1
-            pair, _ = extract_mij(w_component(X, i, j), i, j, pushed)
-            sub, _ = submodule_as_module(pushed, pair)
+            pair, _ = extract_mij(w_component(X, i, j), i, j)
+            sub, _ = submodule_as_module(pair)
             assert find_isomorphism(sub, bristle(pair_point(4, F2, i, j))).status == ISO
 
     def test_undefined_path_rejected(self):
@@ -291,7 +291,7 @@ class TestEqualities:
     @pytest.mark.parametrize("n,field", [(3, F5), (3, F2), (4, F5), (4, F2)])
     def test_all_pass(self, n, field):
         X = build_ball_rep(n, field)
-        checks, paths = verify_cover_equalities(X, push_down(X))
+        checks, paths = verify_cover_equalities(X)
         for key, ok in checks:
             assert ok, (n, str(field), key)
         assert sorted(paths) == [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
@@ -304,7 +304,7 @@ class TestOverRationals:
 
     def test_equalities_hold(self, n):
         X = build_ball_rep(n, QQ)
-        for key, ok in verify_cover_equalities(X, push_down(X))[0]:
+        for key, ok in verify_cover_equalities(X)[0]:
             assert ok, (n, key)
 
     def test_ball_pushes_to_second_preinjective(self, n):
@@ -316,7 +316,7 @@ class TestOverRationals:
         pushed = push_down(X)
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):
-                pair, gen = extract_mij(w_component(X, i, j), i, j, pushed)
+                pair, gen = extract_mij(w_component(X, i, j), i, j)
                 img_i = pushed.alphas[i - 1].apply(gen)
                 assert img_i == pushed.alphas[j - 1].apply(gen) and any(img_i)
                 assert pair.dims == (1, 1)
@@ -396,7 +396,7 @@ class TestLeafHomCorrespondence:
         ones = bristle(bristle_point(n, F5, [1] * n))
         assert hom_dim(ones, pushed) == n - 1
         for j in range(1, n + 1):
-            pair = subrep_subpair(y_component(X, j), pushed)
+            pair = subrep_subpair(y_component(X, j))
             assert pair.dims == (n - 1, 1)
-            nj, _ = submodule_as_module(pushed, pair)
+            nj, _ = submodule_as_module(pair)
             assert hom_dim(ones, nj) == 0

@@ -84,9 +84,18 @@ class TestFieldSpec:
             GF(0)
 
     def test_is_prime_small(self):
-        primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31}
-        for k in range(2, 32):
-            assert is_prime(k) == (k in primes)
+        # every k < 200 against trial division: k < 2, and composites with no
+        # factor among the witnesses (121, 143, 169, 187) that a witness rejects
+        for k in range(-1, 200):
+            assert is_prime(k) == (k >= 2 and all(k % d for d in range(2, k))), k
+
+    @pytest.mark.parametrize("k,prime", [
+        (2047, False),       # 23 * 89, a strong pseudoprime to base 2
+        (1373653, False),    # 829 * 1657, to bases 2 and 3
+        (25326001, False),   # 2251 * 11251, to bases 2, 3 and 5: only the witness 7 rejects it
+        (2**31 - 1, True)])
+    def test_is_prime_strong_pseudoprimes(self, k, prime):
+        assert is_prime(k) == prime
 
     def test_arithmetic(self):
         f = GF(7)
@@ -134,36 +143,36 @@ class TestRref:
     def test_identity(self):
         f = GF(5)
         A = Matrix.identity(f, 3)
-        R, pivots, rk = rref(A)
-        assert R == A and pivots == (0, 1, 2) and rk == 3
+        U = rref(A)
+        assert U.basis == A and U.pivot_cols == (0, 1, 2) and U.dim == 3
 
     def test_zero_rational(self):
         A = Matrix.zeros(QQ, 2, 4)
-        R, pivots, rk = rref(A)
-        assert R == A and pivots == () and rk == 0
+        U = rref(A)
+        assert U.basis == Matrix.zeros(QQ, 0, 4) and U.pivot_cols == () and U.dim == 0
 
     def test_dependent_rows_gf5(self):
         # second row is twice the first, hand elimination leaves one pivot
         f = GF(5)
         A = Matrix.from_rows(f, [[1, 2], [2, 4]])
-        R, pivots, rk = rref(A)
-        assert R == Matrix.from_rows(f, [[1, 2], [0, 0]])
-        assert rk == 1 and pivots == (0,)
+        U = rref(A)
+        assert U.basis == Matrix.from_rows(f, [[1, 2]])
+        assert U.dim == 1 and U.pivot_cols == (0,)
 
     def test_idempotent(self):
         rng = random.Random(7)
         for field in (GF(2), GF(5), QQ):
             for _ in range(20):
                 A = random_matrix(field, rng, rng.randrange(1, 5), rng.randrange(1, 5))
-                R1 = rref(A).matrix
-                assert rref(R1).matrix == R1
+                R1 = rref(A).basis
+                assert rref(R1).basis == R1
 
     def test_gf_and_exact_paths_agree(self):
         # the rational path on 0/1 matrices must mirror the GF(p) pivots for
         # matrices whose elimination stays integral
         f = GF(5)
         A = Matrix.from_rows(f, [[1, 2, 3], [0, 1, 4], [0, 0, 1]])
-        assert rref(A).rank == 3
+        assert rref(A).dim == 3
 
 
 class TestKernel:
@@ -292,8 +301,8 @@ class TestSubspaces:
 
     def test_rational_entries_stay_exact(self):
         A = Matrix.from_rows(QQ, [[Fraction(1, 3), Fraction(1, 2)], [1, 1]])
-        R, pivots, rk = rref(A)
-        assert rk == 2
+        R = rref(A).basis
+        assert R.rows == 2
         assert all(isinstance(x, Fraction) for i in range(R.rows) for x in R.row(i))
 
     @pytest.mark.parametrize("field", [GF(5)], ids=str)
@@ -347,12 +356,11 @@ class TestRationalEntryTypes:
 
     def test_rref_and_kernel(self):
         for M in (self.A, self.B, self.INTEGER, Matrix.identity(QQ, 3), Matrix.zeros(QQ, 2, 3)):
-            R = rref(M)
-            _assert_fractions_in_lowest_terms(R.matrix)
+            _assert_fractions_in_lowest_terms(rref(M).basis)
             K = kernel_basis(M)
             _assert_fractions_in_lowest_terms(K.basis)
             _assert_fractions_in_lowest_terms(quotient_projection(K))
-        assert rref(self.INTEGER).matrix == Matrix.from_rows(QQ, [[1, 2, 3], [0, 0, 0]])
+        assert rref(self.INTEGER).basis == Matrix.from_rows(QQ, [[1, 2, 3]])
 
     def systems(self):
         """F2 A = B F1 for the source maps A = self.A and the target maps
@@ -371,7 +379,7 @@ class TestRationalEntryTypes:
 
     def test_every_output_stores_python_ints(self):
         A, B = self.A, self.B
-        U = Subspace.row_space(A)
+        U = rref(A)
         outputs = [A.transpose(), A.reshape(2, 8), A.transpose_blocks(2, 2), *A.split_rows(2),
                    A.col_block(1, 3), A.select_cols([3, 0]), A.hstack(B), A.vstack(B.transpose()),
                    place_blocks(QQ, 5, 6, [(0, 0, A), (1, 4, B.col_block(0, 2))]),
@@ -477,7 +485,7 @@ class TestMatrixValue:
     @pytest.mark.parametrize("field", [GF(5), QQ])
     def test_entries_are_read_only(self, field):
         A = Matrix.from_rows(field, [[1, 2], [3, 4]])
-        for view in (A, A.transpose(), A.col_block(0, 1), rref(A).matrix):
+        for view in (A, A.transpose(), A.col_block(0, 1), rref(A).basis):
             with pytest.raises(ValueError):
                 view.data[0, 0] = 0
         assert A == Matrix.from_rows(field, [[1, 2], [3, 4]])
@@ -600,8 +608,7 @@ class TestLargeCharacteristic:
         p = 2**31 - 1
         f = GF(p)
         A = Matrix.from_rows(f, [[p - 1, 2, 1], [3, p - 5, 0]])
-        R, pivots, rk = rref(A)
-        assert rk == 2
+        assert rref(A).dim == 2
         x = (123456789, 987654321, 5)
         b = A.apply(x)
         # (x, 1) spans the solutions of A x' - b t = 0 together with the kernel

@@ -72,7 +72,6 @@ from kronbrist.cover import (  # noqa: E402
     cover_bristle_at,
     cover_hom_dim,
     neighbor,
-    push_down,
     verify_cover_equalities,
     vertex_class,
 )
@@ -83,9 +82,9 @@ from kronbrist.linalg import (  # noqa: E402
     Matrix,
     SparseSystem,
     Subspace,
-    _free_column_rows,
     hom_system,
     kernel_basis,
+    quotient_projection,
     rank,
     rref,
     spanning_by_size,
@@ -105,7 +104,6 @@ from kronbrist.modules import (  # noqa: E402
     bristle_hom_dims,
     bristle_images,
     direct_sum,
-    direct_sum_list,
     ext1_dim,
     ext1_dim_via_resolution,
     find_isomorphism,
@@ -171,7 +169,7 @@ def invertible(draw, field, d):
 
 def inverse(g: Matrix) -> Matrix:
     d = g.rows
-    return rref(g.hstack(Matrix.identity(g.field, d))).matrix.col_block(d, 2 * d)
+    return rref(g.hstack(Matrix.identity(g.field, d))).basis.col_block(d, 2 * d)
 
 
 @st.composite
@@ -221,10 +219,10 @@ def rational_matrices(draw):
 @given(rational_matrices())
 def test_rref_over_q_matches_sympy(rows):
     sympy = pytest.importorskip("sympy")
-    R, pivots, rk = rref(Matrix.from_rows(QQ, rows))
+    U = rref(Matrix.from_rows(QQ, rows))
     S, sympy_pivots = sympy.Matrix(rows).rref()
-    assert pivots == tuple(sympy_pivots) and rk == len(pivots)
-    assert [list(R.row(i)) for i in range(R.rows)] == \
+    assert U.pivot_cols == tuple(sympy_pivots) and U.dim == len(sympy_pivots)
+    assert [list(U.basis.row(i)) for i in range(U.dim)] + [[0] * S.cols] * (S.rows - U.dim) == \
         [[Fraction(int(x.p), int(x.q)) for x in S.row(i)] for i in range(S.rows)]
 
 
@@ -317,9 +315,9 @@ def test_one_row_rref_over_q_keeps_fractional_entries():
     """``rref`` of one row with fractional entries is that row divided by
     its first nonzero, with the pivot columns the textbook gives."""
     row = [0, Fraction(-2, 3), Fraction(1, 2), 0, Fraction(5, 7)]
-    R, pivots, rk = rref(Matrix.from_rows(QQ, [row]))
-    assert (pivots, rk) == ((1,), 1)
-    assert list(R.row(0)) == [x / row[1] for x in row]
+    U = rref(Matrix.from_rows(QQ, [row]))
+    assert (U.pivot_cols, U.dim) == ((1,), 1)
+    assert list(U.basis.row(0)) == [x / row[1] for x in row]
 
 
 @st.composite
@@ -378,9 +376,9 @@ def test_stacked_sweep_matches_rref_member_by_member(case):
     assert R is a and len(ranks) == len(members)
     for k, A in enumerate(stacked):
         ref = rref(A)
-        assert (tuple(pivots[k, :ranks[k]].tolist()), ranks[k]) == (ref.pivot_cols, ref.rank)
-        assert Matrix._of(field, R[k, :A.rows]) == ref.matrix
-        assert not R[k, A.rows:].any()
+        assert (tuple(pivots[k, :ranks[k]].tolist()), ranks[k]) == (ref.pivot_cols, ref.dim)
+        assert Matrix._of(field, R[k, :ranks[k]]) == ref.basis
+        assert not R[k, ranks[k]:].any()
 
 
 def written_out(S: SparseSystem) -> Matrix:
@@ -532,7 +530,7 @@ def _sparse_matches_dense(S: SparseSystem):
     # the unreduced rows are a basis of the same kernel
     rows = sparse_block_kernels(S, 1)[0]
     assert rank(rows) == rows.rows == kernel_basis(A).dim
-    assert Subspace.row_space(rows) == kernel_basis(A)
+    assert rref(rows) == kernel_basis(A)
 
 
 P = 2**31 - 1
@@ -636,7 +634,7 @@ def test_block_kernels_span_each_dense_block_kernel(case, cells):
         dense = sparse_of(field, b, w) if b else SparseSystem(
             field, 0, w, np.zeros(0, np.int64), np.zeros(0, np.int64), field.zeros(0))
         rows = H.select_rows(range(start, start + k))
-        assert rank(rows) == k and Subspace.row_space(rows) == kernel_basis(written_out(dense))
+        assert rank(rows) == k and rref(rows) == kernel_basis(written_out(dense))
         start += k
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(linalg, "_GATHER_CELLS", cells)
@@ -648,8 +646,7 @@ def two_elimination_kernel(A: Matrix) -> Subspace:
     of the RREF of A, brought to RREF by a second elimination."""
     if A.rows == 0 or A.cols == 0:
         return kernel_basis(A)
-    R, pivots, _ = rref(A)
-    return Subspace.row_space(_free_column_rows(R, pivots))
+    return rref(quotient_projection(rref(A)))
 
 
 @settings(PROPERTY, max_examples=200)
@@ -859,7 +856,7 @@ def test_bristle_traces_match_one_trace_each(case):
     start = 0
     for c, k in zip(coords, counts):
         one = hom_system(N.alphas, Matrix.from_rows(f, [c], cols=N.n), (1, 1))
-        assert Subspace.row_space(H.select_rows(range(start, start + k))) == \
+        assert rref(H.select_rows(range(start, start + k))) == \
             kernel_basis(written_out(one))
         start += k
     assert bristle_traces(points, N) == [trace_submodule([one_by_one(f, c)], N) for c in coords]
@@ -877,7 +874,7 @@ def generation_cases(draw):
     if kind == "zero":
         M = zero_module(n, field)
     elif kind == "sink-simples":
-        M = direct_sum_list([simple_module(n, field, 2)] * draw(st.integers(1, 3)))
+        M = direct_sum(*[simple_module(n, field, 2)] * draw(st.integers(1, 3)))
     else:
         M = draw(modules(field, n))
     point = st.lists(entries(field), min_size=n, max_size=n)
@@ -937,7 +934,7 @@ def summand_lists(draw):
         elif kind == "equal":
             V = W
         elif kind == "copy":
-            V = Subspace.row_space(W.basis)
+            V = rref(W.basis)
         elif kind == "inside":
             V = Subspace.from_spanning(field, d, [
                 [sum(field.mul(draw(entries(field)), r[j]) for r in rows) for j in range(d)]
@@ -966,7 +963,7 @@ def test_subspace_sum_is_the_row_space_of_all_bases(case):
     """A sum extended from its largest summand's basis is, entry for entry,
     the RREF of every summand's basis rows stacked."""
     field, spaces = case
-    ref = Subspace.row_space(spaces[0].basis.vstack(*(V.basis for V in spaces[1:])))
+    ref = rref(spaces[0].basis.vstack(*(V.basis for V in spaces[1:])))
     assert_same_subspace(subspace_sum(*spaces), ref)
 
 
@@ -976,21 +973,20 @@ def test_subrep_subpair_is_the_row_space_of_its_placed_rows(field, n, monkeypatc
     """Every subrep that ``verify_cover_equalities`` pushes down is, entry
     for entry, the RREF of each vertex's basis placed in its block."""
     X = build_ball_rep(n, field)
-    pushed = push_down(X)
     direct, seen = cover.subrep_subpair, []
 
-    def checked(sub, parent):
-        pair = direct(sub, parent)
+    def checked(sub):
+        pair = direct(sub)
         for cls, U in ((1, pair.U1), (2, pair.U2)):
-            total = parent.dims[cls - 1]
-            rows = [_place(X, total, {v: V.basis}) for v, V in sub.spaces.items()
+            total = X.pushed.dims[cls - 1]
+            rows = [_place(X, {v: V.basis}) for v, V in sub.spaces.items()
                     if vertex_class(v) == cls]
-            assert_same_subspace(U, Subspace.row_space(Matrix.zeros(field, 0, total).vstack(*rows)))
+            assert_same_subspace(U, rref(Matrix.zeros(field, 0, total).vstack(*rows)))
         seen.append(sub)
         return pair
 
     monkeypatch.setattr(cover, "subrep_subpair", checked)
-    checks, _ = verify_cover_equalities(X, pushed)
+    checks, _ = verify_cover_equalities(X)
     assert all(ok for _, ok in checks)
     # per branch its restriction and singleton leaves, then every path rep
     singles = sum(len(cover.covered_singleton_types(n, j)) for j in range(1, n + 1))
@@ -1130,8 +1126,8 @@ def mixed_arrows(draw):
     field = draw(st.sampled_from(MIXING_FIELDS))
     n = draw(st.integers(2, 3))
     point = st.lists(entries(field), min_size=n, max_size=n).filter(any)
-    M = direct_sum_list([draw(modules(field, n, max_dim=2))]
-                        + [one_by_one(field, draw(point)) for _ in range(draw(st.integers(0, 2)))])
+    M = direct_sum(draw(modules(field, n, max_dim=2)),
+                   *(one_by_one(field, draw(point)) for _ in range(draw(st.integers(0, 2)))))
     M = draw(rebased(M))
     h = draw(invertible(field, n))
     u = draw(st.lists(entries(field), min_size=M.dim1, max_size=M.dim1))
@@ -1200,7 +1196,7 @@ def rebased_pairs(draw):
                                                             min_size=1, max_size=3))]
     if draw(st.booleans()):
         summands.append(draw(modules(field, 3, max_dim=2)))
-    M = direct_sum_list(summands)
+    M = direct_sum(*summands)
     return M, draw(rebased(M)), coords
 
 

@@ -625,7 +625,9 @@ class TestCli:
         (["main-theorem-b-bristle-orbits", "--n", "4", "--module", GOLDEN_MODULE],
          "--n 4 disagrees with the module file (n=3)"),
         (["main-theorem-a", "--tmax", "-1"], "t_max must be nonnegative"),
-        (["main-theorem-a", "--q", "0"], "characteristic must be a prime in [2, 2^31), got 0")])
+        (["main-theorem-a", "--q", "0"], "characteristic must be a prime in [2, 2^31), got 0"),
+        (["main-theorem-a", "--q", "25326001"],
+         "characteristic must be a prime in [2, 2^31), got 25326001")])
     def test_bad_config_exit_2(self, capsys, monkeypatch, argv, message):
         monkeypatch.chdir(ROOT)
         assert cli_main(argv) == 2

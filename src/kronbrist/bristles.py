@@ -145,7 +145,7 @@ def bristle_types(M: KroneckerModule, U: Matrix) -> list:
     when a_1 u, ..., a_n u do not span one line.  One product gives them in
     the row of u, read as a block of n rows (``block_lines``); for a bristle
     vector a_i u = p_i w, so the block's first nonzero column is p."""
-    images = U @ M.alphas[0].vstack(*M.alphas[1:]).transpose()
+    images = U @ M.stacked.transpose()
     return [None if col is None else bristle_point(M.n, M.field, col)
             for col in block_lines(images.reshape(U.rows * M.n, M.dim2), M.n)]
 

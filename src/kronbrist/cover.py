@@ -38,13 +38,14 @@ from .linalg import (
     Matrix,
     SparseSystem,
     Subspace,
+    hom_system,
     joint_kernel,
     place_blocks,
     rref,
     sparse_rank,
     subspace_sum,
 )
-from .modules import KroneckerModule, NotSubmodule, SubmodulePair, _hom_system
+from .modules import KroneckerModule, NotSubmodule, SubmodulePair, _source
 
 TreeVertex = Tuple[int, ...]
 
@@ -402,7 +403,7 @@ def _cover_hom_system(X: CoverRep, Y: CoverRep) -> SparseSystem:
         start, stride = cls * Q.dim1 * P.dim1, P.dims[cls]
         cols += [start + (Y.offsets[v] + r) * stride + X.offsets[v] + c
                  for r in range(Y.spaces[v]) for c in range(X.spaces[v])]
-    return _hom_system(P, Q).select_cols(cols)
+    return hom_system(Q.alphas, _source(P), P.dims).select_cols(cols)
 
 
 def cover_hom_dim(X: CoverRep, Y: CoverRep) -> int:

@@ -20,9 +20,10 @@ maps tiled once per block.  The system of one pair of modules is its
 one-block case, a sweep over bristles (the (1, 1) modules with scalar maps)
 its case (1, 1), and the system of two cover representations that of their
 push-downs on the unknowns that map each vertex's block into the same
-vertex's block (``SparseSystem.select_cols``).  ``sparse_rank`` and the
-sparse kernels peel its singleton rows and columns without arithmetic and
-eliminate only the dense core that is left.
+vertex's block (``SparseSystem.select_cols``).  ``intertwines``, the one
+intertwining guard, checks rows of such kernels arrow by arrow, with no
+system.  ``sparse_rank`` and the sparse kernels peel its singleton rows and
+columns without arithmetic and eliminate only the dense core that is left.
 ``sparse_block_ranks`` reads every block's rank off one peel of it: the
 peeled columns of each block from one count, and only the blocks left
 with a core are eliminated, each through ``rank``.  ``sparse_block_kernels``
@@ -271,12 +272,13 @@ _SPARSE_DENSITY = 8
 
 
 def _dot(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The integer product a @ b of two 2-d arrays, reduced mod p over GF(p).
+    """The integer product a @ b of two 2-d arrays, or of two stacks of
+    them member by member, reduced mod p over GF(p).
 
     Over GF(p) the product runs on int64 while every sum of products stays
     below 2^62 (inner length times (p-1)^2); past that bound the same
     expression runs on Python integers, as it always does over Q.  Below the
-    bound a large product with a sparse operand is summed over that
+    bound a large 2-d product with a sparse operand is summed over that
     operand's nonzeros (``_sparse_dot``; a sparse right operand through the
     transposes), over the operand that gives fewer products when both are
     sparse.  Integer sums do not depend on their order, so both paths give
@@ -287,9 +289,9 @@ def _dot(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     p = field.characteristic
     if a.shape[-1] * (p - 1) ** 2 >= 2**62:
         return (a.astype(object) @ b.astype(object) % p).astype(np.int64)
-    n = b.shape[1]
+    n = b.shape[-1]
     work = a.size * n  # multiply-adds of the dense product
-    if work > _SPARSE_MIN_WORK:
+    if a.ndim == 2 and work > _SPARSE_MIN_WORK:
         # products of a scatter over a's nonzeros, and over b's
         cost_a = np.count_nonzero(a) * n
         cost_b = np.count_nonzero(b) * a.shape[0]
@@ -297,7 +299,8 @@ def _dot(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
             if cost_a <= cost_b:
                 return _sparse_dot(a, b, p)
             return _sparse_dot(b.T, a.T, p).T
-    return a @ b % p
+    c = a @ b
+    return np.remainder(c, p, out=c)
 
 
 def _sparse_dot(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -435,17 +438,16 @@ class Matrix:
         """The entries in row-major order read into rows x cols (one may be -1)."""
         return self._with(self.data.reshape(rows, cols), lowest=False)
 
-    def transpose_blocks(self, a: int, b: int) -> "Matrix":
-        """This matrix as an a x b grid of equal blocks, with the grid
-        transposed and every block kept: block (i, j) moves to (j, i)."""
-        r, c = self.rows // a, self.cols // b
-        grid = self.data.reshape(a, r, b, c).swapaxes(0, 2)
-        return self._with(grid.reshape(b * r, a * c), lowest=False)
-
     def split_rows(self, k: int) -> list:
         """The k blocks of equal height that stack to this matrix."""
         h = self.rows // k if k else 0
         return [self._with(self.data[j * h:(j + 1) * h]) for j in range(k)]
+
+    def columns_of_rows(self, d: int, m: int) -> "Matrix":
+        """Row r m + j is column j of row r read row-major as a d x m matrix:
+        at m = 1 the rows themselves, with no copy."""
+        a = self.data.reshape(self.rows, d, m).transpose(0, 2, 1)
+        return self._with(a.reshape(self.rows * m, d), lowest=False)
 
     def col_block(self, j0: int, j1: int) -> "Matrix":
         return self._with(self.data[:, j0:j1])
@@ -475,17 +477,6 @@ class Matrix:
         if self.cols != other.rows or self.field != other.field:
             raise DimensionMismatch("matmul shape/field mismatch")
         return Matrix._of(self.field, _dot(self.field, self.data, other.data), self.den * other.den)
-
-    def row_kron(self, other: "Matrix") -> "Matrix":
-        """Row r is the Kronecker product of row r of this matrix with row r
-        of ``other``: entry (r, i * other.cols + k) is self[r, i] * other[r, k]."""
-        if self.rows != other.rows or self.field != other.field:
-            raise DimensionMismatch("row_kron shape/field mismatch")
-        prod = self.data[:, :, None] * other.data[:, None, :]
-        prod = prod.reshape(self.rows, self.cols * other.cols)
-        if self.field.is_finite:
-            np.remainder(prod, self.field.characteristic, out=prod)
-        return Matrix._of(self.field, prod, self.den * other.den)
 
     def apply(self, v: Sequence) -> Vector:
         """Apply to a column vector, returning the image as a tuple."""
@@ -583,6 +574,39 @@ def hom_system(maps: Sequence[Matrix], sources: Matrix, dims: tuple) -> SparseSy
         field, count * height, count * width,
         np.concatenate([x_i.ravel(), y_i.ravel()]), np.concatenate([x_j.ravel(), y_j.ravel()]),
         np.concatenate([x_v] * count + [(aM[b, i, l, j] * den).repeat(d2)]))
+
+
+def intertwines(maps: Sequence[Matrix], sources: Matrix, dims: tuple, rows: Matrix,
+                counts: Sequence[int]) -> bool:
+    """Whether each row of ``rows`` is a morphism into N (maps ``maps``) from
+    its source: the first counts[0] rows from M_0 (row 0 of ``sources``, as in
+    ``hom_system`` with ``dims`` = (m1, m2)), the next counts[1] from M_1, and
+    so on.  A row is vec(F1) ++ vec(F2) row-major; F2 aM_i = a_i F1 is checked
+    with no Hom system, for arrows in groups that keep their maps and each
+    side within ``_GATHER_CELLS`` cells (one arrow, so no map of N is copied,
+    when it is large): the product side first, then the row-wise side, every
+    F2 times its own source's aM_i, each over the other's denominator.
+    """
+    f, (m1, m2), K, (d2, d1) = sources.field, dims, rows.rows, maps[0].data.shape
+    if not (K and m1 and d2):
+        return True  # no equations
+    # every F1's columns as rows (the rows themselves at m1 = 1), over rows.den
+    F1 = rows.data[:, :d1 * m1].reshape(K, d1, m1).transpose(0, 2, 1).reshape(K * m1, d1)
+    F2 = rows.data[:, d1 * m1:].reshape(K, 1, d2, m2)
+    aM = sources.data.reshape(sources.rows, len(maps), m2, m1)
+    owner = np.repeat(np.arange(sources.rows), counts)  # the source of each row
+    step = max(_GATHER_CELLS // (d2 * max(d1, K * m1)), 1)
+    for i in range(0, len(maps), step):
+        a = maps[i].vstack(*maps[i + 1:i + step]) if step > 1 else maps[i]
+        g = a.rows // d2
+        product = _dot(f, F1, a.data.T).reshape(K, m1, g, d2)  # (r, j, i, k): (a_i F1_r)[k, j]
+        rowwise = _dot(f, F2, aM[owner, i:i + g]).transpose(0, 3, 1, 2)  # (r, j, i, k): (F2_r aM_i)[k, j]
+        if sources.den != 1 or a.den != 1:
+            product, rowwise = product * sources.den, rowwise * a.den
+        if (product != rowwise).any():
+            return False
+        del product, rowwise  # before the next group's sides are formed
+    return True
 
 
 # -- row reduction -----------------------------------------------------------
@@ -853,7 +877,7 @@ def subspace_sum(U: Subspace, *more: Subspace) -> Subspace:
 # the most cells one stacked sweep takes (8 MB of int64), so that a long
 # stack of members is reduced in bounded memory
 _STACK_CELLS = 2**20
-# the most cells (entries times vectors) one gather of ``_back_substitute`` takes (128 KB)
+# the most cells one gather of ``_back_substitute`` (128 KB), or a side of ``intertwines``, takes
 _GATHER_CELLS = 2**14
 
 

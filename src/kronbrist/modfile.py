@@ -10,7 +10,8 @@ Grammar (UTF-8, line oriented, ``#`` starts a comment):
     <b rows>
 
 Entries are integers in [0, p) over gf(p), or rationals ``num`` /
-``num/den`` in lowest terms with positive denominator over q.
+``num/den`` in lowest terms with positive denominator over q.  Every digit,
+in the header and in the entries, is an ASCII digit 0-9.
 """
 
 from __future__ import annotations
@@ -32,10 +33,12 @@ class ModuleFileError(ValueError):
         self.column = column
 
 
+# [0-9], not ``\d`` or ``str.isdigit``, which take other scripts' digits and superscripts
 _HEADER_RE = re.compile(
-    r"^kron\s+n=(\d+)\s+field=(gf\(\d+\)|q)\s+dims=(\d+),(\d+)\s*$")
-_ALPHA_RE = re.compile(r"^alpha\s+(\d+)\s*$")
-_RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
+    r"^kron\s+n=([0-9]+)\s+field=(gf\([0-9]+\)|q)\s+dims=([0-9]+),([0-9]+)\s*$")
+_ALPHA_RE = re.compile(r"^alpha\s+([0-9]+)\s*$")
+_INTEGER_RE = re.compile(r"-?[0-9]+")
+_RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def _strip_comment(line: str) -> str:
@@ -52,14 +55,14 @@ def _logical_lines(text: str):
 
 def _parse_entry(token: str, field: FieldSpec, line: int, column: int):
     if field.is_finite:
-        if not token.lstrip("-").isdigit():
+        if not _INTEGER_RE.fullmatch(token):
             raise ModuleFileError(f"expected an integer entry, got {token!r}", line, column)
         value = int(token)
         if not (0 <= value < field.characteristic):
             raise ModuleFileError(
                 f"entry {value} out of range [0, {field.characteristic})", line, column)
         return value
-    m = _RATIONAL_RE.match(token)
+    m = _RATIONAL_RE.fullmatch(token)
     if not m:
         raise ModuleFileError(f"expected num or num/den, got {token!r}", line, column)
     num = int(m.group(1))

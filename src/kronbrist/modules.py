@@ -7,7 +7,9 @@ projective presentation with no Hom system, the bilinear form and its
 companion lattice transformation, the translate tau by composed reflections
 (kernel at the sink, then again at the new sink), duality, socle/radical
 layers, bristle traces and generation tests, quotients, and a tri-state
-isomorphism search.
+isomorphism search.  Every Hom basis comes from one route, ``_hom_rows``:
+``hom_system`` for a list of sources of one dimension vector, a kernel, and
+one guard, ``intertwines``, which every ``Morphism`` passes too.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .linalg import (
     Subspace,
     hom_system,
     image_subspace,
+    intertwines,
     joint_kernel,
     kernel_basis,
     place_blocks,
@@ -94,6 +97,11 @@ class KroneckerModule:
     def dims(self) -> DimVector:
         return (self.dim1, self.dim2)
 
+    @property
+    def stacked(self) -> Matrix:
+        """[a_1; ...; a_n], (n dim2) x dim1, built on each call: never kept."""
+        return self.alphas[0].vstack(*self.alphas[1:])
+
     def is_zero(self) -> bool:
         return self.dim1 == 0 and self.dim2 == 0
 
@@ -134,7 +142,8 @@ class Morphism:
             raise DimensionMismatch("f1 shape mismatch")
         if (self.f2.rows, self.f2.cols) != (N.dim2, M.dim2):
             raise DimensionMismatch("f2 shape mismatch")
-        if not _intertwine(M, N, self.f1, self.f2):
+        row = self.f1.reshape(1, -1).hstack(self.f2.reshape(1, -1))
+        if not intertwines(N.alphas, _source(M), M.dims, row, [1]):
             raise ValueError("matrices do not intertwine the structure maps")
 
     @classmethod
@@ -148,20 +157,6 @@ class Morphism:
 
     def is_zero(self) -> bool:
         return self.f1.is_zero() and self.f2.is_zero()
-
-
-def _intertwine(M: KroneckerModule, N: KroneckerModule, F1: Matrix, F2: Matrix, k: int = 1) -> bool:
-    """Whether F2_j aM_i = aN_i F1_j for every arrow i and every j < k.
-
-    F1 = [F1_1; ...; F1_k] and F2 = [F2_1; ...; F2_k] stack k pairs.  All k
-    pairs are checked with two products, [F2_1; ...; F2_k] [aM_1 | ... | aM_n]
-    against [aN_1; ...; aN_n] [F1_1 | ... | F1_k], compared block by block.
-    """
-    if k == 0:
-        return True
-    aM = M.alphas[0].hstack(*M.alphas[1:])
-    aN = N.alphas[0].vstack(*N.alphas[1:])
-    return F2 @ aM == (aN @ F1.transpose_blocks(k, 1)).transpose_blocks(M.n, k)
 
 
 def identity_morphism(M: KroneckerModule) -> Morphism:
@@ -189,7 +184,7 @@ class SubmodulePair:
         if self.U2.is_full():
             return  # every image lies in the full space: nothing can fail
         # one product: row r of U1 times [a_1; ...; a_n]^T holds a_1 u_r, ..., a_n u_r
-        images = self.U1.basis @ M.alphas[0].vstack(*M.alphas[1:]).transpose()
+        images = self.U1.basis @ M.stacked.transpose()
         if not self.U2.contains_rows(images.reshape(-1, M.dim2)):
             raise NotSubmodule("not a submodule: subspaces not closed under the maps")
 
@@ -209,15 +204,8 @@ def _check_same_category(M: KroneckerModule, N: KroneckerModule):
 
 
 def _source(M: KroneckerModule) -> Matrix:
-    """The structure maps of M read row-major one after another, as one row:
-    M as a source of ``hom_system``."""
-    return M.alphas[0].vstack(*M.alphas[1:]).reshape(1, -1)
-
-
-def _hom_system(M: KroneckerModule, N: KroneckerModule) -> SparseSystem:
-    """The sparse system f2.aM - aN.f1 = 0 in unknowns vec(f1) ++ vec(f2),
-    the one-block case of ``hom_system``."""
-    return hom_system(N.alphas, _source(M), M.dims)
+    """M's maps read row-major one after another, as one row: a ``hom_system`` source."""
+    return M.stacked.reshape(1, -1)
 
 
 def bristle_hom_dims(points: Matrix, N: KroneckerModule):
@@ -235,31 +223,36 @@ def hom_dim(M: KroneckerModule, N: KroneckerModule) -> int:
     t = N.dim1 * M.dim1 + N.dim2 * M.dim2
     if t == 0 or M.dim1 * N.dim2 == 0:
         return t  # no unknowns, or no equations: every pair of maps intertwines
-    return t - sparse_rank(_hom_system(M, N))
+    return t - sparse_rank(hom_system(N.alphas, _source(M), M.dims))
 
 
-def _hom_stacks(M: KroneckerModule, N: KroneckerModule,
-                kernel: Callable[[SparseSystem], Matrix]):
-    """(k, [F1_1; ...; F1_k], [F2_1; ...; F2_k]) for the basis (F1_j, F2_j)
-    of the morphisms M -> N whose vectors are the rows ``kernel`` gives for
-    the Hom system: the canonical basis for ``hom_basis``, any basis where
-    only the span matters.  One intertwining guard covers the whole basis; a
-    mismatch is a bug in the Hom system or the kernel, so it raises
+def _hom_rows(sources: Matrix, dims: DimVector, N: KroneckerModule,
+              kernel: Callable[[SparseSystem, int], tuple]):
+    """(rows, counts): a basis of Hom(M_b, N) for each source M_b of
+    ``hom_system``, counts[b] rows vec(F1) ++ vec(F2), that ``kernel`` gives
+    for the block system and its number of blocks (the canonical kernel of
+    one source; the block kernels where only the span matters).  All
+    rows pass one guard, ``intertwines``; a mismatch is a bug, so it raises
     InternalCheckFailed."""
-    _check_same_category(M, N)
-    ker = kernel(_hom_system(M, N))
-    k, t1 = ker.rows, N.dim1 * M.dim1
-    F1 = ker.col_block(0, t1).reshape(k * N.dim1, M.dim1)
-    F2 = ker.col_block(t1, ker.cols).reshape(k * N.dim2, M.dim2)
-    if not _intertwine(M, N, F1, F2, k):
+    H, counts = kernel(hom_system(N.alphas, sources, dims), sources.rows)
+    if not intertwines(N.alphas, sources, dims, H, counts):
         raise InternalCheckFailed("a Hom basis element does not intertwine the structure maps")
-    return k, F1, F2
+    return H, counts
+
+
+def _pairs(H: Matrix, M: KroneckerModule, N: KroneckerModule):
+    """The pair (f1, f2) of every row vec(f1) ++ vec(f2) of H, maps M -> N."""
+    k, t1 = H.rows, N.dim1 * M.dim1
+    F1 = H.col_block(0, t1).reshape(k * N.dim1, M.dim1)
+    F2 = H.col_block(t1, H.cols).reshape(k * N.dim2, M.dim2)
+    return zip(F1.split_rows(k), F2.split_rows(k))
 
 
 def hom_basis(M: KroneckerModule, N: KroneckerModule) -> list:
     """Canonical basis of the space of morphisms M -> N."""
-    k, F1, F2 = _hom_stacks(M, N, lambda S: sparse_kernel(S).basis)
-    return [Morphism._checked(M, N, f1, f2) for f1, f2 in zip(F1.split_rows(k), F2.split_rows(k))]
+    _check_same_category(M, N)
+    H, _ = _hom_rows(_source(M), M.dims, N, lambda S, _: (K := sparse_kernel(S).basis, [K.rows]))
+    return [Morphism._checked(M, N, f1, f2) for f1, f2 in _pairs(H, M, N)]
 
 
 def end_dim(M: KroneckerModule) -> int:
@@ -293,7 +286,7 @@ def ext1_dim_via_resolution(M: KroneckerModule, N: KroneckerModule) -> int:
     """
     _check_same_category(M, N)
     n, f, (m1, m2), (d1, d2) = M.n, M.field, M.dims, N.dims
-    images = Matrix.hstack(*(a.transpose() for a in M.alphas)).reshape(m1 * n, m2).transpose()
+    images = M.stacked.transpose().reshape(m1 * n, m2).transpose()
     eps2 = images.hstack(Matrix.identity(f, m2))
     K = kernel_basis(eps2).basis
     k = K.rows
@@ -301,12 +294,13 @@ def ext1_dim_via_resolution(M: KroneckerModule, N: KroneckerModule) -> int:
         return 0
     if not (eps2 @ K.transpose()).is_zero():
         raise InternalCheckFailed("a kernel vector of the presentation is not in the kernel")
-    # the blocks (r, i) stacked in (r, i) order, regridded to k rows of m1 blocks
-    A = N.alphas[0].vstack(*N.alphas[1:]).reshape(n, d2 * d1)
-    R1 = (K.col_block(0, n * m1).reshape(k * m1, n) @ A).reshape(k * m1 * d2, d1)
-    R1 = R1.transpose_blocks(k * m1, 1).transpose_blocks(1, k)
-    R2 = K.col_block(n * m1, K.cols).select_rows([r for r in range(k) for _ in range(d2)])
-    R2 = R2.row_kron(Matrix.identity(f, d2).select_rows(list(range(d2)) * k))  # row (r, p) times e_p
+    # R with its columns permuted, which keeps its rank: rows (r, p); the blocks (r, i)
+    # one to a row, regridded to columns (c, i), then I_d2 (x) K2, rows put in (r, p) order
+    R1 = K.col_block(0, n * m1).reshape(k * m1, n) @ N.stacked.reshape(n, d2 * d1)
+    R1 = R1.reshape(k, -1).columns_of_rows(m1, d2 * d1).reshape(k * d2, d1 * m1)
+    K2 = K.col_block(n * m1, K.cols)
+    R2 = place_blocks(f, d2 * k, d2 * m2, [(p * k, p * m2, K2) for p in range(d2)])
+    R2 = R2.select_rows([p * k + r for r in range(k) for p in range(d2)])
     return k * d2 - rank(R1.hstack(R2))
 
 
@@ -316,48 +310,29 @@ def bristle_images(points: Matrix, M: KroneckerModule):
     """(X, Y, counts): the images of a basis of Hom(B_p, M) for every row p
     of ``points``, stacked in row order, and the number of basis elements
     of each: row r of X and of Y is the pair (x, y) with a_i x = p_i y of
-    one basis element.
-
-    The Hom spaces come from one block system (``hom_system``) and
-    one peel of it (``sparse_block_kernels``), and all the rows pass one
-    intertwining guard: for each arrow i, X a_i^T against Y with each row
-    scaled by p_i of its point.  A mismatch is a bug in the system or the
-    kernels, so it raises InternalCheckFailed.
-    """
-    S = hom_system(M.alphas, points, (1, 1))
-    H, counts = sparse_block_kernels(S, points.rows)
-    X, Y = H.col_block(0, M.dim1), H.col_block(M.dim1, H.cols)
-    P = points.select_rows([b for b, k in enumerate(counts) for _ in range(k)])
-    if not all(X @ a.transpose() == P.col_block(i, i + 1).row_kron(Y)
-               for i, a in enumerate(M.alphas)):
-        raise InternalCheckFailed("a Hom basis element does not intertwine the structure maps")
-    return X, Y, counts
+    one basis element: the case (1, 1) of ``_hom_rows``, split at M1."""
+    H, counts = _hom_rows(points, (1, 1), M, sparse_block_kernels)
+    return H.col_block(0, M.dim1), H.col_block(M.dim1, H.cols), counts
 
 
 def is_generated_by(generators: Sequence[KroneckerModule], M: KroneckerModule) -> bool:
     """Whether the trace of the generators is all of M, decided by rank
     alone: the images of every Hom basis element span M at each vertex.
 
-    The generators of dimension (1, 1) bring their images from
-    ``bristle_images``, one system and one guard for all of them; one with
-    zero maps passes the guard too, as its images have x in the joint
-    kernel.  Any other generator brings the columns of its basis maps,
-    checked by ``_hom_stacks``.  ``images_span`` ranks the stacked images at
-    each vertex; no canonical basis is formed.
-    """
-    images1, images2, points = [], [], []
+    Each group of generators of one dimension vector brings its Hom bases
+    from one block system and one guard (``_hom_rows``, block kernels).  A
+    basis element's images at a vertex are the columns of its map there: at
+    m = 1 the rows themselves, with no copy.  ``images_span`` ranks them at
+    each vertex; no canonical basis is formed."""
+    groups = {}
     for G in generators:
         _check_same_category(G, M)
-        if G.dims == (1, 1):
-            points.append(_source(G))
-            continue
-        k, F1, F2 = _hom_stacks(G, M, lambda S: sparse_block_kernels(S, 1)[0])
-        if k:
-            images1.append(F1.transpose_blocks(k, 1).transpose())
-            images2.append(F2.transpose_blocks(k, 1).transpose())
-    if points:
-        X, Y, _ = bristle_images(points[0].vstack(*points[1:]), M)
-        images1, images2 = images1 + [X], images2 + [Y]
+        groups.setdefault(G.dims, []).append(_source(G))
+    images1, images2 = [], []
+    for (m1, m2), sources in groups.items():
+        H, _ = _hom_rows(sources[0].vstack(*sources[1:]), (m1, m2), M, sparse_block_kernels)
+        images1.append(H.col_block(0, M.dim1 * m1).columns_of_rows(M.dim1, m1))
+        images2.append(H.col_block(M.dim1 * m1, H.cols).columns_of_rows(M.dim2, m2))
     return images_span(M, images1, images2)
 
 
@@ -417,7 +392,7 @@ def is_faithful(M: KroneckerModule) -> bool:
     """Both spaces nonzero and the structure maps linearly independent."""
     if M.dim1 == 0 or M.dim2 == 0:
         return False
-    return rank(Matrix.vstack(*(a.reshape(1, -1) for a in M.alphas))) == M.n
+    return rank(M.stacked.reshape(M.n, -1)) == M.n
 
 
 # -- sums, submodules, quotients ---------------------------------------------
@@ -504,20 +479,16 @@ def find_isomorphism(M: KroneckerModule, N: KroneckerModule,
         return IsoResult(NON_ISO)
     if M == N:
         return IsoResult(ISO, identity_morphism(M))
-    k, F1, F2 = _hom_stacks(M, N, lambda S: sparse_kernel(S).basis)
-    for f1, f2 in zip(F1.split_rows(k), F2.split_rows(k)):
+    H, _ = _hom_rows(_source(M), M.dims, N, lambda S, _: (K := sparse_kernel(S).basis, [K.rows]))
+    for f1, f2 in _pairs(H, M, N):
         if _invertible_pair(f1, f2):
             return IsoResult(ISO, Morphism._checked(M, N, f1, f2))
-    if k <= 1 or k != hom_dim(N, M):
+    if H.rows <= 1 or H.rows != hom_dim(N, M):
         return IsoResult(NON_ISO)
-    rng = random.Random(0xA11CE)
-    f, (d1, d2), t1 = M.field, M.dims, M.dim1 * M.dim1
-    basis = F1.reshape(k, t1).hstack(F2.reshape(k, d2 * d2))
+    rng, f = random.Random(0xA11CE), M.field
     lo, hi = (0, f.characteristic) if f.is_finite else (-4, 5)
     for _ in range(attempts):
-        cand = Matrix.from_rows(f, [[rng.randrange(lo, hi) for _ in range(k)]]) @ basis
-        f1 = cand.col_block(0, t1).reshape(d1, d1)
-        f2 = cand.col_block(t1, cand.cols).reshape(d2, d2)
+        (f1, f2), = _pairs(Matrix.from_rows(f, [[rng.randrange(lo, hi) for _ in range(H.rows)]]) @ H, M, N)
         if _invertible_pair(f1, f2):
             return IsoResult(ISO, Morphism(M, N, f1, f2))
     return IsoResult(UNKNOWN)

@@ -3,8 +3,10 @@ fixtures and module-file writer the tests share.
 
 Each routine answers a question the library answers by another route, and
 is kept only as an oracle: ``trace_submodule`` forms the trace of any
-generators from their Hom bases, one Hom system per generator (the library's
-``bristle_images`` and ``is_generated_by`` use one block system);
+generators from their Hom bases as subspaces, one Hom system per generator
+through the library's one route ``_hom_rows`` (the library's
+``is_generated_by`` ranks the images of one block system per dimension
+vector and forms no subspace);
 ``bristle_traces`` forms each bristle's trace as a ``SubmodulePair`` from
 those images, one ``rref`` per point and vertex, over any field (the
 library's subset search reduces all the traces in one stacked sweep and
@@ -68,7 +70,8 @@ from kronbrist.modules import (
     Morphism,
     SubmodulePair,
     _check_same_category,
-    _hom_stacks,
+    _hom_rows,
+    _source,
     ar_translate,
     bristle_hom_dims,
     bristle_images,
@@ -88,10 +91,11 @@ def trace_submodule(generators: Sequence[KroneckerModule], M: KroneckerModule) -
     vertex the column space of [F_1 | ... | F_k] over every Hom basis."""
     images1, images2 = [Matrix.zeros(M.field, M.dim1, 0)], [Matrix.zeros(M.field, M.dim2, 0)]
     for G in generators:
-        k, F1, F2 = _hom_stacks(G, M, lambda S: sparse_block_kernels(S, 1)[0])
-        if k:
-            images1.append(F1.transpose_blocks(k, 1))
-            images2.append(F2.transpose_blocks(k, 1))
+        _check_same_category(G, M)
+        H, _ = _hom_rows(_source(G), G.dims, M, sparse_block_kernels)
+        t1 = M.dim1 * G.dim1
+        images1.append(H.col_block(0, t1).columns_of_rows(M.dim1, G.dim1).transpose())
+        images2.append(H.col_block(t1, H.cols).columns_of_rows(M.dim2, G.dim2).transpose())
     return SubmodulePair(M, image_subspace(Matrix.hstack(*images1)),
                          image_subspace(Matrix.hstack(*images2)))
 

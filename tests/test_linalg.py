@@ -380,7 +380,7 @@ class TestRationalEntryTypes:
     def test_every_output_stores_python_ints(self):
         A, B = self.A, self.B
         U = rref(A)
-        outputs = [A.transpose(), A.reshape(2, 8), A.transpose_blocks(2, 2), *A.split_rows(2),
+        outputs = [A.transpose(), A.reshape(2, 8), A.columns_of_rows(2, 2), *A.split_rows(2),
                    A.col_block(1, 3), A.select_cols([3, 0]), A.hstack(B), A.vstack(B.transpose()),
                    place_blocks(QQ, 5, 6, [(0, 0, A), (1, 4, B.col_block(0, 2))]),
                    Matrix.identity(QQ, 3), Matrix.zeros(QQ, 2, 2), U.basis,
@@ -446,10 +446,41 @@ class TestIntegerFormat:
         f = GF(7)
         A = Matrix.from_rows(f, [[1, 2], [3, 4], [5, 6], [0, 1]])  # [A1; A2], 2 x 2 each
         assert A.reshape(2, 4) == Matrix.from_rows(f, [[1, 2, 3, 4], [5, 6, 0, 1]])
-        assert A.transpose_blocks(2, 1) == Matrix.from_rows(f, [[1, 2, 5, 6], [3, 4, 0, 1]])
-        assert A.transpose_blocks(2, 1).transpose_blocks(1, 2) == A
+        assert A.reshape(2, 4).columns_of_rows(2, 2) == \
+            Matrix.from_rows(f, [[1, 3], [2, 4], [5, 0], [6, 1]])
+        assert A.reshape(2, 4).columns_of_rows(2, 2).reshape(2, 4).columns_of_rows(2, 2) == A
         assert [B.rows for B in A.split_rows(2)] == [2, 2]
         assert A.split_rows(2)[1] == Matrix.from_rows(f, [[5, 6], [0, 1]])
+
+
+def test_stacked_products_over_q_match_python_ints():
+    """Over Q a stack of products is one product per member on Python
+    integers, as the row-wise side of the intertwining guard needs."""
+    a = [[[2**70, -3], [1, 5]], [[7, 2**65], [-1, 0]]]
+    b = [[[1, 2**64], [3, -4]], [[2**66, 1], [5, 6]]]
+    expected = [[[sum(x[i][k] * y[k][j] for k in range(2)) for j in range(2)] for i in range(2)]
+                for x, y in zip(a, b)]
+    assert linalg._dot(QQ, np.array(a, object), np.array(b, object)).tolist() == expected
+
+
+class TestColumnsOfRows:
+    def test_each_row_read_as_a_matrix_gives_its_columns(self):
+        f = GF(7)
+        A = Matrix.from_rows(f, [[1, 2, 3, 4, 5, 6], [0, 1, 0, 2, 0, 3]])  # rows as 3 x 2
+        assert A.columns_of_rows(3, 2) == Matrix.from_rows(
+            f, [[1, 3, 5], [2, 4, 6], [0, 0, 0], [1, 2, 3]])
+        assert A.columns_of_rows(6, 1) == A
+        assert A.columns_of_rows(1, 6) == A.reshape(12, 1)
+
+    def test_one_column_is_the_rows_themselves(self):
+        H = Matrix.from_rows(GF(5), [[1, 2, 3, 4], [4, 3, 2, 1]])
+        X = H.col_block(0, 3)
+        assert np.shares_memory(X.columns_of_rows(3, 1).data, H.data)
+
+    @pytest.mark.parametrize("d, m", [(0, 2), (3, 0), (0, 0)])
+    def test_empty_shapes(self, d, m):
+        A = Matrix.zeros(QQ, 2, d * m)
+        assert (A.columns_of_rows(d, m).rows, A.columns_of_rows(d, m).cols) == (2 * m, d)
 
 
 class TestMatrixValue:
@@ -638,6 +669,19 @@ class TestLargeCharacteristic:
         C = Matrix.from_rows(f, a) @ Matrix.from_rows(f, b)
         assert C == Matrix.from_rows(f, expected)
         assert [list(C.row(i)) for i in range(3)] == expected
+
+    # the row-wise side of the intertwining guard: one product per member of
+    # a stack, inner length 3, so an unreduced int64 sum would pass 2^63
+    def test_stacked_products_near_p_match_python_ints(self):
+        p = 2**31 - 1
+        a = [_near_p_rows(p, 2, 3, s) for s in range(4)]
+        b = [_near_p_rows(p, 3, 2, s + 5) for s in range(4)]
+        expected = [[[sum(x[i][k] * y[k][j] for k in range(3)) % p for j in range(2)]
+                     for i in range(2)] for x, y in zip(a, b)]
+        got = linalg._dot(GF(p), np.array(a, np.int64), np.array(b, np.int64))
+        assert got.dtype == np.int64 and got.tolist() == expected
+        assert [(Matrix.from_rows(GF(p), x) @ Matrix.from_rows(GF(p), y)).data.tolist()
+                for x, y in zip(a, b)] == expected
 
     def test_apply_near_p_matches_python_ints(self):
         p = 2**31 - 1

@@ -141,6 +141,25 @@ class TestErrors:
             parse_module_file(text)
         assert "trailing" in str(err.value)
 
+    @pytest.mark.parametrize("text, line, column", [
+        ("kron n=1 field=gf(5) dims=2,1\nalpha 1\n1 \u00b2\n", 3, 3),  # superscript two
+        ("kron n=1 field=gf(5) dims=1,1\nalpha 1\n\u0663\n", 3, 1),  # Arabic-Indic three
+        ("kron n=1 field=gf(5) dims=1,1\nalpha 1\n--3\n", 3, 1),
+        ("kron n=1 field=q dims=2,1\nalpha 1\n0 1/\u0663\n", 3, 3),
+        ("kron n=1 field=q dims=1,1\nalpha 1\n\u00b9\n", 3, 1),
+        ("kron n=\u0661 field=gf(5) dims=1,1\nalpha 1\n1\n", 1, 1),
+        ("kron n=1 field=gf(\u0665) dims=1,1\nalpha 1\n1\n", 1, 1),
+        ("kron n=1 field=gf(5) dims=1,\u0661\nalpha 1\n1\n", 1, 1),
+        ("kron n=1 field=gf(5) dims=1,1\nalpha \u0661\n1\n", 2, 1),
+    ])
+    def test_digits_are_ascii(self, text, line, column):
+        """A digit of another script, or a superscript, is refused where it
+        stands: read as its value it would make two byte strings one
+        module, and ``int`` refuses a superscript outright."""
+        with pytest.raises(ModuleFileError) as err:
+            parse_module_file(text)
+        assert (err.value.line, err.value.column) == (line, column)
+
     def test_empty_file(self):
         with pytest.raises(ModuleFileError):
             parse_module_file("# nothing here\n")

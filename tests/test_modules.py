@@ -174,7 +174,7 @@ class TestHom:
         for m, d in (((0, 3), (2, 2)), ((2, 3), (3, 0)), ((0, 0), (2, 1)), ((2, 1), (0, 0)),
                      ((0, 2), (0, 3)), ((3, 0), (2, 0)), ((1, 2), (3, 0)), ((2, 0), (0, 3))):
             M, N = sparse_module(3, field, m, rng), sparse_module(3, field, d, rng)
-            S = modules._hom_system(M, N)
+            S = hom_system(N.alphas, modules._source(M), M.dims)
             assert S.rows == 0 or S.cols == 0
             cases.append((M, N, S.cols - sparse_rank(S)))
         assert any(e for *_, e in cases)
@@ -213,8 +213,8 @@ def _guard_pair(field, wrong_arrow=None):
 
 
 class TestIntertwiningGuard:
-    """The guard compares f2 [aM_1 | ... | aM_n] with [aN_1; ...; aN_n] f1
-    block by block; non-square dims and n = 3 pin the block layout."""
+    """The guard compares f2 aM_i with aN_i f1 for every arrow i, block by
+    block; non-square dims and n = 3 pin the block layout."""
 
     @pytest.mark.parametrize("field", [F5, QQ], ids=str)
     def test_genuine_morphisms_pass(self, field):
@@ -274,6 +274,124 @@ class TestIntertwiningGuard:
         with pytest.raises(InternalCheckFailed, match="does not intertwine"):
             is_generated_by([b, b, b], M)
         assert calls == [[3, 3, 3]]
+
+
+def intertwines_row_by_row(maps, sources, dims, rows, counts):
+    """The question ``intertwines`` answers, one row and one arrow at a
+    time in Python scalars: F2 aM_i = a_i F1 for the source of each row."""
+    (m1, m2), (d2, d1), p = dims, (maps[0].rows, maps[0].cols), sources.field.characteristic
+    A = [[a.row(k) for k in range(d2)] for a in maps]
+    owner = [b for b, c in enumerate(counts) for _ in range(c)]
+    for r, b in enumerate(owner):
+        v, s = rows.row(r), sources.row(b)
+        F1 = [[v[c * m1 + j] for j in range(m1)] for c in range(d1)]
+        F2 = [[v[d1 * m1 + k * m2 + l] for l in range(m2)] for k in range(d2)]
+        for i in range(len(maps)):
+            for k in range(d2):
+                for j in range(m1):
+                    lhs = sum(F2[k][l] * s[(i * m2 + l) * m1 + j] for l in range(m2))
+                    rhs = sum(A[i][k][c] * F1[c][j] for c in range(d1))
+                    if (lhs - rhs) % p if p else lhs != rhs:
+                        return False
+    return True
+
+
+def _sources(mods):
+    return Matrix.vstack(*(modules._source(G) for G in mods))
+
+
+def _other_31():
+    """A brick of dimension vector (3, 1) at n = 3 over GF(5), not I(2)."""
+    return KroneckerModule(tuple(Matrix.from_rows(F5, [r]) for r in ([1, 2, 0], [0, 1, 0], [4, 0, 1])))
+
+
+class TestOneGuard:
+    """Every Hom basis and every morphism passes one guard, ``intertwines``,
+    for rows from any list of sources of one dimension vector."""
+
+    @pytest.mark.parametrize("field", [F2, F5, GF(2**31 - 1), QQ], ids=str)
+    @pytest.mark.parametrize("m, d", [
+        ((1, 1), (3, 2)),  # bristle-shaped sources
+        ((3, 2), (2, 3)),  # inner length 2 on the row-wise side
+        ((0, 2), (2, 3)),  # m1 = 0: no equations
+        ((2, 0), (3, 2)),  # m2 = 0: the row-wise side is 0
+        ((2, 2), (0, 3)),  # d1 = 0
+        ((2, 2), (3, 0)),  # d2 = 0: no equations
+    ])
+    def test_guard_matches_a_row_by_row_check(self, field, m, d):
+        """Block kernels of one to three sources pass, as they must; the
+        same rows with one entry changed, random rows and no rows at all get
+        the answer of the row-by-row check.  At p = 2^31 - 1 the entries lie
+        near p, so a row-wise sum of two products left unreduced passes 2^63."""
+        rng = random.Random(f"{field} {m} {d}")
+        p = field.characteristic
+        for _ in range(4):
+            sources = _sources([sparse_module(3, field, m, rng) for _ in range(rng.randrange(1, 4))])
+            N = sparse_module(3, field, d, rng)
+            H, counts = sparse_block_kernels(hom_system(N.alphas, sources, m), sources.rows)
+            assert linalg.intertwines(N.alphas, sources, m, H, counts)
+            width = N.dim1 * m[0] + N.dim2 * m[1]
+            entries = [list(H.row(r)) for r in range(H.rows)]
+            if entries and width:
+                r, c = rng.randrange(len(entries)), rng.randrange(width)
+                entries[r][c] = (entries[r][c] + 1) % p if p else entries[r][c] + 1
+            noise = [[rng.choice((0, 1, -1, Fraction(1, 2) if not p else 2)) for _ in range(width)]
+                     for _ in range(sources.rows)]
+            for rows, row_counts in ((H.select_rows([]), [0] * sources.rows),
+                                     (Matrix.from_rows(field, entries, cols=width), counts),
+                                     (Matrix.from_rows(field, noise, cols=width), [1] * sources.rows)):
+                assert linalg.intertwines(N.alphas, sources, m, rows, row_counts) == \
+                    intertwines_row_by_row(N.alphas, sources, m, rows, row_counts)
+
+    def test_a_check_too_large_to_group_goes_arrow_by_arrow(self):
+        """Hom(B, B^100) as 100 rows into a module of dimension vector
+        (100, 100): too many cells to stack N's maps, so each arrow is
+        checked alone, and a change in the last map alone is caught."""
+        b = B([1, 2, 3])
+        N, sources = direct_sum(*[b] * 100), modules._source(b)
+        H, counts = sparse_block_kernels(hom_system(N.alphas, sources, (1, 1)), 1)
+        assert counts == [100] and linalg.intertwines(N.alphas, sources, (1, 1), H, counts)
+        last = N.alphas[-1].data.copy()
+        last[0, 0] = (last[0, 0] + 1) % 5
+        assert not linalg.intertwines(N.alphas[:-1] + (Matrix(F5, last),), sources, (1, 1), H, counts)
+
+    @pytest.mark.parametrize("corrupt", ["first", "middle", "last"])
+    def test_one_corrupt_row_of_a_group_raises(self, monkeypatch, corrupt):
+        """Two generators of dimension vector (3, 1), neither a bristle, get
+        their Hom rows from one block system and one guard: one entry
+        changed in one of those rows must trip it through is_generated_by."""
+        G1, G2 = injective_module(3, F5), _other_31()
+        M = direct_sum(G1, G2)
+        real, calls = modules.sparse_block_kernels, []
+
+        def corrupted(S, blocks):
+            K, counts = real(S, blocks)
+            calls.append(counts)
+            r = {"first": 0, "middle": K.rows // 2, "last": K.rows - 1}[corrupt]
+            data = K.data.copy()
+            data[r, 0] = (data[r, 0] + 1) % 5  # F1[0, 0] of one basis element
+            return Matrix(K.field, data), counts
+
+        assert is_generated_by([G1, G2], M)
+        monkeypatch.setattr(modules, "sparse_block_kernels", corrupted)
+        with pytest.raises(InternalCheckFailed, match="does not intertwine"):
+            is_generated_by([G1, G2], M)
+        assert len(calls) == 1 and len(calls[0]) == 2 and sum(calls[0]) >= 3
+
+    def test_mixed_generators_build_one_system_per_dimension_vector(self, monkeypatch):
+        """B0' and two (3, 1) modules, interleaved: one Hom system for the
+        bristles and one for the others, and the answer of the oracle that
+        builds one system per generator."""
+        from kronbrist.bristles import canonical_set
+        b0prime = [bristle(p) for p in canonical_set("B0prime", 3, F5)]
+        M = direct_sum(preinjective(3, 2, F5), _other_31())
+        gens = [b0prime[0], injective_module(3, F5), *b0prime[1:3], _other_31(), *b0prime[3:]]
+        assert trace_submodule(gens, M).is_full()
+        built, real = [], modules.hom_system
+        monkeypatch.setattr(modules, "hom_system",
+                            lambda maps, sources, dims: built.append(dims) or real(maps, sources, dims))
+        assert is_generated_by(gens, M)
+        assert sorted(built) == [(1, 1), (3, 1)]
 
 
 class TestExt:
@@ -342,7 +460,7 @@ class TestExt:
                  for f in (F2, F5, QQ) for n in (2, 3) for _ in range(8)]
         expected = [ext1_dim(M, N) for M, N in pairs]
         assert sum(e > 0 for e in expected) >= 10
-        for name in ("hom_system", "hom_dim", "_hom_stacks", "sparse_rank", "sparse_kernel",
+        for name in ("hom_system", "hom_dim", "_hom_rows", "sparse_rank", "sparse_kernel",
                      "sparse_block_kernels", "sparse_block_ranks",
                      "Morphism", "SubmodulePair", "submodule_as_module"):
             monkeypatch.setattr(modules, name, forbidden)
@@ -615,8 +733,8 @@ class TestIsoSearch:
         """An invertible element of the Hom(M, N) basis proves ISO before
         Hom(N, M) is built."""
         M, N = push_down(build_ball_rep(4, F5)), preinjective(4, 2, F5)
-        built, real = [], modules._hom_system
-        monkeypatch.setattr(modules, "_hom_system", lambda A, B: built.append(A) or real(A, B))
+        built, real = [], modules.hom_system
+        monkeypatch.setattr(modules, "hom_system", lambda *args: built.append(args) or real(*args))
         assert find_isomorphism(M, N).status == ISO
         assert len(built) == 1
 
@@ -668,7 +786,7 @@ class TestHomSystem:
         M, N = push_down(build_ball_rep(6, F5)), preinjective(6, 2, F5)
         tracemalloc.start()
         try:
-            S = modules._hom_system(M, N)
+            S = hom_system(N.alphas, modules._source(M), M.dims)
             basis = hom_basis(M, N)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -680,7 +798,8 @@ class TestHomSystem:
 def per_block_images(points, M):
     """``bristle_images`` as it was first computed, the oracle of its
     memory: the block system split into one system per block, one kernel
-    each, stacked, behind the same guard."""
+    each, stacked, behind the guard it had, one arrow at a time: X a_i^T
+    against Y with each row scaled by p_i of its point."""
     S = hom_system(M.alphas, points, (1, 1))
     height, width = S.rows // points.rows, S.cols // points.rows
     owner = S.j // width
@@ -691,9 +810,11 @@ def per_block_images(points, M):
                for b, e in enumerate(np.split(order, bounds))]
     H = kernels[0].vstack(*kernels[1:])
     X, Y = H.col_block(0, M.dim1), H.col_block(M.dim1, H.cols)
-    P = points.select_rows([b for b, K in enumerate(kernels) for _ in range(K.rows)])
-    assert all(X @ a.transpose() == P.col_block(i, i + 1).row_kron(Y)
-               for i, a in enumerate(M.alphas))
+    rows_of = [b for b, K in enumerate(kernels) for _ in range(K.rows)]
+    for i, a in enumerate(M.alphas):
+        scaled = points.data[rows_of, i:i + 1] * Y.data
+        np.remainder(scaled, M.field.characteristic, out=scaled)
+        assert X @ a.transpose() == Matrix._of(M.field, scaled)
     return X, Y
 
 

@@ -99,7 +99,7 @@ from kronbrist.modfile import parse_module_file  # noqa: E402
 from kronbrist.modules import (  # noqa: E402
     KroneckerModule,
     SubmodulePair,
-    _hom_system,
+    _source,
     ar_translate,
     bristle_hom_dims,
     bristle_images,
@@ -457,7 +457,7 @@ def test_hom_system_matches_kron_formula(pair):
     M, N = pair
     ref = kron_hom_system(M, N)
     if M.field.is_finite:  # over Q each arrow's rows are scaled by its denominators
-        assert written_out(_hom_system(M, N)) == ref
+        assert written_out(hom_system(N.alphas, _source(M), M.dims)) == ref
     K = kernel_basis(ref)
     assert hom_dim(M, N) == K.dim
     # the canonical basis: row-major f1 then f2 of each element is a kernel row
@@ -811,7 +811,7 @@ def test_bristle_block_ranks_match_one_system_each(case):
     """Block b of ``hom_system`` over the points has the rank of Hom(B_p, N)
     written out by the kron formula, and each block is ranked once, the
     blocks with no core after peeling first; a one-point block has the same
-    kernel, and is what ``_hom_system`` builds for the bristle."""
+    kernel, and is what ``hom_system`` builds for the bristle."""
     N, coords = case
     f, width = N.field, N.dim1 + N.dim2
     points = Matrix.from_rows(f, coords, cols=N.n)
@@ -826,7 +826,7 @@ def test_bristle_block_ranks_match_one_system_each(case):
         B = one_by_one(f, c)
         one = hom_system(N.alphas, Matrix.from_rows(f, [c], cols=N.n), (1, 1))
         assert sparse_kernel(one) == sparse_kernel(generic_hom_system(B, N))
-        assert sparse_kernel(_hom_system(B, N)) == sparse_kernel(one)
+        assert sparse_kernel(hom_system(N.alphas, _source(B), B.dims)) == sparse_kernel(one)
         assert hom_dim(B, N) == dim
 
 
@@ -837,7 +837,7 @@ def test_zero_one_by_one_modules_keep_the_generic_system(case):
     into N, from the same builder, is the one the kron formula writes out."""
     N, _ = case
     Z = one_by_one(N.field, [0] * N.n)
-    S, ref = _hom_system(Z, N), generic_hom_system(Z, N)
+    S, ref = hom_system(N.alphas, _source(Z), Z.dims), generic_hom_system(Z, N)
     assert (S.rows, S.cols) == (ref.rows, ref.cols)
     assert written_out(S) == written_out(ref)
     assert hom_dim(Z, N) == N.dim1 + N.dim2 - sparse_rank(ref)

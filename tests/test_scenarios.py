@@ -648,6 +648,15 @@ class TestCli:
         assert cli_main(["main-theorem-b-bristle-orbits", "--module", str(module)]) == 2
         assert capsys.readouterr().err == f"kronbrist: error: {message}\n"
 
+    def test_non_ascii_digit_in_module_file_exit_2(self, capsys, tmp_path):
+        """A superscript entry passes ``str.isdigit`` but not ``int``: a usage
+        error at its line and column, not an internal one."""
+        module = tmp_path / "superscript.kron"
+        module.write_bytes("kron n=1 field=gf(2) dims=1,1\nalpha 1\n\u00b2\n".encode("utf-8"))
+        assert cli_main(["main-theorem-b-bristle-orbits", "--module", str(module)]) == 2
+        assert capsys.readouterr().err == \
+            "kronbrist: error: line 3, column 1: expected an integer entry, got '\u00b2'\n"
+
     def test_zero_arrows_exit_2(self, capsys):
         for name in ("bristled-layers", "saturated-faithful"):
             assert cli_main([name, "--n", "0"]) == 2

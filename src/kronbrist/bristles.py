@@ -1,22 +1,24 @@
 """Length-two indecomposables: construction, canonical sets, enumeration,
 bristle vectors, maximal bristled submodule, saturation.
 
-A bristle is determined by a nonzero coefficient tuple up to scaling; points
-are normalized so the first nonzero coordinate is 1, making equality a plain
-tuple comparison.  Enumeration over a finite field is exhaustive and in
-lexicographic order of the normalized coordinates, so downstream reports are
+A bristle is determined by a nonzero coefficient tuple up to scaling; a
+point is the one row of ``rref`` of its coordinates, first nonzero 1, making
+equality a plain tuple comparison.  Enumeration over a finite field is
+exhaustive and in lexicographic order of the normalized coordinates: the
+rows of one integer matrix per (n, field), ``bristle_points``, which every
+sweep reads with no object per point, so downstream reports are
 reproducible byte for byte.  Saturation is read from the bilinear form and
 the Hom dimension of every bristle into the module itself.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .linalg import FieldSpec, InternalCheckFailed, Matrix, Subspace, block_lines, rref
+from .linalg import (FieldSpec, InternalCheckFailed, Matrix, Subspace, block_lines,
+                     projective_points, rref)
 from .modules import (
     KroneckerModule,
     SubmodulePair,
@@ -39,7 +41,7 @@ class BristlePoint:
         if all(c == 0 for c in self.coords):
             raise ValueError("bristle coordinates must not all vanish")
         lead = next(c for c in self.coords if c != 0)
-        if lead != self.field.one():
+        if lead != 1:
             raise ValueError("coordinates not normalized; use bristle_point()")
 
     def __str__(self):
@@ -47,15 +49,14 @@ class BristlePoint:
 
 
 def bristle_point(n: int, field: FieldSpec, coords: Sequence) -> BristlePoint:
-    """Normalize raw coordinates to the canonical representative."""
-    raw = [field.normalize(c) for c in coords]
-    if len(raw) != n:
-        raise ValueError(f"expected {n} coordinates, got {len(raw)}")
-    lead = next((c for c in raw if c != 0), None)
-    if lead is None:
+    """Normalize raw coordinates to the canonical representative: the one
+    row of ``rref`` of the coordinates, first nonzero scaled to 1."""
+    if len(coords) != n:
+        raise ValueError(f"expected {n} coordinates, got {len(coords)}")
+    line = rref(Matrix.from_rows(field, [list(coords)], cols=n))
+    if line.is_zero():
         raise ValueError("bristle coordinates must not all vanish")
-    inv = field.inv(lead)
-    return BristlePoint(field, tuple(field.mul(inv, c) for c in raw))
+    return BristlePoint(field, line.basis.row(0))
 
 
 def unit_point(n: int, field: FieldSpec, r: int) -> BristlePoint:
@@ -98,32 +99,19 @@ def canonical_set(name: str, n: int, field: FieldSpec) -> list:
     raise ValueError(f"unknown canonical set {name!r}")
 
 
-def _projective_points(field: FieldSpec, dim: int) -> list:
-    """One representative per line of k^dim, first nonzero 1, lexicographic.
-
-    Later leading positions come first, because their prefixes hold more
-    zeros; within a leading position the tails run in product order.
-    """
-    pts = []
-    for lead in reversed(range(dim)):
-        prefix = (field.zero(),) * lead + (field.one(),)
-        for tail in itertools.product(list(field.elements()), repeat=dim - 1 - lead):
-            pts.append(prefix + tail)
-    return pts
-
-
 def enumerate_bristles(n: int, field: FieldSpec) -> list:
-    """All (q^n - 1)/(q - 1) points, lexicographic by normalized coordinates."""
-    if not field.is_finite:
-        raise ValueError("enumeration requires a finite field")
-    return [BristlePoint(field, c) for c in _projective_points(field, n)]
+    """All (q^n - 1)/(q - 1) points, the rows of ``bristle_points``."""
+    P = bristle_points(n, field)
+    return [BristlePoint(field, P.row(i)) for i in range(P.rows)]
 
 
 @lru_cache(maxsize=None)
 def bristle_points(n: int, field: FieldSpec) -> Matrix:
-    """The coordinates of every point, one row each, in ``enumerate_bristles``
-    order, built once per (n, field)."""
-    return Matrix.from_rows(field, [p.coords for p in enumerate_bristles(n, field)], cols=n)
+    """The coordinates of every point, one row each, lexicographic by
+    normalized coordinates (``projective_points``), built once per (n, field)."""
+    if not field.is_finite:
+        raise ValueError("enumeration requires a finite field")
+    return projective_points(field, n)
 
 
 # -- bristle vectors ----------------------------------------------------------
@@ -178,10 +166,11 @@ def is_saturated(M: KroneckerModule) -> bool:
     Over the hereditary Kronecker algebra hom(B, M) - ext(B, M) = <(1, 1), dim M>
     = e (Assem, Simson and Skowronski, Elements of the Representation Theory of
     Associative Algebras 1), so M is saturated iff hom(B, M) = e for every
-    bristle.  M with e < 0 is refused with no Hom system built.  Otherwise one
-    block system for all points is peeled once (``bristle_hom_dims``), and the
-    sweep stops at the first hom above e; one below e is a negative Ext, a bug,
-    so it raises InternalCheckFailed, as ``ext1_dim`` does.
+    bristle.  M with e < 0 is refused with no Hom system built.  Otherwise the
+    points are swept in runs, one block system and one peel per run
+    (``bristle_hom_dims``), and the sweep stops at the first hom above e; one
+    below e is a negative Ext, a bug, so it raises InternalCheckFailed, as
+    ``ext1_dim`` does.
     """
     if not M.field.is_finite:
         raise ValueError("saturation requires finite-field enumeration; "

@@ -45,6 +45,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _user_file(op, *args, **kwargs):
+    """op on a file the user named: one that cannot be read or written is a usage error."""
+    try:
+        return op(*args, **kwargs)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ScenarioConfigError(str(exc)) from None
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -62,17 +70,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 raise ScenarioConfigError(str(exc)) from None
         module_text = None
         if args.module is not None:
-            module_text = Path(args.module).read_text(encoding="utf-8")
+            module_text = _user_file(Path(args.module).read_text, encoding="utf-8")
         cfg = default_config(args.scenario, n=args.n, field=field, t_max=args.tmax,
                              seed=args.seed, attempts=args.attempts,
                              module_path=args.module, module_text=module_text)
         report = run_scenario(cfg)
         rendered = report.to_json() if args.format == "json" else report.to_table()
         if args.out:
-            Path(args.out).write_text(rendered, encoding="utf-8")
+            _user_file(Path(args.out).write_text, rendered, encoding="utf-8")
         else:
             sys.stdout.write(rendered)
-    except (ScenarioConfigError, ModuleFileError, OSError, UnicodeDecodeError) as exc:
+    except (ScenarioConfigError, ModuleFileError) as exc:
         print(f"kronbrist: error: {exc}", file=sys.stderr)
         return 2
     except Exception:

@@ -8,7 +8,8 @@ its denominator, so equal matrices hold equal integers.  Entries are
 converted only on the way in (``FieldSpec.array``, ``from_rows``; a raw
 ``Matrix(...)`` is checked) and out (``row``, ``apply``: Python ``int`` or
 ``Fraction``, never numpy scalars).  Values are immutable and operations
-pure.
+pure.  The points of the projective space of k^dim over GF(q) are one
+such matrix, ``projective_points``, from the base-q digits of its rows.
 
 Each operation is one integer expression for both fields.  A product
 multiplies the arrays and the denominators; stacking and block placement
@@ -44,7 +45,8 @@ Two sweeps keep that rule, and the caller's input picks one, never an
 option.  ``_rref`` eliminates one matrix, gathering by index only the rows
 with a nonzero in c (a single row needs no column loop at all); it serves
 ``rref`` and everything built on it: ranks, kernels, canonical bases, sums
-of subspaces and the dense cores of sparse systems.  ``_rref_stack``
+of subspaces, the dense cores of sparse systems, and, through its
+single-row path, the canonical point of a line.  ``_rref_stack``
 eliminates a stack of small matrices over GF(p) in one sweep of pivot
 steps, each member with its own pivots.  It serves the subset search
 ``spanning_by_size`` (all traces at once, then each level's sums) and
@@ -77,7 +79,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, combinations
 from math import comb, gcd, lcm
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -175,12 +177,6 @@ class FieldSpec:
             raise ValueError("the rationals are infinite")
         return self.characteristic
 
-    def zero(self) -> Scalar:
-        return 0 if self.is_finite else Fraction(0)
-
-    def one(self) -> Scalar:
-        return 1 if self.is_finite else Fraction(1)
-
     def normalize(self, x) -> Scalar:
         """x as a field element.  Over Q an integer or a Fraction is kept as a
         Fraction.  Over GF(p) an integer is reduced mod p and a Fraction a/b
@@ -197,25 +193,6 @@ class FieldSpec:
         except (TypeError, ValueError):  # no __index__, or b has no inverse mod p
             raise ValueError(f"{x!r} is not an element of GF({p}): entries must be "
                              f"integers or Fractions with denominator prime to {p}") from None
-
-    def mul(self, a: Scalar, b: Scalar) -> Scalar:
-        return (a * b) % self.characteristic if self.is_finite else a * b
-
-    def inv(self, a: Scalar) -> Scalar:
-        if self.is_finite:
-            a = int(a) % self.characteristic
-            if a == 0:
-                raise ZeroDivisionError("inverse of 0")
-            return pow(a, self.characteristic - 2, self.characteristic)
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0")
-        return Fraction(1) / a
-
-    def elements(self) -> Iterable[Scalar]:
-        """All field elements in canonical order 0, 1, ..., p-1 (finite only)."""
-        if not self.is_finite:
-            raise ValueError("cannot enumerate the rationals")
-        return range(self.characteristic)
 
     # -- arrays of field elements ----------------------------------------------
 
@@ -500,6 +477,21 @@ def place_blocks(field: FieldSpec, rows: int, cols: int, blocks: Sequence) -> Ma
     for (r, c, B), a in zip(blocks, arrays):
         out[r:r + B.rows, c:c + B.cols] = a
     return Matrix._of(field, out, den)
+
+
+def projective_points(field: FieldSpec, dim: int) -> Matrix:
+    """One point of each line of k^dim over GF(q), one row each with first
+    nonzero 1, in lexicographic order: later leading positions first, as
+    their rows start with more zeros, and within one the tails in product
+    order, the base-q digits of 0, 1, ... with the most significant first."""
+    q = field.order
+    blocks = []
+    for k in range(dim):  # k tail entries after the leading 1
+        block = np.zeros((q**k, dim), np.int64)
+        block[:, dim - 1 - k] = 1
+        block[:, dim - k:] = np.arange(q**k)[:, None] // q ** np.arange(k - 1, -1, -1) % q
+        blocks.append(block)
+    return Matrix._of(field, np.concatenate(blocks) if blocks else np.zeros((0, 0), np.int64))
 
 
 class SparseSystem(NamedTuple):

@@ -208,14 +208,22 @@ def _source(M: KroneckerModule) -> Matrix:
     return M.stacked.reshape(1, -1)
 
 
+_POINT_RUN = 2**10  # points per block system of ``bristle_hom_dims``, by measurement
+
+
 def bristle_hom_dims(points: Matrix, N: KroneckerModule):
     """(b, dim Hom(B_p, N)) for the bristle B_p of each row p of ``points``,
-    from one block system and one peel (``sparse_block_ranks``): first the
-    points the peel decided, then the others in row order, each core
-    eliminated only when the caller asks for its dimension."""
+    in runs of ``_POINT_RUN`` rows, each built only when the caller asks past
+    the run before it, from one block system and one peel
+    (``sparse_block_ranks``): within a run, first the points the peel
+    decided, then the others in row order, each core eliminated only when
+    the caller asks for its dimension."""
     width = N.dim1 + N.dim2
-    S = hom_system(N.alphas, points, (1, 1))
-    return ((b, width - r) for b, r in sparse_block_ranks(S, points.rows))
+    for start in range(0, points.rows, _POINT_RUN):
+        run = points.select_rows(range(start, min(start + _POINT_RUN, points.rows)))
+        S = hom_system(N.alphas, run, (1, 1))
+        for b, r in sparse_block_ranks(S, run.rows):
+            yield start + b, width - r
 
 
 def hom_dim(M: KroneckerModule, N: KroneckerModule) -> int:

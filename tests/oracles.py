@@ -21,7 +21,9 @@ formula, a Hom from every bristle into tau D M (the library compares each
 bristle's Hom into M itself with the bilinear form).
 ``bristle_variety`` lists every bristle line of a module by brute force over
 its projective points, where the library asks only whether the bristles
-generate.  ``bristle_type_by_images`` reads the type of a bristle vector
+generate; ``projective_points_by_product`` lists those points as tuples,
+one ``itertools.product`` per leading position (the library builds them as
+one integer matrix from base-q digits).  ``bristle_type_by_images`` reads the type of a bristle vector
 one image at a time, through ``apply``, ``from_spanning`` and
 ``coordinates``, a vector's coordinates in the RREF basis of a subspace
 (the library forms all images with one product), and
@@ -42,11 +44,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, product
 from pathlib import Path
 from typing import Optional, Sequence
 
-from kronbrist.bristles import (BristlePoint, _projective_points, bristle_point, bristle_points,
+from kronbrist.bristles import (BristlePoint, bristle_point, bristle_points,
                                 bristle_type_of, form_forces_extensions, is_bristle_vector)
 from kronbrist.linalg import (
     FieldSpec,
@@ -177,10 +179,24 @@ def bristle_variety(M: KroneckerModule) -> list:
                          "use is_bristle_vector for membership over the rationals")
     reduced, _ = quotient(s1_generated_submodule(M))
     out = []
-    for u in _projective_points(M.field, reduced.dim1):
+    for u in projective_points_by_product(M.field, reduced.dim1):
         if is_bristle_vector(reduced, u):
             out.append((u, bristle_type_of(reduced, u)))
     return out
+
+
+def projective_points_by_product(field: FieldSpec, dim: int) -> list:
+    """One representative per line of k^dim, first nonzero 1, lexicographic,
+    as tuples: ``linalg.projective_points`` spelled out with
+    ``itertools.product``.  Later leading positions come first, because
+    their prefixes hold more zeros; within a leading position the tails run
+    in product order."""
+    pts = []
+    for lead in reversed(range(dim)):
+        prefix = (0,) * lead + (1,)
+        for tail in product(range(field.order), repeat=dim - 1 - lead):
+            pts.append(prefix + tail)
+    return pts
 
 
 def bristle_type_by_images(M: KroneckerModule, u: Sequence) -> Optional[BristlePoint]:
@@ -212,21 +228,21 @@ def n2_generator_by_slope(t: int, slope, field: FieldSpec) -> tuple:
     given slope: (1, c, c^2, ..., c^t) for a scalar slope c, the point (1:c),
     and e_t for the slope None, the point (0:1) at infinity."""
     if slope is None:
-        return tuple(field.one() if i == t else field.zero() for i in range(t + 1))
-    out, acc = [], field.one()
+        return tuple(field.normalize(int(i == t)) for i in range(t + 1))
+    out, acc = [], field.normalize(1)
     for _ in range(t + 1):
         out.append(acc)
-        acc = field.mul(acc, field.normalize(slope))
+        acc = field.normalize(acc * field.normalize(slope))
     return tuple(out)
 
 
 def _combination(field: FieldSpec, coeffs: Sequence, mats: Sequence[Matrix]) -> Matrix:
     """sum c * A over the coefficients c and the matrices A, entry by entry."""
     rows, cols = mats[0].rows, mats[0].cols
-    out = [[field.zero()] * cols for _ in range(rows)]
+    out = [[field.normalize(0)] * cols for _ in range(rows)]
     for c, A in zip(coeffs, mats):
         for i in range(rows):
-            out[i] = [field.normalize(x + field.mul(field.normalize(c), y)) for x, y in zip(out[i], A.row(i))]
+            out[i] = [field.normalize(x + field.normalize(c) * y) for x, y in zip(out[i], A.row(i))]
     return Matrix.from_rows(field, out, cols=cols)
 
 

@@ -28,6 +28,7 @@ from kronbrist.linalg import (
     joint_kernel,
     kernel_basis,
     place_blocks,
+    projective_points,
     quotient_projection,
     rank,
     rref,
@@ -36,21 +37,21 @@ from kronbrist.linalg import (
     subspace_sum,
 )
 
-from oracles import coordinates
+from oracles import coordinates, projective_points_by_product
 
 
 def all_vectors(field, dim):
-    return list(itertools.product(list(field.elements()), repeat=dim))
+    return list(itertools.product(range(field.order), repeat=dim))
 
 
 def span_set(field, dim, basis_rows):
     """Brute-force span as a set of tuples; only for small finite cases."""
     out = set()
-    for coeffs in itertools.product(list(field.elements()), repeat=len(basis_rows)):
-        v = [field.zero()] * dim
+    for coeffs in itertools.product(range(field.order), repeat=len(basis_rows)):
+        v = [0] * dim
         for c, row in zip(coeffs, basis_rows):
             for j in range(dim):
-                v[j] = field.normalize(v[j] + field.mul(c, row[j]))
+                v[j] = field.normalize(v[j] + c * row[j])
         out.add(tuple(v))
     return out
 
@@ -98,14 +99,16 @@ class TestFieldSpec:
         assert is_prime(k) == prime
 
     def test_arithmetic(self):
+        """No scalar product or inverse is kept: a product is reduced, and an
+        inverse read off a Fraction, by ``normalize``."""
         f = GF(7)
-        assert f.mul(3, 5) == 1
-        assert f.inv(3) == 5
-        assert QQ.inv(Fraction(3, 2)) == Fraction(2, 3)
+        assert f.normalize(3 * 5) == 1
+        assert f.normalize(Fraction(1, 3)) == 5
+        assert QQ.normalize(Fraction(3, 2) ** -1) == Fraction(2, 3)
 
     def test_rationals_not_enumerable(self):
         with pytest.raises(ValueError):
-            QQ.elements()
+            projective_points(QQ, 2)
 
     def test_fractions_map_into_gf_p(self):
         f = GF(5)
@@ -137,6 +140,22 @@ class TestFieldSpec:
             QQ.normalize(bad)
         with pytest.raises(ValueError, match="not an element of Q"):
             Matrix.from_rows(QQ, [[1, bad]])
+
+
+class TestProjectivePoints:
+    @pytest.mark.parametrize("q,dim", [(2, 0), (2, 1), (2, 2), (2, 3), (2, 4),
+                                       (3, 3), (5, 3), (7, 2)])
+    def test_rows_are_the_product_enumeration(self, q, dim):
+        """One row per line, row for row the tuples of the product
+        enumeration: (q^dim - 1)/(q - 1) distinct rows, each with first
+        nonzero 1."""
+        P = projective_points(GF(q), dim)
+        rows = [P.row(i) for i in range(P.rows)]
+        assert (P.rows, P.cols) == ((q**dim - 1) // (q - 1), dim)
+        assert rows == projective_points_by_product(GF(q), dim)
+        assert len(set(rows)) == P.rows
+        assert all(next(c for c in r if c) == 1 for r in rows)
+        assert all(type(c) is int for r in rows for c in r)
 
 
 class TestRref:

@@ -795,6 +795,40 @@ class TestHomSystem:
         assert peak < 0.25 * 1260 * 1261 * 8  # int64 entries
 
 
+class TestBristleHomRuns:
+    def test_first_dimension_builds_one_run(self, monkeypatch):
+        """Taking only the first dimension of the sweep over the 1 019 131
+        points of P^2(GF(1009)) builds one block system, over at most one
+        run of points."""
+        f = GF(1009)
+        M = preinjective(3, 1, f)
+        points = bristle_points(3, f)
+        built, real = [], modules.hom_system
+
+        def counting(maps, sources, dims):
+            built.append(sources.rows)
+            return real(maps, sources, dims)
+
+        monkeypatch.setattr(modules, "hom_system", counting)
+        b, d = next(modules.bristle_hom_dims(points, M))
+        assert len(built) == 1 and built[0] <= modules._POINT_RUN < points.rows
+        assert 0 <= b < built[0] and d == M.dim1 - 2 * M.dim2
+
+    @pytest.mark.parametrize("run", [1, 3, 5, 13])
+    def test_runs_give_the_dimensions_of_one_system(self, monkeypatch, run):
+        """Sweeping the 13 points of P^2(GF(3)) in runs of any length gives
+        every point its dimension from one system over all points."""
+        f = GF(3)
+        points = bristle_points(3, f)
+        for M in (preinjective(3, 2, f), random_module(3, f, random.Random(7), 3, 2),
+                  direct_sum(bristle(unit_point(3, f, 2)), simple_module(3, f, 2))):
+            whole = sorted(modules.bristle_hom_dims(points, M))
+            monkeypatch.setattr(modules, "_POINT_RUN", run)
+            assert sorted(modules.bristle_hom_dims(points, M)) == whole
+            assert [b for b, _ in whole] == list(range(points.rows))
+            monkeypatch.undo()
+
+
 def per_block_images(points, M):
     """``bristle_images`` as it was first computed, the oracle of its
     memory: the block system split into one system per block, one kernel

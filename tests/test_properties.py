@@ -347,7 +347,7 @@ def stacks(draw):
         elif kind == "deficient":
             rows = random_rows(draw(st.integers(2, 4)))
             a, b = draw(entry), draw(entry)
-            rows.append([field.normalize(field.mul(a, x) + field.mul(b, y)) for x, y in zip(rows[0], rows[1])])
+            rows.append([field.normalize(a * x + b * y) for x, y in zip(rows[0], rows[1])])
         else:
             rows = [[0] * j + [1] + [draw(entry) for _ in range(cols - j - 1)] for j in range(cols)]
         rows = draw(st.permutations(rows))
@@ -805,6 +805,36 @@ def bristle_sweeps(draw):
     return N, points
 
 
+@st.composite
+def raw_coordinates(draw):
+    """(field, coords): up to five raw coordinates over GF(2), GF(2^31 - 1)
+    or Q, zeros frequent, integers past int64 and negative ones among them."""
+    field = draw(st.sampled_from([GF(2), MERSENNE, QQ]))
+    raw = st.integers(-2**70, 2**70) if field.is_finite else \
+        st.fractions(max_denominator=10**12)
+    return field, draw(st.lists(st.one_of(st.just(0), raw), min_size=1, max_size=5))
+
+
+@settings(PROPERTY, max_examples=200)
+@given(raw_coordinates())
+def test_bristle_point_is_the_scalar_normalisation(case):
+    """``bristle_point``, the one row of ``rref``, gives the coordinates
+    scaled entry by entry by the inverse of the first nonzero, as Python
+    ints over GF(p) and Fractions over Q; all zeros are refused."""
+    field, coords = case
+    raw = [field.normalize(c) for c in coords]
+    lead = next((c for c in raw if c != 0), None)
+    if lead is None:
+        with pytest.raises(ValueError, match="must not all vanish"):
+            bristle_point(len(coords), field, coords)
+        return
+    inv = field.normalize(1 / Fraction(lead))
+    expected = tuple(field.normalize(inv * c) for c in raw)
+    got = bristle_point(len(coords), field, coords).coords
+    assert got == expected
+    assert [type(c) for c in got] == [type(c) for c in expected]
+
+
 @settings(PROPERTY, max_examples=100)
 @given(bristle_sweeps())
 def test_bristle_block_ranks_match_one_system_each(case):
@@ -937,7 +967,7 @@ def summand_lists(draw):
             V = rref(W.basis)
         elif kind == "inside":
             V = Subspace.from_spanning(field, d, [
-                [sum(field.mul(draw(entries(field)), r[j]) for r in rows) for j in range(d)]
+                [sum(draw(entries(field)) * r[j] for r in rows) for j in range(d)]
                 for _ in range(draw(st.integers(0, 3)))])
         elif kind == "around":
             V = spanned(range(d), rows)
@@ -1038,7 +1068,7 @@ def bristle_vector_stacks(draw):
     rows = [list(u)] + draw(st.lists(vectors, max_size=4))
     if p is not None:
         for c in draw(st.lists(entries(M.field).filter(lambda x: x != 0), max_size=2)):
-            rows.append([M.field.mul(c, x) for x in u])
+            rows.append([M.field.normalize(c * x) for x in u])
     return M, draw(st.permutations(rows))
 
 

@@ -571,6 +571,30 @@ class TestCli:
         assert cli_main(["main-theorem-b-bristle-orbits", "--module",
                          "/nonexistent/file.kron"]) == 2
 
+    def test_unreadable_module_and_unwritable_out_exit_2(self, capsys, tmp_path):
+        """A module file that is not UTF-8, and an --out path in no
+        directory, are usage errors."""
+        module = tmp_path / "latin1.kron"
+        module.write_bytes(b"kron n=1 field=gf(2) dims=1,1\nalpha 1\n\xff\n")
+        assert cli_main(["main-theorem-b-bristle-orbits", "--module", str(module)]) == 2
+        assert "can't decode byte 0xff" in capsys.readouterr().err
+        out = tmp_path / "missing" / "report.txt"
+        assert cli_main(["n2-classification", "--q", "2", "--tmax", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("kronbrist: error: [Errno 2]")
+
+    @pytest.mark.parametrize("exc", [OSError("device went away"),
+                                     UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte")])
+    def test_file_error_inside_a_scenario_exit_3(self, monkeypatch, capsys, tmp_path, exc):
+        """Only reading --module and writing --out make an OSError or a
+        UnicodeDecodeError a usage error: raised inside a scenario, it is a bug."""
+        def broken(M):
+            raise exc
+        monkeypatch.setattr(scenarios, "is_saturated", broken)
+        out = tmp_path / "report.txt"
+        assert cli_main(["main-theorem-a", "--tmax", "0", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "internal error" in err and "Traceback" in err and not out.exists()
+
     def test_module_field_conflict_exit_2(self, capsys, tmp_path):
         module = tmp_path / "b1.kron"
         module.write_text(

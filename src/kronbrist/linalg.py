@@ -54,14 +54,19 @@ steps, each member with its own pivots.  It serves the subset search
 field.  It pays numpy's per-call cost once per step for the stack, where
 ``_rref`` pays it per matrix, but for a single matrix it is the slower one.
 
-Over GF(p) every intermediate product stays below p^2 < 2^62, so int64
-arithmetic is exact; a matrix product switches to Python integers once a
-sum of products could reach 2^62.  Below that bound a product whose dense
-form takes more than 2^16 multiply-adds, and one of whose operands has
-fewer than 1/8 nonzeros (τ-translates and preinjectives have about one per
-row), adds up the products of that operand's nonzeros, unreduced, and
-reduces mod p at the end: each output entry still sums at most
-inner-length products below p^2, so the same bound keeps it exact.
+Over GF(p) every intermediate product of an elimination stays below
+p^2 < 2^62, so int64 arithmetic is exact.  A matrix product keeps one
+bound for both fields: each operand's entries are at most m in absolute
+value (p - 1 over GF(p), over Q the operand's largest |entry|), and while
+inner length times m_a m_b stays below 2^62 no sum of products can leave
+int64, so the product runs on int64; past it on Python integers.  Over Q
+the result is an object array of Python ints again, so a ``Matrix`` over
+Q keeps its format.  Below the bound a product whose dense form takes
+more than 2^16 multiply-adds, and one of whose operands has fewer than
+1/8 nonzeros (τ-translates and preinjectives have about one per row), adds
+up the products of that operand's nonzeros, unreduced, and reduces mod p
+at the end over GF(p): each output entry still sums at most inner-length
+products, so the same bound keeps it exact.
 
 Pivot choice is deterministic: first nonzero entry scanning columns left to
 right, rows top to bottom.  A subspace is its basis in reduced row-echelon
@@ -203,15 +208,22 @@ class FieldSpec:
     def array(self, values):
         """Nested sequences (or an array) of field entries as integers over one
         denominator, the pair (array, denominator): int64 reduced mod p over 1,
-        or Python ints over the lcm of the entries' denominators over Q."""
+        or Python ints over the lcm of the entries' denominators over Q.
+
+        Input that numpy reads as machine integers is taken as it is: over Q
+        (any integer dtype) as its own numerators over 1, over GF(p) (a
+        signed integer or bool dtype) reduced mod p.  Anything else (Fractions, Python ints past
+        int64, floats, strings; bools over Q) goes entry by entry through
+        ``Fraction`` over Q and ``normalize`` over GF(p), which map or
+        refuse each entry."""
+        a = np.asarray(values)
         if not self.is_finite:
+            if a.dtype.kind in "iu":
+                return a.astype(object), 1
             num, den = _integer_ratios(_to_fractions(np.array(values, dtype=object)))
             d = lcm(*den.flat)
             return num * (d // den), d
-        a = np.asarray(values)
         if a.dtype.kind not in "ib":
-            # Fractions, Python ints past int64, floats: one by one through
-            # normalize, which maps or refuses each entry
             a = np.frompyfunc(self.normalize, 1, 1)(np.array(values, dtype=object))
         return a.astype(np.int64, copy=False) % self.characteristic, 1
 
@@ -241,31 +253,48 @@ def _scalars(field: FieldSpec, num: np.ndarray, den: int) -> list:
     return num.tolist() if field.is_finite else _fraction_over(num, den).tolist()
 
 
-# a product over GF(p) whose dense form takes more multiply-adds than this,
-# with an operand of fewer than 1/_SPARSE_DENSITY nonzeros, is summed over
-# that operand's nonzeros; below it the dense product is faster
+# a product whose dense form takes more multiply-adds than this, with an
+# operand of fewer than 1/_SPARSE_DENSITY nonzeros, is summed over that
+# operand's nonzeros; below it the dense product is faster
 _SPARSE_MIN_WORK = 2**16
 _SPARSE_DENSITY = 8
+
+
+def _magnitude(a: np.ndarray) -> int:
+    """The largest |entry| of an int64 array, as a Python int."""
+    return max(int(a.max(initial=0)), -int(a.min(initial=0)))
 
 
 def _dot(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The integer product a @ b of two 2-d arrays, or of two stacks of
     them member by member, reduced mod p over GF(p).
 
-    Over GF(p) the product runs on int64 while every sum of products stays
-    below 2^62 (inner length times (p-1)^2); past that bound the same
-    expression runs on Python integers, as it always does over Q.  Below the
-    bound a large 2-d product with a sparse operand is summed over that
-    operand's nonzeros (``_sparse_dot``; a sparse right operand through the
-    transposes), over the operand that gives fewer products when both are
-    sparse.  Integer sums do not depend on their order, so both paths give
-    the same array.
+    One bound decides the arithmetic for both fields.  Each operand has a
+    magnitude m: p - 1 over GF(p), and over Q its largest |entry|, read
+    off the operand (an entry past int64 is past the bound).  While inner
+    length times m_a m_b stays below 2^62, no product and no sum of
+    products can leave int64, and the product runs there; past the bound
+    the same expression runs on Python integers.
+    Below the bound a large 2-d product with a sparse operand is summed
+    over that operand's nonzeros (``_sparse_dot``; a sparse right operand
+    through the transposes), over the operand that gives fewer products
+    when both are sparse.  Integer sums do not depend on their order, so
+    every path gives the same integers; over Q they come back as an object
+    array of Python ints, the format of a Matrix over Q.
     """
-    if not field.is_finite:
-        return a @ b
     p = field.characteristic
-    if a.shape[-1] * (p - 1) ** 2 >= 2**62:
-        return (a.astype(object) @ b.astype(object) % p).astype(np.int64)
+    if p:
+        m_a = m_b = p - 1
+    else:
+        try:
+            a, b = a.astype(np.int64, copy=False), b.astype(np.int64, copy=False)
+            m_a, m_b = _magnitude(a), _magnitude(b)
+        except OverflowError:  # an entry past int64; a and b are as given
+            m_a = m_b = 2**62
+    if a.shape[-1] * m_a * m_b >= 2**62:
+        c = a.astype(object, copy=False) @ b.astype(object, copy=False)
+        return (c % p).astype(np.int64) if p else c
+    c = None
     n = b.shape[-1]
     work = a.size * n  # multiply-adds of the dense product
     if a.ndim == 2 and work > _SPARSE_MIN_WORK:
@@ -273,21 +302,24 @@ def _dot(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         cost_a = np.count_nonzero(a) * n
         cost_b = np.count_nonzero(b) * a.shape[0]
         if min(cost_a, cost_b) * _SPARSE_DENSITY < work:
-            if cost_a <= cost_b:
-                return _sparse_dot(a, b, p)
-            return _sparse_dot(b.T, a.T, p).T
-    c = a @ b
-    return np.remainder(c, p, out=c)
+            c = _sparse_dot(a, b, p) if cost_a <= cost_b else _sparse_dot(b.T, a.T, p).T
+    if c is None:
+        c = a @ b
+        if p:
+            np.remainder(c, p, out=c)
+    return c if p else c.astype(object)
 
 
 def _sparse_dot(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a @ b % p as, for each nonzero a[r, c], a[r, c] * b[c] added to row r.
+    """a @ b of int64 arrays as, for each nonzero a[r, c], a[r, c] * b[c]
+    added to row r, reduced mod p over GF(p) (p > 0) and left as it is
+    over Q (p = 0).
 
     The nonzeros go in layers: layer t holds the t-th nonzero of every row
     that has one, so the rows of a layer are distinct, its products take no
     more cells than the output, and a plain indexed ``+=`` adds them up.
-    Every output entry sums at most a.shape[1] products below p^2,
-    unreduced, as the dense product does.
+    Every output entry sums at most a.shape[1] products, unreduced, as the
+    dense product does, so ``_dot``'s bound keeps it in int64.
     """
     r, c = np.nonzero(a)  # sorted by row
     layer = np.arange(r.size) - np.searchsorted(r, r)
@@ -297,7 +329,7 @@ def _sparse_dot(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
         prods = b[cs]
         prods *= a[rs, cs][:, None]
         out[rs] += prods
-    return np.remainder(out, p, out=out)
+    return np.remainder(out, p, out=out) if p else out
 
 
 def _numerators(field: FieldSpec, mats: Sequence["Matrix"]):
@@ -576,14 +608,16 @@ def intertwines(maps: Sequence[Matrix], sources: Matrix, dims: tuple, rows: Matr
     so on.  A row is vec(F1) ++ vec(F2) row-major; F2 aM_i = a_i F1 is checked
     with no Hom system, for arrows in groups that keep their maps and each
     side within ``_GATHER_CELLS`` cells (one arrow, so no map of N is copied,
-    when it is large): the product side first, then the row-wise side, every
-    F2 times its own source's aM_i, each over the other's denominator.
+    when it is large), and for the rows in runs that keep each side within
+    ``_GUARD_CELLS`` cells, however many rows there are: the product side
+    first, then the row-wise side, every F2 times its own source's aM_i,
+    each over the other's denominator.
     """
     f, (m1, m2), K, (d2, d1) = sources.field, dims, rows.rows, maps[0].data.shape
     if not (K and m1 and d2):
         return True  # no equations
     # every F1's columns as rows (the rows themselves at m1 = 1), over rows.den
-    F1 = rows.data[:, :d1 * m1].reshape(K, d1, m1).transpose(0, 2, 1).reshape(K * m1, d1)
+    F1 = rows.data[:, :d1 * m1].reshape(K, d1, m1).transpose(0, 2, 1)
     F2 = rows.data[:, d1 * m1:].reshape(K, 1, d2, m2)
     aM = sources.data.reshape(sources.rows, len(maps), m2, m1)
     owner = np.repeat(np.arange(sources.rows), counts)  # the source of each row
@@ -591,13 +625,17 @@ def intertwines(maps: Sequence[Matrix], sources: Matrix, dims: tuple, rows: Matr
     for i in range(0, len(maps), step):
         a = maps[i].vstack(*maps[i + 1:i + step]) if step > 1 else maps[i]
         g = a.rows // d2
-        product = _dot(f, F1, a.data.T).reshape(K, m1, g, d2)  # (r, j, i, k): (a_i F1_r)[k, j]
-        rowwise = _dot(f, F2, aM[owner, i:i + g]).transpose(0, 3, 1, 2)  # (r, j, i, k): (F2_r aM_i)[k, j]
-        if sources.den != 1 or a.den != 1:
-            product, rowwise = product * sources.den, rowwise * a.den
-        if (product != rowwise).any():
-            return False
-        del product, rowwise  # before the next group's sides are formed
+        run = max(_GUARD_CELLS // (m1 * g * d2), 1)  # rows per run: each side is run * m1 * g * d2
+        for r in range(0, K, run):
+            rs = slice(r, min(r + run, K))
+            # both (r, j, i, k): (a_i F1_r)[k, j] and (F2_r aM_i)[k, j]
+            product = _dot(f, F1[rs].reshape((rs.stop - r) * m1, d1), a.data.T).reshape(-1, m1, g, d2)
+            rowwise = _dot(f, F2[rs], aM[owner[rs], i:i + g]).transpose(0, 3, 1, 2)
+            if sources.den != 1 or a.den != 1:
+                product, rowwise = product * sources.den, rowwise * a.den
+            if (product != rowwise).any():
+                return False
+            del product, rowwise  # before the next run's sides are formed
     return True
 
 
@@ -869,8 +907,11 @@ def subspace_sum(U: Subspace, *more: Subspace) -> Subspace:
 # the most cells one stacked sweep takes (8 MB of int64), so that a long
 # stack of members is reduced in bounded memory
 _STACK_CELLS = 2**20
-# the most cells one gather of ``_back_substitute`` (128 KB), or a side of ``intertwines``, takes
+# the most cells one gather of ``_back_substitute`` (128 KB) takes, and one
+# group of arrows of ``intertwines``: its stacked maps, and each side over all rows
 _GATHER_CELLS = 2**14
+# the most cells one side of ``intertwines`` takes for one run of rows (32 MB of int64)
+_GUARD_CELLS = 2**22
 
 
 def _swept(field: FieldSpec, a: np.ndarray):

@@ -35,21 +35,33 @@ geometric series of a scalar slope and the last basis vector for the
 infinite one (the library reads it off the point's image on the rational
 normal curve, with no special case).
 
-``kron_fixture`` reads a module from ``tests/data``, and
+``product_by_objects`` multiplies two integer arrays in Python ints one
+entry at a time, the reference of ``linalg._dot`` (which runs on int64
+while a bound on its sums allows, over either field, and on nonzeros when
+an operand is sparse).
+
+``rational_library_calls`` makes the library calls of the benchmark's
+``@rational-api`` item over Q and returns their (name, expected, computed)
+triples; ``kron_fixture`` reads a module from ``tests/data``, and
 ``write_module_file`` is the canonical writer that ``parse_module_file`` is
 checked against: ``parse(write(M)) == M``.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 from fractions import Fraction
 from itertools import accumulate, product
 from pathlib import Path
 from typing import Optional, Sequence
 
-from kronbrist.bristles import (BristlePoint, bristle_point, bristle_points,
-                                bristle_type_of, form_forces_extensions, is_bristle_vector)
+import numpy as np
+
+from kronbrist.bristles import (BristlePoint, bristle, bristle_point, bristle_points,
+                                bristle_type_of, canonical_set, form_forces_extensions,
+                                is_bristle_vector)
+from kronbrist.families import preinjective
 from kronbrist.linalg import (
     FieldSpec,
     Matrix,
@@ -77,10 +89,14 @@ from kronbrist.modules import (
     ar_translate,
     bristle_hom_dims,
     bristle_images,
+    coxeter_apply,
     dual,
+    ext1_dim,
+    ext1_dim_via_resolution,
     hom_basis,
     hom_dim,
     identity_morphism,
+    is_generated_by,
     quotient,
     simple_module,
 )
@@ -274,6 +290,39 @@ def find_isomorphism_by_sums(M: KroneckerModule, N: KroneckerModule, attempts: i
         if invertible(cand):
             return IsoResult(ISO, cand)
     return IsoResult(UNKNOWN)
+
+
+def product_by_objects(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b of two integer arrays, 2-d or stacks of 2-d arrays broadcast
+    against each other as ``@`` broadcasts them, each entry summed in Python
+    ints and reduced mod p over GF(p): an object array of Python ints."""
+    lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    a, b = np.broadcast_to(a, lead + a.shape[-2:]), np.broadcast_to(b, lead + b.shape[-2:])
+    out = np.empty(lead + (a.shape[-2], b.shape[-1]), dtype=object)
+    p = field.characteristic
+    for at in np.ndindex(*lead):
+        cols = [[row[c] for row in b[at].tolist()] for c in range(b.shape[-1])]
+        for r, row in enumerate(a[at].tolist()):
+            for c, col in enumerate(cols):
+                x = sum(map(operator.mul, row, col))
+                out[at + (r, c)] = x % p if p else x
+    return out
+
+
+def rational_library_calls(n: int = 3) -> list:
+    """(name, expected, computed) for the library calls of the benchmark's
+    ``@rational-api`` item over Q: the dimension vectors of the
+    preinjectives I_0..I_5, generation of I_0..I_4 by B0, and Ext^1 from
+    each bristle of B0 into I_0..I_3 by both routes."""
+    field = FieldSpec.rationals()
+    b0 = [bristle(p) for p in canonical_set("B0", n, field)]
+    preinj = [preinjective(n, t, field) for t in range(6)]
+    calls = [(f"dims-I{t}", coxeter_apply((1, 0) if t % 2 == 0 else (n, 1), n, t // 2), I.dims)
+             for t, I in enumerate(preinj)]
+    calls += [(f"b0-generates-I{t}", True, is_generated_by(b0, preinj[t])) for t in range(5)]
+    calls += [(f"ext1-b{i}-I{t}", (0, 0), (ext1_dim(b, preinj[t]), ext1_dim_via_resolution(b, preinj[t])))
+              for t in range(4) for i, b in enumerate(b0)]
+    return calls
 
 
 def kron_fixture(name: str, field: FieldSpec) -> KroneckerModule:

@@ -36,8 +36,10 @@ from kronbrist.linalg import (
     subset_ranks,
     subspace_sum,
 )
+from kronbrist.scenarios import default_config, run_scenario
 
-from oracles import coordinates, projective_points_by_product
+from oracles import (coordinates, product_by_objects, projective_points_by_product,
+                     rational_library_calls)
 
 
 def all_vectors(field, dim):
@@ -140,6 +142,17 @@ class TestFieldSpec:
             QQ.normalize(bad)
         with pytest.raises(ValueError, match="not an element of Q"):
             Matrix.from_rows(QQ, [[1, bad]])
+
+    @pytest.mark.parametrize("rows", [[[1, 2], [3]], [[1.0, 2]], np.array([[0.5]]), [["1", 2]],
+                                      np.array([["1"]])], ids=["ragged", "float", "float-array",
+                                                               "string", "string-array"])
+    def test_ragged_float_and_string_rows_over_q_refused(self, rows):
+        """Only an integer dtype is read as numerators; whatever else numpy
+        makes of the rows is still refused."""
+        with pytest.raises(ValueError):
+            QQ.array(rows)
+        with pytest.raises(ValueError):
+            Matrix.from_rows(QQ, rows)
 
 
 class TestProjectivePoints:
@@ -413,6 +426,33 @@ class TestIntegerFormat:
     lowest terms from construction on; stacking and placement bring their
     parts to the lcm of the denominators."""
 
+    def test_every_matrix_over_q_holds_python_ints(self, monkeypatch):
+        """Every Matrix over Q built by the rational scenario, the library
+        calls of the benchmark's Q item, products on and past the int64
+        bound and every input conversion stores Python ints in an object
+        array, over a Python int denominator."""
+        seen, real = [], Matrix._set
+
+        def checked(self, a, den, lowest=True):
+            real(self, a, den, lowest)
+            if not self.field.is_finite:
+                seen.append((self.data.dtype, type(self.den), {type(x) for x in self.data.flat}))
+
+        monkeypatch.setattr(Matrix, "_set", checked)
+        run_scenario(default_config("annihilated-lemma", field=QQ, n=4))
+        assert all(got == expected for _, expected, got in rational_library_calls())
+        for rows in (np.arange(12, dtype=np.int64).reshape(3, 4), np.full((4, 1), 2**63 + 1, np.uint64),
+                     [[2**70, Fraction(1, 3)], [1, 2]], [[1, -2], [3, 4]]):
+            A = Matrix.from_rows(QQ, rows)
+            A @ A.transpose()
+            A.apply([1] * A.cols)
+            kernel_basis(A)
+        huge = Matrix.from_rows(QQ, [[2**40] * 8] * 8)
+        huge @ huge
+        assert len(seen) > 1000
+        assert {(dtype, den) for dtype, den, _ in seen} == {(np.dtype(object), int)}
+        assert set().union(*(types for _, _, types in seen)) == {int}
+
     def test_raw_integer_object_array_multiplies(self):
         A = Matrix(QQ, np.array([[1, 2]], dtype=object))
         B = Matrix(QQ, np.array([[3], [1]], dtype=object), 4)
@@ -630,15 +670,29 @@ class TestNonzeroProduct:
         assert calls == [((40, 100), (100, 200))]
         assert C == Matrix(f, np.vstack([two, np.zeros((100, 40), np.int64)]))
 
-    def test_dense_small_and_rational_products_stay_dense(self, monkeypatch):
+    def test_dense_and_small_products_stay_dense(self, monkeypatch):
         calls = self._spy(monkeypatch)
         f = GF(5)
         dense = Matrix(f, np.full((64, 64), 3, np.int64))
         dense @ dense  # density 1
         self._diagonal(f, 30, 30) @ self._diagonal(f, 30, 30)  # 900 cells: tiny
         self._diagonal(f, 64, 64).apply([1] * 64)  # a vector of 64 cells
-        Matrix.identity(QQ, 64) @ Matrix.identity(QQ, 64)  # Q keeps a @ b
         assert calls == []
+
+    def test_rational_products_under_the_bound_take_the_same_paths(self, monkeypatch):
+        """Over Q a product whose sums stay below 2^62 runs on int64 by the
+        same density rule as over GF(p): the identity times itself is summed
+        over its nonzeros, and comes back as Python ints, the reference
+        product; past the bound the product runs on Python ints."""
+        calls = self._spy(monkeypatch)
+        eye = Matrix.identity(QQ, 64)
+        C = eye @ eye
+        assert calls == [((64, 64), (64, 64))]
+        assert C == eye and C.data.dtype == object and all(type(x) is int for x in C.data.flat)
+        assert np.array_equal(C.data, product_by_objects(QQ, eye.data, eye.data))
+        big = Matrix(QQ, np.diag(np.full(64, 2**31, dtype=object)))  # 64 * 2^62 past the bound
+        assert np.array_equal((big @ big).data, product_by_objects(QQ, big.data, big.data))
+        assert len(calls) == 1
 
     def test_density_threshold_is_strict(self, monkeypatch):
         calls = self._spy(monkeypatch)

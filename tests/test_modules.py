@@ -355,6 +355,25 @@ class TestOneGuard:
         last[0, 0] = (last[0, 0] + 1) % 5
         assert not linalg.intertwines(N.alphas[:-1] + (Matrix(F5, last),), sources, (1, 1), H, counts)
 
+    def test_peak_is_one_run_of_rows(self, monkeypatch):
+        """Hom(B, B^200) as 200 rows into a module of dimension vector
+        (200, 200), checked in runs of 20 rows (2^12 cells per side): all
+        200 rows peak no higher than the first 50 do, and far below one
+        side over all rows; a change in the last row is still caught.  With
+        all rows in one run, all 200 peak about four times as high."""
+        b = B([1, 2, 3])
+        N, sources = direct_sum(*[b] * 200), modules._source(b)
+        H, counts = sparse_block_kernels(hom_system(N.alphas, sources, (1, 1)), 1)
+        monkeypatch.setattr(linalg, "_GUARD_CELLS", 2**12)
+        first = H.select_rows(range(50))
+        assert counts == [200] and linalg.intertwines(N.alphas, sources, (1, 1), first, [50])
+        peak_first = traced_peak(linalg.intertwines, N.alphas, sources, (1, 1), first, [50])
+        peak_all = traced_peak(linalg.intertwines, N.alphas, sources, (1, 1), H, counts)
+        assert peak_all < 1.25 * peak_first and peak_all < 0.5 * 200 * 200 * 8  # int64 entries
+        last = H.data.copy()
+        last[-1, 0] = (last[-1, 0] + 1) % 5
+        assert not linalg.intertwines(N.alphas, sources, (1, 1), Matrix(F5, last), counts)
+
     @pytest.mark.parametrize("corrupt", ["first", "middle", "last"])
     def test_one_corrupt_row_of_a_group_raises(self, monkeypatch, corrupt):
         """Two generators of dimension vector (3, 1), neither a bristle, get

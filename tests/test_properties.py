@@ -11,7 +11,10 @@ Hom and Ext dimensions are invariant under a change of basis at both
 vertices; the two Ext routes and both forms of the Auslander-Reiten
 formula agree; module files round-trip exactly; the pruned subset search
 counts the generating subsets of each size as brute force does; a
-product summed over the nonzeros of either operand equals the dense one;
+product summed over the nonzeros of either operand equals the dense one,
+and over Q every product equals one summed in Python ints, on both sides
+of the int64 bound, and integer input reads as the same numerators as
+the same entries given as Fractions;
 the block system of many sources, bristles among them, gives block by
 block the Hom systems the kron formula writes out; the kernels of all
 diagonal blocks from one peel span the kernel of each block written out
@@ -120,6 +123,7 @@ from oracles import (  # noqa: E402
     bristle_type_by_images,
     find_isomorphism_by_sums,
     generates,
+    product_by_objects,
     search_traces,
     tau_minus,
     trace_submodule,
@@ -768,6 +772,95 @@ def test_nonzero_product_matches_dense(case):
     if a.shape[1] * (p - 1) ** 2 < 2**62:  # where the nonzero path may run
         assert np.array_equal(linalg._sparse_dot(a, b, p), expected)
         assert np.array_equal(linalg._sparse_dot(b.T, a.T, p).T, expected)
+
+
+# where inner length times m_a m_b falls against 2^62, the bound of ``_dot``:
+# "wide" has entries that fit int64 and products of about 2^64 that do not
+Q_BOUNDS = ["below", "above", "wide", "past-int64"]
+# leading shapes of the two operands: 2-d, a stack, and stacks broadcast
+# against each other, as the row-wise side of ``intertwines`` multiplies;
+# None is a 2-d product of 73 728 multiply-adds, past _SPARSE_MIN_WORK
+Q_LEADS = [None, ((), ()), ((3,), (3,)), ((4, 1), (1, 2))]
+
+
+def _q_operand(rng, shape, m, density):
+    """Python ints in [-m, m], each nonzero with the given probability, and
+    one entry of magnitude exactly m, so the operand's bound is m."""
+    a = np.zeros(shape, dtype=object)
+    for at in np.ndindex(*shape):
+        if rng.random() < density:
+            a[at] = rng.randint(-m, m)
+    if a.size and m:
+        a[tuple(rng.randrange(d) for d in shape)] = rng.choice((m, -m))
+    return a
+
+
+@st.composite
+def rational_dot_operands(draw):
+    """(a, b) over Q as object arrays of Python ints, 2-d or stacks: inner
+    length times m_a m_b just below 2^62, at or just above it, far above it
+    with every entry within int64, or an entry past int64; either side may
+    be sparse."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    leads = draw(st.sampled_from(Q_LEADS))
+    if leads is None:
+        (lead_a, lead_b), (rows, inner, cols) = ((), ()), (48, 32, 48)
+    else:
+        lead_a, lead_b = leads
+        rows, inner, cols = rng.randint(1, 6), rng.randint(0, 6), rng.randint(1, 6)
+    where = draw(st.sampled_from(Q_BOUNDS))
+    density_a, density_b = draw(st.sampled_from(DOT_DENSITIES)), draw(st.sampled_from(DOT_DENSITIES))
+    if where == "past-int64":
+        m_a, m_b = 2**63 + draw(st.integers(0, 2**70)), draw(st.integers(0, 2**40))
+    elif where == "wide":
+        bits = draw(st.integers(4, 62))
+        (m_a, m_b), density_a, density_b = (2**bits, 2**(66 - bits)), 1.0, 1.0
+    else:
+        m_a = 2 ** draw(st.integers(0, 61))
+        limit = (2**62 - 1) // (max(inner, 1) * m_a)  # the largest m_b below the bound
+        m_b = limit if where == "below" else limit + 1
+    if draw(st.booleans()):
+        m_a, m_b = m_b, m_a
+    a = _q_operand(rng, lead_a + (rows, inner), m_a, density_a)
+    b = _q_operand(rng, lead_b + (inner, cols), m_b, density_b)
+    return a, b
+
+
+@settings(PROPERTY, max_examples=100)
+@given(rational_dot_operands())
+def test_rational_product_matches_python_ints(case):
+    """Over Q ``_dot`` gives the reference product on every side of its
+    bound and on either path, dense or over nonzeros, as an object array of
+    Python ints, the format of a Matrix over Q."""
+    a, b = case
+    got, expected = linalg._dot(QQ, a, b), product_by_objects(QQ, a, b)
+    assert got.dtype == object and got.shape == expected.shape
+    assert all(type(x) is int for x in got.flat)
+    assert np.array_equal(got, expected)
+
+
+@st.composite
+def integer_inputs(draw):
+    """Rows of integers as an int64 array, a uint64 array (past 2^63 too)
+    or nested Python-int lists (past int64 too)."""
+    kind = draw(st.sampled_from(["int64", "uint64", "list"]))
+    lo, hi = {"int64": (-2**63, 2**63 - 1), "uint64": (0, 2**64 - 1), "list": (-2**80, 2**80)}[kind]
+    cols = draw(st.integers(1, 4))
+    row = st.lists(st.integers(lo, hi), min_size=cols, max_size=cols)
+    rows = draw(st.lists(row, min_size=1, max_size=4))
+    return rows if kind == "list" else np.array(rows, dtype=kind)
+
+
+@settings(PROPERTY, max_examples=100)
+@given(integer_inputs())
+def test_integer_input_over_q_matches_the_fraction_route(values):
+    """An input numpy reads with an integer dtype gives over Q the
+    (numerators, denominator) of the same entries as Fractions."""
+    listed = values.tolist() if isinstance(values, np.ndarray) else values
+    num, den = QQ.array(values)
+    want_num, want_den = QQ.array([[Fraction(x) for x in row] for row in listed])
+    assert num.dtype == want_num.dtype == object and all(type(x) is int for x in num.flat)
+    assert (num.tolist(), den) == (want_num.tolist(), want_den) == (listed, 1)
 
 
 def generic_hom_system(M, N) -> SparseSystem:

@@ -22,7 +22,11 @@ ranks no more blocks.  Over Q a matrix is its integers over one
 denominator; the reference reads the integers, which span the same rows.
 
 The runs are the 14 scenarios at their defaults and ``annihilated-lemma
---rational --n 4``, each of whose reports must still equal its golden.
+--rational --n 4``, each of whose reports must still equal its golden, and
+the library calls of the benchmark's ``@rational-api`` item over Q
+(preinjective dimensions, generation by B0 and both Ext routes), each of
+whose results must still be the one the benchmark expects: so kernels and
+canonical bases over Q are checked entry for entry, not only ranks.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ from sympy.polys.matrices import DomainMatrix  # noqa: E402
 from kronbrist import linalg  # noqa: E402
 from kronbrist.linalg import QQ, FieldSpec, Matrix, SparseSystem  # noqa: E402
 from kronbrist.scenarios import SCENARIOS, default_config, run_scenario  # noqa: E402
+from oracles import rational_library_calls  # noqa: E402
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 ENTRY_POINTS = ("rank", "rref", "kernel_basis", "sparse_rank", "sparse_kernel",
@@ -213,6 +218,14 @@ def test_every_elimination_matches_the_reference(name, shadowed):
     report = run_scenario(RUNS[name]())
     assert report.to_json() == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
     assert sum(shadowed.values()) > 0
+
+
+def test_rational_library_calls_match_the_reference(shadowed):
+    """Every elimination of the library calls over Q is checked, and every
+    call still gives the benchmark's expected result."""
+    calls = rational_library_calls()
+    assert [name for name, expected, got in calls if got != expected] == []
+    assert all(shadowed[name] for name in ("rref", "kernel_basis", "sparse_block_kernels")), shadowed
 
 
 def test_the_shadow_reaches_every_entry_point(shadowed):

@@ -41,18 +41,18 @@ terms: reduced mod p over GF(p), divided by the gcd of its entries over Q.
 Over GF(p) the pivot is scaled to 1 and a row not yet a pivot row is zero
 left of c, so only columns c onwards change; over Q the gcd takes the whole
 row, and the pivot rows are brought to the lcm of the pivots at the end.
-Two sweeps keep that rule, and the caller's input picks one, never an
-option.  ``_rref`` eliminates one matrix, gathering by index only the rows
-with a nonzero in c (a single row needs no column loop at all); it serves
-``rref`` and everything built on it: ranks, kernels, canonical bases, sums
-of subspaces, the dense cores of sparse systems, and, through its
-single-row path, the canonical point of a line.  ``_rref_stack``
-eliminates a stack of small matrices over GF(p) in one sweep of pivot
-steps, each member with its own pivots.  It serves the subset search
-``spanning_by_size`` (all traces at once, then each level's sums) and
-``subset_ranks``, whose callers all enumerate bristles over a finite
-field.  It pays numpy's per-call cost once per step for the stack, where
-``_rref`` pays it per matrix, but for a single matrix it is the slower one.
+``_rref`` makes reduced forms; ``_rank_stack`` ranks stacks.  ``_rref``
+eliminates one matrix, gathering by index only the rows with a nonzero in
+c (a single row needs no column loop at all); it serves ``rref`` and
+everything built on it: ranks, kernels, canonical bases, sums of
+subspaces, the dense cores of sparse systems, and, through its single-row
+path, the canonical point of a line.  ``_rank_stack`` ranks a stack of
+small matrices over GF(p) in one sweep of pivot steps by the same update,
+each member with its own pivots, neither scaling a pivot to 1 nor clearing
+above it.  It serves the subset search ``spanning_by_size`` (each level's
+subsets, gathered as index sets) and ``subset_ranks``, whose callers all
+enumerate bristles over a finite field.  It pays numpy's per-call cost once
+per step for the stack, where ``_rref`` pays it per matrix.
 
 Over GF(p) every intermediate product of an elimination stays below
 p^2 < 2^62, so int64 arithmetic is exact.  A matrix product keeps one
@@ -475,6 +475,9 @@ class Matrix:
         return Matrix._of(self.field, np.hstack(arrays), den)
 
     def vstack(self, *others: "Matrix") -> "Matrix":
+        """This matrix's rows and then the others'; with no others, itself."""
+        if not others:
+            return self
         if any(o.cols != self.cols or o.field != self.field for o in others):
             raise DimensionMismatch("vstack shape/field mismatch")
         arrays, den = _numerators(self.field, (self,) + others)
@@ -746,57 +749,48 @@ def _inverses(v: np.ndarray, p: int) -> np.ndarray:
     return inv
 
 
-def _rref_stack(a: np.ndarray, p: int):
-    """Gauss-Jordan elimination over GF(p), in place, on every member a[k]
-    of a (members, rows, cols) stack of entries in [0, p), each as
-    ``_rref`` eliminates one matrix, all in one sweep of pivot steps.
+def _rank_stack(a: np.ndarray, p: int) -> np.ndarray:
+    """The rank over GF(p) of every member a[k] of a (members, rows, cols)
+    stack of entries in [0, p), all in one sweep of pivot steps, in place.
 
-    At step r every member still live has r pivot rows on top, so its open
-    rows are rows r onwards.  Its next pivot is ``_rref``'s: the first
+    At step r every member still live has r rows eliminated on top, so its
+    open rows are rows r onwards.  Its next pivot is ``_rref``'s: the first
     nonzero of the open rows read column by column, from the first column
-    no member has passed.  That row is swapped into row r and scaled to
-    pivot 1 (by ``_inverses`` of all members' pivots at once),
-    and every row x of the member is updated by ``_rref``'s rule
-    x -> x - x[c] * y, on the columns from the step's first pivot column
-    on (y is zero left of its own), with y written over its own update.  A
-    member with no open nonzero is done, so the sweep takes as many steps
-    as the largest rank, plus one.  Returns (rows, pivots, ranks): member k
-    has the pivot columns pivots[k, :ranks[k]] and the reduced rows
-    R[k, :ranks[k]], and zero rows below them.
+    no member has passed.  That row y is swapped into row r, and every open
+    row x below it becomes piv * x - x[c] * y mod p, division-free
+    (Bareiss), each product below p^2 < 2^62, on the columns from the
+    step's first pivot column on (x and y are zero left of it).  A rank
+    needs no pivot 1 and no rows cleared above the pivot.  A member with no
+    open nonzero is done, so the sweep takes as many steps as the largest
+    rank, plus one.
     """
-    R = a
-    count, m, n = R.shape
+    count, m, n = a.shape
     ranks = np.zeros(count, np.int64)
-    pivots = np.zeros((count, min(m, n)), np.int64)
-    live, start, rows = np.arange(count), 0, np.arange(m)
+    live, start = np.arange(count), 0
     for r in range(min(m, n)):
         # each member's open entries read column by column and scored from
         # the first down: its best nonzero score marks its pivot
         width = (m - r) * (n - start)
-        best = ((R[live, r:, start:] != 0).transpose(0, 2, 1).reshape(live.size, width)
+        best = ((a[live, r:, start:] != 0).transpose(0, 2, 1).reshape(live.size, width)
                 * np.arange(width, 0, -1)).max(axis=1)
         found = best > 0
         if not found.any():
             break
         c, i = np.divmod(width - best[found], m - r)
         live, c, i, at = live[found], c + start, i + r, np.arange(np.count_nonzero(found))
-        y = R[live, i]
-        R[live, i] = R[live, r]
-        piv = y[at, c]
-        if (piv != 1).any():
-            y = y * _inverses(piv, p)[:, None] % p
-        start = int(c.min())
-        U = R[live, :, start:]
-        U -= U[at[:, None], rows, c[:, None] - start][:, :, None] * y[:, None, start:]
-        np.remainder(U, p, out=U)
-        U[at, r] = y[:, start:]
-        R[live, :, start:] = U
-        pivots[live, r] = c
+        y = a[live, i]
+        a[live, i] = a[live, r]
         ranks[live] += 1
+        start = int(c.min())
+        U = a[live, r + 1:, start:]
+        xc = U[at, :, c - start]
+        U *= y[at, c][:, None, None]
+        U -= xc[:, :, None] * y[:, None, start:]
+        a[live, r + 1:, start:] = np.remainder(U, p, out=U)
         start += 1
         if start == n:
             break
-    return R, pivots, ranks
+    return ranks
 
 
 @dataclass(frozen=True)
@@ -914,27 +908,27 @@ _GATHER_CELLS = 2**14
 _GUARD_CELLS = 2**22
 
 
-def _swept(field: FieldSpec, a: np.ndarray):
-    """(rows, ranks): every member of the (members, rows, cols) stack a
-    reduced in place by ``_rref_stack``, in runs of at most ``_STACK_CELLS``
-    cells, and the rank of each.  Over Q it raises ValueError: its callers
-    enumerate bristles, which needs a finite field."""
+def _swept(field: FieldSpec, a: np.ndarray) -> np.ndarray:
+    """The rank of every member of the (members, rows, cols) stack a, from
+    ``_rank_stack`` in place, in runs of at most ``_STACK_CELLS`` cells.
+    Over Q it raises ValueError: its callers enumerate bristles, which
+    needs a finite field."""
     ranks = np.zeros(len(a), np.int64)
     if not a.size:
-        return a, ranks
+        return ranks
     if not field.is_finite:
         raise ValueError("the stacked sweep runs over GF(p) only")
     step = max(_STACK_CELLS // (a.shape[1] * a.shape[2]), 1)
     for s in range(0, len(a), step):
-        ranks[s:s + step] = _rref_stack(a[s:s + step], field.characteristic)[2]
-    return a, ranks
+        ranks[s:s + step] = _rank_stack(a[s:s + step], field.characteristic)
+    return ranks
 
 
 def subset_ranks(A: Matrix, size: int) -> list:
     """The rank of every ``size`` rows of A over GF(p), in the order of
     ``itertools.combinations``, from one gathered stack and one sweep."""
     picks = np.array(list(combinations(range(A.rows), size)), np.int64).reshape(-1, size)
-    return _swept(A.field, A.data[picks])[1].tolist()
+    return _swept(A.field, A.data[picks]).tolist()
 
 
 def block_lines(A: Matrix, h: int) -> list:
@@ -961,19 +955,20 @@ def spanning_by_size(stacks: Sequence[Matrix], counts: Sequence[int], max_size: 
     next counts[b] rows of each stack over GF(p), as ``bristle_images``
     gives the traces of bristles, one stack per vertex.
 
-    One first sweep per stack reduces every group and ranks it.  The search
-    then goes level by level over the index-sorted subsets; level k holds
-    its open k-subsets as arrays: their last indices and, per stack, their
-    reduced rows and ranks.  Each child, a parent grown by a group of
-    larger index, is ruled out with its whole branch when the parent's
-    rank plus the group's plus the largest ranks still available (a table
-    from the first sweep) falls short in some stack.  Per stack, one
-    gather of the parents' rows with the groups' rows and one sweep give
-    the rest their rows and ranks, leaving out the children whose parent
-    is full there or whose group is zero.  A child that spans decides all
-    its supersets, counted from a table of binomials, not visited; the
-    others make the next level, which is held alone: at most
-    comb(len(counts), k) subsets, which the scenarios' cap bounds.
+    Each stack's nonzero rows are placed once in a zero-padded array
+    [group, row, col].  The search goes level by level over the
+    index-sorted subsets; level k holds its open k-subsets as arrays: their
+    k group indices and, per stack, their ranks.  Each child, a parent
+    grown by a group of larger index, is ruled out with its whole branch
+    when the parent's rank plus the group's nonzero rows plus the most
+    nonzero rows of the groups still available (a table; a group's rank is
+    at most its nonzero rows) falls short in some stack.  Per stack, one
+    gather of the rest's groups and one stacked sweep rank them, leaving
+    out the children whose parent is full there or whose group is zero.  A
+    child that spans decides all its supersets, counted from a table of
+    binomials, not visited; the others make the next level, which is held
+    alone: at most comb(len(counts), k) subsets, which the scenarios' cap
+    bounds.
     """
     f, count = stacks[0].field, len(counts)
     binom = np.array([[comb(a, e) for e in range(max_size + 1)] for a in range(count + 1)], np.int64)
@@ -985,55 +980,44 @@ def spanning_by_size(stacks: Sequence[Matrix], counts: Sequence[int], max_size: 
         out[k:] += binom[avail, :max_size + 1 - k].sum(axis=0)
 
     decided[0], spanning[0] = 1, all(S.cols == 0 for S in stacks)
-    if not max_size:  # no level to search, so no group is reduced
-        return spanning.tolist(), decided.tolist()
     group = np.repeat(np.arange(count), counts)
-    at = np.arange(group.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    groups, level = [], []  # per stack: (rows, ranks, bound) of the groups; (rows, ranks) of a level
+    groups = []  # per stack: (rows, bound) of the groups
     for S in stacks:
-        a = f.zeros((count, max(counts, default=0), S.cols))
-        a[group, at] = S.data
-        rows, ranks = _swept(f, a)
-        # bound[b, e]: the rank of group b plus the e largest ranks of the groups after it
-        dims = ranks.tolist()
+        nonzero = S.data.any(axis=1)
+        g = group[nonzero]
+        dims = np.bincount(g, minlength=count).tolist()
+        rows = f.zeros((count, max(dims, default=0), S.cols))
+        rows[g, np.arange(g.size) - np.searchsorted(g, g)] = S.data[nonzero]
+        # bound[b, e]: group b's nonzero rows plus the e most of the groups after it
         bound = np.array([list(accumulate(sorted(dims[b + 1:], reverse=True)[:max_size], initial=d))
                           + [0] * (max_size + b + 1 - count) for b, d in enumerate(dims)],
                          np.int64).reshape(count, max_size + 1)
-        groups.append((rows[:, :ranks.max(initial=0)], ranks, bound))
-        level.append((f.zeros((1, 0, S.cols)), np.zeros(1, np.int64)))
-    last = np.array([-1])
+        groups.append((rows, bound))
+    sets, last, level = np.zeros((1, 0), np.int64), np.array([-1]), [np.zeros(1, np.int64)] * len(stacks)
     for k in range(1, max_size + 1):
         parent, j = np.nonzero(np.arange(count) > last[:, None])
         avail = count - 1 - j
         most = np.minimum(max_size - k, avail)
         reach = np.logical_and.reduce([ranks[parent] + bound[j, most] >= S.cols
-                                       for (_, ranks), (_, _, bound), S in zip(level, groups, stacks)])
+                                       for ranks, (_, bound), S in zip(level, groups, stacks)])
         tally(decided, k, avail[~reach])  # no subset of the branch can span
         parent, j, avail, most = parent[reach], j[reach], avail[reach], most[reach]
         if not j.size:
             break
         grown = []
-        for (P, ranks), (T, dims, _), S in zip(level, groups, stacks):
+        for ranks, (rows, bound), S in zip(level, groups, stacks):
             ranks = ranks[parent]
-            sweep = (ranks < S.cols) & (dims[j] > 0)
-            # where every parent is zero (at level 1), each child is its group
-            R, ranks[sweep] = (_swept(f, np.concatenate([P[parent[sweep]], T[j[sweep]]], axis=1))
-                               if P.shape[1] else (T[j[sweep]], dims[j[sweep]]))
-            grown.append((ranks, sweep, R))
-        full = np.logical_and.reduce([ranks == S.cols for (ranks, _, _), S in zip(grown, stacks)])
+            sweep = (ranks < S.cols) & (bound[j, 0] > 0)
+            picks = np.column_stack([sets[parent[sweep]], j[sweep]])
+            ranks[sweep] = _swept(f, rows[picks].reshape(len(picks), k * rows.shape[1], S.cols))
+            grown.append(ranks)
+        full = np.logical_and.reduce([ranks == S.cols for ranks, S in zip(grown, stacks)])
         tally(spanning, k, avail[full])  # every superset spans too
         tally(decided, k, avail[full])
         decided[k] += np.count_nonzero(~full)
         keep = ~full & (most > 0)
-        opened = []
-        for (P, _), (ranks, sweep, R), S in zip(level, grown, stacks):
-            ranks = ranks[keep]
-            rows = f.zeros((ranks.size, int(ranks.max(initial=0)), S.cols))
-            w = min(rows.shape[1], P.shape[1])
-            rows[~sweep[keep], :w] = P[parent[keep & ~sweep], :w]
-            rows[sweep[keep]] = R[keep[sweep], :rows.shape[1]]
-            opened.append((rows, ranks))
-        last, level = j[keep], opened
+        sets, last = np.column_stack([sets[parent[keep]], j[keep]]), j[keep]
+        level = [ranks[keep] for ranks in grown]
     return spanning.tolist(), decided.tolist()
 
 
@@ -1119,17 +1103,17 @@ def _dense_core(S: SparseSystem, entries: np.ndarray):
 def sparse_rank(S: SparseSystem) -> int:
     """Rank of the sparse system S: its peeled columns plus the rank of its core."""
     P = _peel(S)
-    return int(np.count_nonzero(P.removed)) + rank(_dense_core(S, P.live)[1])
+    return int(np.count_nonzero(P.removed)) + (rank(_dense_core(S, P.live)[1]) if P.live.size else 0)
 
 
 def _cored_blocks(S: SparseSystem, P: _Peeled, width: int):
     """(blocks, entries): the diagonal blocks of S, ``width`` columns each,
     that the peel P left with a core, in block order, and the live entries
-    of each of their cores."""
+    of each of their cores: none when the peel decided every block."""
     owner = S.j[P.live] // max(width, 1)
     order = np.argsort(owner, kind="stable")
     cored, starts = np.unique(owner[order], return_index=True)
-    return cored, np.split(P.live[order], starts[1:])
+    return cored, np.split(P.live[order], starts)[1:]
 
 
 def sparse_block_ranks(S: SparseSystem, blocks: int):

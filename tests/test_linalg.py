@@ -349,11 +349,13 @@ class TestSubspaces:
 
     def test_stacked_sweep_refuses_the_rationals(self):
         """The stacked sweep runs over GF(p) only; over Q its callers are
-        refused once there are rows to reduce."""
+        refused once there are rows to reduce.  At size 1 the search rules
+        out both lines of the plane before it reduces any, so it asks for
+        pairs."""
         with pytest.raises(ValueError, match="GF"):
             subset_ranks(Matrix.identity(QQ, 2), 1)
         with pytest.raises(ValueError, match="GF"):
-            spanning_by_size([Matrix.identity(QQ, 2)], [1, 1], 1)
+            spanning_by_size([Matrix.identity(QQ, 2)], [1, 1], 2)
 
 
 def written_out(S: SparseSystem) -> Matrix:
@@ -369,6 +371,30 @@ def _assert_fractions_in_lowest_terms(M: Matrix):
     for x in (x for i in range(M.rows) for x in M.row(i)):
         assert type(x) is Fraction
         assert x.denominator > 0 and gcd(x.numerator, x.denominator) == 1
+
+
+class TestWhollyPeeled:
+    def test_a_wholly_peeled_system_makes_no_rref_call(self, monkeypatch):
+        """Two blocks, an invertible triangle and the line x + y = 0 over
+        GF(5), which the peel decides with no core left: the rank, the
+        block ranks and the block kernels come from the peel alone, with no
+        ``rref`` of an empty core."""
+        f = GF(5)
+        S = SparseSystem(f, 4, 6, np.array([0, 0, 1, 2, 2]), np.array([0, 1, 1, 3, 4]),
+                         np.array([1, 2, 3, 1, 1]))
+
+        def forbidden(*args):
+            raise AssertionError("rref called on a wholly peeled system")
+
+        monkeypatch.setattr(linalg, "rref", forbidden)
+        assert linalg.sparse_rank(S) == 3
+        assert sorted(linalg.sparse_block_ranks(S, 2)) == [(0, 2), (1, 1)]
+        K, counts = linalg.sparse_block_kernels(S, 2)
+        assert counts == [1, 2]
+        dense = written_out(S).data
+        assert not (dense[:2, :3] @ K.data[:1].T % 5).any() and not (dense[2:, 3:] @ K.data[1:].T % 5).any()
+        monkeypatch.undo()
+        assert rank(K.select_rows([1, 2])) == 2
 
 
 class TestRationalEntryTypes:

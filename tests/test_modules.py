@@ -7,6 +7,7 @@ from __future__ import annotations
 import json
 import random
 import tracemalloc
+from collections import deque
 from fractions import Fraction
 
 import numpy as np
@@ -847,6 +848,21 @@ class TestBristleHomRuns:
             assert [b for b, _ in whole] == list(range(points.rows))
             monkeypatch.undo()
 
+    def test_peak_is_set_by_the_run(self):
+        """The sweep of the first 2^14 points of P^2(GF(1009)) into I_2,
+        16 runs, peaks as high as that of the first 2^12, and below twice
+        that of one run: the runs are built one after another, each only
+        when the caller asks, and none is kept."""
+        f = GF(1009)
+        M, points = preinjective(3, 2, f), bristle_points(3, f)
+
+        def sweep(points):
+            deque(modules.bristle_hom_dims(points, M), maxlen=0)
+
+        one, four, sixteen = (traced_peak(sweep, points.select_rows(range(k * modules._POINT_RUN)))
+                              for k in (1, 4, 16))
+        assert sixteen <= 1.05 * four and sixteen < 2 * one
+
 
 def per_block_images(points, M):
     """``bristle_images`` as it was first computed, the oracle of its
@@ -895,6 +911,31 @@ class TestBristleImages:
         assert M.dims == (153, 41) and counts == [30] * 40
         assert traced_peak(modules.bristle_images, points, M) <= \
             1.1 * traced_peak(per_block_images, points, M)
+
+    @pytest.mark.parametrize("run", [1, 5, 13])
+    def test_runs_give_the_images_of_one_system(self, monkeypatch, run):
+        """The images of the 13 bristles at n = 3 over GF(3) in I_2, formed
+        in runs of any length, are those of one system over all points."""
+        f = GF(3)
+        points, M = bristle_points(3, f), preinjective(3, 2, f)
+        whole = modules.bristle_images(points, M)
+        monkeypatch.setattr(modules, "_POINT_RUN", run)
+        assert modules.bristle_images(points, M) == whole
+
+    def test_peak_is_the_images_and_one_run(self):
+        """The images of the first 2^14 points of P^2(GF(1009)) in I_2, 16
+        runs, peak below twice their own bytes (the runs' rows and their
+        stack) plus 1.25 times the peak of one run.  One block system over
+        all those points peaks about four times as high."""
+        f = GF(1009)
+        M, points = preinjective(3, 2, f), bristle_points(3, f)
+        first = points.select_rows(range(modules._POINT_RUN))
+        many = points.select_rows(range(16 * modules._POINT_RUN))
+        X, Y, counts = modules.bristle_images(many, M)
+        assert len(counts) == many.rows and X.rows == Y.rows == sum(counts)
+        images = X.data.nbytes + Y.data.nbytes
+        assert traced_peak(modules.bristle_images, many, M) < \
+            2 * images + 1.25 * traced_peak(modules.bristle_images, first, M)
 
     def test_one_gather_per_peel_batch(self, monkeypatch):
         """The sweep of all 13 bristles at n = 3 over GF(3) into I_3, the

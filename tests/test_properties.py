@@ -367,22 +367,14 @@ def stacks(draw):
 @example((GF(5), 3, [[Matrix.from_rows(GF(5), [[0, 3, 1], [2, 0, 3]])],
                      [Matrix.zeros(GF(5), 2, 3)], [Matrix.zeros(GF(5), 0, 3)]]))
 def test_stacked_sweep_matches_rref_member_by_member(case):
-    """One stacked sweep reduces every member, in place, as ``rref``
-    reduces it alone: the same pivots and rank, the same canonical rows,
-    and zero rows below them."""
+    """One stacked sweep ranks every member as ``rref`` ranks it alone."""
     field, cols, members = case
     stacked = [parts[0].vstack(*parts[1:]) for parts in members]
     height = max((A.rows for A in stacked), default=0)
     a = field.zeros((len(members), height, cols))
     for k, A in enumerate(stacked):
         a[k, :A.rows] = A.data
-    R, pivots, ranks = linalg._rref_stack(a, field.characteristic)
-    assert R is a and len(ranks) == len(members)
-    for k, A in enumerate(stacked):
-        ref = rref(A)
-        assert (tuple(pivots[k, :ranks[k]].tolist()), ranks[k]) == (ref.pivot_cols, ref.dim)
-        assert Matrix._of(field, R[k, :ranks[k]]) == ref.basis
-        assert not R[k, ranks[k]:].any()
+    assert linalg._rank_stack(a, field.characteristic).tolist() == [rref(A).dim for A in stacked]
 
 
 def written_out(S: SparseSystem) -> Matrix:

@@ -334,15 +334,15 @@ class TestGeneratingBySize:
 
     def test_n2_generation_stacks_each_level(self, monkeypatch):
         """``n2-generation --q 7 --tmax 3`` sweeps each level of a search
-        once per vertex: at most one ``_rref_stack`` per level and vertex,
-        plus one per vertex for the traces, and the generator ranks one per
+        once per vertex: at most one ``_rank_stack`` per level and vertex,
+        with no sweep of the traces alone, and the generator ranks one per
         t.  The searches build no ``Subspace``, and the scenario forms no
         sum with ``subspace_sum``.  With ``_STACK_CELLS`` capped small the
         sweeps run in more batches and give the same report."""
         cfg = default_config("n2-generation", field=GF(7), t_max=3)
         whole = run_scenario(cfg).to_json()
         sweeps, searches, inside = [0], [], [False]
-        real_sweep, real_search = linalg._rref_stack, scenarios.spanning_by_size
+        real_sweep, real_search = linalg._rank_stack, scenarios.spanning_by_size
         real_post_init = Subspace.__post_init__
 
         def counting(*args):
@@ -365,13 +365,13 @@ class TestGeneratingBySize:
         def refused(*args):
             raise AssertionError("subspace_sum called")
 
-        monkeypatch.setattr(linalg, "_rref_stack", counting)
+        monkeypatch.setattr(linalg, "_rank_stack", counting)
         monkeypatch.setattr(scenarios, "spanning_by_size", searching)
         monkeypatch.setattr(Subspace, "__post_init__", post_init)
         monkeypatch.setattr(scenarios, "subspace_sum", refused)
         assert run_scenario(cfg).to_json() == whole
         assert [levels for _, levels in searches] == [8] * 4
-        assert all(used <= 2 * levels + 2 for used, levels in searches)
+        assert all(used <= 2 * levels for used, levels in searches)
         assert sweeps[0] == sum(used for used, _ in searches) + 4
         one_sweep = sweeps[0]
         monkeypatch.setattr(linalg, "_STACK_CELLS", 64)

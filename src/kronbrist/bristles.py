@@ -167,8 +167,8 @@ def is_saturated(M: KroneckerModule) -> bool:
     = e (Assem, Simson and Skowronski, Elements of the Representation Theory of
     Associative Algebras 1), so M is saturated iff hom(B, M) = e for every
     bristle.  M with e < 0 is refused with no Hom system built.  Otherwise the
-    points are swept in runs, one block system and one peel per run
-    (``bristle_hom_dims``), and the sweep stops at the first hom above e; one
+    points are swept in row order, in runs of one block system and one peel
+    each (``bristle_hom_dims``), and the sweep stops at the first hom above e; one
     below e is a negative Ext, a bug, so it raises InternalCheckFailed, as
     ``ext1_dim`` does.
     """
@@ -178,7 +178,7 @@ def is_saturated(M: KroneckerModule) -> bool:
     e = euler_form((1, 1), M.dims, M.n)
     if e < 0:
         return False
-    for _, d in bristle_hom_dims(bristle_points(M.n, M.field), M):
+    for d in bristle_hom_dims(bristle_points(M.n, M.field), M):
         if d < e:
             raise InternalCheckFailed(f"hom dim {d} below the bilinear form value {e}; "
                                       "Ext cannot be negative")

@@ -25,13 +25,14 @@ vertex's block (``SparseSystem.select_cols``).  ``intertwines``, the one
 intertwining guard, checks rows of such kernels arrow by arrow, with no
 system.  ``sparse_rank`` and the sparse kernels peel its singleton rows and
 columns without arithmetic and eliminate only the dense core that is left.
-``sparse_block_ranks`` reads every block's rank off one peel of it: the
-peeled columns of each block from one count, and only the blocks left
-with a core are eliminated, each through ``rank``.  ``sparse_block_kernels``
-gives every block's kernel from the same one peel: each block's core
-through ``rref``, then one back-substitution per peel batch over an array
-of all blocks' kernel vectors, in gathers of at most a fixed number of
-cells; ``sparse_block_kernels(S, 1)[0]`` are the kernel rows of one system.
+``sparse_block_ranks`` reads every block's rank, in block order, off one
+peel of it: the peeled columns of each block from one count, and only the
+blocks left with a core are eliminated, each through ``rank`` when the
+caller reaches it.  ``sparse_block_kernels`` gives every block's kernel
+from the same one peel: each block's core through ``rref``, then one
+back-substitution per peel batch over an array of all blocks' kernel
+vectors, in gathers of at most a fixed number of cells;
+``sparse_block_kernels(S, 1)[0]`` are the kernel rows of one system.
 ``kernel_basis`` reads the canonical kernel of a dense matrix off one
 elimination of its columns in reverse order.
 
@@ -82,7 +83,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain, combinations
+from itertools import accumulate, combinations
 from math import comb, gcd, lcm
 from typing import NamedTuple, Optional, Sequence, Union
 
@@ -1117,29 +1118,24 @@ def _cored_blocks(S: SparseSystem, P: _Peeled, width: int):
 
 
 def sparse_block_ranks(S: SparseSystem, blocks: int):
-    """An iterator of (block, rank) for each of the ``blocks`` diagonal
-    blocks of S, a system whose block b has its entries only in the b-th of
-    ``blocks`` equal spans of rows and of columns (``hom_system``).
+    """An iterator of the rank of each of the ``blocks`` diagonal blocks of
+    S, in block order, for a system whose block b has its entries only in
+    the b-th of ``blocks`` equal spans of rows and of columns
+    (``hom_system``).
 
     Blocks do not meet, so one ``_peel`` of S, done at once, peels each
     block as it would alone: a block's rank is its peeled columns, counted
-    for all blocks with one bincount, plus the rank of its own dense core.
-    The blocks the peel decided, with no core left, come first in block
-    order; then the blocks with a core, in block order, each core
-    eliminated only when the caller asks for its rank, so a caller that
-    stops early ranks no more.
+    for all blocks with one bincount, plus the rank of its own dense core,
+    if the peel left it one.  Each core is eliminated only when the caller
+    reaches its block, so a caller that stops early ranks no more.
     """
     if S.cols == 0:
-        return iter([(b, 0) for b in range(blocks)])
+        return iter([0] * blocks)
     width = S.cols // blocks
     P = _peel(S)
-    ranks = np.bincount(np.flatnonzero(P.removed) // width, minlength=blocks)
-    cored, parts = _cored_blocks(S, P, width)
-    decided = np.ones(blocks, bool)
-    decided[cored] = False
-    return chain(((int(b), int(ranks[b])) for b in np.flatnonzero(decided)),
-                 ((int(b), int(ranks[b]) + rank(_dense_core(S, part)[1]))
-                  for b, part in zip(cored, parts)))
+    ranks = np.bincount(np.flatnonzero(P.removed) // width, minlength=blocks).tolist()
+    cores = dict(zip(*_cored_blocks(S, P, width)))
+    return (r + (rank(_dense_core(S, cores[b])[1]) if b in cores else 0) for b, r in enumerate(ranks))
 
 
 def sparse_block_kernels(S: SparseSystem, blocks: int):

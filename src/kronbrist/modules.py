@@ -212,25 +212,24 @@ _POINT_RUN = 2**10  # points per block system of a bristle sweep, by measurement
 
 
 def _point_runs(points: Matrix):
-    """(start, run): the rows of ``points`` in runs of ``_POINT_RUN`` from
-    row start, each cut only when the caller asks past the run before it;
-    a single run is ``points`` itself, with no copy."""
+    """The rows of ``points`` in runs of ``_POINT_RUN``, each cut only when
+    the caller asks past the run before it; a single run is ``points``
+    itself, with no copy."""
     for start in range(0, points.rows, _POINT_RUN):
-        yield start, (points if points.rows <= _POINT_RUN
-                      else points.select_rows(range(start, min(start + _POINT_RUN, points.rows))))
+        yield (points if points.rows <= _POINT_RUN
+               else points.select_rows(range(start, min(start + _POINT_RUN, points.rows))))
 
 
 def bristle_hom_dims(points: Matrix, N: KroneckerModule):
-    """(b, dim Hom(B_p, N)) for the bristle B_p of each row p of ``points``,
-    one block system and one peel (``sparse_block_ranks``) per run of
-    ``_point_runs``: within a run, first the points the peel decided, then
-    the others in row order, each core eliminated only when the caller asks
+    """dim Hom(B_p, N) for the bristle B_p of each row p of ``points``, in
+    row order, one block system and one peel (``sparse_block_ranks``) per
+    run of ``_point_runs``, each core eliminated only when the caller asks
     for its dimension."""
     width = N.dim1 + N.dim2
-    for start, run in _point_runs(points):
+    for run in _point_runs(points):
         S = hom_system(N.alphas, run, (1, 1))
-        for b, r in sparse_block_ranks(S, run.rows):
-            yield start + b, width - r
+        for r in sparse_block_ranks(S, run.rows):
+            yield width - r
 
 
 def hom_dim(M: KroneckerModule, N: KroneckerModule) -> int:
@@ -327,7 +326,7 @@ def bristle_images(points: Matrix, M: KroneckerModule):
     of each: row r of X and of Y is the pair (x, y) with a_i x = p_i y of
     one basis element: the case (1, 1) of ``_hom_rows``, split at M1, one
     block system and one guard per run of ``_point_runs``."""
-    Hs, counts = zip(*[_hom_rows(run, (1, 1), M, sparse_block_kernels) for _, run in _point_runs(points)])
+    Hs, counts = zip(*[_hom_rows(run, (1, 1), M, sparse_block_kernels) for run in _point_runs(points)])
     H = Hs[0].vstack(*Hs[1:])
     return H.col_block(0, M.dim1), H.col_block(M.dim1, H.cols), [c for run in counts for c in run]
 

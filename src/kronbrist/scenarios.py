@@ -197,7 +197,7 @@ def _scn_main_theorem_a(cfg: ScenarioConfig) -> List[Check]:
                                           (3, "third", "n^2-n-1", n * n - n - 1)):
         if cfg.t_max >= t:
             It = preinjective(n, t, f)
-            dims = sorted({d for _, d in bristle_hom_dims(bristle_points(n, f), It)})
+            dims = sorted(set(bristle_hom_dims(bristle_points(n, f), It)))
             checks.append(Check(
                 f"hom-into-I{t}-uniform",
                 f"maps from each bristle into the {ordinal} preinjective span {formula} dimensions",

@@ -38,7 +38,9 @@ normal curve, with no special case).
 ``product_by_objects`` multiplies two integer arrays in Python ints one
 entry at a time, the reference of ``linalg._dot`` (which runs on int64
 while a bound on its sums allows, over either field, and on nonzeros when
-an operand is sparse).
+an operand is sparse).  ``intertwines_row_by_row`` answers the question
+of ``linalg.intertwines`` one row and one arrow at a time in Python
+scalars (the library multiplies runs of rows by groups of arrows).
 
 ``rational_library_calls`` makes the library calls of the benchmark's
 ``@rational-api`` item over Q and returns their (name, expected, computed)
@@ -174,7 +176,7 @@ def saturated_by_translate(M: KroneckerModule) -> bool:
     if form_forces_extensions(M):
         return False
     X = ar_translate(dual(M))
-    return all(d == 0 for _, d in bristle_hom_dims(bristle_points(M.n, M.field), X))
+    return all(d == 0 for d in bristle_hom_dims(bristle_points(M.n, M.field), X))
 
 
 def s1_generated_submodule(M: KroneckerModule) -> SubmodulePair:
@@ -307,6 +309,29 @@ def product_by_objects(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.nda
                 x = sum(map(operator.mul, row, col))
                 out[at + (r, c)] = x % p if p else x
     return out
+
+
+def intertwines_row_by_row(maps, sources, dims, rows, counts):
+    """The question ``intertwines`` answers, one row and one arrow at a
+    time in Python scalars: F2 aM_i = a_i F1 for the source of each row,
+    entry (k, j) as row k of F2 times column j of aM_i against row k of
+    a_i times column j of F1."""
+    (m1, m2), (d2, d1), p = dims, (maps[0].rows, maps[0].cols), sources.field.characteristic
+    A = [[a.row(k) for k in range(d2)] for a in maps]
+    owner = [b for b, c in enumerate(counts) for _ in range(c)]
+    for r, b in enumerate(owner):
+        v, s = rows.row(r), sources.row(b)
+        F1_cols = [v[j:d1 * m1:m1] for j in range(m1)]
+        F2_rows = [v[d1 * m1 + k * m2:d1 * m1 + (k + 1) * m2] for k in range(d2)]
+        for i, a_rows in enumerate(A):
+            aM_cols = [s[i * m2 * m1 + j:(i + 1) * m2 * m1:m1] for j in range(m1)]
+            for F2_k, a_k in zip(F2_rows, a_rows):
+                for aM_j, F1_j in zip(aM_cols, F1_cols):
+                    lhs = sum(map(operator.mul, F2_k, aM_j))
+                    rhs = sum(map(operator.mul, a_k, F1_j))
+                    if (lhs - rhs) % p if p else lhs != rhs:
+                        return False
+    return True
 
 
 def rational_library_calls(n: int = 3) -> list:

@@ -388,13 +388,36 @@ class TestWhollyPeeled:
 
         monkeypatch.setattr(linalg, "rref", forbidden)
         assert linalg.sparse_rank(S) == 3
-        assert sorted(linalg.sparse_block_ranks(S, 2)) == [(0, 2), (1, 1)]
+        assert list(linalg.sparse_block_ranks(S, 2)) == [2, 1]
         K, counts = linalg.sparse_block_kernels(S, 2)
         assert counts == [1, 2]
         dense = written_out(S).data
         assert not (dense[:2, :3] @ K.data[:1].T % 5).any() and not (dense[2:, 3:] @ K.data[1:].T % 5).any()
         monkeypatch.undo()
         assert rank(K.select_rows([1, 2])) == 2
+
+
+class TestBlockRanks:
+    def test_first_rank_drawn_is_block_0s_after_one_elimination(self, monkeypatch):
+        """Three blocks over GF(5), each a dense 2 x 2 block that the peel
+        leaves whole: the first value drawn is block 0's rank, an int, after
+        one ``rank`` call; the others follow in block order, one call each."""
+        f = GF(5)
+        blocks = ([[1, 2], [2, 4]], [[1, 1], [1, 2]], [[3, 1], [1, 2]])
+        i, j, v = zip(*[(2 * b + r, 2 * b + c, x) for b, B in enumerate(blocks)
+                        for r, row in enumerate(B) for c, x in enumerate(row)])
+        S = SparseSystem(f, 6, 6, np.array(i), np.array(j), np.array(v))
+        calls, real = [], linalg.rank
+
+        def counting(A):
+            calls.append(A.rows)
+            return real(A)
+
+        monkeypatch.setattr(linalg, "rank", counting)
+        ranks = linalg.sparse_block_ranks(S, 3)
+        first = next(ranks)
+        assert type(first) is int and first == 1 and calls == [2]
+        assert list(ranks) == [2, 1] and calls == [2, 2, 2]
 
 
 class TestRationalEntryTypes:

@@ -3,34 +3,42 @@ code with ``kronbrist.linalg``: sympy's ``DomainMatrix`` over GF(p) or QQ.
 
 A fixture rebinds the public elimination entry points of ``linalg`` (``rank``,
 ``rref``, ``kernel_basis``, ``sparse_rank``, ``sparse_kernel``,
-``sparse_block_ranks`` and ``sparse_block_kernels``) in every kronbrist module
-that holds them, the way ``perfbench/tracing.py`` rebinds names, so every
-call a scenario makes, and every call one entry point makes of another, is
-answered by the library and then checked:
+``sparse_block_ranks`` and ``sparse_block_kernels``) and its one intertwining
+guard, ``intertwines``, in every kronbrist module that holds them, the way
+``perfbench/tracing.py`` rebinds names, so every call a scenario makes, and
+every call one entry point makes of another, is answered by the library and
+then checked:
 
 - ranks are equal, block by block for the block routines;
 - the kernel rows of each block lie in that block's kernel, are
   independent, and number the block's nullity;
 - ``rref``, ``kernel_basis`` and ``sparse_kernel`` equal the reference's
   canonical form, the reduced row-echelon form of its row space or of its
-  null space, entry for entry, pivots included.
+  null space, entry for entry, pivots included;
+- the guard's verdict equals that of ``intertwines_row_by_row``, which checks
+  one row and one arrow at a time in Python scalars.  The fixture makes the
+  guard's row runs and arrow groups small, so its calls take several of each
+  (and the back-substitution's gathers, which share ``_GATHER_CELLS``).
 
-``sparse_block_ranks`` hands out its (block, rank) pairs lazily, and the
-shadow checks each pair only as the caller draws it, so a caller that stops
+``sparse_block_ranks`` hands out its ranks lazily, in block order, and the
+shadow checks each rank only as the caller draws it, so a caller that stops
 early (``is_saturated`` at the first Hom dimension above the form) still
 ranks no more blocks.  Over Q a matrix is its integers over one
 denominator; the reference reads the integers, which span the same rows.
 
-The runs are the 14 scenarios at their defaults and ``annihilated-lemma
---rational --n 4``, each of whose reports must still equal its golden, and
-the library calls of the benchmark's ``@rational-api`` item over Q
-(preinjective dimensions, generation by B0 and both Ext routes), each of
-whose results must still be the one the benchmark expects: so kernels and
-canonical bases over Q are checked entry for entry, not only ranks.
+The runs are the 14 scenarios at their defaults, ``annihilated-lemma
+--rational --n 4`` and six scenarios over GF(2^31 - 1), where every product
+of inner length 2 or more leaves int64, each of whose reports must still
+equal its golden, and the library calls of the benchmark's ``@rational-api``
+item over Q (preinjective dimensions, generation by B0 and both Ext routes),
+each of whose results must still be the one the benchmark expects: so
+kernels and canonical bases over Q are checked entry for entry, not only
+ranks.
 """
 
 from __future__ import annotations
 
+import random
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -42,14 +50,18 @@ import pytest
 sympy = pytest.importorskip("sympy")
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
-from kronbrist import linalg  # noqa: E402
-from kronbrist.linalg import QQ, FieldSpec, Matrix, SparseSystem  # noqa: E402
+from kronbrist import linalg, modules  # noqa: E402
+from kronbrist.bristles import bristle_points  # noqa: E402
+from kronbrist.families import preinjective  # noqa: E402
+from kronbrist.linalg import GF, QQ, FieldSpec, InternalCheckFailed, Matrix, SparseSystem  # noqa: E402
+from kronbrist.modules import KroneckerModule, ext1_dim, ext1_dim_via_resolution, hom_basis  # noqa: E402
 from kronbrist.scenarios import SCENARIOS, default_config, run_scenario  # noqa: E402
-from oracles import rational_library_calls  # noqa: E402
+from oracles import intertwines_row_by_row, rational_library_calls  # noqa: E402
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+LARGEST_PRIME = GF(2**31 - 1)  # the largest prime the CLI admits
 ENTRY_POINTS = ("rank", "rref", "kernel_basis", "sparse_rank", "sparse_kernel",
-                "sparse_block_ranks", "sparse_block_kernels")
+                "sparse_block_ranks", "sparse_block_kernels", "intertwines")
 
 
 # -- the reference ---------------------------------------------------------------
@@ -157,17 +169,16 @@ def _shadows(real: dict, calls: Counter) -> dict:
         return U
 
     def sparse_block_ranks(S, blocks):
-        pairs = real["sparse_block_ranks"](S, blocks)
+        ranks = real["sparse_block_ranks"](S, blocks)
         refs = list(_blocks(S, blocks))
 
         def drawn():
-            seen = set()
-            for b, r in pairs:
-                assert b not in seen and r == refs[b].rank(), ("sparse_block_ranks", b)
-                seen.add(b)
+            b = -1
+            for b, r in enumerate(ranks):
+                assert b < blocks and type(r) is int and r == refs[b].rank(), ("sparse_block_ranks", b)
                 calls["sparse_block_ranks"] += 1
-                yield b, r
-            assert seen == set(range(blocks)), "sparse_block_ranks left out a block"
+                yield r
+            assert b == blocks - 1, "sparse_block_ranks left out a block"
 
         return drawn()
 
@@ -185,15 +196,25 @@ def _shadows(real: dict, calls: Counter) -> dict:
         calls["sparse_block_kernels"] += 1
         return H, counts
 
+    def intertwines(maps, sources, dims, rows, counts):
+        verdict = real["intertwines"](maps, sources, dims, rows, counts)
+        assert verdict == intertwines_row_by_row(maps, sources, dims, rows, counts), "intertwines"
+        calls["intertwines"] += 1
+        return verdict
+
     return {"rank": rank, "rref": rref, "kernel_basis": kernel_basis, "sparse_rank": sparse_rank,
             "sparse_kernel": sparse_kernel, "sparse_block_ranks": sparse_block_ranks,
-            "sparse_block_kernels": sparse_block_kernels}
+            "sparse_block_kernels": sparse_block_kernels, "intertwines": intertwines}
 
 
 @pytest.fixture
 def shadowed(monkeypatch):
-    """Rebind every entry point wherever a kronbrist module holds it; the
-    Counter it yields counts the checked calls of each."""
+    """Rebind every entry point wherever a kronbrist module holds it, and
+    bound the guard's row runs and arrow groups (and the back-substitution's
+    gathers) to a few cells; the Counter it yields counts the checked calls
+    of each."""
+    monkeypatch.setattr(linalg, "_GUARD_CELLS", 2**6)
+    monkeypatch.setattr(linalg, "_GATHER_CELLS", 2**6)
     real = {name: getattr(linalg, name) for name in ENTRY_POINTS}
     calls: Counter = Counter()
     shadows = _shadows(real, calls)
@@ -211,6 +232,11 @@ def shadowed(monkeypatch):
 
 RUNS = {name: lambda name=name: default_config(name) for name in SCENARIOS}
 RUNS["annihilated-lemma-rational"] = lambda: default_config("annihilated-lemma", field=QQ, n=4)
+# at the largest prime every product of inner length 2 or more leaves int64
+# and runs on Python ints
+for _name in ("cover-equalities", "tau-b1-cover", "annihilated-lemma", "cover-not-bristled",
+              "bristled-layers", "indecomposable-generator"):
+    RUNS[f"{_name}-q2147483647"] = lambda name=_name: default_config(name, field=LARGEST_PRIME)
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
@@ -226,6 +252,33 @@ def test_rational_library_calls_match_the_reference(shadowed):
     calls = rational_library_calls()
     assert [name for name, expected, got in calls if got != expected] == []
     assert all(shadowed[name] for name in ("rref", "kernel_basis", "sparse_block_kernels")), shadowed
+
+
+def _near_p_module(dims: tuple, rng: random.Random) -> KroneckerModule:
+    """A module at n = 3 over GF(2^31 - 1), half its entries 0 and most of
+    the rest within 2^8 of p."""
+    p = LARGEST_PRIME.characteristic
+    d1, d2 = dims
+    return KroneckerModule(tuple(
+        Matrix.from_rows(LARGEST_PRIME, [[rng.choice((0, 0, 0, 1, p - 1, rng.randrange(p - 2**8, p)))
+                                          for _ in range(d1)] for _ in range(d2)], cols=d1)
+        for _ in range(3)))
+
+
+def test_library_calls_near_the_largest_prime_match_the_reference(shadowed):
+    """Hom bases, block kernels of three sources and both Ext routes between
+    random modules over GF(2^31 - 1) with entries near p, where three
+    products near p^2 summed without reduction leave int64: every
+    elimination and every guard verdict is checked, and the routes agree."""
+    rng = random.Random(2**31 - 1)
+    for _ in range(6):
+        M = _near_p_module((rng.randrange(1, 4), rng.randrange(1, 4)), rng)
+        N = _near_p_module((rng.randrange(2, 7), rng.randrange(1, 5)), rng)
+        hom_basis(M, N)
+        assert ext1_dim(M, N) == ext1_dim_via_resolution(M, N)
+        sources = Matrix.vstack(*(modules._source(_near_p_module(M.dims, rng)) for _ in range(3)))
+        modules._hom_rows(sources, M.dims, N, modules.sparse_block_kernels)
+    assert all(shadowed[name] for name in ("sparse_kernel", "sparse_block_kernels", "intertwines")), shadowed
 
 
 def test_the_shadow_reaches_every_entry_point(shadowed):
@@ -245,8 +298,27 @@ def test_the_shadow_catches_a_wrong_rank(shadowed, monkeypatch):
 
     def bigger_core(S, entries):
         cols, core = real(S, entries)
-        return cols, core if core.rows == 0 else core.vstack(Matrix.identity(core.field, core.cols))
+        return cols, core.vstack(Matrix.identity(core.field, core.cols))
 
     monkeypatch.setattr(linalg, "_dense_core", bigger_core)
     with pytest.raises(AssertionError):
         run_scenario(RUNS["saturated-faithful"]())
+
+
+def test_the_shadow_catches_a_guard_that_misses_a_row(shadowed, monkeypatch):
+    """The guard's shadow is live: the bristle images of I_2 over GF(3) with
+    one entry of their last row changed fail the guard in its last run of
+    rows, and the library raises, as the reference's verdict agrees."""
+    f = GF(3)
+    checked = modules.sparse_block_kernels
+
+    def corrupted(S, blocks):
+        H, counts = checked(S, blocks)
+        data = H.data.copy()
+        data[-1, 0] = (data[-1, 0] + 1) % 3
+        return Matrix(f, data), counts
+
+    monkeypatch.setattr(modules, "sparse_block_kernels", corrupted)
+    with pytest.raises(InternalCheckFailed, match="does not intertwine"):
+        modules.bristle_images(bristle_points(3, f), preinjective(3, 2, f))
+    assert shadowed["intertwines"] == 1
